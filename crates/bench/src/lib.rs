@@ -39,14 +39,27 @@ pub fn scaled_seeds(n: u64) -> u64 {
     ((n as f64 * scale()).round() as u64).max(1)
 }
 
-/// Where CSV output lands: `<repo>/results/`.
+/// Where CSV output lands: `<repo>/results/`, in the checkout the harness
+/// runs in — not the one it was compiled in, so a binary built elsewhere
+/// never appends to another checkout's records.
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("results");
+    let dir = checkout_root().join("results");
     let _ = fs::create_dir_all(&dir);
     dir
+}
+
+/// The nearest directory holding this crate at `crates/bench`, searched
+/// upwards from the current directory and then from the executable (which
+/// sits in the checkout's `target/`); the current directory if neither
+/// is inside a checkout.
+fn checkout_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_default();
+    let exe = std::env::current_exe().unwrap_or_default();
+    let root = [&cwd, &exe]
+        .into_iter()
+        .flat_map(|start| start.ancestors())
+        .find(|dir| dir.join("crates/bench/Cargo.toml").is_file());
+    root.unwrap_or(&cwd).to_path_buf()
 }
 
 /// Value of a `--name VALUE` flag in a harness's argument list.
@@ -177,6 +190,17 @@ mod tests {
     fn results_dir_is_creatable() {
         let dir = results_dir();
         assert!(dir.exists());
+    }
+
+    #[test]
+    fn results_dir_is_in_the_checkout_the_test_runs_in() {
+        // A test runs in the checkout it was compiled in, so here (and
+        // only here) the compile-time path is the answer.
+        let compiled_in = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        assert_eq!(
+            results_dir().canonicalize().unwrap(),
+            compiled_in.canonicalize().unwrap()
+        );
     }
 
     #[test]

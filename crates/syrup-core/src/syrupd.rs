@@ -16,9 +16,17 @@
 //!
 //! Native Rust policies (the simulation fast path) go through the same
 //! registration, port-ownership, and dispatch rules, just without the VM.
+//!
+//! Control and data plane are split as the kernel splits attaching a
+//! program from running it: `register_app`, `deploy`, `undeploy`,
+//! `attach_*` and `set_backend` mutate the authoritative state under one
+//! lock and publish an immutable `DispatchTable`; `schedule` fetches the
+//! current table and runs the policy under a lock only that policy's
+//! callers take, so independent applications share only the fetch.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -31,8 +39,6 @@ use syrup_lang::LangError;
 use syrup_telemetry::{
     CounterHandle, DecisionEvent, Executor, HistogramHandle, Registry, Snapshot,
 };
-
-use std::collections::HashSet;
 
 use crate::decision::{Decision, Verdict};
 use crate::hook::{Hook, HookMeta};
@@ -166,13 +172,42 @@ impl PolicyMetrics {
     }
 }
 
-enum Deployed {
-    Ebpf {
-        slot: ProgSlot,
-        env: RunEnv,
-        metrics: PolicyMetrics,
-    },
-    Native(Box<dyn PacketPolicy>, PolicyMetrics),
+/// What one invocation of a deployed policy runs. The environment of
+/// an eBPF policy carries its `prandom` stream from call to call.
+enum Exec {
+    Ebpf(RunEnv),
+    Native(Box<dyn PacketPolicy>),
+}
+
+/// One deployed `(app, hook)` policy, shared by the tables routing to it.
+struct Slot {
+    app: AppId,
+    native: bool,
+    metrics: PolicyMetrics,
+    /// The control plane's rank opt-in flag for this `(app, hook)`. It
+    /// publishes no other data, hence relaxed.
+    ranked: Arc<AtomicBool>,
+    /// Held for the length of one invocation, by this policy's callers
+    /// only: native policies are `&mut`, and an eBPF policy's `prandom`
+    /// stream must advance in call order.
+    exec: Mutex<Exec>,
+}
+
+/// The data plane's view of one hook.
+struct HookTable {
+    root_slot: ProgSlot,
+    stage: syrup_trace::Stage,
+    /// Port → owning policy, sorted by port.
+    ports: Vec<(u16, Arc<Slot>)>,
+}
+
+/// Everything one `schedule` call reads, immutable once published.
+struct DispatchTable {
+    hooks: [Option<HookTable>; Hook::ALL.len()],
+    /// The control plane's VM, tracer and recorder included, as of
+    /// publish time. Its program store is shared, so a slot loaded later
+    /// (the live prog-array may hand one to a call on this table) resolves.
+    vm: Vm,
 }
 
 struct HookState {
@@ -182,13 +217,10 @@ struct HookState {
     prog_array: MapRef,
     /// The verified root dispatcher.
     root_slot: ProgSlot,
-    /// Rust-side mirror: port → app (also used for native dispatch).
-    port_owner: HashMap<u16, AppId>,
     /// Deployed policy per app.
-    policies: HashMap<AppId, Deployed>,
-    /// App → prog-array index.
+    policies: HashMap<AppId, Arc<Slot>>,
+    /// App → prog-array index; an app keeps its index for good.
     indices: HashMap<AppId, u32>,
-    next_index: u32,
 }
 
 struct AppInfo {
@@ -197,17 +229,43 @@ struct AppInfo {
     ports: Vec<u16>,
 }
 
-struct Inner {
+/// The authoritative state, mutated under the control lock and then
+/// published as a fresh [`DispatchTable`].
+struct Control {
     vm: Vm,
     apps: HashMap<AppId, AppInfo>,
     hooks: HashMap<Hook, HookState>,
-    /// `(app, hook)` pairs that opted into rank decoding. Everything else
-    /// keeps the classic u32 truncation, so FIFO scenarios are
-    /// bit-identical whether or not a policy happens to set high bits.
-    rank_optin: HashSet<(AppId, Hook)>,
+    /// Whether `(app, hook)` opted into rank decoding, shared with the
+    /// deployed slot so a toggle needs no new table. Everything else keeps
+    /// the classic u32 truncation, so FIFO scenarios are bit-identical
+    /// whether or not a policy happens to set high bits.
+    rank_optin: HashMap<(AppId, Hook), Arc<AtomicBool>>,
     next_app: u32,
-    tracer: syrup_trace::Tracer,
-    recorder: syrup_blackbox::Recorder,
+}
+
+impl Control {
+    /// The table for the current state: O(hooks + deployed ports).
+    fn table(&self) -> DispatchTable {
+        let mut hooks: [Option<HookTable>; Hook::ALL.len()] = Default::default();
+        for (hook, hs) in &self.hooks {
+            let mut ports = Vec::new();
+            for (app, slot) in &hs.policies {
+                ports.extend(self.apps[app].ports.iter().map(|p| (*p, slot.clone())));
+            }
+            ports.sort_unstable_by_key(|(port, _)| *port);
+            hooks[hook.index()] = Some(HookTable {
+                root_slot: hs.root_slot,
+                stage: syrup_trace::Stage::for_hook(hook.name()),
+                ports,
+            });
+        }
+        let vm = self.vm.clone();
+        DispatchTable { hooks, vm }
+    }
+
+    fn rank_flag(&mut self, app: AppId, hook: Hook) -> &Arc<AtomicBool> {
+        self.rank_optin.entry((app, hook)).or_default()
+    }
 }
 
 /// The daemon. Cloning shares the instance (it is "a long-running daemon"
@@ -220,15 +278,18 @@ pub struct Syrupd {
     deploys: CounterHandle,
     dispatches: CounterHandle,
     unmatched: CounterHandle,
-    inner: Arc<Mutex<Inner>>,
+    /// The control plane: every mutation happens under this lock.
+    control: Arc<Mutex<Control>>,
+    /// The data plane: locked only to clone or swap the `Arc`.
+    published: Arc<Mutex<Arc<DispatchTable>>>,
 }
 
 impl fmt::Debug for Syrupd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
+        let control = self.control.lock();
         f.debug_struct("Syrupd")
-            .field("apps", &inner.apps.len())
-            .field("hooks", &inner.hooks.len())
+            .field("apps", &control.apps.len())
+            .field("hooks", &control.hooks.len())
             .finish()
     }
 }
@@ -260,22 +321,37 @@ impl Syrupd {
                 vm.set_backend(backend);
             }
         }
+        let control = Control {
+            vm,
+            apps: HashMap::new(),
+            hooks: HashMap::new(),
+            rank_optin: HashMap::new(),
+            next_app: 1,
+        };
         Syrupd {
-            inner: Arc::new(Mutex::new(Inner {
-                vm,
-                apps: HashMap::new(),
-                hooks: HashMap::new(),
-                rank_optin: HashSet::new(),
-                next_app: 1,
-                tracer: syrup_trace::Tracer::disabled(),
-                recorder: syrup_blackbox::Recorder::disabled(),
-            })),
+            published: Arc::new(Mutex::new(Arc::new(control.table()))),
+            control: Arc::new(Mutex::new(control)),
             registry,
             deploys: telemetry.counter("syrupd/deploys"),
             dispatches: telemetry.counter("syrupd/dispatches"),
             unmatched: telemetry.counter("syrupd/unmatched"),
             telemetry,
         }
+    }
+
+    /// Makes `control`'s state what the next `schedule` call sees. Calls
+    /// already past their table fetch finish on the table they hold.
+    fn publish(&self, control: &Control) {
+        let next = Arc::new(control.table());
+        // Bound, so the previous table is dropped after the lock is released.
+        let _previous = std::mem::replace(&mut *self.published.lock(), next);
+    }
+
+    /// Reconfigures the VM; the next `schedule` call runs under it.
+    fn configure_vm(&self, configure: impl FnOnce(&mut Vm)) {
+        let mut control = self.control.lock();
+        configure(&mut control.vm);
+        self.publish(&control);
     }
 
     /// The shared map registry (substrates use it to resolve executor
@@ -315,15 +391,13 @@ impl Syrupd {
     /// `vm-exec` span), and a `policy-lifecycle` instant per
     /// deploy/undeploy. Affects every clone of this daemon.
     pub fn attach_tracer(&self, tracer: &syrup_trace::Tracer) {
-        let mut inner = self.inner.lock();
-        inner.vm.attach_tracer(tracer);
-        inner.tracer = tracer.clone();
+        self.configure_vm(|vm| vm.attach_tracer(tracer));
     }
 
     /// The tracer the daemon records into ([`syrup_trace::Tracer::disabled`]
     /// unless [`Syrupd::attach_tracer`] was called).
     pub fn tracer(&self) -> syrup_trace::Tracer {
-        self.inner.lock().tracer.clone()
+        self.control.lock().vm.tracer().clone()
     }
 
     /// Streams flight-recorder events from every layer the daemon owns:
@@ -332,9 +406,7 @@ impl Syrupd {
     /// the VM's trap and tail-call-cap events from whichever execution
     /// engine is active. Affects every clone of this daemon.
     pub fn attach_blackbox(&self, recorder: &syrup_blackbox::Recorder) {
-        let mut inner = self.inner.lock();
-        inner.vm.attach_blackbox(recorder);
-        inner.recorder = recorder.clone();
+        self.configure_vm(|vm| vm.attach_blackbox(recorder));
     }
 
     /// Starts attributing every eBPF invocation's cycles into
@@ -343,33 +415,32 @@ impl Syrupd {
     /// Programs deployed before or after the attach are both annotated.
     /// Affects every clone of this daemon.
     pub fn attach_profiler(&self, profiler: &syrup_profile::Profiler) {
-        let mut inner = self.inner.lock();
-        inner.vm.attach_profiler(profiler);
+        self.configure_vm(|vm| vm.attach_profiler(profiler));
     }
 
     /// Selects the eBPF execution engine for every deployed policy.
     /// Takes effect on the next invocation; both engines share maps and
     /// program slots, so switching mid-run is safe.
     pub fn set_backend(&self, backend: Backend) {
-        self.inner.lock().vm.set_backend(backend);
+        self.configure_vm(|vm| vm.set_backend(backend));
     }
 
     /// The eBPF execution engine policies currently run under.
     pub fn backend(&self) -> Backend {
-        self.inner.lock().vm.backend()
+        self.control.lock().vm.backend()
     }
 
     /// Apps with a deployed policy, as `(app, hook, is_native)` rows —
     /// the data behind `syrupctl prog list`.
     pub fn deployed(&self) -> Vec<(AppId, Hook, bool)> {
-        let inner = self.inner.lock();
-        let mut rows: Vec<(AppId, Hook, bool)> = inner
+        let control = self.control.lock();
+        let mut rows: Vec<(AppId, Hook, bool)> = control
             .hooks
             .iter()
             .flat_map(|(hook, hs)| {
                 hs.policies
                     .iter()
-                    .map(|(app, d)| (*app, *hook, matches!(d, Deployed::Native(..))))
+                    .map(|(app, slot)| (*app, *hook, slot.native))
             })
             .collect();
         rows.sort_by_key(|(app, hook, _)| (app.0, *hook));
@@ -382,17 +453,23 @@ impl Syrupd {
     /// is bit-identical to the classic u32 contract. Idempotent; may be
     /// called before or after `deploy`.
     pub fn enable_ranks(&self, app: AppId, hook: Hook) {
-        self.inner.lock().rank_optin.insert((app, hook));
+        self.control
+            .lock()
+            .rank_flag(app, hook)
+            .store(true, Relaxed);
     }
 
     /// Reverts [`Syrupd::enable_ranks`] for `(app, hook)`.
     pub fn disable_ranks(&self, app: AppId, hook: Hook) {
-        self.inner.lock().rank_optin.remove(&(app, hook));
+        self.control
+            .lock()
+            .rank_flag(app, hook)
+            .store(false, Relaxed);
     }
 
     /// Whether `(app, hook)` opted into rank decoding.
     pub fn ranks_enabled(&self, app: AppId, hook: Hook) -> bool {
-        self.inner.lock().rank_optin.contains(&(app, hook))
+        self.control.lock().rank_flag(app, hook).load(Relaxed)
     }
 
     /// Registers an application with the ports it owns. Returns the app id
@@ -402,9 +479,9 @@ impl Syrupd {
         name: impl Into<String>,
         ports: &[u16],
     ) -> Result<(AppId, SyrupMaps), DeployError> {
-        let mut inner = self.inner.lock();
+        let mut control = self.control.lock();
         // Port ownership is global across apps.
-        for (&other_id, info) in &inner.apps {
+        for (&other_id, info) in &control.apps {
             for p in ports {
                 if info.ports.contains(p) {
                     return Err(DeployError::PortOwnedByOther {
@@ -414,9 +491,9 @@ impl Syrupd {
                 }
             }
         }
-        let id = AppId(inner.next_app);
-        inner.next_app += 1;
-        inner.apps.insert(
+        let id = AppId(control.next_app);
+        control.next_app += 1;
+        control.apps.insert(
             id,
             AppInfo {
                 name: name.into(),
@@ -437,11 +514,14 @@ impl Syrupd {
         hook: Hook,
         source: PolicySource,
     ) -> Result<PolicyHandle, DeployError> {
-        let mut inner = self.inner.lock();
-        if !inner.apps.contains_key(&app) {
+        let mut control = self.control.lock();
+        if !control.apps.contains_key(&app) {
             return Err(DeployError::UnknownApp(app));
         }
-        self.ensure_hook(&mut inner, hook)?;
+        if !control.hooks.contains_key(&hook) {
+            let state = self.new_hook(&mut control.vm)?;
+            control.hooks.insert(hook, state);
+        }
 
         // Executor map, pinned under the app's namespace.
         let exec_path = format!("/syrup/{}/{}-executors", app.0, hook);
@@ -452,8 +532,7 @@ impl Syrupd {
         let executors = self.registry.get(exec_id).expect("map just created");
 
         let mut pinned_maps = HashMap::new();
-        let metrics = PolicyMetrics::new(&self.telemetry, app, hook);
-        let deployed = match source {
+        let (exec, program) = match source {
             PolicySource::C { source, options } => {
                 let compiled = syrup_lang::compile(&source, &options, &self.registry)?;
                 // Pin file-declared maps so the app's other layers and its
@@ -470,39 +549,34 @@ impl Syrupd {
                         pinned_maps.insert("__globals".to_string(), path);
                     }
                 }
-                let slot = inner.vm.load(compiled.program)?;
-                Deployed::Ebpf {
-                    slot,
-                    env: RunEnv::default(),
-                    metrics,
-                }
+                (Exec::Ebpf(RunEnv::default()), Some(compiled.program))
             }
-            PolicySource::Bytecode(program) => {
-                let slot = inner.vm.load(program)?;
-                Deployed::Ebpf {
-                    slot,
-                    env: RunEnv::default(),
-                    metrics,
-                }
-            }
-            PolicySource::Native(policy) => Deployed::Native(policy, metrics),
+            PolicySource::Bytecode(program) => (Exec::Ebpf(RunEnv::default()), Some(program)),
+            PolicySource::Native(policy) => (Exec::Native(policy), None),
         };
+        let prog_slot = program.map(|p| control.vm.load(p)).transpose()?;
         self.deploys.inc();
+        let slot = Arc::new(Slot {
+            app,
+            native: prog_slot.is_none(),
+            metrics: PolicyMetrics::new(&self.telemetry, app, hook),
+            ranked: control.rank_flag(app, hook).clone(),
+            exec: Mutex::new(exec),
+        });
 
         // Wire the isolation dispatch: every port the app owns routes to
         // this policy, and only to this policy.
-        let ports = inner.apps[&app].ports.clone();
-        let hook_state = inner.hooks.get_mut(&hook).expect("ensured above");
-        let index = *hook_state.indices.entry(app).or_insert_with(|| {
-            let i = hook_state.next_index;
-            hook_state.next_index += 1;
-            i
-        });
-        if let Deployed::Ebpf { slot, .. } = &deployed {
-            hook_state.prog_array.set_prog(index, Some(*slot))?;
-        } else {
-            // Native policies dispatch in Rust; clear any stale eBPF entry.
-            hook_state.prog_array.set_prog(index, None)?;
+        let ports = control.apps[&app].ports.clone();
+        let hook_state = control.hooks.get_mut(&hook).expect("created above");
+        let next_index = hook_state.indices.len() as u32;
+        let index = *hook_state.indices.entry(app).or_insert(next_index);
+        // The prog-array is live: from here a call still on the previous
+        // table tail-calls into the new program. A native policy leaves
+        // the entry alone: no table runs the root program for a native
+        // slot, and a call on the previous table gets the policy it
+        // started with, not a failed tail call.
+        if prog_slot.is_some() {
+            hook_state.prog_array.set_prog(index, prog_slot)?;
         }
         for port in ports {
             hook_state.port_map.update(
@@ -510,12 +584,11 @@ impl Syrupd {
                 &u64::from(index).to_le_bytes(),
                 Default::default(),
             )?;
-            hook_state.port_owner.insert(port, app);
         }
-        hook_state.policies.insert(app, deployed);
-        inner
-            .tracer
-            .global_instant(syrup_trace::Stage::PolicyLifecycle, 0, u64::from(app.0));
+        hook_state.policies.insert(app, slot);
+        self.publish(&control);
+        let tracer = control.vm.tracer();
+        tracer.global_instant(syrup_trace::Stage::PolicyLifecycle, 0, u64::from(app.0));
 
         Ok(PolicyHandle {
             app,
@@ -528,20 +601,21 @@ impl Syrupd {
     /// Removes the policy for `(app, hook)`; inputs fall back to the
     /// system default.
     pub fn undeploy(&self, app: AppId, hook: Hook) {
-        let mut inner = self.inner.lock();
-        let mut removed = false;
-        if let Some(hs) = inner.hooks.get_mut(&hook) {
-            removed = hs.policies.remove(&app).is_some();
-            if let Some(&index) = hs.indices.get(&app) {
-                let _ = hs.prog_array.set_prog(index, None);
-            }
-            hs.port_owner.retain(|_, owner| *owner != app);
+        let mut control = self.control.lock();
+        let Some(hs) = control.hooks.get_mut(&hook) else {
+            return;
+        };
+        if hs.policies.remove(&app).is_none() {
+            return;
         }
-        if removed {
-            inner
-                .tracer
-                .global_instant(syrup_trace::Stage::PolicyLifecycle, 0, u64::from(app.0));
-        }
+        let (prog_array, index) = (hs.prog_array.clone(), hs.indices[&app]);
+        self.publish(&control);
+        // Cleared once no new call can route here, so only a call that
+        // fetched the previous table can still meet the empty entry (and
+        // PASSes, as the root program does for any port without a policy).
+        let _ = prog_array.set_prog(index, None);
+        let tracer = control.vm.tracer();
+        tracer.global_instant(syrup_trace::Stage::PolicyLifecycle, 0, u64::from(app.0));
     }
 
     /// The hook entry point the substrates call per input: runs the
@@ -554,7 +628,7 @@ impl Syrupd {
         pkt: &mut [u8],
         meta: &HookMeta,
     ) -> (Option<AppId>, Decision) {
-        let (app, verdict) = self.schedule_impl(hook, pkt, meta);
+        let (app, verdict) = self.schedule_verdict(hook, pkt, meta);
         (app, verdict.decision)
     }
 
@@ -571,143 +645,80 @@ impl Syrupd {
         pkt: &mut [u8],
         meta: &HookMeta,
     ) -> (Option<AppId>, Verdict) {
-        let (app, mut verdict) = self.schedule_impl(hook, pkt, meta);
-        let ranked = match app {
-            Some(app) => self.inner.lock().rank_optin.contains(&(app, hook)),
-            None => false,
-        };
-        if !ranked {
-            verdict.rank = 0;
-        }
-        (app, verdict)
-    }
-
-    fn schedule_impl(
-        &self,
-        hook: Hook,
-        pkt: &mut [u8],
-        meta: &HookMeta,
-    ) -> (Option<AppId>, Verdict) {
         self.dispatches.inc();
-        let mut inner = self.inner.lock();
-        let Some(hs) = inner.hooks.get(&hook) else {
-            self.unmatched.inc();
-            return (None, Verdict::unranked(Decision::Pass));
-        };
-        let Some(&app) = hs.port_owner.get(&meta.dst_port) else {
+        // The one lock every caller shares, held for an `Arc` clone.
+        let table = Arc::clone(&self.published.lock());
+        let routed = table.hooks[hook.index()].as_ref().and_then(|ht| {
+            let found = ht
+                .ports
+                .binary_search_by_key(&meta.dst_port, |route| route.0);
+            Some((ht, &*ht.ports[found.ok()?].1))
+        });
+        let Some((ht, slot)) = routed else {
             // No policy deployed for this port: default system behaviour.
             self.unmatched.inc();
             return (None, Verdict::unranked(Decision::Pass));
         };
-        let tracer = inner.tracer.clone();
-        let recorder = inner.recorder.clone();
-        let hook_stage = syrup_trace::Stage::for_hook(hook.name());
-        let is_native = matches!(hs.policies.get(&app), Some(Deployed::Native(..)));
-        if is_native {
-            let hs = inner.hooks.get_mut(&hook).expect("exists");
-            let Some(Deployed::Native(policy, metrics)) = hs.policies.get_mut(&app) else {
-                return (Some(app), Verdict::unranked(Decision::Pass));
-            };
-            let verdict = policy.schedule_verdict(pkt, meta);
-            metrics.record(&self.telemetry, meta, verdict.decision, Executor::Native, 0);
-            recorder.dispatch(
-                meta.now_ns,
-                app.0 as u16,
-                hook.index() as u16,
-                verdict.to_ret(),
-                0,
-            );
-            tracer.policy_span(
-                meta.trace,
-                hook_stage,
-                meta.now_ns,
-                meta.now_ns,
-                verdict.decision.to_ret() as i64,
-                0,
-            );
-            return (Some(app), verdict);
-        }
 
-        // eBPF path: run the root dispatcher, which tail-calls the policy.
-        let root_slot = hs.root_slot;
-        let Some(Deployed::Ebpf { .. }) = hs.policies.get(&app) else {
-            return (Some(app), Verdict::unranked(Decision::Pass));
-        };
-        let mut env = match inner
-            .hooks
-            .get_mut(&hook)
-            .and_then(|h| h.policies.get_mut(&app))
-        {
-            Some(Deployed::Ebpf { env, .. }) => env.clone(),
-            _ => RunEnv::default(),
-        };
-        env.now_ns = meta.now_ns;
-        env.cpu_id = meta.cpu;
-        env.trace = meta.trace;
-        let mut ctx = PacketCtx::new(pkt);
-        ctx.meta = [
-            u64::from(meta.rx_queue),
-            u64::from(meta.cpu),
-            u64::from(meta.dst_port),
-            0,
-        ];
-        let outcome = inner.vm.run(root_slot, &mut ctx, &mut env);
-        // Persist env + record per-policy telemetry.
-        let mut verdict = Verdict::unranked(Decision::Pass);
-        if let Some(Deployed::Ebpf {
-            env: stored,
-            metrics,
-            ..
-        }) = inner
-            .hooks
-            .get_mut(&hook)
-            .and_then(|h| h.policies.get_mut(&app))
-        {
-            *stored = env;
-            match &outcome {
-                Ok(out) => {
-                    metrics.insns.record(out.insns);
-                    metrics.cycles.record(out.cycles);
-                    verdict = match out.redirect {
-                        Some((_, idx)) => Verdict {
-                            decision: Decision::Executor(idx),
-                            rank: ret::rank_of(out.ret),
-                        },
-                        None => Verdict::from_ret(out.ret),
-                    };
-                    metrics.record(
-                        &self.telemetry,
-                        meta,
-                        verdict.decision,
-                        Executor::Ebpf,
-                        out.cycles,
-                    );
-                }
-                // A trapping policy affects only its own traffic (§3.2):
-                // its input PASSes to the default policy.
-                Err(_) => {
-                    metrics.traps.inc();
-                    metrics.record(&self.telemetry, meta, verdict.decision, Executor::Ebpf, 0);
+        let mut exec = slot.exec.lock();
+        let (mut verdict, executor, cycles) = match &mut *exec {
+            Exec::Native(policy) => (policy.schedule_verdict(pkt, meta), Executor::Native, 0),
+            // eBPF path: run the root dispatcher, which tail-calls the
+            // policy.
+            Exec::Ebpf(env) => {
+                env.now_ns = meta.now_ns;
+                env.cpu_id = meta.cpu;
+                env.trace = meta.trace;
+                let mut ctx = PacketCtx::new(pkt);
+                ctx.meta = [
+                    u64::from(meta.rx_queue),
+                    u64::from(meta.cpu),
+                    u64::from(meta.dst_port),
+                    0,
+                ];
+                match table.vm.run(ht.root_slot, &mut ctx, env) {
+                    Ok(out) => {
+                        slot.metrics.insns.record(out.insns);
+                        slot.metrics.cycles.record(out.cycles);
+                        let verdict = match out.redirect {
+                            Some((_, idx)) => Verdict {
+                                decision: Decision::Executor(idx),
+                                rank: ret::rank_of(out.ret),
+                            },
+                            None => Verdict::from_ret(out.ret),
+                        };
+                        (verdict, Executor::Ebpf, out.cycles)
+                    }
+                    // A trapping policy affects only its own traffic
+                    // (§3.2): its input PASSes to the default policy.
+                    Err(_) => {
+                        slot.metrics.traps.inc();
+                        (Verdict::unranked(Decision::Pass), Executor::Ebpf, 0)
+                    }
                 }
             }
-        }
-        let cycles = outcome.as_ref().map(|o| o.cycles).unwrap_or(0);
-        recorder.dispatch(
+        };
+        slot.metrics
+            .record(&self.telemetry, meta, verdict.decision, executor, cycles);
+        table.vm.recorder().dispatch(
             meta.now_ns,
-            app.0 as u16,
+            slot.app.0 as u16,
             hook.index() as u16,
             verdict.to_ret(),
             cycles,
         );
-        tracer.policy_span(
+        table.vm.tracer().policy_span(
             meta.trace,
-            hook_stage,
+            ht.stage,
             meta.now_ns,
             meta.now_ns + cycles,
             verdict.decision.to_ret() as i64,
             cycles,
         );
-        (Some(app), verdict)
+        if !slot.ranked.load(Relaxed) {
+            verdict.rank = 0;
+        }
+        (Some(slot.app), verdict)
     }
 
     /// Mean (instructions, cycles) per invocation for an eBPF policy
@@ -717,25 +728,21 @@ impl Syrupd {
     /// Reads the `app<id>/<hook>/{insns,cycles}` telemetry histograms;
     /// means are exact because histograms carry exact sums.
     pub fn policy_stats(&self, app: AppId, hook: Hook) -> Option<(f64, f64)> {
-        let inner = self.inner.lock();
-        match inner.hooks.get(&hook)?.policies.get(&app)? {
-            Deployed::Ebpf { metrics, .. } => {
-                let insns = metrics.insns.snapshot();
-                let cycles = metrics.cycles.snapshot();
-                if insns.is_empty() {
-                    return None;
-                }
-                Some((insns.mean(), cycles.mean()))
-            }
-            Deployed::Native(..) => None,
+        let control = self.control.lock();
+        let slot = control.hooks.get(&hook)?.policies.get(&app)?;
+        if slot.native {
+            return None;
         }
+        let insns = slot.metrics.insns.snapshot();
+        let cycles = slot.metrics.cycles.snapshot();
+        if insns.is_empty() {
+            return None;
+        }
+        Some((insns.mean(), cycles.mean()))
     }
 
-    /// Builds the per-hook dispatch state on first use.
-    fn ensure_hook(&self, inner: &mut Inner, hook: Hook) -> Result<(), DeployError> {
-        if inner.hooks.contains_key(&hook) {
-            return Ok(());
-        }
+    /// Builds a hook's dispatch state, on its first deployment.
+    fn new_hook(&self, vm: &mut Vm) -> Result<HookState, DeployError> {
         let port_map_id = self.registry.create(MapDef::u64_hash(1024));
         let prog_array_id = self.registry.create(MapDef::prog_array(256));
         let port_map = self.registry.get(port_map_id).expect("created");
@@ -762,21 +769,13 @@ impl Syrupd {
             .exit()
             .build("syrupd_dispatch")
             .expect("root dispatcher assembles");
-        let root_slot = inner.vm.load(root)?;
-
-        inner.hooks.insert(
-            hook,
-            HookState {
-                port_map,
-                prog_array,
-                root_slot,
-                port_owner: HashMap::new(),
-                policies: HashMap::new(),
-                indices: HashMap::new(),
-                next_index: 0,
-            },
-        );
-        Ok(())
+        Ok(HookState {
+            port_map,
+            prog_array,
+            root_slot: vm.load(root)?,
+            policies: HashMap::new(),
+            indices: HashMap::new(),
+        })
     }
 }
 

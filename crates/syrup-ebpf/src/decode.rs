@@ -11,9 +11,9 @@
 //!   targets outside the program, which — like the interpreter — only
 //!   trap when the branch is actually *taken*);
 //! * per-instruction cycle costs are tabled once from the [`CycleModel`];
-//! * map-fd operands are resolved to tokens, and every map in the registry
-//!   at decode time is pre-bound into a handle cache so helper calls and
-//!   map-value accesses skip the registry lock.
+//! * map-fd operands are resolved to tokens (the handles themselves are
+//!   pre-bound once per VM, at load, so helper calls and map-value
+//!   accesses skip the registry lock).
 //!
 //! The lowering is invertible: [`DecodedProg::reencode`] reconstructs the
 //! exact original instruction stream, which the proptest suite uses to
@@ -23,7 +23,7 @@
 use crate::cycles::CycleModel;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
-use crate::maps::{MapId, MapRef, MapRegistry};
+use crate::maps::MapRegistry;
 use crate::vm::{map_fd_token, map_from_token};
 use crate::Program;
 
@@ -142,9 +142,8 @@ pub(crate) struct Step {
     pub(crate) cost: u64,
 }
 
-/// A program lowered for the fast engine: the dense instruction stream
-/// (each step fused with its modelled cycle cost) and pre-bound map
-/// handles.
+/// A program lowered for the fast engine: the dense instruction stream,
+/// each step fused with its modelled cycle cost.
 ///
 /// Produced by [`decode`]; executed by the VM when its backend is
 /// [`crate::vm::Backend::Fast`]. The observable contract (verdicts, map
@@ -155,7 +154,6 @@ pub struct DecodedProg {
     pub(crate) name: String,
     pub(crate) code: Vec<Step>,
     pub(crate) invoke: u64,
-    pub(crate) map_cache: Vec<Option<MapRef>>,
 }
 
 impl DecodedProg {
@@ -294,10 +292,10 @@ impl DecodedProg {
     }
 }
 
-/// Lowers `prog` for the fast engine under `model`, pre-binding every map
-/// currently in `maps`. Maps created after decoding still resolve (the
-/// engine falls back to the registry), just without the cached handle.
-pub fn decode(prog: &Program, model: &CycleModel, maps: &MapRegistry) -> DecodedProg {
+/// Lowers `prog` for the fast engine under `model`. Map handles are not
+/// bound here: the [`crate::Vm`] keeps one cache of them for all its
+/// programs, refreshed at load, so `_maps` is unused.
+pub fn decode(prog: &Program, model: &CycleModel, _maps: &MapRegistry) -> DecodedProg {
     let len = prog.insns.len();
     let target_of = |i: usize, off: i16| -> u32 {
         let target = i as i64 + 1 + i64::from(off);
@@ -410,12 +408,10 @@ pub fn decode(prog: &Program, model: &CycleModel, maps: &MapRegistry) -> Decoded
         };
         code.push(Step { insn: fast, cost });
     }
-    let map_cache = (0..maps.len() as u32).map(|i| maps.get(MapId(i))).collect();
     DecodedProg {
         name: prog.name.clone(),
         code,
         invoke: model.invoke,
-        map_cache,
     }
 }
 

@@ -13,8 +13,8 @@
 //!   the interpreter's shared `alu`/`compare` only for pointer operands
 //!   (which also keeps the trap semantics literally the same code);
 //! * helper key/value marshalling reuses two per-run buffers instead of
-//!   allocating per call, and map handles come from the decode-time cache
-//!   instead of the registry lock;
+//!   allocating per call, and map handles come from the VM's load-time
+//!   cache instead of the registry lock;
 //! * the whole loop is monomorphized over "profiler attached?", so the
 //!   disabled-profiler build has no per-instruction instrumentation branch
 //!   (the ≤5ns disabled-cost contract).
@@ -23,7 +23,7 @@
 //! helpers/ALU code here, the `syrup-fuzz --backend-diff` differential
 //! oracle, and the both-backend proptests in `tests/`.
 
-use crate::decode::{DecodedProg, FastInsn, BAD_TARGET};
+use crate::decode::{FastInsn, BAD_TARGET};
 use crate::helpers::HelperId;
 use crate::insn::{MemSize, Reg, Width};
 use crate::maps::{MapError, MapId, MapKind, MapRef, ProgSlot, UpdateFlag};
@@ -124,9 +124,9 @@ impl RegFile {
     }
 }
 
-/// A map handle resolved for one access: borrowed from the decode-time
-/// cache on the hot path (no refcount traffic), owned only for maps
-/// created after decoding.
+/// A map handle resolved for one access: borrowed from the VM's
+/// load-time cache on the hot path (no refcount traffic), owned only for
+/// maps created after the last load.
 enum MapHandle<'a> {
     Cached(&'a MapRef),
     Owned(MapRef),
@@ -165,10 +165,7 @@ fn exec<const PROF: bool>(
     ctx: &mut PacketCtx<'_>,
     env: &mut RunEnv,
 ) -> Result<VmOutcome, VmError> {
-    let mut prog = vm
-        .decoded
-        .get(slot.0 as usize)
-        .ok_or(VmError::NoSuchProgram)?;
+    let mut prog = vm.decoded(slot).ok_or(VmError::NoSuchProgram)?;
     if prog.code.is_empty() {
         return Err(VmError::NoSuchProgram);
     }
@@ -310,7 +307,7 @@ fn exec<const PROF: bool>(
                 off,
             } => {
                 let ptr = regs.read(base)?;
-                let v = mem_load(vm, prog, ptr, off as i64, size, ctx, &mut stack)?;
+                let v = mem_load(vm, ptr, off as i64, size, ctx, &mut stack)?;
                 regs.set(dst, v);
             }
             FastInsn::StoreMem {
@@ -321,7 +318,7 @@ fn exec<const PROF: bool>(
             } => {
                 let ptr = regs.read(base)?;
                 let v = scalar(regs.read(src)?)?;
-                mem_store(vm, prog, ptr, off as i64, size, v, ctx, &mut stack)?;
+                mem_store(vm, ptr, off as i64, size, v, ctx, &mut stack)?;
             }
             FastInsn::StoreImm {
                 size,
@@ -332,7 +329,6 @@ fn exec<const PROF: bool>(
                 let ptr = regs.read(base)?;
                 mem_store(
                     vm,
-                    prog,
                     ptr,
                     off as i64,
                     size,
@@ -357,7 +353,7 @@ fn exec<const PROF: bool>(
                 }
                 let ptr = regs.read(base)?;
                 let addend = scalar(regs.read(src)?)?;
-                let old = fetch_add(vm, prog, ptr, off as i64, size, addend, ctx, &mut stack)?;
+                let old = fetch_add(vm, ptr, off as i64, size, addend, ctx, &mut stack)?;
                 if fetch {
                     regs.set_scalar(src, old);
                 }
@@ -417,7 +413,6 @@ fn exec<const PROF: bool>(
                 }
                 match call_helper(
                     vm,
-                    prog,
                     helper,
                     &mut regs,
                     ctx,
@@ -444,10 +439,7 @@ fn exec<const PROF: bool>(
                             tail_calls -= 1;
                             continue;
                         }
-                        prog = vm
-                            .decoded
-                            .get(next.0 as usize)
-                            .ok_or(VmError::NoSuchProgram)?;
+                        prog = vm.decoded(next).ok_or(VmError::NoSuchProgram)?;
                         pc = 0;
                         if PROF {
                             prof.tail_call(&prog.name);
@@ -477,34 +469,27 @@ fn exec<const PROF: bool>(
     }
 }
 
-/// Resolves a map id via the decode-time cache (a borrow — no refcount
-/// traffic on the hot path), falling back to the registry for maps
-/// created after decoding (or referenced cross-program through
-/// callee-saved registers).
+/// Resolves a map id via the VM's load-time cache (a borrow — no
+/// refcount traffic on the hot path), falling back to the registry for
+/// maps created since the last load.
 #[inline(always)]
-fn resolve_map<'a>(vm: &Vm, prog: &'a DecodedProg, id: MapId) -> Option<MapHandle<'a>> {
-    match prog.map_cache.get(id.0 as usize) {
-        Some(Some(map)) => Some(MapHandle::Cached(map)),
-        _ => vm.maps.get(id).map(MapHandle::Owned),
+fn resolve_map(vm: &Vm, id: MapId) -> Option<MapHandle<'_>> {
+    match vm.map_cache.get(id.0 as usize) {
+        Some(map) => Some(MapHandle::Cached(map)),
+        None => vm.maps.get(id).map(MapHandle::Owned),
     }
 }
 
-fn map_arg<'a>(
-    vm: &Vm,
-    prog: &'a DecodedProg,
-    v: Val,
-    helper: HelperId,
-) -> Result<MapHandle<'a>, VmError> {
+fn map_arg<'a>(vm: &'a Vm, v: Val, helper: HelperId) -> Result<MapHandle<'a>, VmError> {
     let id = match v {
         Val::Scalar(tok) => map_from_token(tok).ok_or(VmError::BadHelperArg(helper))?,
         _ => return Err(VmError::BadHelperArg(helper)),
     };
-    resolve_map(vm, prog, id).ok_or(VmError::BadHelperArg(helper))
+    resolve_map(vm, id).ok_or(VmError::BadHelperArg(helper))
 }
 
 fn mem_load(
     vm: &Vm,
-    prog: &DecodedProg,
     ptr: Val,
     insn_off: i64,
     size: MemSize,
@@ -556,7 +541,7 @@ fn mem_load(
             }
         }
         Region::MapValue { map, slot } => {
-            let map_ref = resolve_map(vm, prog, map).ok_or(MapError::NotFound)?;
+            let map_ref = resolve_map(vm, map).ok_or(MapError::NotFound)?;
             if off < 0 {
                 return Err(VmError::OutOfBounds {
                     region: "map value",
@@ -570,10 +555,8 @@ fn mem_load(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn mem_store(
     vm: &Vm,
-    prog: &DecodedProg,
     ptr: Val,
     insn_off: i64,
     size: MemSize,
@@ -601,7 +584,7 @@ fn mem_store(
         }
         Region::Ctx => Err(VmError::ReadOnly),
         Region::MapValue { map, slot } => {
-            let map_ref = resolve_map(vm, prog, map).ok_or(MapError::NotFound)?;
+            let map_ref = resolve_map(vm, map).ok_or(MapError::NotFound)?;
             if off < 0 {
                 return Err(VmError::OutOfBounds {
                     region: "map value",
@@ -615,10 +598,8 @@ fn mem_store(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn fetch_add(
     vm: &Vm,
-    prog: &DecodedProg,
     ptr: Val,
     insn_off: i64,
     size: MemSize,
@@ -633,7 +614,7 @@ fn fetch_add(
         off,
     } = ptr
     {
-        let map_ref = resolve_map(vm, prog, map).ok_or(MapError::NotFound)?;
+        let map_ref = resolve_map(vm, map).ok_or(MapError::NotFound)?;
         let off = off + insn_off;
         if off < 0 {
             return Err(VmError::OutOfBounds {
@@ -644,12 +625,12 @@ fn fetch_add(
         }
         return Ok(map_ref.fetch_add_value(slot, off as u32, size.bytes() as u32, addend)?);
     }
-    let old = scalar(mem_load(vm, prog, ptr, insn_off, size, ctx, stack)?)?;
+    let old = scalar(mem_load(vm, ptr, insn_off, size, ctx, stack)?)?;
     let new = match size {
         MemSize::W => ((old as u32).wrapping_add(addend as u32)) as u64,
         _ => old.wrapping_add(addend),
     };
-    mem_store(vm, prog, ptr, insn_off, size, new, ctx, stack)?;
+    mem_store(vm, ptr, insn_off, size, new, ctx, stack)?;
     Ok(old)
 }
 
@@ -659,10 +640,8 @@ fn fetch_add(
 /// through `buf` (reused across calls, so steady-state helper
 /// invocations allocate nothing). Trap conditions and precedence are
 /// byte-for-byte identical to the interpreter's `read_key`.
-#[allow(clippy::too_many_arguments)]
 fn marshal_arg<'a>(
     vm: &Vm,
-    prog: &DecodedProg,
     ptr: Val,
     len: u32,
     data: &'a [u8],
@@ -689,7 +668,7 @@ fn marshal_arg<'a>(
         }
         Region::MapValue { map, slot } => {
             buf.clear();
-            let map_ref = resolve_map(vm, prog, map).ok_or(MapError::NotFound)?;
+            let map_ref = resolve_map(vm, map).ok_or(MapError::NotFound)?;
             // Per-byte like the interpreter, so the base<0 / out-of-value
             // trap precedence is byte-for-byte identical (len == 0 with a
             // negative base does not trap, matching it exactly).
@@ -712,7 +691,6 @@ fn marshal_arg<'a>(
 #[allow(clippy::too_many_arguments)]
 fn call_helper(
     vm: &Vm,
-    prog: &DecodedProg,
     helper: HelperId,
     regs: &mut RegFile,
     ctx: &mut PacketCtx<'_>,
@@ -728,11 +706,10 @@ fn call_helper(
         HelperId::KtimeGetNs => Ok(HelperOutcome::Ret(Val::Scalar(env.now_ns))),
         HelperId::GetSmpProcessorId => Ok(HelperOutcome::Ret(Val::Scalar(u64::from(env.cpu_id)))),
         HelperId::MapLookupElem => {
-            let map = map_arg(vm, prog, regs.read(Reg::R1)?, helper)?;
+            let map = map_arg(vm, regs.read(Reg::R1)?, helper)?;
             let key_len = map.def().key_size;
             let key = marshal_arg(
                 vm,
-                prog,
                 regs.read(Reg::R2)?,
                 key_len,
                 ctx.data,
@@ -752,11 +729,10 @@ fn call_helper(
             }
         }
         HelperId::MapUpdateElem => {
-            let map = map_arg(vm, prog, regs.read(Reg::R1)?, helper)?;
+            let map = map_arg(vm, regs.read(Reg::R1)?, helper)?;
             let def = map.def();
             let key = marshal_arg(
                 vm,
-                prog,
                 regs.read(Reg::R2)?,
                 def.key_size,
                 ctx.data,
@@ -766,7 +742,6 @@ fn call_helper(
             )?;
             let value = marshal_arg(
                 vm,
-                prog,
                 regs.read(Reg::R3)?,
                 def.value_size,
                 ctx.data,
@@ -788,11 +763,10 @@ fn call_helper(
             Ok(HelperOutcome::Ret(Val::Scalar(ret as u64)))
         }
         HelperId::MapDeleteElem => {
-            let map = map_arg(vm, prog, regs.read(Reg::R1)?, helper)?;
+            let map = map_arg(vm, regs.read(Reg::R1)?, helper)?;
             let key_len = map.def().key_size;
             let key = marshal_arg(
                 vm,
-                prog,
                 regs.read(Reg::R2)?,
                 key_len,
                 ctx.data,
@@ -807,13 +781,13 @@ fn call_helper(
             Ok(HelperOutcome::Ret(Val::Scalar(ret as u64)))
         }
         HelperId::RedirectMap => {
-            let map = map_arg(vm, prog, regs.read(Reg::R1)?, helper)?;
+            let map = map_arg(vm, regs.read(Reg::R1)?, helper)?;
             let index = scalar(regs.read(Reg::R2)?)? as u32;
             // XDP_REDIRECT == 4 in the kernel ABI.
             Ok(HelperOutcome::Redirect(map.id(), index, 4))
         }
         HelperId::TailCall => {
-            let map = map_arg(vm, prog, regs.read(Reg::R2)?, helper)?;
+            let map = map_arg(vm, regs.read(Reg::R2)?, helper)?;
             if map.def().kind != MapKind::ProgArray {
                 return Err(VmError::BadHelperArg(helper));
             }

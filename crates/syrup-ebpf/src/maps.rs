@@ -760,6 +760,11 @@ impl MapRegistry {
         self.inner.read().maps.get(id.0 as usize).cloned()
     }
 
+    /// Handles of every map, indexed by id.
+    pub(crate) fn handles(&self) -> Arc<[MapRef]> {
+        self.inner.read().maps.iter().cloned().collect()
+    }
+
     /// Pins a map to a path so other programs can open it.
     pub fn pin(&self, id: MapId, path: impl Into<String>) -> Result<(), MapError> {
         let mut inner = self.inner.write();

@@ -16,12 +16,14 @@
 //! crate be `#![forbid(unsafe_code)]`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::cycles::CycleModel;
 use crate::decode::DecodedProg;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
-use crate::maps::{MapError, MapId, MapKind, MapRegistry, ProgSlot, UpdateFlag};
+use crate::maps::{MapError, MapId, MapKind, MapRef, MapRegistry, ProgSlot, UpdateFlag};
+use crate::store::{Loaded, ProgStore};
 use crate::verifier::{verify, VerifierError};
 use crate::Program;
 use syrup_telemetry::{CounterHandle, HistogramHandle, Registry};
@@ -321,13 +323,20 @@ impl VmTelemetry {
 }
 
 /// The virtual machine: loaded programs plus the shared map registry.
+///
+/// A clone is a second handle on the same programs: it shares the
+/// append-only program store, so a slot loaded through either resolves
+/// through both, while backend, cycle model and attached instruments
+/// are the clone's own from then on.
 #[derive(Debug, Clone)]
 pub struct Vm {
     pub(crate) maps: MapRegistry,
-    progs: Vec<Program>,
-    /// Pre-decoded twin of `progs`, index-aligned with it; what the fast
-    /// engine executes.
-    pub(crate) decoded: Vec<DecodedProg>,
+    /// Each program beside its pre-decoded twin (what the fast engine
+    /// executes).
+    pub(crate) store: Arc<ProgStore>,
+    /// Handles of every map that existed at the last load, indexed by
+    /// map id, so the fast engine's map accesses skip the registry lock.
+    pub(crate) map_cache: Arc<[MapRef]>,
     model: CycleModel,
     backend: Backend,
     telemetry: VmTelemetry,
@@ -341,8 +350,8 @@ impl Vm {
     pub fn new(maps: MapRegistry) -> Self {
         Vm {
             maps,
-            progs: Vec::new(),
-            decoded: Vec::new(),
+            store: Arc::new(ProgStore::new()),
+            map_cache: Arc::new([]),
             model: CycleModel::default(),
             backend: Backend::default(),
             telemetry: VmTelemetry::default(),
@@ -374,15 +383,20 @@ impl Vm {
         self.tracer = tracer.clone();
     }
 
+    /// The tracer this VM records into (disabled unless attached).
+    pub fn tracer(&self) -> &syrup_trace::Tracer {
+        &self.tracer
+    }
+
     /// Starts attributing every run's cycles per `(prog, pc)` and per
     /// helper into `profiler`, tail-call chains folded into full
     /// stacks. Already-loaded programs (and any loaded later) have
     /// their disassembly registered so hotspots can be annotated.
     pub fn attach_profiler(&mut self, profiler: &syrup_profile::Profiler) {
         self.profiler = profiler.clone();
-        for prog in &self.progs {
+        for loaded in self.store.iter() {
             self.profiler
-                .register_program(&prog.name, rendered_insns(prog));
+                .register_program(&loaded.prog.name, rendered_insns(&loaded.prog));
         }
     }
 
@@ -395,21 +409,30 @@ impl Vm {
         self.recorder = recorder.clone();
     }
 
+    /// The flight recorder this VM streams into (disabled unless
+    /// attached).
+    pub fn recorder(&self) -> &syrup_blackbox::Recorder {
+        &self.recorder
+    }
+
     /// The map registry this VM resolves `LoadMapFd` against.
     pub fn maps(&self) -> &MapRegistry {
         &self.maps
     }
 
     /// Replaces the cycle model (used by Table 2 sensitivity runs).
-    /// Re-decodes every loaded program so the fast engine's cost tables
-    /// track the new model.
+    /// Re-decodes every loaded program, into a store of this VM's own,
+    /// so the fast engine's cost tables track the new model.
     pub fn set_cycle_model(&mut self, model: CycleModel) {
         self.model = model;
-        self.decoded = self
-            .progs
-            .iter()
-            .map(|p| crate::decode::decode(p, &self.model, &self.maps))
-            .collect();
+        let store = ProgStore::new();
+        for loaded in self.store.iter() {
+            store.push(Loaded {
+                decoded: crate::decode::decode(&loaded.prog, &self.model, &self.maps),
+                prog: loaded.prog.clone(),
+            });
+        }
+        self.store = Arc::new(store);
     }
 
     /// Verifies and loads a program, returning its slot.
@@ -425,21 +448,21 @@ impl Vm {
             self.profiler
                 .register_program(&prog.name, rendered_insns(&prog));
         }
-        let slot = ProgSlot(self.progs.len() as u32);
-        self.decoded
-            .push(crate::decode::decode(&prog, &self.model, &self.maps));
-        self.progs.push(prog);
-        slot
+        if self.map_cache.len() != self.maps.len() {
+            self.map_cache = self.maps.handles();
+        }
+        let decoded = crate::decode::decode(&prog, &self.model, &self.maps);
+        ProgSlot(self.store.push(Loaded { prog, decoded }))
     }
 
     /// Returns the pre-decoded form of the program in `slot`, if any.
     pub fn decoded(&self, slot: ProgSlot) -> Option<&DecodedProg> {
-        self.decoded.get(slot.0 as usize)
+        self.store.get(slot.0).map(|l| &l.decoded)
     }
 
     /// Returns the loaded program in `slot`, if any.
     pub fn program(&self, slot: ProgSlot) -> Option<&Program> {
-        self.progs.get(slot.0 as usize)
+        self.store.get(slot.0).map(|l| &l.prog)
     }
 
     /// Runs the program in `slot` over `ctx`, recording telemetry.
@@ -502,10 +525,7 @@ impl Vm {
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
     ) -> Result<VmOutcome, VmError> {
-        let mut prog = self
-            .progs
-            .get(slot.0 as usize)
-            .ok_or(VmError::NoSuchProgram)?;
+        let mut prog = self.program(slot).ok_or(VmError::NoSuchProgram)?;
         if prog.is_empty() {
             return Err(VmError::NoSuchProgram);
         }
@@ -671,10 +691,7 @@ impl Vm {
                                 tail_calls -= 1;
                                 continue;
                             }
-                            prog = self
-                                .progs
-                                .get(slot.0 as usize)
-                                .ok_or(VmError::NoSuchProgram)?;
+                            prog = self.program(slot).ok_or(VmError::NoSuchProgram)?;
                             pc = 0;
                             prof.tail_call(&prog.name);
                             // The target was verified assuming only r1/r10;
@@ -1628,6 +1645,59 @@ mod tests {
         let out = vm.run(miss_slot, &mut ctx, &mut RunEnv::default()).unwrap();
         assert_eq!(out.ret, 55);
         assert_eq!(out.tail_calls, 0);
+    }
+
+    #[test]
+    fn a_clone_resolves_programs_and_maps_loaded_after_it_was_taken() {
+        for backend in [Backend::Interp, Backend::Fast] {
+            let maps = MapRegistry::new();
+            let prog_array = maps.create(MapDef::prog_array(2));
+            let mut vm = Vm::new(maps);
+            vm.set_backend(backend);
+            let caller = Asm::new()
+                .load_map_fd(Reg::R2, prog_array)
+                .mov64_imm(Reg::R3, 0)
+                .call(HelperId::TailCall)
+                .mov64_imm(Reg::R0, 0)
+                .exit()
+                .build("caller")
+                .unwrap();
+            let caller_slot = vm.load_unverified(caller);
+            let snapshot = vm.clone();
+
+            // Loaded through the original only: a program reading a map
+            // that is younger than the snapshot's handle cache.
+            let counter = vm.maps().create(MapDef::u64_array(1));
+            vm.maps().get(counter).unwrap().update_u64(0, 41).unwrap();
+            let target = Asm::new()
+                .st_w(Reg::R10, -4, 0)
+                .load_map_fd(Reg::R1, counter)
+                .mov64_reg(Reg::R2, Reg::R10)
+                .add64_imm(Reg::R2, -4)
+                .call(HelperId::MapLookupElem)
+                .ldx_dw(Reg::R0, Reg::R0, 0)
+                .add64_imm(Reg::R0, 1)
+                .exit()
+                .build("target")
+                .unwrap();
+            let target_slot = vm.load_unverified(target);
+            let live = vm.maps().get(prog_array).unwrap();
+            live.set_prog(0, Some(target_slot)).unwrap();
+
+            let mut data = [0u8; 4];
+            for handle in [&snapshot, &vm] {
+                let mut ctx = PacketCtx::new(&mut data);
+                let out = handle
+                    .run(caller_slot, &mut ctx, &mut RunEnv::default())
+                    .unwrap();
+                assert_eq!((out.ret, out.tail_calls), (42, 1), "{backend}");
+                assert_eq!(handle.program(target_slot).unwrap().name, "target");
+            }
+            // Configuration stays the clone's own.
+            assert_eq!(snapshot.backend(), backend);
+            vm.set_backend(Backend::Interp);
+            assert_eq!(snapshot.backend(), backend);
+        }
     }
 
     #[test]

@@ -77,8 +77,15 @@ impl Histogram {
         self.count.fetch_add(1, Relaxed);
         self.sum.fetch_add(v, Relaxed);
         self.sumsq.fetch_add(v.wrapping_mul(v), Relaxed);
-        self.min.fetch_min(v, Relaxed);
-        self.max.fetch_max(v, Relaxed);
+        // The extremes settle after a few samples; a plain load keeps the
+        // two CAS loops (and their exclusive cache-line requests) off
+        // every later record.
+        if v < self.min.load(Relaxed) {
+            self.min.fetch_min(v, Relaxed);
+        }
+        if v > self.max.load(Relaxed) {
+            self.max.fetch_max(v, Relaxed);
+        }
     }
 
     /// Number of recorded samples.
