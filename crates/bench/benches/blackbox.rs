@@ -13,8 +13,6 @@
 //! compiler, not the branch) and is skipped entirely in `cargo test`
 //! smoke mode (`--test`).
 
-use std::time::Instant;
-
 use criterion::{black_box, Criterion};
 use syrup::blackbox::{Layer, Recorder};
 
@@ -53,19 +51,6 @@ fn bench_sites(c: &mut Criterion) {
     g.finish();
 }
 
-/// Best-of-`rounds` nanoseconds per call over `batch`-call batches.
-fn best_of(rounds: u32, batch: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(batch));
-    }
-    best
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     let mut criterion = Criterion::default();
@@ -80,20 +65,20 @@ fn main() {
     let rows: [(&str, f64); 3] = [
         (
             "dispatch",
-            best_of(8, 4_000_000, || {
+            bench::best_of(8, 4_000_000, || {
                 t = t.wrapping_add(1);
                 black_box(&off).dispatch(t, 1, 4, (9 << 32) | 1, 325);
             }),
         ),
         (
             "enqueue_drop",
-            best_of(8, 4_000_000, || {
+            bench::best_of(8, 4_000_000, || {
                 black_box(&off).enqueue_drop(Layer::Nic, 1, 9, 64);
             }),
         ),
         (
             "band_shift",
-            best_of(8, 4_000_000, || {
+            bench::best_of(8, 4_000_000, || {
                 black_box(&off).band_shift(1, 0, 3, true);
             }),
         ),

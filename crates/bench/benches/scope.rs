@@ -13,8 +13,6 @@
 //! compiler, not the branch) and is skipped entirely in `cargo test`
 //! smoke mode (`--test`).
 
-use std::time::Instant;
-
 use criterion::{black_box, Criterion};
 use syrup::scope::{Sampler, Scope};
 use syrup::telemetry::Registry;
@@ -61,19 +59,6 @@ fn bench_sites(c: &mut Criterion) {
     g.finish();
 }
 
-/// Best-of-`rounds` nanoseconds per call over `batch`-call batches.
-fn best_of(rounds: u32, batch: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(batch));
-    }
-    best
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
     let mut criterion = Criterion::default();
@@ -93,21 +78,21 @@ fn main() {
     let rows: [(&str, f64); 3] = [
         (
             "series_record",
-            best_of(8, 4_000_000, || {
+            bench::best_of(8, 4_000_000, || {
                 t = t.wrapping_add(1);
                 black_box(&off_series).record(t, 42.0);
             }),
         ),
         (
             "sampler_tick_disabled",
-            best_of(8, 4_000_000, || {
+            bench::best_of(8, 4_000_000, || {
                 t = t.wrapping_add(1);
                 black_box(off_sampler.tick(t, &registry));
             }),
         ),
         (
             "sampler_tick_not_due",
-            best_of(8, 4_000_000, || {
+            bench::best_of(8, 4_000_000, || {
                 black_box(warm_sampler.tick(2, &registry));
             }),
         ),

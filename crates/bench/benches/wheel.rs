@@ -17,8 +17,6 @@
 //! Violations exit nonzero so CI catches a perf regression in either
 //! direction.
 
-use std::time::Instant;
-
 use criterion::{black_box, Criterion};
 use syrup::sim::{Duration, EventQueue, HeapQueue, SimQueue};
 
@@ -89,24 +87,11 @@ fn bench_churn(c: &mut Criterion) {
     g.finish();
 }
 
-/// Best-of-`rounds` nanoseconds per call over `batch`-call batches.
-fn best_of(rounds: u32, batch: u32, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(batch));
-    }
-    best
-}
-
 /// Best-of churn cost per op for queue `Q` at `n` pending events.
 fn churn_cost<Q: SimQueue<u64>>(n: u64, rounds: u32, batch: u32) -> f64 {
     let mut q: Q = prefill(n);
     let mut rng = Xs(7);
-    best_of(rounds, batch, || churn(&mut q, &mut rng))
+    bench::best_of(rounds, batch, || churn(&mut q, &mut rng))
 }
 
 fn main() {

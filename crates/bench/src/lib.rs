@@ -173,6 +173,21 @@ pub fn knee_comparison(sweep: &Sweep, limit_us: f64, baseline: &str) {
     }
 }
 
+/// Best-of-`rounds` nanoseconds per call over `batch`-call batches: the
+/// timing the bench targets' cost gates (`blackbox`, `profile`, `scope`,
+/// `wheel`) compare against their budgets.
+pub fn best_of(rounds: u32, batch: u32, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::MAX;
+    for _ in 0..rounds {
+        let start = std::time::Instant::now();
+        for _ in 0..batch {
+            f();
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(batch));
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

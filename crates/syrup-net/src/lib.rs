@@ -51,3 +51,23 @@ pub use stack::StackCosts;
 // Queue disciplines are part of this crate's construction API
 // (`Nic::new_with`, `ReuseportGroup::new_with`), so re-export the kind.
 pub use syrup_sched::QueueKind;
+
+/// Feeds one per-queue depth snapshot to `profiler` through a stack
+/// array, so the sampling path allocates nothing (a component with more
+/// queues than the array holds falls back to a `Vec`).
+pub(crate) fn sample_queue_depths(
+    profiler: &syrup_profile::Profiler,
+    component: &str,
+    now_ns: u64,
+    depths: impl ExactSizeIterator<Item = usize>,
+) {
+    let mut stack = [0usize; 64];
+    let n = depths.len();
+    if n > stack.len() {
+        return profiler.queue_depths(component, now_ns, &depths.collect::<Vec<_>>());
+    }
+    for (slot, depth) in stack.iter_mut().zip(depths) {
+        *slot = depth;
+    }
+    profiler.queue_depths(component, now_ns, &stack[..n]);
+}

@@ -96,7 +96,8 @@ impl<T> Nic<T> {
     /// ranked. A single branch when no profiler is attached.
     pub fn sample_depths(&self, now_ns: u64) {
         if self.profiler.is_enabled() {
-            self.profiler.queue_depths("nic", now_ns, &self.depths());
+            let depths = self.queues.iter().map(|q| q.len());
+            crate::sample_queue_depths(&self.profiler, "nic", now_ns, depths);
             if self.kind().is_ranked() {
                 self.profiler
                     .queue_rank_bands("nic", now_ns, &self.rank_band_depths());
@@ -378,6 +379,20 @@ mod tests {
         // One hot queue out of four: mean depth 3, hottest mean 12.
         assert!((nic_p.max_mean_ratio - 4.0).abs() < 1e-9);
         assert!(nic_p.gini > 0.7);
+    }
+
+    #[test]
+    fn profiler_samples_more_queues_than_the_stack_snapshot_holds() {
+        let profiler = syrup_profile::Profiler::new();
+        let mut nic: Nic<u64> = Nic::new(70, 8);
+        nic.attach_profiler(&profiler);
+        nic.enqueue(69, 1);
+        nic.sample_depths(1_000);
+        let p = profiler.pressure();
+        let nic_p = p.components.iter().find(|c| c.component == "nic").unwrap();
+        assert_eq!(nic_p.queues, 70);
+        assert_eq!(nic_p.mean_depths[69], 1.0);
+        assert_eq!(nic_p.mean_depths[..69], [0.0; 69]);
     }
 
     #[test]

@@ -231,7 +231,8 @@ impl<T> ReuseportGroup<T> {
     /// ranked. A single branch when no profiler is attached.
     pub fn sample_depths(&self, now_ns: u64) {
         if self.profiler.is_enabled() {
-            self.profiler.queue_depths("sock", now_ns, &self.depths());
+            let depths = self.sockets.iter().map(|s| s.len());
+            crate::sample_queue_depths(&self.profiler, "sock", now_ns, depths);
             if self.kind().is_ranked() {
                 self.profiler
                     .queue_rank_bands("sock", now_ns, &self.rank_band_depths());

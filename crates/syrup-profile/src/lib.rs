@@ -24,8 +24,12 @@
 //!   [`BurnEvent`]s.
 //!
 //! Cost contract: like telemetry and tracing, every sample site on a
-//! disabled profiler ([`Profiler::disabled`]) is a single branch —
-//! enforced by `cargo bench -p bench --bench profile` (≤5ns budget).
+//! disabled profiler ([`Profiler::disabled`]) is a single branch
+//! (≤5ns budget). Enabled, a VM run touches no string and allocates
+//! nothing in steady state: samples add by index into per-chain dense
+//! tables and names are rendered at report time (≤1µs budget for a
+//! 16-instruction run). `cargo bench -p bench --bench profile` gates
+//! both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,6 +13,15 @@ use crate::PressureReport;
 /// frames, so long unrolled bodies (SCAN Avoid) stay readable.
 pub(crate) const PC_RANGE: u32 = 16;
 
+/// Untagged samples at pcs below this land in a chain node's dense
+/// table; helper-tagged samples and the rare larger pc go to its sorted
+/// `tagged` list, so one stray pc cannot size an allocation.
+const DENSE_PCS: u32 = 4096;
+
+/// A span folds its sample buffer into the tables when it holds this
+/// many samples, so a runaway loop buffers O(1) memory until it traps.
+const FOLD_SAMPLES: usize = 2048;
+
 /// Default starvation threshold: an executor runnable-but-unserved for
 /// longer than this (virtual ns) is flagged in the pressure report.
 const DEFAULT_STARVATION_NS: u64 = 1_000_000;
@@ -39,16 +48,43 @@ impl ThreadState {
     }
 }
 
+/// One node of the tail-call chain trie: a program as reached through
+/// one particular chain of callers. Names are only read when a frame is
+/// resolved and when a report is rendered; samples add by index.
+#[derive(Debug)]
+struct ChainNode {
+    /// The calling frame's node; `None` for an entry program. Always a
+    /// smaller index than the node's own.
+    parent: Option<u32>,
+    prog: String,
+    /// `(cycles, hits)` per pc for untagged samples; `hits > 0` marks a
+    /// touched bucket, so zero-cycle buckets still reach the reports.
+    dense: Vec<(u64, u64)>,
+    /// Everything else, sorted by key.
+    tagged: Vec<Bucket>,
+}
+
+/// `(pc, helper) → (cycles, hits)`.
+type Bucket = ((u32, Option<&'static str>), (u64, u64));
+
+impl ChainNode {
+    /// Every touched bucket as `((pc, helper), (cycles, hits))`.
+    fn buckets(&self) -> impl Iterator<Item = Bucket> + '_ {
+        let dense = self.dense.iter().enumerate();
+        let dense = dense.filter(|(_, e)| e.1 > 0);
+        let dense = dense.map(|(pc, &e)| ((pc as u32, None), e));
+        dense.chain(self.tagged.iter().copied())
+    }
+}
+
 #[derive(Debug, Default)]
 pub(crate) struct ProfState {
     /// Completed VM invocations flushed into the sink.
     pub(crate) runs: u64,
-    /// Cycles attributed per `(prog, pc)`.
-    pub(crate) pc_cycles: BTreeMap<(String, u32), u64>,
-    /// Per-helper `(calls, cycles)`.
-    pub(crate) helpers: BTreeMap<&'static str, (u64, u64)>,
-    /// Folded flamegraph frames (`vm;prog;…;pcN-M[;helper]`) → cycles.
-    pub(crate) folded: BTreeMap<String, u64>,
+    /// The chain trie, parents before children.
+    nodes: Vec<ChainNode>,
+    /// Sample buffers handed back by flushed spans, for the next run.
+    spare: Vec<Vec<Sample>>,
     /// Rendered instruction text per program, indexed by pc.
     pub(crate) disasm: BTreeMap<String, Vec<String>>,
     /// Per-component queue-depth series.
@@ -66,6 +102,49 @@ pub(crate) struct ProfState {
     pub(crate) starvation_threshold_ns: u64,
     /// Flight recorder mirror for starvation flags (disabled by default).
     pub(crate) recorder: syrup_blackbox::Recorder,
+}
+
+impl ProfState {
+    /// Resolves (creating on first sight) the trie node for `prog`
+    /// reached from `parent`.
+    fn node(&mut self, parent: Option<u32>, prog: &str) -> u32 {
+        let found = self
+            .nodes
+            .iter()
+            .position(|n| n.parent == parent && n.prog == prog);
+        found.unwrap_or_else(|| {
+            self.nodes.push(ChainNode {
+                parent,
+                prog: prog.to_string(),
+                dense: Vec::new(),
+                tagged: Vec::new(),
+            });
+            self.nodes.len() - 1
+        }) as u32
+    }
+
+    /// Drains a span's samples into the tables: one pass of indexed adds.
+    fn fold(&mut self, samples: &mut Vec<Sample>) {
+        for s in samples.drain(..) {
+            let node = &mut self.nodes[s.node as usize];
+            let bucket = if s.helper.is_none() && s.pc < DENSE_PCS {
+                if node.dense.len() <= s.pc as usize {
+                    node.dense.resize(s.pc as usize + 1, (0, 0));
+                }
+                &mut node.dense[s.pc as usize]
+            } else {
+                let key = (s.pc, s.helper);
+                let at = node.tagged.binary_search_by(|e| e.0.cmp(&key));
+                let at = at.unwrap_or_else(|at| {
+                    node.tagged.insert(at, (key, (0, 0)));
+                    at
+                });
+                &mut node.tagged[at].1
+            };
+            bucket.0 += s.cycles;
+            bucket.1 += 1;
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -121,8 +200,13 @@ impl Profiler {
     #[inline]
     pub fn vm_enter(&self, prog: &str, invoke_cycles: u64) -> VmSpan {
         match &self.inner {
-            None => VmSpan { rec: None },
-            Some(inner) => VmSpan::open(inner.clone(), prog, invoke_cycles),
+            None => VmSpan {
+                inner: None,
+                node: 0,
+                frame_start: 0,
+                buf: Vec::new(),
+            },
+            Some(inner) => VmSpan::open(inner, prog, invoke_cycles),
         }
     }
 
@@ -137,9 +221,7 @@ impl Profiler {
 
     #[cold]
     fn queue_depths_slow(inner: &Inner, component: &str, now_ns: u64, depths: &[usize]) {
-        let mut st = inner.state.lock();
-        let series = st.queues.entry(component.to_string()).or_default();
-        series.push(now_ns, depths);
+        series(&mut inner.state.lock().queues, component).push(now_ns, depths);
     }
 
     /// Records one rank-band occupancy snapshot for `component`: how many
@@ -154,9 +236,7 @@ impl Profiler {
 
     #[cold]
     fn queue_rank_bands_slow(inner: &Inner, component: &str, now_ns: u64, bands: &[usize]) {
-        let mut st = inner.state.lock();
-        let series = st.rank_bands.entry(component.to_string()).or_default();
-        series.push(now_ns, bands);
+        series(&mut inner.state.lock().rank_bands, component).push(now_ns, bands);
     }
 
     /// Records a thread's transition into `state` at `now_ns`,
@@ -227,7 +307,21 @@ impl Profiler {
             return ProfileReport::default();
         };
         let st = inner.state.lock();
-        let attributed: u64 = st.pc_cycles.values().sum();
+        // Cycles per `(prog, pc)` over every chain that reaches `prog`,
+        // and per-helper `(calls, cycles)`.
+        let mut pc_cycles: BTreeMap<(&str, u32), u64> = BTreeMap::new();
+        let mut helpers: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for node in &st.nodes {
+            for ((pc, helper), (cycles, hits)) in node.buckets() {
+                *pc_cycles.entry((&node.prog, pc)).or_default() += cycles;
+                if let Some(h) = helper {
+                    let e = helpers.entry(h).or_default();
+                    e.0 += hits;
+                    e.1 += cycles;
+                }
+            }
+        }
+        let attributed: u64 = pc_cycles.values().sum();
         let total = total_cycles.unwrap_or(attributed);
         let coverage = if total == 0 {
             0.0
@@ -236,8 +330,8 @@ impl Profiler {
         };
 
         let mut per_prog: BTreeMap<&str, u64> = BTreeMap::new();
-        for ((prog, _), cycles) in &st.pc_cycles {
-            *per_prog.entry(prog.as_str()).or_default() += cycles;
+        for ((prog, _), cycles) in &pc_cycles {
+            *per_prog.entry(prog).or_default() += cycles;
         }
         let mut progs: Vec<ProgCycles> = per_prog
             .into_iter()
@@ -253,17 +347,16 @@ impl Profiler {
             .collect();
         progs.sort_by(|a, b| b.cycles.cmp(&a.cycles).then(a.prog.cmp(&b.prog)));
 
-        let mut hotspots: Vec<Hotspot> = st
-            .pc_cycles
+        let mut hotspots: Vec<Hotspot> = pc_cycles
             .iter()
-            .map(|((prog, pc), cycles)| Hotspot {
-                prog: prog.clone(),
-                pc: *pc,
-                cycles: *cycles,
+            .map(|(&(prog, pc), &cycles)| Hotspot {
+                prog: prog.to_string(),
+                pc,
+                cycles,
                 insn: st
                     .disasm
                     .get(prog)
-                    .and_then(|lines| lines.get(*pc as usize))
+                    .and_then(|lines| lines.get(pc as usize))
                     .cloned(),
             })
             .collect();
@@ -275,8 +368,7 @@ impl Profiler {
         });
         hotspots.truncate(top_n);
 
-        let mut helpers: Vec<HelperCost> = st
-            .helpers
+        let mut helpers: Vec<HelperCost> = helpers
             .iter()
             .map(|(name, (calls, cycles))| HelperCost {
                 helper: name.to_string(),
@@ -305,8 +397,26 @@ impl Profiler {
             return String::new();
         };
         let st = inner.state.lock();
+        // Folded frames (`vm;prog;…;pcN-M[;helper]`) → cycles; a node's
+        // chain prefix extends its parent's, which always precedes it.
+        let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+        let mut chains: Vec<String> = Vec::with_capacity(st.nodes.len());
+        for node in &st.nodes {
+            let caller = node.parent.map_or("vm", |p| &chains[p as usize]);
+            let chain = format!("{caller};{}", node.prog);
+            for ((pc, helper), (cycles, _)) in node.buckets() {
+                let lo = pc - pc % PC_RANGE;
+                let hi = lo + (PC_RANGE - 1);
+                let key = match helper {
+                    Some(h) => format!("{chain};pc{lo}-{hi};{h}"),
+                    None => format!("{chain};pc{lo}-{hi}"),
+                };
+                *folded.entry(key).or_default() += cycles;
+            }
+            chains.push(chain);
+        }
         let mut out = String::new();
-        for (frame, cycles) in &st.folded {
+        for (frame, cycles) in &folded {
             out.push_str(frame);
             out.push(' ');
             out.push_str(&cycles.to_string());
@@ -325,25 +435,22 @@ impl Profiler {
     }
 }
 
-/// One recorded `(pc, cycles, helper)` sample inside a frame.
+/// The series for `component`, looked up by `&str` so an existing
+/// component costs no allocation.
+fn series<'a>(map: &'a mut BTreeMap<String, QueueSeries>, component: &str) -> &'a mut QueueSeries {
+    if !map.contains_key(component) {
+        map.insert(component.to_string(), QueueSeries::default());
+    }
+    map.get_mut(component).expect("present or just inserted")
+}
+
+/// One recorded sample: `cycles` at `pc` of the chain node's program.
 #[derive(Debug)]
 struct Sample {
+    node: u32,
     pc: u32,
     cycles: u64,
     helper: Option<&'static str>,
-}
-
-/// One program frame of a tail-call chain.
-#[derive(Debug)]
-struct FrameRec {
-    prog: String,
-    samples: Vec<Sample>,
-}
-
-#[derive(Debug)]
-struct VmRec {
-    inner: Arc<Inner>,
-    frames: Vec<FrameRec>,
 }
 
 /// A per-invocation recording scope handed out by
@@ -351,41 +458,70 @@ struct VmRec {
 /// profiler is disabled; the scope flushes its samples on drop.
 #[derive(Debug)]
 pub struct VmSpan {
-    rec: Option<Box<VmRec>>,
+    /// The sink; `None` when the profiler is disabled.
+    inner: Option<Arc<Inner>>,
+    /// Chain node of the current frame.
+    node: u32,
+    /// Where the current frame's samples start in `buf`: `helper` never
+    /// tags across a tail call.
+    frame_start: usize,
+    buf: Vec<Sample>,
 }
 
+// The slow paths stay out of line and take the sink and the buffer, not
+// the span, so a span's `inner` check can live in a register at the VM's
+// sample sites.
 impl VmSpan {
-    #[cold]
-    fn open(inner: Arc<Inner>, prog: &str, invoke_cycles: u64) -> VmSpan {
+    #[inline(never)]
+    fn open(inner: &Arc<Inner>, prog: &str, invoke_cycles: u64) -> VmSpan {
+        let mut st = inner.state.lock();
+        let node = st.node(None, prog);
+        let mut buf = st.spare.pop().unwrap_or_default();
+        drop(st);
+        buf.push(Sample {
+            node,
+            pc: 0,
+            cycles: invoke_cycles,
+            helper: None,
+        });
         VmSpan {
-            rec: Some(Box::new(VmRec {
-                inner,
-                frames: vec![FrameRec {
-                    prog: prog.to_string(),
-                    samples: vec![Sample {
-                        pc: 0,
-                        cycles: invoke_cycles,
-                        helper: None,
-                    }],
-                }],
-            })),
+            inner: Some(inner.clone()),
+            node,
+            frame_start: 0,
+            buf,
         }
+    }
+
+    #[cold]
+    fn spill(inner: &Inner, buf: &mut Vec<Sample>) {
+        inner.state.lock().fold(buf);
+    }
+
+    #[inline(never)]
+    fn flush(inner: &Inner, buf: &mut Vec<Sample>) {
+        let mut st = inner.state.lock();
+        st.runs += 1;
+        st.fold(buf);
+        st.spare.push(std::mem::take(buf));
     }
 
     /// Attributes `cycles` to the instruction at `pc` of the current
     /// chain frame.
     #[inline]
     pub fn insn(&mut self, pc: usize, cycles: u64) {
-        let Some(rec) = self.rec.as_deref_mut() else {
-            return;
-        };
-        if let Some(frame) = rec.frames.last_mut() {
-            frame.samples.push(Sample {
-                pc: pc as u32,
-                cycles,
-                helper: None,
-            });
+        let Some(inner) = &self.inner else { return };
+        // Folding before the push keeps the newest sample buffered for
+        // a `helper` tag that may follow it.
+        if self.buf.len() >= FOLD_SAMPLES {
+            Self::spill(inner, &mut self.buf);
+            self.frame_start = 0;
         }
+        self.buf.push(Sample {
+            node: self.node,
+            pc: pc as u32,
+            cycles,
+            helper: None,
+        });
     }
 
     /// Tags the most recent sample as a call to `helper`, so its cycles
@@ -393,10 +529,7 @@ impl VmSpan {
     /// frame gains a helper leaf.
     #[inline]
     pub fn helper(&mut self, helper: &'static str) {
-        let Some(rec) = self.rec.as_deref_mut() else {
-            return;
-        };
-        if let Some(sample) = rec.frames.last_mut().and_then(|f| f.samples.last_mut()) {
+        if let Some(sample) = self.buf[self.frame_start..].last_mut() {
             sample.helper = Some(helper);
         }
     }
@@ -404,54 +537,17 @@ impl VmSpan {
     /// Pushes a new chain frame: a successful tail call into `prog`.
     #[inline]
     pub fn tail_call(&mut self, prog: &str) {
-        let Some(rec) = self.rec.as_deref_mut() else {
-            return;
-        };
-        rec.frames.push(FrameRec {
-            prog: prog.to_string(),
-            samples: Vec::new(),
-        });
+        let Some(inner) = &self.inner else { return };
+        self.node = inner.state.lock().node(Some(self.node), prog);
+        self.frame_start = self.buf.len();
     }
 }
 
 impl Drop for VmSpan {
+    #[inline]
     fn drop(&mut self) {
-        if let Some(rec) = self.rec.take() {
-            flush(&rec);
-        }
-    }
-}
-
-#[cold]
-fn flush(rec: &VmRec) {
-    let mut st = rec.inner.state.lock();
-    st.runs += 1;
-    let mut chain = String::from("vm");
-    for frame in &rec.frames {
-        chain.push(';');
-        chain.push_str(&frame.prog);
-        // Fold repeated pcs (loops) locally before touching the maps,
-        // so the per-run cost is bounded by *distinct* pcs.
-        let mut per_pc: BTreeMap<(u32, Option<&'static str>), (u64, u64)> = BTreeMap::new();
-        for s in &frame.samples {
-            let e = per_pc.entry((s.pc, s.helper)).or_default();
-            e.0 += s.cycles;
-            e.1 += 1;
-        }
-        for ((pc, helper), (cycles, hits)) in per_pc {
-            *st.pc_cycles.entry((frame.prog.clone(), pc)).or_default() += cycles;
-            let lo = pc - pc % PC_RANGE;
-            let hi = lo + PC_RANGE - 1;
-            let key = match helper {
-                Some(h) => {
-                    let e = st.helpers.entry(h).or_default();
-                    e.0 += hits;
-                    e.1 += cycles;
-                    format!("{chain};pc{lo}-{hi};{h}")
-                }
-                None => format!("{chain};pc{lo}-{hi}"),
-            };
-            *st.folded.entry(key).or_default() += cycles;
+        if let Some(inner) = &self.inner {
+            Self::flush(inner, &mut self.buf);
         }
     }
 }
@@ -555,6 +651,9 @@ impl Serialize for ProfileReport {
         s.end()
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
