@@ -5,17 +5,22 @@
 //! be checked in *wall-clock* terms. This harness times the four Table 2
 //! policies on both engines with `std::time::Instant` and fails unless
 //! the geometric-mean speedup of fast over interp meets `--min-speedup`.
-//! Exits nonzero on failure so CI catches a fast backend that silently
-//! stopped being fast.
+//! Exits nonzero on failure so CI catches a fast backend that became
+//! slower than the reference it is checked against.
 //!
-//! Calibration: on a quiet release build the Table 2 policies land at
-//! 1.5-1.9x end-to-end (these are helper-heavy; map ops and packet
-//! marshalling are shared with the interpreter) and ALU-dense programs
-//! at 3x+, where only instruction dispatch is being compared. The
-//! default gate is 1.3x: comfortably below the worst honest per-policy
-//! measurement, far above any plausible "fast backend regressed to the
-//! interpreter" failure, and with enough headroom that noisy shared CI
-//! runners do not flake it.
+//! Calibration: map ops, guest memory and helper marshalling are one
+//! module both engines call (`syrup-ebpf`'s `mem.rs`), so the ratio
+//! measures only what the engines do differently — decode, operand
+//! resolution, the register file, cost lookup, dispatch. On the Table 2
+//! policies, which are helper-heavy, that is worth about 1.2x on a quiet
+//! release build (1.1-1.3x per policy); the 1.5-1.9x this guard used to
+//! see was a registry lock and a `Vec` per helper key that only the
+//! interpreter paid. (ALU-dense programs, where dispatch is nearly all
+//! there is, measured 3x+ when the engine landed; no shipped policy looks
+//! like that.) The default gate is therefore 1.0x: the fast engine
+//! must not be slower than the interpreter. Whether a 1.2x engine earns
+//! its ~1.5K lines is ROADMAP item 1's decision; this guard records the
+//! number that decision needs and catches the engine falling behind.
 //!
 //! Methodology: both engines run over identically-built worlds, the
 //! packet buffer is reused (memcpy-restored per invocation, so the
@@ -121,7 +126,7 @@ fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let min_speedup: f64 = bench::flag_value(&args, "--min-speedup")
         .map(|v| v.parse().expect("--min-speedup takes a number"))
-        .unwrap_or(1.3);
+        .unwrap_or(1.0);
     // Batches must be long enough that per-rep scheduler noise (which
     // inflates both engines by the same +ns and so *deflates* the ratio)
     // is dodged by best-of; 100k reps ≈ tens of ms per batch.

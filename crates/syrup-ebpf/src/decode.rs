@@ -12,8 +12,7 @@
 //!   trap when the branch is actually *taken*);
 //! * per-instruction cycle costs are tabled once from the [`CycleModel`];
 //! * map-fd operands are resolved to tokens (the handles themselves are
-//!   pre-bound once per VM, at load, so helper calls and map-value
-//!   accesses skip the registry lock).
+//!   cached once per VM, at load, for both engines).
 //!
 //! The lowering is invertible: [`DecodedProg::reencode`] reconstructs the
 //! exact original instruction stream, which the proptest suite uses to
@@ -23,8 +22,7 @@
 use crate::cycles::CycleModel;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
-use crate::maps::MapRegistry;
-use crate::vm::{map_fd_token, map_from_token};
+use crate::mem::{map_fd_token, map_from_token};
 use crate::Program;
 
 /// Sentinel branch target for a jump that leaves the program. Taking it
@@ -294,8 +292,8 @@ impl DecodedProg {
 
 /// Lowers `prog` for the fast engine under `model`. Map handles are not
 /// bound here: the [`crate::Vm`] keeps one cache of them for all its
-/// programs, refreshed at load, so `_maps` is unused.
-pub fn decode(prog: &Program, model: &CycleModel, _maps: &MapRegistry) -> DecodedProg {
+/// programs, refreshed at load.
+pub fn decode(prog: &Program, model: &CycleModel) -> DecodedProg {
     let len = prog.insns.len();
     let target_of = |i: usize, off: i16| -> u32 {
         let target = i as i64 + 1 + i64::from(off);
@@ -419,7 +417,7 @@ pub fn decode(prog: &Program, model: &CycleModel, _maps: &MapRegistry) -> Decode
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::maps::MapDef;
+    use crate::maps::{MapDef, MapRegistry};
 
     #[test]
     fn reencode_round_trips_a_representative_program() {
@@ -442,7 +440,7 @@ mod tests {
             .exit()
             .build("counter")
             .unwrap();
-        let decoded = decode(&prog, &CycleModel::default(), &maps);
+        let decoded = decode(&prog, &CycleModel::default());
         assert_eq!(decoded.reencode(), prog.insns);
         assert_eq!(decoded.len(), prog.len());
         assert_eq!(decoded.name(), "counter");
@@ -453,8 +451,7 @@ mod tests {
         // `ja +1` at pc 0 of a 3-insn program targets pc 2; `ja +100`
         // leaves the program and gets the sentinel.
         let good = Program::new("g", vec![Insn::Jump { off: 1 }, Insn::Exit, Insn::Exit]);
-        let maps = MapRegistry::new();
-        let d = decode(&good, &CycleModel::default(), &maps);
+        let d = decode(&good, &CycleModel::default());
         match d.code[0].insn {
             FastInsn::Jump { target, off } => {
                 assert_eq!(target, 2);
@@ -463,7 +460,7 @@ mod tests {
             ref other => panic!("expected jump, got {other:?}"),
         }
         let bad = Program::new("b", vec![Insn::Jump { off: 100 }, Insn::Exit]);
-        let d = decode(&bad, &CycleModel::default(), &maps);
+        let d = decode(&bad, &CycleModel::default());
         match d.code[0].insn {
             FastInsn::Jump { target, .. } => assert_eq!(target, BAD_TARGET),
             ref other => panic!("expected jump, got {other:?}"),
@@ -473,7 +470,6 @@ mod tests {
 
     #[test]
     fn costs_table_matches_the_model() {
-        let maps = MapRegistry::new();
         let model = CycleModel::default();
         let prog = Asm::new()
             .mov64_imm(Reg::R0, 1)
@@ -481,7 +477,7 @@ mod tests {
             .exit()
             .build("c")
             .unwrap();
-        let d = decode(&prog, &model, &maps);
+        let d = decode(&prog, &model);
         let got: Vec<u64> = d.code.iter().map(|s| s.cost).collect();
         let want: Vec<u64> = prog.insns.iter().map(|i| model.insn_cost(i)).collect();
         assert_eq!(got, want);

@@ -12,25 +12,26 @@
 //! * scalar-scalar ALU and compare take an inlined path, falling back to
 //!   the interpreter's shared `alu`/`compare` only for pointer operands
 //!   (which also keeps the trap semantics literally the same code);
-//! * helper key/value marshalling reuses two per-run buffers instead of
-//!   allocating per call, and map handles come from the VM's load-time
-//!   cache instead of the registry lock;
+//! * scalars live in a flat register file ([`RegFile`]), so the helper
+//!   ABI's clobber of r1–r5 is two mask updates;
 //! * the whole loop is monomorphized over "profiler attached?", so the
 //!   disabled-profiler build has no per-instruction instrumentation branch
 //!   (the ≤5ns disabled-cost contract).
 //!
-//! Equivalence with the interpreter is enforced three ways: shared
-//! helpers/ALU code here, the `syrup-fuzz --backend-diff` differential
-//! oracle, and the both-backend proptests in `tests/`.
+//! Guest memory and helpers are not this engine's: loads, stores, atomics
+//! and helper calls go through [`crate::mem`], the same functions the
+//! interpreter calls, so that half of the contract holds by construction.
+//! What the engines still do differently — decode, operand resolution, the
+//! register file, cost lookup, dispatch — is what the `syrup-fuzz
+//! --backend-diff` oracle and the both-backend proptests in `tests/` check.
 
 use crate::decode::{FastInsn, BAD_TARGET};
-use crate::helpers::HelperId;
 use crate::insn::{MemSize, Reg, Width};
-use crate::maps::{MapError, MapId, MapKind, MapRef, ProgSlot, UpdateFlag};
+use crate::maps::{MapId, ProgSlot};
+use crate::mem::{call_helper, fetch_add, mem_load, mem_store, Frame, HelperOutcome};
 use crate::vm::{
-    alu, alu32, alu64, cmp_u64, compare, ctx_off, map_from_token, read_le, scalar, slice_region,
-    slice_region_ref, HelperOutcome, PacketCtx, Region, RunEnv, Val, Vm, VmError, VmOutcome,
-    MAX_TAIL_CALLS, RUNTIME_INSN_LIMIT, STACK_SIZE,
+    alu, alu32, alu64, cmp_u64, compare, scalar, PacketCtx, Region, RunEnv, Val, Vm, VmError,
+    VmOutcome, MAX_TAIL_CALLS, RUNTIME_INSN_LIMIT, STACK_SIZE,
 };
 
 /// The fast engine's register file: scalars live in a flat `u64` array
@@ -124,26 +125,6 @@ impl RegFile {
     }
 }
 
-/// A map handle resolved for one access: borrowed from the VM's
-/// load-time cache on the hot path (no refcount traffic), owned only for
-/// maps created after the last load.
-enum MapHandle<'a> {
-    Cached(&'a MapRef),
-    Owned(MapRef),
-}
-
-impl std::ops::Deref for MapHandle<'_> {
-    type Target = MapRef;
-
-    #[inline(always)]
-    fn deref(&self) -> &MapRef {
-        match self {
-            MapHandle::Cached(m) => m,
-            MapHandle::Owned(m) => m,
-        }
-    }
-}
-
 /// Runs the decoded program in `slot`, dispatching on whether a profiler
 /// is attached so the common (disabled) case pays no per-insn branch.
 pub(crate) fn run(
@@ -185,16 +166,13 @@ fn exec<const PROF: bool>(
             off: STACK_SIZE,
         },
     );
-    let mut stack = [0u8; STACK_SIZE as usize];
+    let mut frame = Frame::new();
 
     let mut pc: usize = 0;
     let mut insns: u64 = 0;
     let mut cycles: u64 = prog.invoke;
     let mut redirect: Option<(MapId, u32)> = None;
     let mut tail_calls: u32 = 0;
-    // Reused across helper calls: key/value marshalling scratch.
-    let mut key_buf: Vec<u8> = Vec::new();
-    let mut val_buf: Vec<u8> = Vec::new();
     // Same attribution scope as the interpreter: the invoke cost lands on
     // the entry (prog, pc 0) bucket; flushes on drop (any exit path).
     let mut prof = vm.profiler.vm_enter(&prog.name, prog.invoke);
@@ -307,7 +285,7 @@ fn exec<const PROF: bool>(
                 off,
             } => {
                 let ptr = regs.read(base)?;
-                let v = mem_load(vm, ptr, off as i64, size, ctx, &mut stack)?;
+                let v = mem_load(vm, ptr, off as i64, size, ctx, &frame.stack)?;
                 regs.set(dst, v);
             }
             FastInsn::StoreMem {
@@ -318,7 +296,7 @@ fn exec<const PROF: bool>(
             } => {
                 let ptr = regs.read(base)?;
                 let v = scalar(regs.read(src)?)?;
-                mem_store(vm, ptr, off as i64, size, v, ctx, &mut stack)?;
+                mem_store(vm, ptr, off as i64, size, v, ctx, &mut frame.stack)?;
             }
             FastInsn::StoreImm {
                 size,
@@ -327,15 +305,8 @@ fn exec<const PROF: bool>(
                 imm,
             } => {
                 let ptr = regs.read(base)?;
-                mem_store(
-                    vm,
-                    ptr,
-                    off as i64,
-                    size,
-                    imm as i64 as u64,
-                    ctx,
-                    &mut stack,
-                )?;
+                let v = imm as i64 as u64;
+                mem_store(vm, ptr, off as i64, size, v, ctx, &mut frame.stack)?;
             }
             FastInsn::AtomicAdd {
                 size,
@@ -353,7 +324,7 @@ fn exec<const PROF: bool>(
                 }
                 let ptr = regs.read(base)?;
                 let addend = scalar(regs.read(src)?)?;
-                let old = fetch_add(vm, ptr, off as i64, size, addend, ctx, &mut stack)?;
+                let old = fetch_add(vm, ptr, off as i64, size, addend, ctx, &mut frame.stack)?;
                 if fetch {
                     regs.set_scalar(src, old);
                 }
@@ -411,16 +382,8 @@ fn exec<const PROF: bool>(
                 if PROF {
                     prof.helper(helper.name());
                 }
-                match call_helper(
-                    vm,
-                    helper,
-                    &mut regs,
-                    ctx,
-                    env,
-                    &mut stack,
-                    &mut key_buf,
-                    &mut val_buf,
-                )? {
+                let arg = |r| regs.read(r);
+                match call_helper(vm, helper, arg, ctx, env, &mut frame)? {
                     HelperOutcome::Ret(v) => {
                         regs.set(Reg::R0, v);
                         regs.clobber_caller_saved();
@@ -464,338 +427,6 @@ fn exec<const PROF: bool>(
                     redirect,
                     tail_calls,
                 });
-            }
-        }
-    }
-}
-
-/// Resolves a map id via the VM's load-time cache (a borrow — no
-/// refcount traffic on the hot path), falling back to the registry for
-/// maps created since the last load.
-#[inline(always)]
-fn resolve_map(vm: &Vm, id: MapId) -> Option<MapHandle<'_>> {
-    match vm.map_cache.get(id.0 as usize) {
-        Some(map) => Some(MapHandle::Cached(map)),
-        None => vm.maps.get(id).map(MapHandle::Owned),
-    }
-}
-
-fn map_arg<'a>(vm: &'a Vm, v: Val, helper: HelperId) -> Result<MapHandle<'a>, VmError> {
-    let id = match v {
-        Val::Scalar(tok) => map_from_token(tok).ok_or(VmError::BadHelperArg(helper))?,
-        _ => return Err(VmError::BadHelperArg(helper)),
-    };
-    resolve_map(vm, id).ok_or(VmError::BadHelperArg(helper))
-}
-
-fn mem_load(
-    vm: &Vm,
-    ptr: Val,
-    insn_off: i64,
-    size: MemSize,
-    ctx: &PacketCtx<'_>,
-    stack: &mut [u8; STACK_SIZE as usize],
-) -> Result<Val, VmError> {
-    let (region, base_off) = match ptr {
-        Val::Ptr { region, off } => (region, off),
-        Val::Scalar(_) => return Err(VmError::NotAPointer),
-        Val::Uninit => return Err(VmError::UninitRegister(Reg::R0)),
-    };
-    let off = base_off + insn_off;
-    let nbytes = size.bytes();
-    match region {
-        Region::Stack => {
-            let bytes = slice_region(stack, off, nbytes, "stack")?;
-            Ok(Val::Scalar(read_le(bytes)))
-        }
-        Region::Packet => {
-            let bytes = slice_region_ref(ctx.data, off, nbytes, "packet")?;
-            Ok(Val::Scalar(read_le(bytes)))
-        }
-        Region::Ctx => {
-            if size != MemSize::DW {
-                return Err(VmError::OutOfBounds {
-                    region: "ctx",
-                    off,
-                    size: nbytes,
-                });
-            }
-            match off {
-                ctx_off::DATA => Ok(Val::Ptr {
-                    region: Region::Packet,
-                    off: 0,
-                }),
-                ctx_off::DATA_END => Ok(Val::Ptr {
-                    region: Region::Packet,
-                    off: ctx.data.len() as i64,
-                }),
-                ctx_off::META0 => Ok(Val::Scalar(ctx.meta[0])),
-                ctx_off::META1 => Ok(Val::Scalar(ctx.meta[1])),
-                ctx_off::META2 => Ok(Val::Scalar(ctx.meta[2])),
-                ctx_off::META3 => Ok(Val::Scalar(ctx.meta[3])),
-                _ => Err(VmError::OutOfBounds {
-                    region: "ctx",
-                    off,
-                    size: nbytes,
-                }),
-            }
-        }
-        Region::MapValue { map, slot } => {
-            let map_ref = resolve_map(vm, map).ok_or(MapError::NotFound)?;
-            if off < 0 {
-                return Err(VmError::OutOfBounds {
-                    region: "map value",
-                    off,
-                    size: nbytes,
-                });
-            }
-            let v = map_ref.read_value(slot, off as u32, nbytes as u32)?;
-            Ok(Val::Scalar(v))
-        }
-    }
-}
-
-fn mem_store(
-    vm: &Vm,
-    ptr: Val,
-    insn_off: i64,
-    size: MemSize,
-    value: u64,
-    ctx: &mut PacketCtx<'_>,
-    stack: &mut [u8; STACK_SIZE as usize],
-) -> Result<(), VmError> {
-    let (region, base_off) = match ptr {
-        Val::Ptr { region, off } => (region, off),
-        Val::Scalar(_) => return Err(VmError::NotAPointer),
-        Val::Uninit => return Err(VmError::UninitRegister(Reg::R0)),
-    };
-    let off = base_off + insn_off;
-    let nbytes = size.bytes();
-    match region {
-        Region::Stack => {
-            let bytes = slice_region(stack, off, nbytes, "stack")?;
-            bytes.copy_from_slice(&value.to_le_bytes()[..nbytes as usize]);
-            Ok(())
-        }
-        Region::Packet => {
-            let bytes = slice_region(ctx.data, off, nbytes, "packet")?;
-            bytes.copy_from_slice(&value.to_le_bytes()[..nbytes as usize]);
-            Ok(())
-        }
-        Region::Ctx => Err(VmError::ReadOnly),
-        Region::MapValue { map, slot } => {
-            let map_ref = resolve_map(vm, map).ok_or(MapError::NotFound)?;
-            if off < 0 {
-                return Err(VmError::OutOfBounds {
-                    region: "map value",
-                    off,
-                    size: nbytes,
-                });
-            }
-            map_ref.write_value(slot, off as u32, nbytes as u32, value)?;
-            Ok(())
-        }
-    }
-}
-
-fn fetch_add(
-    vm: &Vm,
-    ptr: Val,
-    insn_off: i64,
-    size: MemSize,
-    addend: u64,
-    ctx: &mut PacketCtx<'_>,
-    stack: &mut [u8; STACK_SIZE as usize],
-) -> Result<u64, VmError> {
-    // Map values get true (locked) atomicity; stack and packet RMW is
-    // local to the invocation so plain read-modify-write suffices.
-    if let Val::Ptr {
-        region: Region::MapValue { map, slot },
-        off,
-    } = ptr
-    {
-        let map_ref = resolve_map(vm, map).ok_or(MapError::NotFound)?;
-        let off = off + insn_off;
-        if off < 0 {
-            return Err(VmError::OutOfBounds {
-                region: "map value",
-                off,
-                size: size.bytes(),
-            });
-        }
-        return Ok(map_ref.fetch_add_value(slot, off as u32, size.bytes() as u32, addend)?);
-    }
-    let old = scalar(mem_load(vm, ptr, insn_off, size, ctx, stack)?)?;
-    let new = match size {
-        MemSize::W => ((old as u32).wrapping_add(addend as u32)) as u64,
-        _ => old.wrapping_add(addend),
-    };
-    mem_store(vm, ptr, insn_off, size, new, ctx, stack)?;
-    Ok(old)
-}
-
-/// Marshals a helper key/value argument. Stack- and packet-resident args
-/// (the overwhelmingly common case) are returned as borrows straight
-/// out of guest memory — no copy; map-value-resident args are staged
-/// through `buf` (reused across calls, so steady-state helper
-/// invocations allocate nothing). Trap conditions and precedence are
-/// byte-for-byte identical to the interpreter's `read_key`.
-fn marshal_arg<'a>(
-    vm: &Vm,
-    ptr: Val,
-    len: u32,
-    data: &'a [u8],
-    stack: &'a [u8],
-    helper: HelperId,
-    buf: &'a mut Vec<u8>,
-) -> Result<&'a [u8], VmError> {
-    let (region, base) = match ptr {
-        Val::Ptr { region, off } => (region, off),
-        _ => return Err(VmError::BadHelperArg(helper)),
-    };
-    match region {
-        Region::Stack => slice_region_ref(stack, base, u64::from(len), "stack"),
-        Region::Packet => {
-            let len64 = u64::from(len);
-            if base < 0 || (base as u64) + len64 > data.len() as u64 {
-                return Err(VmError::OutOfBounds {
-                    region: "packet",
-                    off: base,
-                    size: len64,
-                });
-            }
-            Ok(&data[base as usize..base as usize + len as usize])
-        }
-        Region::MapValue { map, slot } => {
-            buf.clear();
-            let map_ref = resolve_map(vm, map).ok_or(MapError::NotFound)?;
-            // Per-byte like the interpreter, so the base<0 / out-of-value
-            // trap precedence is byte-for-byte identical (len == 0 with a
-            // negative base does not trap, matching it exactly).
-            for i in 0..len {
-                if base < 0 {
-                    return Err(VmError::OutOfBounds {
-                        region: "map value",
-                        off: base,
-                        size: u64::from(len),
-                    });
-                }
-                buf.push(map_ref.read_value(slot, base as u32 + i, 1)? as u8);
-            }
-            Ok(&buf[..])
-        }
-        Region::Ctx => Err(VmError::BadHelperArg(helper)),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn call_helper(
-    vm: &Vm,
-    helper: HelperId,
-    regs: &mut RegFile,
-    ctx: &mut PacketCtx<'_>,
-    env: &mut RunEnv,
-    stack: &mut [u8; STACK_SIZE as usize],
-    key_buf: &mut Vec<u8>,
-    val_buf: &mut Vec<u8>,
-) -> Result<HelperOutcome, VmError> {
-    match helper {
-        HelperId::GetPrandomU32 => Ok(HelperOutcome::Ret(Val::Scalar(u64::from(
-            env.next_prandom(),
-        )))),
-        HelperId::KtimeGetNs => Ok(HelperOutcome::Ret(Val::Scalar(env.now_ns))),
-        HelperId::GetSmpProcessorId => Ok(HelperOutcome::Ret(Val::Scalar(u64::from(env.cpu_id)))),
-        HelperId::MapLookupElem => {
-            let map = map_arg(vm, regs.read(Reg::R1)?, helper)?;
-            let key_len = map.def().key_size;
-            let key = marshal_arg(
-                vm,
-                regs.read(Reg::R2)?,
-                key_len,
-                ctx.data,
-                &stack[..],
-                helper,
-                key_buf,
-            )?;
-            match map.slot_for_key(key)? {
-                Some(slot) => Ok(HelperOutcome::Ret(Val::Ptr {
-                    region: Region::MapValue {
-                        map: map.id(),
-                        slot,
-                    },
-                    off: 0,
-                })),
-                None => Ok(HelperOutcome::Ret(Val::Scalar(0))),
-            }
-        }
-        HelperId::MapUpdateElem => {
-            let map = map_arg(vm, regs.read(Reg::R1)?, helper)?;
-            let def = map.def();
-            let key = marshal_arg(
-                vm,
-                regs.read(Reg::R2)?,
-                def.key_size,
-                ctx.data,
-                &stack[..],
-                helper,
-                key_buf,
-            )?;
-            let value = marshal_arg(
-                vm,
-                regs.read(Reg::R3)?,
-                def.value_size,
-                ctx.data,
-                &stack[..],
-                helper,
-                val_buf,
-            )?;
-            let flags = scalar(regs.read(Reg::R4)?)?;
-            let flag = match flags {
-                0 => UpdateFlag::Any,
-                1 => UpdateFlag::NoExist,
-                2 => UpdateFlag::Exist,
-                _ => return Err(VmError::BadHelperArg(helper)),
-            };
-            let ret = match map.update(key, value, flag) {
-                Ok(()) => 0i64,
-                Err(_) => -1,
-            };
-            Ok(HelperOutcome::Ret(Val::Scalar(ret as u64)))
-        }
-        HelperId::MapDeleteElem => {
-            let map = map_arg(vm, regs.read(Reg::R1)?, helper)?;
-            let key_len = map.def().key_size;
-            let key = marshal_arg(
-                vm,
-                regs.read(Reg::R2)?,
-                key_len,
-                ctx.data,
-                &stack[..],
-                helper,
-                key_buf,
-            )?;
-            let ret = match map.delete(key) {
-                Ok(()) => 0i64,
-                Err(_) => -1,
-            };
-            Ok(HelperOutcome::Ret(Val::Scalar(ret as u64)))
-        }
-        HelperId::RedirectMap => {
-            let map = map_arg(vm, regs.read(Reg::R1)?, helper)?;
-            let index = scalar(regs.read(Reg::R2)?)? as u32;
-            // XDP_REDIRECT == 4 in the kernel ABI.
-            Ok(HelperOutcome::Redirect(map.id(), index, 4))
-        }
-        HelperId::TailCall => {
-            let map = map_arg(vm, regs.read(Reg::R2)?, helper)?;
-            if map.def().kind != MapKind::ProgArray {
-                return Err(VmError::BadHelperArg(helper));
-            }
-            let index = scalar(regs.read(Reg::R3)?)? as u32;
-            match map.get_prog(index)? {
-                Some(slot) => Ok(HelperOutcome::TailCall(slot)),
-                // Missing entry: the call fails and execution continues.
-                None => Ok(HelperOutcome::Ret(Val::Scalar((-1i64) as u64))),
             }
         }
     }

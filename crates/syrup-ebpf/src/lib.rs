@@ -37,6 +37,7 @@ pub(crate) mod fast;
 pub mod helpers;
 pub mod insn;
 pub mod maps;
+mod mem;
 mod store;
 pub mod verifier;
 pub mod vm;

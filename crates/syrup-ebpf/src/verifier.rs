@@ -738,9 +738,9 @@ fn branch_refine(
             // taken: data+k > end (no info); fall: data+k <= end => k avail.
             CmpOp::Gt => fall.pkt_avail = fall.pkt_avail.max(k),
             // taken: data+k >= end; fall: data+k < end => k+1 avail.
-            CmpOp::Ge => fall.pkt_avail = fall.pkt_avail.max(k + 1),
+            CmpOp::Ge => fall.pkt_avail = fall.pkt_avail.max(k.saturating_add(1)),
             // taken: data+k < end => k+1 avail; fall: no info.
-            CmpOp::Lt => taken.pkt_avail = taken.pkt_avail.max(k + 1),
+            CmpOp::Lt => taken.pkt_avail = taken.pkt_avail.max(k.saturating_add(1)),
             // taken: data+k <= end => k avail; fall: no info.
             CmpOp::Le => taken.pkt_avail = taken.pkt_avail.max(k),
             CmpOp::Eq | CmpOp::Ne => {}
@@ -850,6 +850,13 @@ fn fold_cmp(op: CmpOp, w: Width, a: u64, b: u64) -> bool {
     }
 }
 
+/// Whether `off..off + n` lies inside a `limit`-byte region. Never forms
+/// `off + n`: a pointer moved to the edge of `i64` would wrap it back into
+/// bounds.
+fn within(off: i64, n: i64, limit: i64) -> bool {
+    off >= 0 && off <= limit - n
+}
+
 fn check_load(
     st: &State,
     maps: &MapRegistry,
@@ -862,8 +869,8 @@ fn check_load(
     let n = size.bytes() as i64;
     match ptr {
         Abs::StackPtr(base) => {
-            let off = base + insn_off;
-            if off < 0 || off + n > STACK_SIZE {
+            let off = base.wrapping_add(insn_off);
+            if !within(off, n, STACK_SIZE) {
                 return Err(VerifierError::StackOutOfBounds { pc, off });
             }
             for b in off..off + n {
@@ -874,11 +881,11 @@ fn check_load(
             Ok(Abs::Scalar(None))
         }
         Abs::PacketPtr(base) => {
-            let off = base + insn_off;
-            if off < 0 || (off + n > st.pkt_avail && !cfg.assume_packet_in_bounds) {
+            let off = base.wrapping_add(insn_off);
+            if off < 0 || !(within(off, n, st.pkt_avail) || cfg.assume_packet_in_bounds) {
                 return Err(VerifierError::PacketBoundsNotProven {
                     pc,
-                    needed: off + n,
+                    needed: off.saturating_add(n),
                 });
             }
             Ok(Abs::Scalar(None))
@@ -901,8 +908,8 @@ fn check_load(
                 return Err(VerifierError::PossiblyNullDeref { pc });
             }
             let map_ref = maps.get(map).ok_or(VerifierError::UnknownMap { pc, map })?;
-            let off = off + insn_off;
-            if off < 0 || off + n > i64::from(map_ref.def().value_size) {
+            let off = off.wrapping_add(insn_off);
+            if !within(off, n, i64::from(map_ref.def().value_size)) {
                 return Err(VerifierError::MapValueOutOfBounds { pc });
             }
             Ok(Abs::Scalar(None))
@@ -925,8 +932,8 @@ fn check_store(
     let n = size.bytes() as i64;
     match ptr {
         Abs::StackPtr(base) => {
-            let off = base + insn_off;
-            if off < 0 || off + n > STACK_SIZE {
+            let off = base.wrapping_add(insn_off);
+            if !within(off, n, STACK_SIZE) {
                 return Err(VerifierError::StackOutOfBounds { pc, off });
             }
             for b in off..off + n {
@@ -935,11 +942,11 @@ fn check_store(
             Ok(())
         }
         Abs::PacketPtr(base) => {
-            let off = base + insn_off;
-            if off < 0 || (off + n > st.pkt_avail && !cfg.assume_packet_in_bounds) {
+            let off = base.wrapping_add(insn_off);
+            if off < 0 || !(within(off, n, st.pkt_avail) || cfg.assume_packet_in_bounds) {
                 return Err(VerifierError::PacketBoundsNotProven {
                     pc,
-                    needed: off + n,
+                    needed: off.saturating_add(n),
                 });
             }
             Ok(())
@@ -950,8 +957,8 @@ fn check_store(
                 return Err(VerifierError::PossiblyNullDeref { pc });
             }
             let map_ref = maps.get(map).ok_or(VerifierError::UnknownMap { pc, map })?;
-            let off = off + insn_off;
-            if off < 0 || off + n > i64::from(map_ref.def().value_size) {
+            let off = off.wrapping_add(insn_off);
+            if !within(off, n, i64::from(map_ref.def().value_size)) {
                 return Err(VerifierError::MapValueOutOfBounds { pc });
             }
             Ok(())
@@ -976,7 +983,7 @@ fn check_mem_arg(
 ) -> Result<(), VerifierError> {
     match ptr {
         Abs::StackPtr(base) => {
-            if base < 0 || base + len > STACK_SIZE {
+            if !within(base, len, STACK_SIZE) {
                 return Err(VerifierError::StackOutOfBounds { pc, off: base });
             }
             for b in base..base + len {
@@ -987,10 +994,10 @@ fn check_mem_arg(
             Ok(())
         }
         Abs::PacketPtr(base) => {
-            if base < 0 || (base + len > st.pkt_avail && !cfg.assume_packet_in_bounds) {
+            if base < 0 || !(within(base, len, st.pkt_avail) || cfg.assume_packet_in_bounds) {
                 return Err(VerifierError::PacketBoundsNotProven {
                     pc,
-                    needed: base + len,
+                    needed: base.saturating_add(len),
                 });
             }
             Ok(())
@@ -1000,7 +1007,7 @@ fn check_mem_arg(
                 return Err(VerifierError::PossiblyNullDeref { pc });
             }
             let map_ref = maps.get(map).ok_or(VerifierError::UnknownMap { pc, map })?;
-            if off < 0 || off + len > i64::from(map_ref.def().value_size) {
+            if !within(off, len, i64::from(map_ref.def().value_size)) {
                 return Err(VerifierError::MapValueOutOfBounds { pc });
             }
             Ok(())
@@ -1319,6 +1326,64 @@ mod tests {
             verify(&above, &maps()),
             Err(VerifierError::StackOutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn pointers_at_the_edge_of_i64_are_rejected_not_wrapped_into_bounds() {
+        let reg = maps();
+        let m = reg.create(MapDef::u64_array(1));
+        // A pointer into each region: r10 the frame, r6 the packet, r7 a
+        // (null-checked) map value.
+        let bases = [(Reg::R10, STACK_SIZE), (Reg::R6, 0), (Reg::R7, 0)];
+        // Loads, stores, atomics and a helper key argument through r8,
+        // with and without an instruction offset that itself overflows.
+        let accesses: [fn(Asm) -> Asm; 5] = [
+            |asm| asm.ldx_dw(Reg::R0, Reg::R8, 0),
+            |asm| asm.ldx_dw(Reg::R0, Reg::R8, 16),
+            |asm| asm.stx_dw(Reg::R8, 0, Reg::R0),
+            |asm| asm.atomic_add_dw(Reg::R8, 16, Reg::R0),
+            |asm| {
+                asm.mov64_reg(Reg::R2, Reg::R8)
+                    .call(HelperId::MapLookupElem)
+            },
+        ];
+        for (base, base_off) in bases {
+            for access in accesses {
+                let asm = Asm::new()
+                    .ldx_dw(Reg::R6, Reg::R1, ctx_off::DATA as i16)
+                    .st_w(Reg::R10, -4, 0)
+                    .load_map_fd(Reg::R1, m)
+                    .mov64_reg(Reg::R2, Reg::R10)
+                    .add64_imm(Reg::R2, -4)
+                    .call(HelperId::MapLookupElem)
+                    .jeq_imm(Reg::R0, 0, "out")
+                    .mov64_reg(Reg::R7, Reg::R0)
+                    // r8 = the base moved to offset `i64::MAX - 4`: an
+                    // 8-byte access there ends past `i64::MAX`.
+                    .mov64_reg(Reg::R8, base)
+                    .load_imm64(Reg::R9, i64::MAX - 4 - base_off)
+                    .add64_reg(Reg::R8, Reg::R9)
+                    .mov64_imm(Reg::R0, 0)
+                    .load_map_fd(Reg::R1, m);
+                let prog = access(asm)
+                    .label("out")
+                    .mov64_imm(Reg::R0, 0)
+                    .exit()
+                    .build("edge")
+                    .unwrap();
+                let verdict = verify(&prog, &reg);
+                assert!(
+                    matches!(
+                        verdict,
+                        Err(VerifierError::StackOutOfBounds { .. }
+                            | VerifierError::PacketBoundsNotProven { .. }
+                            | VerifierError::MapValueOutOfBounds { .. })
+                    ),
+                    "{verdict:?}\n{}",
+                    prog.disasm()
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! trap instead of corrupting simulation state. Programs admitted through
 //! [`Vm::load`] have passed the [`crate::verifier`], which statically rules
 //! those traps out; `load_unverified` exists so tests can exercise the
-//! runtime checks directly.
+//! runtime checks directly. The checks on guest memory and helper
+//! arguments live in `mem.rs`, which this loop and the fast engine's both
+//! call; this file keeps values, ALU and compare semantics, and the loop.
 //!
 //! Values are represented with explicit pointer provenance (a tagged
 //! scalar/pointer enum) rather than raw host addresses: this is the safe
@@ -22,7 +24,8 @@ use crate::cycles::CycleModel;
 use crate::decode::DecodedProg;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
-use crate::maps::{MapError, MapId, MapKind, MapRef, MapRegistry, ProgSlot, UpdateFlag};
+use crate::maps::{MapError, MapId, MapRef, MapRegistry, ProgSlot};
+use crate::mem::{call_helper, fetch_add, map_fd_token, mem_load, mem_store, Frame, HelperOutcome};
 use crate::store::{Loaded, ProgStore};
 use crate::verifier::{verify, VerifierError};
 use crate::Program;
@@ -326,8 +329,8 @@ impl VmTelemetry {
 ///
 /// A clone is a second handle on the same programs: it shares the
 /// append-only program store, so a slot loaded through either resolves
-/// through both, while backend, cycle model and attached instruments
-/// are the clone's own from then on.
+/// through both, while backend and attached instruments are the clone's
+/// own from then on.
 #[derive(Debug, Clone)]
 pub struct Vm {
     pub(crate) maps: MapRegistry,
@@ -335,7 +338,8 @@ pub struct Vm {
     /// executes).
     pub(crate) store: Arc<ProgStore>,
     /// Handles of every map that existed at the last load, indexed by
-    /// map id, so the fast engine's map accesses skip the registry lock.
+    /// map id, so a run's map accesses skip the registry lock; younger
+    /// maps resolve through the registry.
     pub(crate) map_cache: Arc<[MapRef]>,
     model: CycleModel,
     backend: Backend,
@@ -420,21 +424,6 @@ impl Vm {
         &self.maps
     }
 
-    /// Replaces the cycle model (used by Table 2 sensitivity runs).
-    /// Re-decodes every loaded program, into a store of this VM's own,
-    /// so the fast engine's cost tables track the new model.
-    pub fn set_cycle_model(&mut self, model: CycleModel) {
-        self.model = model;
-        let store = ProgStore::new();
-        for loaded in self.store.iter() {
-            store.push(Loaded {
-                decoded: crate::decode::decode(&loaded.prog, &self.model, &self.maps),
-                prog: loaded.prog.clone(),
-            });
-        }
-        self.store = Arc::new(store);
-    }
-
     /// Verifies and loads a program, returning its slot.
     pub fn load(&mut self, prog: Program) -> Result<ProgSlot, VerifierError> {
         verify(&prog, &self.maps)?;
@@ -451,7 +440,7 @@ impl Vm {
         if self.map_cache.len() != self.maps.len() {
             self.map_cache = self.maps.handles();
         }
-        let decoded = crate::decode::decode(&prog, &self.model, &self.maps);
+        let decoded = crate::decode::decode(&prog, &self.model);
         ProgSlot(self.store.push(Loaded { prog, decoded }))
     }
 
@@ -539,7 +528,7 @@ impl Vm {
             region: Region::Stack,
             off: STACK_SIZE,
         };
-        let mut stack = [0u8; STACK_SIZE as usize];
+        let mut frame = Frame::new();
 
         let mut pc: usize = 0;
         let mut insns: u64 = 0;
@@ -609,7 +598,7 @@ impl Vm {
                     off,
                 } => {
                     let ptr = read_reg(&regs, base)?;
-                    regs[dst.index()] = self.mem_load(ptr, off as i64, size, ctx, &mut stack)?;
+                    regs[dst.index()] = mem_load(self, ptr, off as i64, size, ctx, &frame.stack)?;
                 }
                 Insn::StoreMem {
                     size,
@@ -619,7 +608,7 @@ impl Vm {
                 } => {
                     let ptr = read_reg(&regs, base)?;
                     let v = scalar(read_reg(&regs, src)?)?;
-                    self.mem_store(ptr, off as i64, size, v, ctx, &mut stack)?;
+                    mem_store(self, ptr, off as i64, size, v, ctx, &mut frame.stack)?;
                 }
                 Insn::StoreImm {
                     size,
@@ -628,7 +617,8 @@ impl Vm {
                     imm,
                 } => {
                     let ptr = read_reg(&regs, base)?;
-                    self.mem_store(ptr, off as i64, size, imm as i64 as u64, ctx, &mut stack)?;
+                    let v = imm as i64 as u64;
+                    mem_store(self, ptr, off as i64, size, v, ctx, &mut frame.stack)?;
                 }
                 Insn::AtomicAdd {
                     size,
@@ -646,7 +636,8 @@ impl Vm {
                     }
                     let ptr = read_reg(&regs, base)?;
                     let addend = scalar(read_reg(&regs, src)?)?;
-                    let old = self.fetch_add(ptr, off as i64, size, addend, ctx, &mut stack)?;
+                    let old =
+                        fetch_add(self, ptr, off as i64, size, addend, ctx, &mut frame.stack)?;
                     if fetch {
                         regs[src.index()] = Val::Scalar(old);
                     }
@@ -669,7 +660,8 @@ impl Vm {
                 }
                 Insn::Call { helper } => {
                     prof.helper(helper.name());
-                    match self.call_helper(helper, &mut regs, ctx, env, &mut stack)? {
+                    let arg = |r| read_reg(&regs, r);
+                    match call_helper(self, helper, arg, ctx, env, &mut frame)? {
                         HelperOutcome::Ret(v) => {
                             regs[Reg::R0.index()] = v;
                             for reg in regs.iter_mut().take(6).skip(1) {
@@ -726,315 +718,11 @@ impl Vm {
             Operand::Imm(i) => Ok(Val::Scalar(i as i64 as u64)),
         }
     }
-
-    fn mem_load(
-        &self,
-        ptr: Val,
-        insn_off: i64,
-        size: MemSize,
-        ctx: &PacketCtx<'_>,
-        stack: &mut [u8; STACK_SIZE as usize],
-    ) -> Result<Val, VmError> {
-        let (region, base_off) = match ptr {
-            Val::Ptr { region, off } => (region, off),
-            Val::Scalar(_) => return Err(VmError::NotAPointer),
-            Val::Uninit => return Err(VmError::UninitRegister(Reg::R0)),
-        };
-        let off = base_off + insn_off;
-        let nbytes = size.bytes();
-        match region {
-            Region::Stack => {
-                let bytes = slice_region(stack, off, nbytes, "stack")?;
-                Ok(Val::Scalar(read_le(bytes)))
-            }
-            Region::Packet => {
-                let bytes = slice_region_ref(ctx.data, off, nbytes, "packet")?;
-                Ok(Val::Scalar(read_le(bytes)))
-            }
-            Region::Ctx => {
-                if size != MemSize::DW {
-                    return Err(VmError::OutOfBounds {
-                        region: "ctx",
-                        off,
-                        size: nbytes,
-                    });
-                }
-                match off {
-                    ctx_off::DATA => Ok(Val::Ptr {
-                        region: Region::Packet,
-                        off: 0,
-                    }),
-                    ctx_off::DATA_END => Ok(Val::Ptr {
-                        region: Region::Packet,
-                        off: ctx.data.len() as i64,
-                    }),
-                    ctx_off::META0 => Ok(Val::Scalar(ctx.meta[0])),
-                    ctx_off::META1 => Ok(Val::Scalar(ctx.meta[1])),
-                    ctx_off::META2 => Ok(Val::Scalar(ctx.meta[2])),
-                    ctx_off::META3 => Ok(Val::Scalar(ctx.meta[3])),
-                    _ => Err(VmError::OutOfBounds {
-                        region: "ctx",
-                        off,
-                        size: nbytes,
-                    }),
-                }
-            }
-            Region::MapValue { map, slot } => {
-                let map_ref = self.maps.get(map).ok_or(MapError::NotFound)?;
-                if off < 0 {
-                    return Err(VmError::OutOfBounds {
-                        region: "map value",
-                        off,
-                        size: nbytes,
-                    });
-                }
-                let v = map_ref.read_value(slot, off as u32, nbytes as u32)?;
-                Ok(Val::Scalar(v))
-            }
-        }
-    }
-
-    fn mem_store(
-        &self,
-        ptr: Val,
-        insn_off: i64,
-        size: MemSize,
-        value: u64,
-        ctx: &mut PacketCtx<'_>,
-        stack: &mut [u8; STACK_SIZE as usize],
-    ) -> Result<(), VmError> {
-        let (region, base_off) = match ptr {
-            Val::Ptr { region, off } => (region, off),
-            Val::Scalar(_) => return Err(VmError::NotAPointer),
-            Val::Uninit => return Err(VmError::UninitRegister(Reg::R0)),
-        };
-        let off = base_off + insn_off;
-        let nbytes = size.bytes();
-        match region {
-            Region::Stack => {
-                let bytes = slice_region(stack, off, nbytes, "stack")?;
-                bytes.copy_from_slice(&value.to_le_bytes()[..nbytes as usize]);
-                Ok(())
-            }
-            Region::Packet => {
-                let bytes = slice_region(ctx.data, off, nbytes, "packet")?;
-                bytes.copy_from_slice(&value.to_le_bytes()[..nbytes as usize]);
-                Ok(())
-            }
-            Region::Ctx => Err(VmError::ReadOnly),
-            Region::MapValue { map, slot } => {
-                let map_ref = self.maps.get(map).ok_or(MapError::NotFound)?;
-                if off < 0 {
-                    return Err(VmError::OutOfBounds {
-                        region: "map value",
-                        off,
-                        size: nbytes,
-                    });
-                }
-                map_ref.write_value(slot, off as u32, nbytes as u32, value)?;
-                Ok(())
-            }
-        }
-    }
-
-    fn fetch_add(
-        &self,
-        ptr: Val,
-        insn_off: i64,
-        size: MemSize,
-        addend: u64,
-        ctx: &mut PacketCtx<'_>,
-        stack: &mut [u8; STACK_SIZE as usize],
-    ) -> Result<u64, VmError> {
-        // Map values get true (locked) atomicity; stack and packet RMW is
-        // local to the invocation so plain read-modify-write suffices.
-        if let Val::Ptr {
-            region: Region::MapValue { map, slot },
-            off,
-        } = ptr
-        {
-            let map_ref = self.maps.get(map).ok_or(MapError::NotFound)?;
-            let off = off + insn_off;
-            if off < 0 {
-                return Err(VmError::OutOfBounds {
-                    region: "map value",
-                    off,
-                    size: size.bytes(),
-                });
-            }
-            return Ok(map_ref.fetch_add_value(slot, off as u32, size.bytes() as u32, addend)?);
-        }
-        let old = scalar(self.mem_load(ptr, insn_off, size, ctx, stack)?)?;
-        let new = match size {
-            MemSize::W => ((old as u32).wrapping_add(addend as u32)) as u64,
-            _ => old.wrapping_add(addend),
-        };
-        self.mem_store(ptr, insn_off, size, new, ctx, stack)?;
-        Ok(old)
-    }
-
-    fn call_helper(
-        &self,
-        helper: HelperId,
-        regs: &mut [Val; 11],
-        ctx: &mut PacketCtx<'_>,
-        env: &mut RunEnv,
-        stack: &mut [u8; STACK_SIZE as usize],
-    ) -> Result<HelperOutcome, VmError> {
-        let arg = |i: usize| read_reg(regs, Reg::new(i as u8));
-        match helper {
-            HelperId::GetPrandomU32 => Ok(HelperOutcome::Ret(Val::Scalar(u64::from(
-                env.next_prandom(),
-            )))),
-            HelperId::KtimeGetNs => Ok(HelperOutcome::Ret(Val::Scalar(env.now_ns))),
-            HelperId::GetSmpProcessorId => {
-                Ok(HelperOutcome::Ret(Val::Scalar(u64::from(env.cpu_id))))
-            }
-            HelperId::MapLookupElem => {
-                let map = self.map_arg(arg(1)?, helper)?;
-                let key = self.read_key(arg(2)?, map.def().key_size, ctx, stack, helper)?;
-                match map.slot_for_key(&key)? {
-                    Some(slot) => Ok(HelperOutcome::Ret(Val::Ptr {
-                        region: Region::MapValue {
-                            map: map.id(),
-                            slot,
-                        },
-                        off: 0,
-                    })),
-                    None => Ok(HelperOutcome::Ret(Val::Scalar(0))),
-                }
-            }
-            HelperId::MapUpdateElem => {
-                let map = self.map_arg(arg(1)?, helper)?;
-                let key = self.read_key(arg(2)?, map.def().key_size, ctx, stack, helper)?;
-                let value = self.read_key(arg(3)?, map.def().value_size, ctx, stack, helper)?;
-                let flags = scalar(arg(4)?)?;
-                let flag = match flags {
-                    0 => UpdateFlag::Any,
-                    1 => UpdateFlag::NoExist,
-                    2 => UpdateFlag::Exist,
-                    _ => return Err(VmError::BadHelperArg(helper)),
-                };
-                let ret = match map.update(&key, &value, flag) {
-                    Ok(()) => 0i64,
-                    Err(_) => -1,
-                };
-                Ok(HelperOutcome::Ret(Val::Scalar(ret as u64)))
-            }
-            HelperId::MapDeleteElem => {
-                let map = self.map_arg(arg(1)?, helper)?;
-                let key = self.read_key(arg(2)?, map.def().key_size, ctx, stack, helper)?;
-                let ret = match map.delete(&key) {
-                    Ok(()) => 0i64,
-                    Err(_) => -1,
-                };
-                Ok(HelperOutcome::Ret(Val::Scalar(ret as u64)))
-            }
-            HelperId::RedirectMap => {
-                let map = self.map_arg(arg(1)?, helper)?;
-                let index = scalar(arg(2)?)? as u32;
-                // XDP_REDIRECT == 4 in the kernel ABI.
-                Ok(HelperOutcome::Redirect(map.id(), index, 4))
-            }
-            HelperId::TailCall => {
-                let map = self.map_arg(arg(2)?, helper)?;
-                if map.def().kind != MapKind::ProgArray {
-                    return Err(VmError::BadHelperArg(helper));
-                }
-                let index = scalar(arg(3)?)? as u32;
-                match map.get_prog(index)? {
-                    Some(slot) => Ok(HelperOutcome::TailCall(slot)),
-                    // Missing entry: the call fails and execution continues.
-                    None => Ok(HelperOutcome::Ret(Val::Scalar((-1i64) as u64))),
-                }
-            }
-        }
-    }
-
-    fn map_arg(&self, v: Val, helper: HelperId) -> Result<crate::maps::MapRef, VmError> {
-        let id = match v {
-            Val::Scalar(tok) => map_from_token(tok).ok_or(VmError::BadHelperArg(helper))?,
-            _ => return Err(VmError::BadHelperArg(helper)),
-        };
-        self.maps.get(id).ok_or(VmError::BadHelperArg(helper))
-    }
-
-    /// Copies `len` bytes out of guest memory for a helper key/value arg.
-    fn read_key(
-        &self,
-        ptr: Val,
-        len: u32,
-        ctx: &PacketCtx<'_>,
-        stack: &mut [u8; STACK_SIZE as usize],
-        helper: HelperId,
-    ) -> Result<Vec<u8>, VmError> {
-        let mut out = Vec::with_capacity(len as usize);
-        let (region, base) = match ptr {
-            Val::Ptr { region, off } => (region, off),
-            _ => return Err(VmError::BadHelperArg(helper)),
-        };
-        match region {
-            Region::Stack => {
-                let bytes = slice_region(stack, base, u64::from(len), "stack")?;
-                out.extend_from_slice(bytes);
-            }
-            Region::Packet => {
-                // Helper keys may come straight from packet contents.
-                let len64 = u64::from(len);
-                if base < 0 || (base as u64) + len64 > ctx.data.len() as u64 {
-                    return Err(VmError::OutOfBounds {
-                        region: "packet",
-                        off: base,
-                        size: len64,
-                    });
-                }
-                out.extend_from_slice(&ctx.data[base as usize..base as usize + len as usize]);
-            }
-            Region::MapValue { map, slot } => {
-                let map_ref = self.maps.get(map).ok_or(MapError::NotFound)?;
-                for i in 0..len {
-                    if base < 0 {
-                        return Err(VmError::OutOfBounds {
-                            region: "map value",
-                            off: base,
-                            size: u64::from(len),
-                        });
-                    }
-                    out.push(map_ref.read_value(slot, base as u32 + i, 1)? as u8);
-                }
-            }
-            Region::Ctx => return Err(VmError::BadHelperArg(helper)),
-        }
-        Ok(out)
-    }
-}
-
-pub(crate) enum HelperOutcome {
-    Ret(Val),
-    Redirect(MapId, u32, u64),
-    TailCall(ProgSlot),
-}
-
-// Map-fd tokens: scalars with a tag in the top byte. The verifier tracks
-// map provenance statically, so tokens only reach helpers via LoadMapFd in
-// verified programs; the tag is defense for unverified test programs.
-const MAP_FD_TAG: u64 = 0xB7 << 56;
-
-pub(crate) fn map_fd_token(map: MapId) -> u64 {
-    MAP_FD_TAG | u64::from(map.0)
 }
 
 /// One rendered instruction per pc, for profiler hotspot annotation.
 fn rendered_insns(prog: &Program) -> Vec<String> {
     prog.insns.iter().map(|insn| insn.to_string()).collect()
-}
-
-pub(crate) fn map_from_token(tok: u64) -> Option<MapId> {
-    if tok & 0xFF00_0000_0000_0000 == MAP_FD_TAG {
-        Some(MapId((tok & 0xFFFF_FFFF) as u32))
-    } else {
-        None
-    }
 }
 
 pub(crate) fn read_reg(regs: &[Val; 11], r: Reg) -> Result<Val, VmError> {
@@ -1058,44 +746,6 @@ fn jump_target(pc_after: usize, off: i16, len: usize) -> Result<usize, VmError> 
         return Err(VmError::PcOutOfRange);
     }
     Ok(target as usize)
-}
-
-pub(crate) fn slice_region<'a>(
-    buf: &'a mut [u8],
-    off: i64,
-    nbytes: u64,
-    region: &'static str,
-) -> Result<&'a mut [u8], VmError> {
-    if off < 0 || (off as u64).saturating_add(nbytes) > buf.len() as u64 {
-        return Err(VmError::OutOfBounds {
-            region,
-            off,
-            size: nbytes,
-        });
-    }
-    Ok(&mut buf[off as usize..off as usize + nbytes as usize])
-}
-
-pub(crate) fn slice_region_ref<'a>(
-    buf: &'a [u8],
-    off: i64,
-    nbytes: u64,
-    region: &'static str,
-) -> Result<&'a [u8], VmError> {
-    if off < 0 || (off as u64).saturating_add(nbytes) > buf.len() as u64 {
-        return Err(VmError::OutOfBounds {
-            region,
-            off,
-            size: nbytes,
-        });
-    }
-    Ok(&buf[off as usize..off as usize + nbytes as usize])
-}
-
-pub(crate) fn read_le(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    buf[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(buf)
 }
 
 pub(crate) fn alu(w: Width, op: AluOp, lhs: Val, rhs: Val) -> Result<Val, VmError> {

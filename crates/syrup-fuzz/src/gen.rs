@@ -9,8 +9,10 @@
 //!
 //! A small fraction of blocks deliberately omit a safety obligation
 //! (packet bounds check, lookup null check, stack initialization, loop
-//! bound) so the verifier's rejection paths — and the determinism oracle
-//! over them — stay exercised. Under a deliberately weakened
+//! bound), or move a pointer by a delta at the edge of `u32` or `i64`
+//! (where offset arithmetic narrows and wraps), so the verifier's
+//! rejection paths — and the determinism oracle over them — stay
+//! exercised. Under a deliberately weakened
 //! [`syrup_ebpf::VerifierConfig`] those same blocks become the bait the
 //! soundness oracle must catch.
 
@@ -63,6 +65,21 @@ pub fn generate(rng: &mut Prng, maps: &GenMaps) -> Program {
     g.emit_all();
     Program::new("fuzz-gen", g.insns)
 }
+
+/// Pointer deltas around 2³² (map-value offsets narrow to `u32` below the
+/// VM) and the ends of `i64` (where `pointer + instruction offset` wraps).
+/// The verifier must reject every access through a pointer moved this
+/// far, and both engines must trap on it identically.
+const WILD_DELTAS: [i64; 8] = [
+    1 << 32,
+    (1 << 32) - 4,
+    (1 << 32) + 8,
+    -(1 << 32),
+    i64::MAX,
+    i64::MAX - 512,
+    i64::MAX - 516,
+    i64::MIN,
+];
 
 /// Registers eligible to hold scalars. R6/R7 are reserved for the packet
 /// pointers, R8 for pointer scratch, R10 is the frame pointer.
@@ -224,7 +241,44 @@ impl Gen<'_> {
         }
     }
 
+    /// `ptr += delta` for a [`WILD_DELTAS`] delta, through r9.
+    fn wild_advance(&mut self, ptr: Reg) -> [Insn; 2] {
+        [
+            Insn::LoadImm64 {
+                dst: Reg::R9,
+                imm: *self.rng.pick(&WILD_DELTAS),
+            },
+            Insn::Alu {
+                w: Width::W64,
+                op: AluOp::Add,
+                dst: ptr,
+                src: Operand::Reg(Reg::R9),
+            },
+        ]
+    }
+
     fn block_stack(&mut self) {
+        if self.rng.chance(2) {
+            // Deliberate wild pointer: a copy of the frame pointer moved
+            // off the end of the address space, then dereferenced.
+            self.insns.push(Insn::Alu {
+                w: Width::W64,
+                op: AluOp::Mov,
+                dst: Reg::R8,
+                src: Operand::Reg(Reg::R10),
+            });
+            let advance = self.wild_advance(Reg::R8);
+            self.insns.extend(advance);
+            self.mark_scalar(Reg::R9);
+            let src = self.any_scalar();
+            self.insns.push(Insn::StoreMem {
+                size: MemSize::DW,
+                base: Reg::R8,
+                off: *self.rng.pick(&[-8i16, 0, 16]),
+                src,
+            });
+            return;
+        }
         if self.rng.chance(3) {
             // Deliberate StackOutOfBounds: store past the frame.
             let off = *self.rng.pick(&[-520i16, -560, 8, 16]);
@@ -440,8 +494,15 @@ impl Gen<'_> {
 
     /// One access through a lookup result in r0 (value size is 8 bytes).
     fn lookup_deref(&mut self) -> Vec<Insn> {
+        // Deliberate MapValueOutOfBounds the far way round: the value
+        // pointer advanced by a wild delta first.
+        let mut deref = if self.rng.chance(3) {
+            self.wild_advance(Reg::R0).to_vec()
+        } else {
+            Vec::new()
+        };
         let oob = self.rng.chance(3);
-        match self.rng.below(3) {
+        deref.extend(match self.rng.below(3) {
             0 => vec![Insn::LoadMem {
                 size: MemSize::DW,
                 dst: Reg::R9,
@@ -465,7 +526,8 @@ impl Gen<'_> {
                     fetch: self.rng.chance(50),
                 }]
             }
-        }
+        });
+        deref
     }
 
     fn block_helper(&mut self) {

@@ -117,7 +117,7 @@ fn corpus_policies_decode_reencode_round_trip() {
         let maps = MapRegistry::new();
         let compiled = syrup::lang::compile(entry.source, &entry.opts, &maps)
             .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.name));
-        let decoded = syrup::ebpf::decode(&compiled.program, &CycleModel::default(), &maps);
+        let decoded = syrup::ebpf::decode(&compiled.program, &CycleModel::default());
         assert_eq!(
             decoded.reencode(),
             compiled.program.insns,

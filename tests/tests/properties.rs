@@ -206,8 +206,7 @@ proptest! {
             .build("roundtrip");
         let Ok(prog) = prog else { return Ok(()); };
 
-        let maps = MapRegistry::new();
-        let decoded = syrup::ebpf::decode(&prog, &CycleModel::default(), &maps);
+        let decoded = syrup::ebpf::decode(&prog, &CycleModel::default());
         prop_assert_eq!(decoded.reencode(), prog.insns);
     }
 
