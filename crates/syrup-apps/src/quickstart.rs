@@ -14,12 +14,14 @@
 //! resulting timelines are easy to eyeball in Perfetto and stable for the
 //! CLI smoke tests.
 
+use syrup_blackbox::Recorder;
 use syrup_core::{AppId, CompileOptions, Hook, HookMeta, PolicySource, Syrupd};
 use syrup_net::socket::{Delivery, ReuseportGroup};
 use syrup_net::{flow, AppHeader, Frame, Nic, QueueKind};
 use syrup_policies::RoundRobinPolicy;
+use syrup_profile::Profiler;
 use syrup_sim::{ShardQueueStats, ShardedQueue, SimRng, Time};
-use syrup_trace::Stage;
+use syrup_trace::{Stage, Tracer};
 
 /// The UDP port the quickstart application owns.
 pub const PORT: u16 = 9090;
@@ -27,7 +29,7 @@ pub const PORT: u16 = 9090;
 /// Worker threads (= sockets = NIC queues).
 pub const THREADS: usize = 4;
 
-/// Requests pushed through by [`run_default`].
+/// Requests a run pushes through unless told otherwise.
 pub const DEFAULT_REQUESTS: usize = 64;
 
 /// The artifacts of one quickstart run.
@@ -56,69 +58,24 @@ pub struct Quickstart {
     pub shard_stats: Vec<ShardQueueStats>,
 }
 
-/// Runs the scenario with [`DEFAULT_REQUESTS`] requests.
-pub fn run_default(tracer: &syrup_trace::Tracer) -> Quickstart {
-    run(tracer, DEFAULT_REQUESTS)
-}
-
 /// Pushes `requests` requests through the pipeline, recording spans for
-/// every input `tracer` samples.
-pub fn run(tracer: &syrup_trace::Tracer, requests: usize) -> Quickstart {
-    run_profiled(tracer, &syrup_profile::Profiler::disabled(), requests)
-}
-
-/// [`run`] with a cycle-attribution profiler attached: the VM charges
-/// every interpreted instruction to a `(prog, pc)` bucket, and the NIC
-/// rings and reuseport sockets contribute one depth sample per request
-/// to the pressure report.
-pub fn run_profiled(
-    tracer: &syrup_trace::Tracer,
-    profiler: &syrup_profile::Profiler,
-    requests: usize,
-) -> Quickstart {
-    run_scenario(tracer, profiler, requests, false)
-}
-
-/// The rank-extension variant: the socket-select policy is compiled C
-/// returning an `(executor, rank)` pair, ranks are opted in for the hook,
-/// and the reuseport sockets are PIFO-backed so the most urgent service
-/// class is served first. Everything else matches [`run`] exactly.
-pub fn run_ranked(tracer: &syrup_trace::Tracer, requests: usize) -> Quickstart {
-    run_scenario(tracer, &syrup_profile::Profiler::disabled(), requests, true)
-}
-
-/// The fully-parameterised scenario: [`run_profiled`] when `ranked` is
-/// false, [`run_ranked`] with a profiler attached when true.
-pub fn run_scenario(
-    tracer: &syrup_trace::Tracer,
-    profiler: &syrup_profile::Profiler,
-    requests: usize,
-    ranked: bool,
-) -> Quickstart {
+/// every input `tracer` samples; every other sink is off.
+pub fn run(tracer: &Tracer, requests: usize) -> Quickstart {
     run_observed(
         tracer,
-        profiler,
-        &syrup_blackbox::Recorder::disabled(),
+        &Profiler::disabled(),
+        &Recorder::disabled(),
         requests,
-        ranked,
+        false,
         &mut |_, _, _| {},
     )
 }
 
-/// [`run_scenario`] with a flight recorder wired through every layer and
-/// a per-request observer.
-///
-/// The recorder is attached to `syrupd` (dispatch verdicts and VM
-/// events), the NIC rings, and the reuseport sockets — the latter two
-/// with a depth threshold of 1 so every enqueue/dequeue pair emits a
-/// crossing, giving the postmortem visibility into queue motion even
-/// when nothing drops. `observe` runs after each completed request with
-/// `(completed, now_ns, &syrupd)`; `syrupctl watch` uses it to render
-/// live telemetry deltas between requests.
+/// [`run_driven`] on one timer wheel.
 pub fn run_observed(
-    tracer: &syrup_trace::Tracer,
-    profiler: &syrup_profile::Profiler,
-    recorder: &syrup_blackbox::Recorder,
+    tracer: &Tracer,
+    profiler: &Profiler,
+    recorder: &Recorder,
     requests: usize,
     ranked: bool,
     observe: &mut dyn FnMut(u64, u64, &Syrupd),
@@ -126,9 +83,27 @@ pub fn run_observed(
     run_driven(tracer, profiler, recorder, requests, ranked, 1, observe)
 }
 
-/// [`run`] with the ingress schedule spread over `shards` timer wheels.
+/// The general entry point; every argument is one thing a run can vary.
 ///
-/// The scenario itself is byte-identical for every shard count: requests
+/// With a `profiler` attached the VM charges every interpreted
+/// instruction to a `(prog, pc)` bucket, and the NIC rings and reuseport
+/// sockets contribute one depth sample per request to the pressure
+/// report.
+///
+/// The `recorder` is attached to `syrupd` (dispatch verdicts and VM
+/// events), the NIC rings, and the reuseport sockets — the latter two
+/// with a depth threshold of 1 so every enqueue/dequeue pair emits a
+/// crossing, giving the postmortem visibility into queue motion even
+/// when nothing drops.
+///
+/// `ranked` selects the rank-extension variant: the socket-select policy
+/// is compiled C returning an `(executor, rank)` pair, ranks are opted in
+/// for the hook, and the reuseport sockets are PIFO-backed so the most
+/// urgent service class is served first. Everything else matches the
+/// plain scenario exactly.
+///
+/// The ingress schedule is spread over `shards` timer wheels. The
+/// scenario itself is byte-identical for every shard count: requests
 /// are keyed by flow hash into a [`ShardedQueue`], and the merge pops
 /// them back in `(time, seq)` order — ingress instants are strictly
 /// increasing, so the replay order (and with it every policy decision,
@@ -136,26 +111,14 @@ pub fn run_observed(
 /// routing. What sharding *adds* is the `sim/wheel_*` telemetry the
 /// queue publishes into the daemon's registry, which is how `syrupctl
 /// metrics --shards N` surfaces wheel drift and clamp accounting.
-pub fn run_sharded(tracer: &syrup_trace::Tracer, requests: usize, shards: usize) -> Quickstart {
-    run_driven(
-        tracer,
-        &syrup_profile::Profiler::disabled(),
-        &syrup_blackbox::Recorder::disabled(),
-        requests,
-        false,
-        shards,
-        &mut |_, _, _| {},
-    )
-}
-
-/// The most general entry point: [`run_observed`] with the ingress
-/// schedule driven through a [`ShardedQueue`] of `shards` timer wheels
-/// (see [`run_sharded`] for why the result is shard-count invariant).
-#[allow(clippy::too_many_arguments)]
+///
+/// `observe` runs after each completed request with `(completed, now_ns,
+/// &syrupd)`; `syrupctl watch` uses it to render live telemetry deltas
+/// between requests.
 pub fn run_driven(
-    tracer: &syrup_trace::Tracer,
-    profiler: &syrup_profile::Profiler,
-    recorder: &syrup_blackbox::Recorder,
+    tracer: &Tracer,
+    profiler: &Profiler,
+    recorder: &Recorder,
     requests: usize,
     ranked: bool,
     shards: usize,
@@ -335,10 +298,31 @@ pub fn run_driven(
 mod tests {
     use super::*;
 
+    /// The plain scenario with `requests`, `ranked` and `shards` varied and
+    /// `profiler` attached: the general entry with the rest at rest.
+    fn scenario(
+        tracer: &Tracer,
+        profiler: &Profiler,
+        requests: usize,
+        ranked: bool,
+        shards: usize,
+    ) -> Quickstart {
+        let recorder = Recorder::disabled();
+        run_driven(
+            tracer,
+            profiler,
+            &recorder,
+            requests,
+            ranked,
+            shards,
+            &mut |_, _, _| {},
+        )
+    }
+
     #[test]
     fn every_timeline_is_valid_and_multi_hook() {
         let tracer = syrup_trace::Tracer::new();
-        let q = run_default(&tracer);
+        let q = run(&tracer, DEFAULT_REQUESTS);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
         assert_eq!(q.timelines.len(), DEFAULT_REQUESTS);
         for tl in &q.timelines {
@@ -355,7 +339,7 @@ mod tests {
     #[test]
     fn breakdown_covers_nic_to_thread() {
         let tracer = syrup_trace::Tracer::new();
-        let q = run_default(&tracer);
+        let q = run(&tracer, DEFAULT_REQUESTS);
         let breakdown = syrup_trace::StageBreakdown::from_timelines(&q.timelines);
         let stages: Vec<&str> = breakdown.stages.iter().map(|s| s.stage.as_str()).collect();
         for want in [
@@ -384,7 +368,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = syrup_trace::Tracer::disabled();
-        let q = run_default(&tracer);
+        let q = run(&tracer, DEFAULT_REQUESTS);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
         assert!(q.records.is_empty());
         assert!(q.timelines.is_empty());
@@ -394,7 +378,7 @@ mod tests {
     fn profiled_run_attributes_all_vm_cycles() {
         let tracer = syrup_trace::Tracer::disabled();
         let profiler = syrup_profile::Profiler::new();
-        let q = run_profiled(&tracer, &profiler, DEFAULT_REQUESTS);
+        let q = scenario(&tracer, &profiler, DEFAULT_REQUESTS, false, 1);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
 
         // Attribution covers the VM's own telemetry total exactly.
@@ -428,11 +412,7 @@ mod tests {
         // The profiler must observe, not perturb: decisions and telemetry
         // are identical with and without it attached.
         let plain = run(&syrup_trace::Tracer::disabled(), 32);
-        let profiled = run_profiled(
-            &syrup_trace::Tracer::disabled(),
-            &syrup_profile::Profiler::new(),
-            32,
-        );
+        let profiled = scenario(&Tracer::disabled(), &Profiler::new(), 32, false, 1);
         assert_eq!(plain.completed, profiled.completed);
         let a = plain.syrupd.telemetry_snapshot();
         let b = profiled.syrupd.telemetry_snapshot();
@@ -445,7 +425,7 @@ mod tests {
     #[test]
     fn ranked_run_uses_pifo_sockets_and_completes() {
         let tracer = syrup_trace::Tracer::disabled();
-        let q = run_ranked(&tracer, DEFAULT_REQUESTS);
+        let q = scenario(&tracer, &Profiler::disabled(), DEFAULT_REQUESTS, true, 1);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
         assert_eq!(q.group.kind(), QueueKind::Pifo);
         assert_eq!(q.nic.kind(), QueueKind::Fifo);
@@ -463,7 +443,7 @@ mod tests {
     fn ranked_profiled_run_samples_sock_rank_bands() {
         let tracer = syrup_trace::Tracer::disabled();
         let profiler = syrup_profile::Profiler::new();
-        let q = run_scenario(&tracer, &profiler, DEFAULT_REQUESTS, true);
+        let q = scenario(&tracer, &profiler, DEFAULT_REQUESTS, true, 1);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
         let p = profiler.pressure();
         let sock_bands = p
@@ -477,7 +457,7 @@ mod tests {
         assert!(sock_bands.mean_depths.iter().take(3).any(|&d| d > 0.0));
         // The unranked scenario must not grow a band series.
         let plain = syrup_profile::Profiler::new();
-        let _ = run_profiled(&tracer, &plain, DEFAULT_REQUESTS);
+        let _ = scenario(&tracer, &plain, DEFAULT_REQUESTS, false, 1);
         assert!(plain.pressure().rank_bands.is_empty());
     }
 
@@ -553,10 +533,16 @@ mod tests {
             s
         };
         let tracer = syrup_trace::Tracer::new();
-        let base = run_sharded(&tracer, DEFAULT_REQUESTS, 1);
+        let base = scenario(&tracer, &Profiler::disabled(), DEFAULT_REQUESTS, false, 1);
         for shards in [2usize, 8] {
             let tracer = syrup_trace::Tracer::new();
-            let q = run_sharded(&tracer, DEFAULT_REQUESTS, shards);
+            let q = scenario(
+                &tracer,
+                &Profiler::disabled(),
+                DEFAULT_REQUESTS,
+                false,
+                shards,
+            );
             assert_eq!(q.completed, base.completed, "shards={shards}");
             assert_eq!(q.records, base.records, "shards={shards}");
             assert_eq!(strip_layout(&q), strip_layout(&base), "shards={shards}");
@@ -579,7 +565,7 @@ mod tests {
     #[test]
     fn deployed_rows_cover_three_hooks() {
         let tracer = syrup_trace::Tracer::disabled();
-        let q = run_default(&tracer);
+        let q = run(&tracer, DEFAULT_REQUESTS);
         let rows = q.syrupd.deployed();
         assert_eq!(rows.len(), 3);
         // The XDP policy is eBPF (not native) and has per-invocation stats.

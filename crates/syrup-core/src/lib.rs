@@ -34,7 +34,7 @@ pub mod syrupd;
 pub use decision::{Decision, Verdict};
 pub use hook::{Hook, HookMeta};
 pub use map_api::{AppId, MapPermError, SyrupMaps};
-pub use policy::{EbpfPolicy, PacketPolicy, PolicySource};
+pub use policy::{PacketPolicy, PolicySource};
 pub use syrupd::{DeployError, PolicyHandle, Syrupd};
 
 // Re-export the substrate types applications interact with.

@@ -7,14 +7,13 @@
 //!   path of the discrete-event simulations (interpreting bytecode for
 //!   hundreds of millions of simulated packets would only cost wall-clock
 //!   time, not fidelity — the decisions are what matter); and
-//! * an **eBPF** implementation ([`EbpfPolicy`]) compiled from the paper's
-//!   C subset or assembled directly, verified, and interpreted — used by
-//!   Table 2 (instruction/cycle counts), the deployment-workflow tests,
-//!   and the native/eBPF equivalence tests.
+//! * an **eBPF** implementation ([`PolicySource::C`] or
+//!   [`PolicySource::Bytecode`]) compiled from the paper's C subset or
+//!   assembled directly, verified, and run by `Syrupd` on its VM — used
+//!   by Table 2 (instruction/cycle counts), the deployment-workflow
+//!   tests, and the native/eBPF equivalence tests.
 
-use syrup_ebpf::maps::ProgSlot;
-use syrup_ebpf::vm::{PacketCtx, RunEnv, Vm};
-use syrup_ebpf::{Program, VmError};
+use syrup_ebpf::Program;
 
 use crate::decision::{Decision, Verdict};
 use crate::hook::HookMeta;
@@ -81,146 +80,51 @@ impl std::fmt::Debug for PolicySource {
     }
 }
 
-/// A verified program bound to a VM slot, exposed as a [`PacketPolicy`].
-///
-/// The policy owns its persistent `RunEnv` (deterministic randomness for
-/// `get_prandom_u32` carries across invocations, like the kernel's per-CPU
-/// PRNG state).
-#[derive(Debug)]
-pub struct EbpfPolicy {
-    vm: Vm,
-    slot: ProgSlot,
-    env: RunEnv,
-    name: String,
-    /// Running totals for Table 2.
-    pub insns_executed: u64,
-    /// Running cycle total (policy cycles only, before enforcement).
-    pub cycles: u64,
-    /// Number of invocations.
-    pub invocations: u64,
-    /// Last error, if any invocation trapped (a verified program never
-    /// traps; kept for diagnostics in unverified test runs).
-    pub last_error: Option<VmError>,
-}
-
-impl EbpfPolicy {
-    /// Wraps a slot of `vm`. The program must already be loaded (and, for
-    /// production use, verified — `Syrupd::deploy` guarantees this).
-    pub fn new(vm: Vm, slot: ProgSlot, name: impl Into<String>) -> Self {
-        EbpfPolicy {
-            vm,
-            slot,
-            env: RunEnv::default(),
-            name: name.into(),
-            insns_executed: 0,
-            cycles: 0,
-            invocations: 0,
-            last_error: None,
-        }
-    }
-
-    /// Seeds the deterministic `get_prandom_u32` stream.
-    pub fn seed_prandom(&mut self, seed: u64) {
-        self.env.prandom_state = seed;
-    }
-
-    /// Mean instructions per invocation so far.
-    pub fn mean_insns(&self) -> f64 {
-        if self.invocations == 0 {
-            return 0.0;
-        }
-        self.insns_executed as f64 / self.invocations as f64
-    }
-
-    /// Mean policy cycles per invocation so far.
-    pub fn mean_cycles(&self) -> f64 {
-        if self.invocations == 0 {
-            return 0.0;
-        }
-        self.cycles as f64 / self.invocations as f64
-    }
-}
-
-impl PacketPolicy for EbpfPolicy {
-    fn schedule(&mut self, pkt: &mut [u8], meta: &HookMeta) -> Decision {
-        self.schedule_verdict(pkt, meta).decision
-    }
-
-    fn schedule_verdict(&mut self, pkt: &mut [u8], meta: &HookMeta) -> Verdict {
-        self.env.now_ns = meta.now_ns;
-        self.env.cpu_id = meta.cpu;
-        let mut ctx = PacketCtx::new(pkt);
-        ctx.meta = [
-            u64::from(meta.rx_queue),
-            u64::from(meta.cpu),
-            u64::from(meta.dst_port),
-            0,
-        ];
-        match self.vm.run(self.slot, &mut ctx, &mut self.env) {
-            Ok(out) => {
-                self.invocations += 1;
-                self.insns_executed += out.insns;
-                self.cycles += out.cycles;
-                if let Some((_, idx)) = out.redirect {
-                    // XDP redirect decisions carry the executor in the
-                    // redirect target rather than the return value; the
-                    // rank still travels in the return word.
-                    return Verdict {
-                        decision: Decision::Executor(idx),
-                        rank: syrup_ebpf::ret::rank_of(out.ret),
-                    };
-                }
-                Verdict::from_ret(out.ret)
-            }
-            Err(e) => {
-                // A trapping policy only hurts its own application: the
-                // input falls back to the default policy (§3.2's
-                // reliability argument).
-                self.last_error = Some(e);
-                Verdict::unranked(Decision::Pass)
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use syrup_ebpf::maps::MapRegistry;
+    use crate::{Hook, Syrupd};
     use syrup_ebpf::{Asm, Reg};
 
-    fn ebpf_const_policy(value: i32) -> EbpfPolicy {
-        let prog = Asm::new()
+    /// Deploys `prog` for port 8080 and schedules one input through the
+    /// daemon's eBPF path.
+    fn schedule_bytecode(prog: Program) -> (Syrupd, crate::AppId, Decision) {
+        let daemon = Syrupd::new();
+        let (app, _) = daemon.register_app("t", &[8080]).unwrap();
+        daemon
+            .deploy(app, Hook::SocketSelect, PolicySource::Bytecode(prog))
+            .expect("verifies");
+        let meta = HookMeta {
+            dst_port: 8080,
+            ..HookMeta::default()
+        };
+        let (_, d) = daemon.schedule(Hook::SocketSelect, &mut [0u8; 8], &meta);
+        (daemon, app, d)
+    }
+
+    fn const_policy(value: i32) -> Program {
+        Asm::new()
             .mov64_imm(Reg::R0, value)
             .exit()
             .build("k")
-            .unwrap();
-        let mut vm = Vm::new(MapRegistry::new());
-        let slot = vm.load(prog).expect("verifies");
-        EbpfPolicy::new(vm, slot, "const")
+            .unwrap()
     }
 
     #[test]
     fn ebpf_policy_decodes_decisions() {
-        let mut p = ebpf_const_policy(3);
-        let d = p.schedule(&mut [0u8; 8], &HookMeta::default());
+        let (daemon, app, d) = schedule_bytecode(const_policy(3));
         assert_eq!(d, Decision::Executor(3));
-        assert_eq!(p.invocations, 1);
-        assert!(p.insns_executed >= 2);
-        assert!(p.mean_cycles() > 0.0);
+        let (insns, cycles) = daemon
+            .policy_stats(app, Hook::SocketSelect)
+            .expect("one invocation recorded");
+        assert!(insns >= 2.0);
+        assert!(cycles > 0.0);
     }
 
     #[test]
     fn ebpf_policy_pass_sentinel() {
-        let mut p = ebpf_const_policy(-1); // 0xFFFFFFFF as u32 == PASS
-        assert_eq!(
-            p.schedule(&mut [0u8; 8], &HookMeta::default()),
-            Decision::Pass
-        );
+        // 0xFFFFFFFF as u32 == PASS
+        assert_eq!(schedule_bytecode(const_policy(-1)).2, Decision::Pass);
     }
 
     #[test]
@@ -255,32 +159,6 @@ mod tests {
             .exit()
             .build("meta")
             .unwrap();
-        let mut vm = Vm::new(MapRegistry::new());
-        let slot = vm.load(prog).unwrap();
-        let mut p = EbpfPolicy::new(vm, slot, "meta");
-        let meta = HookMeta {
-            dst_port: 8080,
-            ..HookMeta::default()
-        };
-        assert_eq!(p.schedule(&mut [0u8; 4], &meta), Decision::Executor(8080));
-    }
-
-    #[test]
-    fn trapping_policy_falls_back_to_pass() {
-        // Unverified program reading past the packet.
-        let prog = Asm::new()
-            .ldx_dw(Reg::R1, Reg::R1, 0)
-            .ldx_dw(Reg::R0, Reg::R1, 100)
-            .exit()
-            .build("bad")
-            .unwrap();
-        let mut vm = Vm::new(MapRegistry::new());
-        let slot = vm.load_unverified(prog);
-        let mut p = EbpfPolicy::new(vm, slot, "bad");
-        assert_eq!(
-            p.schedule(&mut [0u8; 4], &HookMeta::default()),
-            Decision::Pass
-        );
-        assert!(p.last_error.is_some());
+        assert_eq!(schedule_bytecode(prog).2, Decision::Executor(8080));
     }
 }

@@ -638,3 +638,314 @@ fn trace_record_respects_requests_and_sampling_flags() {
     let bad = syrupctl(&["trace", "record", "--requests", "zero"]);
     assert!(!bad.status.success());
 }
+
+/// Every error path, by name: argv → the exact stderr → exit code 1.
+/// `{dir}` is a scratch directory holding the fixture files; a row whose
+/// expectation ends in `…` pins only that prefix (the usage text continues
+/// with the full grammar).
+#[test]
+fn error_paths_print_one_line_and_exit_1() {
+    let dir = tmp_path("errors");
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir_str = dir.to_str().unwrap();
+    for (name, contents) in [
+        ("rr.c", syrup::policies::c_sources::ROUND_ROBIN),
+        ("falls_off.s", "mov r0, 0\n"),
+        ("garbage.s", "frob r0\n"),
+        ("empty.json", "{}"),
+        ("no_traces.json", "{\"traceEvents\":[]}"),
+        ("no_layers.json", "{\"postmortem\":{}}"),
+    ] {
+        std::fs::write(dir.join(name), contents).unwrap();
+    }
+    let bundle = dir.join("bundle.json");
+    stdout_of(&[
+        "blackbox",
+        "record",
+        "--inject-burn",
+        "--out",
+        bundle.to_str().unwrap(),
+    ]);
+
+    const USAGE: &str = "usage: syrupctl <subcommand>\n\npolicy pipeline:\n  compile FILE.c…";
+    const ENOENT: &str = "No such file or directory (os error 2)";
+    const EMPTY: &str = "JSON parse error at byte 0: unexpected end of input";
+    let rows: &[(&str, String)] = &[
+        // No subcommand, an unknown one, a family without its verb.
+        ("", USAGE.into()),
+        ("frobnicate", USAGE.into()),
+        ("prog", USAGE.into()),
+        ("queue", USAGE.into()),
+        ("map", USAGE.into()),
+        ("trace", USAGE.into()),
+        ("trace export", USAGE.into()),
+        ("profile", USAGE.into()),
+        ("blackbox", USAGE.into()),
+        // The global engine flag.
+        (
+            "prog list --backend warp",
+            "syrupctl: unknown backend `warp` (expected `interp` or `fast`)".into(),
+        ),
+        // Policy pipeline.
+        (
+            "compile",
+            "usage: syrupctl compile FILE.c [-D NAME=VALUE]...".into(),
+        ),
+        (
+            "compile --json",
+            "usage: syrupctl compile FILE.c [-D NAME=VALUE]...".into(),
+        ),
+        (
+            "compile /nonexistent/policy.c",
+            format!("cannot read /nonexistent/policy.c: {ENOENT}"),
+        ),
+        (
+            "compile {dir}/rr.c",
+            "compile error: line 4: unknown variable `NUM_THREADS`".into(),
+        ),
+        ("compile {dir}/rr.c -D", "-D requires NAME=VALUE".into()),
+        (
+            "compile {dir}/rr.c -D NUM",
+            "bad define `NUM` (want NAME=VALUE)".into(),
+        ),
+        (
+            "compile {dir}/rr.c -D NUM=x",
+            "define value `x` is not an integer".into(),
+        ),
+        ("verify-asm", "usage: syrupctl verify-asm FILE.s".into()),
+        (
+            "verify-asm /nonexistent/x.s",
+            format!("cannot read /nonexistent/x.s: {ENOENT}"),
+        ),
+        (
+            "verify-asm {dir}/falls_off.s",
+            "REJECTED: control falls off program end".into(),
+        ),
+        (
+            "verify-asm {dir}/garbage.s",
+            "assembly error: line 1: unknown mnemonic `frob`".into(),
+        ),
+        // Introspection.
+        ("map get", "usage: syrupctl map get PATH KEY".into()),
+        (
+            "map get /syrup/1/__globals",
+            "usage: syrupctl map get PATH KEY".into(),
+        ),
+        (
+            "map get /syrup/1/__globals not-a-number",
+            "key `not-a-number` is not a u32".into(),
+        ),
+        (
+            "map get /not/pinned 0",
+            "no map pinned at `/not/pinned` (try `syrupctl map dump`)".into(),
+        ),
+        (
+            "map get /syrup/1/__globals 99",
+            "lookup failed: IndexOutOfRange".into(),
+        ),
+        (
+            "top --shards 0",
+            "--shards and --frames must be positive".into(),
+        ),
+        (
+            "top --frames 0",
+            "--shards and --frames must be positive".into(),
+        ),
+        ("top --flows abc", "--flows `abc` is not a number".into()),
+        (
+            "top --shards 0 --frames abc",
+            "--frames `abc` is not a number".into(),
+        ),
+        // Trace.
+        (
+            "trace record --requests zero",
+            "--requests `zero` is not a number".into(),
+        ),
+        (
+            "trace record --sample x",
+            "--sample `x` is not a number".into(),
+        ),
+        (
+            "trace record --scenario nope",
+            "unknown scenario `nope` (only `quickstart` is built in)".into(),
+        ),
+        (
+            "trace record --export /nonexistent/dir/t.json",
+            format!("cannot write /nonexistent/dir/t.json: {ENOENT}"),
+        ),
+        (
+            "trace report --scenario nope",
+            "unknown scenario `nope` (only `quickstart` is built in)".into(),
+        ),
+        (
+            "trace report --requests abc",
+            "--requests `abc` is not a number".into(),
+        ),
+        (
+            "trace validate",
+            "usage: syrupctl trace validate PATH".into(),
+        ),
+        (
+            "trace validate /nonexistent/trace.json",
+            format!("cannot read /nonexistent/trace.json: {ENOENT}"),
+        ),
+        (
+            "trace validate /dev/null",
+            format!("/dev/null is not valid JSON: {EMPTY}"),
+        ),
+        (
+            "trace validate {dir}/empty.json",
+            "{dir}/empty.json: no `traceEvents` array".into(),
+        ),
+        (
+            "trace validate {dir}/no_traces.json",
+            "{dir}/no_traces.json: 0 traces, none complete with spans from >=3 distinct hooks"
+                .into(),
+        ),
+        // Profile.
+        (
+            "profile record --requests abc",
+            "--requests `abc` is not a number".into(),
+        ),
+        (
+            "profile record --flame-out /nonexistent/dir/f.folded",
+            format!("cannot write /nonexistent/dir/f.folded: {ENOENT}"),
+        ),
+        (
+            "profile report --top abc",
+            "--top `abc` is not a number".into(),
+        ),
+        (
+            "profile flame --requests x",
+            "--requests `x` is not a number".into(),
+        ),
+        (
+            "profile flame --out /nonexistent/dir/f",
+            format!("cannot write /nonexistent/dir/f: {ENOENT}"),
+        ),
+        (
+            "profile pressure --requests x",
+            "--requests `x` is not a number".into(),
+        ),
+        // Flight recorder.
+        (
+            "blackbox record --requests x",
+            "--requests `x` is not a number".into(),
+        ),
+        (
+            "blackbox record --inject-burn --out /nonexistent/dir/b.json",
+            format!("cannot write /nonexistent/dir/b.json: {ENOENT}"),
+        ),
+        (
+            "blackbox dump --requests x",
+            "--requests `x` is not a number".into(),
+        ),
+        (
+            "blackbox report",
+            "usage: syrupctl blackbox report PATH".into(),
+        ),
+        (
+            "blackbox report --x",
+            "usage: syrupctl blackbox report PATH".into(),
+        ),
+        (
+            "blackbox report /nonexistent/b.json",
+            format!("cannot read /nonexistent/b.json: {ENOENT}"),
+        ),
+        (
+            "blackbox report /dev/null",
+            format!("/dev/null is not valid JSON: {EMPTY}"),
+        ),
+        (
+            "blackbox report {dir}/empty.json",
+            "{dir}/empty.json: no `postmortem` object (is this a blackbox bundle?)".into(),
+        ),
+        (
+            "blackbox validate",
+            "usage: syrupctl blackbox validate PATH [--min-layers N]".into(),
+        ),
+        (
+            "blackbox validate /nonexistent/b.json",
+            format!("cannot read /nonexistent/b.json: {ENOENT}"),
+        ),
+        (
+            "blackbox validate /dev/null",
+            format!("/dev/null is not valid JSON: {EMPTY}"),
+        ),
+        (
+            "blackbox validate {dir}/empty.json",
+            "{dir}/empty.json: no `postmortem` object".into(),
+        ),
+        (
+            "blackbox validate {dir}/no_layers.json",
+            "{dir}/no_layers.json: postmortem has no `layers` array".into(),
+        ),
+        (
+            "blackbox validate {dir}/bundle.json --min-layers x",
+            "--min-layers `x` is not a number".into(),
+        ),
+        (
+            "blackbox validate {dir}/bundle.json --min-layers 9",
+            "{dir}/bundle.json: events from only 4 layers, wanted >= 9".into(),
+        ),
+        (
+            "watch --requests x",
+            "--requests `x` is not a number".into(),
+        ),
+        (
+            "watch --interval x",
+            "--interval `x` is not a positive number".into(),
+        ),
+        (
+            "watch --interval 0",
+            "--interval `0` is not a positive number".into(),
+        ),
+        // Flags that used to reach an engine assertion, or be ignored.
+        (
+            "top --flows 0",
+            "--flows must be between 1 and 4294967295".into(),
+        ),
+        (
+            "top --flows 5000000000",
+            "--flows must be between 1 and 4294967295".into(),
+        ),
+        (
+            "top --flows 10 --shards 5000 --frames 1",
+            "--shards must not exceed --flows".into(),
+        ),
+        (
+            "metrics --shards abc",
+            "--shards `abc` is not a positive number".into(),
+        ),
+        (
+            "metrics --shards 0",
+            "--shards `0` is not a positive number".into(),
+        ),
+        (
+            "metrics --shards 99999999999999999999",
+            "--shards `99999999999999999999` is not a positive number".into(),
+        ),
+        (
+            "metrics --json --shards",
+            "--shards requires a value".into(),
+        ),
+        (
+            "trace record --requests",
+            "--requests requires a value".into(),
+        ),
+        ("profile flame --out", "--out requires a value".into()),
+        ("prog list --backend", "--backend requires a value".into()),
+    ];
+    for (argv, want) in rows {
+        let argv = argv.replace("{dir}", dir_str);
+        let want = want.replace("{dir}", dir_str);
+        let out = syrupctl(&argv.split_whitespace().collect::<Vec<_>>());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        match want.strip_suffix('…') {
+            Some(prefix) => assert!(stderr.starts_with(prefix), "`{argv}`: {stderr}"),
+            None => assert_eq!(stderr, format!("{want}\n"), "`syrupctl {argv}`"),
+        }
+        assert_eq!(out.status.code(), Some(1), "`syrupctl {argv}`");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -10,10 +10,20 @@
 # The set is what a behaviour-preserving PR promises not to move:
 #   * table2 on both backends (CSV and stdout);
 #   * every CSV fig2, fig6, fig7 and sched_tail write at SYRUP_SCALE=0.05;
-#   * the quickstart syrupctl reports (prog stats, metrics, trace report,
-#     profile report, map dump, queue list, profile pressure as JSON;
-#     profile flame; the blackbox record --inject-burn bundle), each under
-#     --backend {interp,fast} x {plain,--ranked}.
+#   * every deterministic syrupctl subcommand - stdout, stderr and exit
+#     code in one file per invocation: the quickstart reports (prog list,
+#     prog stats, queue list, map dump, map get, metrics in its four
+#     forms, trace record/report, profile record/report/flame/pressure,
+#     blackbox record/dump, watch) as text and as --json, each under
+#     --backend {interp,fast} x {plain,--ranked}; hooks, demo, compile and
+#     verify-asm on policies the script writes; trace validate and
+#     blackbox report/validate on files it just recorded; and a table of
+#     error paths (usage, bad numbers, missing values, unreadable and
+#     unwritable paths, malformed bundles).
+#   `top` stays out: its barrier-wait columns are wall-clock.
+#
+# A PR that changes one of these on purpose lists the DIFFERENT lines it
+# expects, with before and after, in CHANGES.md.
 #
 # The harnesses write into the results/ of the checkout above their cwd or
 # their executable, and results/ is tracked, so each side's binaries are
@@ -48,28 +58,149 @@ produce() {
         for fig in fig2 fig6 fig7 sched_tail; do "$side/bin/$fig" >/dev/null; done
         cp results/*.csv "$side/out/"
 
-        ctl() { # ctl <name> <args...>: one report per backend x variant
+        row() { # row <name> <args...>: stdout, stderr and exit code, one file
+            local out="$side/out/ctl.$1" rc=0
+            shift
+            "$side/bin/syrupctl" "$@" >"$out" 2>"$out.stderr" || rc=$?
+            { echo "--- stderr"; cat "$out.stderr"; echo "--- exit $rc"; } >>"$out"
+            rm "$out.stderr"
+        }
+        ctl() { # ctl <name> <args...>: one row per backend x variant
             local name="$1" backend ranked
             shift
             for backend in interp fast; do
                 for ranked in "" --ranked; do
-                    "$side/bin/syrupctl" "$@" --backend "$backend" $ranked \
-                        >"$side/out/ctl.$name.$backend${ranked:+.ranked}"
+                    row "$name.$backend${ranked:+.ranked}" "$@" --backend "$backend" $ranked
                 done
             done
         }
-        ctl prog-stats prog stats --json
-        ctl metrics metrics --json
-        ctl trace-report trace report --json
-        ctl profile-report profile report --json
-        ctl map-dump map dump --json
-        ctl queue-list queue list --json
-        ctl profile-pressure profile pressure --json
+        for form in "" --json; do
+            ctl "prog-list$form" prog list $form
+            ctl "prog-stats$form" prog stats $form
+            ctl "queue-list$form" queue list $form
+            ctl "map-dump$form" map dump $form
+            ctl "metrics$form" metrics $form
+            ctl "metrics-shards$form" metrics --shards 4 $form
+            ctl "trace-report$form" trace report $form
+            ctl "profile-report$form" profile report $form
+            ctl "profile-pressure$form" profile pressure $form
+            ctl "blackbox-dump$form" blackbox dump $form
+            ctl "watch$form" watch --requests 32 --interval 16 $form
+        done
+        ctl metrics-openmetrics metrics --openmetrics
+        ctl map-get map get /syrup/1/__globals 0
+        ctl trace-record trace record --requests 32 --sample 8
+        ctl profile-record profile record
         ctl profile-flame profile flame
         ctl blackbox-bundle blackbox record --inject-burn
+        ctl blackbox-manual blackbox record --trigger-manual --out manual.json
+
+        printf '%s\n' 'uint32_t idx = 0;' \
+            'uint32_t schedule(void *pkt_start, void *pkt_end) {' \
+            '    idx++;' '    return idx % NUM_THREADS;' '}' >policy.c
+        printf 'mov r0, 0\nexit\n' >ok.s
+        printf 'mov r0, 0\n' >falls_off.s
+        printf 'frob r0\n' >garbage.s
+        printf '{}' >empty.json
+        printf '{"traceEvents":[]}' >no_traces.json
+        printf '{"postmortem":{}}' >no_layers.json
+        row hooks hooks
+        row demo demo
+        row compile compile policy.c -D NUM_THREADS=4
+        row verify-asm verify-asm ok.s
+        row trace-export trace export trace.json
+        row trace-validate trace validate trace.json
+        row blackbox-record-out blackbox record --inject-burn --out bundle.json
+        row blackbox-report blackbox report bundle.json
+        row blackbox-validate blackbox validate bundle.json --min-layers 4
+
+        # The error table, one invocation per line.
+        while IFS= read -r args; do
+            name="$(printf '%s' "${args:-no arguments}" | tr -cs 'a-zA-Z0-9' '-')"
+            # shellcheck disable=SC2086
+            row "err.$name" $args
+        done <<'ERRORS'
+
+frobnicate
+prog
+queue
+map
+trace
+trace export
+profile
+blackbox
+prog list --backend warp
+prog list --backend
+compile
+compile --json
+compile /nonexistent/policy.c
+compile policy.c
+compile policy.c -D
+compile policy.c -D NUM
+compile policy.c -D NUM=x
+verify-asm
+verify-asm /nonexistent/x.s
+verify-asm falls_off.s
+verify-asm garbage.s
+map get
+map get /syrup/1/__globals
+map get /syrup/1/__globals not-a-number
+map get /not/pinned 0
+map get /syrup/1/__globals 99
+metrics --shards abc
+metrics --shards 0
+metrics --shards 99999999999999999999
+metrics --json --shards
+top --shards 0
+top --frames 0
+top --flows abc
+top --flows abc --shards x
+top --shards 0 --frames abc
+top --flows 0
+top --flows 5000000000
+top --flows 10 --shards 11 --frames 1
+trace record --requests zero
+trace record --requests
+trace record --sample x
+trace record --scenario nope
+trace record --export /nonexistent/dir/t.json
+trace report --scenario nope
+trace report --requests abc
+trace validate
+trace validate /nonexistent/trace.json
+trace validate /dev/null
+trace validate empty.json
+trace validate no_traces.json
+profile record --requests abc
+profile record --flame-out /nonexistent/dir/f.folded
+profile report --top abc
+profile flame --requests x
+profile flame --out /nonexistent/dir/f
+profile flame --out
+profile pressure --requests x
+blackbox record --requests x
+blackbox record --inject-burn --out /nonexistent/dir/b.json
+blackbox dump --requests x
+blackbox report
+blackbox report --x
+blackbox report /nonexistent/b.json
+blackbox report /dev/null
+blackbox report empty.json
+blackbox validate
+blackbox validate /nonexistent/b.json
+blackbox validate /dev/null
+blackbox validate empty.json
+blackbox validate no_layers.json
+blackbox validate trace.json
+blackbox validate bundle.json --min-layers x
+blackbox validate bundle.json --min-layers 9
+watch --requests x
+watch --interval x
+watch --interval 0
+ERRORS
     )
     # Only the scratch path may differ between the sides.
-    sed -i "s|$side/run|<checkout>|g" "$side"/out/*.stdout
+    sed -i "s|$side/run|<checkout>|g" "$side"/out/*.stdout "$side"/out/ctl.*
 }
 
 produce "$here" this

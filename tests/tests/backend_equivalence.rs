@@ -138,11 +138,14 @@ fn quickstart_scenario_identical_across_backends() {
     let run_with = |backend: &str| {
         std::env::set_var("SYRUP_BACKEND", backend);
         let tracer = syrup::trace::Tracer::new();
-        let out = syrup::apps::quickstart::run_scenario(
+        let out = syrup::apps::quickstart::run_driven(
             &tracer,
             &syrup::profile::Profiler::disabled(),
+            &syrup::blackbox::Recorder::disabled(),
             48,
             false,
+            1,
+            &mut |_, _, _| {},
         );
         std::env::remove_var("SYRUP_BACKEND");
         out
@@ -172,11 +175,14 @@ fn ranked_quickstart_identical_across_backends() {
     let run_with = |backend: &str| {
         std::env::set_var("SYRUP_BACKEND", backend);
         let tracer = syrup::trace::Tracer::new();
-        let out = syrup::apps::quickstart::run_scenario(
+        let out = syrup::apps::quickstart::run_driven(
             &tracer,
             &syrup::profile::Profiler::disabled(),
+            &syrup::blackbox::Recorder::disabled(),
             48,
             true,
+            1,
+            &mut |_, _, _| {},
         );
         std::env::remove_var("SYRUP_BACKEND");
         out

@@ -21,8 +21,20 @@ fn profiler_is_exact_and_observes_without_perturbing() {
             let tracer = Tracer::disabled();
             let profiler = Profiler::new();
             std::env::set_var("SYRUP_BACKEND", name);
-            let plain = quickstart::run_scenario(&tracer, &Profiler::disabled(), REQUESTS, ranked);
-            let profiled = quickstart::run_scenario(&tracer, &profiler, REQUESTS, ranked);
+            let run_with = |profiler: &Profiler| {
+                let recorder = syrup::blackbox::Recorder::disabled();
+                quickstart::run_driven(
+                    &tracer,
+                    profiler,
+                    &recorder,
+                    REQUESTS,
+                    ranked,
+                    1,
+                    &mut |_, _, _| {},
+                )
+            };
+            let plain = run_with(&Profiler::disabled());
+            let profiled = run_with(&profiler);
             std::env::remove_var("SYRUP_BACKEND");
             assert_eq!(profiled.syrupd.backend(), backend, "{variant}");
 

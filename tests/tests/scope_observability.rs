@@ -215,7 +215,7 @@ fn injected_spike_fires_one_anomaly_and_freezes_blackbox() {
 #[test]
 fn openmetrics_exposition_parses_and_is_stable() {
     let tracer = syrup::trace::Tracer::disabled();
-    let q = syrup::apps::quickstart::run_default(&tracer);
+    let q = syrup::apps::quickstart::run(&tracer, syrup::apps::quickstart::DEFAULT_REQUESTS);
     let text = syrup::scope::openmetrics(&q.syrupd.telemetry_snapshot());
     let samples = syrup::scope::check_exposition(&text).expect("exposition parses");
     assert!(samples > 10, "only {samples} samples");

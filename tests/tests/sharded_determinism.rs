@@ -58,11 +58,20 @@ fn quickstart_is_shard_count_invariant() {
     // The quickstart seed is fixed inside the scenario; vary the request
     // count instead to exercise several schedule lengths.
     for requests in [16usize, 64, 96] {
-        let tracer = syrup::trace::Tracer::new();
-        let base = quickstart::run_sharded(&tracer, requests, 1);
+        let sharded = |shards| {
+            quickstart::run_driven(
+                &syrup::trace::Tracer::new(),
+                &syrup::profile::Profiler::disabled(),
+                &syrup::blackbox::Recorder::disabled(),
+                requests,
+                false,
+                shards,
+                &mut |_, _, _| {},
+            )
+        };
+        let base = sharded(1);
         for shards in &SHARD_COUNTS[1..] {
-            let tracer = syrup::trace::Tracer::new();
-            let q = quickstart::run_sharded(&tracer, requests, *shards);
+            let q = sharded(*shards);
             assert_eq!(q.completed, base.completed, "requests {requests}");
             // Every span the tracer captured, in order.
             assert_eq!(

@@ -280,29 +280,3 @@ fn redirect_map_decisions_flow_through_syrupd() {
     assert_eq!(owner, Some(app));
     assert_eq!(decision, Decision::Executor(5));
 }
-
-/// The EbpfPolicy wrapper surfaces redirects the same way.
-#[test]
-fn ebpf_policy_wrapper_surfaces_redirects() {
-    use syrup::core::EbpfPolicy;
-    use syrup::ebpf::maps::MapRegistry;
-    use syrup::ebpf::vm::Vm;
-    use syrup::ebpf::{Asm, HelperId, Reg};
-
-    let maps = MapRegistry::new();
-    let xsk = maps.create(syrup::core::MapDef::u64_array(4));
-    let mut vm = Vm::new(maps);
-    let prog = Asm::new()
-        .load_map_fd(Reg::R1, xsk)
-        .mov64_imm(Reg::R2, 2)
-        .mov64_imm(Reg::R3, 0)
-        .call(HelperId::RedirectMap)
-        .exit()
-        .build("r")
-        .unwrap();
-    let slot = vm.load(prog).unwrap();
-    let mut policy = EbpfPolicy::new(vm, slot, "redir");
-    use syrup::core::PacketPolicy;
-    let d = policy.schedule(&mut [0u8; 16], &HookMeta::default());
-    assert_eq!(d, Decision::Executor(2));
-}
