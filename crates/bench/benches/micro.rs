@@ -13,7 +13,7 @@ use syrup::ebpf::maps::MapRegistry;
 use syrup::ebpf::verify;
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
 use syrup::net::{AppHeader, FiveTuple, Frame, RequestClass, Toeplitz};
-use syrup::policies::c_sources;
+use syrup::policies::{c_sources, CorpusEntry};
 
 fn datagram(class: RequestClass) -> Vec<u8> {
     let flow = FiveTuple {
@@ -37,33 +37,7 @@ fn datagram(class: RequestClass) -> Vec<u8> {
 
 fn bench_vm_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("vm_policy_invocation");
-    let cases = [
-        (
-            "round_robin",
-            c_sources::ROUND_ROBIN,
-            CompileOptions::new().define("NUM_THREADS", 6),
-        ),
-        (
-            "scan_avoid",
-            c_sources::SCAN_AVOID,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("GET", 1),
-        ),
-        (
-            "sita",
-            c_sources::SITA,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("SCAN", 2),
-        ),
-        (
-            "token_based",
-            c_sources::TOKEN_BASED,
-            CompileOptions::new().define("NUM_THREADS", 6),
-        ),
-    ];
-    for (name, source, opts) in cases {
+    for CorpusEntry { name, source, opts } in c_sources::table2(6) {
         // Each backend gets its own identically-seeded world so the two
         // series are directly comparable (same hot paths, same map state).
         for backend in [Backend::Interp, Backend::Fast] {

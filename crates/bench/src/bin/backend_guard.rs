@@ -134,32 +134,7 @@ fn main() -> std::process::ExitCode {
         .map(|v| v.parse().expect("--reps takes a number"))
         .unwrap_or(100_000);
 
-    let cases = [
-        (
-            "round_robin",
-            c_sources::ROUND_ROBIN,
-            CompileOptions::new().define("NUM_THREADS", 6),
-        ),
-        (
-            "scan_avoid",
-            c_sources::SCAN_AVOID,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("GET", 1),
-        ),
-        (
-            "sita",
-            c_sources::SITA,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("SCAN", 2),
-        ),
-        (
-            "token_based",
-            c_sources::TOKEN_BASED,
-            CompileOptions::new().define("NUM_THREADS", 6),
-        ),
-    ];
+    let cases = c_sources::table2(6);
 
     println!(
         "{:<14} {:>12} {:>12} {:>9}",
@@ -167,8 +142,9 @@ fn main() -> std::process::ExitCode {
     );
     let mut log_sum = 0.0;
     let mut policies_json = String::from("[");
-    for (i, (name, source, opts)) in cases.iter().enumerate() {
-        let (interp, fast) = time_pair(source, opts, reps);
+    for (i, entry) in cases.iter().enumerate() {
+        let name = entry.name;
+        let (interp, fast) = time_pair(entry.source, &entry.opts, reps);
         let speedup = interp / fast;
         log_sum += speedup.ln();
         println!("{name:<14} {interp:>12.1} {fast:>12.1} {speedup:>8.2}x");

@@ -29,13 +29,12 @@
 //! and asserts the CSVs (`--out <path>`, default `results/table2.csv`)
 //! are byte-identical.
 
-use syrup::core::CompileOptions;
 use syrup::ebpf::cycles::CycleModel;
 use syrup::ebpf::maps::MapRegistry;
 use syrup::ebpf::verify;
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
 use syrup::net::{AppHeader, FiveTuple, Frame, RequestClass};
-use syrup::policies::c_sources;
+use syrup::policies::{c_sources, CorpusEntry};
 use syrup::telemetry::Registry;
 
 struct Row {
@@ -67,21 +66,32 @@ fn datagram(class: RequestClass, user: u32) -> Vec<u8> {
     .to_vec()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn measure(
     name: &'static str,
-    source: &str,
-    opts: CompileOptions,
-    prepare: impl Fn(&MapRegistry, &syrup::lang::CompiledPolicy),
+    entry: CorpusEntry,
     reps: usize,
     tracer: &syrup::trace::Tracer,
     profiler: &syrup::profile::Profiler,
     backend: Backend,
 ) -> Row {
     let maps = MapRegistry::new();
-    let compiled = syrup::lang::compile(source, &opts, &maps).expect("compile");
+    let compiled = syrup::lang::compile(entry.source, &entry.opts, &maps).expect("compile");
     verify(&compiled.program, &maps).expect("verify");
-    prepare(&maps, &compiled);
+    // The application half of the two policies that share a Map.
+    let map = |name| maps.get(compiled.created_maps[name]).unwrap();
+    match entry.name {
+        "scan_avoid" => {
+            // All threads currently serve GETs except one, so probing
+            // really iterates.
+            for i in 0..6u32 {
+                let class = if i == 2 { 2 } else { 1 };
+                map("scan_map").update_u64(i, class).unwrap();
+            }
+        }
+        // Plenty of tokens so the consume path dominates.
+        "token_based" => map("token_map").update_u64(1, u64::MAX / 2).unwrap(),
+        _ => {}
+    }
     let loc = compiled.source_loc;
     let static_insns = compiled.program.len();
     let mut vm = Vm::new(maps);
@@ -168,63 +178,13 @@ fn main() {
     };
     let profilers: Vec<syrup::profile::Profiler> = (0..4).map(|_| mk_profiler()).collect();
     let reps = 10_000;
-    let rows = vec![
-        measure(
-            "Round Robin",
-            c_sources::ROUND_ROBIN,
-            CompileOptions::new().define("NUM_THREADS", 6),
-            |_, _| {},
-            reps,
-            &tracer,
-            &profilers[0],
-            backend,
-        ),
-        measure(
-            "SCAN Avoid",
-            c_sources::SCAN_AVOID,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("GET", 1),
-            |maps, compiled| {
-                // The application half: all threads currently serve GETs
-                // except one, so probing really iterates.
-                let scan_map = maps.get(compiled.created_maps["scan_map"]).unwrap();
-                for i in 0..6u32 {
-                    scan_map.update_u64(i, if i == 2 { 2 } else { 1 }).unwrap();
-                }
-            },
-            reps,
-            &tracer,
-            &profilers[1],
-            backend,
-        ),
-        measure(
-            "SITA",
-            c_sources::SITA,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("SCAN", 2),
-            |_, _| {},
-            reps,
-            &tracer,
-            &profilers[2],
-            backend,
-        ),
-        measure(
-            "Token-based",
-            c_sources::TOKEN_BASED,
-            CompileOptions::new().define("NUM_THREADS", 6),
-            |maps, compiled| {
-                let token_map = maps.get(compiled.created_maps["token_map"]).unwrap();
-                // Plenty of tokens so the consume path dominates.
-                token_map.update_u64(1, u64::MAX / 2).unwrap();
-            },
-            reps,
-            &tracer,
-            &profilers[3],
-            backend,
-        ),
-    ];
+    let names = ["Round Robin", "SCAN Avoid", "SITA", "Token-based"];
+    let rows: Vec<Row> = c_sources::table2(6)
+        .into_iter()
+        .zip(names)
+        .zip(&profilers)
+        .map(|((entry, name), profiler)| measure(name, entry, reps, &tracer, profiler, backend))
+        .collect();
 
     println!("# Table 2: Overhead of different Syrup policies");
     println!(

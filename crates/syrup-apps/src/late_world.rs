@@ -12,10 +12,9 @@ use syrup_core::{Decision, HookMeta, PacketPolicy};
 use syrup_net::socket::{Delivery, ReuseportGroup};
 use syrup_net::{FifoPick, LateBindingGroup, RequestClass, StackCosts};
 use syrup_policies::RoundRobinPolicy;
-use syrup_sim::{
-    ArrivalGen, Duration, EventQueue, LatencyRecorder, LatencySummary, RequestMix, SimRng, Time,
-};
+use syrup_sim::{drive, Duration, EventQueue, LatencySummary, OpenLoop, SimRng, Time};
 
+use crate::frontend::ClassMix;
 use crate::rocksdb::RocksDbModel;
 
 /// Binding discipline under test.
@@ -89,126 +88,100 @@ enum Ev {
     Complete { thread: usize },
 }
 
+/// Per-request syscall work on the worker.
+const OVERHEAD: Duration = Duration::from_micros(2);
+
+/// `thread` starts serving `req` at `now`.
+fn start(inflight: &mut [Option<Req>], q: &mut EventQueue<Ev>, now: Time, thread: usize, req: Req) {
+    inflight[thread] = Some(req);
+    q.push(now + OVERHEAD + req.service, Ev::Complete { thread });
+}
+
 /// Runs one configuration.
 pub fn run(cfg: &LateConfig) -> LateResult {
     let mut rng = SimRng::new(cfg.seed);
     let model = RocksDbModel::default();
     let stack = StackCosts::default();
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut arrivals = ArrivalGen::poisson(cfg.load_rps);
-    let mix = RequestMix::new(&[
-        (RequestClass::Get.class_id(), cfg.get_fraction),
-        (RequestClass::Scan.class_id(), 1.0 - cfg.get_fraction),
-    ]);
+    let mut load = OpenLoop::poisson(cfg.load_rps, cfg.warmup, cfg.measure);
+    let mix = ClassMix::new(cfg.get_fraction, RequestClass::Scan);
 
     let mut early: ReuseportGroup<Req> = ReuseportGroup::new(cfg.threads, cfg.capacity);
     let mut early_policy = RoundRobinPolicy::new(cfg.threads as u32);
     let mut late: LateBindingGroup<Req> = LateBindingGroup::new(cfg.capacity, Box::new(FifoPick));
-    let mut busy = vec![false; cfg.threads];
 
-    let warmup_end = Time::ZERO + cfg.warmup;
-    let end = warmup_end + cfg.measure;
-    let mut recorder = LatencyRecorder::new(warmup_end);
+    let mut recorder = load.recorder();
     let mut dropped = 0u64;
-    let overhead = Duration::from_micros(2);
+    // The request each thread is serving (None = idle).
     let mut inflight: Vec<Option<Req>> = vec![None; cfg.threads];
 
-    if let Some(t) = arrivals.next_arrival(&mut rng) {
-        queue.push(t, Ev::Arrival);
-    }
+    load.schedule_next(&mut rng, &mut queue, Ev::Arrival);
 
-    while let Some((now, ev)) = queue.pop() {
-        match ev {
-            Ev::Arrival => {
-                if let Some(t) = arrivals.next_arrival(&mut rng) {
-                    if t < end {
-                        queue.push(t, Ev::Arrival);
-                    }
-                }
-                let class = if mix.sample(&mut rng) == RequestClass::Scan.class_id() {
-                    RequestClass::Scan
-                } else {
-                    RequestClass::Get
+    drive("late_world", &mut queue, |now, ev, q| match ev {
+        Ev::Arrival => {
+            load.schedule_next(&mut rng, q, Ev::Arrival);
+            let class = mix.sample(&mut rng);
+            let req = Req {
+                arrival: now,
+                service: model.sample(class, &mut rng),
+                measured: load.measured(now),
+            };
+            q.push(now + stack.standard_rx_latency(), Ev::Deliver(req));
+        }
+        Ev::Deliver(req) => match cfg.binding {
+            Binding::Early => {
+                let decision = match early_policy.schedule(&mut [], &HookMeta::default()) {
+                    d @ Decision::Executor(_) => d,
+                    _ => Decision::Pass,
                 };
-                let req = Req {
-                    arrival: now,
-                    service: model.sample(class, &mut rng),
-                    measured: now >= warmup_end,
-                };
-                queue.push(now + stack.standard_rx_latency(), Ev::Deliver(req));
-            }
-            Ev::Deliver(req) => match cfg.binding {
-                Binding::Early => {
-                    let decision = match early_policy.schedule(&mut [], &HookMeta::default()) {
-                        d @ Decision::Executor(_) => d,
-                        _ => Decision::Pass,
-                    };
-                    match early.deliver(req, 0, decision) {
-                        Delivery::Enqueued(thread) => {
-                            if !busy[thread] {
-                                if let Some(r) = early.recv(thread) {
-                                    busy[thread] = true;
-                                    queue.push(now + overhead + r.service, Ev::Complete { thread });
-                                    // Stash latency info via a parallel slot.
-                                    inflight_store(&mut inflight, thread, r);
-                                }
-                            }
-                        }
-                        Delivery::Dropped { .. } => {
-                            if req.measured {
-                                dropped += 1;
+                match early.deliver(req, 0, decision) {
+                    Delivery::Enqueued(thread) => {
+                        if inflight[thread].is_none() {
+                            if let Some(r) = early.recv(thread) {
+                                start(&mut inflight, q, now, thread, r);
                             }
                         }
                     }
-                }
-                Binding::Late => {
-                    if !late.stage(req) {
+                    Delivery::Dropped { .. } => {
                         if req.measured {
                             dropped += 1;
                         }
-                    } else if let Some(thread) = busy.iter().position(|&b| !b) {
-                        let r = late.pull(thread as u32).expect("just staged");
-                        busy[thread] = true;
-                        queue.push(now + overhead + r.service, Ev::Complete { thread });
-                        inflight_store(&mut inflight, thread, r);
                     }
                 }
-            },
-            Ev::Complete { thread } => {
-                let done = inflight_take(&mut inflight, thread);
-                if done.measured {
-                    recorder.record(done.arrival, now);
-                }
-                busy[thread] = false;
-                let next = match cfg.binding {
-                    Binding::Early => early.recv(thread),
-                    Binding::Late => late.pull(thread as u32),
-                };
-                if let Some(r) = next {
-                    busy[thread] = true;
-                    queue.push(now + overhead + r.service, Ev::Complete { thread });
-                    inflight_store(&mut inflight, thread, r);
+            }
+            Binding::Late => {
+                if !late.stage(req) {
+                    if req.measured {
+                        dropped += 1;
+                    }
+                } else if let Some(thread) = inflight.iter().position(Option::is_none) {
+                    let r = late.pull(thread as u32).expect("just staged");
+                    start(&mut inflight, q, now, thread, r);
                 }
             }
+        },
+        Ev::Complete { thread } => {
+            let done = inflight[thread]
+                .take()
+                .expect("thread had an in-flight request");
+            if done.measured {
+                recorder.record(done.arrival, now);
+            }
+            let next = match cfg.binding {
+                Binding::Early => early.recv(thread),
+                Binding::Late => late.pull(thread as u32),
+            };
+            if let Some(r) = next {
+                start(&mut inflight, q, now, thread, r);
+            }
         }
-    }
+    });
 
     LateResult {
         latency: recorder.summary(),
         completed: recorder.len() as u64,
         dropped,
     }
-}
-
-// In-flight request per thread, kept outside the event loop.
-fn inflight_store(slots: &mut [Option<Req>], thread: usize, req: Req) {
-    slots[thread] = Some(req);
-}
-
-fn inflight_take(slots: &mut [Option<Req>], thread: usize) -> Req {
-    slots[thread]
-        .take()
-        .expect("thread had an in-flight request")
 }
 
 #[cfg(test)]

@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod frontend;
 pub mod late_world;
 pub mod mica;
 pub mod mt_world;

@@ -30,9 +30,9 @@ use syrup_core::{Decision, Hook, HookMeta, MapDef, PolicySource, Syrupd};
 use syrup_net::socket::SocketBuf;
 use syrup_net::{flow, AppHeader, Frame, RequestClass, Toeplitz};
 use syrup_policies::MicaHomePolicy;
-use syrup_sim::{
-    ArrivalGen, Duration, EventQueue, LatencyRecorder, LatencySummary, RequestMix, SimRng, Time,
-};
+use syrup_sim::{drive, Duration, EventQueue, LatencySummary, OpenLoop, SimRng, Time};
+
+use crate::frontend::ClassMix;
 
 /// Steering placement (the figure's three series).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,26 +235,17 @@ pub fn run(cfg: &MicaConfig) -> MicaResult {
         ..cfg.clone()
     };
 
-    let warmup_end = Time::ZERO + cfg.warmup;
-    let end = warmup_end + cfg.measure;
-
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut arrivals = ArrivalGen::poisson(cfg.load_rps);
-    let mix = RequestMix::new(&[
-        (RequestClass::Get.class_id(), cfg.get_fraction),
-        (RequestClass::Put.class_id(), 1.0 - cfg.get_fraction),
-    ]);
+    let mut load = OpenLoop::poisson(cfg.load_rps, cfg.warmup, cfg.measure);
+    let mix = ClassMix::new(cfg.get_fraction, RequestClass::Put);
     let mut threads: Vec<SocketBuf<Work>> = (0..cfg.threads)
         .map(|_| SocketBuf::new(cfg.queue_capacity))
         .collect();
     let mut busy = vec![false; cfg.threads];
-    let mut recorder = LatencyRecorder::new(warmup_end);
+    let mut recorder = load.recorder();
     let mut dropped: u64 = 0;
-    let mut offered_measured = false;
 
-    if let Some(t0) = arrivals.next_arrival(&mut rng) {
-        queue.push(t0, Ev::Arrival);
-    }
+    load.schedule_next(&mut rng, &mut queue, Ev::Arrival);
 
     // One shared template packet, rewritten with each request's key hash;
     // the deployed policy reads only the key-hash field.
@@ -268,162 +259,112 @@ pub fn run(cfg: &MicaConfig) -> MicaResult {
         },
     );
 
-    while let Some((now, ev)) = queue.pop() {
-        match ev {
-            Ev::Arrival => {
-                if let Some(next) = arrivals.next_arrival(&mut rng) {
-                    if next < end {
-                        queue.push(next, Ev::Arrival);
-                    }
-                }
-                let class = if mix.sample(&mut rng) == RequestClass::Put.class_id() {
-                    RequestClass::Put
-                } else {
-                    RequestClass::Get
-                };
-                let key_hash = rng.gen_u64();
-                let flow = &flows[rng.index(flows.len())];
-                let req = Req {
-                    arrival: now,
-                    class,
-                    key_hash,
-                    measured: now >= warmup_end,
-                };
-                offered_measured |= req.measured;
-                let home = (key_hash % cfg.threads as u64) as usize;
+    drive("mica", &mut queue, |now, ev, q| match ev {
+        Ev::Arrival => {
+            load.schedule_next(&mut rng, q, Ev::Arrival);
+            let class = mix.sample(&mut rng);
+            let key_hash = rng.gen_u64();
+            let flow = &flows[rng.index(flows.len())];
+            let req = Req {
+                arrival: now,
+                class,
+                key_hash,
+                measured: load.measured(now),
+            };
+            // NIC RSS picks the ingress queue, except when the
+            // NIC-resident policy picks the RX queue itself.
+            let rss_queue = (cfg.mode != MicaMode::SyrupHw)
+                .then(|| toeplitz.queue_for(flow, cfg.threads as u32));
 
-                let (thread, work, latency) = match cfg.mode {
-                    MicaMode::SwRedirect => {
-                        // NIC RSS picks the ingress queue/thread.
-                        let q = toeplitz.queue_for(flow, cfg.threads as u32) as usize;
-                        (q, Work::Ingress(req), cfg.costs.delivery_latency)
-                    }
-                    MicaMode::SyrupSw => {
-                        // Kernel XDP hook redirects to the home socket.
-                        let mut pkt = template.datagram().to_vec();
-                        pkt[20..28].copy_from_slice(&key_hash.to_le_bytes());
-                        let meta = HookMeta {
-                            now_ns: now.as_nanos(),
-                            cpu: 0,
-                            rx_queue: toeplitz.queue_for(flow, cfg.threads as u32),
-                            dst_port: cfg.port,
-                            ..HookMeta::default()
-                        };
-                        let (_, d) = syrupd.schedule(Hook::XdpSkb, &mut pkt, &meta);
-                        let target = match d {
-                            Decision::Executor(i) => i as usize % cfg.threads,
-                            _ => home,
-                        };
-                        let remote = meta.rx_queue as usize != target;
-                        (
-                            target,
-                            Work::Home {
-                                req,
-                                remote_rx: remote,
-                                via_queue: false,
-                            },
-                            cfg.costs.delivery_latency
-                                + if remote {
-                                    cfg.costs.hop_latency
-                                } else {
-                                    Duration::ZERO
-                                },
-                        )
-                    }
-                    MicaMode::SyrupHw => {
-                        // The NIC-resident policy picks the home RX queue;
-                        // delivery lands on the home core directly.
-                        let mut pkt = template.datagram().to_vec();
-                        pkt[20..28].copy_from_slice(&key_hash.to_le_bytes());
-                        let meta = HookMeta {
-                            now_ns: now.as_nanos(),
-                            cpu: 0,
-                            rx_queue: 0,
-                            dst_port: cfg.port,
-                            ..HookMeta::default()
-                        };
-                        let (_, d) = syrupd.schedule(Hook::XdpOffload, &mut pkt, &meta);
-                        let target = match d {
-                            Decision::Executor(i) => i as usize % cfg.threads,
-                            _ => home,
-                        };
-                        (
-                            target,
-                            Work::Home {
-                                req,
-                                remote_rx: false,
-                                via_queue: false,
-                            },
-                            cfg.costs.delivery_latency,
-                        )
-                    }
-                };
-                queue.push(now + latency, Ev::Enqueue { thread, work });
-            }
-            Ev::Enqueue { thread, work } => {
-                let measured = match &work {
-                    Work::Ingress(r) | Work::Home { req: r, .. } => r.measured,
-                };
-                if threads[thread].push(work) {
-                    if !busy[thread] {
-                        busy[thread] = true;
-                        start_next(&mut queue, &mut threads, thread, now, cfg);
-                    }
-                } else if measured {
-                    dropped += 1;
+            let (thread, work, latency) = match hook {
+                None => (
+                    rss_queue.expect("RSS steers SW redirect") as usize,
+                    Work::Ingress(req),
+                    cfg.costs.delivery_latency,
+                ),
+                Some(hook) => {
+                    // The policy redirects to the home thread: from the
+                    // RSS queue's core to the home AF_XDP socket (kernel
+                    // XDP hook), or straight onto the home core (NIC).
+                    let mut pkt = template.datagram().to_vec();
+                    pkt[20..28].copy_from_slice(&key_hash.to_le_bytes());
+                    let meta = HookMeta {
+                        now_ns: now.as_nanos(),
+                        cpu: 0,
+                        rx_queue: rss_queue.unwrap_or(0),
+                        dst_port: cfg.port,
+                        ..HookMeta::default()
+                    };
+                    let (_, d) = syrupd.schedule(hook, &mut pkt, &meta);
+                    let target = match d {
+                        Decision::Executor(i) => i as usize % cfg.threads,
+                        _ => (key_hash % cfg.threads as u64) as usize,
+                    };
+                    let remote_rx = rss_queue.is_some_and(|q| q as usize != target);
+                    let work = Work::Home {
+                        req,
+                        remote_rx,
+                        via_queue: false,
+                    };
+                    let hop = if remote_rx {
+                        cfg.costs.hop_latency
+                    } else {
+                        Duration::ZERO
+                    };
+                    (target, work, cfg.costs.delivery_latency + hop)
                 }
-            }
-            Ev::Done { thread } => {
-                // The item at the head of this thread's queue just
-                // finished; act on it.
-                let work = threads[thread].pop().expect("a work item was in service");
-                match work {
-                    Work::Ingress(req) => {
-                        let home = (req.key_hash % cfg.threads as u64) as usize;
-                        if home == thread {
-                            // Local: process immediately on this thread by
-                            // re-enqueueing the home work at the front of
-                            // its own queue — modelled as a fresh enqueue.
-                            queue.push(
-                                now,
-                                Ev::Enqueue {
-                                    thread,
-                                    work: Work::Home {
-                                        req,
-                                        remote_rx: false,
-                                        via_queue: false,
-                                    },
-                                },
-                            );
-                        } else {
-                            queue.push(
-                                now + cfg.costs.hop_latency,
-                                Ev::Enqueue {
-                                    thread: home,
-                                    work: Work::Home {
-                                        req,
-                                        remote_rx: false,
-                                        via_queue: true,
-                                    },
-                                },
-                            );
-                        }
-                    }
-                    Work::Home { req, .. } => {
-                        if req.measured {
-                            recorder.record(req.arrival, now);
-                        }
-                    }
+            };
+            q.push(now + latency, Ev::Enqueue { thread, work });
+        }
+        Ev::Enqueue { thread, work } => {
+            let measured = match &work {
+                Work::Ingress(r) | Work::Home { req: r, .. } => r.measured,
+            };
+            if threads[thread].push(work) {
+                if !busy[thread] {
+                    busy[thread] = true;
+                    start_next(q, &mut threads, thread, now, cfg);
                 }
-                if threads[thread].is_empty() {
-                    busy[thread] = false;
-                } else {
-                    start_next(&mut queue, &mut threads, thread, now, cfg);
-                }
+            } else if measured {
+                dropped += 1;
             }
         }
-    }
-    let _ = offered_measured;
+        Ev::Done { thread } => {
+            // The item at the head of this thread's queue just
+            // finished; act on it.
+            let work = threads[thread].pop().expect("a work item was in service");
+            match work {
+                Work::Ingress(req) => {
+                    // Local: process on this thread, modelled as a fresh
+                    // enqueue on its own queue. Remote: forward over the
+                    // home thread's software queue.
+                    let home = (req.key_hash % cfg.threads as u64) as usize;
+                    let via_queue = home != thread;
+                    let hop = if via_queue {
+                        cfg.costs.hop_latency
+                    } else {
+                        Duration::ZERO
+                    };
+                    let work = Work::Home {
+                        req,
+                        remote_rx: false,
+                        via_queue,
+                    };
+                    q.push(now + hop, Ev::Enqueue { thread: home, work });
+                }
+                Work::Home { req, .. } => {
+                    if req.measured {
+                        recorder.record(req.arrival, now);
+                    }
+                }
+            }
+            if threads[thread].is_empty() {
+                busy[thread] = false;
+            } else {
+                start_next(q, &mut threads, thread, now, cfg);
+            }
+        }
+    });
 
     MicaResult {
         latency: recorder.summary(),

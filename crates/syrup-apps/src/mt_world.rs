@@ -19,19 +19,18 @@
 //! at enqueue time (the application-populated Map of §5.3), which is what
 //! lets the ghOSt policy prioritize GET threads.
 
-use std::collections::HashMap;
-
-use syrup_core::{Hook, HookMeta, MapDef, MapRef, PolicySource, Syrupd};
+use syrup_core::{Hook, MapDef, MapRef, PacketPolicy, PolicySource, Syrupd};
 use syrup_ghost::cfs::{CfsParams, CfsSched};
 use syrup_ghost::ghost::{class, GhostParams, GhostSched};
 use syrup_ghost::{Assignment, CoreId, ThreadId, ThreadScheduler};
 use syrup_net::socket::{Delivery, ReuseportGroup};
-use syrup_net::{flow, AppHeader, Frame, RequestClass, StackCosts};
+use syrup_net::{RequestClass, StackCosts};
 use syrup_policies::{ScanAvoidPolicy, VanillaPolicy};
 use syrup_sim::{
-    ArrivalGen, Duration, LatencyRecorder, LatencySummary, RequestMix, ShardedQueue, SimRng, Time,
+    drive, Duration, LatencyRecorder, LatencySummary, OpenLoop, ShardedQueue, SimRng, Time,
 };
 
+use crate::frontend::{ClientSpec, FrontEnd, Req};
 use crate::rocksdb::RocksDbModel;
 use crate::server_world::SocketPolicyKind;
 
@@ -136,16 +135,6 @@ pub struct MtResult {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct Req {
-    arrival: Time,
-    class: RequestClass,
-    service: Duration,
-    flow_hash: u32,
-    measured: bool,
-    trace: syrup_trace::TraceCtx,
-}
-
-#[derive(Debug, Clone, Copy)]
 struct InFlight {
     req: Req,
     remaining: Duration,
@@ -169,6 +158,8 @@ enum Ev {
     },
 }
 
+type Queue = ShardedQueue<Ev>;
+
 enum Sched {
     Cfs(CfsSched),
     Ghost(GhostSched),
@@ -185,9 +176,9 @@ impl Sched {
 
 /// Runs one Figure 8 configuration.
 pub fn run(cfg: &MtConfig) -> MtResult {
-    let mut rng = SimRng::new(cfg.seed);
+    let rng = SimRng::new(cfg.seed);
     let syrupd = Syrupd::new();
-    let (_app, maps) = syrupd
+    let (app, maps) = syrupd
         .register_app("rocksdb-mt", &[cfg.port])
         .expect("fresh daemon");
 
@@ -200,33 +191,19 @@ pub fn run(cfg: &MtConfig) -> MtResult {
         class_map.update_u64(t, class::GET).expect("in range");
     }
 
-    match cfg.socket_policy {
-        SocketPolicyKind::Vanilla => {
-            syrupd
-                .deploy(
-                    _app,
-                    Hook::SocketSelect,
-                    PolicySource::Native(Box::new(VanillaPolicy)),
-                )
-                .expect("deploy");
-        }
-        SocketPolicyKind::ScanAvoid => {
-            syrupd
-                .deploy(
-                    _app,
-                    Hook::SocketSelect,
-                    PolicySource::Native(Box::new(ScanAvoidPolicy::new(
-                        class_map.clone(),
-                        cfg.threads as u32,
-                        cfg.seed ^ 0x5A5A,
-                    ))),
-                )
-                .expect("deploy");
-        }
+    let policy: Box<dyn PacketPolicy> = match cfg.socket_policy {
+        SocketPolicyKind::Vanilla => Box::new(VanillaPolicy),
+        SocketPolicyKind::ScanAvoid => Box::new(ScanAvoidPolicy::new(
+            class_map.clone(),
+            cfg.threads as u32,
+            cfg.seed ^ 0x5A5A,
+        )),
         other => panic!("Figure 8 uses vanilla or SCAN Avoid, not {other:?}"),
-    }
+    };
+    syrupd
+        .deploy(app, Hook::SocketSelect, PolicySource::Native(policy))
+        .expect("deploy");
 
-    syrupd.attach_tracer(&cfg.tracer);
     let sched = match cfg.sched {
         SchedKind::Cfs => Sched::Cfs(CfsSched::new(
             (0..cfg.cores as u32).map(CoreId).collect(),
@@ -243,63 +220,37 @@ pub fn run(cfg: &MtConfig) -> MtResult {
         }
     };
 
-    let flows = flow::client_flows(cfg.num_flows, cfg.port, &mut rng);
-    let flow_hashes: Vec<u32> = flows.iter().map(|f| f.flow_hash()).collect();
-    let mut templates = HashMap::new();
-    for c in [RequestClass::Get, RequestClass::Scan] {
-        let frame = Frame::build(
-            &flows[0],
-            &AppHeader {
-                req_type: c.code(),
-                user_id: 0,
-                key_hash: 0,
-                req_id: 0,
-            },
-        );
-        templates.insert(c.code(), frame.datagram().to_vec());
-    }
-
-    let warmup_end = Time::ZERO + cfg.warmup;
-    let end = warmup_end + cfg.measure;
-
-    let mut group = ReuseportGroup::new(cfg.threads, cfg.socket_capacity);
-    group.attach_tracer(&cfg.tracer);
-
+    let load = OpenLoop::poisson(cfg.load_rps, cfg.warmup, cfg.measure);
+    let spec = ClientSpec {
+        app,
+        port: cfg.port,
+        num_flows: cfg.num_flows,
+        users: vec![0],
+        get_fraction: cfg.get_fraction,
+        model: cfg.model,
+        rx_latency: cfg.stack.standard_rx_latency(),
+        tracer: &cfg.tracer,
+    };
+    let group = ReuseportGroup::new(cfg.threads, cfg.socket_capacity);
     let mut world = MtWorld {
         cfg,
-        rng,
-        queue: ShardedQueue::new(cfg.shards),
-        syrupd,
-        group,
         class_map,
-        templates,
-        flow_hashes,
         sched,
         current: vec![None; cfg.threads],
         on_core: vec![None; cfg.threads],
         token: vec![0; cfg.threads],
-        arrivals: ArrivalGen::poisson(cfg.load_rps),
-        mix: RequestMix::new(&[
-            (RequestClass::Get.class_id(), cfg.get_fraction),
-            (RequestClass::Scan.class_id(), 1.0 - cfg.get_fraction),
-        ]),
-        get_rec: LatencyRecorder::new(warmup_end),
-        scan_rec: LatencyRecorder::new(warmup_end),
+        get_rec: load.recorder(),
+        scan_rec: load.recorder(),
         dropped: 0,
-        end,
+        front: FrontEnd::new(spec, rng, syrupd, group, load),
     };
     world.run()
 }
 
 struct MtWorld<'c> {
     cfg: &'c MtConfig,
-    rng: SimRng,
-    queue: ShardedQueue<Ev>,
-    syrupd: Syrupd,
-    group: ReuseportGroup<Req>,
+    front: FrontEnd<'c>,
     class_map: MapRef,
-    templates: HashMap<u64, Vec<u8>>,
-    flow_hashes: Vec<u32>,
     sched: Sched,
     /// In-flight request per thread (paused when `started` is None).
     current: Vec<Option<InFlight>>,
@@ -307,23 +258,19 @@ struct MtWorld<'c> {
     on_core: Vec<Option<CoreId>>,
     /// Run-token per thread: stale ThreadStart/Complete events are ignored.
     token: Vec<u64>,
-    arrivals: ArrivalGen,
-    mix: RequestMix,
     get_rec: LatencyRecorder,
     scan_rec: LatencyRecorder,
     dropped: u64,
-    end: Time,
 }
 
 impl MtWorld<'_> {
     fn run(&mut self) -> MtResult {
-        if let Some(t0) = self.arrivals.next_arrival(&mut self.rng) {
-            self.queue.push(t0, Ev::Arrival);
-        }
+        let mut queue = Queue::new(self.cfg.shards);
+        self.front.schedule_arrival(&mut queue, Ev::Arrival);
         // CFS needs periodic per-core slice ticks.
         if let Some(slice) = self.sched.as_dyn().timeslice() {
             for core in self.sched.as_dyn().app_cores() {
-                self.queue.push_keyed(
+                queue.push_keyed(
                     Time::ZERO + slice,
                     u64::from(core.0),
                     Ev::SliceTick { core },
@@ -331,34 +278,28 @@ impl MtWorld<'_> {
             }
         }
 
-        while let Some((now, ev)) = self.queue.pop() {
-            match ev {
-                Ev::Arrival => self.on_arrival(now),
-                Ev::Deliver(req) => self.on_deliver(now, req),
-                Ev::ThreadStart {
-                    thread,
-                    core,
-                    token,
-                } => self.on_thread_start(now, thread, core, token),
-                Ev::Complete { thread, token } => self.on_complete(now, thread, token),
-                Ev::SliceTick { core } => {
-                    let assignments = self.sched.as_dyn().preempt_check(core, now);
-                    self.apply(now, assignments);
-                    if now < self.end + Duration::from_millis(50) {
-                        let slice = self
-                            .sched
-                            .as_dyn()
-                            .timeslice()
-                            .expect("tick only scheduled for sliced scheds");
-                        self.queue.push_keyed(
-                            now + slice,
-                            u64::from(core.0),
-                            Ev::SliceTick { core },
-                        );
-                    }
+        drive("mt_world", &mut queue, |now, ev, q| match ev {
+            Ev::Arrival => self.on_arrival(now, q),
+            Ev::Deliver(req) => self.on_deliver(now, req, q),
+            Ev::ThreadStart {
+                thread,
+                core,
+                token,
+            } => self.on_thread_start(now, thread, core, token, q),
+            Ev::Complete { thread, token } => self.on_complete(now, thread, token, q),
+            Ev::SliceTick { core } => {
+                let assignments = self.sched.as_dyn().preempt_check(core, now);
+                self.apply(now, assignments, q);
+                if now < self.front.load.end() + Duration::from_millis(50) {
+                    let slice = self
+                        .sched
+                        .as_dyn()
+                        .timeslice()
+                        .expect("tick only scheduled for sliced scheds");
+                    q.push_keyed(now + slice, u64::from(core.0), Ev::SliceTick { core });
                 }
             }
-        }
+        });
 
         let preemptions = match &self.sched {
             Sched::Ghost(g) => g.preemptions,
@@ -373,69 +314,20 @@ impl MtWorld<'_> {
         }
     }
 
-    fn on_arrival(&mut self, now: Time) {
-        if let Some(next) = self.arrivals.next_arrival(&mut self.rng) {
-            if next < self.end {
-                self.queue.push(next, Ev::Arrival);
-            }
-        }
-        let class = if self.mix.sample(&mut self.rng) == RequestClass::Scan.class_id() {
-            RequestClass::Scan
-        } else {
-            RequestClass::Get
-        };
-        let flow = self.rng.index(self.flow_hashes.len());
-        let trace = self.cfg.tracer.ingress(now.as_nanos());
-        let deliver_at = now + self.cfg.stack.standard_rx_latency();
-        self.cfg.tracer.span(
-            trace,
-            syrup_trace::Stage::StackRx,
-            now.as_nanos(),
-            deliver_at.as_nanos(),
-        );
-        let req = Req {
-            arrival: now,
-            class,
-            service: self.cfg.model.sample(class, &mut self.rng),
-            flow_hash: self.flow_hashes[flow],
-            measured: now >= Time::ZERO + self.cfg.warmup,
-            trace,
-        };
-        self.queue
-            .push_keyed(deliver_at, u64::from(req.flow_hash), Ev::Deliver(req));
+    fn on_arrival(&mut self, now: Time, q: &mut Queue) {
+        self.front.schedule_arrival(q, Ev::Arrival);
+        let (deliver_at, req) = self.front.arrive(now, |_| 0);
+        q.push_keyed(deliver_at, u64::from(req.flow_hash), Ev::Deliver(req));
     }
 
-    fn on_deliver(&mut self, now: Time, req: Req) {
-        let mut template = self
-            .templates
-            .get(&req.class.code())
-            .cloned()
-            .unwrap_or_default();
-        let meta = HookMeta {
-            now_ns: now.as_nanos(),
-            cpu: 0,
-            rx_queue: 0,
-            dst_port: self.cfg.port,
-            trace: req.trace,
-        };
-        let (_, decision) = self
-            .syrupd
-            .schedule(Hook::SocketSelect, &mut template, &meta);
-        match self
-            .group
-            .deliver_traced(req, req.flow_hash, decision, req.trace, now.as_nanos())
-        {
+    fn on_deliver(&mut self, now: Time, req: Req, q: &mut Queue) {
+        match self.front.deliver(now, req) {
             Delivery::Enqueued(thread) => {
                 // Publish the class this thread will serve next if it is
                 // about to pick this request up (head of an empty queue).
                 let idle = self.current[thread].is_none();
-                if idle && self.group.socket(thread).map(|s| s.len()) == Some(1) {
-                    let c = if req.class == RequestClass::Scan {
-                        class::SCAN
-                    } else {
-                        class::GET
-                    };
-                    let _ = self.class_map.update_u64(thread as u32, c);
+                if idle && self.front.group.socket(thread).map(|s| s.len()) == Some(1) {
+                    let _ = self.class_map.update_u64(thread as u32, req.thread_class());
                 }
                 if idle {
                     // The thread will pick this request up next: attribute
@@ -445,7 +337,7 @@ impl MtWorld<'_> {
                         .sched
                         .as_dyn()
                         .thread_ready(ThreadId(thread as u32), now);
-                    self.apply(now, assignments);
+                    self.apply(now, assignments, q);
                 }
             }
             Delivery::Dropped { .. } => {
@@ -464,14 +356,14 @@ impl MtWorld<'_> {
         }
     }
 
-    fn apply(&mut self, now: Time, assignments: Vec<Assignment>) {
+    fn apply(&mut self, now: Time, assignments: Vec<Assignment>, q: &mut Queue) {
         for a in assignments {
             if let Some(victim) = a.preempted {
                 self.pause_thread(victim.0 as usize, a.start_at.max(now));
             }
             let thread = a.thread.0 as usize;
             self.token[thread] += 1;
-            self.queue.push_keyed(
+            q.push_keyed(
                 a.start_at,
                 thread as u64,
                 Ev::ThreadStart {
@@ -504,53 +396,59 @@ impl MtWorld<'_> {
         }
     }
 
-    fn on_thread_start(&mut self, now: Time, thread: usize, core: CoreId, token: u64) {
+    /// `thread` takes the head request off its socket (if any), publishes
+    /// its class and starts on it at `now`; the `Complete` carries `token`.
+    fn take_next(&mut self, now: Time, thread: usize, token: u64, q: &mut Queue) -> bool {
+        let Some(req) = self.front.recv(now, thread) else {
+            return false;
+        };
+        let _ = self.class_map.update_u64(thread as u32, req.thread_class());
+        self.set_ghost_trace(thread, req.trace);
+        let remaining = self.cfg.per_request_overhead + req.service;
+        self.current[thread] = Some(InFlight {
+            req,
+            remaining,
+            started: Some(now),
+        });
+        q.push_keyed(
+            now + remaining,
+            thread as u64,
+            Ev::Complete { thread, token },
+        );
+        true
+    }
+
+    fn on_thread_start(
+        &mut self,
+        now: Time,
+        thread: usize,
+        core: CoreId,
+        token: u64,
+        q: &mut Queue,
+    ) {
         if self.token[thread] != token {
             return; // superseded
         }
         self.on_core[thread] = Some(core);
-        if self.current[thread].is_none() {
-            // Fresh dispatch: take the head request from the socket.
-            let Some(req) = self.group.recv(thread) else {
-                // Spurious wakeup: nothing to do, block again.
-                let assignments =
-                    self.sched
-                        .as_dyn()
-                        .thread_stopped(ThreadId(thread as u32), core, now);
-                self.apply(now, assignments);
-                return;
-            };
-            let c = if req.class == RequestClass::Scan {
-                class::SCAN
-            } else {
-                class::GET
-            };
-            let _ = self.class_map.update_u64(thread as u32, c);
-            let enqueued_at = req.arrival + self.cfg.stack.standard_rx_latency();
-            self.cfg.tracer.span_arg(
-                req.trace,
-                syrup_trace::Stage::SockQueue,
-                enqueued_at.as_nanos(),
-                now.as_nanos(),
+        if let Some(inflight) = self.current[thread].as_mut() {
+            // Resuming a preempted request.
+            inflight.started = Some(now);
+            q.push_keyed(
+                now + inflight.remaining,
                 thread as u64,
+                Ev::Complete { thread, token },
             );
-            self.set_ghost_trace(thread, req.trace);
-            self.current[thread] = Some(InFlight {
-                req,
-                remaining: self.cfg.per_request_overhead + req.service,
-                started: None,
-            });
+        } else if !self.take_next(now, thread, token, q) {
+            // Spurious wakeup: nothing to do, block again.
+            let assignments =
+                self.sched
+                    .as_dyn()
+                    .thread_stopped(ThreadId(thread as u32), core, now);
+            self.apply(now, assignments, q);
         }
-        let inflight = self.current[thread].as_mut().expect("set above");
-        inflight.started = Some(now);
-        self.queue.push_keyed(
-            now + inflight.remaining,
-            thread as u64,
-            Ev::Complete { thread, token },
-        );
     }
 
-    fn on_complete(&mut self, now: Time, thread: usize, token: u64) {
+    fn on_complete(&mut self, now: Time, thread: usize, token: u64, q: &mut Queue) {
         if self.token[thread] != token {
             return; // the thread was preempted before finishing
         }
@@ -572,51 +470,21 @@ impl MtWorld<'_> {
                 _ => self.get_rec.record(inflight.req.arrival, now),
             }
         }
-        // More work queued? The thread keeps its core and loops.
-        if let Some(req) = self.group.recv(thread) {
-            let c = if req.class == RequestClass::Scan {
-                class::SCAN
-            } else {
-                class::GET
-            };
-            let _ = self.class_map.update_u64(thread as u32, c);
-            let enqueued_at = req.arrival + self.cfg.stack.standard_rx_latency();
-            self.cfg.tracer.span_arg(
-                req.trace,
-                syrup_trace::Stage::SockQueue,
-                enqueued_at.as_nanos(),
-                now.as_nanos(),
-                thread as u64,
-            );
-            self.set_ghost_trace(thread, req.trace);
-            self.token[thread] += 1;
-            let new_token = self.token[thread];
-            self.current[thread] = Some(InFlight {
-                req,
-                remaining: self.cfg.per_request_overhead + req.service,
-                started: Some(now),
-            });
-            let remaining = self.cfg.per_request_overhead + req.service;
-            self.queue.push_keyed(
-                now + remaining,
-                thread as u64,
-                Ev::Complete {
-                    thread,
-                    token: new_token,
-                },
-            );
+        // More work queued? The thread keeps its core and loops. Either
+        // way its next run is a new one.
+        self.token[thread] += 1;
+        if self.take_next(now, thread, self.token[thread], q) {
             return;
         }
         // Idle: release the core.
         let _ = self.class_map.update_u64(thread as u32, class::GET);
         self.set_ghost_trace(thread, syrup_trace::TraceCtx::none());
         self.on_core[thread] = None;
-        self.token[thread] += 1;
         let assignments = self
             .sched
             .as_dyn()
             .thread_stopped(ThreadId(thread as u32), core, now);
-        self.apply(now, assignments);
+        self.apply(now, assignments, q);
     }
 }
 

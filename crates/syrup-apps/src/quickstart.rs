@@ -20,7 +20,7 @@ use syrup_net::socket::{Delivery, ReuseportGroup};
 use syrup_net::{flow, AppHeader, Frame, Nic, QueueKind};
 use syrup_policies::RoundRobinPolicy;
 use syrup_profile::Profiler;
-use syrup_sim::{ShardQueueStats, ShardedQueue, SimRng, Time};
+use syrup_sim::{drive, ShardQueueStats, ShardedQueue, SimRng, Time};
 use syrup_trace::{Stage, Tracer};
 
 /// The UDP port the quickstart application owns.
@@ -208,7 +208,7 @@ pub fn run_driven(
         ingress.push_keyed(Time::from_nanos(t0), u64::from(fl.flow_hash()), i);
     }
 
-    while let Some((at, i)) = ingress.pop() {
+    drive("quickstart", &mut ingress, |at, i, _| {
         let t0 = at.as_nanos();
         let ctx = tracer.ingress(t0);
         let fl = &flows[i % flows.len()];
@@ -263,7 +263,7 @@ pub fn run_driven(
             Delivery::Enqueued(s) => s,
             // Round robin never drops, but keep the path honest: a drop
             // already closed the timeline inside `deliver_traced`.
-            Delivery::Dropped { .. } => continue,
+            Delivery::Dropped { .. } => return,
         };
         group.sample_depths(t_sock);
 
@@ -277,7 +277,7 @@ pub fn run_driven(
         tracer.finish(ctx, start + service);
         completed += 1;
         observe(completed, start + service, &syrupd);
-    }
+    });
 
     let records = tracer.peek();
     let timelines = syrup_trace::reconstruct(&records);

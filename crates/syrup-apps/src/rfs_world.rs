@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use syrup_core::{Decision, Hook, HookMeta, MapDef, MapRef, PolicySource, Syrupd};
 use syrup_net::socket::SocketBuf;
-use syrup_sim::{ArrivalGen, Duration, EventQueue, LatencyRecorder, LatencySummary, SimRng, Time};
+use syrup_sim::{drive, Duration, EventQueue, LatencySummary, OpenLoop, SimRng, Time};
 
 /// Steering discipline at the CPU-redirect hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,27 +137,24 @@ pub fn run(cfg: &RfsConfig) -> RfsResult {
             .expect("deploy rfs policy");
     }
 
-    let warmup_end = Time::ZERO + cfg.warmup;
-    let end = warmup_end + cfg.measure;
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut arrivals = ArrivalGen::poisson(cfg.load_rps);
+    let mut load = OpenLoop::poisson(cfg.load_rps, cfg.warmup, cfg.measure);
     let mut cores: Vec<SocketBuf<Work>> = (0..cfg.cores).map(|_| SocketBuf::new(8192)).collect();
     let mut busy = vec![false; cfg.cores];
-    let mut recorder = LatencyRecorder::new(warmup_end);
+    let mut recorder = load.recorder();
     // Per-flow hash steering for the baseline/PASS path.
     let flow_hash: HashMap<u32, usize> = (0..cfg.flows as u32)
         .map(|f| (f, (f.wrapping_mul(0x9E37_79B9) >> 16) as usize % cfg.cores))
         .collect();
 
-    if let Some(t) = arrivals.next_arrival(&mut rng) {
-        queue.push(t, Ev::Arrival);
-    }
+    load.schedule_next(&mut rng, &mut queue, Ev::Arrival);
 
-    let cost_of = |work: &Work, core: usize, cfg: &RfsConfig, home: usize| -> Duration {
+    let home_of = |flow: u32| flow_core.lookup_u64(flow).ok().flatten().unwrap_or(0) as usize;
+    let cost_of = |work: &Work, core: usize| -> Duration {
         if work.app_stage {
             // The consumer core's pass after a handoff: cold cache.
             cfg.handoff + cfg.app_cold
-        } else if core == home {
+        } else if core == home_of(work.flow) {
             // Stack + warm application pass fused on one core.
             cfg.stack_cost + cfg.app_warm
         } else {
@@ -166,79 +163,64 @@ pub fn run(cfg: &RfsConfig) -> RfsResult {
         }
     };
 
-    while let Some((now, ev)) = queue.pop() {
-        match ev {
-            Ev::Arrival => {
-                if let Some(t) = arrivals.next_arrival(&mut rng) {
-                    if t < end {
-                        queue.push(t, Ev::Arrival);
-                    }
-                }
-                let flow = rng.index(cfg.flows) as u32;
-                let mut pkt = flow.to_le_bytes().to_vec();
-                pkt.extend_from_slice(&[0u8; 28]);
-                let meta = HookMeta {
-                    dst_port: 4242,
-                    ..HookMeta::default()
-                };
-                let (_, decision) = syrupd.schedule(Hook::CpuRedirect, &mut pkt, &meta);
-                let core = match decision {
-                    Decision::Executor(c) => c as usize % cfg.cores,
-                    _ => flow_hash[&flow],
-                };
-                let work = Work {
-                    arrival: now,
-                    flow,
-                    app_stage: false,
-                    measured: now >= warmup_end,
-                };
-                queue.push(now + Duration::from_nanos(900), Ev::Enqueue { core, work });
-            }
-            Ev::Enqueue { core, work } => {
-                if cores[core].push(work) && !busy[core] {
-                    busy[core] = true;
-                    let home = flow_core.lookup_u64(work.flow).ok().flatten().unwrap_or(0) as usize;
-                    let head = *cores[core].peek().expect("just pushed");
-                    queue.push(now + cost_of(&head, core, cfg, home), Ev::Done { core });
-                }
-            }
-            Ev::Done { core } => {
-                let work = cores[core].pop().expect("in service");
-                let home = flow_core.lookup_u64(work.flow).ok().flatten().unwrap_or(0) as usize;
-                if work.app_stage || core == home {
-                    // Request finished (either fused warm pass or the
-                    // post-handoff application pass). Completions after the
-                    // measurement window (queue drain) are excluded so
-                    // goodput is not inflated under overload.
-                    if work.measured && now < end {
-                        recorder.record(work.arrival, now);
-                    }
-                } else {
-                    // Hand off to the consumer's core for the app pass.
-                    queue.push(
-                        now + Duration::from_nanos(500),
-                        Ev::Enqueue {
-                            core: home,
-                            work: Work {
-                                app_stage: true,
-                                ..work
-                            },
-                        },
-                    );
-                }
-                if let Some(next) = cores[core].peek().copied() {
-                    let next_home =
-                        flow_core.lookup_u64(next.flow).ok().flatten().unwrap_or(0) as usize;
-                    queue.push(
-                        now + cost_of(&next, core, cfg, next_home),
-                        Ev::Done { core },
-                    );
-                } else {
-                    busy[core] = false;
-                }
+    drive("rfs_world", &mut queue, |now, ev, q| match ev {
+        Ev::Arrival => {
+            load.schedule_next(&mut rng, q, Ev::Arrival);
+            let flow = rng.index(cfg.flows) as u32;
+            let mut pkt = flow.to_le_bytes().to_vec();
+            pkt.extend_from_slice(&[0u8; 28]);
+            let meta = HookMeta {
+                dst_port: 4242,
+                ..HookMeta::default()
+            };
+            let (_, decision) = syrupd.schedule(Hook::CpuRedirect, &mut pkt, &meta);
+            let core = match decision {
+                Decision::Executor(c) => c as usize % cfg.cores,
+                _ => flow_hash[&flow],
+            };
+            let work = Work {
+                arrival: now,
+                flow,
+                app_stage: false,
+                measured: load.measured(now),
+            };
+            q.push(now + Duration::from_nanos(900), Ev::Enqueue { core, work });
+        }
+        Ev::Enqueue { core, work } => {
+            if cores[core].push(work) && !busy[core] {
+                busy[core] = true;
+                q.push(now + cost_of(&work, core), Ev::Done { core });
             }
         }
-    }
+        Ev::Done { core } => {
+            let work = cores[core].pop().expect("in service");
+            let home = home_of(work.flow);
+            if work.app_stage || core == home {
+                // Request finished (either fused warm pass or the
+                // post-handoff application pass). Completions after the
+                // measurement window (queue drain) are excluded so
+                // goodput is not inflated under overload.
+                if work.measured && now < load.end() {
+                    recorder.record(work.arrival, now);
+                }
+            } else {
+                // Hand off to the consumer's core for the app pass.
+                let work = Work {
+                    app_stage: true,
+                    ..work
+                };
+                q.push(
+                    now + Duration::from_nanos(500),
+                    Ev::Enqueue { core: home, work },
+                );
+            }
+            if let Some(next) = cores[core].peek() {
+                q.push(now + cost_of(next, core), Ev::Done { core });
+            } else {
+                busy[core] = false;
+            }
+        }
+    });
 
     RfsResult {
         latency: recorder.summary(),

@@ -20,16 +20,19 @@
 
 use std::collections::HashMap;
 
-use syrup_core::{AppId, Hook, HookMeta, PolicySource, Syrupd};
+use syrup_core::{Hook, MapDef, MapRef, PacketPolicy, PolicySource, Syrupd};
 use syrup_ghost::ghost::class;
 use syrup_net::socket::{Delivery, ReuseportGroup};
-use syrup_net::{flow, AppHeader, Frame, RequestClass, StackCosts};
-use syrup_policies::{RoundRobinPolicy, ScanAvoidPolicy, SitaPolicy, TokenPolicy, VanillaPolicy};
+use syrup_net::StackCosts;
+use syrup_policies::{
+    c_sources, RoundRobinPolicy, ScanAvoidPolicy, SitaPolicy, TokenPolicy, VanillaPolicy,
+};
 use syrup_sim::{
-    ArrivalGen, Duration, EventQueue, LatencyRecorder, LatencySummary, RequestMix, RunStats,
+    drive, Duration, EventQueue, LatencyRecorder, LatencySummary, OpenLoop, RequestMix, RunStats,
     SimRng, Time,
 };
 
+use crate::frontend::{ClientSpec, FrontEnd, Req};
 use crate::rocksdb::RocksDbModel;
 use crate::token_agent::TokenAgent;
 
@@ -194,19 +197,6 @@ pub struct ServerResult {
     pub telemetry: syrup_telemetry::Snapshot,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Req {
-    arrival: Time,
-    class: RequestClass,
-    user: u32,
-    service: Duration,
-    flow_hash: u32,
-    /// Set once the request survives admission, for warm-up accounting.
-    measured: bool,
-    /// Trace context (untraced unless the world's tracer sampled it).
-    trace: syrup_trace::TraceCtx,
-}
-
 enum Ev {
     Arrival,
     Deliver(Req),
@@ -228,123 +218,92 @@ pub fn run(cfg: &ServerConfig) -> ServerResult {
 
 struct World<'c> {
     cfg: &'c ServerConfig,
-    rng: SimRng,
-    queue: EventQueue<Ev>,
-    syrupd: Syrupd,
-    app: AppId,
-    group: ReuseportGroup<Req>,
+    front: FrontEnd<'c>,
     /// Current request per thread (None = idle).
     busy: Vec<Option<Req>>,
-    /// Pre-built datagram per (class, user), handed to the hook.
-    templates: HashMap<(u64, u32), Vec<u8>>,
-    arrivals: ArrivalGen,
-    mix: RequestMix,
-    tenant_pick: Vec<(f64, u32)>,
-    flow_hashes: Vec<u32>,
+    /// Picks each request's tenant (None = the single anonymous user 0).
+    tenant_mix: Option<RequestMix>,
     recorder: LatencyRecorder,
     per_class: HashMap<u32, Vec<u64>>,
     tenants: HashMap<u32, PendingTenant>,
     offered: u64,
     dropped: u64,
-    warmup_end: Time,
-    end: Time,
-    scan_map: Option<syrup_core::MapRef>,
+    scan_map: Option<MapRef>,
     token_agent: Option<TokenAgent>,
 }
 
 impl<'c> World<'c> {
     fn new(cfg: &'c ServerConfig) -> Self {
-        let mut rng = SimRng::new(cfg.seed);
+        let rng = SimRng::new(cfg.seed);
         let syrupd = Syrupd::new();
         let (app, maps) = syrupd
             .register_app("rocksdb", &[cfg.port])
             .expect("fresh daemon has no port conflicts");
 
         let n = cfg.threads as u32;
-        let mut scan_map = None;
-        let mut token_agent = None;
         let deploy = |source: PolicySource| {
             syrupd
                 .deploy(app, Hook::SocketSelect, source)
                 .expect("policy deploys")
         };
+        // Deploys the Table-2 policy `name` — its compiled C, or the form
+        // `native` builds — and returns the Map it shares with userspace:
+        // the one the C source pins, or one created under the same name.
+        let table2 =
+            |name: &str,
+             pinned: Option<(&str, u32)>,
+             native: &dyn Fn(Option<MapRef>) -> Box<dyn PacketPolicy>| {
+                if cfg.use_ebpf {
+                    let entry = c_sources::table2(n)
+                        .into_iter()
+                        .find(|e| e.name == name)
+                        .expect("a Table-2 policy");
+                    let handle = deploy(PolicySource::C {
+                        source: entry.source.to_string(),
+                        options: entry.opts,
+                    });
+                    pinned.map(|(map, _)| {
+                        maps.open(&handle.pinned_maps[map])
+                            .expect("policy pinned its map")
+                    })
+                } else {
+                    let map = pinned.map(|(map, slots)| {
+                        maps.create_pinned(map, MapDef::u64_array(slots))
+                            .expect("create the policy's map")
+                    });
+                    deploy(PolicySource::Native(native(map.clone())));
+                    map
+                }
+            };
+        let mut scan_map = None;
+        let mut token_agent = None;
         match cfg.policy {
             SocketPolicyKind::Vanilla => {
                 deploy(PolicySource::Native(Box::new(VanillaPolicy)));
             }
             SocketPolicyKind::RoundRobin => {
-                if cfg.use_ebpf {
-                    deploy(PolicySource::C {
-                        source: syrup_policies::c_sources::ROUND_ROBIN.to_string(),
-                        options: syrup_core::CompileOptions::new()
-                            .define("NUM_THREADS", i64::from(n)),
-                    });
-                } else {
-                    deploy(PolicySource::Native(Box::new(RoundRobinPolicy::new(n))));
-                }
+                table2("round_robin", None, &|_| Box::new(RoundRobinPolicy::new(n)));
             }
             SocketPolicyKind::ScanAvoid => {
-                if cfg.use_ebpf {
-                    let handle = deploy(PolicySource::C {
-                        source: syrup_policies::c_sources::SCAN_AVOID.to_string(),
-                        options: syrup_core::CompileOptions::new()
-                            .define("NUM_THREADS", i64::from(n))
-                            .define("GET", class::GET as i64),
-                    });
-                    let map = maps
-                        .open(&handle.pinned_maps["scan_map"])
-                        .expect("policy pinned its scan map");
-                    for i in 0..n {
-                        map.update_u64(i, class::GET).expect("in range");
-                    }
-                    scan_map = Some(map);
-                } else {
-                    let map = maps
-                        .create_pinned("scan_map", syrup_core::MapDef::u64_array(64))
-                        .expect("create scan map");
-                    // All threads start "serving GETs".
-                    for i in 0..n {
-                        map.update_u64(i, class::GET).expect("in range");
-                    }
-                    deploy(PolicySource::Native(Box::new(ScanAvoidPolicy::new(
-                        map.clone(),
-                        n,
-                        cfg.seed ^ 0xABCD,
-                    ))));
-                    scan_map = Some(map);
+                let map = table2("scan_avoid", Some(("scan_map", 64)), &|map| {
+                    let map = map.expect("created above");
+                    Box::new(ScanAvoidPolicy::new(map, n, cfg.seed ^ 0xABCD))
+                })
+                .expect("SCAN Avoid has a map");
+                // All threads start "serving GETs".
+                for i in 0..n {
+                    map.update_u64(i, class::GET).expect("in range");
                 }
+                scan_map = Some(map);
             }
             SocketPolicyKind::Sita => {
-                if cfg.use_ebpf {
-                    deploy(PolicySource::C {
-                        source: syrup_policies::c_sources::SITA.to_string(),
-                        options: syrup_core::CompileOptions::new()
-                            .define("NUM_THREADS", i64::from(n))
-                            .define("SCAN", RequestClass::Scan.code() as i64),
-                    });
-                } else {
-                    deploy(PolicySource::Native(Box::new(SitaPolicy::new(n))));
-                }
+                table2("sita", None, &|_| Box::new(SitaPolicy::new(n)));
             }
             SocketPolicyKind::TokenBased { rate_per_sec } => {
-                let map = if cfg.use_ebpf {
-                    let handle = deploy(PolicySource::C {
-                        source: syrup_policies::c_sources::TOKEN_BASED.to_string(),
-                        options: syrup_core::CompileOptions::new()
-                            .define("NUM_THREADS", i64::from(n)),
-                    });
-                    maps.open(&handle.pinned_maps["token_map"])
-                        .expect("policy pinned its token map")
-                } else {
-                    let map = maps
-                        .create_pinned("token_map", syrup_core::MapDef::u64_array(16))
-                        .expect("create token map");
-                    deploy(PolicySource::Native(Box::new(TokenPolicy::new(
-                        map.clone(),
-                        n,
-                    ))));
-                    map
-                };
+                let map = table2("token_based", Some(("token_map", 16)), &|map| {
+                    Box::new(TokenPolicy::new(map.expect("created above"), n))
+                })
+                .expect("the token policy has a map");
                 let mut agent =
                     TokenAgent::new(map, Duration::from_micros(100), rate_per_sec, 0, 1);
                 agent.on_epoch();
@@ -352,47 +311,19 @@ impl<'c> World<'c> {
             }
         }
 
-        // Client flow set and their kernel flow hashes.
-        let flows = flow::client_flows(cfg.num_flows, cfg.port, &mut rng);
-        let flow_hashes: Vec<u32> = flows.iter().map(|f| f.flow_hash()).collect();
-
-        // Datagram templates per (class, user) — policies read only the
-        // class/user/key fields, so requests can share buffers.
-        let mut templates = HashMap::new();
         let users: Vec<u32> = if cfg.tenants.is_empty() {
             vec![0]
         } else {
             cfg.tenants.iter().map(|t| t.user_id).collect()
         };
-        for class in [RequestClass::Get, RequestClass::Scan] {
-            for &user in &users {
-                let frame = Frame::build(
-                    &flows[0],
-                    &AppHeader {
-                        req_type: class.code(),
-                        user_id: user,
-                        key_hash: 0,
-                        req_id: 0,
-                    },
-                );
-                templates.insert((class.code(), user), frame.datagram().to_vec());
-            }
-        }
-
-        let tenant_total: f64 = cfg.tenants.iter().map(|t| t.weight.max(0.0)).sum();
-        let mut acc = 0.0;
-        let tenant_pick = cfg
-            .tenants
+        // Requests are split over the tenants by offered-load share.
+        let shares: Vec<(u32, f64)> = cfg.tenants.iter().map(|t| (t.user_id, t.weight)).collect();
+        let tenant_mix = shares
             .iter()
-            .filter(|t| t.weight > 0.0)
-            .map(|t| {
-                acc += t.weight / tenant_total;
-                (acc, t.user_id)
-            })
-            .collect();
+            .any(|&(_, weight)| weight > 0.0)
+            .then(|| RequestMix::new(&shares));
 
-        let warmup_end = Time::ZERO + cfg.warmup;
-        let end = warmup_end + cfg.measure;
+        let load = OpenLoop::poisson(cfg.load_rps, cfg.warmup, cfg.measure);
         let tenants = cfg
             .tenants
             .iter()
@@ -400,7 +331,7 @@ impl<'c> World<'c> {
                 (
                     t.user_id,
                     PendingTenant {
-                        recorder: LatencyRecorder::new(warmup_end),
+                        recorder: load.recorder(),
                         offered: 0,
                         completed: 0,
                         dropped: 0,
@@ -411,80 +342,57 @@ impl<'c> World<'c> {
 
         let mut group = ReuseportGroup::new(cfg.threads, cfg.socket_capacity);
         group.attach_telemetry(syrupd.telemetry(), "sock");
-        group.attach_tracer(&cfg.tracer);
-        syrupd.attach_tracer(&cfg.tracer);
-
+        let spec = ClientSpec {
+            app,
+            port: cfg.port,
+            num_flows: cfg.num_flows,
+            users,
+            get_fraction: cfg.get_fraction,
+            model: cfg.model,
+            rx_latency: cfg.stack.standard_rx_latency(),
+            tracer: &cfg.tracer,
+        };
         World {
             cfg,
-            queue: EventQueue::new(),
-            syrupd,
-            app,
-            group,
             busy: vec![None; cfg.threads],
-            templates,
-            arrivals: ArrivalGen::poisson(cfg.load_rps),
-            mix: RequestMix::new(&[
-                (RequestClass::Get.class_id(), cfg.get_fraction),
-                (RequestClass::Scan.class_id(), 1.0 - cfg.get_fraction),
-            ]),
-            tenant_pick,
-            flow_hashes,
-            recorder: LatencyRecorder::new(warmup_end),
+            tenant_mix,
+            recorder: load.recorder(),
             per_class: HashMap::new(),
             tenants,
             offered: 0,
             dropped: 0,
-            warmup_end,
-            end,
             scan_map,
             token_agent,
-            rng,
+            front: FrontEnd::new(spec, rng, syrupd, group, load),
         }
-    }
-
-    fn pick_tenant(&mut self) -> u32 {
-        if self.tenant_pick.is_empty() {
-            return 0;
-        }
-        let u: f64 = self.rng.gen_range(0.0..1.0);
-        for &(cum, id) in &self.tenant_pick {
-            if u < cum {
-                return id;
-            }
-        }
-        self.tenant_pick.last().map(|&(_, id)| id).unwrap_or(0)
     }
 
     fn run(mut self) -> ServerResult {
-        if let Some(t0) = self.arrivals.next_arrival(&mut self.rng) {
-            self.queue.push(t0, Ev::Arrival);
-        }
+        let mut queue = EventQueue::new();
+        self.front.schedule_arrival(&mut queue, Ev::Arrival);
         if self.token_agent.is_some() {
-            self.queue
-                .push(Time::ZERO + Duration::from_micros(100), Ev::TokenEpoch);
+            queue.push(Time::ZERO + Duration::from_micros(100), Ev::TokenEpoch);
         }
 
-        while let Some((now, ev)) = self.queue.pop() {
-            match ev {
-                Ev::Arrival => self.on_arrival(now),
-                Ev::Deliver(req) => self.on_deliver(now, req),
-                Ev::Complete { thread } => self.on_complete(now, thread),
-                Ev::TokenEpoch => {
-                    if let Some(agent) = self.token_agent.as_mut() {
-                        agent.on_epoch();
-                        if now < self.end {
-                            self.queue.push(now + agent.epoch, Ev::TokenEpoch);
-                        }
+        drive("server_world", &mut queue, |now, ev, q| match ev {
+            Ev::Arrival => self.on_arrival(now, q),
+            Ev::Deliver(req) => self.on_deliver(now, req, q),
+            Ev::Complete { thread } => self.on_complete(now, thread, q),
+            Ev::TokenEpoch => {
+                if let Some(agent) = self.token_agent.as_mut() {
+                    agent.on_epoch();
+                    if now < self.front.load.end() {
+                        q.push(now + agent.epoch, Ev::TokenEpoch);
                     }
                 }
             }
-        }
+        });
 
         let overall =
             RunStats::from_recorder(&self.recorder, self.offered, self.dropped, self.cfg.measure);
         // Export per-tenant aggregates into the registry so downstream
         // consumers (the fig7 harness) can work from the snapshot alone.
-        let registry = self.syrupd.telemetry().clone();
+        let registry = self.front.syrupd.telemetry().clone();
         for (id, t) in &self.tenants {
             let p = format!("tenant{id}");
             registry.counter(&format!("{p}/offered")).add(t.offered);
@@ -495,7 +403,7 @@ impl<'c> World<'c> {
                 hist.record(ns);
             }
         }
-        let telemetry = self.syrupd.telemetry_snapshot();
+        let telemetry = self.front.syrupd.telemetry_snapshot();
         let per_tenant = self
             .tenants
             .into_iter()
@@ -524,68 +432,27 @@ impl<'c> World<'c> {
         }
     }
 
-    fn on_arrival(&mut self, now: Time) {
+    fn on_arrival(&mut self, now: Time, q: &mut EventQueue<Ev>) {
         // Schedule the next arrival first (open loop).
-        if let Some(next) = self.arrivals.next_arrival(&mut self.rng) {
-            if next < self.end {
-                self.queue.push(next, Ev::Arrival);
-            }
-        }
-        let class = if self.mix.sample(&mut self.rng) == RequestClass::Scan.class_id() {
-            RequestClass::Scan
-        } else {
-            RequestClass::Get
-        };
-        let user = self.pick_tenant();
-        let flow = self.rng.index(self.flow_hashes.len());
-        let measured = now >= self.warmup_end;
-        if measured {
+        self.front.schedule_arrival(q, Ev::Arrival);
+        let tenant_mix = &self.tenant_mix;
+        let (deliver_at, req) = self.front.arrive(now, |rng| {
+            tenant_mix.as_ref().map_or(0, |mix| mix.sample(rng))
+        });
+        if req.measured {
             self.offered += 1;
-            if let Some(t) = self.tenants.get_mut(&user) {
+            if let Some(t) = self.tenants.get_mut(&req.user) {
                 t.offered += 1;
             }
         }
-        let trace = self.cfg.tracer.ingress(now.as_nanos());
-        let deliver_at = now + self.cfg.stack.standard_rx_latency();
-        self.cfg.tracer.span(
-            trace,
-            syrup_trace::Stage::StackRx,
-            now.as_nanos(),
-            deliver_at.as_nanos(),
-        );
-        let req = Req {
-            arrival: now,
-            class,
-            user,
-            service: self.cfg.model.sample(class, &mut self.rng),
-            flow_hash: self.flow_hashes[flow],
-            measured,
-            trace,
-        };
-        self.queue.push(deliver_at, Ev::Deliver(req));
+        q.push(deliver_at, Ev::Deliver(req));
     }
 
-    fn on_deliver(&mut self, now: Time, req: Req) {
-        let key = (req.class.code(), req.user);
-        let mut template = self.templates.get(&key).cloned().unwrap_or_default();
-        let meta = HookMeta {
-            now_ns: now.as_nanos(),
-            cpu: 0,
-            rx_queue: 0,
-            dst_port: self.cfg.port,
-            trace: req.trace,
-        };
-        let (_app, decision) = self
-            .syrupd
-            .schedule(Hook::SocketSelect, &mut template, &meta);
-        debug_assert!(_app.is_none() || _app == Some(self.app));
-        match self
-            .group
-            .deliver_traced(req, req.flow_hash, decision, req.trace, now.as_nanos())
-        {
+    fn on_deliver(&mut self, now: Time, req: Req, q: &mut EventQueue<Ev>) {
+        match self.front.deliver(now, req) {
             Delivery::Enqueued(socket) => {
                 if self.busy[socket].is_none() {
-                    self.start_next(now, socket);
+                    self.start_next(now, socket, q);
                 }
             }
             Delivery::Dropped { .. } => {
@@ -599,29 +466,15 @@ impl<'c> World<'c> {
         }
     }
 
-    fn start_next(&mut self, now: Time, thread: usize) {
-        let Some(req) = self.group.recv(thread) else {
+    fn start_next(&mut self, now: Time, thread: usize, q: &mut EventQueue<Ev>) {
+        let Some(req) = self.front.recv(now, thread) else {
             return;
         };
         // Figure 5b's userspace half: publish what this thread is serving.
         if let Some(map) = &self.scan_map {
-            let c = if req.class == RequestClass::Scan {
-                class::SCAN
-            } else {
-                class::GET
-            };
-            let _ = map.update_u64(thread as u32, c);
+            let _ = map.update_u64(thread as u32, req.thread_class());
         }
         let busy_for = self.cfg.per_request_overhead + req.service;
-        // Residency: from the post-hook enqueue until this `recvmsg`.
-        let enqueued_at = req.arrival + self.cfg.stack.standard_rx_latency();
-        self.cfg.tracer.span_arg(
-            req.trace,
-            syrup_trace::Stage::SockQueue,
-            enqueued_at.as_nanos(),
-            now.as_nanos(),
-            thread as u64,
-        );
         self.cfg.tracer.span_arg(
             req.trace,
             syrup_trace::Stage::Run,
@@ -630,10 +483,10 @@ impl<'c> World<'c> {
             thread as u64,
         );
         self.busy[thread] = Some(req);
-        self.queue.push(now + busy_for, Ev::Complete { thread });
+        q.push(now + busy_for, Ev::Complete { thread });
     }
 
-    fn on_complete(&mut self, now: Time, thread: usize) {
+    fn on_complete(&mut self, now: Time, thread: usize, q: &mut EventQueue<Ev>) {
         if let Some(req) = self.busy[thread].take() {
             self.cfg.tracer.finish(req.trace, now.as_nanos());
             if req.measured {
@@ -651,7 +504,7 @@ impl<'c> World<'c> {
         if let Some(map) = &self.scan_map {
             let _ = map.update_u64(thread as u32, class::GET);
         }
-        self.start_next(now, thread);
+        self.start_next(now, thread, q);
     }
 }
 

@@ -147,6 +147,36 @@ pub struct CorpusEntry {
     pub opts: syrup_lang::CompileOptions,
 }
 
+/// The four Table-2 policies (Figure 5a, 5c, 5d and the §3.4 token
+/// policy) with the `#define`s each needs for `threads` sockets.
+pub fn table2(threads: u32) -> [CorpusEntry; 4] {
+    use crate::class_codes::{GET, SCAN};
+    use syrup_lang::CompileOptions;
+    let opts = || CompileOptions::new().define("NUM_THREADS", i64::from(threads));
+    [
+        CorpusEntry {
+            name: "round_robin",
+            source: ROUND_ROBIN,
+            opts: opts(),
+        },
+        CorpusEntry {
+            name: "scan_avoid",
+            source: SCAN_AVOID,
+            opts: opts().define("GET", GET as i64),
+        },
+        CorpusEntry {
+            name: "sita",
+            source: SITA,
+            opts: opts().define("SCAN", SCAN as i64),
+        },
+        CorpusEntry {
+            name: "token_based",
+            source: TOKEN_BASED,
+            opts: opts(),
+        },
+    ]
+}
+
 /// Every policy in this module paired with working compile options.
 ///
 /// This is the seed corpus for `syrup-fuzz`: the mutator perturbs these
@@ -154,31 +184,8 @@ pub struct CorpusEntry {
 /// oracle checks each against the reference interpreter.
 pub fn corpus() -> Vec<CorpusEntry> {
     use syrup_lang::CompileOptions;
-    vec![
-        CorpusEntry {
-            name: "round_robin",
-            source: ROUND_ROBIN,
-            opts: CompileOptions::new().define("NUM_THREADS", 6),
-        },
-        CorpusEntry {
-            name: "scan_avoid",
-            source: SCAN_AVOID,
-            opts: CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("GET", 1),
-        },
-        CorpusEntry {
-            name: "sita",
-            source: SITA,
-            opts: CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("SCAN", 2),
-        },
-        CorpusEntry {
-            name: "token_based",
-            source: TOKEN_BASED,
-            opts: CompileOptions::new().define("NUM_THREADS", 6),
-        },
+    let mut all = table2(6).to_vec();
+    all.extend([
         CorpusEntry {
             name: "mica_home",
             source: MICA_HOME,
@@ -194,7 +201,8 @@ pub fn corpus() -> Vec<CorpusEntry> {
             source: RANKED_SRPT,
             opts: CompileOptions::new().define("NUM_THREADS", 6),
         },
-    ]
+    ]);
+    all
 }
 
 #[cfg(test)]
@@ -215,23 +223,11 @@ mod tests {
 
     #[test]
     fn all_policies_compile_and_verify() {
-        compiles_and_verifies(ROUND_ROBIN, CompileOptions::new().define("NUM_THREADS", 6));
-        compiles_and_verifies(
-            SCAN_AVOID,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("GET", 1),
-        );
-        compiles_and_verifies(
-            SITA,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("SCAN", 2),
-        );
-        compiles_and_verifies(TOKEN_BASED, CompileOptions::new().define("NUM_THREADS", 6));
-        compiles_and_verifies(MICA_HOME, CompileOptions::new());
-        compiles_and_verifies(RFS, CompileOptions::new());
-        compiles_and_verifies(RANKED_SRPT, CompileOptions::new().define("NUM_THREADS", 6));
+        let all = corpus();
+        assert_eq!(all.len(), 7);
+        for entry in all {
+            compiles_and_verifies(entry.source, entry.opts);
+        }
     }
 
     #[test]
@@ -250,13 +246,7 @@ mod tests {
         // Table 2 notes SCAN Avoid's higher instruction count comes from
         // loop unrolling; the compiled program must be visibly larger than
         // the straight-line policies.
-        let rr = compiles_and_verifies(ROUND_ROBIN, CompileOptions::new().define("NUM_THREADS", 6));
-        let sa = compiles_and_verifies(
-            SCAN_AVOID,
-            CompileOptions::new()
-                .define("NUM_THREADS", 6)
-                .define("GET", 1),
-        );
+        let [rr, sa, ..] = table2(6).map(|e| compiles_and_verifies(e.source, e.opts));
         assert!(sa > 2 * rr, "unrolled SCAN Avoid ({sa}) vs RR ({rr})");
     }
 }

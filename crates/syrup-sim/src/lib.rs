@@ -11,8 +11,9 @@
 //! Components built on top of this crate (the network stack model in
 //! `syrup-net`, the thread schedulers in `syrup-ghost`, the application
 //! models in `syrup-apps`) are plain state machines; experiment "worlds"
-//! own an [`EventQueue`] and drive the state machines from popped events,
-//! which keeps every component unit-testable in isolation and makes whole
+//! own an [`EventQueue`] and hand [`drive`] — the one event loop — a
+//! handler that feeds popped events to the state machines, which keeps
+//! every component unit-testable in isolation and makes whole
 //! simulations reproducible from a single seed.
 
 #![forbid(unsafe_code)]
@@ -28,11 +29,11 @@ pub mod time;
 pub mod wheel;
 pub mod workload;
 
-pub use queue::{EventQueue, HeapQueue, SimQueue};
+pub use queue::{drive, EventQueue, HeapQueue, SimQueue};
 pub use rng::SimRng;
 pub use scale::{ScaleCfg, ScaleEngine, ScaleResult};
 pub use shard::{ShardQueueStats, ShardedQueue, WindowSample};
 pub use stats::{LatencyRecorder, LatencySummary, RunStats};
 pub use time::{Duration, Time};
 pub use wheel::{PastPush, TimerWheel};
-pub use workload::{ArrivalGen, RequestMix, ServiceDist};
+pub use workload::{ArrivalGen, OpenLoop, RequestMix, ServiceDist};

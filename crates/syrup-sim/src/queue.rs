@@ -79,6 +79,36 @@ pub trait SimQueue<E> {
     }
     /// The current simulation time.
     fn now(&self) -> Time;
+    /// Pushes the saturating past-push policy has clamped so far.
+    fn clamped(&self) -> u64;
+}
+
+/// The event loop every world runs: pops events in `(time, seq)` order
+/// and hands each to `handle` together with the queue, so the handler can
+/// schedule follow-ups, until the queue drains.
+///
+/// A push aimed before the clock is a bug in the calling world (contract
+/// point 4 above): the queue still clamps it so the run finishes, and
+/// `drive` then panics naming `world` instead of returning numbers a
+/// reordered event may have moved.
+///
+/// `#[inline]` puts the loop in the world's own codegen unit, next to the
+/// handlers it calls: without it `mt_world` measured ~3 % slower than the
+/// hand-written loop it replaced.
+#[inline]
+pub fn drive<E, Q: SimQueue<E>>(
+    world: &str,
+    queue: &mut Q,
+    mut handle: impl FnMut(Time, E, &mut Q),
+) {
+    while let Some((now, ev)) = queue.pop() {
+        handle(now, ev, queue);
+    }
+    assert_eq!(
+        queue.clamped(),
+        0,
+        "{world}: events were scheduled before the simulation clock"
+    );
 }
 
 /// A deterministic time-ordered event queue (see the module docs for the
@@ -206,6 +236,9 @@ impl<E> SimQueue<E> for EventQueue<E> {
     }
     fn now(&self) -> Time {
         EventQueue::now(self)
+    }
+    fn clamped(&self) -> u64 {
+        self.wheel.stats().clamped
     }
 }
 
@@ -364,6 +397,9 @@ impl<E> SimQueue<E> for HeapQueue<E> {
     fn now(&self) -> Time {
         HeapQueue::now(self)
     }
+    fn clamped(&self) -> u64 {
+        self.clamped
+    }
 }
 
 #[cfg(test)]
@@ -521,6 +557,90 @@ mod tests {
         assert_eq!(seen[0], (0, 0));
         assert_eq!(seen[1], (1, 1));
         assert_eq!(seen[2], (1, 100));
+    }
+
+    /// A small self-scheduling world on `drive`: every event below 40
+    /// spawns one follow-up at the same instant and one 3µs later.
+    fn drive_transcript<Q: SimQueue<u32>>(
+        mut q: Q,
+        push: fn(&mut Q, Time, u32),
+    ) -> Vec<(Time, u32)> {
+        for id in 0..4 {
+            push(&mut q, Time::from_micros(u64::from(id % 2)), id);
+        }
+        let mut seen = Vec::new();
+        drive("transcript", &mut q, |now, id, q| {
+            seen.push((now, id));
+            if id < 40 {
+                push(q, now, id + 100);
+                push(q, now + Duration::from_micros(3), id + 4);
+            }
+        });
+        seen
+    }
+
+    #[test]
+    fn drive_pops_pushes_at_now_after_what_was_queued_for_now() {
+        let mut q = EventQueue::new();
+        for id in ["a", "b", "c"] {
+            q.push(Time::from_micros(5), id);
+        }
+        q.push(Time::from_micros(6), "later");
+        let mut seen = Vec::new();
+        drive("fifo", &mut q, |now, id, q| {
+            seen.push(id);
+            if id == "a" {
+                q.push(now, "a1");
+                q.push(now, "a2");
+            }
+        });
+        assert_eq!(seen, ["a", "b", "c", "a1", "a2", "later"]);
+    }
+
+    #[test]
+    fn drive_transcript_is_the_same_on_every_queue() {
+        let wheel = drive_transcript(EventQueue::new(), |q, at, id| q.push(at, id));
+        assert_eq!(wheel.len(), 4 + 2 * 40);
+        assert!(wheel.windows(2).all(|w| w[0].0 <= w[1].0));
+        let heap = drive_transcript(HeapQueue::new(), |q, at, id| q.push(at, id));
+        assert_eq!(heap, wheel);
+        for shards in [1, 2, 8] {
+            let sharded = drive_transcript(crate::ShardedQueue::new(shards), |q, at, id| {
+                q.push_keyed(at, u64::from(id), id)
+            });
+            assert_eq!(sharded, wheel, "shards={shards}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "toy_world: events were scheduled before the simulation clock")]
+    fn drive_panics_when_a_handler_pushes_into_the_past() {
+        let mut q = EventQueue::new();
+        q.push(Time::from_micros(10), 0);
+        drive("toy_world", &mut q, |_, id, q| {
+            if id == 0 {
+                q.push(Time::from_micros(9), 1);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "toy_world")]
+    fn drive_panics_on_a_past_push_through_the_sharded_facade() {
+        let mut q = crate::ShardedQueue::new(2);
+        q.push_keyed(Time::from_micros(10), 7, 0);
+        drive("toy_world", &mut q, |_, id, q| {
+            if id == 0 {
+                q.push_keyed(Time::from_micros(9), 8, 1);
+            }
+        });
+    }
+
+    #[test]
+    fn drive_on_an_empty_queue_never_calls_the_handler() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        drive("empty", &mut q, |_, _, _| panic!("nothing to handle"));
+        assert_eq!(q.now(), Time::ZERO);
     }
 
     #[test]

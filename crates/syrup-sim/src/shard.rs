@@ -215,6 +215,30 @@ impl<E> ShardedQueue<E> {
     }
 }
 
+impl<E> SimQueue<E> for ShardedQueue<E> {
+    fn new_empty() -> Self {
+        Self::new(1)
+    }
+    fn push(&mut self, at: Time, event: E) {
+        ShardedQueue::push(self, at, event);
+    }
+    fn pop(&mut self) -> Option<(Time, E)> {
+        ShardedQueue::pop(self)
+    }
+    fn peek_time(&mut self) -> Option<Time> {
+        ShardedQueue::peek_time(self)
+    }
+    fn len(&self) -> usize {
+        ShardedQueue::len(self)
+    }
+    fn now(&self) -> Time {
+        ShardedQueue::now(self)
+    }
+    fn clamped(&self) -> u64 {
+        self.clamped
+    }
+}
+
 /// One shard's view of a [`ShardedQueue`]: the underlying wheel's
 /// counters plus the facade clamp accounting attributed to this shard.
 /// Clamp/drift figures come from the facade (measured against the

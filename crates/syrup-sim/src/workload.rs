@@ -8,7 +8,9 @@
 //! [`ServiceDist`] samples per-class service times (GET = 10–12µs uniform,
 //! SCAN ≈ 700µs).
 
+use crate::queue::SimQueue;
 use crate::rng::SimRng;
+use crate::stats::LatencyRecorder;
 use crate::time::{Duration, Time};
 
 /// An open-loop arrival process.
@@ -57,6 +59,54 @@ impl ArrivalGen {
 
     fn rng_gap(&self, rng: &mut SimRng) -> Duration {
         rng.exp_duration(self.mean_gap)
+    }
+}
+
+/// An open-loop Poisson client with a warm-up/measure window: arrivals
+/// stop at the end of the measured interval, and only requests that
+/// arrive after the warm-up count.
+#[derive(Debug, Clone)]
+pub struct OpenLoop {
+    arrivals: ArrivalGen,
+    warmup_end: Time,
+    end: Time,
+}
+
+impl OpenLoop {
+    /// Poisson arrivals at `rate_rps`, measured for `measure` after a
+    /// `warmup` that starts at time zero.
+    pub fn poisson(rate_rps: f64, warmup: Duration, measure: Duration) -> Self {
+        let warmup_end = Time::ZERO + warmup;
+        OpenLoop {
+            arrivals: ArrivalGen::poisson(rate_rps),
+            warmup_end,
+            end: warmup_end + measure,
+        }
+    }
+
+    /// Schedules the client's next arrival on `queue` as `event`, unless
+    /// it falls past the window (or the rate is zero). Call it once to
+    /// seed the run and once per arrival handled, before drawing anything
+    /// else for that arrival.
+    pub fn schedule_next<E>(&mut self, rng: &mut SimRng, queue: &mut impl SimQueue<E>, event: E) {
+        if let Some(at) = self.arrivals.next_arrival(rng).filter(|&t| t < self.end) {
+            queue.push(at, event);
+        }
+    }
+
+    /// Whether a request arriving at `now` is past the warm-up.
+    pub fn measured(&self, now: Time) -> bool {
+        now >= self.warmup_end
+    }
+
+    /// End of the measured interval.
+    pub fn end(&self) -> Time {
+        self.end
+    }
+
+    /// A recorder that discards completions inside the warm-up.
+    pub fn recorder(&self) -> LatencyRecorder {
+        LatencyRecorder::new(self.warmup_end)
     }
 }
 
@@ -187,6 +237,39 @@ mod tests {
         assert_eq!(gen.next_arrival(&mut rng), None);
         let mut gen = ArrivalGen::uniform(-5.0);
         assert_eq!(gen.next_arrival(&mut rng), None);
+    }
+
+    #[test]
+    fn open_loop_stops_at_the_window_and_measures_after_the_warmup() {
+        use crate::queue::{drive, EventQueue};
+        let (warmup, measure) = (Duration::from_micros(100), Duration::from_micros(400));
+        let mut load = OpenLoop::poisson(1_000_000.0, warmup, measure);
+        let mut rng = SimRng::new(11);
+        let mut q = EventQueue::new();
+        load.schedule_next(&mut rng, &mut q, ());
+        let (mut arrivals, mut measured) = (0u32, 0u32);
+        drive("open loop", &mut q, |now, (), q| {
+            load.schedule_next(&mut rng, q, ());
+            assert!(now < load.end());
+            assert_eq!(load.measured(now), now >= Time::ZERO + warmup);
+            arrivals += 1;
+            measured += u32::from(load.measured(now));
+        });
+        assert_eq!(load.end(), Time::from_micros(500));
+        // ~1 arrival per microsecond: ~500 in the window, ~400 measured.
+        assert!((400..600).contains(&arrivals), "{arrivals}");
+        assert!((300..500).contains(&measured), "{measured}");
+
+        // Completions inside the warm-up are discarded by the recorder.
+        let mut rec = load.recorder();
+        rec.record(Time::ZERO, Time::from_micros(99));
+        rec.record(Time::ZERO, Time::from_micros(100));
+        assert_eq!((rec.len(), rec.warmup_discarded()), (1, 1));
+
+        // A zero rate schedules nothing.
+        let mut idle = OpenLoop::poisson(0.0, warmup, measure);
+        idle.schedule_next(&mut rng, &mut q, ());
+        assert!(q.is_empty());
     }
 
     #[test]

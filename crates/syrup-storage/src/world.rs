@@ -8,7 +8,7 @@
 //! result of ReFlex that §6.1 says Syrup's model covers.
 
 use syrup_core::{Decision, MapDef, MapRegistry};
-use syrup_sim::{ArrivalGen, Duration, EventQueue, LatencyRecorder, LatencySummary, SimRng, Time};
+use syrup_sim::{drive, Duration, EventQueue, LatencySummary, OpenLoop, SimRng, Time};
 
 use crate::device::{FlashDevice, FlashParams};
 use crate::io::{IoOp, IoRequest, NvmeQueues};
@@ -88,77 +88,60 @@ pub fn run(cfg: &StorageConfig) -> StorageResult {
     let mut device = FlashDevice::new(cfg.device);
     let mut queues = NvmeQueues::new(cfg.device.channels, 64);
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut reads = ArrivalGen::poisson(cfg.read_iops);
-    let mut writes = ArrivalGen::poisson(cfg.write_iops);
-
-    let warmup_end = Time::ZERO + cfg.measure;
-    let end = warmup_end + cfg.measure;
-    let mut recorder = LatencyRecorder::new(warmup_end);
+    // The warm-up is as long as the measured interval.
+    let mut reads = OpenLoop::poisson(cfg.read_iops, cfg.measure, cfg.measure);
+    let mut writes = OpenLoop::poisson(cfg.write_iops, cfg.measure, cfg.measure);
+    let mut recorder = reads.recorder();
     let mut reads_done = 0u64;
     let mut writes_done = 0u64;
 
-    if let Some(t) = reads.next_arrival(&mut rng) {
-        queue.push(t, Ev::ReadArrival);
-    }
-    if let Some(t) = writes.next_arrival(&mut rng) {
-        queue.push(t, Ev::WriteArrival);
-    }
+    reads.schedule_next(&mut rng, &mut queue, Ev::ReadArrival);
+    writes.schedule_next(&mut rng, &mut queue, Ev::WriteArrival);
     queue.push(Time::ZERO + cfg.epoch, Ev::Epoch);
 
-    while let Some((now, ev)) = queue.pop() {
-        match ev {
-            Ev::Epoch => {
-                if cfg.with_policy {
-                    policy.refill(&[(0, read_budget), (1, cfg.writer_budget_per_epoch * 6)]);
-                }
-                if now < end {
-                    queue.push(now + cfg.epoch, Ev::Epoch);
-                }
+    drive("storage world", &mut queue, |now, ev, q| match ev {
+        Ev::Epoch => {
+            if cfg.with_policy {
+                policy.refill(&[(0, read_budget), (1, cfg.writer_budget_per_epoch * 6)]);
             }
-            Ev::ReadArrival | Ev::WriteArrival => {
-                let is_read = matches!(ev, Ev::ReadArrival);
-                let (gen, next_ev) = if is_read {
-                    (&mut reads, Ev::ReadArrival)
-                } else {
-                    (&mut writes, Ev::WriteArrival)
-                };
-                if let Some(t) = gen.next_arrival(&mut rng) {
-                    if t < end {
-                        queue.push(t, next_ev);
-                    }
-                }
-                let req = IoRequest {
-                    op: if is_read { IoOp::Read } else { IoOp::Write },
-                    lba: rng.gen_u64() % 1_000_000,
-                    len: 4096,
-                    tenant: if is_read { 0 } else { 1 },
-                    issued: now,
-                };
-                let decision = if cfg.with_policy {
-                    policy.schedule(&req)
-                } else {
-                    Decision::Executor((req.lba % cfg.device.channels as u64) as u32)
-                };
-                let default = (req.lba % cfg.device.channels as u64) as u32;
-                if let Some(q) = queues.submit(decision, default) {
-                    let done = device.submit(&req, now);
-                    queue.push(done, Ev::Complete { queue: q, req });
-                }
-            }
-            Ev::Complete { queue: q, req } => {
-                queues.complete(q);
-                match req.op {
-                    IoOp::Read => {
-                        if now >= warmup_end {
-                            recorder.record(req.issued, now);
-                        }
-                        reads_done += 1;
-                    }
-                    IoOp::Write => writes_done += 1,
-                }
+            if now < reads.end() {
+                q.push(now + cfg.epoch, Ev::Epoch);
             }
         }
-    }
+        Ev::ReadArrival | Ev::WriteArrival => {
+            let is_read = matches!(ev, Ev::ReadArrival);
+            let load = if is_read { &mut reads } else { &mut writes };
+            load.schedule_next(&mut rng, q, ev);
+            let req = IoRequest {
+                op: if is_read { IoOp::Read } else { IoOp::Write },
+                lba: rng.gen_u64() % 1_000_000,
+                len: 4096,
+                tenant: if is_read { 0 } else { 1 },
+                issued: now,
+            };
+            let default = (req.lba % cfg.device.channels as u64) as u32;
+            let decision = if cfg.with_policy {
+                policy.schedule(&req)
+            } else {
+                Decision::Executor(default)
+            };
+            if let Some(queue) = queues.submit(decision, default) {
+                let done = device.submit(&req, now);
+                q.push(done, Ev::Complete { queue, req });
+            }
+        }
+        Ev::Complete { queue, req } => {
+            queues.complete(queue);
+            match req.op {
+                IoOp::Read => {
+                    // The recorder drops completions inside the warm-up.
+                    recorder.record(req.issued, now);
+                    reads_done += 1;
+                }
+                IoOp::Write => writes_done += 1,
+            }
+        }
+    });
 
     StorageResult {
         read_latency: recorder.summary(),

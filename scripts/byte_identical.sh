@@ -9,7 +9,10 @@
 #
 # The set is what a behaviour-preserving PR promises not to move:
 #   * table2 on both backends (CSV and stdout);
-#   * every CSV fig2, fig6, fig7 and sched_tail write at SYRUP_SCALE=0.05;
+#   * every CSV the world-backed harnesses write at SYRUP_SCALE=0.05: fig2,
+#     fig6, fig7, sched_tail (server_world), fig8 (mt_world), fig9 (mica),
+#     ext_late_binding, ext_rfs, ext_storage and ablate_sockbuf - one
+#     binary at least per simulation world (`table3` stays out: wall-clock);
 #   * every deterministic syrupctl subcommand - stdout, stderr and exit
 #     code in one file per invocation: the quickstart reports (prog list,
 #     prog stats, queue list, map dump, map get, metrics in its four
@@ -39,7 +42,8 @@ other="$(cd "$1" && pwd)"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-bins=(table2 fig2 fig6 fig7 sched_tail syrupctl)
+figs=(fig2 fig6 fig7 sched_tail fig8 fig9 ext_late_binding ext_rfs ext_storage ablate_sockbuf)
+bins=(table2 "${figs[@]}" syrupctl)
 
 # produce <checkout> <side>: leaves the output set in $work/<side>/out.
 produce() {
@@ -55,7 +59,7 @@ produce() {
                 >"$side/out/table2.$backend.stdout"
         done
         export SYRUP_SCALE=0.05
-        for fig in fig2 fig6 fig7 sched_tail; do "$side/bin/$fig" >/dev/null; done
+        for fig in "${figs[@]}"; do "$side/bin/$fig" >/dev/null; done
         cp results/*.csv "$side/out/"
 
         row() { # row <name> <args...>: stdout, stderr and exit code, one file

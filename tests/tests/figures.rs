@@ -135,3 +135,89 @@ fn fig9_capacity_ordering() {
         assert!(hw.latency.p999() < sw.latency.p999());
     }
 }
+
+/// `(completed, dropped, p50 ns, p99 ns)` of one small fixed-seed run per
+/// mode of the four worlds no determinism suite covers. The values were
+/// taken at the commit before the worlds moved onto `sim::drive`; a
+/// change to any world's RNG draw order or event order moves them.
+#[test]
+fn small_worlds_reproduce_their_pinned_outcomes() {
+    use syrup::apps::late_world::{self, Binding, LateConfig};
+    use syrup::apps::rfs_world::{self, RfsConfig, Steering};
+    use syrup::sim::LatencySummary;
+    use syrup::storage::world::{self as storage, StorageConfig};
+
+    let row = |completed: u64, dropped: u64, l: &LatencySummary| {
+        (completed, dropped, l.p50().as_nanos(), l.p99().as_nanos())
+    };
+    let mica = |mode| {
+        let mut cfg = MicaConfig::fig9(mode, 0.5, 2_400_000.0, 3);
+        cfg.queue_capacity = 256;
+        cfg.warmup = Duration::from_millis(2);
+        cfg.measure = Duration::from_millis(10);
+        let r = mica::run(&cfg);
+        row(r.completed, r.dropped, &r.latency)
+    };
+    let rfs = |steering| {
+        let mut cfg = RfsConfig::netperf(steering, 600_000.0, 5);
+        cfg.warmup = Duration::from_millis(2);
+        cfg.measure = Duration::from_millis(20);
+        let r = rfs_world::run(&cfg);
+        row(r.completed, 0, &r.latency)
+    };
+    let late = |binding| {
+        let mut cfg = LateConfig::fig6_style(binding, 450_000.0, 9);
+        cfg.capacity = 64;
+        cfg.warmup = Duration::from_millis(2);
+        cfg.measure = Duration::from_millis(30);
+        let r = late_world::run(&cfg);
+        row(r.completed, r.dropped, &r.latency)
+    };
+    let store = |with_policy| {
+        let r = storage::run(&StorageConfig {
+            with_policy,
+            measure: Duration::from_millis(20),
+            seed: 2,
+            ..StorageConfig::default()
+        });
+        row(
+            r.reads_done + r.writes_done,
+            r.writes_rejected,
+            &r.read_latency,
+        )
+    };
+    let table = [
+        (
+            "mica sw-redirect",
+            mica(MicaMode::SwRedirect),
+            (18651, 5341, 1049596, 1087993),
+        ),
+        (
+            "mica syrup-sw",
+            mica(MicaMode::SyrupSw),
+            (23992, 0, 11008, 42351),
+        ),
+        (
+            "mica syrup-hw",
+            mica(MicaMode::SyrupHw),
+            (23992, 0, 6573, 21873),
+        ),
+        ("rfs hash", rfs(Steering::Hash), (9434, 0, 1811054, 6744194)),
+        ("rfs rfs", rfs(Steering::Rfs), (11990, 0, 3900, 12757)),
+        (
+            "late early",
+            late(Binding::Early),
+            (11393, 2085, 773821, 2151624),
+        ),
+        (
+            "late late",
+            late(Binding::Late),
+            (11476, 2002, 157246, 293921),
+        ),
+        ("storage open", store(false), (1687, 0, 4431612, 8889936)),
+        ("storage token", store(true), (1277, 410, 88000, 646000)),
+    ];
+    for (name, got, want) in table {
+        assert_eq!(got, want, "{name}");
+    }
+}
