@@ -1,42 +1,38 @@
-//! Criterion benchmarks for Map operations (Table 3's measured half).
+//! Microbenchmarks for Map operations (Table 3's measured half).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use bench::{Limit, Site};
 use syrup::core::{MapDef, MapRegistry};
 
-fn bench_map_ops(c: &mut Criterion) {
+fn main() -> ExitCode {
     let registry = MapRegistry::new();
     let map = registry
         .get(registry.create(MapDef::u64_array(1_000_000)))
         .unwrap();
+    let (mut i, mut j) = (0u32, 0u32);
+    let mut get = || {
+        i = i.wrapping_add(1);
+        map.lookup_u64(i % 1_000_000).unwrap()
+    };
+    let mut update = || {
+        j = j.wrapping_add(1);
+        map.update_u64(j % 1_000_000, u64::from(j)).unwrap();
+    };
 
-    let mut group = c.benchmark_group("map_host");
-    let m = map.clone();
-    let mut i = 0u32;
-    group.bench_function("get", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            black_box(m.lookup_u64(i % 1_000_000).unwrap())
-        })
-    });
-    let m = map.clone();
-    let mut j = 0u32;
-    group.bench_function("update", |b| {
-        b.iter(|| {
-            j = j.wrapping_add(1);
-            m.update_u64(j % 1_000_000, u64::from(j)).unwrap();
-            black_box(())
-        })
-    });
-    let m = map.clone();
-    let slot = m.slot_for_key(&0u32.to_le_bytes()).unwrap().unwrap();
-    group.bench_function("atomic_fetch_add", |b| {
-        b.iter(|| black_box(m.fetch_add_value(slot, 0, 8, 1).unwrap()))
-    });
-    group.finish();
+    let mut sites = vec![
+        Site::new("map_host/get", Limit::Report, &mut get),
+        Site::new("map_host/update", Limit::Report, &mut update),
+    ];
+    let slot = map.slot_for_key(&0u32.to_le_bytes()).unwrap().unwrap();
+    sites.push(Site::new(
+        "map_host/atomic_fetch_add",
+        Limit::Report,
+        || map.fetch_add_value(slot, 0, 8, 1).unwrap(),
+    ));
 
     // Contended: a second thread issues a mixed workload throughout.
     let stop = Arc::new(AtomicBool::new(false));
@@ -52,25 +48,12 @@ fn bench_map_ops(c: &mut Criterion) {
             }
         })
     };
-    let mut group = c.benchmark_group("map_host_contended");
-    let m = map.clone();
-    let mut i = 0u32;
-    group.bench_function("get", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            black_box(m.lookup_u64(i % 1_000_000).unwrap())
-        })
-    });
-    let m = map.clone();
-    let mut j = 0u32;
-    group.bench_function("update", |b| {
-        b.iter(|| {
-            j = j.wrapping_add(1);
-            m.update_u64(j % 1_000_000, u64::from(j)).unwrap();
-            black_box(())
-        })
-    });
-    group.finish();
+    sites.push(Site::new("map_host_contended/get", Limit::Report, &mut get));
+    sites.push(Site::new(
+        "map_host_contended/update",
+        Limit::Report,
+        &mut update,
+    ));
     stop.store(true, Ordering::Relaxed);
     contender.join().unwrap();
 
@@ -81,16 +64,10 @@ fn bench_map_ops(c: &mut Criterion) {
     for k in 0..50_000u32 {
         hash.update_u64(k, u64::from(k)).unwrap();
     }
-    let mut group = c.benchmark_group("map_hash");
     let mut i = 0u32;
-    group.bench_function("get_hit", |b| {
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            black_box(hash.lookup_u64(i % 50_000).unwrap())
-        })
-    });
-    group.finish();
+    sites.push(Site::new("map_hash/get_hit", Limit::Report, || {
+        i = i.wrapping_add(1);
+        hash.lookup_u64(black_box(i % 50_000)).unwrap()
+    }));
+    bench::gate("maps", &sites)
 }
-
-criterion_group!(benches, bench_map_ops);
-criterion_main!(benches);

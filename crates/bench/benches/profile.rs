@@ -8,15 +8,16 @@
 //! variants are measured alongside so regressions in either direction
 //! show up.
 //!
-//! After the criterion-style report the target *gates*, best-of-N
-//! `Instant` timing as in `benches/blackbox.rs`: every disabled site at
-//! or under [`DISABLED_GATE_NS`] per call, and one enabled 16-instruction
-//! run (open, 16 samples, flush) at or under [`ENABLED_RUN_GATE_NS`] —
-//! the known cost when on. Over either budget the process exits nonzero.
-//! The gates only bite in release builds and are skipped in `cargo test`
-//! smoke mode (`--test`).
+//! Gated (see [`bench::gate()`]: release builds only, exit nonzero over
+//! budget, skipped in `cargo test` smoke mode): every disabled site at
+//! [`DISABLED_GATE_NS`] per call, and one enabled 16-instruction run
+//! (open, 16 samples, flush) at [`ENABLED_RUN_GATE_NS`] — the known cost
+//! when on.
 
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
+use std::process::ExitCode;
+
+use bench::{Limit, Site};
 use syrup::profile::{Profiler, ThreadState};
 
 /// The disabled-site budget, in nanoseconds per call.
@@ -28,7 +29,7 @@ const DISABLED_GATE_NS: f64 = 5.0;
 const ENABLED_RUN_GATE_NS: f64 = 1_000.0;
 
 /// The per-run shape: one `vm_enter`, a burst of `insn` calls, flush on
-/// drop.
+/// drop. Amortized per-insn cost is what the VM loop pays.
 fn run_16_insns(profiler: &Profiler) {
     let mut span = black_box(profiler).vm_enter("bench", 25);
     for pc in 0..16usize {
@@ -36,42 +37,38 @@ fn run_16_insns(profiler: &Profiler) {
     }
 }
 
-fn bench_vm_attribution(c: &mut Criterion) {
+fn main() -> ExitCode {
     let on = Profiler::new();
     on.register_program("bench", vec!["mov r0, 0".into(); 32]);
     let off = Profiler::disabled();
-
-    let mut g = c.benchmark_group("profile_vm");
-    // Amortized per-insn cost is what the VM loop pays.
-    g.bench_function("run_16_insns_enabled", |b| b.iter(|| run_16_insns(&on)));
-    g.bench_function("run_16_insns_disabled", |b| b.iter(|| run_16_insns(&off)));
-    // The single-site cost in isolation: one insn() on a live span.
-    g.bench_function("insn_disabled", |b| {
-        let mut span = off.vm_enter("bench", 25);
-        b.iter(|| span.insn(black_box(3), black_box(1)));
-    });
-    g.finish();
-}
-
-fn bench_queue_and_thread_samples(c: &mut Criterion) {
-    let on = Profiler::new();
-    let off = Profiler::disabled();
     let depths = [3usize, 1, 4, 1];
-
-    let mut g = c.benchmark_group("profile_pressure");
-    g.bench_function("queue_depths_enabled", |b| {
-        let mut now = 0u64;
-        b.iter(|| {
+    let mut idle = off.vm_enter("bench", 25);
+    let mut now = 0u64;
+    let disabled = Limit::MaxNs(DISABLED_GATE_NS);
+    let sites = [
+        Site::new(
+            "run_16_insns_enabled",
+            Limit::MaxNs(ENABLED_RUN_GATE_NS),
+            || run_16_insns(&on),
+        ),
+        Site::new("run_16_insns_disabled", Limit::Report, || {
+            run_16_insns(&off)
+        }),
+        Site::new("vm_enter_drop_disabled", disabled, || {
+            drop(black_box(&off).vm_enter("bench", 25))
+        }),
+        // The single-site cost in isolation: one insn() on a live span.
+        Site::new("insn_disabled", disabled, || {
+            idle.insn(black_box(3), black_box(1))
+        }),
+        Site::new("queue_depths_enabled", Limit::Report, || {
             now += 1;
             black_box(&on).queue_depths("nic", now, black_box(&depths));
-        })
-    });
-    g.bench_function("queue_depths_disabled", |b| {
-        b.iter(|| black_box(&off).queue_depths("nic", 1, black_box(&depths)))
-    });
-    g.bench_function("thread_state_enabled", |b| {
-        let mut now = 0u64;
-        b.iter(|| {
+        }),
+        Site::new("queue_depths_disabled", disabled, || {
+            black_box(&off).queue_depths("nic", 1, black_box(&depths))
+        }),
+        Site::new("thread_state_enabled", Limit::Report, || {
             now += 1;
             let state = if now.is_multiple_of(2) {
                 ThreadState::Running
@@ -79,81 +76,13 @@ fn bench_queue_and_thread_samples(c: &mut Criterion) {
                 ThreadState::Runnable
             };
             black_box(&on).thread_state(1, state, now);
-        })
-    });
-    g.bench_function("thread_state_disabled", |b| {
-        b.iter(|| black_box(&off).thread_state(1, ThreadState::Runnable, black_box(7)))
-    });
-    g.finish();
-}
-
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let mut criterion = Criterion::default();
-    bench_vm_attribution(&mut criterion);
-    bench_queue_and_thread_samples(&mut criterion);
-    if smoke {
-        println!("smoke mode — skipping the profiler cost gates");
-        return;
-    }
-
-    let on = Profiler::new();
-    let off = Profiler::disabled();
-    let depths = [3usize, 1, 4, 1];
-    let mut idle = off.vm_enter("bench", 25);
-    let disabled: [(&str, f64); 5] = [
-        (
-            "vm_enter + drop",
-            bench::best_of(8, 4_000_000, || drop(black_box(&off).vm_enter("bench", 25))),
-        ),
-        (
-            "insn",
-            bench::best_of(8, 4_000_000, || idle.insn(black_box(3), black_box(1))),
-        ),
-        (
-            "queue_depths",
-            bench::best_of(8, 4_000_000, || {
-                black_box(&off).queue_depths("nic", 1, black_box(&depths));
-            }),
-        ),
-        (
-            "thread_state",
-            bench::best_of(8, 4_000_000, || {
-                black_box(&off).thread_state(1, ThreadState::Runnable, black_box(7));
-            }),
-        ),
-        (
-            "sched_latency",
-            bench::best_of(8, 4_000_000, || black_box(&off).sched_latency(black_box(7))),
-        ),
+        }),
+        Site::new("thread_state_disabled", disabled, || {
+            black_box(&off).thread_state(1, ThreadState::Runnable, black_box(7))
+        }),
+        Site::new("sched_latency_disabled", disabled, || {
+            black_box(&off).sched_latency(black_box(7))
+        }),
     ];
-    let enabled_run = bench::best_of(8, 200_000, || run_16_insns(&on));
-
-    let mut worst = 0.0f64;
-    println!("\ndisabled-site gate (budget {DISABLED_GATE_NS} ns per call):");
-    for (name, ns) in disabled {
-        println!("  {name:<18} {ns:>6.2} ns");
-        worst = worst.max(ns);
-    }
-    println!("enabled-run gate (budget {ENABLED_RUN_GATE_NS} ns per 16-insn run):");
-    println!("  {:<18} {enabled_run:>6.1} ns", "run_16_insns");
-    if cfg!(debug_assertions) {
-        println!("debug build — reporting only, not gating");
-        return;
-    }
-    if worst > DISABLED_GATE_NS {
-        eprintln!(
-            "profile: disabled sample sites cost {worst:.2} ns, budget is {DISABLED_GATE_NS} ns"
-        );
-        std::process::exit(1);
-    }
-    if enabled_run > ENABLED_RUN_GATE_NS {
-        eprintln!(
-            "profile: an enabled 16-insn run costs {enabled_run:.0} ns, budget is {ENABLED_RUN_GATE_NS} ns"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "profiler cost gates OK: disabled worst {worst:.2} ns, enabled run {enabled_run:.0} ns"
-    );
+    bench::gate("profile", &sites)
 }

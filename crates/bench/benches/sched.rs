@@ -5,86 +5,77 @@
 //! * A FIFO-backed `ExecQueue`/`SocketBuf` must cost what the plain
 //!   `VecDeque` it replaced cost — the rank machinery is one enum match
 //!   on the non-ranked path, and its telemetry handles are disabled
-//!   single-branch `Option`s. Compare `fifo_execqueue` against
-//!   `fifo_vecdeque_baseline`.
+//!   single-branch `Option`s. `fifo_execqueue` is gated at
+//!   [`FIFO_TOLERANCE`]× `fifo_vecdeque_baseline` (see [`bench::gate()`]:
+//!   release builds only, exit nonzero over the limit).
 //! * Ranked disciplines pay for their ordering: exact PIFO is
 //!   `O(log n)` per op, the Eiffel bucket queue `O(1)` push with an FFS
 //!   scan pop. The gap between them is the price of exactness.
 
 use std::collections::VecDeque;
+use std::hint::black_box;
+use std::process::ExitCode;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use bench::{Limit, Site};
 use syrup::sched::{BucketQueue, ExecQueue, Pifo, QueueKind};
 
 /// Steady-state push+pop at a fixed occupancy, the socket-buffer pattern.
 const WARM_DEPTH: usize = 64;
 
-fn bench_fifo_guard(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fifo_guard");
+/// How many times the `VecDeque` push+pop a FIFO `ExecQueue` may cost.
+/// Ten release runs on the shared 2-vCPU guest this was set on read
+/// 1.15–1.51× (2.7–3.0 ns against 3.3–4.3 ns: at three nanoseconds a
+/// neighbour's cache miss is a tenth of the reading), so the limit sits
+/// above that spread; real work on the FIFO path — an enabled telemetry
+/// handle alone is +8 ns — reads 3× and more.
+const FIFO_TOLERANCE: f64 = 2.0;
 
+fn main() -> ExitCode {
     let mut vd: VecDeque<u64> = (0..WARM_DEPTH as u64).collect();
-    g.bench_function("fifo_vecdeque_baseline", |b| {
-        b.iter(|| {
-            vd.push_back(black_box(1));
-            black_box(vd.pop_front())
-        })
-    });
-
-    let mut q: ExecQueue<u64> = ExecQueue::new(QueueKind::Fifo);
+    let mut fifo: ExecQueue<u64> = ExecQueue::new(QueueKind::Fifo);
     for i in 0..WARM_DEPTH as u64 {
-        q.push(i, 0);
+        fifo.push(i, 0);
     }
-    g.bench_function("fifo_execqueue", |b| {
-        b.iter(|| {
-            q.push(black_box(1), black_box(0));
-            black_box(q.pop())
-        })
-    });
-    g.finish();
-}
 
-fn bench_ranked(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ranked");
     let mut rank = 0u64;
     let mut next_rank = move || {
         rank = rank.wrapping_mul(6364136223846793005).wrapping_add(1);
         ((rank >> 33) % 4096) as u32
     };
-
     let mut pifo: Pifo<u64> = Pifo::unbounded();
+    let mut bucket: BucketQueue<u64> = BucketQueue::unbounded(64, 64);
+    let mut ranked: ExecQueue<u64> = ExecQueue::new(QueueKind::Pifo);
     for i in 0..WARM_DEPTH as u64 {
         pifo.push(i, next_rank());
-    }
-    g.bench_function("pifo_push_pop", |b| {
-        b.iter(|| {
-            pifo.push(black_box(1), next_rank());
-            black_box(pifo.pop())
-        })
-    });
-
-    let mut bucket: BucketQueue<u64> = BucketQueue::unbounded(64, 64);
-    for i in 0..WARM_DEPTH as u64 {
         bucket.push(i, next_rank());
+        ranked.push(i, next_rank());
     }
-    g.bench_function("bucket_push_pop", |b| {
-        b.iter(|| {
+
+    let guard = Limit::Ratio {
+        of: "fifo_vecdeque_baseline",
+        factor: FIFO_TOLERANCE,
+    };
+    let sites = [
+        Site::new("fifo_vecdeque_baseline", Limit::Report, || {
+            vd.push_back(black_box(1));
+            vd.pop_front()
+        }),
+        Site::new("fifo_execqueue", guard, || {
+            fifo.push(black_box(1), black_box(0));
+            fifo.pop()
+        }),
+        Site::new("pifo_push_pop", Limit::Report, || {
+            pifo.push(black_box(1), next_rank());
+            pifo.pop()
+        }),
+        Site::new("bucket_push_pop", Limit::Report, || {
             bucket.push(black_box(1), next_rank());
-            black_box(bucket.pop())
-        })
-    });
-
-    let mut q: ExecQueue<u64> = ExecQueue::new(QueueKind::Pifo);
-    for i in 0..WARM_DEPTH as u64 {
-        q.push(i, next_rank());
-    }
-    g.bench_function("pifo_execqueue", |b| {
-        b.iter(|| {
-            q.push(black_box(1), next_rank());
-            black_box(q.pop())
-        })
-    });
-    g.finish();
+            bucket.pop()
+        }),
+        Site::new("pifo_execqueue", Limit::Report, || {
+            ranked.push(black_box(1), next_rank());
+            ranked.pop()
+        }),
+    ];
+    bench::gate("sched", &sites)
 }
-
-criterion_group!(benches, bench_fifo_guard, bench_ranked);
-criterion_main!(benches);

@@ -5,44 +5,19 @@
 //! a single `Option` branch (sub-nanosecond), and an enabled increment is
 //! one relaxed atomic RMW (single-digit nanoseconds uncontended) — cheap
 //! enough to leave in `syrupd::schedule` and `Vm::run` unconditionally.
+//! Every disabled site is gated at [`GATE_NS`] per call (see
+//! [`bench::gate()`]: release builds only, exit nonzero over budget).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
+use std::process::ExitCode;
+
+use bench::{Limit, Site};
 use syrup::telemetry::{DecisionEvent, Executor, Registry};
 
-fn bench_counters(c: &mut Criterion) {
-    let enabled = Registry::new();
-    let on = enabled.counter("bench/counter");
-    let off = Registry::disabled().counter("bench/counter");
+/// The disabled-site budget, in nanoseconds per call.
+const GATE_NS: f64 = 5.0;
 
-    let mut g = c.benchmark_group("counter");
-    g.bench_function("inc_enabled", |b| b.iter(|| black_box(&on).inc()));
-    g.bench_function("inc_disabled", |b| b.iter(|| black_box(&off).inc()));
-    g.finish();
-}
-
-fn bench_histograms(c: &mut Criterion) {
-    let enabled = Registry::new();
-    let on = enabled.histogram("bench/hist");
-    let off = Registry::disabled().histogram("bench/hist");
-
-    let mut g = c.benchmark_group("histogram");
-    let mut v = 0u64;
-    g.bench_function("record_enabled", |b| {
-        b.iter(|| {
-            v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-            black_box(&on).record(v >> 32);
-        })
-    });
-    g.bench_function("record_disabled", |b| {
-        b.iter(|| {
-            v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
-            black_box(&off).record(v >> 32);
-        })
-    });
-    g.finish();
-}
-
-fn bench_trace(c: &mut Criterion) {
+fn main() -> ExitCode {
     // Ring kept large enough that pushes stay on the non-drop path.
     let enabled = Registry::with_ring_capacity(1 << 20);
     let disabled = Registry::disabled();
@@ -54,16 +29,24 @@ fn bench_trace(c: &mut Criterion) {
         executor: Executor::Ebpf,
         cycles: 1500,
     };
-
-    let mut g = c.benchmark_group("trace");
-    g.bench_function("push_enabled", |b| {
-        b.iter(|| black_box(&enabled).trace(black_box(event)))
-    });
-    g.bench_function("push_disabled", |b| {
-        b.iter(|| black_box(&disabled).trace(black_box(event)))
-    });
-    g.finish();
+    let mut v = 0u64;
+    let mut sites = Vec::new();
+    for (side, registry, limit) in [
+        ("enabled", &enabled, Limit::Report),
+        ("disabled", &disabled, Limit::MaxNs(GATE_NS)),
+    ] {
+        let counter = registry.counter("bench/counter");
+        let hist = registry.histogram("bench/hist");
+        sites.push(Site::new(format!("counter/inc_{side}"), limit, || {
+            black_box(&counter).inc()
+        }));
+        sites.push(Site::new(format!("histogram/record_{side}"), limit, || {
+            v = v.wrapping_mul(6364136223846793005).wrapping_add(1);
+            black_box(&hist).record(v >> 32);
+        }));
+        sites.push(Site::new(format!("trace/push_{side}"), limit, || {
+            black_box(registry).trace(black_box(event))
+        }));
+    }
+    bench::gate("telemetry", &sites)
 }
-
-criterion_group!(benches, bench_counters, bench_histograms, bench_trace);
-criterion_main!(benches);

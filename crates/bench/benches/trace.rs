@@ -3,82 +3,68 @@
 //! The contract every instrumented substrate relies on (ISSUE acceptance
 //! criterion): with a [`Tracer::disabled`] tracer — or an unsampled
 //! input, which is the common case at any realistic sampling rate — each
-//! span site must collapse to a single branch on a `Copy` value, ≤5ns.
+//! span site must collapse to a single branch on a `Copy` value: every
+//! `disabled/*` and `unsampled/*` site is gated at [`GATE_NS`] per call
+//! (see [`bench::gate()`]: release builds only, exit nonzero over budget).
 //! The enabled+sampled path takes a lock and pushes a record; it is
 //! measured here for contrast, not bound.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
+use std::process::ExitCode;
+
+use bench::{Limit, Site};
 use syrup::trace::{Stage, TraceConfig, TraceCtx, Tracer};
 
-fn bench_span_sites_disabled(c: &mut Criterion) {
-    let tracer = Tracer::disabled();
-    let ctx = tracer.ingress(0);
-    assert!(!ctx.is_traced());
+/// The disabled- and unsampled-site budget, in nanoseconds per call.
+const GATE_NS: f64 = 5.0;
 
-    let mut g = c.benchmark_group("trace_disabled");
-    g.bench_function("ingress", |b| {
-        b.iter(|| black_box(&tracer).ingress(black_box(7)))
-    });
-    g.bench_function("span", |b| {
-        b.iter(|| black_box(&tracer).span(black_box(ctx), Stage::SockQueue, 10, 20))
-    });
-    g.bench_function("policy_span", |b| {
-        b.iter(|| black_box(&tracer).policy_span(black_box(ctx), Stage::XdpDrv, 10, 20, 3, 150))
-    });
-    g.bench_function("instant", |b| {
-        b.iter(|| black_box(&tracer).instant(black_box(ctx), Stage::GhostPreempt, 10, 2))
-    });
-    g.bench_function("finish", |b| {
-        b.iter(|| black_box(&tracer).finish(black_box(ctx), black_box(30)))
-    });
-    g.finish();
-}
+fn main() -> ExitCode {
+    let budget = Limit::MaxNs(GATE_NS);
+    let mut sites = Vec::new();
 
-fn bench_span_sites_unsampled(c: &mut Criterion) {
+    let off = Tracer::disabled();
     // Tracing on, but this particular input was not sampled — the common
     // case at any realistic sampling rate. Must cost the same single
     // branch as the disabled tracer.
-    let tracer = Tracer::with_config(TraceConfig {
+    let unsampled = Tracer::with_config(TraceConfig {
         sample_every: u64::MAX,
         capacity: 1 << 10,
     });
-    let ctx = TraceCtx::none();
+    let off_ctx = off.ingress(0);
+    assert!(!off_ctx.is_traced());
+    for (side, tracer, ctx) in [
+        ("disabled", &off, off_ctx),
+        ("unsampled", &unsampled, TraceCtx::none()),
+    ] {
+        sites.push(Site::new(format!("{side}/span"), budget, || {
+            black_box(tracer).span(black_box(ctx), Stage::SockQueue, 10, 20)
+        }));
+        sites.push(Site::new(format!("{side}/policy_span"), budget, || {
+            black_box(tracer).policy_span(black_box(ctx), Stage::XdpDrv, 10, 20, 3, 150)
+        }));
+    }
+    sites.push(Site::new("disabled/ingress", budget, || {
+        black_box(&off).ingress(black_box(7))
+    }));
+    sites.push(Site::new("disabled/instant", budget, || {
+        black_box(&off).instant(black_box(off_ctx), Stage::GhostPreempt, 10, 2)
+    }));
+    sites.push(Site::new("disabled/finish", budget, || {
+        black_box(&off).finish(black_box(off_ctx), black_box(30))
+    }));
 
-    let mut g = c.benchmark_group("trace_unsampled");
-    g.bench_function("span", |b| {
-        b.iter(|| black_box(&tracer).span(black_box(ctx), Stage::SockQueue, 10, 20))
-    });
-    g.bench_function("policy_span", |b| {
-        b.iter(|| black_box(&tracer).policy_span(black_box(ctx), Stage::XdpDrv, 10, 20, 3, 150))
-    });
-    g.finish();
-}
-
-fn bench_span_sites_enabled(c: &mut Criterion) {
     // The paid path: sampled input, record pushed under a mutex. Drain
     // periodically so pushes stay on the non-drop path.
-    let tracer = Tracer::new();
-    let ctx = tracer.ingress(0);
-    assert!(ctx.is_traced());
-
-    let mut g = c.benchmark_group("trace_enabled");
+    let on = Tracer::new();
+    let on_ctx = on.ingress(0);
+    assert!(on_ctx.is_traced());
     let mut n = 0u32;
-    g.bench_function("span", |b| {
-        b.iter(|| {
-            black_box(&tracer).span(black_box(ctx), Stage::SockQueue, 10, 20);
-            n += 1;
-            if n & 0xFFF == 0 {
-                tracer.drain();
-            }
-        })
-    });
-    g.finish();
+    sites.push(Site::new("enabled/span", Limit::Report, || {
+        black_box(&on).span(black_box(on_ctx), Stage::SockQueue, 10, 20);
+        n += 1;
+        if n & 0xFFF == 0 {
+            on.drain();
+        }
+    }));
+    bench::gate("trace", &sites)
 }
-
-criterion_group!(
-    benches,
-    bench_span_sites_disabled,
-    bench_span_sites_unsampled,
-    bench_span_sites_enabled
-);
-criterion_main!(benches);

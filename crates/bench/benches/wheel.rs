@@ -6,8 +6,8 @@
 //! replacement a workload-shaped delay ahead — the access pattern of the
 //! closed-loop scale world, where the pending population is constant.
 //!
-//! After the criterion-style report the target *gates* (release builds
-//! only, skipped under `cargo test` smoke mode):
+//! Gated (see [`bench::gate()`]: release builds only, skipped under
+//! `cargo test` smoke mode):
 //!
 //! * at N = 10⁴ the wheel must not be slower than the heap by more than
 //!   [`SMALL_N_TOLERANCE`] — the wheel may not regress small runs;
@@ -17,7 +17,10 @@
 //! Violations exit nonzero so CI catches a perf regression in either
 //! direction.
 
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
+use std::process::ExitCode;
+
+use bench::{Limit, Site};
 use syrup::sim::{Duration, EventQueue, HeapQueue, SimQueue};
 
 /// At 10⁴ pending the wheel may cost at most this multiple of the heap.
@@ -70,72 +73,27 @@ fn churn<Q: SimQueue<u64>>(q: &mut Q, rng: &mut Xs) {
     q.push(at, black_box(id));
 }
 
-fn bench_churn(c: &mut Criterion) {
-    let mut g = c.benchmark_group("wheel");
-    for &n in &[10_000u64, 1_000_000] {
-        let mut wheel: EventQueue<u64> = prefill(n);
-        let mut rng = Xs(7);
-        g.bench_function(&format!("wheel_churn_{n}"), |b| {
-            b.iter(|| churn(&mut wheel, &mut rng))
-        });
-        let mut heap: HeapQueue<u64> = prefill(n);
-        let mut rng = Xs(7);
-        g.bench_function(&format!("heap_churn_{n}"), |b| {
-            b.iter(|| churn(&mut heap, &mut rng))
-        });
-    }
-    g.finish();
-}
-
-/// Best-of churn cost per op for queue `Q` at `n` pending events.
-fn churn_cost<Q: SimQueue<u64>>(n: u64, rounds: u32, batch: u32) -> f64 {
+/// Times hold-and-churn on queue `Q` at `n` pending events.
+fn churn_site<Q: SimQueue<u64>>(name: &str, n: u64, limit: Limit) -> Site {
     let mut q: Q = prefill(n);
     let mut rng = Xs(7);
-    bench::best_of(rounds, batch, || churn(&mut q, &mut rng))
+    Site::new(name, limit, || churn(&mut q, &mut rng))
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let mut criterion = Criterion::default();
-    bench_churn(&mut criterion);
-    if smoke {
-        println!("smoke mode — skipping the engine gate");
-        return;
-    }
-
-    let small_wheel = churn_cost::<EventQueue<u64>>(10_000, 8, 2_000_000);
-    let small_heap = churn_cost::<HeapQueue<u64>>(10_000, 8, 2_000_000);
-    let big_wheel = churn_cost::<EventQueue<u64>>(1_000_000, 6, 2_000_000);
-    let big_heap = churn_cost::<HeapQueue<u64>>(1_000_000, 6, 2_000_000);
-
-    println!("\nengine gate (hold-and-churn, ns per pop+push):");
-    println!("  n=10^4  wheel {small_wheel:>7.1}   heap {small_heap:>7.1}");
-    println!("  n=10^6  wheel {big_wheel:>7.1}   heap {big_heap:>7.1}");
-    if cfg!(debug_assertions) {
-        println!("debug build — reporting only, not gating");
-        return;
-    }
-    let mut failed = false;
-    if small_wheel > small_heap * SMALL_N_TOLERANCE {
-        eprintln!(
-            "wheel: {small_wheel:.1} ns at 10^4 pending exceeds heap ({small_heap:.1} ns) \
-             by more than {SMALL_N_TOLERANCE}x"
-        );
-        failed = true;
-    }
-    if big_heap < big_wheel * BIG_N_FACTOR {
-        eprintln!(
-            "wheel: heap at 10^6 pending ({big_heap:.1} ns) is not {BIG_N_FACTOR}x the wheel \
-             ({big_wheel:.1} ns) — the engine swap lost its justification"
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "engine gate OK: 10^4 ratio {:.2}, 10^6 ratio {:.2}",
-        small_wheel / small_heap,
-        big_heap / big_wheel
-    );
+fn main() -> ExitCode {
+    let small = Limit::Ratio {
+        of: "heap_churn_10000",
+        factor: SMALL_N_TOLERANCE,
+    };
+    let big = Limit::Ratio {
+        of: "heap_churn_1000000",
+        factor: 1.0 / BIG_N_FACTOR,
+    };
+    let sites = [
+        churn_site::<HeapQueue<u64>>("heap_churn_10000", 10_000, Limit::Report),
+        churn_site::<EventQueue<u64>>("wheel_churn_10000", 10_000, small),
+        churn_site::<HeapQueue<u64>>("heap_churn_1000000", 1_000_000, Limit::Report),
+        churn_site::<EventQueue<u64>>("wheel_churn_1000000", 1_000_000, big),
+    ];
+    bench::gate("wheel", &sites)
 }

@@ -1,63 +1,5 @@
-//! Ablation: socket receive-buffer capacity under hash steering.
-//!
-//! Figure 2's failure mode involves two coupled symptoms — drops (full
-//! buffers) and tail latency (deep buffers). This ablation sweeps the
-//! buffer capacity at a fixed overloaded-for-the-hottest-socket load and
-//! shows the trade the kernel's `rmem` sizing makes: small buffers drop
-//! more but bound queueing delay; big buffers turn drops into
-//! multi-millisecond tails. Round robin needs neither because it never
-//! overloads a single socket — the policy fixes what tuning cannot.
+//! `ablate_sockbuf` — the program is [`bench::figures`]' `ablate_sockbuf` entry.
 
-use bench::{emit, scaled, scaled_seeds, Series, Sweep};
-use syrup::apps::server_world::{self, ServerConfig, SocketPolicyKind};
-use syrup::sim::Duration;
-
-fn main() {
-    let capacities = [16usize, 32, 64, 128, 256, 512, 1024];
-    let load = 350_000.0;
-    let seeds = scaled_seeds(5);
-
-    let mut lat = Sweep::new(
-        format!("Ablation: socket buffer capacity at {load:.0} RPS (100% GET)"),
-        "Buffer capacity (datagrams)",
-        "99% Latency (us)",
-    );
-    let mut drops = Sweep::new(
-        "Ablation: drop rate vs buffer capacity",
-        "Buffer capacity (datagrams)",
-        "% Dropped Requests",
-    );
-
-    for (label, policy) in [
-        ("Vanilla Linux", SocketPolicyKind::Vanilla),
-        ("Round Robin", SocketPolicyKind::RoundRobin),
-    ] {
-        let mut lat_series = Series::new(label);
-        let mut drop_series = Series::new(label);
-        for &cap in &capacities {
-            let mut p99s = Vec::new();
-            let mut pct = Vec::new();
-            for seed in 0..seeds {
-                let mut cfg = ServerConfig::fig2(policy, load, seed + 1);
-                cfg.socket_capacity = cap;
-                cfg.warmup = scaled(Duration::from_millis(50));
-                cfg.measure = scaled(Duration::from_millis(250));
-                let r = server_world::run(&cfg);
-                p99s.push(r.overall.latency.p99().as_micros_f64());
-                pct.push(r.overall.drop_pct());
-            }
-            lat_series.push(cap as f64, p99s);
-            drop_series.push(cap as f64, pct);
-        }
-        lat.push_series(lat_series);
-        drops.push_series(drop_series);
-        eprintln!("finished {label}");
-    }
-
-    emit("ablate_sockbuf_latency", &lat);
-    emit("ablate_sockbuf_drops", &drops);
-    println!(
-        "\n# Buffer sizing trades drops for tail latency under hash steering;\n\
-         # the round-robin policy renders the knob irrelevant."
-    );
+fn main() -> std::process::ExitCode {
+    bench::figures::main("ablate_sockbuf")
 }

@@ -35,52 +35,12 @@
 
 use std::time::Instant;
 
+use bench::seeded_vm;
 use syrup::core::CompileOptions;
-use syrup::ebpf::maps::MapRegistry;
 use syrup::ebpf::maps::ProgSlot;
-use syrup::ebpf::verify;
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
-use syrup::net::{AppHeader, FiveTuple, Frame, RequestClass};
+use syrup::net::RequestClass;
 use syrup::policies::c_sources;
-
-fn datagram() -> Vec<u8> {
-    let flow = FiveTuple {
-        src_ip: 1,
-        dst_ip: 2,
-        src_port: 40_000,
-        dst_port: 8080,
-    };
-    Frame::build(
-        &flow,
-        &AppHeader {
-            req_type: RequestClass::Get.code(),
-            user_id: 1,
-            key_hash: 7,
-            req_id: 0,
-        },
-    )
-    .datagram()
-    .to_vec()
-}
-
-/// A compiled, verified, map-seeded world pinned to one backend.
-fn build_world(source: &str, opts: &CompileOptions, backend: Backend) -> (Vm, ProgSlot) {
-    let maps = MapRegistry::new();
-    let compiled = syrup::lang::compile(source, opts, &maps).expect("corpus policy compiles");
-    verify(&compiled.program, &maps).expect("corpus policy verifies");
-    // Seed maps so the hot path (not the miss path) is measured.
-    for id in compiled.created_maps.values() {
-        if let Some(m) = maps.get(*id) {
-            for k in 0..6u32 {
-                let _ = m.update_u64(k, 1_000_000);
-            }
-        }
-    }
-    let mut vm = Vm::new(maps);
-    vm.set_backend(backend);
-    let slot = vm.load_unverified(compiled.program);
-    (vm, slot)
-}
 
 /// Nanoseconds per invocation for one timed batch of `n` runs. The
 /// packet template is memcpy-restored into a reused buffer each run, so
@@ -99,9 +59,9 @@ fn run_batch(vm: &Vm, slot: ProgSlot, template: &[u8], buf: &mut [u8], n: u32) -
 
 /// Best-of-N interleaved per-invocation times `(interp_ns, fast_ns)`.
 fn time_pair(source: &str, opts: &CompileOptions, reps: u32) -> (f64, f64) {
-    let (interp_vm, interp_slot) = build_world(source, opts, Backend::Interp);
-    let (fast_vm, fast_slot) = build_world(source, opts, Backend::Fast);
-    let template = datagram();
+    let (interp_vm, interp_slot) = seeded_vm(source, opts, Backend::Interp);
+    let (fast_vm, fast_slot) = seeded_vm(source, opts, Backend::Fast);
+    let template = bench::datagram(RequestClass::Get);
     let mut buf = template.clone();
 
     // Warmup both engines.

@@ -1,44 +1,5 @@
-//! Extension experiment (§6.3): early vs late binding.
-//!
-//! Sweeps the Figure 6 workload over load and compares the 99% latency
-//! of the best early-binding policy (round robin) against late binding
-//! (central staging, bind at `recvmsg`). Late binding eliminates the
-//! "short request committed to a busy executor" head-of-line blocking
-//! that §6.3 identifies as early binding's cost.
+//! `ext_late_binding` — the program is [`bench::figures`]' `ext_late_binding` entry.
 
-use bench::{emit, knee_comparison, scaled, scaled_seeds, Series, Sweep};
-use syrup::apps::late_world::{self, Binding, LateConfig};
-use syrup::sim::Duration;
-
-fn main() {
-    let loads: Vec<f64> = (1..=16).map(|i| i as f64 * 25_000.0).collect();
-    let seeds = scaled_seeds(5);
-
-    let mut sweep = Sweep::new(
-        "Extension (6.3): early vs late binding, 99.5% GET / 0.5% SCAN",
-        "Load (RPS)",
-        "99% Latency (us)",
-    );
-    for (label, binding) in [
-        ("Early binding (Round Robin)", Binding::Early),
-        ("Late binding (central FCFS)", Binding::Late),
-    ] {
-        let mut series = Series::new(label);
-        for &load in &loads {
-            let mut p99s = Vec::new();
-            for seed in 0..seeds {
-                let mut cfg = LateConfig::fig6_style(binding, load, seed + 1);
-                cfg.warmup = scaled(Duration::from_millis(50));
-                cfg.measure = scaled(Duration::from_millis(300));
-                let r = late_world::run(&cfg);
-                p99s.push(r.latency.p99().as_micros_f64());
-            }
-            series.push(load, p99s);
-        }
-        sweep.push_series(series);
-        eprintln!("finished {label}");
-    }
-
-    emit("ext_late_binding", &sweep);
-    knee_comparison(&sweep, 150.0, "Early binding (Round Robin)");
+fn main() -> std::process::ExitCode {
+    bench::figures::main("ext_late_binding")
 }

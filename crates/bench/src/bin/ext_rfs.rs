@@ -1,71 +1,5 @@
-//! Motivation experiment (§2.1): RFS-style flow locality vs hash steering.
-//!
-//! "A netperf TCP_RR test that uses RFS has been shown to achieve up to
-//! 200% higher throughput than one without RFS" — the paper's argument
-//! that no single policy (not even round robin) fits every workload. The
-//! RFS-like policy is a two-line Map lookup deployed at the CPU-redirect
-//! hook; the baseline hashes flows across cores and pays a cold-cache
-//! application pass plus an inter-core handoff per request.
+//! `ext_rfs` — the program is [`bench::figures`]' `ext_rfs` entry.
 
-use bench::{emit, scaled, scaled_seeds, Series, Sweep};
-use syrup::apps::rfs_world::{self, RfsConfig, Steering};
-use syrup::sim::Duration;
-
-fn main() {
-    let loads: Vec<f64> = (1..=16).map(|i| i as f64 * 100_000.0).collect();
-    let seeds = scaled_seeds(5);
-
-    let mut tput = Sweep::new(
-        "Motivation (2.1): netperf-style goodput, 4 cores",
-        "Offered load (RPS)",
-        "Goodput (RPS)",
-    );
-    let mut lat = Sweep::new(
-        "Motivation (2.1): request p99",
-        "Offered load (RPS)",
-        "99% Latency (us)",
-    );
-
-    for (label, steering) in [
-        ("Hash steering", Steering::Hash),
-        ("RFS (Syrup)", Steering::Rfs),
-    ] {
-        let mut tput_series = Series::new(label);
-        let mut lat_series = Series::new(label);
-        for &load in &loads {
-            let mut tputs = Vec::new();
-            let mut p99s = Vec::new();
-            for seed in 0..seeds {
-                let mut cfg = RfsConfig::netperf(steering, load, seed + 1);
-                cfg.warmup = scaled(Duration::from_millis(30));
-                cfg.measure = scaled(Duration::from_millis(200));
-                let r = rfs_world::run(&cfg);
-                tputs.push(r.throughput_rps);
-                p99s.push(r.latency.p99().as_micros_f64());
-            }
-            tput_series.push(load, tputs);
-            lat_series.push(load, p99s);
-        }
-        tput.push_series(tput_series);
-        lat.push_series(lat_series);
-        eprintln!("finished {label}");
-    }
-
-    emit("ext_rfs_goodput", &tput);
-    emit("ext_rfs_latency", &lat);
-
-    let hash_max = tput.series[0]
-        .means()
-        .iter()
-        .map(|&(_, y)| y)
-        .fold(0.0, f64::max);
-    let rfs_max = tput.series[1]
-        .means()
-        .iter()
-        .map(|&(_, y)| y)
-        .fold(0.0, f64::max);
-    println!(
-        "\n# Peak goodput: hash {hash_max:.0} vs RFS {rfs_max:.0} ({:+.0}% — the paper quotes 'up to 200%')",
-        100.0 * (rfs_max - hash_max) / hash_max.max(1.0)
-    );
+fn main() -> std::process::ExitCode {
+    bench::figures::main("ext_rfs")
 }

@@ -1,56 +1,5 @@
-//! Extension experiment (§6.1): the storage backend.
-//!
-//! A latency-sensitive reader shares a flash device with a best-effort
-//! writer. Sweeping the offered write rate shows the ReFlex-style token
-//! policy holding the read p95 flat (by throttling the writer to its
-//! budget) where the unprotected device lets write interference blow up
-//! the read tail.
+//! `ext_storage` — the program is [`bench::figures`]' `ext_storage` entry.
 
-use bench::{emit, scaled, scaled_seeds, Series, Sweep};
-use syrup::sim::Duration;
-use syrup::storage::world::{self, StorageConfig};
-
-fn main() {
-    let write_rates: Vec<f64> = (0..=8).map(|i| i as f64 * 3_000.0).collect();
-    let seeds = scaled_seeds(5);
-
-    let mut p95 = Sweep::new(
-        "Extension (6.1): read p95 vs offered write rate (30K read IOPS)",
-        "Offered write IOPS",
-        "Read p95 latency (us)",
-    );
-    let mut wtput = Sweep::new(
-        "Extension (6.1): write goodput",
-        "Offered write IOPS",
-        "Writes completed per second",
-    );
-
-    for (label, with_policy) in [("No policy", false), ("Syrup token policy", true)] {
-        let mut lat_series = Series::new(label);
-        let mut tput_series = Series::new(label);
-        for &rate in &write_rates {
-            let mut p95s = Vec::new();
-            let mut tputs = Vec::new();
-            for seed in 0..seeds {
-                let cfg = StorageConfig {
-                    write_iops: rate,
-                    with_policy,
-                    measure: scaled(Duration::from_millis(200)),
-                    seed: seed + 1,
-                    ..StorageConfig::default()
-                };
-                let r = world::run(&cfg);
-                p95s.push(r.read_latency.percentile(0.95).as_micros_f64());
-                tputs.push(r.writes_done as f64 / (2.0 * cfg.measure.as_secs_f64()));
-            }
-            lat_series.push(rate, p95s);
-            tput_series.push(rate, tputs);
-        }
-        p95.push_series(lat_series);
-        wtput.push_series(tput_series);
-        eprintln!("finished {label}");
-    }
-
-    emit("ext_storage_read_p95", &p95);
-    emit("ext_storage_write_goodput", &wtput);
+fn main() -> std::process::ExitCode {
+    bench::figures::main("ext_storage")
 }

@@ -1,57 +1,5 @@
-//! Figure 2: RocksDB, 100% GET — Vanilla hash steering vs Round Robin.
-//!
-//! Reproduces both panels: (a) 99% latency vs load, (b) % dropped
-//! requests vs load. The paper's observation: the 5-tuple hash over 50
-//! flows and 6 sockets overloads one socket well before aggregate
-//! capacity, producing drops and a noisy, exploding tail, while a
-//! ~6-line Syrup round-robin policy sustains ~80% more load cleanly.
+//! `fig2` — the program is [`bench::figures`]' `fig2` entry.
 
-use bench::{emit, knee_comparison, scaled, scaled_seeds, Series, Sweep};
-use syrup::apps::server_world::{self, ServerConfig, SocketPolicyKind};
-use syrup::sim::Duration;
-
-fn main() {
-    let loads: Vec<f64> = (1..=10).map(|i| i as f64 * 50_000.0).collect();
-    let seeds = scaled_seeds(20);
-    let policies = [
-        ("Vanilla Linux", SocketPolicyKind::Vanilla),
-        ("Round Robin", SocketPolicyKind::RoundRobin),
-    ];
-
-    let mut lat = Sweep::new(
-        "Figure 2a: RocksDB 100% GET, 6 threads",
-        "Load (RPS)",
-        "99% Latency (us)",
-    );
-    let mut drops = Sweep::new(
-        "Figure 2b: RocksDB 100% GET, 6 threads",
-        "Load (RPS)",
-        "% Dropped Requests",
-    );
-
-    for (label, policy) in policies {
-        let mut lat_series = Series::new(label);
-        let mut drop_series = Series::new(label);
-        for &load in &loads {
-            let mut p99s = Vec::new();
-            let mut drop_pcts = Vec::new();
-            for seed in 0..seeds {
-                let mut cfg = ServerConfig::fig2(policy, load, seed + 1);
-                cfg.warmup = scaled(Duration::from_millis(50));
-                cfg.measure = scaled(Duration::from_millis(300));
-                let r = server_world::run(&cfg);
-                p99s.push(r.overall.latency.p99().as_micros_f64());
-                drop_pcts.push(r.overall.drop_pct());
-            }
-            lat_series.push(load, p99s);
-            drop_series.push(load, drop_pcts);
-        }
-        lat.push_series(lat_series);
-        drops.push_series(drop_series);
-        eprintln!("finished {label}");
-    }
-
-    emit("fig2a_latency", &lat);
-    emit("fig2b_drops", &drops);
-    knee_comparison(&lat, 200.0, "Vanilla Linux");
+fn main() -> std::process::ExitCode {
+    bench::figures::main("fig2")
 }

@@ -1,50 +1,5 @@
-//! Figure 6: RocksDB, 99.5% GET / 0.5% SCAN — four socket-select policies.
-//!
-//! The paper's headline result: head-of-line blocking behind 700µs SCANs
-//! ruins the 99% latency of hash steering and even round robin; the
-//! SCAN-Avoid policy (cross-layer, via a shared Map) keeps the tail under
-//! 150µs to ~150K RPS, and SITA (peeking into packet contents) doubles
-//! that again — 8× lower tail latency and >2× more sustained load than
-//! the defaults.
+//! `fig6` — the program is [`bench::figures`]' `fig6` entry.
 
-use bench::{emit, knee_comparison, scaled, scaled_seeds, Series, Sweep};
-use syrup::apps::server_world::{self, ServerConfig, SocketPolicyKind};
-use syrup::sim::Duration;
-
-fn main() {
-    let loads: Vec<f64> = (1..=16).map(|i| i as f64 * 25_000.0).collect();
-    let seeds = scaled_seeds(5);
-    let policies = [
-        ("Vanilla Linux", SocketPolicyKind::Vanilla),
-        ("Round Robin", SocketPolicyKind::RoundRobin),
-        ("SCAN Avoid", SocketPolicyKind::ScanAvoid),
-        ("SITA", SocketPolicyKind::Sita),
-    ];
-
-    let mut sweep = Sweep::new(
-        "Figure 6: RocksDB 99.5% GET / 0.5% SCAN, 6 cores",
-        "Load (RPS)",
-        "99% Latency (us)",
-    );
-
-    for (label, policy) in policies {
-        let mut series = Series::new(label);
-        for &load in &loads {
-            let mut p99s = Vec::new();
-            for seed in 0..seeds {
-                let mut cfg = ServerConfig::fig6(policy, load, seed + 1);
-                cfg.warmup = scaled(Duration::from_millis(50));
-                cfg.measure = scaled(Duration::from_millis(300));
-                let r = server_world::run(&cfg);
-                p99s.push(r.overall.latency.p99().as_micros_f64());
-            }
-            series.push(load, p99s);
-        }
-        sweep.push_series(series);
-        eprintln!("finished {label}");
-    }
-
-    emit("fig6_latency", &sweep);
-    knee_comparison(&sweep, 150.0, "SCAN Avoid");
-    knee_comparison(&sweep, 1000.0, "Vanilla Linux");
+fn main() -> std::process::ExitCode {
+    bench::figures::main("fig6")
 }

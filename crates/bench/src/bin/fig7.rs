@@ -1,118 +1,5 @@
-//! Figure 7: token-based QoS vs round robin under a fixed 400K RPS load.
-//!
-//! Two users — latency-sensitive (LS) and best-effort (BE) — split a
-//! total offered load slightly above saturation. The token policy issues
-//! the LS user 350K tokens/s in 100µs epochs and gifts leftovers to BE:
-//! (a) BE goodput tracks the spare capacity, and (b) LS 99% latency stays
-//! flat until LS load reaches the token rate, where round robin lets the
-//! overload inflate the LS tail ~6×.
-//!
-//! Both panels read the run's exported telemetry snapshot
-//! (`tenant<id>/completed` counters and `tenant<id>/latency_ns`
-//! histograms) rather than the simulator's internal recorders — the same
-//! data path an operator would use against a live `syrupd`.
-//!
-//! `--trace-out <path>` additionally runs one token-based configuration
-//! (LS = BE = 200K) with request tracing sampled at 1/512 and writes the
-//! per-stage latency breakdown JSON there (relative paths land in
-//! `results/`).
+//! `fig7` — the program is [`bench::figures`]' `fig7` entry.
 
-use bench::{emit, scaled, scaled_seeds, Series, Sweep};
-use syrup::apps::server_world::{self, ServerConfig, SocketPolicyKind};
-use syrup::sim::Duration;
-use syrup::trace::{TraceConfig, Tracer};
-
-const TOTAL: f64 = 400_000.0;
-const TOKEN_RATE: u64 = 350_000;
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_out = bench::flag_value(&args, "--trace-out");
-    let ls_loads: Vec<f64> = (1..=7).map(|i| i as f64 * 50_000.0).collect();
-    let seeds = scaled_seeds(5);
-    let policies = [
-        ("Round Robin", SocketPolicyKind::RoundRobin),
-        (
-            "Token-based",
-            SocketPolicyKind::TokenBased {
-                rate_per_sec: TOKEN_RATE,
-            },
-        ),
-    ];
-
-    let mut be_tput = Sweep::new(
-        "Figure 7a: BE throughput (total offered = 400K RPS)",
-        "LS Load (RPS)",
-        "BE Throughput (RPS)",
-    );
-    let mut ls_lat = Sweep::new(
-        "Figure 7b: LS 99% latency (total offered = 400K RPS)",
-        "LS Load (RPS)",
-        "LS 99% Latency (us)",
-    );
-
-    for (label, policy) in policies {
-        let mut tput_series = Series::new(label);
-        let mut lat_series = Series::new(label);
-        for &ls in &ls_loads {
-            let be = TOTAL - ls;
-            let mut tputs = Vec::new();
-            let mut p99s = Vec::new();
-            for seed in 0..seeds {
-                let mut cfg = ServerConfig::fig7(policy, ls, be, seed + 1);
-                cfg.warmup = scaled(Duration::from_millis(50));
-                cfg.measure = scaled(Duration::from_millis(300));
-                let r = server_world::run(&cfg);
-                let snap = &r.telemetry;
-                let be_completed = snap.counter("tenant1/completed");
-                tputs.push(be_completed as f64 / cfg.measure.as_secs_f64());
-                let ls_hist = snap
-                    .histogram("tenant0/latency_ns")
-                    .expect("LS tenant exports latency");
-                p99s.push(ls_hist.p99() as f64 / 1e3);
-            }
-            tput_series.push(ls, tputs);
-            lat_series.push(ls, p99s);
-        }
-        be_tput.push_series(tput_series);
-        ls_lat.push_series(lat_series);
-        eprintln!("finished {label}");
-    }
-
-    emit("fig7a_be_throughput", &be_tput);
-    emit("fig7b_ls_latency", &ls_lat);
-
-    // The paper's summary: RR gives BE slightly more throughput at the
-    // cost of ~6x higher LS tail latency.
-    let rr_lat = ls_lat.series[0].means();
-    let tok_lat = ls_lat.series[1].means();
-    let (rr_avg, tok_avg): (f64, f64) = (
-        rr_lat.iter().map(|&(_, y)| y).sum::<f64>() / rr_lat.len() as f64,
-        tok_lat.iter().map(|&(_, y)| y).sum::<f64>() / tok_lat.len() as f64,
-    );
-    println!(
-        "\n# Mean LS p99 across the sweep: Round Robin {rr_avg:.0}us vs Token-based {tok_avg:.0}us ({:.1}x)",
-        rr_avg / tok_avg.max(1.0)
-    );
-
-    if let Some(path) = trace_out {
-        // One traced run: where in the stack do requests spend time under
-        // the token policy at the balanced 200K/200K point?
-        let mut cfg = ServerConfig::fig7(
-            SocketPolicyKind::TokenBased {
-                rate_per_sec: TOKEN_RATE,
-            },
-            200_000.0,
-            200_000.0,
-            1,
-        );
-        cfg.warmup = scaled(Duration::from_millis(50));
-        cfg.measure = scaled(Duration::from_millis(300));
-        cfg.tracer = Tracer::with_config(TraceConfig {
-            sample_every: 512,
-            ..TraceConfig::default()
-        });
-        let _ = server_world::run(&cfg);
-        bench::write_breakdown(&path, &cfg.tracer.drain());
-    }
+fn main() -> std::process::ExitCode {
+    bench::figures::main("fig7")
 }

@@ -1,69 +1,5 @@
-//! Figure 8: cross-layer scheduling — 50% GET / 50% SCAN, 36 threads on
-//! 6 cores.
-//!
-//! Three configurations: SCAN-Avoid at the socket layer only (CFS
-//! underneath), the ghOSt GET-priority thread policy only (hash sockets),
-//! and both together. Single-layer scheduling fails in two different
-//! ways (socket-layer can't preempt CFS-scheduled SCAN threads; thread
-//! layer can't stop GETs queueing behind SCANs in a socket); the combined
-//! deployment sustains ~60% more load under a 500µs GET-tail budget.
+//! `fig8` — the program is [`bench::figures`]' `fig8` entry.
 
-use bench::{emit, knee_comparison, scaled, scaled_seeds, Series, Sweep};
-use syrup::apps::mt_world::{self, MtConfig, SchedKind};
-use syrup::apps::server_world::SocketPolicyKind;
-use syrup::sim::Duration;
-
-fn main() {
-    let loads: Vec<f64> = (1..=14).map(|i| i as f64 * 1_000.0).collect();
-    let seeds = scaled_seeds(5);
-    let configs = [
-        ("SCAN Avoid", SocketPolicyKind::ScanAvoid, SchedKind::Cfs),
-        (
-            "Thread Scheduling",
-            SocketPolicyKind::Vanilla,
-            SchedKind::Ghost,
-        ),
-        (
-            "SCAN Avoid + Thread Scheduling",
-            SocketPolicyKind::ScanAvoid,
-            SchedKind::Ghost,
-        ),
-    ];
-
-    let mut get_sweep = Sweep::new(
-        "Figure 8a: GET 99% latency (50% GET / 50% SCAN, 36 threads, 6 cores)",
-        "Load (RPS)",
-        "GET 99% Latency (us)",
-    );
-    let mut scan_sweep = Sweep::new(
-        "Figure 8b: SCAN 99% latency (same workload)",
-        "Load (RPS)",
-        "SCAN 99% Latency (us)",
-    );
-
-    for (label, socket_policy, sched) in configs {
-        let mut get_series = Series::new(label);
-        let mut scan_series = Series::new(label);
-        for &load in &loads {
-            let mut get_p99 = Vec::new();
-            let mut scan_p99 = Vec::new();
-            for seed in 0..seeds {
-                let mut cfg = MtConfig::fig8(socket_policy, sched, load, seed + 1);
-                cfg.warmup = scaled(Duration::from_millis(100));
-                cfg.measure = scaled(Duration::from_millis(800));
-                let r = mt_world::run(&cfg);
-                get_p99.push(r.get.p99().as_micros_f64());
-                scan_p99.push(r.scan.p99().as_micros_f64());
-            }
-            get_series.push(load, get_p99);
-            scan_series.push(load, scan_p99);
-        }
-        get_sweep.push_series(get_series);
-        scan_sweep.push_series(scan_series);
-        eprintln!("finished {label}");
-    }
-
-    emit("fig8a_get_latency", &get_sweep);
-    emit("fig8b_scan_latency", &scan_sweep);
-    knee_comparison(&get_sweep, 500.0, "SCAN Avoid");
+fn main() -> std::process::ExitCode {
+    bench::figures::main("fig8")
 }

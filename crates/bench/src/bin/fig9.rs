@@ -1,45 +1,5 @@
-//! Figure 9: MICA, 8 threads — steering at three layers of the stack.
-//!
-//! The same Syrup hash policy ("key hash → home core") deployed at three
-//! different places: nowhere (original MICA's application-layer software
-//! redirect), the kernel XDP hook (Syrup SW), and the programmable NIC
-//! (Syrup HW). Two mixes, 50/50 and 95/5 GET/PUT; the y-axis is 99.9%
-//! latency. Expected knees: ~1.7–1.8, ~2.7–2.8, ~3.2–3.3 MRPS.
+//! `fig9` — the program is [`bench::figures`]' `fig9` entry.
 
-use bench::{emit, knee_comparison, scaled, scaled_seeds, Series, Sweep};
-use syrup::apps::mica::{self, MicaConfig, MicaMode};
-use syrup::sim::Duration;
-
-fn main() {
-    let loads: Vec<f64> = (1..=14).map(|i| i as f64 * 250_000.0).collect();
-    let seeds = scaled_seeds(3);
-    let modes = [MicaMode::SwRedirect, MicaMode::SyrupSw, MicaMode::SyrupHw];
-    let mixes = [("50% GET - 50% PUT", 0.5), ("95% GET - 5% PUT", 0.95)];
-
-    for (mix_label, get_frac) in mixes {
-        let tag = if get_frac == 0.5 { "fig9a" } else { "fig9b" };
-        let mut sweep = Sweep::new(
-            format!("Figure 9 ({mix_label}): MICA 8 threads"),
-            "Load (RPS)",
-            "99.9% Latency (us)",
-        );
-        for mode in modes {
-            let mut series = Series::new(mode.label());
-            for &load in &loads {
-                let mut p999s = Vec::new();
-                for seed in 0..seeds {
-                    let mut cfg = MicaConfig::fig9(mode, get_frac, load, seed + 1);
-                    cfg.warmup = scaled(Duration::from_millis(20));
-                    cfg.measure = scaled(Duration::from_millis(120));
-                    let r = mica::run(&cfg);
-                    p999s.push(r.latency.p999().as_micros_f64());
-                }
-                series.push(load, p999s);
-            }
-            sweep.push_series(series);
-            eprintln!("finished {} / {}", mix_label, mode.label());
-        }
-        emit(tag, &sweep);
-        knee_comparison(&sweep, 1000.0, MicaMode::SwRedirect.label());
-    }
+fn main() -> std::process::ExitCode {
+    bench::figures::main("fig9")
 }

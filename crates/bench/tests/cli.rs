@@ -1,0 +1,59 @@
+//! The harness binaries refuse a mis-set scale or a flag that lost its
+//! value before they run anything — nothing is written, exit status 2.
+
+use std::process::Command;
+
+fn refused(exe: &str, args: &[&str], scale: &str) -> String {
+    let out = Command::new(exe)
+        .args(args)
+        .env("SYRUP_SCALE", scale)
+        .output()
+        .expect("harness binary runs");
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}");
+    assert!(out.stdout.is_empty(), "{exe} {args:?} ran before refusing");
+    String::from_utf8(out.stderr).unwrap()
+}
+
+#[test]
+fn fig7_trace_out_without_a_value_is_an_error() {
+    let stderr = refused(env!("CARGO_BIN_EXE_fig7"), &["--trace-out"], "0.05");
+    assert_eq!(stderr, "--trace-out requires a value\n");
+}
+
+#[test]
+fn table2_out_without_a_value_is_an_error() {
+    let stderr = refused(env!("CARGO_BIN_EXE_table2"), &["--out"], "0.05");
+    assert_eq!(stderr, "--out requires a value\n");
+}
+
+#[test]
+fn table2_backend_without_a_value_is_an_error() {
+    let stderr = refused(
+        env!("CARGO_BIN_EXE_table2"),
+        &["--out", "t.csv", "--backend"],
+        "0.05",
+    );
+    assert_eq!(stderr, "--backend requires a value\n");
+}
+
+#[test]
+fn garbage_scale_stops_a_figure_before_it_writes() {
+    let csv = bench::results_dir().join("fig6_latency.csv");
+    let before = std::fs::read(&csv).ok();
+    for scale in ["nan", "fast", "0", ""] {
+        let stderr = refused(env!("CARGO_BIN_EXE_fig6"), &[], scale);
+        assert!(stderr.starts_with("SYRUP_SCALE="), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+    assert_eq!(std::fs::read(&csv).ok(), before, "fig6_latency.csv moved");
+}
+
+#[test]
+fn all_takes_no_arguments() {
+    let out = Command::new(env!("CARGO_BIN_EXE_all"))
+        .arg("--check")
+        .output()
+        .expect("all runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: all"));
+}

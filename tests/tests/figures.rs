@@ -2,10 +2,13 @@
 //! the public API. The full sweeps live in the `bench` binaries; these
 //! run in seconds and gate regressions on the qualitative results.
 
+use syrup::apps::late_world::{self, Binding, LateConfig};
 use syrup::apps::mica::{self, MicaConfig, MicaMode};
 use syrup::apps::mt_world::{self, MtConfig, SchedKind};
+use syrup::apps::rfs_world::{self, RfsConfig, Steering};
 use syrup::apps::server_world::{self, ServerConfig, SocketPolicyKind};
 use syrup::sim::Duration;
+use syrup::storage::world::{self as storage, StorageConfig};
 
 fn server(
     policy: SocketPolicyKind,
@@ -136,16 +139,125 @@ fn fig9_capacity_ordering() {
     }
 }
 
+/// Extension §6.3 (`ext_late_binding`): past the point where a SCAN can
+/// sit in front of a GET, late binding's p99 is never above early
+/// binding's, and it holds the 150µs budget at a load where early binding
+/// (round robin) is already several times over it.
+#[test]
+fn ext_late_binding_beats_early_binding_past_the_knee() {
+    let p99 = |binding, load| {
+        let mut cfg = LateConfig::fig6_style(binding, load, 3);
+        cfg.warmup = Duration::from_millis(20);
+        cfg.measure = Duration::from_millis(150);
+        late_world::run(&cfg).latency.p99()
+    };
+    for load in [50_000.0, 150_000.0, 250_000.0, 350_000.0] {
+        let (early, late) = (p99(Binding::Early, load), p99(Binding::Late, load));
+        assert!(late <= early, "@{load}: late {late} vs early {early}");
+    }
+    let budget = Duration::from_micros(150);
+    assert!(p99(Binding::Late, 200_000.0) < budget);
+    assert!(p99(Binding::Early, 200_000.0).as_nanos() > 3 * budget.as_nanos());
+}
+
+/// Motivation §2.1 (`ext_rfs`): RFS-style flow locality reaches a peak
+/// goodput well above hash steering's — the binary prints +179%, the
+/// paper quotes "up to 200%".
+#[test]
+fn ext_rfs_peak_goodput_beats_hash_steering() {
+    let peak = |steering| {
+        let goodput = |load| {
+            let mut cfg = RfsConfig::netperf(steering, load, 2);
+            cfg.warmup = Duration::from_millis(10);
+            cfg.measure = Duration::from_millis(60);
+            rfs_world::run(&cfg).throughput_rps
+        };
+        [400_000.0, 700_000.0, 1_000_000.0, 1_400_000.0]
+            .map(goodput)
+            .into_iter()
+            .fold(0.0, f64::max)
+    };
+    let (hash, rfs) = (peak(Steering::Hash), peak(Steering::Rfs));
+    assert!(rfs > 2.0 * hash, "peak goodput: RFS {rfs} vs hash {hash}");
+}
+
+/// Extension §6.1 (`ext_storage`): as the offered write rate grows, the
+/// token policy holds the read p95 flat while the unprotected device lets
+/// it climb by an order of magnitude.
+#[test]
+fn ext_storage_token_policy_holds_read_p95_flat() {
+    let read_p95 = |with_policy, write_iops| {
+        let r = storage::run(&StorageConfig {
+            write_iops,
+            with_policy,
+            measure: Duration::from_millis(100),
+            seed: 4,
+            ..StorageConfig::default()
+        });
+        r.read_latency.percentile(0.95).as_nanos()
+    };
+    let (light, heavy) = (3_000.0, 24_000.0);
+    let (open_light, open_heavy) = (read_p95(false, light), read_p95(false, heavy));
+    let (tok_light, tok_heavy) = (read_p95(true, light), read_p95(true, heavy));
+    assert!(
+        open_heavy > 10 * open_light,
+        "unprotected p95 should blow up: {open_light} -> {open_heavy}"
+    );
+    assert!(
+        2 * tok_heavy < 3 * tok_light && 2 * tok_light < 3 * tok_heavy,
+        "token-policy p95 should stay flat: {tok_light} -> {tok_heavy}"
+    );
+    assert!(tok_heavy * 10 < open_heavy);
+}
+
+/// Buffer-sizing ablation (`ablate_sockbuf`): under hash steering a
+/// bigger socket buffer trades drops for tail latency; round robin drops
+/// nothing and keeps its tail at every capacity.
+#[test]
+fn ablate_sockbuf_capacity_only_matters_under_hash_steering() {
+    let run = |policy, capacity, seed| {
+        let mut cfg = ServerConfig::fig2(policy, 350_000.0, seed);
+        cfg.socket_capacity = capacity;
+        cfg.warmup = Duration::from_millis(20);
+        cfg.measure = Duration::from_millis(100);
+        server_world::run(&cfg).overall
+    };
+    let capacities = [16, 128, 1024];
+    let mut drop_sums = [0.0; 3];
+    for seed in 1..=4 {
+        let _seed_guard = syrup_integration::SeedGuard::new(
+            "ablate_sockbuf_capacity_only_matters_under_hash_steering",
+            seed,
+        );
+        let vanilla = capacities.map(|c| run(SocketPolicyKind::Vanilla, c, seed));
+        for (sum, r) in drop_sums.iter_mut().zip(&vanilla) {
+            *sum += r.drop_pct();
+        }
+        // Deeper buffers never drop more, and whatever they keep queues.
+        assert!(vanilla[0].dropped >= vanilla[1].dropped);
+        assert!(vanilla[1].dropped >= vanilla[2].dropped);
+        if vanilla[0].dropped > 0 {
+            assert!(vanilla[0].latency.p99() < vanilla[2].latency.p99());
+        }
+        for c in capacities {
+            let rr = run(SocketPolicyKind::RoundRobin, c, seed);
+            assert_eq!(rr.dropped, 0, "round robin dropped at capacity {c}");
+            assert!(rr.latency.p99() < Duration::from_micros(150));
+        }
+    }
+    assert!(
+        drop_sums[0] > drop_sums[2] && drop_sums[0] > 0.0,
+        "vanilla drops should fall with capacity: {drop_sums:?}"
+    );
+}
+
 /// `(completed, dropped, p50 ns, p99 ns)` of one small fixed-seed run per
 /// mode of the four worlds no determinism suite covers. The values were
 /// taken at the commit before the worlds moved onto `sim::drive`; a
 /// change to any world's RNG draw order or event order moves them.
 #[test]
 fn small_worlds_reproduce_their_pinned_outcomes() {
-    use syrup::apps::late_world::{self, Binding, LateConfig};
-    use syrup::apps::rfs_world::{self, RfsConfig, Steering};
     use syrup::sim::LatencySummary;
-    use syrup::storage::world::{self as storage, StorageConfig};
 
     let row = |completed: u64, dropped: u64, l: &LatencySummary| {
         (completed, dropped, l.p50().as_nanos(), l.p99().as_nanos())
