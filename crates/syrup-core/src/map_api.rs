@@ -124,7 +124,7 @@ impl SyrupMaps {
 
     /// Pins an existing map into this app's namespace (used by `syrupd`
     /// when deploying policies whose files declare maps).
-    pub fn pin_existing(&self, id: MapId, name: &str) -> Result<String, MapPermError> {
+    pub fn pin_existing(&self, id: MapId, name: &str) -> Result<String, MapError> {
         let path = format!("{}{}", self.prefix(), name);
         self.registry.pin(id, path.clone())?;
         Ok(path)

@@ -23,6 +23,13 @@
 //! lock and publish an immutable `DispatchTable`; `schedule` fetches the
 //! current table and runs the policy under a lock only that policy's
 //! callers take, so independent applications share only the fetch.
+//!
+//! The root program is the specification of the dispatch, not its hot
+//! path: building a table runs it once per owned port up to its tail call
+//! and keeps that path ([`TailPath`]), and `schedule` enters the policy
+//! directly with the path already on the run's account — as the kernel
+//! turns a constant-index `bpf_tail_call` into a direct jump. Running the
+//! root program itself survives as the test oracle for exactly that.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -32,9 +39,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use syrup_ebpf::asm::Asm;
-use syrup_ebpf::maps::{MapDef, MapRef, MapRegistry, ProgSlot};
-use syrup_ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
-use syrup_ebpf::{ret, HelperId, Reg, VerifierError};
+use syrup_ebpf::maps::{MapDef, MapError, MapId, MapRef, MapRegistry, ProgSlot, UpdateFlag};
+use syrup_ebpf::vm::{Backend, PacketCtx, RunEnv, TailPath, Vm};
+use syrup_ebpf::{ret, HelperId, Reg, VerifierError, VmError, VmOutcome};
 use syrup_lang::LangError;
 use syrup_telemetry::{
     CounterHandle, DecisionEvent, Executor, HistogramHandle, Registry, Snapshot,
@@ -62,7 +69,7 @@ pub enum DeployError {
         owner: AppId,
     },
     /// Internal map failure (registry exhausted etc.).
-    Map(syrup_ebpf::maps::MapError),
+    Map(MapError),
 }
 
 impl fmt::Display for DeployError {
@@ -91,8 +98,8 @@ impl From<VerifierError> for DeployError {
         DeployError::Verify(e)
     }
 }
-impl From<syrup_ebpf::maps::MapError> for DeployError {
-    fn from(e: syrup_ebpf::maps::MapError) -> Self {
+impl From<MapError> for DeployError {
+    fn from(e: MapError) -> Self {
         DeployError::Map(e)
     }
 }
@@ -182,7 +189,8 @@ enum Exec {
 /// One deployed `(app, hook)` policy, shared by the tables routing to it.
 struct Slot {
     app: AppId,
-    native: bool,
+    /// The policy's program; `None` for a native policy.
+    prog: Option<ProgSlot>,
     metrics: PolicyMetrics,
     /// The control plane's rank opt-in flag for this `(app, hook)`. It
     /// publishes no other data, hence relaxed.
@@ -193,20 +201,27 @@ struct Slot {
     exec: Mutex<Exec>,
 }
 
+/// One owned port of a hook.
+struct Route {
+    port: u16,
+    slot: Arc<Slot>,
+    /// The root program's path to `slot`'s program for this port, as it
+    /// ran when the table was built; `None` for a native policy.
+    entry: Option<TailPath>,
+}
+
 /// The data plane's view of one hook.
 struct HookTable {
-    root_slot: ProgSlot,
     stage: syrup_trace::Stage,
-    /// Port → owning policy, sorted by port.
-    ports: Vec<(u16, Arc<Slot>)>,
+    /// Sorted by port.
+    routes: Vec<Route>,
 }
 
 /// Everything one `schedule` call reads, immutable once published.
 struct DispatchTable {
     hooks: [Option<HookTable>; Hook::ALL.len()],
     /// The control plane's VM, tracer and recorder included, as of
-    /// publish time. Its program store is shared, so a slot loaded later
-    /// (the live prog-array may hand one to a call on this table) resolves.
+    /// publish time.
     vm: Vm,
 }
 
@@ -215,12 +230,42 @@ struct HookState {
     port_map: MapRef,
     /// Per-app policy programs for tail calls.
     prog_array: MapRef,
-    /// The verified root dispatcher.
+    /// The verified root dispatcher: run to resolve a route when a table
+    /// is built, never per input.
     root_slot: ProgSlot,
     /// Deployed policy per app.
     policies: HashMap<AppId, Arc<Slot>>,
     /// App → prog-array index; an app keeps its index for good.
     indices: HashMap<AppId, u32>,
+}
+
+impl HookState {
+    /// Points `ports` at prog-array entry `index` and, for a bytecode
+    /// policy, that entry at `prog`. Only an app new to the hook can be
+    /// refused — the 257th bytecode policy, or ports past the port map's
+    /// 1 024; a redeploy rewrites entries it already holds — and what it
+    /// wrote by then is taken back.
+    fn wire(&self, index: u32, prog: Option<ProgSlot>, ports: &[u16]) -> Result<(), MapError> {
+        // A native policy's inputs never reach the root program, so it
+        // leaves the entry alone.
+        if prog.is_some() {
+            self.prog_array.set_prog(index, prog)?;
+        }
+        let key = |port: u16| u32::from(port).to_le_bytes();
+        let value = u64::from(index).to_le_bytes();
+        let wired = ports
+            .iter()
+            .try_for_each(|&port| self.port_map.update(&key(port), &value, UpdateFlag::Any));
+        if wired.is_err() {
+            for &port in ports {
+                let _ = self.port_map.delete(&key(port));
+            }
+            if prog.is_some() {
+                let _ = self.prog_array.set_prog(index, None);
+            }
+        }
+        wired
+    }
 }
 
 struct AppInfo {
@@ -248,19 +293,35 @@ impl Control {
     fn table(&self) -> DispatchTable {
         let mut hooks: [Option<HookTable>; Hook::ALL.len()] = Default::default();
         for (hook, hs) in &self.hooks {
-            let mut ports = Vec::new();
+            let mut routes = Vec::new();
             for (app, slot) in &hs.policies {
-                ports.extend(self.apps[app].ports.iter().map(|p| (*p, slot.clone())));
+                routes.extend(self.apps[app].ports.iter().map(|&port| Route {
+                    port,
+                    slot: slot.clone(),
+                    entry: slot.prog.map(|prog| self.resolve(hs, port, prog)),
+                }));
             }
-            ports.sort_unstable_by_key(|(port, _)| *port);
+            routes.sort_unstable_by_key(|route| route.port);
             hooks[hook.index()] = Some(HookTable {
-                root_slot: hs.root_slot,
                 stage: syrup_trace::Stage::for_hook(hook.name()),
-                ports,
+                routes,
             });
         }
         let vm = self.vm.clone();
         DispatchTable { hooks, vm }
+    }
+
+    /// The path `hs`'s root program takes for an input to `port`, which
+    /// `deploy` wired to `prog`.
+    fn resolve(&self, hs: &HookState, port: u16, prog: ProgSlot) -> TailPath {
+        let mut ctx = PacketCtx::new(&mut []);
+        ctx.meta[2] = u64::from(port);
+        let path = self
+            .vm
+            .trace_tail_call(hs.root_slot, &mut ctx, &mut RunEnv::default())
+            .expect("the root program tail-calls for every port deploy wired");
+        assert_eq!(path.target(), prog, "the root program reaches the policy");
+        path
     }
 
     fn rank_flag(&mut self, app: AppId, hook: Hook) -> &Arc<AtomicBool> {
@@ -440,7 +501,7 @@ impl Syrupd {
             .flat_map(|(hook, hs)| {
                 hs.policies
                     .iter()
-                    .map(|(app, slot)| (*app, *hook, slot.native))
+                    .map(|(app, slot)| (*app, *hook, slot.prog.is_none()))
             })
             .collect();
         rows.sort_by_key(|(app, hook, _)| (app.0, *hook));
@@ -523,68 +584,57 @@ impl Syrupd {
             control.hooks.insert(hook, state);
         }
 
-        // Executor map, pinned under the app's namespace.
-        let exec_path = format!("/syrup/{}/{}-executors", app.0, hook);
+        // Created first so map ids come out in the order they always have;
+        // nobody can see the map until it is pinned, below.
         let exec_id = self
             .registry
             .create(MapDef::u64_array(EXECUTOR_MAP_ENTRIES));
-        self.registry.pin(exec_id, exec_path)?;
         let executors = self.registry.get(exec_id).expect("map just created");
 
-        let mut pinned_maps = HashMap::new();
+        // Maps to pin under the app's namespace, by name: the executor map,
+        // and file-declared maps so the app's other layers and its
+        // userspace agent can open them (§3.4).
+        let mut pins: Vec<(String, MapId)> = Vec::new();
         let (exec, program) = match source {
             PolicySource::C { source, options } => {
                 let compiled = syrup_lang::compile(&source, &options, &self.registry)?;
-                // Pin file-declared maps so the app's other layers and its
-                // userspace agent can open them (§3.4).
-                let view = SyrupMaps::new(app, self.registry.clone());
-                for (name, id) in &compiled.created_maps {
-                    let path = view
-                        .pin_existing(*id, name)
-                        .map_err(|_| DeployError::UnknownApp(app))?;
-                    pinned_maps.insert(name.clone(), path);
-                }
-                if let Some(gmap) = compiled.globals_map {
-                    if let Ok(path) = view.pin_existing(gmap, "__globals") {
-                        pinned_maps.insert("__globals".to_string(), path);
-                    }
-                }
+                pins.extend(compiled.created_maps);
+                pins.extend(compiled.globals_map.map(|id| ("__globals".to_string(), id)));
                 (Exec::Ebpf(RunEnv::default()), Some(compiled.program))
             }
             PolicySource::Bytecode(program) => (Exec::Ebpf(RunEnv::default()), Some(program)),
             PolicySource::Native(policy) => (Exec::Native(policy), None),
         };
-        let prog_slot = program.map(|p| control.vm.load(p)).transpose()?;
+        let prog = program.map(|p| control.vm.load(p)).transpose()?;
+
+        // Wire the isolation dispatch: every port the app owns routes to
+        // this policy, and only to this policy. Last of the steps that can
+        // refuse, so a refused deployment is neither counted nor visible.
+        let ports = control.apps[&app].ports.clone();
+        let ranked = control.rank_flag(app, hook).clone();
+        let hook_state = control.hooks.get_mut(&hook).expect("created above");
+        let next_index = hook_state.indices.len() as u32;
+        let index = hook_state.indices.get(&app).copied().unwrap_or(next_index);
+        hook_state.wire(index, prog, &ports)?;
+        hook_state.indices.insert(app, index);
+
+        // `pin` only refuses an id the registry never issued.
+        let view = SyrupMaps::new(app, self.registry.clone());
+        view.pin_existing(exec_id, &format!("{hook}-executors"))?;
+        let mut pinned_maps = HashMap::new();
+        for (name, id) in pins {
+            let path = view.pin_existing(id, &name)?;
+            pinned_maps.insert(name, path);
+        }
+
         self.deploys.inc();
         let slot = Arc::new(Slot {
             app,
-            native: prog_slot.is_none(),
+            prog,
             metrics: PolicyMetrics::new(&self.telemetry, app, hook),
-            ranked: control.rank_flag(app, hook).clone(),
+            ranked,
             exec: Mutex::new(exec),
         });
-
-        // Wire the isolation dispatch: every port the app owns routes to
-        // this policy, and only to this policy.
-        let ports = control.apps[&app].ports.clone();
-        let hook_state = control.hooks.get_mut(&hook).expect("created above");
-        let next_index = hook_state.indices.len() as u32;
-        let index = *hook_state.indices.entry(app).or_insert(next_index);
-        // The prog-array is live: from here a call still on the previous
-        // table tail-calls into the new program. A native policy leaves
-        // the entry alone: no table runs the root program for a native
-        // slot, and a call on the previous table gets the policy it
-        // started with, not a failed tail call.
-        if prog_slot.is_some() {
-            hook_state.prog_array.set_prog(index, prog_slot)?;
-        }
-        for port in ports {
-            hook_state.port_map.update(
-                &u32::from(port).to_le_bytes(),
-                &u64::from(index).to_le_bytes(),
-                Default::default(),
-            )?;
-        }
         hook_state.policies.insert(app, slot);
         self.publish(&control);
         let tracer = control.vm.tracer();
@@ -608,12 +658,9 @@ impl Syrupd {
         if hs.policies.remove(&app).is_none() {
             return;
         }
-        let (prog_array, index) = (hs.prog_array.clone(), hs.indices[&app]);
+        // The root program PASSes a port whose entry is empty.
+        let _ = hs.prog_array.set_prog(hs.indices[&app], None);
         self.publish(&control);
-        // Cleared once no new call can route here, so only a call that
-        // fetched the previous table can still meet the empty entry (and
-        // PASSes, as the root program does for any port without a policy).
-        let _ = prog_array.set_prog(index, None);
         let tracer = control.vm.tracer();
         tracer.global_instant(syrup_trace::Stage::PolicyLifecycle, 0, u64::from(app.0));
     }
@@ -645,26 +692,45 @@ impl Syrupd {
         pkt: &mut [u8],
         meta: &HookMeta,
     ) -> (Option<AppId>, Verdict) {
+        self.schedule_entering(hook, pkt, meta, Vm::run_after)
+    }
+
+    /// [`Syrupd::schedule_verdict`] with the way into a bytecode policy as
+    /// a parameter, so the tests can go the long way round — through the
+    /// root program — and compare.
+    fn schedule_entering(
+        &self,
+        hook: Hook,
+        pkt: &mut [u8],
+        meta: &HookMeta,
+        enter: impl FnOnce(
+            &Vm,
+            &TailPath,
+            &mut PacketCtx<'_>,
+            &mut RunEnv,
+        ) -> Result<VmOutcome, VmError>,
+    ) -> (Option<AppId>, Verdict) {
         self.dispatches.inc();
         // The one lock every caller shares, held for an `Arc` clone.
         let table = Arc::clone(&self.published.lock());
         let routed = table.hooks[hook.index()].as_ref().and_then(|ht| {
             let found = ht
-                .ports
-                .binary_search_by_key(&meta.dst_port, |route| route.0);
-            Some((ht, &*ht.ports[found.ok()?].1))
+                .routes
+                .binary_search_by_key(&meta.dst_port, |route| route.port);
+            Some((ht, &ht.routes[found.ok()?]))
         });
-        let Some((ht, slot)) = routed else {
+        let Some((ht, route)) = routed else {
             // No policy deployed for this port: default system behaviour.
             self.unmatched.inc();
             return (None, Verdict::unranked(Decision::Pass));
         };
+        let slot = &*route.slot;
 
         let mut exec = slot.exec.lock();
         let (mut verdict, executor, cycles) = match &mut *exec {
             Exec::Native(policy) => (policy.schedule_verdict(pkt, meta), Executor::Native, 0),
-            // eBPF path: run the root dispatcher, which tail-calls the
-            // policy.
+            // eBPF path: straight into the policy, the root program's path
+            // to it already on the account.
             Exec::Ebpf(env) => {
                 env.now_ns = meta.now_ns;
                 env.cpu_id = meta.cpu;
@@ -676,7 +742,8 @@ impl Syrupd {
                     u64::from(meta.dst_port),
                     0,
                 ];
-                match table.vm.run(ht.root_slot, &mut ctx, env) {
+                let path = route.entry.as_ref().expect("resolved with the table");
+                match enter(&table.vm, path, &mut ctx, env) {
                     Ok(out) => {
                         slot.metrics.insns.record(out.insns);
                         slot.metrics.cycles.record(out.cycles);
@@ -730,9 +797,7 @@ impl Syrupd {
     pub fn policy_stats(&self, app: AppId, hook: Hook) -> Option<(f64, f64)> {
         let control = self.control.lock();
         let slot = control.hooks.get(&hook)?.policies.get(&app)?;
-        if slot.native {
-            return None;
-        }
+        slot.prog?;
         let insns = slot.metrics.insns.snapshot();
         let cycles = slot.metrics.cycles.snapshot();
         if insns.is_empty() {
@@ -780,6 +845,9 @@ impl Syrupd {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::CompileOptions;
@@ -802,6 +870,16 @@ mod tests {
             dst_port: port,
             ..HookMeta::default()
         }
+    }
+
+    /// Bytecode that always answers `executor`.
+    fn constant(executor: i32) -> PolicySource {
+        let prog = syrup_ebpf::Asm::new()
+            .mov64_imm(Reg::R0, executor)
+            .exit()
+            .build("constant")
+            .unwrap();
+        PolicySource::Bytecode(prog)
     }
 
     #[test]
@@ -1075,6 +1153,67 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_deploy_is_neither_counted_nor_applied() {
+        let hook = Hook::SocketSelect;
+        let deploys = |d: &Syrupd| d.telemetry_snapshot().counter("syrupd/deploys");
+        let mut pkt = [0u8; 4];
+
+        // The prog-array holds 256 programs: the 257th app on a hook.
+        let d = Syrupd::new();
+        let apps: Vec<AppId> = (0..257u16)
+            .map(|i| d.register_app(format!("app-{i}"), &[1000 + i]).unwrap().0)
+            .collect();
+        for &app in &apps[..256] {
+            d.deploy(app, hook, constant(1)).unwrap();
+        }
+        let err = d.deploy(apps[256], hook, constant(2)).unwrap_err();
+        assert!(
+            matches!(err, DeployError::Map(MapError::IndexOutOfRange)),
+            "{err}"
+        );
+        assert_eq!(deploys(&d), 256);
+        assert_eq!(
+            d.schedule(hook, &mut pkt, &meta(1256)),
+            (None, Decision::Pass)
+        );
+        assert!(d.deployed().iter().all(|row| row.0 != apps[256]));
+        // The hook still takes redeployments, and the refused app is
+        // welcome wherever there is room.
+        d.deploy(apps[0], hook, constant(3)).unwrap();
+        d.deploy(apps[256], Hook::XdpDrv, constant(4)).unwrap();
+        assert_eq!(deploys(&d), 258);
+        assert_eq!(
+            d.schedule(hook, &mut pkt, &meta(1000)).1,
+            Decision::Executor(3)
+        );
+        assert_eq!(
+            d.schedule(Hook::XdpDrv, &mut pkt, &meta(1256)),
+            (Some(apps[256]), Decision::Executor(4))
+        );
+
+        // The port map holds 1 024 ports.
+        let d = Syrupd::new();
+        let many: Vec<u16> = (0..1025).collect();
+        let (big, _) = d.register_app("big", &many).unwrap();
+        let (small, _) = d.register_app("small", &[40_000]).unwrap();
+        for source in [constant(1), rr_source()] {
+            let err = d.deploy(big, hook, source).unwrap_err();
+            assert!(matches!(err, DeployError::Map(MapError::Full)), "{err}");
+        }
+        assert_eq!(deploys(&d), 0);
+        assert!(d.deployed().is_empty());
+        assert_eq!(d.schedule(hook, &mut pkt, &meta(5)), (None, Decision::Pass));
+        // Nothing of the refused app's is left in the port map or pinned.
+        assert!(d.registry().pins().is_empty());
+        d.deploy(small, hook, constant(6)).unwrap();
+        assert_eq!(deploys(&d), 1);
+        assert_eq!(
+            d.schedule(hook, &mut pkt, &meta(40_000)),
+            (Some(small), Decision::Executor(6))
+        );
+    }
+
+    #[test]
     fn native_policies_dispatch_through_the_same_port_rules() {
         let d = Syrupd::new();
         let (app, _) = d.register_app("native", &[5000]).unwrap();
@@ -1130,6 +1269,37 @@ mod tests {
             d.schedule(Hook::SocketSelect, &mut pkt, &meta(7000)).1,
             Decision::Executor(2)
         );
+    }
+
+    #[test]
+    fn a_call_on_a_held_table_answers_with_the_generation_it_routed_to() {
+        let hook = Hook::SocketSelect;
+        let d = Syrupd::new();
+        let (app, _) = d.register_app("live", &[7000]).unwrap();
+        d.deploy(app, hook, constant(1)).unwrap();
+        let mut pkt = [0u8; 4];
+
+        // The control plane moves on between a call's table fetch and its
+        // run: the call finishes on what it fetched.
+        let held = d.schedule_entering(hook, &mut pkt, &meta(7000), |vm, path, ctx, env| {
+            d.deploy(app, hook, constant(2)).unwrap();
+            vm.run_after(path, ctx, env)
+        });
+        assert_eq!(held.1.decision, Decision::Executor(1));
+        assert_eq!(
+            d.schedule(hook, &mut pkt, &meta(7000)).1,
+            Decision::Executor(2)
+        );
+        let held = d.schedule_entering(hook, &mut pkt, &meta(7000), |vm, path, ctx, env| {
+            d.undeploy(app, hook);
+            vm.run_after(path, ctx, env)
+        });
+        assert_eq!(held, (Some(app), Verdict::unranked(Decision::Executor(2))));
+        assert_eq!(
+            d.schedule(hook, &mut pkt, &meta(7000)),
+            (None, Decision::Pass)
+        );
+        assert_eq!(d.telemetry_snapshot().counter("vm/traps"), 0);
     }
 
     #[test]

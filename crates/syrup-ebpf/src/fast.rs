@@ -27,11 +27,11 @@
 
 use crate::decode::{FastInsn, BAD_TARGET};
 use crate::insn::{MemSize, Reg, Width};
-use crate::maps::{MapId, ProgSlot};
+use crate::maps::MapId;
 use crate::mem::{call_helper, fetch_add, mem_load, mem_store, Frame, HelperOutcome};
 use crate::vm::{
-    alu, alu32, alu64, cmp_u64, compare, scalar, PacketCtx, Region, RunEnv, Val, Vm, VmError,
-    VmOutcome, MAX_TAIL_CALLS, RUNTIME_INSN_LIMIT, STACK_SIZE,
+    alu, alu32, alu64, cmp_u64, compare, scalar, Entry, PacketCtx, Region, RunEnv, Val, Vm,
+    VmError, VmOutcome, MAX_TAIL_CALLS, RUNTIME_INSN_LIMIT, STACK_SIZE,
 };
 
 /// The fast engine's register file: scalars live in a flat `u64` array
@@ -125,29 +125,32 @@ impl RegFile {
     }
 }
 
-/// Runs the decoded program in `slot`, dispatching on whether a profiler
-/// is attached so the common (disabled) case pays no per-insn branch.
+/// Runs the decoded program `entry` starts in, dispatching on whether a
+/// profiler is attached so the common (disabled) case pays no per-insn
+/// branch.
 pub(crate) fn run(
     vm: &Vm,
-    slot: ProgSlot,
+    entry: Entry<'_>,
     ctx: &mut PacketCtx<'_>,
     env: &mut RunEnv,
 ) -> Result<VmOutcome, VmError> {
     if vm.profiler.is_enabled() {
-        exec::<true>(vm, slot, ctx, env)
+        exec::<true>(vm, entry, ctx, env)
     } else {
-        exec::<false>(vm, slot, ctx, env)
+        exec::<false>(vm, entry, ctx, env)
     }
 }
 
 fn exec<const PROF: bool>(
     vm: &Vm,
-    slot: ProgSlot,
+    entry: Entry<'_>,
     ctx: &mut PacketCtx<'_>,
     env: &mut RunEnv,
 ) -> Result<VmOutcome, VmError> {
-    let mut prog = vm.decoded(slot).ok_or(VmError::NoSuchProgram)?;
-    if prog.code.is_empty() {
+    let mut prog = vm.decoded(entry.slot()).ok_or(VmError::NoSuchProgram)?;
+    let (mut insns, mut cycles, mut tail_calls) = entry.account(prog.invoke);
+    // A tail call into an empty program falls off its end instead.
+    if prog.code.is_empty() && matches!(entry, Entry::Prog(_)) {
         return Err(VmError::NoSuchProgram);
     }
 
@@ -169,13 +172,10 @@ fn exec<const PROF: bool>(
     let mut frame = Frame::new();
 
     let mut pc: usize = 0;
-    let mut insns: u64 = 0;
-    let mut cycles: u64 = prog.invoke;
     let mut redirect: Option<(MapId, u32)> = None;
-    let mut tail_calls: u32 = 0;
     // Same attribution scope as the interpreter: the invoke cost lands on
     // the entry (prog, pc 0) bucket; flushes on drop (any exit path).
-    let mut prof = vm.profiler.vm_enter(&prog.name, prog.invoke);
+    let mut prof = entry.scope(&vm.profiler, &prog.name, prog.invoke);
 
     loop {
         let step = *prog.code.get(pc).ok_or(VmError::NoExit)?;

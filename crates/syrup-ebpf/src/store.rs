@@ -2,11 +2,10 @@
 //!
 //! Every clone of a VM shares one store, so a program loaded through one
 //! handle resolves through all of them — what lets `syrupd` publish cheap
-//! VM snapshots to its callers while a redeploy loads the next program:
-//! a caller still holding the previous snapshot can follow the slot the
-//! live prog-array hands it. Slots are written once and never move, so
-//! readers take no lock: chunk `k` holds `FIRST_CHUNK << k` slots and is
-//! allocated the first time a load reaches it.
+//! VM snapshots to its callers while a redeploy loads the next program.
+//! Slots are written once and never move, so readers take no lock: chunk
+//! `k` holds `FIRST_CHUNK << k` slots and is allocated the first time a
+//! load reaches it.
 
 use std::fmt;
 use std::sync::OnceLock;

@@ -186,7 +186,7 @@ pub(crate) enum Val {
 /// state, helper effects, tail-call semantics, trap kinds, and modelled
 /// cycle totals are identical; only wall-clock execution speed differs.
 /// The interpreter is the semantic oracle; the fast engine executes the
-/// pre-decoded stream produced by [`crate::decode`].
+/// pre-decoded stream produced by [`mod@crate::decode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// The defensive interpreter over the original instruction stream.
@@ -234,6 +234,119 @@ pub struct VmOutcome {
     pub redirect: Option<(MapId, u32)>,
     /// How many tail calls the invocation chained through.
     pub tail_calls: u32,
+}
+
+/// One executed instruction of a [`TailPath`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PathStep {
+    pc: u32,
+    /// What the cycle model charged for it.
+    cost: u64,
+    /// The helper it called, if it was a `call`.
+    helper: Option<HelperId>,
+}
+
+/// What a program executed up to and including its first successful
+/// `tail_call`, and the slot that call resolved: the account of a
+/// dispatcher's path to one of its targets, as [`Vm::trace_tail_call`]
+/// observed it.
+///
+/// [`Vm::run_after`] enters the target with this account already charged —
+/// what the kernel does when it patches a constant-index `bpf_tail_call`
+/// into a direct jump. It is an account, not a replay of effects: a
+/// dispatcher that writes maps, redirects or draws random numbers before
+/// its tail call cannot be short-cut this way. The registers and stack
+/// bytes the path leaves behind are not reproduced either; the verifier
+/// refuses a target that reads any of them before writing it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TailPath {
+    /// The program the path starts in.
+    prog: String,
+    /// The invocation entry cost its first bucket carries.
+    invoke: u64,
+    steps: Vec<PathStep>,
+    /// `invoke` plus every step's cost.
+    cycles: u64,
+    target: ProgSlot,
+}
+
+impl TailPath {
+    /// Instructions on the path, the `tail_call` included.
+    pub fn insns(&self) -> u64 {
+        self.steps.len() as u64
+    }
+
+    /// Modelled cycles on the path, the invocation entry cost included.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// The slot the tail call resolved.
+    pub fn target(&self) -> ProgSlot {
+        self.target
+    }
+}
+
+/// Where an engine's loop starts.
+#[derive(Clone, Copy)]
+pub(crate) enum Entry<'a> {
+    /// At the top of the program in a slot.
+    Prog(ProgSlot),
+    /// Where a path's tail call landed, the path already on the account.
+    After(&'a TailPath),
+}
+
+impl Entry<'_> {
+    /// The slot the run starts in.
+    pub(crate) fn slot(self) -> ProgSlot {
+        match self {
+            Entry::Prog(slot) => slot,
+            Entry::After(path) => path.target,
+        }
+    }
+
+    /// The run's `(insns, cycles, tail_calls)` on arrival there; `invoke`
+    /// is the model's invocation entry cost.
+    pub(crate) fn account(self, invoke: u64) -> (u64, u64, u32) {
+        match self {
+            Entry::Prog(_) => (0, invoke, 0),
+            Entry::After(path) => (path.insns(), path.cycles, 1),
+        }
+    }
+
+    /// The attribution scope on arrival in `prog`, the starting program:
+    /// for a path, every step attributed and the chain frame pushed, as
+    /// the run down it would hold by then.
+    pub(crate) fn scope(
+        self,
+        profiler: &syrup_profile::Profiler,
+        prog: &str,
+        invoke: u64,
+    ) -> syrup_profile::VmSpan {
+        let Entry::After(path) = self else {
+            return profiler.vm_enter(prog, invoke);
+        };
+        let mut span = profiler.vm_enter(&path.prog, path.invoke);
+        if profiler.is_enabled() {
+            for step in &path.steps {
+                span.insn(step.pc as usize, step.cost);
+                if let Some(helper) = step.helper {
+                    span.helper(helper.name());
+                }
+            }
+            span.tail_call(prog);
+        }
+        span
+    }
+}
+
+/// What a traced interpreter run hands back besides its outcome.
+#[derive(Default)]
+struct Traced {
+    steps: Vec<PathStep>,
+    /// The slot the first successful tail call resolved, where the run
+    /// stopped.
+    target: Option<ProgSlot>,
 }
 
 /// Per-invocation environment: virtual time, CPU, and deterministic
@@ -461,9 +574,59 @@ impl Vm {
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
     ) -> Result<VmOutcome, VmError> {
+        self.enter(Entry::Prog(slot), ctx, env)
+    }
+
+    /// Runs `path`'s target as the run that came down `path` would:
+    /// instruction, cycle and tail-call counts (and with them the
+    /// [`RUNTIME_INSN_LIMIT`] and [`MAX_TAIL_CALLS`] budgets) start where
+    /// the path left them, and an attached profiler sees the path's steps
+    /// and chain frame. Outcome, telemetry, spans and flight-recorder
+    /// events are those of [`Vm::run`] on the path's own program.
+    pub fn run_after(
+        &self,
+        path: &TailPath,
+        ctx: &mut PacketCtx<'_>,
+        env: &mut RunEnv,
+    ) -> Result<VmOutcome, VmError> {
+        self.enter(Entry::After(path), ctx, env)
+    }
+
+    /// Runs the program in `slot` up to its first successful tail call and
+    /// returns the path it took there; `None` if the run ended or trapped
+    /// without one. This is a loader resolving a dispatcher, not an
+    /// invocation: the reference interpreter executes it whatever the
+    /// backend, and nothing reaches telemetry, profiler, tracer or flight
+    /// recorder.
+    pub fn trace_tail_call(
+        &self,
+        slot: ProgSlot,
+        ctx: &mut PacketCtx<'_>,
+        env: &mut RunEnv,
+    ) -> Option<TailPath> {
+        let prog = self.program(slot)?.name.clone();
+        let mut traced = Traced::default();
+        let out = self
+            .run_inner::<true>(Entry::Prog(slot), ctx, env, &mut traced)
+            .ok()?;
+        Some(TailPath {
+            prog,
+            invoke: self.model.invoke,
+            steps: traced.steps,
+            cycles: out.cycles,
+            target: traced.target?,
+        })
+    }
+
+    fn enter(
+        &self,
+        entry: Entry<'_>,
+        ctx: &mut PacketCtx<'_>,
+        env: &mut RunEnv,
+    ) -> Result<VmOutcome, VmError> {
         let result = match self.backend {
-            Backend::Interp => self.run_inner(slot, ctx, env),
-            Backend::Fast => crate::fast::run(self, slot, ctx, env),
+            Backend::Interp => self.run_inner::<false>(entry, ctx, env, &mut Traced::default()),
+            Backend::Fast => crate::fast::run(self, entry, ctx, env),
         };
         match &result {
             Ok(out) => {
@@ -508,14 +671,20 @@ impl Vm {
         result
     }
 
-    fn run_inner(
+    /// The interpreter loop. With `TRACE` it records every step into
+    /// `traced`, keeps the profiler out, and stops at the first successful
+    /// tail call.
+    fn run_inner<const TRACE: bool>(
         &self,
-        slot: ProgSlot,
+        entry: Entry<'_>,
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
+        traced: &mut Traced,
     ) -> Result<VmOutcome, VmError> {
-        let mut prog = self.program(slot).ok_or(VmError::NoSuchProgram)?;
-        if prog.is_empty() {
+        let mut prog = self.program(entry.slot()).ok_or(VmError::NoSuchProgram)?;
+        let (mut insns, mut cycles, mut tail_calls) = entry.account(self.model.invoke);
+        // A tail call into an empty program falls off its end instead.
+        if prog.is_empty() && matches!(entry, Entry::Prog(_)) {
             return Err(VmError::NoSuchProgram);
         }
 
@@ -531,14 +700,13 @@ impl Vm {
         let mut frame = Frame::new();
 
         let mut pc: usize = 0;
-        let mut insns: u64 = 0;
-        let mut cycles: u64 = self.model.invoke;
         let mut redirect: Option<(MapId, u32)> = None;
-        let mut tail_calls: u32 = 0;
         // Attribution scope: the fixed invoke cost lands on the entry
         // (prog, pc 0) bucket, so the attributed sum equals `cycles`
         // at every point of the run. Flushes on drop (any exit path).
-        let mut prof = self.profiler.vm_enter(&prog.name, self.model.invoke);
+        let off = syrup_profile::Profiler::disabled();
+        let profiler = if TRACE { &off } else { &self.profiler };
+        let mut prof = entry.scope(profiler, &prog.name, self.model.invoke);
 
         loop {
             let insn = prog.insns.get(pc).ok_or(VmError::NoExit)?;
@@ -546,6 +714,13 @@ impl Vm {
             let cost = self.model.insn_cost(insn);
             cycles += cost;
             prof.insn(pc, cost);
+            if TRACE {
+                traced.steps.push(PathStep {
+                    pc: pc as u32,
+                    cost,
+                    helper: None,
+                });
+            }
             if insns > RUNTIME_INSN_LIMIT {
                 return Err(VmError::Runaway);
             }
@@ -660,6 +835,11 @@ impl Vm {
                 }
                 Insn::Call { helper } => {
                     prof.helper(helper.name());
+                    if TRACE {
+                        if let Some(step) = traced.steps.last_mut() {
+                            step.helper = Some(helper);
+                        }
+                    }
                     let arg = |r| read_reg(&regs, r);
                     match call_helper(self, helper, arg, ctx, env, &mut frame)? {
                         HelperOutcome::Ret(v) => {
@@ -684,6 +864,16 @@ impl Vm {
                                 continue;
                             }
                             prog = self.program(slot).ok_or(VmError::NoSuchProgram)?;
+                            if TRACE {
+                                traced.target = Some(slot);
+                                return Ok(VmOutcome {
+                                    ret: 0,
+                                    insns,
+                                    cycles,
+                                    redirect,
+                                    tail_calls,
+                                });
+                            }
                             pc = 0;
                             prof.tail_call(&prog.name);
                             // The target was verified assuming only r1/r10;

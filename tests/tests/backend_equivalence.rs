@@ -109,6 +109,70 @@ fn corpus_policies_agree_across_backends() {
     }
 }
 
+/// Entering a policy after a traced dispatcher path is running the
+/// dispatcher: every corpus policy behind a tail-calling dispatcher, the
+/// dispatcher run whole against `Vm::run_after` on the path
+/// `Vm::trace_tail_call` resolved, on both backends — four worlds that
+/// must agree on outcomes (instruction, cycle and tail-call counts
+/// included), packet bytes, `prandom` streams and final map state.
+#[test]
+fn corpus_policies_entered_after_a_traced_path_agree_across_backends() {
+    use syrup::ebpf::{Asm, HelperId, MapDef, Reg};
+    for entry in corpus() {
+        let worlds: Vec<_> = [Backend::Interp, Backend::Fast]
+            .into_iter()
+            .flat_map(|backend| [(backend, false), (backend, true)])
+            .map(|(backend, direct)| {
+                let maps = MapRegistry::new();
+                let compiled = syrup::lang::compile(entry.source, &entry.opts, &maps)
+                    .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.name));
+                let progs = maps.create(MapDef::prog_array(1));
+                let mut vm = Vm::new(maps.clone());
+                vm.set_backend(backend);
+                let policy = vm.load_unverified(compiled.program);
+                maps.get(progs).unwrap().set_prog(0, Some(policy)).unwrap();
+                let dispatcher = Asm::new()
+                    .load_map_fd(Reg::R2, progs)
+                    .mov64_imm(Reg::R3, 0)
+                    .call(HelperId::TailCall)
+                    .mov64_imm(Reg::R0, 0)
+                    .exit()
+                    .build("dispatcher")
+                    .unwrap();
+                let dispatcher = vm.load(dispatcher).unwrap();
+                let path = vm
+                    .trace_tail_call(
+                        dispatcher,
+                        &mut PacketCtx::new(&mut []),
+                        &mut RunEnv::default(),
+                    )
+                    .expect("the dispatcher tail-calls");
+                assert_eq!(path.target(), policy);
+                assert_eq!(path.insns(), 3);
+
+                let runs: Vec<_> = packets()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, mut pkt)| {
+                        let mut env = run_env(i as u64);
+                        let mut ctx = PacketCtx::new(&mut pkt);
+                        let out = if direct {
+                            vm.run_after(&path, &mut ctx, &mut env)
+                        } else {
+                            vm.run(dispatcher, &mut ctx, &mut env)
+                        };
+                        (out, pkt, env.prandom_state)
+                    })
+                    .collect();
+                (runs, map_state(&maps))
+            })
+            .collect();
+        for world in &worlds[1..] {
+            assert!(*world == worlds[0], "{}: worlds diverged", entry.name);
+        }
+    }
+}
+
 /// Pre-decoding is lossless on every corpus policy: re-encoding the
 /// decoded stream reproduces the compiler's output exactly.
 #[test]
