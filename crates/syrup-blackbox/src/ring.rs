@@ -21,8 +21,30 @@
 //! are active, never in a frozen (postmortem) ring. All slot words are
 //! individual atomics, so the whole structure is safe Rust under the
 //! workspace's `#![forbid(unsafe_code)]`.
+//!
+//! Ordering is the seqlock's, not sequential consistency: no push needs
+//! a full fence.
+//! * The ticket orders nothing by itself (Relaxed); the slot's sequence
+//!   word does.
+//! * A writer's Acquire spin on `2L` synchronises with the lap-`L-1`
+//!   publish, so the earlier lap's word stores come first in every
+//!   word's modification order.
+//! * The busy mark (`2L+1`, Relaxed) is followed by `fence(Release)`
+//!   before the Relaxed word stores, and the publish (`2L+2`) is a
+//!   Release store after them.
+//! * A reader loads the sequence word with Acquire, the words Relaxed,
+//!   then `fence(Acquire)` and the sequence word again. If its first
+//!   load saw `2L+2`, every lap-`L` word store happened before its word
+//!   loads, so it read lap `L`'s words or later ones. If any word load
+//!   read a later lap's store, that store follows the later writer's
+//!   Release fence, which therefore synchronises with the reader's
+//!   Acquire fence: the later busy mark happened before the second
+//!   load, which cannot return `2L+2` again, and the slot is torn.
 
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{
+    fence, AtomicU64,
+    Ordering::{Acquire, Relaxed, Release},
+};
 
 use crate::event::Event;
 
@@ -71,22 +93,23 @@ impl EventRing {
     /// in flight on the same slot lap (unreachable in practice with
     /// kilobyte-scale rings).
     pub fn push(&self, event: Event) {
-        let ticket = self.head.fetch_add(1, SeqCst);
+        let ticket = self.head.fetch_add(1, Relaxed);
         let slot = &self.slots[(ticket & self.mask) as usize];
         let idle = 2 * (ticket >> self.shift);
-        while slot.seq.load(SeqCst) != idle {
+        while slot.seq.load(Acquire) != idle {
             std::hint::spin_loop();
         }
-        slot.seq.store(idle + 1, SeqCst);
+        slot.seq.store(idle + 1, Relaxed);
+        fence(Release);
         for (w, v) in slot.words.iter().zip(event.encode()) {
-            w.store(v, SeqCst);
+            w.store(v, Relaxed);
         }
-        slot.seq.store(idle + 2, SeqCst);
+        slot.seq.store(idle + 2, Release);
     }
 
     /// Total pushes ever attempted.
     pub fn pushed(&self) -> u64 {
-        self.head.load(SeqCst)
+        self.head.load(Relaxed)
     }
 
     /// Events currently retained.
@@ -110,21 +133,17 @@ impl EventRing {
     /// second return value (`torn`); a quiescent or frozen ring always
     /// reads back `len()` events with zero torn.
     pub fn read(&self) -> (Vec<Event>, u64) {
-        let head = self.head.load(SeqCst);
+        let head = self.pushed();
         let n = head.min(self.slots.len() as u64);
         let mut events = Vec::with_capacity(n as usize);
         let mut torn = 0u64;
         for ticket in (head - n)..head {
             let slot = &self.slots[(ticket & self.mask) as usize];
             let published = 2 * (ticket >> self.shift) + 2;
-            let before = slot.seq.load(SeqCst);
-            let words = [
-                slot.words[0].load(SeqCst),
-                slot.words[1].load(SeqCst),
-                slot.words[2].load(SeqCst),
-                slot.words[3].load(SeqCst),
-            ];
-            let after = slot.seq.load(SeqCst);
+            let before = slot.seq.load(Acquire);
+            let words = slot.words.each_ref().map(|w| w.load(Relaxed));
+            fence(Acquire);
+            let after = slot.seq.load(Relaxed);
             if before == published && after == published {
                 match Event::decode(words) {
                     Some(e) => events.push(e),
@@ -190,6 +209,37 @@ mod tests {
         let (events, torn) = ring.read();
         assert_eq!(torn, 0);
         assert_eq!(events.len(), 5);
+    }
+
+    /// A reader racing writers on a ring small enough that every read
+    /// meets slots mid-write: whatever it decodes as not torn is an
+    /// event some writer pushed, word for word.
+    #[test]
+    fn reads_racing_writers_never_decode_a_mixed_event() {
+        const WRITERS: u64 = 2;
+        const PER_WRITER: u64 = 20_000;
+        let ring = EventRing::new(8);
+        let done = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (ring, done) = (&ring, &done);
+                s.spawn(move || {
+                    for i in 0..PER_WRITER {
+                        ring.push(ev(w * PER_WRITER + i));
+                    }
+                    done.fetch_add(1, Relaxed);
+                });
+            }
+            while done.load(Relaxed) < WRITERS {
+                for e in ring.read().0 {
+                    assert_eq!(e, ev(e.at_ns), "a torn event decoded as whole");
+                    assert!(e.at_ns < WRITERS * PER_WRITER);
+                }
+            }
+        });
+        assert_eq!(ring.pushed(), WRITERS * PER_WRITER);
+        let (events, torn) = ring.read();
+        assert_eq!((events.len(), torn), (8, 0));
     }
 
     /// Satellite: ring overwrite accounting under concurrent writers —

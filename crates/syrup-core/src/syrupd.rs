@@ -44,7 +44,7 @@ use syrup_ebpf::vm::{Backend, PacketCtx, RunEnv, TailPath, Vm};
 use syrup_ebpf::{ret, HelperId, Reg, VerifierError, VmError, VmOutcome};
 use syrup_lang::LangError;
 use syrup_telemetry::{
-    CounterHandle, DecisionEvent, Executor, HistogramHandle, Registry, Snapshot,
+    Counter, CounterHandle, DecisionEvent, Executor, HistogramHandle, PerCpu, Registry, Snapshot,
 };
 
 use crate::decision::{Decision, Verdict};
@@ -202,6 +202,7 @@ struct Slot {
 }
 
 /// One owned port of a hook.
+#[derive(Clone)]
 struct Route {
     port: u16,
     slot: Arc<Slot>,
@@ -211,6 +212,7 @@ struct Route {
 }
 
 /// The data plane's view of one hook.
+#[derive(Clone)]
 struct HookTable {
     stage: syrup_trace::Stage,
     /// Sorted by port.
@@ -218,6 +220,10 @@ struct HookTable {
 }
 
 /// Everything one `schedule` call reads, immutable once published.
+/// Aligned so that no two copies' `Arc` counts share a line with
+/// anything else.
+#[derive(Clone)]
+#[repr(align(128))]
 struct DispatchTable {
     hooks: [Option<HookTable>; Hook::ALL.len()],
     /// The control plane's VM, tracer and recorder included, as of
@@ -336,13 +342,16 @@ pub struct Syrupd {
     registry: MapRegistry,
     telemetry: Registry,
     /// Daemon-wide counters, cached so the hot path never re-registers.
+    /// The two every call writes are per CPU.
     deploys: CounterHandle,
-    dispatches: CounterHandle,
-    unmatched: CounterHandle,
+    dispatches: CounterHandle<PerCpu<Counter>>,
+    unmatched: CounterHandle<PerCpu<Counter>>,
     /// The control plane: every mutation happens under this lock.
     control: Arc<Mutex<Control>>,
-    /// The data plane: locked only to clone or swap the `Arc`.
-    published: Arc<Mutex<Arc<DispatchTable>>>,
+    /// The data plane: a copy of the table per stripe, so the lock and
+    /// the `Arc` count a call writes are its own stripe's. Each is locked
+    /// only to clone or swap its `Arc`.
+    published: Arc<PerCpu<Mutex<Arc<DispatchTable>>>>,
 }
 
 impl fmt::Debug for Syrupd {
@@ -389,23 +398,28 @@ impl Syrupd {
             rank_optin: HashMap::new(),
             next_app: 1,
         };
+        let table = control.table();
         Syrupd {
-            published: Arc::new(Mutex::new(Arc::new(control.table()))),
+            published: Arc::new(PerCpu::new(|| Mutex::new(Arc::new(table.clone())))),
             control: Arc::new(Mutex::new(control)),
             registry,
             deploys: telemetry.counter("syrupd/deploys"),
-            dispatches: telemetry.counter("syrupd/dispatches"),
-            unmatched: telemetry.counter("syrupd/unmatched"),
+            dispatches: telemetry.percpu_counter("syrupd/dispatches"),
+            unmatched: telemetry.percpu_counter("syrupd/unmatched"),
             telemetry,
         }
     }
 
-    /// Makes `control`'s state what the next `schedule` call sees. Calls
-    /// already past their table fetch finish on the table they hold.
+    /// Makes `control`'s state what the next `schedule` call sees, on
+    /// every stripe before it returns. Calls already past their table
+    /// fetch finish on the table they hold.
     fn publish(&self, control: &Control) {
-        let next = Arc::new(control.table());
-        // Bound, so the previous table is dropped after the lock is released.
-        let _previous = std::mem::replace(&mut *self.published.lock(), next);
+        let next = control.table();
+        for stripe in self.published.iter() {
+            // Bound, so the previous table is dropped after the lock is
+            // released.
+            let _previous = std::mem::replace(&mut *stripe.lock(), Arc::new(next.clone()));
+        }
     }
 
     /// Reconfigures the VM; the next `schedule` call runs under it.
@@ -711,8 +725,8 @@ impl Syrupd {
         ) -> Result<VmOutcome, VmError>,
     ) -> (Option<AppId>, Verdict) {
         self.dispatches.inc();
-        // The one lock every caller shares, held for an `Arc` clone.
-        let table = Arc::clone(&self.published.lock());
+        // The caller's stripe's lock, held for an `Arc` clone.
+        let table = Arc::clone(&self.published.local().lock());
         let routed = table.hooks[hook.index()].as_ref().and_then(|ht| {
             let found = ht
                 .routes

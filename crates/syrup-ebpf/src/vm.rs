@@ -29,7 +29,7 @@ use crate::mem::{call_helper, fetch_add, map_fd_token, mem_load, mem_store, Fram
 use crate::store::{Loaded, ProgStore};
 use crate::verifier::{verify, VerifierError};
 use crate::Program;
-use syrup_telemetry::{CounterHandle, HistogramHandle, Registry};
+use syrup_telemetry::{Counter, CounterHandle, Histogram, HistogramHandle, PerCpu, Registry};
 
 /// Stack bytes available per invocation, matching the kernel's limit.
 pub const STACK_SIZE: i64 = 512;
@@ -402,38 +402,39 @@ impl RunEnv {
 #[derive(Debug, Clone, Default)]
 pub struct VmTelemetry {
     /// Successful invocations.
-    runs: CounterHandle,
+    runs: CounterHandle<PerCpu<Counter>>,
     /// Invocations that trapped with a [`VmError`].
-    traps: CounterHandle,
+    traps: CounterHandle<PerCpu<Counter>>,
     /// Modelled cycles per successful run (the percpu-histogram analogue).
-    cycles: HistogramHandle,
+    cycles: HistogramHandle<PerCpu<Histogram>>,
     /// Instructions executed per successful run.
-    insns: HistogramHandle,
+    insns: HistogramHandle<PerCpu<Histogram>>,
     /// Successful invocations executed by the interpreter.
-    runs_interp: CounterHandle,
+    runs_interp: CounterHandle<PerCpu<Counter>>,
     /// Successful invocations executed by the fast engine.
-    runs_fast: CounterHandle,
+    runs_fast: CounterHandle<PerCpu<Counter>>,
     /// Modelled cycles accumulated by interpreter runs.
-    cycles_interp: CounterHandle,
+    cycles_interp: CounterHandle<PerCpu<Counter>>,
     /// Modelled cycles accumulated by fast-engine runs.
-    cycles_fast: CounterHandle,
+    cycles_fast: CounterHandle<PerCpu<Counter>>,
 }
 
 impl VmTelemetry {
     /// Registers the VM's instruments (`vm/runs`, `vm/traps`,
     /// `vm/run_cycles`, `vm/run_insns`, and the per-backend
     /// `vm/runs_interp`, `vm/runs_fast`, `vm/cycles_interp`,
-    /// `vm/cycles_fast`) in `registry`.
+    /// `vm/cycles_fast`) in `registry`, per CPU: every app's policy runs
+    /// record into them.
     pub fn attached(registry: &Registry) -> Self {
         VmTelemetry {
-            runs: registry.counter("vm/runs"),
-            traps: registry.counter("vm/traps"),
-            cycles: registry.histogram("vm/run_cycles"),
-            insns: registry.histogram("vm/run_insns"),
-            runs_interp: registry.counter("vm/runs_interp"),
-            runs_fast: registry.counter("vm/runs_fast"),
-            cycles_interp: registry.counter("vm/cycles_interp"),
-            cycles_fast: registry.counter("vm/cycles_fast"),
+            runs: registry.percpu_counter("vm/runs"),
+            traps: registry.percpu_counter("vm/traps"),
+            cycles: registry.percpu_histogram("vm/run_cycles"),
+            insns: registry.percpu_histogram("vm/run_insns"),
+            runs_interp: registry.percpu_counter("vm/runs_interp"),
+            runs_fast: registry.percpu_counter("vm/runs_fast"),
+            cycles_interp: registry.percpu_counter("vm/cycles_interp"),
+            cycles_fast: registry.percpu_counter("vm/cycles_fast"),
         }
     }
 }

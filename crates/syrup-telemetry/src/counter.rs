@@ -1,10 +1,11 @@
 //! Lock-free counters and gauges.
 //!
 //! All updates use relaxed atomics: telemetry never orders other memory
-//! accesses, it only has to be eventually consistent with a [`sum`]
-//! (`ShardedCounter::sum`) or `get` read at snapshot time.
+//! accesses, it only has to be eventually consistent with a `get` read
+//! at snapshot time.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use crate::percpu::PerCpu;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 /// A monotonic event counter (deployments, dispatches, drops, ...).
 #[derive(Debug, Default)]
@@ -35,6 +36,42 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Relaxed)
+    }
+}
+
+/// What a [`crate::CounterHandle`] writes through: one [`Counter`], for
+/// a counter only one app's callers write, or a [`PerCpu`] of them, for
+/// one every app's callers write. The two read alike: a per-CPU counter
+/// is its stripes' wrapping sum, exactly what one atomic would hold.
+///
+/// The choice is a type, not a flag, so a single counter's increment
+/// stays the one atomic add it always was, inlined at every site.
+pub trait CounterCell: Send + Sync + 'static {
+    /// Adds `n`, on the calling thread's stripe if there are several.
+    fn add(&self, n: u64);
+    /// Current value. Concurrent updates may or may not be included.
+    fn get(&self) -> u64;
+}
+
+impl CounterCell for Counter {
+    #[inline]
+    fn add(&self, n: u64) {
+        Counter::add(self, n);
+    }
+
+    fn get(&self) -> u64 {
+        Counter::get(self)
+    }
+}
+
+impl CounterCell for PerCpu<Counter> {
+    #[inline]
+    fn add(&self, n: u64) {
+        self.local().add(n);
+    }
+
+    fn get(&self) -> u64 {
+        self.iter().map(Counter::get).fold(0, u64::wrapping_add)
     }
 }
 
@@ -76,62 +113,9 @@ impl Gauge {
     }
 }
 
-/// Shard count for [`ShardedCounter`]; power of two, sized like a small
-/// percpu array.
-const SHARDS: usize = 16;
-
-/// One cache line per shard so concurrent writers don't false-share.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-std::thread_local! {
-    /// Each thread gets a home shard round-robin, mirroring how percpu
-    /// map updates land on the updating CPU's slot.
-    static HOME_SHARD: usize = NEXT_SHARD.fetch_add(1, Relaxed) % SHARDS;
-}
-
-/// A counter striped across cache-padded shards for write-heavy,
-/// multi-thread hot paths. Reads sum all shards.
-#[derive(Debug, Default)]
-pub struct ShardedCounter {
-    shards: [PaddedU64; SHARDS],
-}
-
-impl ShardedCounter {
-    /// Creates a sharded counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one on the calling thread's home shard.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n` on the calling thread's home shard.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        let shard = HOME_SHARD.with(|s| *s);
-        self.shards[shard].0.fetch_add(n, Relaxed);
-    }
-
-    /// Sums every shard. Concurrent updates may or may not be included.
-    pub fn sum(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Relaxed))
-            .fold(0, u64::wrapping_add)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counter_counts() {
@@ -153,20 +137,24 @@ mod tests {
 
     #[test]
     fn sharded_counter_sums_across_threads() {
-        let c = Arc::new(ShardedCounter::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+        for stripes in [1, 2, 4, 16] {
+            let c = PerCpu::with_stripes(stripes, Counter::new);
+            std::thread::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|| {
+                        for _ in 0..10_000 {
+                            CounterCell::add(&c, 1);
+                        }
+                    });
+                }
+            });
+            assert_eq!(CounterCell::get(&c), 80_000, "{stripes} stripes");
         }
-        assert_eq!(c.sum(), 80_000);
+        let c = PerCpu::new(Counter::new);
+        CounterCell::add(&c, u64::MAX);
+        std::thread::scope(|s| {
+            s.spawn(|| CounterCell::add(&c, 2));
+        });
+        assert_eq!(CounterCell::get(&c), 1, "stripes wrap as one counter would");
     }
 }

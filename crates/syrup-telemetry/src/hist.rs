@@ -10,6 +10,7 @@
 //! are tracked so `mean()`/`stdev()` are *exact* even though `quantile()`
 //! interpolates within a bucket.
 
+use crate::percpu::PerCpu;
 use serde::{Serialize, SerializeStruct, Serializer};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -105,6 +106,46 @@ impl Histogram {
             min_raw: self.min.load(Relaxed),
             max_raw: self.max.load(Relaxed),
         }
+    }
+}
+
+/// What a [`crate::HistogramHandle`] records through: one [`Histogram`],
+/// or a [`PerCpu`] of them for a histogram every app's callers write.
+/// The two read alike, because merging stripes is exact: buckets and
+/// `count` add, `sum` and `sumsq` add wrapping as one histogram's would
+/// have, min and max take the extremes, and an empty stripe is the
+/// identity.
+pub trait HistogramCell: Send + Sync + 'static {
+    /// Records one sample, on the calling thread's stripe if there are
+    /// several.
+    fn record(&self, v: u64);
+    /// Current state (see [`Histogram::snapshot`]).
+    fn snapshot(&self) -> HistogramSnapshot;
+}
+
+impl HistogramCell for Histogram {
+    #[inline]
+    fn record(&self, v: u64) {
+        Histogram::record(self, v);
+    }
+
+    fn snapshot(&self) -> HistogramSnapshot {
+        Histogram::snapshot(self)
+    }
+}
+
+impl HistogramCell for PerCpu<Histogram> {
+    #[inline]
+    fn record(&self, v: u64) {
+        self.local().record(v);
+    }
+
+    fn snapshot(&self) -> HistogramSnapshot {
+        self.iter()
+            .fold(HistogramSnapshot::empty(), |mut merged, stripe| {
+                merged.merge(&stripe.snapshot());
+                merged
+            })
     }
 }
 
@@ -469,6 +510,75 @@ mod tests {
         assert_eq!(s.buckets().iter().sum::<u64>(), 100_000);
         assert_eq!(s.min(), 0);
         assert_eq!(s.max(), 99_999);
+    }
+
+    /// `threads` threads record `values` round-robin into a histogram
+    /// and a counter of `stripes` stripes; returns their reads.
+    fn record_striped(stripes: usize, threads: usize, values: &[u64]) -> (HistogramSnapshot, u64) {
+        let h = PerCpu::with_stripes(stripes, Histogram::new);
+        let c = PerCpu::with_stripes(stripes, crate::Counter::new);
+        let barrier = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (h, c, barrier) = (&h, &c, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    for &v in values.iter().skip(t).step_by(threads) {
+                        HistogramCell::record(h, v);
+                        crate::CounterCell::add(c, v);
+                    }
+                });
+            }
+        });
+        (HistogramCell::snapshot(&h), crate::CounterCell::get(&c))
+    }
+
+    #[test]
+    fn striped_records_merge_to_the_single_threaded_accumulator() {
+        let values: Vec<u64> = (0..40_000u64)
+            .map(|i| match i % 5 {
+                0 => 0,
+                1 => 1,
+                2 => u64::MAX,
+                _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64),
+            })
+            .collect();
+        let mut want = HistogramSnapshot::empty();
+        values.iter().for_each(|&v| want.record(v));
+        let sum = values.iter().fold(0, |a: u64, &v| a.wrapping_add(v));
+        for stripes in [1, 2, 4, 16] {
+            for threads in [1, 3, 8] {
+                let (got, counted) = record_striped(stripes, threads, &values);
+                assert_eq!(got, want, "{stripes} stripes, {threads} threads");
+                assert_eq!(counted, sum, "{stripes} stripes, {threads} threads");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn striped_records_merge_exactly(
+            picks in proptest::collection::vec((0u8..4, proptest::prelude::any::<u64>()), 0..200),
+            stripes_log2 in 0usize..5,
+            threads in 1usize..5,
+        ) {
+            // The vendored proptest has no `prop_oneof`: a discriminant
+            // makes the edges common.
+            let values: Vec<u64> = picks
+                .iter()
+                .map(|&(which, v)| match which {
+                    0 => 0,
+                    1 => 1,
+                    2 => u64::MAX,
+                    _ => v,
+                })
+                .collect();
+            let mut want = HistogramSnapshot::empty();
+            values.iter().for_each(|&v| want.record(v));
+            let (got, counted) = record_striped(1 << stripes_log2, threads, &values);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(counted, values.iter().fold(0, |a: u64, &v| a.wrapping_add(v)));
+        }
     }
 
     #[test]

@@ -11,7 +11,14 @@
 //!   lock once, increments never do), standing in for percpu map updates.
 //! * [`DecisionRing`] — a bounded ring of [`DecisionEvent`]s with
 //!   eBPF-ringbuf semantics: when the buffer is full the *new* event is
-//!   dropped (reservation failure) and a drop counter advances.
+//!   dropped (reservation failure) and a drop counter advances. The
+//!   buffer is generic ([`BoundedRing`]); `syrup-trace` keeps its spans
+//!   in one too.
+//! * [`PerCpu`] — one cache-line-aligned stripe per CPU, standing in for
+//!   a percpu map slot. Counters and histograms every app's callers
+//!   write register per CPU ([`Registry::percpu_counter`]), as does the
+//!   ring's drop counter, so two apps' callers do not write the same
+//!   lines.
 //! * [`Snapshot`] — a point-in-time copy of every metric, exportable as a
 //!   plain-text table ([`Snapshot::render_table`]) or JSON
 //!   ([`Snapshot::to_json`]), standing in for userspace map reads.
@@ -22,12 +29,14 @@
 
 mod counter;
 mod hist;
+mod percpu;
 mod registry;
 mod ring;
 
-pub use counter::{Counter, Gauge, ShardedCounter};
-pub use hist::{Histogram, HistogramSnapshot, HIST_BUCKETS};
+pub use counter::{Counter, CounterCell, Gauge};
+pub use hist::{Histogram, HistogramCell, HistogramSnapshot, HIST_BUCKETS};
+pub use percpu::PerCpu;
 pub use registry::{
     CounterHandle, GaugeHandle, HistogramHandle, Registry, Snapshot, SnapshotDelta,
 };
-pub use ring::{DecisionEvent, DecisionRing, Executor};
+pub use ring::{BoundedRing, DecisionEvent, DecisionRing, Executor};

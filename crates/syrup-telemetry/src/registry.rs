@@ -10,8 +10,9 @@
 //! as `<component>/<metric>` or `app<id>/<hook>/<metric>`, which makes
 //! per-app export a prefix filter ([`Snapshot::filter_prefix`]).
 
-use crate::counter::{Counter, Gauge};
-use crate::hist::{Histogram, HistogramSnapshot};
+use crate::counter::{Counter, CounterCell, Gauge};
+use crate::hist::{Histogram, HistogramCell, HistogramSnapshot};
+use crate::percpu::PerCpu;
 use crate::ring::{DecisionEvent, DecisionRing};
 use parking_lot::Mutex;
 use serde::{Serialize, SerializeStruct, Serializer};
@@ -25,9 +26,51 @@ pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 #[derive(Debug, Default)]
 struct Instruments {
-    counters: BTreeMap<String, Arc<Counter>>,
+    counters: BTreeMap<String, Cells<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Arc<Histogram>>,
+    histograms: BTreeMap<String, Cells<Histogram>>,
+}
+
+/// A registered instrument's storage: one cell, or one per CPU. The
+/// first registration of a name decides which.
+#[derive(Debug)]
+enum Cells<T> {
+    One(Arc<T>),
+    PerCpu(Arc<PerCpu<T>>),
+}
+
+impl<T> Cells<T> {
+    fn one(&self) -> Option<Arc<T>> {
+        match self {
+            Cells::One(cell) => Some(Arc::clone(cell)),
+            Cells::PerCpu(_) => None,
+        }
+    }
+
+    fn percpu(&self) -> Option<Arc<PerCpu<T>>> {
+        match self {
+            Cells::PerCpu(cells) => Some(Arc::clone(cells)),
+            Cells::One(_) => None,
+        }
+    }
+}
+
+impl Cells<Counter> {
+    fn get(&self) -> u64 {
+        match self {
+            Cells::One(c) => c.get(),
+            Cells::PerCpu(c) => CounterCell::get(&**c),
+        }
+    }
+}
+
+impl Cells<Histogram> {
+    fn snapshot(&self) -> HistogramSnapshot {
+        match self {
+            Cells::One(h) => h.snapshot(),
+            Cells::PerCpu(h) => HistogramCell::snapshot(&**h),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -69,48 +112,72 @@ impl Registry {
         self.inner.is_some()
     }
 
-    /// Registers (or fetches) the named counter.
+    /// The named instrument of one kind; `None` when disabled. `pick`
+    /// takes the storage out of the entry, creating it with `make` if the
+    /// name is new.
+    fn register<T, C>(
+        &self,
+        kind: impl FnOnce(&mut Instruments) -> &mut BTreeMap<String, T>,
+        name: &str,
+        make: impl FnOnce() -> T,
+        pick: impl FnOnce(&T) -> Option<Arc<C>>,
+    ) -> Option<Arc<C>> {
+        self.inner.as_ref().map(|r| {
+            let mut instruments = r.instruments.lock();
+            let entry = kind(&mut instruments)
+                .entry(name.to_string())
+                .or_insert_with(make);
+            pick(entry)
+                .unwrap_or_else(|| panic!("`{name}` is already registered with the other storage"))
+        })
+    }
+
+    /// Registers (or fetches) the named counter: one cell, for a counter
+    /// only one app's callers write. Panics if the name is per CPU.
     pub fn counter(&self, name: &str) -> CounterHandle {
+        let make = || Cells::One(Arc::default());
         CounterHandle {
-            inner: self.inner.as_ref().map(|r| {
-                Arc::clone(
-                    r.instruments
-                        .lock()
-                        .counters
-                        .entry(name.to_string())
-                        .or_default(),
-                )
-            }),
+            inner: self.register(|i| &mut i.counters, name, make, Cells::one),
+        }
+    }
+
+    /// Registers (or fetches) the named counter, per CPU: for a counter
+    /// every app's callers write. It reads the same as a single one.
+    /// Panics if the name is a single counter.
+    pub fn percpu_counter(&self, name: &str) -> CounterHandle<PerCpu<Counter>> {
+        let make = || Cells::PerCpu(Arc::new(PerCpu::new(Counter::new)));
+        CounterHandle {
+            inner: self.register(|i| &mut i.counters, name, make, Cells::percpu),
         }
     }
 
     /// Registers (or fetches) the named gauge.
     pub fn gauge(&self, name: &str) -> GaugeHandle {
         GaugeHandle {
-            inner: self.inner.as_ref().map(|r| {
-                Arc::clone(
-                    r.instruments
-                        .lock()
-                        .gauges
-                        .entry(name.to_string())
-                        .or_default(),
-                )
-            }),
+            inner: self.register(
+                |i| &mut i.gauges,
+                name,
+                Arc::default,
+                |g| Some(Arc::clone(g)),
+            ),
         }
     }
 
-    /// Registers (or fetches) the named histogram.
+    /// Registers (or fetches) the named histogram: one cell. Panics if
+    /// the name is per CPU.
     pub fn histogram(&self, name: &str) -> HistogramHandle {
+        let make = || Cells::One(Arc::default());
         HistogramHandle {
-            inner: self.inner.as_ref().map(|r| {
-                Arc::clone(
-                    r.instruments
-                        .lock()
-                        .histograms
-                        .entry(name.to_string())
-                        .or_default(),
-                )
-            }),
+            inner: self.register(|i| &mut i.histograms, name, make, Cells::one),
+        }
+    }
+
+    /// Registers (or fetches) the named histogram, per CPU. It reads the
+    /// same as a single one. Panics if the name is a single histogram.
+    pub fn percpu_histogram(&self, name: &str) -> HistogramHandle<PerCpu<Histogram>> {
+        let make = || Cells::PerCpu(Arc::new(PerCpu::new(Histogram::new)));
+        HistogramHandle {
+            inner: self.register(|i| &mut i.histograms, name, make, Cells::percpu),
         }
     }
 
@@ -165,13 +232,29 @@ impl Registry {
     }
 }
 
-/// Lock-free handle to a registered [`Counter`]; no-op when disabled.
-#[derive(Debug, Clone, Default)]
-pub struct CounterHandle {
-    inner: Option<Arc<Counter>>,
+/// Lock-free handle to a registered counter; no-op when disabled. `C`
+/// is its storage: one [`Counter`], or a [`PerCpu`] of them
+/// ([`Registry::percpu_counter`]).
+#[derive(Debug)]
+pub struct CounterHandle<C = Counter> {
+    inner: Option<Arc<C>>,
 }
 
-impl CounterHandle {
+impl<C> Clone for CounterHandle<C> {
+    fn clone(&self) -> Self {
+        CounterHandle {
+            inner: self.inner.clone(),
+        }
+    }
+}
+
+impl<C> Default for CounterHandle<C> {
+    fn default() -> Self {
+        CounterHandle { inner: None }
+    }
+}
+
+impl<C: CounterCell> CounterHandle<C> {
     /// A permanently disabled handle.
     pub fn disabled() -> Self {
         Self::default()
@@ -180,9 +263,7 @@ impl CounterHandle {
     /// Adds one.
     #[inline]
     pub fn inc(&self) {
-        if let Some(c) = &self.inner {
-            c.inc();
-        }
+        self.add(1);
     }
 
     /// Adds `n`.
@@ -241,13 +322,29 @@ impl GaugeHandle {
     }
 }
 
-/// Lock-free handle to a registered [`Histogram`]; no-op when disabled.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramHandle {
-    inner: Option<Arc<Histogram>>,
+/// Lock-free handle to a registered histogram; no-op when disabled. `H`
+/// is its storage: one [`Histogram`], or a [`PerCpu`] of them
+/// ([`Registry::percpu_histogram`]).
+#[derive(Debug)]
+pub struct HistogramHandle<H = Histogram> {
+    inner: Option<Arc<H>>,
 }
 
-impl HistogramHandle {
+impl<H> Clone for HistogramHandle<H> {
+    fn clone(&self) -> Self {
+        HistogramHandle {
+            inner: self.inner.clone(),
+        }
+    }
+}
+
+impl<H> Default for HistogramHandle<H> {
+    fn default() -> Self {
+        HistogramHandle { inner: None }
+    }
+}
+
+impl<H: HistogramCell> HistogramHandle<H> {
     /// A permanently disabled handle.
     pub fn disabled() -> Self {
         Self::default()
@@ -584,6 +681,68 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"syrupd/deploys\":1"), "{json}");
         assert!(json.contains("\"trace_buffered\":1"), "{json}");
+    }
+
+    #[test]
+    fn percpu_instruments_read_like_single_stripe_ones() {
+        let reg = Registry::new();
+        let percpu = (reg.percpu_counter("a/c"), reg.percpu_histogram("a/h"));
+        let single = (reg.counter("b/c"), reg.histogram("b/h"));
+        // A name keeps the storage it was first registered with.
+        assert!(Arc::ptr_eq(
+            percpu.0.inner.as_ref().unwrap(),
+            reg.percpu_counter("a/c").inner.as_ref().unwrap()
+        ));
+        let other = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.counter("a/c")));
+        assert!(other.is_err(), "a per-CPU name refuses a single handle");
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (percpu, single) = (&percpu, &single);
+                s.spawn(move || {
+                    for v in (t..2_000).step_by(4) {
+                        percpu.0.add(v);
+                        percpu.1.record(v);
+                        single.0.add(v);
+                        single.1.record(v);
+                    }
+                });
+            }
+        });
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("a/c"), snap.counter("b/c"));
+        assert_eq!(snap.histogram("a/h"), snap.histogram("b/h"));
+    }
+
+    #[test]
+    fn deltas_round_trip_across_stripes() {
+        let counter = PerCpu::with_stripes(4, Counter::new);
+        let hist = PerCpu::with_stripes(4, Histogram::new);
+        let snap = || Snapshot {
+            counters: [("c".to_string(), CounterCell::get(&counter))].into(),
+            histograms: [("h".to_string(), HistogramCell::snapshot(&hist))].into(),
+            ..Snapshot::default()
+        };
+        let record_from = |threads: u64, base: u64| {
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let (counter, hist) = (&counter, &hist);
+                    s.spawn(move || {
+                        for i in 0..500 {
+                            CounterCell::add(counter, i);
+                            HistogramCell::record(hist, base + t * 1_000 + i);
+                        }
+                    });
+                }
+            })
+        };
+        record_from(3, 0);
+        let earlier = snap();
+        record_from(5, 1 << 40);
+        let later = snap();
+        let delta = later.delta(&earlier);
+        assert_eq!(delta.counters["c"], 5 * (0..500).sum::<u64>());
+        assert_eq!(delta.histograms["h"].count(), 5 * 500);
+        assert_eq!(delta.apply(&earlier), later);
     }
 
     #[test]

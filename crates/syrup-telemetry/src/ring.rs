@@ -1,16 +1,27 @@
-//! Bounded decision tracing, mirroring an eBPF ring buffer.
+//! Bounded drop-newest buffers, mirroring an eBPF ring buffer.
 //!
 //! In the real system each scheduling decision can be streamed to
 //! userspace through a `BPF_MAP_TYPE_RINGBUF`. A producer that cannot
 //! reserve space *drops its own event* and the consumer learns how many
-//! events were lost. [`DecisionRing`] reproduces exactly those semantics:
-//! bounded capacity, newest event dropped on overflow, monotonic drop
-//! counter readable at any time.
+//! events were lost. [`BoundedRing`] reproduces exactly those semantics:
+//! bounded capacity, newest record dropped on overflow, monotonic drop
+//! counter readable at any time. It holds the registry's decisions
+//! ([`DecisionRing`]) and the tracer's spans.
+//!
+//! A full ringbuf refuses a reservation without blocking anyone, and so
+//! does this one: the length is mirrored in an atomic written under the
+//! lock, a producer that reads it at capacity refuses without taking the
+//! lock, and the refusal is counted per CPU. Once full, producers share
+//! no written line. A stale mirror is either too low, which only sends
+//! the producer to the lock, or misses a drain, which refuses a push the
+//! ring could have taken: a ring that is never drained accepts exactly
+//! `capacity` records, and accepted + dropped equals attempted either way.
 
+use crate::counter::{Counter, CounterCell};
+use crate::percpu::PerCpu;
 use parking_lot::Mutex;
 use serde::{Serialize, SerializeStruct, Serializer};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Where a scheduling decision was executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,70 +72,79 @@ impl Serialize for DecisionEvent {
     }
 }
 
-/// Bounded ring of recent [`DecisionEvent`]s with drop counting.
+/// Bounded drop-newest buffer of records with drop counting.
 #[derive(Debug)]
-pub struct DecisionRing {
-    events: Mutex<VecDeque<DecisionEvent>>,
+pub struct BoundedRing<T> {
+    records: Mutex<Vec<T>>,
+    /// `records.len()`, stored under the lock whenever it changes.
+    /// Relaxed: it publishes no data, records are read under the lock.
+    len: AtomicUsize,
     capacity: usize,
-    dropped: AtomicU64,
+    /// Per CPU: every refusing producer writes it.
+    dropped: PerCpu<Counter>,
 }
 
-impl DecisionRing {
-    /// Creates a ring holding at most `capacity` events (min 1).
+/// The registry's ring of traced decisions.
+pub type DecisionRing = BoundedRing<DecisionEvent>;
+
+impl<T: Clone> BoundedRing<T> {
+    /// Creates a ring holding at most `capacity` records (min 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        DecisionRing {
-            events: Mutex::new(VecDeque::with_capacity(capacity)),
-            capacity,
-            dropped: AtomicU64::new(0),
+        BoundedRing {
+            records: Mutex::new(Vec::new()),
+            len: AtomicUsize::new(0),
+            capacity: capacity.max(1),
+            dropped: PerCpu::new(Counter::new),
         }
     }
 
-    /// Appends an event. If the ring is full the event is discarded (like
-    /// a failed ringbuf reservation) and the drop counter advances;
-    /// returns whether the event was stored.
-    pub fn push(&self, event: DecisionEvent) -> bool {
-        let mut events = self.events.lock();
-        if events.len() >= self.capacity {
-            // Count the drop while still holding the lock: a consumer that
-            // drains and then reads `dropped()` must never observe a state
-            // where an event was already rejected but not yet counted.
-            self.dropped.fetch_add(1, Relaxed);
-            return false;
+    /// Appends a record. If the ring is full the record is discarded
+    /// (like a failed ringbuf reservation) and the drop counter advances;
+    /// returns whether the record was stored.
+    pub fn push(&self, record: T) -> bool {
+        if self.len.load(Relaxed) < self.capacity {
+            let mut records = self.records.lock();
+            if records.len() < self.capacity {
+                records.push(record);
+                self.len.store(records.len(), Relaxed);
+                return true;
+            }
         }
-        events.push_back(event);
-        true
+        self.dropped.local().inc();
+        false
     }
 
-    /// Removes and returns all buffered events, oldest first (consumer
-    /// read). Frees capacity for new events.
-    pub fn drain(&self) -> Vec<DecisionEvent> {
-        self.events.lock().drain(..).collect()
+    /// Removes and returns all buffered records, oldest first (consumer
+    /// read). Frees capacity for new records.
+    pub fn drain(&self) -> Vec<T> {
+        let mut records = self.records.lock();
+        self.len.store(0, Relaxed);
+        std::mem::take(&mut *records)
     }
 
-    /// Copies the buffered events without consuming them.
-    pub fn peek(&self) -> Vec<DecisionEvent> {
-        self.events.lock().iter().cloned().collect()
+    /// Copies the buffered records without consuming them.
+    pub fn peek(&self) -> Vec<T> {
+        self.records.lock().clone()
     }
 
-    /// Number of currently buffered events.
+    /// Number of currently buffered records.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.len.load(Relaxed)
     }
 
-    /// Whether the ring holds no events.
+    /// Whether the ring holds no records.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Maximum number of buffered events.
+    /// Maximum number of buffered records.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Events discarded because the ring was full.
+    /// Records discarded because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Relaxed)
+        CounterCell::get(&self.dropped)
     }
 }
 
@@ -224,6 +244,32 @@ mod tests {
         // dropped accounts for every push attempted.
         assert_eq!(stored, drained);
         assert_eq!(stored + ring.dropped(), PRODUCERS * PER_PRODUCER);
+    }
+
+    #[test]
+    fn concurrent_overfill_of_an_undrained_ring_refuses_exactly_the_excess() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 2_000;
+        const CAPACITY: usize = 100;
+        let ring = DecisionRing::new(CAPACITY);
+        let stored: u64 = std::thread::scope(|s| {
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let ring = &ring;
+                    s.spawn(move || {
+                        (0..PER_PRODUCER)
+                            .filter(|i| ring.push(ev(p * PER_PRODUCER + i)))
+                            .count() as u64
+                    })
+                })
+                .collect();
+            producers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let attempted = PRODUCERS * PER_PRODUCER;
+        assert_eq!(stored, CAPACITY as u64);
+        assert_eq!(ring.dropped(), attempted - CAPACITY as u64);
+        assert_eq!(ring.len(), CAPACITY);
+        assert_eq!(ring.drain().len(), CAPACITY);
     }
 
     #[test]

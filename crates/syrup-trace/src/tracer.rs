@@ -2,9 +2,9 @@
 
 use crate::span::{SpanKind, SpanRecord};
 use crate::stage::Stage;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use syrup_telemetry::BoundedRing;
 
 /// A trace identifier. Nonzero; 0 is reserved for "not traced" /
 /// global events.
@@ -69,12 +69,10 @@ impl Default for TraceConfig {
 #[derive(Debug)]
 struct Inner {
     sample_every: u64,
-    capacity: usize,
     next_id: AtomicU64,
     ingress_seen: AtomicU64,
     started: AtomicU64,
-    dropped_records: AtomicU64,
-    records: Mutex<Vec<SpanRecord>>,
+    records: BoundedRing<SpanRecord>,
 }
 
 /// The span tracer. Cloning shares the instance (like sharing a map fd);
@@ -96,12 +94,10 @@ impl Tracer {
         Tracer {
             inner: Some(Arc::new(Inner {
                 sample_every: cfg.sample_every.max(1),
-                capacity: cfg.capacity.max(1),
                 next_id: AtomicU64::new(1),
                 ingress_seen: AtomicU64::new(0),
                 started: AtomicU64::new(0),
-                dropped_records: AtomicU64::new(0),
-                records: Mutex::new(Vec::new()),
+                records: BoundedRing::new(cfg.capacity),
             })),
         }
     }
@@ -280,32 +276,23 @@ impl Tracer {
     }
 
     fn push(&self, record: SpanRecord) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut records = inner.records.lock();
-        if records.len() >= inner.capacity {
-            drop(records);
-            inner.dropped_records.fetch_add(1, Relaxed);
-            return;
+        if let Some(inner) = &self.inner {
+            inner.records.push(record);
         }
-        records.push(record);
     }
 
     /// Removes and returns all buffered records in recording order.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        match &self.inner {
-            Some(inner) => std::mem::take(&mut *inner.records.lock()),
-            None => Vec::new(),
-        }
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.records.drain())
     }
 
     /// Copies the buffered records without consuming them.
     pub fn peek(&self) -> Vec<SpanRecord> {
-        match &self.inner {
-            Some(inner) => inner.records.lock().clone(),
-            None => Vec::new(),
-        }
+        self.inner
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.records.peek())
     }
 
     /// Traces started (sampled ingresses) so far.
@@ -315,9 +302,7 @@ impl Tracer {
 
     /// Records lost because the buffer was full.
     pub fn records_dropped(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.dropped_records.load(Relaxed))
+        self.inner.as_ref().map_or(0, |i| i.records.dropped())
     }
 }
 
