@@ -84,15 +84,11 @@ fn time_pair(source: &str, opts: &CompileOptions, reps: u32) -> (f64, f64) {
 
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let min_speedup: f64 = bench::flag_value(&args, "--min-speedup")
-        .map(|v| v.parse().expect("--min-speedup takes a number"))
-        .unwrap_or(1.0);
+    let min_speedup: f64 = bench::num_flag(&args, "--min-speedup", 1.0);
     // Batches must be long enough that per-rep scheduler noise (which
     // inflates both engines by the same +ns and so *deflates* the ratio)
     // is dodged by best-of; 100k reps ≈ tens of ms per batch.
-    let reps: u32 = bench::flag_value(&args, "--reps")
-        .map(|v| v.parse().expect("--reps takes a number"))
-        .unwrap_or(100_000);
+    let reps: u32 = bench::num_flag(&args, "--reps", 100_000);
 
     let cases = c_sources::table2(6);
 

@@ -115,19 +115,20 @@ fn record(point: &ScaleResult, cfg: &ScaleCfg, engine: ScaleEngine) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = bench::flag_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let extra_shards: usize = bench::flag_value(&args, "--shards")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let seed: u64 = bench::num_flag(&args, "--seed", 1);
+    let extra_shards: usize = bench::num_flag(&args, "--shards", 0);
     let flows: Vec<u64> = bench::flag_value(&args, "--flows")
         .map(|s| {
             s.split(',')
-                .map(|f| f.trim().parse().expect("--flows takes N,N,..."))
+                .map(|f| bench::parse_num("--flows", f.trim()))
                 .collect()
         })
         .unwrap_or_else(|| vec![10_000, 100_000, 1_000_000]);
+    // `scale::run` asserts its preconditions; a flag has to fail here
+    // instead, before anything runs. Flow ids are `u32`.
+    if flows.iter().any(|&f| f == 0 || f > u64::from(u32::MAX)) {
+        bench::usage_error(&format!("--flows must be between 1 and {}", u32::MAX));
+    }
 
     // Determinism gate at the smallest swept flow count (capped — the
     // gate checks the engine's merge protocol, which is flow-count

@@ -26,6 +26,7 @@
 use crate::{emit, sweep, Sweep};
 use syrup::sched::{ExecQueue, QueueKind};
 use syrup::sim::SimRng;
+use syrup::telemetry::nearest_rank;
 
 /// Mean service time of the short-request class, nanoseconds.
 const PARETO_MIN_NS: f64 = 1_000.0;
@@ -92,7 +93,7 @@ fn simulate(
 fn p99(mut xs: Vec<f64>) -> f64 {
     assert!(!xs.is_empty());
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[((0.99 * xs.len() as f64).ceil() as usize).clamp(1, xs.len()) - 1]
+    nearest_rank(&xs, 0.99)
 }
 
 /// Panel A job stream: Poisson arrivals at utilization `rho`, bounded

@@ -23,7 +23,6 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-pub use syrup::sim::sweep::{Series, Sweep};
 pub use syrup::sim::Duration;
 
 pub mod figures;
@@ -31,11 +30,11 @@ mod gate;
 mod sweep;
 
 pub use gate::{gate, time, Limit, Site, Timing};
-pub use sweep::{sweep, sweep_with};
+pub use sweep::{sweep, sweep_with, Series, Sweep};
 
 /// Reports a mistake in the harness's environment or arguments and exits
 /// with status 2 — before the run it would have mis-shaped has started.
-fn usage_error(message: &str) -> ! {
+pub fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
     std::process::exit(2)
 }
@@ -145,6 +144,19 @@ fn parse_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
 /// caller asked for an artifact the run would otherwise silently skip.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     parse_flag(args, flag).unwrap_or_else(|e| usage_error(&e))
+}
+
+/// `text`, the value given to the numeric flag `flag`, as a number; one
+/// that does not parse ends the process with one line on stderr.
+pub fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> T {
+    text.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} `{text}` is not a number")))
+}
+
+/// Value of a numeric `--name N` flag, `default` when the flag is absent
+/// (see [`flag_value`] and [`parse_num`] for what ends the process).
+pub fn num_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    flag_value(args, flag).map_or(default, |v| parse_num(flag, &v))
 }
 
 /// The request datagram the VM-facing harnesses run policies over: one

@@ -1,5 +1,6 @@
-//! The harness binaries refuse a mis-set scale or a flag that lost its
-//! value before they run anything — nothing is written, exit status 2.
+//! The harness binaries refuse a mis-set scale, a flag that lost its
+//! value or a number they cannot run with before they run anything —
+//! nothing is written, exit status 2.
 
 use std::process::Command;
 
@@ -34,6 +35,33 @@ fn table2_backend_without_a_value_is_an_error() {
         "0.05",
     );
     assert_eq!(stderr, "--backend requires a value\n");
+}
+
+#[test]
+fn numeric_flags_refuse_what_they_cannot_run() {
+    let scale = env!("CARGO_BIN_EXE_scale");
+    let guard = env!("CARGO_BIN_EXE_backend_guard");
+    let flows = "--flows must be between 1 and 4294967295\n";
+    for (exe, args, stderr) in [
+        (scale, ["--flows", "abc"], "--flows `abc` is not a number\n"),
+        (scale, ["--flows", "1,,2"], "--flows `` is not a number\n"),
+        (scale, ["--flows", "0"], flows),
+        (scale, ["--flows", "5000000000"], flows),
+        (scale, ["--seed", "abc"], "--seed `abc` is not a number\n"),
+        (
+            scale,
+            ["--shards", "abc"],
+            "--shards `abc` is not a number\n",
+        ),
+        (
+            guard,
+            ["--min-speedup", "abc"],
+            "--min-speedup `abc` is not a number\n",
+        ),
+        (guard, ["--reps", "abc"], "--reps `abc` is not a number\n"),
+    ] {
+        assert_eq!(refused(exe, &args, "0.05"), stderr, "{exe} {args:?}");
+    }
 }
 
 #[test]

@@ -30,7 +30,8 @@
 //!   starvation, a syrup-scope time-series anomaly, or a manual
 //!   `syrupctl blackbox trigger`) freezes the rings *after* recording
 //!   the triggering event, preserving the pre-trigger window for
-//!   [`Postmortem::capture`] — the postmortem contains its own cause.
+//!   [`Postmortem::capture`](Recorder::capture) — the postmortem contains
+//!   its own cause.
 //! * [`Postmortem`] — the frozen per-layer event dump plus trigger info,
 //!   serialized with a stable JSON schema; `syrupctl blackbox` wraps it
 //!   with a telemetry snapshot delta, overlapping trace timelines, and a

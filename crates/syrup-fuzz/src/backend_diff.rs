@@ -11,7 +11,8 @@
 //!   return value, instruction and cycle totals, redirects, tail-call
 //!   counts, and (for trapping programs, verified or not) the exact trap;
 //! * identical packet bytes and `prandom` stream positions after each run;
-//! * identical whole-map state ([`MapRef::entries`]) after all runs;
+//! * identical whole-map state ([`MapRef::entries`](syrup_ebpf::maps::MapRef::entries))
+//!   after all runs;
 //! * identical helper traces (per-helper call and cycle attribution from
 //!   two independent profilers).
 //!

@@ -1,6 +1,6 @@
-//! The event queue at the heart of the discrete-event engine.
+//! The event-queue contract, the one event loop, and the reference queue.
 //!
-//! [`EventQueue`] is a priority queue of `(Time, E)` pairs ordered by time
+//! An event queue is a priority queue of `(Time, E)` pairs ordered by time
 //! with deterministic FIFO tie-breaking: two events scheduled for the same
 //! instant pop in the order they were pushed. Determinism matters — every
 //! experiment in the benchmark harness must be exactly reproducible from its
@@ -8,7 +8,7 @@
 //!
 //! # The ordering contract
 //!
-//! Both implementations in this module honour one pinned contract:
+//! Every [`SimQueue`] honours one pinned contract:
 //!
 //! 1. **Time order.** `pop` emits events in non-decreasing `Time`.
 //! 2. **FIFO within a timestamp.** Events with equal `Time` pop in push
@@ -17,33 +17,35 @@
 //! 3. **Monotonic clock.** `now()` is the timestamp of the last popped
 //!    event and never goes backwards.
 //! 4. **Past-push policy.** Scheduling before `now()` is a logic error
-//!    in the calling world. [`EventQueue::push`] *saturates*: the event
-//!    is clamped to fire at `now()` (never silently reordered before
-//!    already-popped events), and the clamp is accounted — see
-//!    [`EventQueue::clamp_stats`]. [`EventQueue::try_push`] is the
-//!    strict variant that rejects the event instead.
+//!    in the calling world. `push` *saturates*: the event is clamped to
+//!    fire at `now()` (never silently reordered before already-popped
+//!    events), and the clamp is accounted — see
+//!    [`crate::EventQueue::clamp_stats`]. There is one push: [`drive`]
+//!    panics at the end of any run that clamped.
 //!
 //! # Two implementations
 //!
-//! * [`EventQueue`] — the production queue, backed by the hierarchical
-//!   timer wheel in [`crate::wheel`]: O(1) amortised push/pop regardless
-//!   of pending-event count, which is what lets the scale harness hold
+//! * [`crate::EventQueue`] — the production queue, the hierarchical
+//!   timer wheel in [`crate::wheel`]: O(1) amortised push/pop regardless of
+//!   pending-event count, which is what lets the scale harness hold
 //!   10⁶+ concurrent flows (`results/BENCH_scale.json`).
 //! * [`HeapQueue`] — the original `BinaryHeap` implementation, kept as
-//!   the *reference*: O(log n) but trivially correct. The differential
-//!   proptest `wheel_matches_heap_reference` (in `tests/`) drives both
-//!   with random push/pop interleavings and asserts identical pop
-//!   sequences, and `bench --bench wheel` uses it as the perf baseline.
+//!   the *reference*: O(log n) but trivially correct, and sharing no
+//!   ordering or clamp code with the wheel. The differential proptest
+//!   `wheel_matches_heap_reference` (in `tests/`) drives it, the wheel
+//!   and [`crate::ShardedQueue`] with random push/pop interleavings and
+//!   asserts identical pop sequences, and `bench --bench wheel` uses it
+//!   as the perf baseline.
 
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::Time;
-use crate::wheel::{PastPush, TimerWheel, WheelStats};
 
-/// Minimal queue interface shared by [`EventQueue`] and [`HeapQueue`] so
-/// harnesses (the sharded engine, the scale load generator, the wheel
-/// bench) can run the same world over either implementation.
+/// Minimal queue interface shared by [`crate::EventQueue`],
+/// [`HeapQueue`] and [`crate::ShardedQueue`] so harnesses (the sharded
+/// engine, the scale load generator, the wheel bench) can run the same
+/// world over any implementation.
 pub trait SimQueue<E> {
     /// Creates an empty queue with the clock at [`Time::ZERO`].
     fn new_empty() -> Self;
@@ -111,143 +113,12 @@ pub fn drive<E, Q: SimQueue<E>>(
     );
 }
 
-/// A deterministic time-ordered event queue (see the module docs for the
-/// full ordering contract).
-///
-/// `E` is the experiment-specific event payload; worlds typically define an
-/// enum and dispatch on it:
-///
-/// ```
-/// use syrup_sim::{EventQueue, Time};
-///
-/// #[derive(Debug, PartialEq)]
-/// enum Ev { PacketArrival, TimerFired }
-///
-/// let mut q = EventQueue::new();
-/// q.push(Time::from_micros(5), Ev::TimerFired);
-/// q.push(Time::from_micros(1), Ev::PacketArrival);
-/// let (t, ev) = q.pop().unwrap();
-/// assert_eq!((t, ev), (Time::from_micros(1), Ev::PacketArrival));
-/// ```
-#[derive(Debug, Default)]
-pub struct EventQueue<E> {
-    wheel: TimerWheel<E>,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at [`Time::ZERO`].
-    pub fn new() -> Self {
-        EventQueue {
-            wheel: TimerWheel::new(),
-        }
-    }
-
-    /// Schedules `event` to fire at absolute time `at`.
-    ///
-    /// Scheduling in the past is a logic error in the calling world; the
-    /// queue clamps such events to fire "now" rather than corrupting the
-    /// clock, which keeps long sims debuggable (the event still happens and
-    /// ordering stays monotonic). Every clamp is accounted — the count and
-    /// the absorbed drift are readable via [`Self::clamp_stats`] and
-    /// surface as the `*/wheel_clamped` counter and `*/wheel_drift_ns`
-    /// gauge when telemetry is attached. Use [`Self::try_push`] to reject
-    /// past events instead.
-    pub fn push(&mut self, at: Time, event: E) {
-        self.wheel.push(at, event);
-    }
-
-    /// Strict push: returns `Err(PastPush)` when `at` is before
-    /// [`Self::now`] instead of applying the saturating clamp.
-    pub fn try_push(&mut self, at: Time, event: E) -> Result<(), PastPush> {
-        self.wheel.try_push(at, event)
-    }
-
-    /// Pops the earliest event, advancing the simulation clock to its time.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.wheel.pop()
-    }
-
-    /// The current simulation time: the timestamp of the last popped event.
-    pub fn now(&self) -> Time {
-        self.wheel.now()
-    }
-
-    /// The timestamp of the next event, if any, without popping it.
-    ///
-    /// Peeking may advance the wheel's internal dispatch frontier but
-    /// never [`Self::now`], and a later `push` aimed earlier than the
-    /// peeked event still pops first.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        self.wheel.peek_time()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.wheel.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
-
-    /// Past-push clamp accounting: `(clamped_count, total_drift_ns,
-    /// max_drift_ns)` absorbed by the saturating policy so far.
-    pub fn clamp_stats(&self) -> (u64, u64, u64) {
-        let s = self.wheel.stats();
-        (s.clamped, s.drift_total_ns, s.drift_max_ns)
-    }
-
-    /// The backing wheel's full statistics (cascades, overflow pushes,
-    /// high-water depth, ...).
-    pub fn wheel_stats(&self) -> WheelStats {
-        self.wheel.stats()
-    }
-
-    /// Publishes the backing wheel's instrumentation into `registry`
-    /// under `{prefix}/wheel_*`. Disabled-cost is a single branch per
-    /// site until attached.
-    pub fn attach_telemetry(&mut self, registry: &syrup_telemetry::Registry, prefix: &str) {
-        self.wheel.attach_telemetry(registry, prefix);
-    }
-}
-
-impl<E> SimQueue<E> for EventQueue<E> {
-    fn new_empty() -> Self {
-        Self::new()
-    }
-    fn push(&mut self, at: Time, event: E) {
-        EventQueue::push(self, at, event);
-    }
-    fn pop(&mut self) -> Option<(Time, E)> {
-        EventQueue::pop(self)
-    }
-    fn peek_time(&mut self) -> Option<Time> {
-        EventQueue::peek_time(self)
-    }
-    fn pop_if_before(&mut self, bound: Time) -> Option<(Time, E)> {
-        self.wheel.pop_if_before(bound)
-    }
-    fn peek_next(&mut self) -> Option<&E> {
-        self.wheel.peek_entry().map(|(_, e)| e)
-    }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn now(&self) -> Time {
-        EventQueue::now(self)
-    }
-    fn clamped(&self) -> u64 {
-        self.wheel.stats().clamped
-    }
-}
-
 /// The original `BinaryHeap`-backed queue, kept as the ordering
-/// reference and perf baseline for [`EventQueue`]'s timer wheel.
+/// reference and perf baseline for the timer wheel, [`crate::EventQueue`].
 ///
-/// Same contract as [`EventQueue`] (time order, FIFO-within-timestamp
-/// via push sequence numbers, monotonic clock, saturating past-push with
-/// clamp accounting), O(log n) per operation. Do not use in new worlds;
+/// Same contract (time order, FIFO-within-timestamp via push sequence
+/// numbers, monotonic clock, saturating past-push with clamp
+/// accounting), O(log n) per operation. Do not use in new worlds;
 /// it exists so correctness (differential proptest) and performance
 /// (`bench --bench wheel`, the `scale` harness baseline) stay measurable
 /// against a trivially-correct implementation.
@@ -311,7 +182,7 @@ impl<E> HeapQueue<E> {
     }
 
     /// Schedules `event` at absolute time `at` (saturating past-push
-    /// policy, accounted like [`EventQueue::push`]).
+    /// policy, accounted like [`crate::EventQueue::push`]).
     pub fn push(&mut self, at: Time, event: E) {
         let at = if at < self.now {
             let drift = self.now.as_nanos() - at.as_nanos();
@@ -329,15 +200,6 @@ impl<E> HeapQueue<E> {
             seq,
             event,
         });
-    }
-
-    /// Strict push: rejects events aimed before [`Self::now`].
-    pub fn try_push(&mut self, at: Time, event: E) -> Result<(), PastPush> {
-        if at < self.now {
-            return Err(PastPush { now: self.now, at });
-        }
-        self.push(at, event);
-        Ok(())
     }
 
     /// Pops the earliest event, advancing the simulation clock to its time.
@@ -406,6 +268,7 @@ impl<E> SimQueue<E> for HeapQueue<E> {
 mod tests {
     use super::*;
     use crate::time::Duration;
+    use crate::EventQueue;
 
     #[test]
     fn pops_in_time_order() {
@@ -508,24 +371,6 @@ mod tests {
         // Both fire at the clamped time, FIFO order preserved.
         assert_eq!(q.pop().unwrap(), (Time::from_micros(100), 1));
         assert_eq!(q.pop().unwrap(), (Time::from_micros(100), 2));
-    }
-
-    #[test]
-    fn try_push_rejects_instead_of_clamping() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_micros(10), 0);
-        q.pop();
-        let err = q.try_push(Time::from_micros(9), 1).unwrap_err();
-        assert_eq!(err.now, Time::from_micros(10));
-        assert_eq!(err.at, Time::from_micros(9));
-        assert_eq!(q.clamp_stats().0, 0);
-        assert!(q.is_empty(), "rejected event must not be queued");
-        // The same holds for the reference heap.
-        let mut h = HeapQueue::new();
-        h.push(Time::from_micros(10), 0);
-        h.pop();
-        assert!(h.try_push(Time::from_micros(9), 1).is_err());
-        assert!(h.try_push(Time::from_micros(10), 2).is_ok());
     }
 
     #[test]

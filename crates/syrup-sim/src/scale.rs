@@ -13,8 +13,8 @@
 //!
 //! The world runs on [`crate::shard::run_windows`] at any shard count
 //! and produces **identical** results (offered/completed counts, the
-//! full latency sample multiset, the histogram) for a given seed. The
-//! ingredients, each of which the determinism suite exercises:
+//! full latency sample multiset) for a given seed. The ingredients, each
+//! of which the determinism suite exercises:
 //!
 //! * **Per-flow RNG streams.** Every flow owns a splitmix64 stream
 //!   seeded from `(seed, flow)`; all of a flow's draws happen in its own
@@ -37,9 +37,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use syrup_telemetry::nearest_rank;
+
 use crate::queue::SimQueue;
 use crate::shard::{run_windows, ShardRun, WindowCfg, WindowCtx, WindowWorld};
-use crate::stats::{LatencyRecorder, RunStats};
+use crate::stats::{LatencyRecorder, LatencySummary, RunStats};
 use crate::time::{Duration, Time};
 
 /// Configuration of one scale-world run.
@@ -165,12 +167,12 @@ impl ScaleResult {
     /// p99 of the sampled per-event dispatch wall cost, ns (0 when
     /// sampling was off).
     pub fn dispatch_p99_ns(&self) -> u64 {
-        percentile(&self.dispatch_ns, 99.0)
+        nearest_rank(&self.dispatch_ns, 0.99)
     }
 
     /// p50 of the sampled per-event dispatch wall cost, ns.
     pub fn dispatch_p50_ns(&self) -> u64 {
-        percentile(&self.dispatch_ns, 50.0)
+        nearest_rank(&self.dispatch_ns, 0.50)
     }
 
     /// A compact fingerprint of the simulation-semantic outcome, for
@@ -185,14 +187,6 @@ impl ScaleResult {
         }
         (self.stats.offered, self.stats.completed, acc)
     }
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 /// Rounds a nanosecond timestamp up to the next even value. All payload
@@ -436,8 +430,7 @@ impl WindowWorld for ScaleShard {
                 ctx.schedule(Time::from_nanos(done + 1), SEv::Kick { cell });
             }
             SEv::Notify { flow, sent_ns } => {
-                self.rec
-                    .record_latency(now, Duration::from_nanos(now_ns - sent_ns));
+                self.rec.record(Time::from_nanos(sent_ns), now);
                 let local = (flow / self.shards) as usize;
                 let think = draw_exp(&mut self.flows[local].rng, &self.think_table).max(2);
                 let wake = even(now_ns + think);
@@ -500,7 +493,6 @@ pub fn run(cfg: &ScaleCfg, engine: ScaleEngine) -> ScaleResult {
     let mut events = 0u64;
     let mut per_shard_events = Vec::with_capacity(runs.len());
     let mut samples: Vec<u64> = Vec::new();
-    let mut hist = syrup_telemetry::HistogramSnapshot::empty();
     let mut completed = 0u64;
     let mut dispatch_ns: Vec<u64> = Vec::new();
     let mut per_shard_windows = Vec::with_capacity(runs.len());
@@ -510,7 +502,6 @@ pub fn run(cfg: &ScaleCfg, engine: ScaleEngine) -> ScaleResult {
         events += run.events;
         per_shard_events.push(run.events);
         samples.extend_from_slice(run.world.rec.summary().samples());
-        hist.merge(run.world.rec.histogram());
         dispatch_ns.extend_from_slice(&run.dispatch_ns);
         per_shard_windows.push(run.windows.clone());
     }
@@ -519,8 +510,7 @@ pub fn run(cfg: &ScaleCfg, engine: ScaleEngine) -> ScaleResult {
         offered,
         completed,
         dropped: 0,
-        latency: crate::stats::LatencySummary::from_nanos(samples),
-        latency_hist: hist,
+        latency: LatencySummary::from_nanos(samples),
         measured: cfg.measure,
     };
     ScaleResult {

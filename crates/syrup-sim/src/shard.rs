@@ -1,6 +1,6 @@
 //! Sharded event queues and the horizon-windowed parallel engine.
 //!
-//! Two layers, both built on [`crate::wheel::TimerWheel`]:
+//! Two layers, both built on [`EventQueue`]s:
 //!
 //! * [`ShardedQueue`] — a *lock-step merge facade*: N per-shard wheels
 //!   behind one queue interface. Events are hash-partitioned by a caller
@@ -36,7 +36,7 @@ use syrup_telemetry::{CounterHandle, GaugeHandle, Registry};
 
 use crate::queue::SimQueue;
 use crate::time::{Duration, Time};
-use crate::wheel::TimerWheel;
+use crate::wheel::EventQueue;
 
 /// Hash-partitioned wheel array with a deterministic global merge.
 ///
@@ -47,7 +47,7 @@ use crate::wheel::TimerWheel;
 /// they pop.
 #[derive(Debug)]
 pub struct ShardedQueue<E> {
-    shards: Vec<TimerWheel<(u64, E)>>,
+    shards: Vec<EventQueue<(u64, E)>>,
     next_seq: u64,
     now: Time,
     clamped: u64,
@@ -67,7 +67,7 @@ impl<E> ShardedQueue<E> {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1);
         ShardedQueue {
-            shards: (0..n).map(|_| TimerWheel::new()).collect(),
+            shards: (0..n).map(|_| EventQueue::new()).collect(),
             next_seq: 0,
             now: Time::ZERO,
             clamped: 0,
@@ -160,12 +160,12 @@ impl<E> ShardedQueue<E> {
 
     /// Total pending events across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(TimerWheel::len).sum()
+        self.shards.iter().map(EventQueue::len).sum()
     }
 
     /// Whether no events are pending on any shard.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(TimerWheel::is_empty)
+        self.shards.iter().all(EventQueue::is_empty)
     }
 
     /// Past-push clamp accounting: `(clamped_count, total_drift_ns,

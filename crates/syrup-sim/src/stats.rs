@@ -3,25 +3,20 @@
 //! Every figure in the paper plots a tail percentile (99% or 99.9%) of
 //! client-observed latency against offered load, with drops reported
 //! separately (Figure 2b) and standard deviations across runs shown as error
-//! bars. [`LatencyRecorder`] collects per-request samples with a warm-up
-//! cutoff, [`LatencySummary`] extracts exact percentiles, and [`RunStats`]
-//! aggregates one whole run (completions, drops, achieved throughput).
-//!
-//! Alongside the exact samples, the recorder mirrors every latency into a
-//! telemetry [`HistogramSnapshot`] — the cross-stack exchange format the
-//! benchmark binaries consume — so a run's statistics can be merged with
-//! (or compared against) metrics exported by `syrupd` and the substrates.
+//! bars. [`LatencyRecorder`] collects exact per-request samples with a
+//! warm-up cutoff, [`LatencySummary`] extracts exact percentiles by the one
+//! nearest-rank rule ([`nearest_rank`]), and [`RunStats`] aggregates one
+//! whole run (completions, drops, achieved throughput).
 
-use syrup_telemetry::HistogramSnapshot;
+use syrup_telemetry::nearest_rank;
 
 use crate::time::{Duration, Time};
 
-/// Collects latency samples for one run, discarding a warm-up prefix.
+/// Collects exact latency samples for one run, discarding a warm-up prefix.
 #[derive(Debug, Clone)]
 pub struct LatencyRecorder {
     warmup_until: Time,
     samples: Vec<u64>,
-    hist: HistogramSnapshot,
     discarded: u64,
 }
 
@@ -32,7 +27,6 @@ impl LatencyRecorder {
         LatencyRecorder {
             warmup_until,
             samples: Vec::new(),
-            hist: HistogramSnapshot::empty(),
             discarded: 0,
         }
     }
@@ -43,24 +37,7 @@ impl LatencyRecorder {
             self.discarded += 1;
             return;
         }
-        let ns = now.since(arrival).as_nanos();
-        self.samples.push(ns);
-        self.hist.record(ns);
-    }
-
-    /// Records an already-computed latency at completion time `now`.
-    pub fn record_latency(&mut self, now: Time, latency: Duration) {
-        if now < self.warmup_until {
-            self.discarded += 1;
-            return;
-        }
-        self.samples.push(latency.as_nanos());
-        self.hist.record(latency.as_nanos());
-    }
-
-    /// The telemetry-format mirror of the recorded samples.
-    pub fn histogram(&self) -> &HistogramSnapshot {
-        &self.hist
+        self.samples.push(now.since(arrival).as_nanos());
     }
 
     /// Number of post-warm-up samples.
@@ -115,17 +92,10 @@ impl LatencySummary {
         self.sorted.is_empty()
     }
 
-    /// The exact `p`-quantile (`0.0..=1.0`) using the nearest-rank method,
-    /// or [`Duration::ZERO`] when empty.
+    /// The exact `p`-quantile (`0.0..=1.0`) by [`nearest_rank`], or
+    /// [`Duration::ZERO`] when empty.
     pub fn percentile(&self, p: f64) -> Duration {
-        if self.sorted.is_empty() {
-            return Duration::ZERO;
-        }
-        let p = p.clamp(0.0, 1.0);
-        // Nearest-rank: the smallest value such that at least p·N samples
-        // are ≤ it.
-        let rank = ((p * self.sorted.len() as f64).ceil() as usize).max(1);
-        Duration::from_nanos(self.sorted[rank - 1])
+        Duration::from_nanos(nearest_rank(&self.sorted, p))
     }
 
     /// 99th-percentile latency (Figures 2, 6, 7, 8).
@@ -169,27 +139,11 @@ pub struct RunStats {
     pub dropped: u64,
     /// Latency order statistics over completed requests.
     pub latency: LatencySummary,
-    /// The same latencies in the telemetry exchange format (exact count,
-    /// sum, min, max; log2-bucketed quantiles). Mergeable across runs and
-    /// alongside substrate-exported histograms.
-    pub latency_hist: HistogramSnapshot,
     /// Measurement interval used for throughput calculations.
     pub measured: Duration,
 }
 
 impl RunStats {
-    /// An empty run over a zero-length interval (the `merge` identity).
-    pub fn empty() -> Self {
-        RunStats {
-            offered: 0,
-            completed: 0,
-            dropped: 0,
-            latency: LatencySummary::from_nanos(Vec::new()),
-            latency_hist: HistogramSnapshot::empty(),
-            measured: Duration::ZERO,
-        }
-    }
-
     /// Builds the aggregate from a finished recorder plus the run's
     /// admission counts.
     pub fn from_recorder(
@@ -203,7 +157,6 @@ impl RunStats {
             completed: recorder.len() as u64,
             dropped,
             latency: recorder.summary(),
-            latency_hist: recorder.histogram().clone(),
             measured,
         }
     }
@@ -225,35 +178,6 @@ impl RunStats {
         }
         self.completed as f64 / secs
     }
-
-    /// Folds another run (e.g. a different seed or a later interval) into
-    /// this one: counts add, latencies pool, intervals concatenate.
-    pub fn merge(&mut self, other: &RunStats) {
-        self.offered += other.offered;
-        self.completed += other.completed;
-        self.dropped += other.dropped;
-        let mut samples = Vec::with_capacity(self.latency.len() + other.latency.len());
-        samples.extend_from_slice(self.latency.samples());
-        samples.extend_from_slice(other.latency.samples());
-        self.latency = LatencySummary::from_nanos(samples);
-        self.latency_hist.merge(&other.latency_hist);
-        self.measured += other.measured;
-    }
-}
-
-/// Mean and sample standard deviation of a set of per-seed measurements,
-/// used for the error bars the paper draws across 5–20 runs.
-pub fn mean_stdev(values: &[f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    if values.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-    (mean, var.sqrt())
 }
 
 #[cfg(test)]
@@ -311,7 +235,6 @@ mod tests {
             completed: 900,
             dropped: 100,
             latency: LatencySummary::from_nanos(vec![1, 2, 3]),
-            latency_hist: HistogramSnapshot::empty(),
             measured: Duration::from_millis(100),
         };
         assert!((stats.drop_pct() - 10.0).abs() < 1e-9);
@@ -321,11 +244,11 @@ mod tests {
     #[test]
     fn run_stats_empty_interval() {
         // Zero-duration and zero-request runs must not divide by zero.
-        let stats = RunStats::empty();
+        let stats =
+            RunStats::from_recorder(&LatencyRecorder::new(Time::ZERO), 0, 0, Duration::ZERO);
         assert_eq!(stats.drop_pct(), 0.0);
         assert_eq!(stats.throughput_rps(), 0.0);
         assert!(stats.latency.is_empty());
-        assert!(stats.latency_hist.is_empty());
     }
 
     #[test]
@@ -347,71 +270,5 @@ mod tests {
         assert_eq!(stats.drop_pct(), 0.0);
         assert_eq!(stats.throughput_rps(), 0.0);
         assert_eq!(stats.latency.p99(), Duration::ZERO);
-    }
-
-    #[test]
-    fn merge_of_empty_is_identity() {
-        let mut rec = LatencyRecorder::new(Time::ZERO);
-        for ns in [10, 20, 30] {
-            rec.record_latency(Time::from_millis(1), Duration::from_nanos(ns));
-        }
-        let base = RunStats::from_recorder(&rec, 4, 1, Duration::from_millis(5));
-
-        let mut merged = base.clone();
-        merged.merge(&RunStats::empty());
-        assert_eq!(merged.offered, base.offered);
-        assert_eq!(merged.completed, base.completed);
-        assert_eq!(merged.dropped, base.dropped);
-        assert_eq!(merged.measured, base.measured);
-        assert_eq!(merged.latency.samples(), base.latency.samples());
-        assert_eq!(merged.latency_hist, base.latency_hist);
-
-        // And the other direction: empty.merge(base) == base.
-        let mut from_empty = RunStats::empty();
-        from_empty.merge(&base);
-        assert_eq!(from_empty.latency.samples(), base.latency.samples());
-        assert_eq!(from_empty.measured, base.measured);
-    }
-
-    #[test]
-    fn merge_pools_counts_and_samples() {
-        let mut a_rec = LatencyRecorder::new(Time::ZERO);
-        a_rec.record_latency(Time::from_millis(1), Duration::from_nanos(100));
-        let mut b_rec = LatencyRecorder::new(Time::ZERO);
-        b_rec.record_latency(Time::from_millis(1), Duration::from_nanos(300));
-
-        let mut a = RunStats::from_recorder(&a_rec, 2, 1, Duration::from_millis(10));
-        let b = RunStats::from_recorder(&b_rec, 3, 0, Duration::from_millis(10));
-        a.merge(&b);
-        assert_eq!(a.offered, 5);
-        assert_eq!(a.completed, 2);
-        assert_eq!(a.dropped, 1);
-        assert_eq!(a.latency.samples(), &[100, 300]);
-        assert_eq!(a.latency_hist.count(), 2);
-        assert_eq!(a.latency_hist.min(), 100);
-        assert_eq!(a.latency_hist.max(), 300);
-        assert_eq!(a.measured, Duration::from_millis(20));
-    }
-
-    #[test]
-    fn recorder_histogram_mirrors_samples() {
-        let mut rec = LatencyRecorder::new(Time::from_millis(10));
-        rec.record(Time::ZERO, Time::from_millis(5)); // warm-up: both skip it
-        rec.record_latency(Time::from_millis(11), Duration::from_nanos(1000));
-        rec.record_latency(Time::from_millis(12), Duration::from_nanos(2000));
-        let h = rec.histogram();
-        assert_eq!(h.count(), rec.len() as u64);
-        assert_eq!(h.min(), 1000);
-        assert_eq!(h.max(), 2000);
-        assert_eq!(h.sum(), 3000);
-    }
-
-    #[test]
-    fn mean_stdev_basics() {
-        let (m, s) = mean_stdev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-9);
-        assert!((s - 2.138089935).abs() < 1e-6);
-        assert_eq!(mean_stdev(&[]), (0.0, 0.0));
-        assert_eq!(mean_stdev(&[3.0]), (3.0, 0.0));
     }
 }

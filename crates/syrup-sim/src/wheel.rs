@@ -1,12 +1,14 @@
-//! Hierarchical timer wheel: the O(1) engine under [`crate::EventQueue`].
+//! The event queue: a hierarchical timer wheel, O(1) per operation.
 //!
-//! The binary heap that originally backed the event queue costs O(log n)
-//! per operation with poor cache locality once millions of events are
-//! pending — the regime ROADMAP open item 2 ("serve heavy traffic from
-//! millions of users") puts the simulator in. Following Eiffel's
-//! observation that bucketed, FFS-indexed time structures make priority
-//! maintenance O(1) at packet rates, [`TimerWheel`] replaces the heap
-//! with a classic hierarchical (cascading) wheel:
+//! [`EventQueue`] is the queue every world schedules into; its ordering
+//! contract is pinned in [`crate::queue`]. The binary heap that
+//! originally backed it ([`crate::HeapQueue`], now the reference) costs
+//! O(log n) per operation with poor cache locality once millions of
+//! events are pending — the regime ROADMAP open item 2 ("serve heavy
+//! traffic from millions of users") puts the simulator in. Following
+//! Eiffel's observation that bucketed, FFS-indexed time structures make
+//! priority maintenance O(1) at packet rates, [`EventQueue`] is a classic
+//! hierarchical (cascading) wheel:
 //!
 //! * **Ticks.** Simulated time is quantised to 64 ns ticks
 //!   (`TICK_SHIFT = 6`). Events keep their exact nanosecond timestamp;
@@ -46,17 +48,18 @@
 //! the event is clamped to fire at `now` — but accounts for every clamp:
 //! [`WheelStats::clamped`] counts occurrences and
 //! [`WheelStats::drift_total_ns`]/[`WheelStats::drift_max_ns`] measure
-//! how far in the past the world aimed. [`TimerWheel::try_push`] is the
-//! strict variant that rejects instead of clamping. When telemetry is
-//! attached the cumulative drift surfaces as the `*/wheel_drift_ns`
-//! gauge (visible in `syrupctl metrics`), so a world that silently
-//! relies on clamping shows up in any run's snapshot.
+//! how far in the past the world aimed ([`EventQueue::clamp_stats`]).
+//! There is no strict push: [`crate::drive`] panics at the end of any run
+//! that clamped. When telemetry is attached the cumulative drift surfaces
+//! as the `*/wheel_drift_ns` gauge (visible in `syrupctl metrics`), so a
+//! world that relies on clamping shows up in any run's snapshot.
 
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use syrup_telemetry::{CounterHandle, GaugeHandle, Registry};
 
+use crate::queue::SimQueue;
 use crate::time::Time;
 
 /// log2 of the tick width in nanoseconds: one tick is 64 ns.
@@ -113,7 +116,7 @@ impl<E> PartialOrd for Entry<E> {
 /// path).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WheelStats {
-    /// Events accepted by `push`/`try_push`.
+    /// Events accepted by `push`.
     pub pushes: u64,
     /// Events handed out by `pop`.
     pub pops: u64,
@@ -132,7 +135,7 @@ pub struct WheelStats {
     pub max_len: usize,
 }
 
-/// Telemetry handles published by [`TimerWheel::attach_telemetry`].
+/// Telemetry handles published by [`EventQueue::attach_telemetry`].
 ///
 /// Default-constructed from [`Registry::disabled`], so every record site
 /// is a single `Option` branch until a registry is attached — the same
@@ -161,10 +164,27 @@ impl Default for WheelTel {
     }
 }
 
-/// A hierarchical timer wheel holding `(Time, E)` events in ascending
-/// `(time, push-sequence)` order. See the module docs for the design.
+/// A deterministic time-ordered event queue: `(Time, E)` events pop in
+/// ascending `(time, push-sequence)` order (the contract in
+/// [`crate::queue`]; the wheel's design in the module docs).
+///
+/// `E` is the experiment-specific event payload; worlds typically define an
+/// enum and dispatch on it:
+///
+/// ```
+/// use syrup_sim::{EventQueue, Time};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Ev { PacketArrival, TimerFired }
+///
+/// let mut q = EventQueue::new();
+/// q.push(Time::from_micros(5), Ev::TimerFired);
+/// q.push(Time::from_micros(1), Ev::PacketArrival);
+/// let (t, ev) = q.pop().unwrap();
+/// assert_eq!((t, ev), (Time::from_micros(1), Ev::PacketArrival));
+/// ```
 #[derive(Debug)]
-pub struct TimerWheel<E> {
+pub struct EventQueue<E> {
     /// `LEVELS × SLOTS` buckets, flattened level-major.
     buckets: Vec<Vec<Entry<E>>>,
     /// One occupancy bitmap per level.
@@ -191,38 +211,16 @@ pub struct TimerWheel<E> {
     tel: WheelTel,
 }
 
-/// Error from [`TimerWheel::try_push`]: the event was aimed before the
-/// current simulation time and the strict variant refuses to clamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PastPush {
-    /// The simulation clock at the time of the rejected push.
-    pub now: Time,
-    /// The (past) timestamp the caller asked for.
-    pub at: Time,
-}
-
-impl core::fmt::Display for PastPush {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "event scheduled {}ns in the past (at {:?}, now {:?})",
-            self.now.as_nanos() - self.at.as_nanos(),
-            self.at,
-            self.now
-        )
-    }
-}
-
-impl<E> Default for TimerWheel<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> TimerWheel<E> {
-    /// Creates an empty wheel with the clock at [`Time::ZERO`].
+impl<E> EventQueue<E> {
+    /// Creates an empty queue with the clock at [`Time::ZERO`].
     pub fn new() -> Self {
-        TimerWheel {
+        EventQueue {
             buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
             wheel_len: 0,
@@ -237,9 +235,10 @@ impl<E> TimerWheel<E> {
     }
 
     /// Publishes the wheel's counters into `registry` under
-    /// `{prefix}/wheel_*`. Counter handles are shared by name, so several
-    /// wheels (e.g. the shards of a [`crate::ShardedQueue`]) attached to
-    /// one registry aggregate naturally.
+    /// `{prefix}/wheel_*`. Disabled-cost is a single branch per site until
+    /// attached. Counter handles are shared by name, so several wheels
+    /// (e.g. the shards of a [`crate::ShardedQueue`]) attached to one
+    /// registry aggregate naturally.
     pub fn attach_telemetry(&mut self, registry: &Registry, prefix: &str) {
         self.tel = WheelTel {
             pushes: registry.counter(&format!("{prefix}/wheel_pushes")),
@@ -258,15 +257,27 @@ impl<E> TimerWheel<E> {
         self.tel.depth.add(self.len() as i64);
     }
 
-    /// The wheel's always-on local statistics.
+    /// The wheel's always-on local statistics (cascades, overflow pushes,
+    /// high-water depth, ...).
     pub fn stats(&self) -> WheelStats {
         self.stats
     }
 
-    /// Schedules `event` at absolute time `at` with the saturating
-    /// past-push policy: an `at` before [`Self::now`] is clamped to fire
-    /// immediately (accounted in [`WheelStats::clamped`] and the drift
-    /// counters) rather than corrupting clock monotonicity.
+    /// Past-push clamp accounting: `(clamped_count, total_drift_ns,
+    /// max_drift_ns)` absorbed by the saturating policy so far.
+    pub fn clamp_stats(&self) -> (u64, u64, u64) {
+        let s = &self.stats;
+        (s.clamped, s.drift_total_ns, s.drift_max_ns)
+    }
+
+    /// Schedules `event` to fire at absolute time `at`.
+    ///
+    /// Scheduling in the past is a logic error in the calling world; the
+    /// queue clamps such events to fire "now" rather than corrupting the
+    /// clock, which keeps long sims debuggable (the event still happens and
+    /// ordering stays monotonic). Every clamp is accounted — readable via
+    /// [`Self::clamp_stats`], and as the `*/wheel_clamped` counter and
+    /// `*/wheel_drift_ns` gauge when telemetry is attached.
     pub fn push(&mut self, at: Time, event: E) {
         let at = if at < self.now {
             let drift = self.now.as_nanos() - at.as_nanos();
@@ -279,24 +290,6 @@ impl<E> TimerWheel<E> {
         } else {
             at
         };
-        self.push_clamped(at, event);
-    }
-
-    /// Strict push: rejects an event aimed before [`Self::now`] instead
-    /// of clamping. Use in worlds where a past-aimed event indicates a
-    /// bug that must fail loudly.
-    pub fn try_push(&mut self, at: Time, event: E) -> Result<(), PastPush> {
-        if at < self.now {
-            return Err(PastPush { now: self.now, at });
-        }
-        self.push_clamped(at, event);
-        Ok(())
-    }
-
-    /// Internal push after the past-clamp policy has been applied
-    /// (`at >= self.now` holds).
-    fn push_clamped(&mut self, at: Time, event: E) {
-        debug_assert!(at >= self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = Entry {
@@ -454,9 +447,11 @@ impl<E> TimerWheel<E> {
             let (best_tick, best_level) = self.best_candidate();
             if let Some(peek) = self.overflow.peek() {
                 // A wrapped top-level candidate can lie beyond the
-                // overflow minimum; the true frontier wins.
+                // overflow minimum; the true frontier wins. On a tie the
+                // overflow drains first, so both strata's entries for the
+                // tick meet in one bucket and pop in `(time, seq)` order.
                 let otick = tick_of(peek.time);
-                if otick < best_tick {
+                if otick <= best_tick {
                     self.jump_to(otick);
                     self.drain_overflow();
                     continue;
@@ -526,37 +521,19 @@ impl<E> TimerWheel<E> {
         Some((entry.time, entry.event))
     }
 
-    /// Pops the earliest event only if it fires strictly before `bound`:
-    /// a single frontier advance instead of the peek/pop pair the
-    /// windowed engine would otherwise issue per event.
-    pub fn pop_if_before(&mut self, bound: Time) -> Option<(Time, E)> {
-        if !self.advance() {
-            return None;
-        }
-        if self.ready.peek().expect("advance filled ready").time >= bound {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// The `(time, seq)` key of the next event without popping it (and
-    /// without advancing [`Self::now`]).
-    pub fn peek(&mut self) -> Option<(Time, u64)> {
-        if !self.advance() {
-            return None;
-        }
-        self.ready.peek().map(|e| (e.time, e.seq))
-    }
-
     /// The timestamp of the next event, if any, without popping it.
+    ///
+    /// Peeking may advance the wheel's internal dispatch frontier but
+    /// never [`Self::now`], and a later `push` aimed earlier than the
+    /// peeked event still pops first.
     pub fn peek_time(&mut self) -> Option<Time> {
-        self.peek().map(|(t, _)| t)
+        self.peek_entry().map(|(t, _)| t)
     }
 
     /// The next event's timestamp and a borrow of its payload, without
     /// popping. Used by [`crate::ShardedQueue`] to merge shard heads by
     /// a key carried inside the payload.
-    pub fn peek_entry(&mut self) -> Option<(Time, &E)> {
+    pub(crate) fn peek_entry(&mut self) -> Option<(Time, &E)> {
         if !self.advance() {
             return None;
         }
@@ -580,18 +557,45 @@ impl<E> TimerWheel<E> {
     }
 }
 
+impl<E> SimQueue<E> for EventQueue<E> {
+    fn new_empty() -> Self {
+        Self::new()
+    }
+    fn push(&mut self, at: Time, event: E) {
+        EventQueue::push(self, at, event);
+    }
+    fn pop(&mut self) -> Option<(Time, E)> {
+        EventQueue::pop(self)
+    }
+    fn peek_time(&mut self) -> Option<Time> {
+        EventQueue::peek_time(self)
+    }
+    fn peek_next(&mut self) -> Option<&E> {
+        self.peek_entry().map(|(_, e)| e)
+    }
+    fn len(&self) -> usize {
+        EventQueue::len(self)
+    }
+    fn now(&self) -> Time {
+        EventQueue::now(self)
+    }
+    fn clamped(&self) -> u64 {
+        self.stats.clamped
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::Duration;
 
-    fn drain<E>(w: &mut TimerWheel<E>) -> Vec<(Time, E)> {
+    fn drain<E>(w: &mut EventQueue<E>) -> Vec<(Time, E)> {
         std::iter::from_fn(|| w.pop()).collect()
     }
 
     #[test]
     fn pops_in_time_order_across_levels() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         // One event per wheel level plus overflow.
         let times = [
             7u64,                     // level 0
@@ -610,7 +614,7 @@ mod tests {
 
     #[test]
     fn ties_break_fifo_within_a_tick() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let t = Time::from_nanos(640); // all in one tick
         for i in 0..100 {
             w.push(t, i);
@@ -623,7 +627,7 @@ mod tests {
     fn sub_tick_times_sort_exactly() {
         // 64 events inside one 64ns tick, pushed in reverse time order:
         // exact nanosecond times must win over push order.
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let base = 64 * 1000;
         for i in (0..64u64).rev() {
             w.push(Time::from_nanos(base + i), i);
@@ -637,7 +641,7 @@ mod tests {
 
     #[test]
     fn clamp_accounts_drift() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         w.push(Time::from_nanos(1_000), "late");
         w.pop();
         w.push(Time::from_nanos(400), "early");
@@ -651,21 +655,8 @@ mod tests {
     }
 
     #[test]
-    fn try_push_rejects_past_events() {
-        let mut w = TimerWheel::new();
-        w.push(Time::from_nanos(1_000), 0);
-        w.pop();
-        let err = w.try_push(Time::from_nanos(999), 1).unwrap_err();
-        assert_eq!(err.now, Time::from_nanos(1_000));
-        assert_eq!(err.at, Time::from_nanos(999));
-        assert_eq!(w.stats().clamped, 0, "try_push must not clamp");
-        assert!(w.try_push(Time::from_nanos(1_000), 2).is_ok());
-        assert_eq!(w.pop().unwrap().0, Time::from_nanos(1_000));
-    }
-
-    #[test]
     fn peek_does_not_advance_now() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         w.push(Time::from_micros(7), ());
         assert_eq!(w.peek_time(), Some(Time::from_micros(7)));
         assert_eq!(w.now(), Time::ZERO);
@@ -679,7 +670,7 @@ mod tests {
 
     #[test]
     fn push_below_peeked_tick_keeps_order() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         w.push(Time::from_nanos(64 * 500), 0);
         assert!(w.peek_time().is_some()); // cursor has jumped to tick 500
         w.push(Time::from_nanos(64 * 500), 1); // same tick, after peek
@@ -690,7 +681,7 @@ mod tests {
 
     #[test]
     fn far_future_then_near_event_dispatches_near_first() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         // Beyond the wheel span: goes to overflow.
         let far = Time::from_nanos((SPAN_TICKS + 5) << TICK_SHIFT);
         w.push(far, "far");
@@ -703,7 +694,7 @@ mod tests {
 
     #[test]
     fn overflow_interleaves_with_wheel_correctly() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let far1 = Time::from_nanos((SPAN_TICKS + 5) << TICK_SHIFT);
         let far2 = Time::from_nanos((2 * SPAN_TICKS + 9) << TICK_SHIFT);
         w.push(far2, 3u32);
@@ -718,9 +709,23 @@ mod tests {
     }
 
     #[test]
+    fn overflow_and_wheel_entries_on_one_tick_pop_fifo() {
+        // `a` lands one span ahead (overflow); once the cursor moves, `b`
+        // at the same instant lands in the wheel. Push order must win.
+        let mut w = EventQueue::new();
+        let edge = Time::from_nanos(SPAN_TICKS << TICK_SHIFT);
+        w.push(edge, "a");
+        w.push(Time::from_nanos(5 << TICK_SHIFT), "first");
+        assert!(w.peek_time().is_some()); // the cursor moves to tick 5
+        w.push(edge, "b");
+        let order: Vec<_> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["first", "a", "b"]);
+    }
+
+    #[test]
     fn rotation_wrap_is_handled() {
         // Events one full level-0 rotation apart land in the same slot.
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let t1 = Time::from_nanos(10 * 64);
         let t2 = Time::from_nanos((10 + 64) * 64);
         let t3 = Time::from_nanos((10 + 128) * 64);
@@ -739,7 +744,7 @@ mod tests {
     fn sparse_far_apart_events_advance_efficiently() {
         // Candidate jumps must skip dead time rather than walking ticks;
         // this would time out if advance were O(elapsed ticks).
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         let mut expect = Vec::new();
         for i in 0..200u64 {
             let t = Time::from_millis(i * 331); // ~66s total, top level
@@ -757,7 +762,7 @@ mod tests {
 
     #[test]
     fn self_rescheduling_timer_is_deterministic() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         w.push(Time::ZERO, 0u32);
         let mut seen = Vec::new();
         while let Some((t, id)) = w.pop() {
@@ -776,7 +781,7 @@ mod tests {
     #[test]
     fn telemetry_attach_publishes_counters() {
         let registry = Registry::new();
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         w.push(Time::from_nanos(500), ());
         w.attach_telemetry(&registry, "sim");
         w.push(Time::from_nanos(700), ());
@@ -791,7 +796,7 @@ mod tests {
 
     #[test]
     fn len_tracks_all_strata() {
-        let mut w = TimerWheel::new();
+        let mut w = EventQueue::new();
         w.push(Time::from_nanos(10), ()); // will sit in wheel
         w.push(Time::from_nanos((SPAN_TICKS + 1) << TICK_SHIFT), ()); // overflow
         assert_eq!(w.len(), 2);

@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn open_loop_stops_at_the_window_and_measures_after_the_warmup() {
-        use crate::queue::{drive, EventQueue};
+        use crate::{drive, EventQueue};
         let (warmup, measure) = (Duration::from_micros(100), Duration::from_micros(400));
         let mut load = OpenLoop::poisson(1_000_000.0, warmup, measure);
         let mut rng = SimRng::new(11);

@@ -333,6 +333,24 @@ impl HistogramSnapshot {
     }
 }
 
+/// The exact `q`-quantile of ascending `sorted` samples by the
+/// nearest-rank method: the smallest sample with at least `q·N` samples
+/// at or below it. The one percentile rule behind every exact p99/p99.9
+/// in the workspace; [`HistogramSnapshot::quantile`] is the bucketed
+/// estimate.
+///
+/// `q` outside `[0, 1]` (±inf included) clamps to the nearest end, a NaN
+/// `q` picks the first sample, and an empty slice gives `T::default()`
+/// (zero for numbers).
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    // NaN survives the clamp, and `NaN as usize` is 0: the first sample.
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 impl Serialize for HistogramSnapshot {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let mut s = serializer.serialize_struct("HistogramSnapshot", 8)?;

@@ -34,7 +34,7 @@ mod registry;
 mod ring;
 
 pub use counter::{Counter, CounterCell, Gauge};
-pub use hist::{Histogram, HistogramCell, HistogramSnapshot, HIST_BUCKETS};
+pub use hist::{nearest_rank, Histogram, HistogramCell, HistogramSnapshot, HIST_BUCKETS};
 pub use percpu::PerCpu;
 pub use registry::{
     CounterHandle, GaugeHandle, HistogramHandle, Registry, Snapshot, SnapshotDelta,

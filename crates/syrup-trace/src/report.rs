@@ -5,6 +5,7 @@ use crate::stage::Stage;
 use crate::timeline::Timeline;
 use serde::{Serialize, SerializeStruct, Serializer};
 use std::fmt::Write as _;
+use syrup_telemetry::nearest_rank;
 
 /// Latency statistics for one stage, aggregated over every complete span
 /// recorded at it.
@@ -57,21 +58,6 @@ pub struct StageBreakdown {
     pub stages: Vec<StageStats>,
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    // A non-finite or out-of-range p degrades to the nearest endpoint
-    // rather than indexing with garbage.
-    let p = if p.is_finite() {
-        p.clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let rank = ((sorted.len() as f64) * p).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 impl StageBreakdown {
     /// Aggregates every complete span across `timelines` into per-stage
     /// stats, plus end-to-end percentiles over closed traces.
@@ -98,9 +84,9 @@ impl StageBreakdown {
             None
         } else {
             Some((
-                percentile(&totals, 0.50),
-                percentile(&totals, 0.99),
-                percentile(&totals, 0.999),
+                nearest_rank(&totals, 0.50),
+                nearest_rank(&totals, 0.99),
+                nearest_rank(&totals, 0.999),
             ))
         };
         let stages = Stage::ALL
@@ -116,9 +102,9 @@ impl StageBreakdown {
                     count,
                     total_ns,
                     mean_ns: total_ns as f64 / count as f64,
-                    p50_ns: percentile(durs, 0.50),
-                    p99_ns: percentile(durs, 0.99),
-                    p999_ns: percentile(durs, 0.999),
+                    p50_ns: nearest_rank(durs, 0.50),
+                    p99_ns: nearest_rank(durs, 0.99),
+                    p999_ns: nearest_rank(durs, 0.999),
                     max_ns: *durs.last().unwrap(),
                 }
             })
@@ -329,9 +315,9 @@ mod tests {
     #[test]
     fn percentile_degrades_gracefully_on_bad_p() {
         let sorted = [10u64, 20, 30];
-        assert_eq!(percentile(&sorted, f64::NAN), 10);
-        assert_eq!(percentile(&sorted, -1.0), 10);
-        assert_eq!(percentile(&sorted, 2.0), 30);
-        assert_eq!(percentile(&[], 0.5), 0);
+        assert_eq!(nearest_rank(&sorted, f64::NAN), 10);
+        assert_eq!(nearest_rank(&sorted, -1.0), 10);
+        assert_eq!(nearest_rank(&sorted, 2.0), 30);
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), 0);
     }
 }

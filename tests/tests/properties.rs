@@ -11,6 +11,7 @@ use syrup::net::{FiveTuple, Toeplitz};
 use syrup::sched::{BucketQueue, Pifo};
 use syrup::sim::stats::LatencySummary;
 use syrup::sim::{EventQueue, Time};
+use syrup::telemetry::nearest_rank;
 
 proptest! {
     /// Decisions survive the wire encoding for every u32.
@@ -20,14 +21,29 @@ proptest! {
         prop_assert_eq!(Decision::from_ret(d.to_ret()), d);
     }
 
-    /// Nearest-rank percentiles agree with a naive reference computation.
+    /// Nearest-rank percentiles agree with a naive reference: the first
+    /// sample with at least p·N samples at or below it. Out-of-range and
+    /// infinite `p` clamp to an end, NaN picks the first sample, and no
+    /// samples give zero.
     #[test]
-    fn percentiles_match_reference(mut samples in prop::collection::vec(0u64..1_000_000, 1..200),
-                                   p in 0.0f64..=1.0) {
+    fn percentiles_match_reference(mut samples in prop::collection::vec(0u64..1_000_000, 0..200),
+                                   p in (0u8..8, -0.5f64..1.5).prop_map(|(edge, p)| match edge {
+                                       0 => f64::NAN,
+                                       1 => f64::INFINITY,
+                                       2 => f64::NEG_INFINITY,
+                                       _ => p,
+                                   })) {
         let summary = LatencySummary::from_nanos(samples.clone());
         samples.sort_unstable();
-        let rank = ((p * samples.len() as f64).ceil() as usize).max(1).min(samples.len());
-        prop_assert_eq!(summary.percentile(p).as_nanos(), samples[rank - 1]);
+        let q = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
+        let n = samples.len() as f64;
+        let want = samples
+            .iter()
+            .enumerate()
+            .find(|&(i, _)| (i + 1) as f64 >= q * n)
+            .map_or(0, |(_, &v)| v);
+        prop_assert_eq!(nearest_rank(&samples, p), want);
+        prop_assert_eq!(summary.percentile(p).as_nanos(), want);
     }
 
     /// The event queue pops every event in nondecreasing time order and
