@@ -5,8 +5,6 @@
 //! each datagram. What happens once a datagram sits in a socket (pinned
 //! workers, or threads multiplexed by a scheduler) is the world's own.
 
-use std::collections::HashMap;
-
 use syrup_core::{AppId, Hook, HookMeta, Syrupd};
 use syrup_ghost::ghost::class;
 use syrup_net::socket::{Delivery, ReuseportGroup};
@@ -79,9 +77,10 @@ pub(crate) struct FrontEnd<'c> {
     rng: SimRng,
     mix: ClassMix,
     flow_hashes: Vec<u32>,
-    /// Pre-built datagram per (class, user), handed to the hook: policies
-    /// read only the class/user/key fields, so requests can share buffers.
-    templates: HashMap<(u64, u32), Vec<u8>>,
+    /// One pre-built frame per request class, in `class_id` order. A
+    /// request's datagram is a stack copy of its class's frame with its
+    /// user written in: policies read only the class/user/key fields.
+    templates: [Frame; 3],
 }
 
 /// What a world's config says about its client and receive path.
@@ -90,7 +89,6 @@ pub(crate) struct ClientSpec<'c> {
     pub(crate) app: AppId,
     pub(crate) port: u16,
     pub(crate) num_flows: usize,
-    pub(crate) users: Vec<u32>,
     pub(crate) get_fraction: f64,
     pub(crate) model: RocksDbModel,
     pub(crate) rx_latency: Duration,
@@ -111,21 +109,17 @@ impl<'c> FrontEnd<'c> {
         load: OpenLoop,
     ) -> Self {
         let flows = flow::client_flows(spec.num_flows, spec.port, &mut rng);
-        let mut templates = HashMap::new();
-        for class in [RequestClass::Get, RequestClass::Scan] {
-            for &user in &spec.users {
-                let frame = Frame::build(
-                    &flows[0],
-                    &AppHeader {
-                        req_type: class.code(),
-                        user_id: user,
-                        key_hash: 0,
-                        req_id: 0,
-                    },
-                );
-                templates.insert((class.code(), user), frame.datagram().to_vec());
-            }
-        }
+        let templates = [RequestClass::Get, RequestClass::Scan, RequestClass::Put].map(|class| {
+            Frame::build(
+                &flows[0],
+                &AppHeader {
+                    req_type: class.code(),
+                    user_id: 0,
+                    key_hash: 0,
+                    req_id: 0,
+                },
+            )
+        });
         group.attach_tracer(spec.tracer);
         syrupd.attach_tracer(spec.tracer);
         FrontEnd {
@@ -179,8 +173,10 @@ impl<'c> FrontEnd<'c> {
     /// the socket the policy (or the flow hash) chose.
     #[inline]
     pub(crate) fn deliver(&mut self, now: Time, req: Req) -> Delivery {
-        let key = (req.class.code(), req.user);
-        let mut template = self.templates.get(&key).cloned().unwrap_or_default();
+        let mut frame = self.templates[req.class.class_id() as usize].clone();
+        let pkt = frame.datagram_mut();
+        // `user_id` sits at datagram offset 16 (see `syrup_net::packet`).
+        pkt[16..20].copy_from_slice(&req.user.to_le_bytes());
         let meta = HookMeta {
             now_ns: now.as_nanos(),
             cpu: 0,
@@ -188,9 +184,7 @@ impl<'c> FrontEnd<'c> {
             dst_port: self.spec.port,
             trace: req.trace,
         };
-        let (app, decision) = self
-            .syrupd
-            .schedule(Hook::SocketSelect, &mut template, &meta);
+        let (app, decision) = self.syrupd.schedule(Hook::SocketSelect, pkt, &meta);
         debug_assert!(app.is_none() || app == Some(self.spec.app));
         self.group
             .deliver_traced(req, req.flow_hash, decision, req.trace, now.as_nanos())

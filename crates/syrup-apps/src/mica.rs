@@ -286,7 +286,8 @@ pub fn run(cfg: &MicaConfig) -> MicaResult {
                     // The policy redirects to the home thread: from the
                     // RSS queue's core to the home AF_XDP socket (kernel
                     // XDP hook), or straight onto the home core (NIC).
-                    let mut pkt = template.datagram().to_vec();
+                    let mut frame = template.clone();
+                    let pkt = frame.datagram_mut();
                     pkt[20..28].copy_from_slice(&key_hash.to_le_bytes());
                     let meta = HookMeta {
                         now_ns: now.as_nanos(),
@@ -295,7 +296,7 @@ pub fn run(cfg: &MicaConfig) -> MicaResult {
                         dst_port: cfg.port,
                         ..HookMeta::default()
                     };
-                    let (_, d) = syrupd.schedule(hook, &mut pkt, &meta);
+                    let (_, d) = syrupd.schedule(hook, pkt, &meta);
                     let target = match d {
                         Decision::Executor(i) => i as usize % cfg.threads,
                         _ => (key_hash % cfg.threads as u64) as usize,

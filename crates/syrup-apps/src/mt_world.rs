@@ -225,7 +225,6 @@ pub fn run(cfg: &MtConfig) -> MtResult {
         app,
         port: cfg.port,
         num_flows: cfg.num_flows,
-        users: vec![0],
         get_fraction: cfg.get_fraction,
         model: cfg.model,
         rx_latency: cfg.stack.standard_rx_latency(),

@@ -16,6 +16,7 @@
 
 use syrup_blackbox::Recorder;
 use syrup_core::{AppId, CompileOptions, Hook, HookMeta, PolicySource, Syrupd};
+use syrup_net::packet::{FRAME_LEN, UDP_OFF};
 use syrup_net::socket::{Delivery, ReuseportGroup};
 use syrup_net::{flow, AppHeader, Frame, Nic, QueueKind};
 use syrup_policies::RoundRobinPolicy;
@@ -221,8 +222,11 @@ pub fn run_driven(
         tracer.span(ctx, Stage::NicQueue, t0, t_poll);
         let _ = nic.dequeue(q);
 
-        // XDP driver hook: the eBPF policy sees the raw datagram.
-        let frame = Frame::build(
+        // XDP driver hook: the eBPF policy sees the raw datagram. The frame
+        // lives on the stack; all three hooks see (and may rewrite) it.
+        let mut frame = [0; FRAME_LEN];
+        Frame::write(
+            &mut frame,
             fl,
             &AppHeader {
                 req_type: 0,
@@ -231,7 +235,7 @@ pub fn run_driven(
                 req_id: i as u64,
             },
         );
-        let mut pkt = frame.datagram().to_vec();
+        let pkt = &mut frame[UDP_OFF..];
         let meta = HookMeta {
             now_ns: t_poll,
             cpu: q,
@@ -239,7 +243,7 @@ pub fn run_driven(
             dst_port: PORT,
             trace: ctx,
         };
-        let (_, _xdp) = syrupd.schedule(Hook::XdpDrv, &mut pkt, &meta);
+        let (_, _xdp) = syrupd.schedule(Hook::XdpDrv, pkt, &meta);
 
         // CPU redirect, then protocol processing up to the socket layer.
         let t_redirect = t_poll + 250;
@@ -247,7 +251,7 @@ pub fn run_driven(
             now_ns: t_redirect,
             ..meta
         };
-        let (_, _cpu) = syrupd.schedule(Hook::CpuRedirect, &mut pkt, &meta);
+        let (_, _cpu) = syrupd.schedule(Hook::CpuRedirect, pkt, &meta);
         let t_sock = t_redirect + 600;
         tracer.span(ctx, Stage::StackRx, t_redirect, t_sock);
 
@@ -258,7 +262,7 @@ pub fn run_driven(
         };
         // `schedule_verdict` forces the rank to 0 unless the hook opted
         // in, so the FIFO scenario is unchanged by asking for it.
-        let (_, verdict) = syrupd.schedule_verdict(Hook::SocketSelect, &mut pkt, &meta);
+        let (_, verdict) = syrupd.schedule_verdict(Hook::SocketSelect, pkt, &meta);
         let socket = match group.deliver_verdict_traced(i, fl.flow_hash(), verdict, ctx, t_sock) {
             Delivery::Enqueued(s) => s,
             // Round robin never drops, but keep the path honest: a drop

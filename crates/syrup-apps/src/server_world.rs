@@ -311,11 +311,6 @@ impl<'c> World<'c> {
             }
         }
 
-        let users: Vec<u32> = if cfg.tenants.is_empty() {
-            vec![0]
-        } else {
-            cfg.tenants.iter().map(|t| t.user_id).collect()
-        };
         // Requests are split over the tenants by offered-load share.
         let shares: Vec<(u32, f64)> = cfg.tenants.iter().map(|t| (t.user_id, t.weight)).collect();
         let tenant_mix = shares
@@ -346,7 +341,6 @@ impl<'c> World<'c> {
             app,
             port: cfg.port,
             num_flows: cfg.num_flows,
-            users,
             get_fraction: cfg.get_fraction,
             model: cfg.model,
             rx_latency: cfg.stack.standard_rx_latency(),
@@ -518,6 +512,51 @@ mod tests {
         cfg.warmup = Duration::from_millis(20);
         cfg.measure = Duration::from_millis(120);
         run(&cfg)
+    }
+
+    #[test]
+    fn an_unweighted_tenant_set_still_sends_full_datagrams() {
+        use std::sync::{Arc, Mutex};
+        use syrup_core::{Decision, HookMeta};
+        use syrup_net::packet::{parse_app_header, FRAME_LEN, UDP_OFF};
+        use syrup_net::RequestClass;
+
+        // Tenants are configured but none has positive weight, so every
+        // request is drawn as the anonymous user 0, which no tenant names.
+        let mut cfg = ServerConfig::fig2(SocketPolicyKind::RoundRobin, 50_000.0, 3);
+        cfg.tenants = vec![Tenant {
+            user_id: 5,
+            weight: 0.0,
+        }];
+        cfg.warmup = Duration::from_millis(5);
+        cfg.measure = Duration::from_millis(20);
+        let world = World::new(&cfg);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        let (app, _, _) = world.front.syrupd.deployed()[0];
+        let policy = move |pkt: &mut [u8], _: &HookMeta| {
+            log.lock().unwrap().push(pkt.to_vec());
+            Decision::Pass
+        };
+        world
+            .front
+            .syrupd
+            .deploy(
+                app,
+                Hook::SocketSelect,
+                PolicySource::Native(Box::new(policy)),
+            )
+            .unwrap();
+        let r = world.run();
+
+        let seen = seen.lock().unwrap();
+        assert!(seen.len() as u64 >= r.overall.completed && !seen.is_empty());
+        for pkt in seen.iter() {
+            assert_eq!(pkt.len(), FRAME_LEN - UDP_OFF);
+            let header = parse_app_header(pkt).expect("a full datagram parses");
+            assert_eq!(header.user_id, 0);
+            assert_eq!(header.req_type, RequestClass::Get.code());
+        }
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! | 20                 | `key_hash` | u64  |
 //! | 28                 | `req_id`   | u64  |
 
-use bytes::{BufMut, BytesMut};
-
 use crate::flow::FiveTuple;
 
 /// Ethernet header length.
@@ -87,48 +85,57 @@ pub struct AppHeader {
     pub req_id: u64,
 }
 
-/// A full Ethernet/IPv4/UDP frame as a byte vector.
+/// A full Ethernet/IPv4/UDP frame, held inline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    bytes: Vec<u8>,
+    bytes: [u8; FRAME_LEN],
 }
 
 impl Frame {
     /// Builds a frame for `flow` carrying `app`.
     pub fn build(flow: &FiveTuple, app: &AppHeader) -> Frame {
-        let mut b = BytesMut::with_capacity(FRAME_LEN);
-        // Ethernet II: dst MAC, src MAC, ethertype IPv4.
-        b.put_slice(&[0x02, 0, 0, 0, 0, 0x01]);
-        b.put_slice(&[0x02, 0, 0, 0, 0, 0x02]);
-        b.put_u16(0x0800);
-        // IPv4 header (big-endian fields, no options).
-        let total_len = (IPV4_LEN + UDP_LEN + APP_LEN) as u16;
-        b.put_u8(0x45); // version 4, IHL 5
-        b.put_u8(0); // DSCP/ECN
-        b.put_u16(total_len);
-        b.put_u16(0); // identification
-        b.put_u16(0x4000); // don't fragment
-        b.put_u8(64); // TTL
-        b.put_u8(17); // protocol UDP
-        b.put_u16(0); // checksum filled below
-        b.put_u32(flow.src_ip);
-        b.put_u32(flow.dst_ip);
-        // UDP header.
-        b.put_u16(flow.src_port);
-        b.put_u16(flow.dst_port);
-        b.put_u16((UDP_LEN + APP_LEN) as u16);
-        b.put_u16(0); // UDP checksum optional over IPv4
-                      // Application header (host little-endian, like a C struct).
-        b.put_u64_le(app.req_type);
-        b.put_u32_le(app.user_id);
-        b.put_u64_le(app.key_hash);
-        b.put_u64_le(app.req_id);
-        // Pad to APP_LEN.
-        b.put_slice(&[0u8; APP_LEN - 28]);
-        let mut bytes = b.to_vec();
-        let csum = ipv4_checksum(&bytes[ETH_LEN..ETH_LEN + IPV4_LEN]);
-        bytes[ETH_LEN + 10..ETH_LEN + 12].copy_from_slice(&csum.to_be_bytes());
+        let mut bytes = [0; FRAME_LEN];
+        Frame::write(&mut bytes, flow, app);
         Frame { bytes }
+    }
+
+    /// Writes the frame [`Frame::build`] returns into `out`, every byte
+    /// of it: a per-request path keeps its packet on the stack.
+    pub fn write(out: &mut [u8; FRAME_LEN], flow: &FiveTuple, app: &AppHeader) {
+        let mut at = 0;
+        let mut put = |field: &[u8]| {
+            out[at..at + field.len()].copy_from_slice(field);
+            at += field.len();
+        };
+        // Ethernet II: dst MAC, src MAC, ethertype IPv4.
+        put(&[0x02, 0, 0, 0, 0, 0x01]);
+        put(&[0x02, 0, 0, 0, 0, 0x02]);
+        put(&0x0800u16.to_be_bytes());
+        // IPv4 header (big-endian fields, no options).
+        put(&[0x45, 0]); // version 4, IHL 5; DSCP/ECN
+        put(&((IPV4_LEN + UDP_LEN + APP_LEN) as u16).to_be_bytes());
+        put(&0u16.to_be_bytes()); // identification
+        put(&0x4000u16.to_be_bytes()); // don't fragment
+        put(&[64, 17]); // TTL; protocol UDP
+        put(&0u16.to_be_bytes()); // checksum filled below
+        put(&flow.src_ip.to_be_bytes());
+        put(&flow.dst_ip.to_be_bytes());
+        // UDP header.
+        put(&flow.src_port.to_be_bytes());
+        put(&flow.dst_port.to_be_bytes());
+        put(&((UDP_LEN + APP_LEN) as u16).to_be_bytes());
+        // UDP checksum: optional over IPv4.
+        put(&0u16.to_be_bytes());
+        // Application header (host little-endian, like a C struct), padded
+        // to APP_LEN.
+        put(&app.req_type.to_le_bytes());
+        put(&app.user_id.to_le_bytes());
+        put(&app.key_hash.to_le_bytes());
+        put(&app.req_id.to_le_bytes());
+        put(&[0; APP_LEN - 28]);
+        debug_assert_eq!(at, FRAME_LEN);
+        let csum = ipv4_checksum(&out[ETH_LEN..UDP_OFF]);
+        out[ETH_LEN + 10..ETH_LEN + 12].copy_from_slice(&csum.to_be_bytes());
     }
 
     /// The raw frame bytes (what XDP hooks see).
@@ -155,7 +162,7 @@ impl Frame {
     /// Parses the 5-tuple back out of the frame.
     pub fn five_tuple(&self) -> Option<FiveTuple> {
         let b = &self.bytes;
-        if b.len() < UDP_OFF + UDP_LEN || b[12] != 0x08 || b[13] != 0x00 {
+        if b[12] != 0x08 || b[13] != 0x00 {
             return None;
         }
         if b[ETH_LEN] >> 4 != 4 || b[ETH_LEN + 9] != 17 {
@@ -211,6 +218,7 @@ fn ipv4_checksum(header: &[u8]) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_flow() -> FiveTuple {
         FiveTuple {
@@ -227,6 +235,66 @@ mod tests {
             user_id: 7,
             key_hash: 0xDEAD_BEEF,
             req_id: 1234,
+        }
+    }
+
+    /// `Frame::build` of the two flows below, as the byte-vector builder
+    /// this one replaced produced them (IPv4 checksum included).
+    const GOLDEN: [[u8; FRAME_LEN]; 2] = [
+        [
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x02, 0x08, 0x00,
+            0x45, 0x00, 0x00, 0x40, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11, 0x26, 0xab, 0x0a, 0x00,
+            0x00, 0x01, 0x0a, 0x00, 0x00, 0x02, 0x9c, 0x40, 0x1f, 0x90, 0x00, 0x2c, 0x00, 0x00,
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0xef, 0xbe,
+            0xad, 0xde, 0x00, 0x00, 0x00, 0x00, 0xd2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ],
+        [
+            0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x02, 0x08, 0x00,
+            0x45, 0x00, 0x00, 0x40, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11, 0xcd, 0xf4, 0xc0, 0xa8,
+            0xff, 0xfe, 0xac, 0x10, 0x00, 0x01, 0xff, 0xff, 0x00, 0x01, 0x00, 0x2c, 0x00, 0x00,
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff,
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ],
+    ];
+
+    #[test]
+    fn build_matches_golden_bytes() {
+        let edge_flow = FiveTuple {
+            src_ip: u32::from_be_bytes([192, 168, 255, 254]),
+            dst_ip: u32::from_be_bytes([172, 16, 0, 1]),
+            src_port: 65535,
+            dst_port: 1,
+        };
+        let edge_app = AppHeader {
+            req_type: 0x0102_0304_0506_0708,
+            user_id: 0xFFFF_FFFE,
+            key_hash: u64::MAX,
+            req_id: 0x8000_0000_0000_0001,
+        };
+        let pairs = [(sample_flow(), sample_app()), (edge_flow, edge_app)];
+        for ((flow, app), golden) in pairs.iter().zip(&GOLDEN) {
+            assert_eq!(Frame::build(flow, app).bytes(), golden);
+        }
+    }
+
+    proptest! {
+        /// The writer overwrites every byte of a dirty buffer with exactly
+        /// what `Frame::build` holds.
+        #[test]
+        fn writer_matches_build_over_a_dirty_buffer(
+            (src_ip, dst_ip, src_port, dst_port) in (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>()),
+            (req_type, user_id, key_hash, req_id) in (any::<u64>(), any::<u32>(), any::<u64>(), any::<u64>()),
+            junk in any::<u8>(),
+        ) {
+            let flow = FiveTuple { src_ip, dst_ip, src_port, dst_port };
+            let app = AppHeader { req_type, user_id, key_hash, req_id };
+            let mut out = [junk; FRAME_LEN];
+            Frame::write(&mut out, &flow, &app);
+            let built = Frame::build(&flow, &app);
+            prop_assert_eq!(&out[UDP_OFF..], built.datagram());
+            prop_assert_eq!(&out[..], built.bytes());
         }
     }
 

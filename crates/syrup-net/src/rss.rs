@@ -6,56 +6,117 @@
 //! to pick an RX queue. This is a faithful implementation with the
 //! Microsoft-specified default secret key, validated against the published
 //! test vectors.
+//!
+//! The hash is linear over GF(2): input bit `i` set XORs in the 32 key bits
+//! starting at key bit `i`. A byte's contribution therefore depends only on
+//! its value and its position, so [`Toeplitz`] precomputes one 256-entry
+//! row per input position and hashes with one load and one XOR per byte.
+//! Past the key's end every window is zero, so the rows stop there and
+//! later input bytes contribute nothing. The default key's rows are
+//! evaluated at compile time; [`Toeplitz::with_key`] builds its own.
+
+use std::borrow::Cow;
+use std::fmt;
 
 use crate::flow::FiveTuple;
 
+/// Length of an RSS secret key in bytes.
+const KEY_LEN: usize = 40;
+
 /// The Microsoft RSS default secret key (40 bytes).
-pub const DEFAULT_KEY: [u8; 40] = [
+pub const DEFAULT_KEY: [u8; KEY_LEN] = [
     0x6d, 0x5a, 0x56, 0xda, 0x25, 0x5b, 0x0e, 0xc2, 0x41, 0x67, 0x25, 0x3d, 0x43, 0xa3, 0x8f, 0xb0,
     0xd0, 0xca, 0x2b, 0xcb, 0xae, 0x7b, 0x30, 0xb4, 0x77, 0xcb, 0x2d, 0xa3, 0x80, 0x30, 0xf2, 0x0c,
     0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 ];
 
+/// `row[byte]`: the hash of `byte` at one input position.
+type Row = [u32; 256];
+
+/// One row per input position the key reaches (40 KiB).
+type Table = [Row; KEY_LEN];
+
+/// [`DEFAULT_KEY`]'s rows, shared by every default hasher.
+static DEFAULT_TABLE: Table = table(&DEFAULT_KEY);
+
+/// The 32 key bits starting at key bit `bit`, zero past the key's end.
+const fn window(key: &[u8; KEY_LEN], bit: usize) -> u32 {
+    let mut w = 0u32;
+    let mut j = bit;
+    while j < bit + 32 {
+        let b = if j < KEY_LEN * 8 {
+            (key[j / 8] >> (7 - j % 8)) & 1
+        } else {
+            0
+        };
+        w = (w << 1) | b as u32;
+        j += 1;
+    }
+    w
+}
+
+/// Every input position's row for `key`.
+const fn table(key: &[u8; KEY_LEN]) -> Table {
+    let mut t = [[0u32; 256]; KEY_LEN];
+    let mut pos = 0;
+    while pos < KEY_LEN {
+        // A byte's bit 7 is the position's first input bit.
+        let mut bit_windows = [0u32; 8];
+        let mut k = 0;
+        while k < 8 {
+            bit_windows[k] = window(key, pos * 8 + 7 - k);
+            k += 1;
+        }
+        // Each value is a smaller value plus its lowest set bit.
+        let mut v = 1;
+        while v < 256 {
+            t[pos][v] = t[pos][v & (v - 1)] ^ bit_windows[v.trailing_zeros() as usize];
+            v += 1;
+        }
+        pos += 1;
+    }
+    t
+}
+
 /// A Toeplitz hasher with a fixed key.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Toeplitz {
-    key: [u8; 40],
+    key: [u8; KEY_LEN],
+    rows: Cow<'static, [Row]>,
+}
+
+impl fmt::Debug for Toeplitz {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Toeplitz")
+            .field("key", &self.key)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Default for Toeplitz {
     fn default() -> Self {
-        Toeplitz { key: DEFAULT_KEY }
+        Toeplitz {
+            key: DEFAULT_KEY,
+            rows: Cow::Borrowed(&DEFAULT_TABLE),
+        }
     }
 }
 
 impl Toeplitz {
     /// Creates a hasher with a custom key.
-    pub fn with_key(key: [u8; 40]) -> Self {
-        Toeplitz { key }
+    pub fn with_key(key: [u8; KEY_LEN]) -> Self {
+        Toeplitz {
+            key,
+            rows: Cow::Owned(table(&key).to_vec()),
+        }
     }
 
     /// Hashes an arbitrary input byte string.
     pub fn hash_bytes(&self, input: &[u8]) -> u32 {
-        let mut result: u32 = 0;
-        // The sliding 32-bit window over the key, advanced bit by bit.
-        let mut window = u32::from_be_bytes([self.key[0], self.key[1], self.key[2], self.key[3]]);
-        let mut next_key_bit = 32; // index of the next key bit to shift in
-        for &byte in input {
-            for bit in (0..8).rev() {
-                if (byte >> bit) & 1 == 1 {
-                    result ^= window;
-                }
-                // Slide the window one bit left.
-                let incoming = if next_key_bit < self.key.len() * 8 {
-                    (self.key[next_key_bit / 8] >> (7 - (next_key_bit % 8))) & 1
-                } else {
-                    0
-                };
-                window = (window << 1) | u32::from(incoming);
-                next_key_bit += 1;
-            }
-        }
-        result
+        input
+            .iter()
+            .zip(self.rows.iter())
+            .fold(0, |h, (&byte, row)| h ^ row[usize::from(byte)])
     }
 
     /// The RSS hash over an IPv4 + UDP/TCP 5-tuple: source address,
@@ -88,6 +149,50 @@ impl Toeplitz {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-serial definition: a 32-bit window slides over the key one
+    /// bit per input bit and is XORed in wherever the input bit is set.
+    fn reference_hash(key: &[u8; KEY_LEN], input: &[u8]) -> u32 {
+        let mut result: u32 = 0;
+        // The sliding 32-bit window over the key, advanced bit by bit.
+        let mut window = u32::from_be_bytes([key[0], key[1], key[2], key[3]]);
+        let mut next_key_bit = 32; // index of the next key bit to shift in
+        for &byte in input {
+            for bit in (0..8).rev() {
+                if (byte >> bit) & 1 == 1 {
+                    result ^= window;
+                }
+                // Slide the window one bit left.
+                let incoming = if next_key_bit < key.len() * 8 {
+                    (key[next_key_bit / 8] >> (7 - (next_key_bit % 8))) & 1
+                } else {
+                    0
+                };
+                window = (window << 1) | u32::from(incoming);
+                next_key_bit += 1;
+            }
+        }
+        result
+    }
+
+    proptest! {
+        /// The table hash equals the bit-serial one for any key and every
+        /// input length up to 48 bytes, past the key's 40.
+        #[test]
+        fn table_hash_matches_bitwise_reference(
+            key in prop::collection::vec(any::<u8>(), KEY_LEN),
+            input in prop::collection::vec(any::<u8>(), 48),
+        ) {
+            let key: [u8; KEY_LEN] = key.try_into().unwrap();
+            let (custom, default) = (Toeplitz::with_key(key), Toeplitz::default());
+            for len in 0..=input.len() {
+                let input = &input[..len];
+                prop_assert_eq!(custom.hash_bytes(input), reference_hash(&key, input));
+                prop_assert_eq!(default.hash_bytes(input), reference_hash(&DEFAULT_KEY, input));
+            }
+        }
+    }
 
     fn ft(src: [u8; 4], sport: u16, dst: [u8; 4], dport: u16) -> FiveTuple {
         FiveTuple {

@@ -131,8 +131,6 @@ pub struct WheelStats {
     pub drift_total_ns: u64,
     /// Largest single backwards drift absorbed by clamping.
     pub drift_max_ns: u64,
-    /// High-water mark of pending events.
-    pub max_len: usize,
 }
 
 /// Telemetry handles published by [`EventQueue::attach_telemetry`].
@@ -258,7 +256,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The wheel's always-on local statistics (cascades, overflow pushes,
-    /// high-water depth, ...).
+    /// clamps, ...).
     pub fn stats(&self) -> WheelStats {
         self.stats
     }
@@ -309,7 +307,6 @@ impl<E> EventQueue<E> {
         } else {
             self.insert_entry(entry);
         }
-        self.stats.max_len = self.stats.max_len.max(self.len());
     }
 
     /// Places an entry whose tick is strictly ahead of the cursor into
