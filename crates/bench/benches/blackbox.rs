@@ -33,8 +33,8 @@ fn main() -> ExitCode {
         sites.push(Site::new(format!("enqueue_drop_{side}"), *limit, || {
             black_box(recorder).enqueue_drop(Layer::Nic, 1, 9, 64)
         }));
-        sites.push(Site::new(format!("band_shift_{side}"), *limit, || {
-            black_box(recorder).band_shift(1, 0, 3, true)
+        sites.push(Site::new(format!("depth_cross_{side}"), *limit, || {
+            black_box(recorder).depth_cross(Layer::Sock, 1, true, 3, 3)
         }));
     }
     bench::gate("blackbox", &sites)

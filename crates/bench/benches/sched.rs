@@ -4,8 +4,7 @@
 //!
 //! * A FIFO-backed `ExecQueue`/`SocketBuf` must cost what the plain
 //!   `VecDeque` it replaced cost — the rank machinery is one enum match
-//!   on the non-ranked path, and its telemetry handles are disabled
-//!   single-branch `Option`s. `fifo_execqueue` is gated at
+//!   on the non-ranked path. `fifo_execqueue` is gated at
 //!   [`FIFO_TOLERANCE`]× `fifo_vecdeque_baseline` (see [`bench::gate()`]:
 //!   release builds only, exit nonzero over the limit).
 //! * Ranked disciplines pay for their ordering: exact PIFO is
@@ -26,8 +25,8 @@ const WARM_DEPTH: usize = 64;
 /// Ten release runs on the shared 2-vCPU guest this was set on read
 /// 1.15–1.51× (2.7–3.0 ns against 3.3–4.3 ns: at three nanoseconds a
 /// neighbour's cache miss is a tenth of the reading), so the limit sits
-/// above that spread; real work on the FIFO path — an enabled telemetry
-/// handle alone is +8 ns — reads 3× and more.
+/// above that spread; real work on the FIFO path — one enabled counter
+/// increment alone is +8 ns — reads 3× and more.
 const FIFO_TOLERANCE: f64 = 2.0;
 
 fn main() -> ExitCode {
@@ -42,8 +41,8 @@ fn main() -> ExitCode {
         rank = rank.wrapping_mul(6364136223846793005).wrapping_add(1);
         ((rank >> 33) % 4096) as u32
     };
-    let mut pifo: Pifo<u64> = Pifo::unbounded();
-    let mut bucket: BucketQueue<u64> = BucketQueue::unbounded(64, 64);
+    let mut pifo: Pifo<u64> = Pifo::new();
+    let mut bucket: BucketQueue<u64> = BucketQueue::new(64, 64);
     let mut ranked: ExecQueue<u64> = ExecQueue::new(QueueKind::Pifo);
     for i in 0..WARM_DEPTH as u64 {
         pifo.push(i, next_rank());

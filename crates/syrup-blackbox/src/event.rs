@@ -18,7 +18,8 @@ pub enum Layer {
     Nic,
     /// Reuseport socket buffers: enqueue drops and depth crossings.
     Sock,
-    /// Ranked `ExecQueue`s: rank-band occupancy shifts.
+    /// Reserved for rank-queue events. No shipped path records here; the
+    /// layer stays so every postmortem holds the same seven dumps.
     Sched,
     /// ghOSt: per-thread scheduler-state changes.
     Ghost,
@@ -91,10 +92,6 @@ pub enum EventKind {
     /// Queue depth crossed its threshold downward. Fields as
     /// [`EventKind::DepthUp`].
     DepthDown,
-    /// A ranked queue's band occupancy changed. `id` = queue index,
-    /// `aux` = rank band, `w0` = the band's new depth, `w1` = 1 for a
-    /// push, 0 for a pop.
-    BandShift,
     /// A ghOSt-managed thread changed scheduler state. `aux` = state
     /// (0 runnable, 1 running, 2 blocked), `w0` = thread id.
     ThreadState,
@@ -122,7 +119,6 @@ impl EventKind {
             EventKind::EnqueueDrop => "enqueue-drop",
             EventKind::DepthUp => "depth-up",
             EventKind::DepthDown => "depth-down",
-            EventKind::BandShift => "band-shift",
             EventKind::ThreadState => "thread-state",
             EventKind::SloBurn => "slo-burn",
             EventKind::Starvation => "starvation",
@@ -131,6 +127,8 @@ impl EventKind {
         }
     }
 
+    /// The kind's wire code. Code 7 belonged to a retired queue-band
+    /// event and stays unused, so no kind decodes as another.
     fn code(self) -> u16 {
         match self {
             EventKind::Dispatch => 1,
@@ -139,7 +137,6 @@ impl EventKind {
             EventKind::EnqueueDrop => 4,
             EventKind::DepthUp => 5,
             EventKind::DepthDown => 6,
-            EventKind::BandShift => 7,
             EventKind::ThreadState => 8,
             EventKind::SloBurn => 9,
             EventKind::Starvation => 10,
@@ -156,7 +153,6 @@ impl EventKind {
             4 => EventKind::EnqueueDrop,
             5 => EventKind::DepthUp,
             6 => EventKind::DepthDown,
-            7 => EventKind::BandShift,
             8 => EventKind::ThreadState,
             9 => EventKind::SloBurn,
             10 => EventKind::Starvation,

@@ -13,9 +13,8 @@
 //!   payload words) with one [`EventKind`] per instrumented site:
 //!   syrupd dispatch verdicts carrying the `(rank, executor)` encoding,
 //!   VM traps and tail-call-cap hits (from both execution backends),
-//!   NIC/reuseport enqueue drops and depth-threshold crossings,
-//!   `ExecQueue` rank-band occupancy shifts, ghOSt thread-state changes,
-//!   and `SloMonitor` burn events.
+//!   NIC/reuseport enqueue drops and depth-threshold crossings, ghOSt
+//!   thread-state changes, and `SloMonitor` burn events.
 //! * [`EventRing`] — a fixed-capacity multi-producer ring with per-slot
 //!   sequence locks: writers never block readers, the oldest events are
 //!   overwritten when full, and the number of lost events is exact by

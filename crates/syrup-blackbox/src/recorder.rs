@@ -26,6 +26,15 @@ pub enum TriggerCause {
 }
 
 impl TriggerCause {
+    /// Every cause.
+    pub const ALL: [TriggerCause; 5] = [
+        TriggerCause::SloBurn,
+        TriggerCause::VmTrap,
+        TriggerCause::Starvation,
+        TriggerCause::Manual,
+        TriggerCause::Anomaly,
+    ];
+
     /// Stable lowercase name used in JSON schemas.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -79,7 +88,7 @@ struct Inner {
     /// the pre-trigger window.
     frozen: AtomicBool,
     /// Per-cause arming, [`TriggerCause::index`]-addressed.
-    armed: [AtomicBool; 5],
+    armed: [AtomicBool; TriggerCause::ALL.len()],
     trigger: Mutex<Option<TriggerInfo>>,
 }
 
@@ -297,30 +306,6 @@ impl Recorder {
                 aux: 0,
                 w0: depth,
                 w1: threshold,
-            },
-        );
-    }
-
-    /// Records a ranked queue's band-occupancy shift (`push`: true for an
-    /// enqueue into the band, false for a dequeue out of it).
-    #[inline]
-    pub fn band_shift(&self, queue: u16, band: u32, depth: u64, push: bool) {
-        let Some(inner) = &self.inner else { return };
-        Self::band_shift_slow(inner, queue, band, depth, push);
-    }
-
-    #[cold]
-    fn band_shift_slow(inner: &Inner, queue: u16, band: u32, depth: u64, push: bool) {
-        record(
-            inner,
-            Layer::Sched,
-            Event {
-                at_ns: inner.now.load(Relaxed),
-                kind: EventKind::BandShift,
-                id: queue,
-                aux: band,
-                w0: depth,
-                w1: u64::from(push),
             },
         );
     }
@@ -570,11 +555,9 @@ mod tests {
         rec.dispatch(10, 1, 4, (7u64 << 32) | 2, 1500);
         rec.set_now(11);
         rec.enqueue_drop(Layer::Nic, 3, 0, 64);
-        rec.band_shift(2, 1, 5, true);
         rec.thread_state(12, 42, 1);
         assert_eq!(rec.events(Layer::Syrupd).len(), 1);
         assert_eq!(rec.events(Layer::Nic).len(), 1);
-        assert_eq!(rec.events(Layer::Sched).len(), 1);
         assert_eq!(rec.events(Layer::Ghost).len(), 1);
         assert_eq!(rec.events(Layer::Slo).len(), 0);
         // Timeless sites took the recorder clock.

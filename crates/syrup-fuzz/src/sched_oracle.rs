@@ -75,8 +75,8 @@ fn check_script(report: &mut SchedFuzzReport, rng: &mut Prng) -> Result<(), Stri
     let rank_range = 1 + rng.below(64) as u32;
     let granularity = 1 + rng.below(8) as u32;
     let num_buckets = (rank_range as usize).div_ceil(granularity as usize) + 1;
-    let mut pifo: Pifo<u64> = Pifo::unbounded();
-    let mut bucket: BucketQueue<u64> = BucketQueue::unbounded(num_buckets, granularity);
+    let mut pifo: Pifo<u64> = Pifo::new();
+    let mut bucket: BucketQueue<u64> = BucketQueue::new(num_buckets, granularity);
     let mut model: Vec<(u32, u64)> = Vec::new();
     let mut next_item = 0u64;
 

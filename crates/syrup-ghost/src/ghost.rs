@@ -22,7 +22,6 @@ use std::collections::BTreeMap;
 
 use syrup_ebpf::maps::MapRef;
 use syrup_sim::{Duration, Time};
-use syrup_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
 use crate::{Assignment, CoreId, ThreadId, ThreadScheduler};
 
@@ -60,19 +59,6 @@ impl Default for GhostParams {
     }
 }
 
-/// Agent-side instrumentation: what ghOSt's own stats interface exports.
-/// Disabled (free) until [`GhostSched::attach_telemetry`].
-#[derive(Debug, Default)]
-struct GhostTelemetry {
-    /// Runnable-queue depth after each scheduling event.
-    runnable_depth: GaugeHandle,
-    /// Wire-to-decision latency of each agent message (message delay +
-    /// queueing at the agent + processing), in nanoseconds.
-    decision_latency: HistogramHandle,
-    messages: CounterHandle,
-    preemptions: CounterHandle,
-}
-
 /// The centralized scheduler state.
 #[derive(Debug)]
 pub struct GhostSched {
@@ -87,17 +73,12 @@ pub struct GhostSched {
     /// nondeterministic.
     running: BTreeMap<CoreId, ThreadId>,
     runnable: Vec<ThreadId>,
-    /// Thread → rank Map for the opt-in rank-ordered run queue
-    /// ([`GhostSched::enable_ranked_runqueue`]). `None` keeps the classic
-    /// class-priority policy bit-for-bit.
-    rank_map: Option<MapRef>,
     /// When the agent finishes its current message backlog.
     agent_busy_until: Time,
     /// Total messages processed (diagnostics).
     pub messages: u64,
     /// Total preemptions issued (diagnostics).
     pub preemptions: u64,
-    telemetry: GhostTelemetry,
     tracer: syrup_trace::Tracer,
     profiler: syrup_profile::Profiler,
     recorder: syrup_blackbox::Recorder,
@@ -123,11 +104,9 @@ impl GhostSched {
             class_map,
             running: BTreeMap::new(),
             runnable: Vec::new(),
-            rank_map: None,
             agent_busy_until: Time::ZERO,
             messages: 0,
             preemptions: 0,
-            telemetry: GhostTelemetry::default(),
             tracer: syrup_trace::Tracer::disabled(),
             profiler: syrup_profile::Profiler::disabled(),
             recorder: syrup_blackbox::Recorder::disabled(),
@@ -179,51 +158,12 @@ impl GhostSched {
             .unwrap_or_default()
     }
 
-    /// Publishes agent metrics under `ghost/` in `registry`
-    /// (`ghost/runnable_depth`, `ghost/decision_latency_ns`,
-    /// `ghost/messages`, `ghost/preemptions`).
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = GhostTelemetry {
-            runnable_depth: registry.gauge("ghost/runnable_depth"),
-            decision_latency: registry.histogram("ghost/decision_latency_ns"),
-            messages: registry.counter("ghost/messages"),
-            preemptions: registry.counter("ghost/preemptions"),
-        };
-    }
-
     fn class_of(&self, t: ThreadId) -> u64 {
         self.class_map
             .lookup_u64(t.0)
             .ok()
             .flatten()
             .unwrap_or(class::UNKNOWN)
-    }
-
-    /// Switches the agent to the rank-ordered run queue: the policy
-    /// orders runnable threads by the rank the application writes into
-    /// `rank_map` (key = thread id; lowest rank dispatches first, thread
-    /// id breaks ties), and a runnable thread whose rank is strictly
-    /// lower than a running thread's preempts it. Threads without a map
-    /// entry rank [`u32::MAX`] (scheduled last, never preempting) — use a
-    /// hash-backed map for that behaviour; an array map zero-fills, which
-    /// makes unmapped threads most urgent instead.
-    pub fn enable_ranked_runqueue(&mut self, rank_map: MapRef) {
-        self.rank_map = Some(rank_map);
-    }
-
-    /// Whether the rank-ordered run queue is active.
-    pub fn is_ranked(&self) -> bool {
-        self.rank_map.is_some()
-    }
-
-    fn rank_of(&self, t: ThreadId) -> u32 {
-        let Some(map) = &self.rank_map else {
-            return u32::MAX;
-        };
-        map.lookup_u64(t.0)
-            .ok()
-            .flatten()
-            .map_or(u32::MAX, |r| r.min(u64::from(u32::MAX)) as u32)
     }
 
     /// Models the agent serialization: a message arriving now is handled
@@ -234,21 +174,13 @@ impl GhostSched {
         let done = start + self.params.agent_cost;
         self.agent_busy_until = done;
         self.messages += 1;
-        self.telemetry.messages.inc();
-        self.telemetry
-            .decision_latency
-            .record(done.since(now).as_nanos());
         done
     }
 
     /// Runs the deployed policy and performs the shared bookkeeping
-    /// (dispatch traces, thread-state samples, queue-depth gauge).
+    /// (dispatch traces, thread-state samples).
     fn policy(&mut self, decision_at: Time) -> Vec<Assignment> {
-        let out = if self.rank_map.is_some() {
-            self.policy_ranked(decision_at)
-        } else {
-            self.policy_classes(decision_at)
-        };
+        let out = self.policy_classes(decision_at);
         for a in &out {
             self.tracer.span_arg(
                 self.trace_of(a.thread),
@@ -274,17 +206,6 @@ impl GhostSched {
                     .thread_state(a.start_at.as_nanos(), u64::from(victim.0), 0);
             }
         }
-        if self.rank_map.is_some() && self.profiler.is_enabled() {
-            let mut bands = [0usize; syrup_sched::NUM_RANK_BANDS];
-            for &t in &self.runnable {
-                bands[syrup_sched::rank_band(self.rank_of(t))] += 1;
-            }
-            self.profiler
-                .queue_rank_bands("ghost", decision_at.as_nanos(), &bands);
-        }
-        self.telemetry
-            .runnable_depth
-            .set(self.runnable.len() as i64);
         out
     }
 
@@ -346,7 +267,6 @@ impl GhostSched {
             self.running.insert(core, get_thread);
             self.runnable.push(victim);
             self.preemptions += 1;
-            self.telemetry.preemptions.inc();
             self.tracer.instant(
                 self.trace_of(victim),
                 syrup_trace::Stage::GhostPreempt,
@@ -356,72 +276,6 @@ impl GhostSched {
             out.push(Assignment {
                 core,
                 thread: get_thread,
-                start_at: decision_at + self.params.ipi,
-                preempted: Some(victim),
-            });
-        }
-        out
-    }
-
-    /// The rank-ordered policy: drain the runnable pool through a PIFO
-    /// (lowest rank first, FIFO ties), fill idle cores in that order,
-    /// then preempt the highest-ranked running thread whenever a
-    /// strictly lower-ranked thread waits.
-    fn policy_ranked(&mut self, decision_at: Time) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        let mut pifo = syrup_sched::Pifo::unbounded();
-        for &t in &self.runnable {
-            pifo.push(t, self.rank_of(t));
-        }
-        self.runnable.clear();
-        while let Some((t, _)) = pifo.pop_entry() {
-            self.runnable.push(t);
-        }
-        // Fill idle cores, most urgent first.
-        while let Some(&idle) = self
-            .app_cores
-            .iter()
-            .find(|c| !self.running.contains_key(c))
-        {
-            if self.runnable.is_empty() {
-                break;
-            }
-            let t = self.runnable.remove(0);
-            self.running.insert(idle, t);
-            out.push(Assignment {
-                core: idle,
-                thread: t,
-                start_at: decision_at + self.params.ctx_switch,
-                preempted: None,
-            });
-        }
-        // Preempt while the most urgent waiter outranks the least urgent
-        // running thread.
-        while let Some(&cand) = self.runnable.first() {
-            let Some((&core, &victim)) = self
-                .running
-                .iter()
-                .max_by_key(|(&core, &t)| (self.rank_of(t), core.0))
-            else {
-                break;
-            };
-            if self.rank_of(cand) >= self.rank_of(victim) {
-                break;
-            }
-            self.runnable.remove(0);
-            self.running.insert(core, cand);
-            self.runnable.push(victim);
-            self.preemptions += 1;
-            self.telemetry.preemptions.inc();
-            self.tracer.instant(
-                self.trace_of(victim),
-                syrup_trace::Stage::GhostPreempt,
-                decision_at.as_nanos(),
-                u64::from(core.0),
-            );
-            out.push(Assignment {
-                core,
-                thread: cand,
                 start_at: decision_at + self.params.ipi,
                 preempted: Some(victim),
             });
@@ -594,27 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_tracks_agent_costs_and_queue_depth() {
-        let registry = Registry::new();
-        let (mut s, map) = setup(2);
-        s.attach_telemetry(&registry);
-        map.update_u64(1, class::SCAN).unwrap();
-        map.update_u64(2, class::GET).unwrap();
-        s.thread_ready(ThreadId(1), Time::ZERO);
-        s.thread_ready(ThreadId(2), Time::from_micros(100)); // preempts
-
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("ghost/messages"), 2);
-        assert_eq!(snap.counter("ghost/preemptions"), 1);
-        // After the preemption the displaced SCAN waits in the queue.
-        assert_eq!(snap.gauge("ghost/runnable_depth"), 1);
-        let lat = snap.histogram("ghost/decision_latency_ns").unwrap();
-        assert_eq!(lat.count(), 2);
-        // An uncontended message costs exactly delay + agent cost.
-        assert_eq!(lat.min(), 1_000 + 600);
-    }
-
-    #[test]
     fn profiler_tracks_time_in_state_and_starvation() {
         let profiler = syrup_profile::Profiler::new();
         profiler.set_starvation_threshold(1_000); // 1 µs, well under agent latency
@@ -668,79 +501,6 @@ mod tests {
         let t2: Vec<u32> = events.iter().filter(|e| e.w0 == 2).map(|e| e.aux).collect();
         assert_eq!(t2, vec![0, 1, 2]);
         assert!(events.iter().any(|e| e.at_ns >= 200_000));
-    }
-
-    fn setup_ranked(n_cores: u32) -> (GhostSched, MapRef) {
-        let reg = MapRegistry::new();
-        let class = reg.get(reg.create(MapDef::u64_array(64))).unwrap();
-        // Hash-backed so absent threads read as "no rank" (an array map
-        // would zero-fill, making every unmapped thread most urgent).
-        let ranks = reg.get(reg.create(MapDef::u64_hash(64))).unwrap();
-        let mut sched = GhostSched::new(
-            (0..n_cores).map(CoreId).collect(),
-            class,
-            GhostParams::default(),
-        );
-        sched.enable_ranked_runqueue(ranks.clone());
-        (sched, ranks)
-    }
-
-    #[test]
-    fn ranked_runqueue_dispatches_lowest_rank_first() {
-        let (mut s, ranks) = setup_ranked(2); // one app core + agent
-        ranks.update_u64(1, 40).unwrap();
-        ranks.update_u64(2, 7).unwrap();
-        ranks.update_u64(3, 20).unwrap();
-        assert!(s.is_ranked());
-        // All three wake before any core frees; the single core goes to
-        // the first arrival, then frees for the most urgent waiter.
-        let a = s.thread_ready(ThreadId(1), Time::ZERO);
-        assert_eq!(a[0].thread, ThreadId(1));
-        // 7 outranks the running 40: immediate preemption.
-        let b = s.thread_ready(ThreadId(2), Time::from_micros(10));
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].thread, ThreadId(2));
-        assert_eq!(b[0].preempted, Some(ThreadId(1)));
-        // 20 does not outrank the running 7.
-        assert!(s
-            .thread_ready(ThreadId(3), Time::from_micros(20))
-            .is_empty());
-        // When 7 finishes, 20 dispatches ahead of 40.
-        let c = s.thread_stopped(ThreadId(2), CoreId(0), Time::from_micros(50));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c[0].thread, ThreadId(3));
-    }
-
-    #[test]
-    fn unmapped_threads_rank_last_and_never_preempt() {
-        let (mut s, ranks) = setup_ranked(2);
-        ranks.update_u64(1, 1_000).unwrap();
-        s.thread_ready(ThreadId(1), Time::ZERO);
-        // Thread 2 has no rank entry: u32::MAX, so no preemption.
-        let b = s.thread_ready(ThreadId(2), Time::from_micros(10));
-        assert!(b.is_empty());
-        assert_eq!(s.preemptions, 0);
-    }
-
-    #[test]
-    fn ranked_runqueue_feeds_band_pressure() {
-        let profiler = syrup_profile::Profiler::new();
-        let (mut s, ranks) = setup_ranked(2);
-        s.attach_profiler(&profiler);
-        ranks.update_u64(1, 5).unwrap();
-        ranks.update_u64(2, 5_000).unwrap();
-        ranks.update_u64(3, 30).unwrap();
-        s.thread_ready(ThreadId(1), Time::ZERO); // dispatches
-        s.thread_ready(ThreadId(2), Time::ZERO); // waits, band 3
-        s.thread_ready(ThreadId(3), Time::ZERO); // waits, band 1
-        let p = profiler.pressure();
-        let ghost = p
-            .rank_bands
-            .iter()
-            .find(|b| b.component == "ghost")
-            .expect("ranked runqueue samples bands");
-        assert_eq!(ghost.max_depth, 1);
-        assert!(ghost.samples >= 3);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!   imbalances Figure 2 exposes.
 //! * [`flow`] — 5-tuples and flow-set generation (Figure 2 uses 50 client
 //!   flows over 6 sockets).
-//! * [`nic`] — RX queues, queue-steering (RSS or an XDP-offload policy),
-//!   and IRQ→core affinity as configured in §5.1 (queue interrupts mapped
-//!   to the hyperthread buddies of the application cores).
+//! * [`nic`] — RX queues as configured in §5.1 and queue steering: RSS, or
+//!   the choice of an XDP-offload policy running on the NIC.
 //! * [`socket`] — bounded socket buffers with drop accounting and
 //!   `SO_REUSEPORT` groups with hash-based default selection (the Linux
 //!   behaviour Figure 2 measures) or a Syrup socket-select policy.
@@ -49,7 +48,7 @@ pub use socket::{Delivery, ReuseportGroup, SocketBuf};
 pub use stack::StackCosts;
 
 // Queue disciplines are part of this crate's construction API
-// (`Nic::new_with`, `ReuseportGroup::new_with`), so re-export the kind.
+// (`ReuseportGroup::new_with`), so re-export the kind.
 pub use syrup_sched::QueueKind;
 
 /// Feeds one per-queue depth snapshot to `profiler` through a stack

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use serde::{Serialize, SerializeStruct, Serializer};
 use syrup_blackbox::Recorder;
-use syrup_telemetry::{CounterHandle, GaugeHandle, Registry, Snapshot};
+use syrup_telemetry::Snapshot;
 
 /// A threshold rule over one histogram's quantile.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,9 +146,6 @@ impl Serialize for AnomalyNote {
 pub struct SloMonitor {
     rules: Vec<RuleState>,
     anomalies: Vec<AnomalyNote>,
-    burns_total: CounterHandle,
-    rules_burning: GaugeHandle,
-    anomalies_total: CounterHandle,
     recorder: Recorder,
 }
 
@@ -171,16 +168,6 @@ impl SloMonitor {
             recent: VecDeque::new(),
             consecutive: 0,
         });
-    }
-
-    /// Exports burn accounting into `registry`: `slo/burns_total`
-    /// (burn events emitted), `slo/rules_burning` (rules currently over
-    /// threshold), and `slo/anomalies_total` (time-series anomalies
-    /// noted by syrup-scope detectors).
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.burns_total = registry.counter("slo/burns_total");
-        self.rules_burning = registry.gauge("slo/rules_burning");
-        self.anomalies_total = registry.counter("slo/anomalies_total");
     }
 
     /// Streams burn events into the flight recorder (rule index =
@@ -234,18 +221,14 @@ impl SloMonitor {
                 rs.consecutive = 0;
             }
         }
-        self.burns_total.add(burns.len() as u64);
-        self.rules_burning
-            .set(self.rules.iter().filter(|rs| rs.consecutive > 0).count() as i64);
         burns
     }
 
     /// Records a time-series anomaly flagged by a syrup-scope detector,
     /// so SLO health and anomaly health read from one place (the
     /// continuous-signal feed ROADMAP's policy-rollback item triggers
-    /// on). Bumps `slo/anomalies_total` when telemetry is attached.
+    /// on).
     pub fn note_anomaly(&mut self, at_ns: u64, series: &str, value: f64, z: f64) {
-        self.anomalies_total.inc();
         self.anomalies.push(AnomalyNote {
             series: series.to_string(),
             at_ns,
@@ -342,26 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn burns_flow_into_telemetry_counters() {
-        let registry = Registry::new();
-        let mut mon = SloMonitor::new().with_rule(SloRule::new("m", 0.99, 100));
-        mon.attach_telemetry(&registry);
-        mon.observe(1, &snapshot_with("m", &[50]));
-        assert_eq!(registry.snapshot().counter("slo/burns_total"), 0);
-        assert_eq!(registry.snapshot().gauge("slo/rules_burning"), 0);
-        mon.observe(2, &snapshot_with("m", &[5_000]));
-        mon.observe(3, &snapshot_with("m", &[5_000]));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("slo/burns_total"), 2);
-        assert_eq!(snap.gauge("slo/rules_burning"), 1);
-        // Recovery clears the gauge but the counter stays.
-        mon.observe(4, &snapshot_with("m", &[50]));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("slo/burns_total"), 2);
-        assert_eq!(snap.gauge("slo/rules_burning"), 0);
-    }
-
-    #[test]
     fn burns_flow_into_the_flight_recorder() {
         use syrup_blackbox::{EventKind, Layer, Recorder};
         let rec = Recorder::new();
@@ -384,15 +347,12 @@ mod tests {
 
     #[test]
     fn anomaly_notes_accumulate_and_count() {
-        let registry = Registry::new();
         let mut mon = SloMonitor::new();
-        mon.attach_telemetry(&registry);
         mon.note_anomaly(5_000, "shard1/events", 9_000.0, 8.2);
         mon.note_anomaly(6_000, "imbalance/gini", 0.9, 6.5);
         assert_eq!(mon.anomalies().len(), 2);
         assert_eq!(mon.anomalies()[0].series, "shard1/events");
         assert_eq!(mon.anomalies()[1].at_ns, 6_000);
-        assert_eq!(registry.snapshot().counter("slo/anomalies_total"), 2);
         let json = serde::json::to_string(&mon.anomalies().to_vec()).unwrap();
         assert!(json.contains("\"series\":\"shard1/events\""), "{json}");
     }

@@ -27,9 +27,10 @@
 
 use std::collections::VecDeque;
 
-use crate::{rank_band, QueueTelemetry, NUM_RANK_BANDS};
+use crate::{rank_band, NUM_RANK_BANDS};
 
-/// An Eiffel-style circular bucket queue with FFS dequeue.
+/// An Eiffel-style circular bucket queue with FFS dequeue. It is
+/// unbounded; the embedding executor enforces any capacity.
 #[derive(Debug, Clone)]
 pub struct BucketQueue<T> {
     /// `buckets[slot]` holds `(item, original_rank)` FIFO per bucket.
@@ -43,23 +44,17 @@ pub struct BucketQueue<T> {
     /// bounds how far back a low-ranked push may re-anchor `base`.
     max_bucket: u64,
     len: usize,
-    capacity: usize,
     granularity: u32,
-    /// Items rejected because the queue was full.
-    pub dropped: u64,
-    /// Items ever admitted.
-    pub enqueued: u64,
     bands: [usize; NUM_RANK_BANDS],
-    telemetry: QueueTelemetry,
 }
 
 impl<T> BucketQueue<T> {
     /// Creates a queue of `num_buckets` buckets of rank width
-    /// `granularity`, holding at most `capacity` items in total.
+    /// `granularity`.
     ///
     /// The horizon — the rank span the queue orders without clamping — is
     /// `num_buckets × granularity` past the current head.
-    pub fn new(capacity: usize, num_buckets: usize, granularity: u32) -> Self {
+    pub fn new(num_buckets: usize, granularity: u32) -> Self {
         assert!(num_buckets > 0, "bucket queue needs at least one bucket");
         assert!(granularity > 0, "rank granularity must be positive");
         BucketQueue {
@@ -68,25 +63,9 @@ impl<T> BucketQueue<T> {
             base: 0,
             max_bucket: 0,
             len: 0,
-            capacity,
             granularity,
-            dropped: 0,
-            enqueued: 0,
             bands: [0; NUM_RANK_BANDS],
-            telemetry: QueueTelemetry::default(),
         }
-    }
-
-    /// A bucket queue with no capacity bound.
-    pub fn unbounded(num_buckets: usize, granularity: u32) -> Self {
-        BucketQueue::new(usize::MAX, num_buckets, granularity)
-    }
-
-    /// Publishes `<prefix>/enqueued`, `<prefix>/dropped` counters and a
-    /// `<prefix>/rank` histogram in `registry`. Until called, every
-    /// telemetry touch is a single disabled-handle branch.
-    pub fn attach_telemetry(&mut self, registry: &syrup_telemetry::Registry, prefix: &str) {
-        self.telemetry = QueueTelemetry::attach(registry, prefix);
     }
 
     /// The configured rank width of one bucket.
@@ -144,20 +123,11 @@ impl<T> BucketQueue<T> {
         None
     }
 
-    /// Enqueues `item` at `rank`; returns `false` (and counts a drop)
-    /// when the queue is full. A rank below the head re-anchors the
+    /// Enqueues `item` at `rank`. A rank below the head re-anchors the
     /// window backward when the occupied span still fits the horizon;
     /// otherwise it clamps to the head bucket. Ranks past the horizon
     /// clamp to the last bucket.
-    pub fn push(&mut self, item: T, rank: u32) -> bool {
-        if self.len >= self.capacity {
-            self.dropped += 1;
-            self.telemetry.dropped.inc();
-            return false;
-        }
-        self.enqueued += 1;
-        self.telemetry.enqueued.inc();
-        self.telemetry.rank.record(u64::from(rank));
+    pub fn push(&mut self, item: T, rank: u32) {
         self.bands[rank_band(rank)] += 1;
 
         let nb = self.buckets.len() as u64;
@@ -182,7 +152,6 @@ impl<T> BucketQueue<T> {
         self.buckets[slot].push_back((item, rank));
         self.set_bit(slot);
         self.len += 1;
-        true
     }
 
     /// Dequeues from the lowest-ranked occupied bucket (FIFO within it).
@@ -247,7 +216,7 @@ mod tests {
 
     #[test]
     fn orders_across_buckets() {
-        let mut q = BucketQueue::unbounded(16, 10);
+        let mut q = BucketQueue::new(16, 10);
         q.push("c", 95);
         q.push("a", 5);
         q.push("b", 42);
@@ -259,7 +228,7 @@ mod tests {
 
     #[test]
     fn same_bucket_is_fifo_and_inversion_is_below_granularity() {
-        let mut q = BucketQueue::unbounded(8, 10);
+        let mut q = BucketQueue::new(8, 10);
         q.push("first", 9);
         q.push("second", 3); // same bucket (0..10): arrival order wins
         assert_eq!(q.pop(), Some("first"));
@@ -268,7 +237,7 @@ mod tests {
 
     #[test]
     fn granularity_one_is_exact_within_horizon() {
-        let mut q = BucketQueue::unbounded(64, 1);
+        let mut q = BucketQueue::new(64, 1);
         let ranks = [17u32, 3, 60, 3, 0, 41];
         for (i, &r) in ranks.iter().enumerate() {
             q.push(i, r);
@@ -282,7 +251,7 @@ mod tests {
 
     #[test]
     fn past_ranks_clamp_to_head() {
-        let mut q = BucketQueue::unbounded(4, 10);
+        let mut q = BucketQueue::new(4, 10);
         q.push("head", 50);
         assert_eq!(q.pop(), Some("head")); // base now at bucket 5
         q.push("anchor", 70);
@@ -294,7 +263,7 @@ mod tests {
 
     #[test]
     fn far_ranks_clamp_to_last_bucket() {
-        let mut q = BucketQueue::unbounded(4, 10);
+        let mut q = BucketQueue::new(4, 10);
         q.push("near", 0);
         q.push("far", 1_000_000); // beyond horizon: clamps to last bucket
         q.push("mid", 25);
@@ -305,7 +274,7 @@ mod tests {
 
     #[test]
     fn wraps_around_the_circular_window() {
-        let mut q = BucketQueue::unbounded(4, 1);
+        let mut q = BucketQueue::new(4, 1);
         // March the head far enough that slots wrap modulo 4 repeatedly.
         for round in 0..10u32 {
             q.push(round, round);
@@ -320,18 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_rejects_and_counts() {
-        let mut q = BucketQueue::new(2, 8, 1);
-        assert!(q.push(1, 0));
-        assert!(q.push(2, 1));
-        assert!(!q.push(3, 2));
-        assert_eq!(q.dropped, 1);
-        assert_eq!(q.enqueued, 2);
-    }
-
-    #[test]
     fn band_depths_follow_original_ranks() {
-        let mut q = BucketQueue::unbounded(8, 1000);
+        let mut q = BucketQueue::new(8, 1000);
         q.push(0, 3); // band 0, bucket 0
         q.push(0, 500); // band 2, bucket 0 (same bucket, different band)
         assert_eq!(q.band_depths(), [1, 0, 1, 0]);
@@ -341,7 +300,7 @@ mod tests {
 
     #[test]
     fn many_buckets_use_multiple_bitmap_words() {
-        let mut q = BucketQueue::unbounded(200, 1);
+        let mut q = BucketQueue::new(200, 1);
         q.push("far", 150);
         q.push("near", 2);
         assert_eq!(q.peek_rank(), Some(2));

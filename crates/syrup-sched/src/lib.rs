@@ -1,13 +1,12 @@
-//! Scheduling-capable queue executors for Syrup (ROADMAP open item 3).
+//! Scheduling-capable queue executors for Syrup.
 //!
-//! Syrup's policies steer work *between* executors; until this crate every
-//! executor (NIC queue, reuseport socket, ghOSt run queue) was a FIFO, so a
-//! policy could pick a queue but never a position within it. "Programmable
-//! Packet Scheduling at Line Rate" shows one primitive — the push-in
-//! first-out queue (PIFO) — expresses most classical disciplines (SRPT,
-//! WFQ, EDF, strict priority), and "Eiffel: Efficient and Flexible
-//! Software Packet Scheduling" shows bucketed approximate priority queues
-//! make that primitive cheap in software. This crate provides both:
+//! Syrup's policies steer work *between* executors; a rank also places it
+//! *within* one. "Programmable Packet Scheduling at Line Rate" shows one
+//! primitive — the push-in first-out queue (PIFO) — expresses most
+//! classical disciplines (SRPT, WFQ, EDF, strict priority), and "Eiffel:
+//! Efficient and Flexible Software Packet Scheduling" shows bucketed
+//! approximate priority queues make that primitive cheap in software. This
+//! crate provides both:
 //!
 //! * [`Pifo`] — an exact rank-ordered queue: dequeue is non-decreasing in
 //!   rank, ties dequeue FIFO (by arrival order), and the whole structure is
@@ -17,17 +16,17 @@
 //!   `granularity` `g`; within the horizon the dequeue order inverts the
 //!   exact PIFO order by strictly less than `g` rank units (see the module
 //!   docs of [`bucket`] for the precise bound).
-//! * [`ExecQueue`] — the executor-facing wrapper `syrup-net` and
-//!   `syrup-ghost` embed: one enum over FIFO / PIFO / bucket backings with a
+//! * [`ExecQueue`] — the executor-facing wrapper `syrup-net`'s socket
+//!   buffers embed: one enum over FIFO / PIFO / bucket backings with a
 //!   uniform `push(item, rank)` / `pop()` surface, so rank support is a
 //!   construction-time opt-in and the FIFO arm stays byte-identical to the
 //!   plain `VecDeque` it replaces.
 //!
-//! Instrumentation follows the repo-wide contract: telemetry counters and
-//! the rank histogram are no-op handles until attached (a single branch
-//! when disabled, benched in `bench/benches/sched.rs`), and rank-band
-//! occupancy feeds `syrup-profile` pressure reports so starvation of
-//! low-priority bands is visible in `syrupctl profile pressure`.
+//! The queues are unbounded and carry no instrumentation of their own: the
+//! embedding executor enforces capacity and counts drops, and samples each
+//! queue's per-rank-band occupancy ([`rank_band`]) into `syrup-profile`
+//! pressure reports, so starvation of low-priority bands is visible in
+//! `syrupctl profile pressure`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,26 +57,6 @@ pub fn rank_band(rank: u32) -> usize {
         16..=255 => 1,
         256..=4095 => 2,
         _ => 3,
-    }
-}
-
-/// Telemetry handles shared by both queue implementations. All handles are
-/// disabled (single-branch no-ops) until
-/// [`Pifo::attach_telemetry`] / [`BucketQueue::attach_telemetry`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QueueTelemetry {
-    pub(crate) enqueued: syrup_telemetry::CounterHandle,
-    pub(crate) dropped: syrup_telemetry::CounterHandle,
-    pub(crate) rank: syrup_telemetry::HistogramHandle,
-}
-
-impl QueueTelemetry {
-    pub(crate) fn attach(registry: &syrup_telemetry::Registry, prefix: &str) -> Self {
-        QueueTelemetry {
-            enqueued: registry.counter(&format!("{prefix}/enqueued")),
-            dropped: registry.counter(&format!("{prefix}/dropped")),
-            rank: registry.histogram(&format!("{prefix}/rank")),
-        }
     }
 }
 

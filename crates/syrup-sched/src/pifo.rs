@@ -14,66 +14,39 @@
 
 use std::collections::BTreeMap;
 
-use crate::{rank_band, QueueTelemetry, NUM_RANK_BANDS};
+use crate::{rank_band, NUM_RANK_BANDS};
 
-/// An exact PIFO: rank-ordered dequeue, FIFO within equal ranks.
+/// An exact PIFO: rank-ordered dequeue, FIFO within equal ranks. It is
+/// unbounded; the embedding executor enforces any capacity.
 #[derive(Debug, Clone)]
 pub struct Pifo<T> {
     items: BTreeMap<(u32, u64), T>,
     seq: u64,
-    capacity: usize,
-    /// Items rejected because the queue was full.
-    pub dropped: u64,
-    /// Items ever admitted.
-    pub enqueued: u64,
     bands: [usize; NUM_RANK_BANDS],
-    telemetry: QueueTelemetry,
 }
 
-impl<T> Pifo<T> {
-    /// Creates a PIFO holding at most `capacity` items; a full queue
-    /// rejects new pushes (like a socket buffer, not like a drop-max
-    /// PIFO — admission control belongs to the policy).
-    pub fn new(capacity: usize) -> Self {
+impl<T> Default for Pifo<T> {
+    fn default() -> Self {
         Pifo {
             items: BTreeMap::new(),
             seq: 0,
-            capacity,
-            dropped: 0,
-            enqueued: 0,
             bands: [0; NUM_RANK_BANDS],
-            telemetry: QueueTelemetry::default(),
         }
     }
+}
 
-    /// A PIFO with no capacity bound.
-    pub fn unbounded() -> Self {
-        Pifo::new(usize::MAX)
+impl<T> Pifo<T> {
+    /// An empty PIFO.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Publishes `<prefix>/enqueued`, `<prefix>/dropped` counters and a
-    /// `<prefix>/rank` histogram in `registry`. Until called, every
-    /// telemetry touch is a single disabled-handle branch.
-    pub fn attach_telemetry(&mut self, registry: &syrup_telemetry::Registry, prefix: &str) {
-        self.telemetry = QueueTelemetry::attach(registry, prefix);
-    }
-
-    /// Enqueues `item` at `rank`; returns `false` (and counts a drop)
-    /// when the queue is full.
-    pub fn push(&mut self, item: T, rank: u32) -> bool {
-        if self.items.len() >= self.capacity {
-            self.dropped += 1;
-            self.telemetry.dropped.inc();
-            return false;
-        }
-        self.enqueued += 1;
-        self.telemetry.enqueued.inc();
-        self.telemetry.rank.record(u64::from(rank));
+    /// Enqueues `item` at `rank`.
+    pub fn push(&mut self, item: T, rank: u32) {
         self.bands[rank_band(rank)] += 1;
         let seq = self.seq;
         self.seq += 1;
         self.items.insert((rank, seq), item);
-        true
     }
 
     /// Dequeues the head: minimal rank, earliest arrival among ties.
@@ -83,8 +56,7 @@ impl<T> Pifo<T> {
 
     /// [`Pifo::pop`], also reporting the dequeued item's rank.
     pub fn pop_entry(&mut self) -> Option<(T, u32)> {
-        let (&(rank, seq), _) = self.items.iter().next()?;
-        let item = self.items.remove(&(rank, seq)).expect("head exists");
+        let ((rank, _), item) = self.items.pop_first()?;
         self.bands[rank_band(rank)] -= 1;
         Some((item, rank))
     }
@@ -122,7 +94,7 @@ mod tests {
 
     #[test]
     fn dequeues_in_rank_order() {
-        let mut q = Pifo::unbounded();
+        let mut q = Pifo::new();
         q.push("low", 30);
         q.push("urgent", 1);
         q.push("mid", 10);
@@ -136,7 +108,7 @@ mod tests {
 
     #[test]
     fn equal_ranks_are_fifo() {
-        let mut q = Pifo::unbounded();
+        let mut q = Pifo::new();
         for i in 0..10u32 {
             q.push(i, 7);
         }
@@ -146,20 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_rejects() {
-        let mut q = Pifo::new(2);
-        assert!(q.push(1, 0));
-        assert!(q.push(2, 0));
-        assert!(!q.push(3, 0));
-        assert_eq!(q.dropped, 1);
-        assert_eq!(q.enqueued, 2);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
     fn interleaved_push_pop_is_deterministic() {
         let run = || {
-            let mut q = Pifo::unbounded();
+            let mut q = Pifo::new();
             let mut out = Vec::new();
             for step in 0..100u32 {
                 q.push(step, step.wrapping_mul(2654435761) % 50);
@@ -177,7 +138,7 @@ mod tests {
 
     #[test]
     fn band_occupancy_tracks_contents() {
-        let mut q = Pifo::unbounded();
+        let mut q = Pifo::new();
         q.push(0, 3); // band 0
         q.push(0, 100); // band 1
         q.push(0, 100); // band 1
@@ -185,18 +146,5 @@ mod tests {
         assert_eq!(q.band_depths(), [1, 2, 0, 1]);
         q.pop(); // removes rank 3 (band 0)
         assert_eq!(q.band_depths(), [0, 2, 0, 1]);
-    }
-
-    #[test]
-    fn telemetry_counts_pushes_and_drops() {
-        let registry = syrup_telemetry::Registry::new();
-        let mut q = Pifo::new(1);
-        q.attach_telemetry(&registry, "pifo0");
-        q.push(1, 5);
-        q.push(2, 5);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("pifo0/enqueued"), 1);
-        assert_eq!(snap.counter("pifo0/dropped"), 1);
-        assert_eq!(snap.histogram("pifo0/rank").unwrap().count(), 1);
     }
 }

@@ -1,9 +1,9 @@
 //! The executor-facing queue abstraction.
 //!
-//! `syrup-net` sockets/NIC rings and `syrup-ghost` run queues embed an
-//! [`ExecQueue`] so rank support is a construction-time choice: the
-//! default [`QueueKind::Fifo`] arm is the same `VecDeque` those executors
-//! used before this crate existed (identical admission, identical order,
+//! `syrup-net`'s socket buffers (the reuseport sockets and the NIC's RX
+//! rings) embed an [`ExecQueue`] so rank support is a construction-time
+//! choice: the default [`QueueKind::Fifo`] arm is the same `VecDeque`
+//! those buffers used before this crate existed (identical admission, identical order,
 //! identical drop accounting at the caller), and the PIFO / bucket arms
 //! slot in behind the same `push`/`pop` surface. Capacity is enforced by
 //! the embedding executor (`SocketBuf` keeps its own bound), so the
@@ -61,11 +61,11 @@ impl<T> ExecQueue<T> {
     pub fn new(kind: QueueKind) -> Self {
         match kind {
             QueueKind::Fifo => ExecQueue::Fifo(VecDeque::new()),
-            QueueKind::Pifo => ExecQueue::Pifo(Pifo::unbounded()),
+            QueueKind::Pifo => ExecQueue::Pifo(Pifo::new()),
             QueueKind::Bucket {
                 buckets,
                 granularity,
-            } => ExecQueue::Bucket(BucketQueue::unbounded(buckets, granularity)),
+            } => ExecQueue::Bucket(BucketQueue::new(buckets, granularity)),
         }
     }
 
@@ -85,12 +85,8 @@ impl<T> ExecQueue<T> {
     pub fn push(&mut self, item: T, rank: u32) {
         match self {
             ExecQueue::Fifo(q) => q.push_back(item),
-            ExecQueue::Pifo(q) => {
-                q.push(item, rank);
-            }
-            ExecQueue::Bucket(q) => {
-                q.push(item, rank);
-            }
+            ExecQueue::Pifo(q) => q.push(item, rank),
+            ExecQueue::Bucket(q) => q.push(item, rank),
         }
     }
 
@@ -133,38 +129,6 @@ impl<T> ExecQueue<T> {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// [`ExecQueue::push`] that mirrors the band-occupancy shift into the
-    /// flight recorder (`queue` identifies this queue in the event
-    /// stream). Ranked arms only — the FIFO arm stores no ranks, so its
-    /// occupancy is not band-structured and nothing is recorded.
-    pub fn push_recorded(
-        &mut self,
-        item: T,
-        rank: u32,
-        recorder: &syrup_blackbox::Recorder,
-        queue: u16,
-    ) {
-        self.push(item, rank);
-        if recorder.is_enabled() && self.kind().is_ranked() {
-            let band = crate::rank_band(rank);
-            recorder.band_shift(queue, band as u32, self.band_depths()[band] as u64, true);
-        }
-    }
-
-    /// [`ExecQueue::pop`] that mirrors the band-occupancy shift into the
-    /// flight recorder. Ranked arms only, like [`ExecQueue::push_recorded`].
-    pub fn pop_recorded(&mut self, recorder: &syrup_blackbox::Recorder, queue: u16) -> Option<T> {
-        let rank = self.peek_rank();
-        let item = self.pop();
-        if let (Some(rank), true) = (rank, item.is_some()) {
-            if recorder.is_enabled() && self.kind().is_ranked() {
-                let band = crate::rank_band(rank);
-                recorder.band_shift(queue, band as u32, self.band_depths()[band] as u64, false);
-            }
-        }
-        item
     }
 
     /// Occupancy per rank band. The FIFO arm reports everything in band 0
@@ -216,39 +180,6 @@ mod tests {
             assert_eq!(q.pop(), Some("a"));
             assert_eq!(q.pop(), None);
         }
-    }
-
-    #[test]
-    fn recorded_ops_emit_band_shifts_for_ranked_arms_only() {
-        use syrup_blackbox::{EventKind, Layer, Recorder};
-        let rec = Recorder::new();
-        rec.set_now(50);
-
-        let mut fifo = ExecQueue::new(QueueKind::Fifo);
-        fifo.push_recorded("a", 9, &rec, 0);
-        fifo.pop_recorded(&rec, 0);
-        assert!(rec.events(Layer::Sched).is_empty(), "FIFO stays silent");
-
-        let mut q = ExecQueue::new(QueueKind::Pifo);
-        q.push_recorded("lo", 500, &rec, 3); // band 2 (256..=4095)
-        q.push_recorded("hi", 4, &rec, 3); // band 0 (0..=15)
-        assert_eq!(q.pop_recorded(&rec, 3), Some("hi"));
-        let events = rec.events(Layer::Sched);
-        assert_eq!(events.len(), 3);
-        for e in &events {
-            assert_eq!(e.kind, EventKind::BandShift);
-            assert_eq!(e.id, 3);
-            assert_eq!(e.at_ns, 50, "queue events take the recorder clock");
-        }
-        // push into band 2 (depth 1), push into band 0 (depth 1),
-        // pop out of band 0 (depth 0).
-        assert_eq!((events[0].aux, events[0].w0, events[0].w1), (2, 1, 1));
-        assert_eq!((events[1].aux, events[1].w0, events[1].w1), (0, 1, 1));
-        assert_eq!((events[2].aux, events[2].w0, events[2].w1), (0, 0, 0));
-        // Disabled recorder: recorded ops degrade to plain push/pop.
-        let off = Recorder::disabled();
-        q.push_recorded("x", 1, &off, 3);
-        assert_eq!(q.pop_recorded(&off, 3), Some("x"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use serde::json::Value;
 use syrup::apps::quickstart::Quickstart;
-use syrup::blackbox::Layer;
+use syrup::blackbox::{Layer, TriggerCause};
 use syrup::profile::{SloMonitor, SloRule};
 use syrup::telemetry::Snapshot;
 use syrup::trace::chrome_trace_json;
@@ -209,17 +209,16 @@ pub fn validate(args: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("{path}: no `postmortem` object"))?;
     let layers = array_at(pm, "layers")
         .ok_or_else(|| format!("{path}: postmortem has no `layers` array"))?;
-    const LAYER_NAMES: [&str; 7] = ["syrupd", "vm", "nic", "sock", "sched", "ghost", "slo"];
-    if layers.len() != LAYER_NAMES.len() {
+    if layers.len() != Layer::ALL.len() {
         return Err(format!(
             "{path}: expected {} layer dumps, found {}",
-            LAYER_NAMES.len(),
+            Layer::ALL.len(),
             layers.len()
         ));
     }
     let mut populated = 0usize;
     let mut total_events = 0usize;
-    for (i, (l, want)) in layers.iter().zip(LAYER_NAMES).enumerate() {
+    for (i, (l, want)) in layers.iter().zip(Layer::ALL.map(Layer::as_str)).enumerate() {
         let name = str_at(l, "layer");
         if name != Some(want) {
             return Err(format!(
@@ -248,10 +247,7 @@ pub fn validate(args: &[String]) -> Result<(), String> {
     }
     let cause = trigger_of(pm).map(|t| str_at(t, "cause"));
     if let Some(cause) = cause {
-        if !matches!(
-            cause,
-            Some("slo-burn" | "vm-trap" | "starvation" | "manual" | "anomaly")
-        ) {
+        if !TriggerCause::ALL.iter().any(|c| cause == Some(c.as_str())) {
             return Err(format!("{path}: unknown trigger cause {cause:?}"));
         }
     }

@@ -658,6 +658,31 @@ fn error_paths_print_one_line_and_exit_1() {
     ] {
         std::fs::write(dir.join(name), contents).unwrap();
     }
+    // Seven layer dumps named by `order`, the first holding one event, and
+    // a trigger: the bundle shape `blackbox validate` checks past the parse.
+    let layered = |order: [&str; 7], cause: &str| {
+        let layers: Vec<String> = order
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| {
+                let events = if i == 0 {
+                    r#"[{"at_ns":1,"kind":"dispatch"}]"#
+                } else {
+                    "[]"
+                };
+                format!(r#"{{"layer":"{layer}","events":{events}}}"#)
+            })
+            .collect();
+        format!(
+            r#"{{"postmortem":{{"layers":[{}],"trigger":{{"cause":"{cause}","at_ns":1,"detail":""}}}}}}"#,
+            layers.join(",")
+        )
+    };
+    let layers = ["syrupd", "vm", "nic", "sock", "sched", "ghost", "slo"];
+    let mut swapped = layers;
+    swapped.swap(0, 1);
+    std::fs::write(dir.join("swapped_layers.json"), layered(swapped, "manual")).unwrap();
+    std::fs::write(dir.join("unknown_cause.json"), layered(layers, "meteor")).unwrap();
     let bundle = dir.join("bundle.json");
     stdout_of(&[
         "blackbox",
@@ -887,6 +912,14 @@ fn error_paths_print_one_line_and_exit_1() {
         (
             "blackbox validate {dir}/bundle.json --min-layers 9",
             "{dir}/bundle.json: events from only 4 layers, wanted >= 9".into(),
+        ),
+        (
+            "blackbox validate {dir}/swapped_layers.json",
+            "{dir}/swapped_layers.json: layer 0 is `vm`, expected `syrupd`".into(),
+        ),
+        (
+            "blackbox validate {dir}/unknown_cause.json",
+            "{dir}/unknown_cause.json: unknown trigger cause Some(\"meteor\")".into(),
         ),
         (
             "watch --requests x",

@@ -2,11 +2,11 @@
 
 use proptest::prelude::*;
 
-use syrup::core::Decision;
+use syrup::core::{Decision, Verdict};
 use syrup::ebpf::cycles::CycleModel;
 use syrup::ebpf::maps::{MapDef, MapRegistry, UpdateFlag};
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
-use syrup::ebpf::{verify, Asm, Reg};
+use syrup::ebpf::{ret, verify, Asm, Reg};
 use syrup::net::{FiveTuple, Toeplitz};
 use syrup::sched::{BucketQueue, Pifo};
 use syrup::sim::stats::LatencySummary;
@@ -14,11 +14,16 @@ use syrup::sim::{EventQueue, Time};
 use syrup::telemetry::nearest_rank;
 
 proptest! {
-    /// Decisions survive the wire encoding for every u32.
+    /// Decisions survive the wire encoding for every u32, and verdicts for
+    /// every u64: both words of `(rank << 32) | executor` come back, the
+    /// sentinels and the all-ones rank included.
     #[test]
-    fn decision_round_trip(v in any::<u32>()) {
+    fn decision_round_trip(v in any::<u32>(), x in any::<u64>()) {
         let d = Decision::from_ret(u64::from(v));
         prop_assert_eq!(Decision::from_ret(d.to_ret()), d);
+        for x in [x, 0, ret::PASS, ret::DROP, u64::from(u32::MAX) << 32, u64::MAX] {
+            prop_assert_eq!(Verdict::from_ret(x).to_ret(), x);
+        }
     }
 
     /// Nearest-rank percentiles agree with a naive reference: the first
@@ -291,7 +296,7 @@ proptest! {
     fn pifo_matches_stable_sort_reference(
         ops in prop::collection::vec((0u8..3, 0u32..50), 1..300),
     ) {
-        let mut pifo: Pifo<usize> = Pifo::unbounded();
+        let mut pifo: Pifo<usize> = Pifo::new();
         let mut model: Vec<(u32, usize)> = Vec::new();
         let mut next = 0usize;
         for (op, rank) in ops {
@@ -331,8 +336,8 @@ proptest! {
     ) {
         // Horizon covers the whole rank domain, so nothing ever clamps.
         let num_buckets = 256usize.div_ceil(granularity as usize) + 1;
-        let mut bucket: BucketQueue<usize> = BucketQueue::unbounded(num_buckets, granularity);
-        let mut pifo: Pifo<usize> = Pifo::unbounded();
+        let mut bucket: BucketQueue<usize> = BucketQueue::new(num_buckets, granularity);
+        let mut pifo: Pifo<usize> = Pifo::new();
         let check = |bucket: &mut BucketQueue<usize>, pifo: &mut Pifo<usize>| {
             let (_, exact_min) = pifo.pop_entry().unwrap();
             let (_, got) = bucket.pop_entry().unwrap();
