@@ -68,7 +68,7 @@ const TOEPLITZ_5TUPLE_NS: f64 = 20.0;
 const FRAME_WRITE_NS: f64 = 30.0;
 
 fn packet_path(sites: &mut Vec<Site>) {
-    let t = Toeplitz::default();
+    let t = Toeplitz;
     let flow = FiveTuple {
         src_ip: 0xC0A80001,
         dst_ip: 0xC0A80002,

@@ -13,7 +13,7 @@ use std::hint::black_box;
 use std::process::ExitCode;
 
 use bench::{Limit, Site};
-use syrup::trace::{Stage, TraceConfig, TraceCtx, Tracer};
+use syrup::trace::{Stage, TraceCtx, Tracer};
 
 /// The disabled- and unsampled-site budget, in nanoseconds per call.
 const GATE_NS: f64 = 5.0;
@@ -26,10 +26,7 @@ fn main() -> ExitCode {
     // Tracing on, but this particular input was not sampled — the common
     // case at any realistic sampling rate. Must cost the same single
     // branch as the disabled tracer.
-    let unsampled = Tracer::with_config(TraceConfig {
-        sample_every: u64::MAX,
-        capacity: 1 << 10,
-    });
+    let unsampled = Tracer::sampled(u64::MAX);
     let off_ctx = off.ingress(0);
     assert!(!off_ctx.is_traced());
     for (side, tracer, ctx) in [

@@ -19,7 +19,7 @@
 
 use crate::{emit, flag_value, sweep, window, write_breakdown, Sweep};
 use syrup::apps::server_world::{self, ServerConfig, SocketPolicyKind};
-use syrup::trace::{TraceConfig, Tracer};
+use syrup::trace::Tracer;
 
 const TOTAL: f64 = 400_000.0;
 const TOKEN_BASED: SocketPolicyKind = SocketPolicyKind::TokenBased {
@@ -84,10 +84,7 @@ pub fn run(seeds: u64) -> Result<(), String> {
         // the token policy at the balanced 200K/200K point?
         let mut cfg = ServerConfig::fig7(TOKEN_BASED, 200_000.0, 200_000.0, 1);
         (cfg.warmup, cfg.measure) = window(50, 300);
-        cfg.tracer = Tracer::with_config(TraceConfig {
-            sample_every: 512,
-            ..TraceConfig::default()
-        });
+        cfg.tracer = Tracer::sampled(512);
         let _ = server_world::run(&cfg);
         write_breakdown(&path, &cfg.tracer.drain());
     }

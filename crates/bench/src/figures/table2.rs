@@ -30,7 +30,7 @@
 //! are byte-identical.
 
 use crate::{append_bench_record, datagram, flag_value, results_path, unix_ts, write_breakdown};
-use syrup::ebpf::cycles::CycleModel;
+use syrup::ebpf::cycles::ENFORCEMENT;
 use syrup::ebpf::maps::MapRegistry;
 use syrup::ebpf::verify;
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
@@ -85,7 +85,6 @@ fn measure(
     vm.attach_tracer(tracer);
     vm.attach_profiler(profiler);
     let slot = vm.load_unverified(compiled.program);
-    let model = CycleModel::default();
 
     let mut env = RunEnv {
         prandom_state: 42,
@@ -122,7 +121,7 @@ fn measure(
         // Histograms carry exact sums/sum-of-squares, so mean and stdev
         // are exact; enforcement is a per-packet constant (shifts the
         // mean, leaves the spread).
-        cycles_mean: cycles.mean() + model.enforcement as f64,
+        cycles_mean: cycles.mean() + ENFORCEMENT as f64,
         cycles_stdev: cycles.stdev(),
         executed_insns: insns.mean(),
     }
@@ -143,10 +142,7 @@ pub fn run() -> Result<(), String> {
     // With `--trace-out` every ~101st invocation is traced (per policy),
     // so the exported breakdown aggregates vm-exec spans from all four.
     let tracer = match trace_out {
-        Some(_) => syrup::trace::Tracer::with_config(syrup::trace::TraceConfig {
-            sample_every: 101,
-            ..syrup::trace::TraceConfig::default()
-        }),
+        Some(_) => syrup::trace::Tracer::sampled(101),
         None => syrup::trace::Tracer::disabled(),
     };
     // One profiler per policy: the compiled programs all carry the
@@ -229,12 +225,11 @@ pub fn run() -> Result<(), String> {
         // with the Cycles column is structural: the profiler attributes
         // every cycle the VM charged, so attributed/runs + enforcement
         // must equal `cycles_mean` exactly.
-        let model = CycleModel::default();
         let mut json = String::from("[");
         for (i, (row, profiler)) in rows.iter().zip(&profilers).enumerate() {
             let report = profiler.report(None, 10);
             let mean_total =
-                report.attributed_cycles as f64 / report.runs as f64 + model.enforcement as f64;
+                report.attributed_cycles as f64 / report.runs as f64 + ENFORCEMENT as f64;
             assert!(
                 (mean_total - row.cycles_mean).abs() < 1e-6,
                 "{}: attribution ({mean_total}) disagrees with Table 2 ({})",
@@ -248,7 +243,7 @@ pub fn run() -> Result<(), String> {
                 "{{\"policy\":\"{}\",\"enforcement\":{},\"mean_total_cycles\":{mean_total:.1},\
                  \"report\":{}}}",
                 row.name,
-                model.enforcement,
+                ENFORCEMENT,
                 serde::json::to_string(&report).expect("report serializes")
             ));
         }

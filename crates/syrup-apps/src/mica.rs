@@ -219,7 +219,7 @@ pub fn run(cfg: &MicaConfig) -> MicaResult {
     }
 
     let flows = flow::client_flows(256, cfg.port, &mut rng);
-    let toeplitz = Toeplitz::default();
+    let toeplitz = Toeplitz;
 
     // §5.4's closing note: with a zero-copy (XDP_DRV) NIC the AF_XDP
     // receive path sheds its copy, and throughput approaches MICA's

@@ -360,10 +360,7 @@ mod tests {
 
     #[test]
     fn sampling_traces_a_subset() {
-        let tracer = syrup_trace::Tracer::with_config(syrup_trace::TraceConfig {
-            sample_every: 8,
-            ..syrup_trace::TraceConfig::default()
-        });
+        let tracer = syrup_trace::Tracer::sampled(8);
         let q = run(&tracer, 64);
         assert_eq!(q.completed, 64);
         assert_eq!(q.timelines.len(), 8, "one in eight ingresses sampled");

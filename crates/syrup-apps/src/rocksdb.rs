@@ -37,14 +37,6 @@ impl RocksDbModel {
             RequestClass::Scan => self.scan.sample(rng),
         }
     }
-
-    /// Mean service time under `mix` (fractions summing to 1), used for
-    /// capacity arithmetic in tests and the harness.
-    pub fn mean_for_mix(&self, get_frac: f64) -> Duration {
-        let g = self.get.mean().as_nanos() as f64;
-        let s = self.scan.mean().as_nanos() as f64;
-        Duration::from_nanos((get_frac * g + (1.0 - get_frac) * s) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -61,16 +53,5 @@ mod tests {
             let s = model.sample(RequestClass::Scan, &mut rng).as_micros_f64();
             assert!((680.0..=720.0).contains(&s), "SCAN {s}us");
         }
-    }
-
-    #[test]
-    fn mix_mean_is_weighted() {
-        let model = RocksDbModel::default();
-        // 99.5% GET / 0.5% SCAN, the Figure 6 mix: mean ≈ 14.4µs.
-        let mean = model.mean_for_mix(0.995).as_micros_f64();
-        assert!((14.0..15.0).contains(&mean), "{mean}");
-        // 50/50, the Figure 8 mix: mean ≈ 355µs.
-        let mean = model.mean_for_mix(0.5).as_micros_f64();
-        assert!((350.0..360.0).contains(&mean), "{mean}");
     }
 }

@@ -8,7 +8,7 @@ use serde::{Serialize, SerializeStruct, Serializer};
 
 use crate::event::{Event, EventKind, Layer, NUM_LAYERS};
 use crate::postmortem::{LayerDump, Postmortem};
-use crate::ring::{EventRing, DEFAULT_CAPACITY};
+use crate::ring::{EventRing, RING_CAPACITY};
 
 /// What caused the rings to freeze.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,18 +102,12 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// An enabled recorder with the default per-layer ring capacity
-    /// (1024 events) and every trigger cause armed.
+    /// An enabled recorder whose per-layer rings hold 1024 events, with
+    /// every trigger cause armed.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// An enabled recorder whose per-layer rings hold `capacity` events
-    /// (rounded up to a power of two).
-    pub fn with_capacity(capacity: usize) -> Self {
         Recorder {
             inner: Some(Arc::new(Inner {
-                rings: std::array::from_fn(|_| EventRing::new(capacity)),
+                rings: std::array::from_fn(|_| EventRing::new(RING_CAPACITY)),
                 now: AtomicU64::new(0),
                 frozen: AtomicBool::new(false),
                 armed: std::array::from_fn(|_| AtomicBool::new(true)),
@@ -150,16 +144,6 @@ impl Recorder {
         self.inner.as_ref().and_then(|i| i.trigger.lock().clone())
     }
 
-    /// Unfreezes the rings and clears the trigger, resuming recording
-    /// (the rings keep their contents; `syrupctl blackbox` captures the
-    /// postmortem before resuming).
-    pub fn resume(&self) {
-        if let Some(inner) = &self.inner {
-            *inner.trigger.lock() = None;
-            inner.frozen.store(false, SeqCst);
-        }
-    }
-
     /// Advances the recorder's clock; timeless record sites stamp events
     /// with the last value set here.
     #[inline]
@@ -182,24 +166,16 @@ impl Recorder {
     #[inline]
     pub fn dispatch(&self, now_ns: u64, app: u16, hook: u16, ret: u64, cycles: u64) {
         let Some(inner) = &self.inner else { return };
-        Self::dispatch_slow(inner, now_ns, app, hook, ret, cycles);
-    }
-
-    #[cold]
-    fn dispatch_slow(inner: &Inner, now_ns: u64, app: u16, hook: u16, ret: u64, cycles: u64) {
         inner.now.store(now_ns, Relaxed);
-        record(
-            inner,
-            Layer::Syrupd,
-            Event {
-                at_ns: now_ns,
-                kind: EventKind::Dispatch,
-                id: app,
-                aux: u32::from(hook),
-                w0: ret,
-                w1: cycles,
-            },
-        );
+        let event = Event {
+            at_ns: now_ns,
+            kind: EventKind::Dispatch,
+            id: app,
+            aux: u32::from(hook),
+            w0: ret,
+            w1: cycles,
+        };
+        emit(inner, Layer::Syrupd, event, None);
     }
 
     /// Records a VM trap (`backend`: 0 interp, 1 fast) and fires the
@@ -208,47 +184,35 @@ impl Recorder {
     #[inline]
     pub fn vm_trap(&self, now_ns: u64, backend: u16, code: u32, detail: &str) {
         let Some(inner) = &self.inner else { return };
-        Self::vm_trap_slow(inner, now_ns, backend, code, detail);
-    }
-
-    #[cold]
-    fn vm_trap_slow(inner: &Inner, now_ns: u64, backend: u16, code: u32, detail: &str) {
-        record(
+        let event = Event {
+            at_ns: now_ns,
+            kind: EventKind::VmTrap,
+            id: backend,
+            aux: code,
+            w0: 0,
+            w1: 0,
+        };
+        emit(
             inner,
             Layer::Vm,
-            Event {
-                at_ns: now_ns,
-                kind: EventKind::VmTrap,
-                id: backend,
-                aux: code,
-                w0: 0,
-                w1: 0,
-            },
+            event,
+            Some((TriggerCause::VmTrap, detail)),
         );
-        maybe_trigger(inner, TriggerCause::VmTrap, now_ns, detail);
     }
 
     /// Records an invocation that hit the tail-call cap.
     #[inline]
     pub fn vm_tail_cap(&self, now_ns: u64, backend: u16, tail_calls: u32, ret: u64) {
         let Some(inner) = &self.inner else { return };
-        Self::vm_tail_cap_slow(inner, now_ns, backend, tail_calls, ret);
-    }
-
-    #[cold]
-    fn vm_tail_cap_slow(inner: &Inner, now_ns: u64, backend: u16, tail_calls: u32, ret: u64) {
-        record(
-            inner,
-            Layer::Vm,
-            Event {
-                at_ns: now_ns,
-                kind: EventKind::VmTailCap,
-                id: backend,
-                aux: tail_calls,
-                w0: ret,
-                w1: 0,
-            },
-        );
+        let event = Event {
+            at_ns: now_ns,
+            kind: EventKind::VmTailCap,
+            id: backend,
+            aux: tail_calls,
+            w0: ret,
+            w1: 0,
+        };
+        emit(inner, Layer::Vm, event, None);
     }
 
     /// Records a full queue rejecting an enqueue (`layer` is
@@ -257,57 +221,34 @@ impl Recorder {
     #[inline]
     pub fn enqueue_drop(&self, layer: Layer, queue: u16, rank: u32, depth: u64) {
         let Some(inner) = &self.inner else { return };
-        Self::enqueue_drop_slow(inner, layer, queue, rank, depth);
-    }
-
-    #[cold]
-    fn enqueue_drop_slow(inner: &Inner, layer: Layer, queue: u16, rank: u32, depth: u64) {
-        record(
-            inner,
-            layer,
-            Event {
-                at_ns: inner.now.load(Relaxed),
-                kind: EventKind::EnqueueDrop,
-                id: queue,
-                aux: rank,
-                w0: depth,
-                w1: 0,
-            },
-        );
+        let event = Event {
+            at_ns: inner.now.load(Relaxed),
+            kind: EventKind::EnqueueDrop,
+            id: queue,
+            aux: rank,
+            w0: depth,
+            w1: 0,
+        };
+        emit(inner, layer, event, None);
     }
 
     /// Records a queue depth crossing its threshold (`up`: rising edge).
     #[inline]
     pub fn depth_cross(&self, layer: Layer, queue: u16, up: bool, depth: u64, threshold: u64) {
         let Some(inner) = &self.inner else { return };
-        Self::depth_cross_slow(inner, layer, queue, up, depth, threshold);
-    }
-
-    #[cold]
-    fn depth_cross_slow(
-        inner: &Inner,
-        layer: Layer,
-        queue: u16,
-        up: bool,
-        depth: u64,
-        threshold: u64,
-    ) {
-        record(
-            inner,
-            layer,
-            Event {
-                at_ns: inner.now.load(Relaxed),
-                kind: if up {
-                    EventKind::DepthUp
-                } else {
-                    EventKind::DepthDown
-                },
-                id: queue,
-                aux: 0,
-                w0: depth,
-                w1: threshold,
+        let event = Event {
+            at_ns: inner.now.load(Relaxed),
+            kind: if up {
+                EventKind::DepthUp
+            } else {
+                EventKind::DepthDown
             },
-        );
+            id: queue,
+            aux: 0,
+            w0: depth,
+            w1: threshold,
+        };
+        emit(inner, layer, event, None);
     }
 
     /// Records a ghOSt thread-state change (`state`: 0 runnable,
@@ -315,23 +256,15 @@ impl Recorder {
     #[inline]
     pub fn thread_state(&self, now_ns: u64, tid: u64, state: u32) {
         let Some(inner) = &self.inner else { return };
-        Self::thread_state_slow(inner, now_ns, tid, state);
-    }
-
-    #[cold]
-    fn thread_state_slow(inner: &Inner, now_ns: u64, tid: u64, state: u32) {
-        record(
-            inner,
-            Layer::Ghost,
-            Event {
-                at_ns: now_ns,
-                kind: EventKind::ThreadState,
-                id: tid as u16,
-                aux: state,
-                w0: tid,
-                w1: 0,
-            },
-        );
+        let event = Event {
+            at_ns: now_ns,
+            kind: EventKind::ThreadState,
+            id: tid as u16,
+            aux: state,
+            w0: tid,
+            w1: 0,
+        };
+        emit(inner, Layer::Ghost, event, None);
     }
 
     /// Records an SLO burn and fires the [`TriggerCause::SloBurn`]
@@ -339,32 +272,21 @@ impl Recorder {
     #[inline]
     pub fn slo_burn(&self, now_ns: u64, rule: u16, value: u64, threshold: u64, detail: &str) {
         let Some(inner) = &self.inner else { return };
-        Self::slo_burn_slow(inner, now_ns, rule, value, threshold, detail);
-    }
-
-    #[cold]
-    fn slo_burn_slow(
-        inner: &Inner,
-        now_ns: u64,
-        rule: u16,
-        value: u64,
-        threshold: u64,
-        detail: &str,
-    ) {
         inner.now.store(now_ns, Relaxed);
-        record(
+        let event = Event {
+            at_ns: now_ns,
+            kind: EventKind::SloBurn,
+            id: rule,
+            aux: 0,
+            w0: value,
+            w1: threshold,
+        };
+        emit(
             inner,
             Layer::Slo,
-            Event {
-                at_ns: now_ns,
-                kind: EventKind::SloBurn,
-                id: rule,
-                aux: 0,
-                w0: value,
-                w1: threshold,
-            },
+            event,
+            Some((TriggerCause::SloBurn, detail)),
         );
-        maybe_trigger(inner, TriggerCause::SloBurn, now_ns, detail);
     }
 
     /// Records an executor-starvation flag and fires the
@@ -372,28 +294,20 @@ impl Recorder {
     #[inline]
     pub fn starvation(&self, now_ns: u64, tid: u64, runnable_ns: u64) {
         let Some(inner) = &self.inner else { return };
-        Self::starvation_slow(inner, now_ns, tid, runnable_ns);
-    }
-
-    #[cold]
-    fn starvation_slow(inner: &Inner, now_ns: u64, tid: u64, runnable_ns: u64) {
-        record(
+        let event = Event {
+            at_ns: now_ns,
+            kind: EventKind::Starvation,
+            id: tid as u16,
+            aux: 0,
+            w0: tid,
+            w1: runnable_ns,
+        };
+        let detail = format!("thread {tid} runnable {runnable_ns}ns");
+        emit(
             inner,
             Layer::Ghost,
-            Event {
-                at_ns: now_ns,
-                kind: EventKind::Starvation,
-                id: tid as u16,
-                aux: 0,
-                w0: tid,
-                w1: runnable_ns,
-            },
-        );
-        maybe_trigger(
-            inner,
-            TriggerCause::Starvation,
-            now_ns,
-            &format!("thread {tid} runnable {runnable_ns}ns"),
+            event,
+            Some((TriggerCause::Starvation, &detail)),
         );
     }
 
@@ -413,53 +327,41 @@ impl Recorder {
         detail: &str,
     ) {
         let Some(inner) = &self.inner else { return };
-        Self::anomaly_slow(inner, now_ns, series, z_centi, value, baseline, detail);
-    }
-
-    #[cold]
-    fn anomaly_slow(
-        inner: &Inner,
-        now_ns: u64,
-        series: u16,
-        z_centi: u32,
-        value: u64,
-        baseline: u64,
-        detail: &str,
-    ) {
         inner.now.store(now_ns, Relaxed);
-        record(
+        let event = Event {
+            at_ns: now_ns,
+            kind: EventKind::Anomaly,
+            id: series,
+            aux: z_centi,
+            w0: value,
+            w1: baseline,
+        };
+        emit(
             inner,
             Layer::Slo,
-            Event {
-                at_ns: now_ns,
-                kind: EventKind::Anomaly,
-                id: series,
-                aux: z_centi,
-                w0: value,
-                w1: baseline,
-            },
+            event,
+            Some((TriggerCause::Anomaly, detail)),
         );
-        maybe_trigger(inner, TriggerCause::Anomaly, now_ns, detail);
     }
 
     /// Fires the manual trigger (`syrupctl blackbox trigger`), recording
     /// a [`EventKind::Trigger`] event first.
     pub fn trigger_manual(&self, detail: &str) {
         let Some(inner) = &self.inner else { return };
-        let now_ns = inner.now.load(Relaxed);
-        record(
+        let event = Event {
+            at_ns: inner.now.load(Relaxed),
+            kind: EventKind::Trigger,
+            id: 0,
+            aux: 0,
+            w0: 0,
+            w1: 0,
+        };
+        emit(
             inner,
             Layer::Syrupd,
-            Event {
-                at_ns: now_ns,
-                kind: EventKind::Trigger,
-                id: 0,
-                aux: 0,
-                w0: 0,
-                w1: 0,
-            },
+            event,
+            Some((TriggerCause::Manual, detail)),
         );
-        maybe_trigger(inner, TriggerCause::Manual, now_ns, detail);
     }
 
     // --- capture --------------------------------------------------------
@@ -506,21 +408,23 @@ impl Recorder {
     }
 }
 
-/// Appends an event unless the rings are frozen.
-fn record(inner: &Inner, layer: Layer, event: Event) {
-    if inner.frozen.load(SeqCst) {
-        return;
+/// The one slow path behind every record site: appends `event` to
+/// `layer`'s ring unless the rings are frozen, then, for a triggering
+/// site, freezes them if its cause is armed and nothing fired yet. The
+/// trigger comes *after* the record, so the postmortem window includes
+/// its own cause.
+#[cold]
+fn emit(inner: &Inner, layer: Layer, event: Event, trigger: Option<(TriggerCause, &str)>) {
+    if !inner.frozen.load(SeqCst) {
+        inner.rings[layer.index()].push(event);
     }
-    inner.rings[layer.index()].push(event);
-}
-
-/// Freezes the rings if `cause` is armed and nothing fired yet. Called
-/// *after* the triggering event was recorded, so the postmortem window
-/// includes it.
-fn maybe_trigger(inner: &Inner, cause: TriggerCause, at_ns: u64, detail: &str) {
+    let Some((cause, detail)) = trigger else {
+        return;
+    };
     if !inner.armed[cause.index()].load(Relaxed) {
         return;
     }
+    let at_ns = event.at_ns;
     if inner.frozen.swap(true, SeqCst) {
         return;
     }
@@ -579,11 +483,6 @@ mod tests {
         assert_eq!(rec.events(Layer::Slo).len(), 1);
         rec.dispatch(3, 1, 4, 0, 10);
         assert_eq!(rec.events(Layer::Syrupd).len(), 1);
-        // Resume unfreezes.
-        rec.resume();
-        assert!(!rec.frozen());
-        rec.dispatch(4, 1, 4, 0, 10);
-        assert_eq!(rec.events(Layer::Syrupd).len(), 2);
     }
 
     #[test]
@@ -635,19 +534,20 @@ mod tests {
 
     #[test]
     fn capture_collects_every_layer() {
-        let rec = Recorder::with_capacity(4);
-        for t in 0..10 {
+        let rec = Recorder::new();
+        for t in 0..RING_CAPACITY as u64 {
             rec.dispatch(t, 1, 4, 0, 10);
         }
-        rec.set_now(10);
+        assert_eq!(rec.dropped(Layer::Syrupd), 0);
+        rec.set_now(RING_CAPACITY as u64);
         rec.depth_cross(Layer::Sock, 0, true, 2, 1);
+        // Event 1 025 on the syrupd ring wraps it.
         rec.trigger_manual("capture test");
         let pm = rec.capture();
         assert_eq!(pm.layers.len(), NUM_LAYERS);
         let syrupd = &pm.layers[Layer::Syrupd.index()];
-        // 10 dispatches + 1 trigger event into a 4-slot ring.
-        assert_eq!(syrupd.events.len(), 4);
-        assert_eq!(syrupd.dropped, 7);
+        assert_eq!(syrupd.events.len(), RING_CAPACITY);
+        assert_eq!(syrupd.dropped, 1);
         assert_eq!(syrupd.torn, 0);
         assert!(pm.trigger.is_some());
         assert!(pm.layer_names().contains(&"sock"));

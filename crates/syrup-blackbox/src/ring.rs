@@ -48,8 +48,8 @@ use std::sync::atomic::{
 
 use crate::event::Event;
 
-/// Default per-layer capacity (events). Power of two.
-pub(crate) const DEFAULT_CAPACITY: usize = 1024;
+/// Per-layer capacity of a recorder's rings (events). Power of two.
+pub(crate) const RING_CAPACITY: usize = 1024;
 
 #[derive(Debug, Default)]
 struct Slot {

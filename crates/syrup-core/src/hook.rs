@@ -56,11 +56,6 @@ impl Hook {
         }
     }
 
-    /// Whether this hook runs on the NIC rather than the host.
-    pub fn is_offloaded(self) -> bool {
-        matches!(self, Hook::XdpOffload)
-    }
-
     /// This hook's position in [`Hook::ALL`] (stack order, NIC first) —
     /// the compact hook id used in flight-recorder events.
     pub fn index(self) -> usize {
@@ -136,12 +131,6 @@ mod tests {
         assert_eq!(Hook::XdpDrv.executor(), "AF_XDP socket");
         assert_eq!(Hook::XdpOffload.executor(), "NIC RX queue");
         assert_eq!(Hook::CpuRedirect.executor(), "core");
-    }
-
-    #[test]
-    fn only_the_nic_hook_is_offloaded() {
-        assert!(Hook::XdpOffload.is_offloaded());
-        assert!(Hook::ALL.iter().filter(|h| h.is_offloaded()).count() == 1);
     }
 
     #[test]

@@ -274,17 +274,12 @@ impl HookState {
     }
 }
 
-struct AppInfo {
-    #[allow(dead_code)]
-    name: String,
-    ports: Vec<u16>,
-}
-
 /// The authoritative state, mutated under the control lock and then
 /// published as a fresh [`DispatchTable`].
 struct Control {
     vm: Vm,
-    apps: HashMap<AppId, AppInfo>,
+    /// Each registered app's ports.
+    apps: HashMap<AppId, Vec<u16>>,
     hooks: HashMap<Hook, HookState>,
     /// Whether `(app, hook)` opted into rank decoding, shared with the
     /// deployed slot so a toggle needs no new table. Everything else keeps
@@ -301,7 +296,7 @@ impl Control {
         for (hook, hs) in &self.hooks {
             let mut routes = Vec::new();
             for (app, slot) in &hs.policies {
-                routes.extend(self.apps[app].ports.iter().map(|&port| Route {
+                routes.extend(self.apps[app].iter().map(|&port| Route {
                     port,
                     slot: slot.clone(),
                     entry: slot.prog.map(|prog| self.resolve(hs, port, prog)),
@@ -534,31 +529,24 @@ impl Syrupd {
             .store(true, Relaxed);
     }
 
-    /// Reverts [`Syrupd::enable_ranks`] for `(app, hook)`.
-    pub fn disable_ranks(&self, app: AppId, hook: Hook) {
-        self.control
-            .lock()
-            .rank_flag(app, hook)
-            .store(false, Relaxed);
-    }
-
     /// Whether `(app, hook)` opted into rank decoding.
     pub fn ranks_enabled(&self, app: AppId, hook: Hook) -> bool {
         self.control.lock().rank_flag(app, hook).load(Relaxed)
     }
 
     /// Registers an application with the ports it owns. Returns the app id
-    /// and its namespaced Map API view.
+    /// and its namespaced Map API view. The name is the caller's label:
+    /// the daemon keys apps by id and keeps only their ports.
     pub fn register_app(
         &self,
-        name: impl Into<String>,
+        _name: impl Into<String>,
         ports: &[u16],
     ) -> Result<(AppId, SyrupMaps), DeployError> {
         let mut control = self.control.lock();
         // Port ownership is global across apps.
-        for (&other_id, info) in &control.apps {
+        for (&other_id, owned) in &control.apps {
             for p in ports {
-                if info.ports.contains(p) {
+                if owned.contains(p) {
                     return Err(DeployError::PortOwnedByOther {
                         port: *p,
                         owner: other_id,
@@ -568,13 +556,7 @@ impl Syrupd {
         }
         let id = AppId(control.next_app);
         control.next_app += 1;
-        control.apps.insert(
-            id,
-            AppInfo {
-                name: name.into(),
-                ports: ports.to_vec(),
-            },
-        );
+        control.apps.insert(id, ports.to_vec());
         Ok((id, SyrupMaps::new(id, self.registry.clone())))
     }
 
@@ -624,7 +606,7 @@ impl Syrupd {
         // Wire the isolation dispatch: every port the app owns routes to
         // this policy, and only to this policy. Last of the steps that can
         // refuse, so a refused deployment is neither counted nor visible.
-        let ports = control.apps[&app].ports.clone();
+        let ports = control.apps[&app].clone();
         let ranked = control.rank_flag(app, hook).clone();
         let hook_state = control.hooks.get_mut(&hook).expect("created above");
         let next_index = hook_state.indices.len() as u32;
@@ -983,10 +965,6 @@ mod tests {
         assert_eq!(owner, Some(app));
         assert_eq!(v.decision, Decision::Executor(2));
         assert_eq!(v.rank, 77);
-
-        d.disable_ranks(app, Hook::SocketSelect);
-        let (_, v) = d.schedule_verdict(Hook::SocketSelect, &mut pkt, &meta(8080));
-        assert_eq!(v.rank, 0);
     }
 
     #[test]

@@ -7,70 +7,52 @@
 //! JIT-compiled policy body plus a large fixed enforcement cost per
 //! invocation, so reproduced numbers show the same structure: little
 //! variation across policies, slightly higher for instruction-heavy ones.
+//!
+//! The constants are calibrated so the paper's four policies land in
+//! Table 2's 1550–1710 cycle band on this model's instruction counts.
 
 use crate::helpers::HelperId;
 use crate::insn::Insn;
 
-/// Per-invocation and per-instruction cycle costs.
-#[derive(Debug, Clone, Copy)]
-pub struct CycleModel {
-    /// Fixed cost of steering the input to the chosen executor (socket
-    /// lookup, queue insert, wakeup) — the dominant term in Table 2.
-    pub enforcement: u64,
-    /// Fixed cost of entering the JITed program (call + prologue).
-    pub invoke: u64,
-    /// Cost of one ALU / branch instruction.
-    pub alu: u64,
-    /// Cost of one memory access instruction.
-    pub mem: u64,
-    /// Cost of one atomic instruction (locked RMW).
-    pub atomic: u64,
-    /// Cost of a map-lookup/update helper call (hash + locking).
-    pub map_helper: u64,
-    /// Cost of a cheap helper (random, time, CPU id).
-    pub light_helper: u64,
-}
+/// Fixed cost of steering the input to the chosen executor (socket
+/// lookup, queue insert, wakeup) — the dominant term in Table 2.
+pub const ENFORCEMENT: u64 = 1450;
+/// Fixed cost of entering the JITed program (call + prologue).
+pub const INVOKE: u64 = 25;
+/// Cost of one ALU / branch instruction.
+pub const ALU: u64 = 1;
+/// Cost of one memory access instruction.
+pub const MEM: u64 = 4;
+/// Cost of one atomic instruction (locked RMW).
+pub const ATOMIC: u64 = 20;
+/// Cost of a map-lookup/update helper call (hash + locking).
+pub const MAP_HELPER: u64 = 45;
+/// Cost of a cheap helper (random, time, CPU id).
+pub const LIGHT_HELPER: u64 = 15;
 
-impl Default for CycleModel {
-    fn default() -> Self {
-        // Calibrated so the paper's four policies land in Table 2's
-        // 1550–1710 cycle band on this model's instruction counts.
-        CycleModel {
-            enforcement: 1450,
-            invoke: 25,
-            alu: 1,
-            mem: 4,
-            atomic: 20,
-            map_helper: 45,
-            light_helper: 15,
-        }
-    }
-}
-
-impl CycleModel {
-    /// Cycles charged for executing `insn` once.
-    pub fn insn_cost(&self, insn: &Insn) -> u64 {
-        match insn {
-            Insn::Alu { .. }
-            | Insn::Neg { .. }
-            | Insn::Endian { .. }
-            | Insn::LoadImm64 { .. }
-            | Insn::LoadMapFd { .. }
-            | Insn::Jump { .. }
-            | Insn::Branch { .. }
-            | Insn::Exit => self.alu,
-            Insn::LoadMem { .. } | Insn::StoreMem { .. } | Insn::StoreImm { .. } => self.mem,
-            Insn::AtomicAdd { .. } => self.atomic,
-            Insn::Call { helper } => match helper {
-                HelperId::MapLookupElem | HelperId::MapUpdateElem | HelperId::MapDeleteElem => {
-                    self.map_helper
-                }
-                HelperId::RedirectMap | HelperId::TailCall => self.map_helper,
-                HelperId::GetPrandomU32 | HelperId::KtimeGetNs | HelperId::GetSmpProcessorId => {
-                    self.light_helper
-                }
-            },
-        }
+/// Cycles charged for executing `insn` once.
+pub fn insn_cost(insn: &Insn) -> u64 {
+    match insn {
+        Insn::Alu { .. }
+        | Insn::Neg { .. }
+        | Insn::Endian { .. }
+        | Insn::LoadImm64 { .. }
+        | Insn::LoadMapFd { .. }
+        | Insn::Jump { .. }
+        | Insn::Branch { .. }
+        | Insn::Exit => ALU,
+        Insn::LoadMem { .. } | Insn::StoreMem { .. } | Insn::StoreImm { .. } => MEM,
+        Insn::AtomicAdd { .. } => ATOMIC,
+        Insn::Call { helper } => match helper {
+            HelperId::MapLookupElem
+            | HelperId::MapUpdateElem
+            | HelperId::MapDeleteElem
+            | HelperId::RedirectMap
+            | HelperId::TailCall => MAP_HELPER,
+            HelperId::GetPrandomU32 | HelperId::KtimeGetNs | HelperId::GetSmpProcessorId => {
+                LIGHT_HELPER
+            }
+        },
     }
 }
 
@@ -81,23 +63,22 @@ mod tests {
 
     #[test]
     fn costs_are_ordered_sensibly() {
-        let m = CycleModel::default();
-        let alu = m.insn_cost(&Insn::Alu {
+        let alu = insn_cost(&Insn::Alu {
             w: Width::W64,
             op: AluOp::Add,
             dst: Reg::R0,
             src: Operand::Imm(1),
         });
-        let mem = m.insn_cost(&Insn::LoadMem {
+        let mem = insn_cost(&Insn::LoadMem {
             size: MemSize::W,
             dst: Reg::R0,
             base: Reg::R1,
             off: 0,
         });
-        let map = m.insn_cost(&Insn::Call {
+        let map = insn_cost(&Insn::Call {
             helper: HelperId::MapLookupElem,
         });
-        let atomic = m.insn_cost(&Insn::AtomicAdd {
+        let atomic = insn_cost(&Insn::AtomicAdd {
             size: MemSize::DW,
             base: Reg::R0,
             off: 0,
@@ -106,6 +87,6 @@ mod tests {
         });
         assert!(alu < mem && mem < atomic && atomic < map);
         // Enforcement dominates everything, as Table 2 observes.
-        assert!(m.enforcement > 10 * map);
+        assert!(ENFORCEMENT > 10 * map);
     }
 }

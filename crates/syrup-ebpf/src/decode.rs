@@ -10,7 +10,7 @@
 //! * branch targets are precomputed as absolute pcs (with a sentinel for
 //!   targets outside the program, which — like the interpreter — only
 //!   trap when the branch is actually *taken*);
-//! * per-instruction cycle costs are tabled once from the [`CycleModel`];
+//! * per-instruction cycle costs are tabled once from [`crate::cycles`];
 //! * map-fd operands are resolved to tokens (the handles themselves are
 //!   cached once per VM, at load, for both engines).
 //!
@@ -19,7 +19,7 @@
 //! check the round-trip and which pins the claim that decoding loses no
 //! semantic information.
 
-use crate::cycles::CycleModel;
+use crate::cycles::insn_cost;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
 use crate::mem::{map_fd_token, map_from_token};
@@ -151,7 +151,6 @@ pub(crate) struct Step {
 pub struct DecodedProg {
     pub(crate) name: String,
     pub(crate) code: Vec<Step>,
-    pub(crate) invoke: u64,
 }
 
 impl DecodedProg {
@@ -290,10 +289,10 @@ impl DecodedProg {
     }
 }
 
-/// Lowers `prog` for the fast engine under `model`. Map handles are not
-/// bound here: the [`crate::Vm`] keeps one cache of them for all its
-/// programs, refreshed at load.
-pub fn decode(prog: &Program, model: &CycleModel) -> DecodedProg {
+/// Lowers `prog` for the fast engine. Map handles are not bound here: the
+/// [`crate::Vm`] keeps one cache of them for all its programs, refreshed
+/// at load.
+pub fn decode(prog: &Program) -> DecodedProg {
     let len = prog.insns.len();
     let target_of = |i: usize, off: i16| -> u32 {
         let target = i as i64 + 1 + i64::from(off);
@@ -305,7 +304,7 @@ pub fn decode(prog: &Program, model: &CycleModel) -> DecodedProg {
     };
     let mut code = Vec::with_capacity(len);
     for (i, insn) in prog.insns.iter().enumerate() {
-        let cost = model.insn_cost(insn);
+        let cost = insn_cost(insn);
         let fast = match *insn {
             Insn::Alu {
                 w,
@@ -409,7 +408,6 @@ pub fn decode(prog: &Program, model: &CycleModel) -> DecodedProg {
     DecodedProg {
         name: prog.name.clone(),
         code,
-        invoke: model.invoke,
     }
 }
 
@@ -440,7 +438,7 @@ mod tests {
             .exit()
             .build("counter")
             .unwrap();
-        let decoded = decode(&prog, &CycleModel::default());
+        let decoded = decode(&prog);
         assert_eq!(decoded.reencode(), prog.insns);
         assert_eq!(decoded.len(), prog.len());
         assert_eq!(decoded.name(), "counter");
@@ -451,7 +449,7 @@ mod tests {
         // `ja +1` at pc 0 of a 3-insn program targets pc 2; `ja +100`
         // leaves the program and gets the sentinel.
         let good = Program::new("g", vec![Insn::Jump { off: 1 }, Insn::Exit, Insn::Exit]);
-        let d = decode(&good, &CycleModel::default());
+        let d = decode(&good);
         match d.code[0].insn {
             FastInsn::Jump { target, off } => {
                 assert_eq!(target, 2);
@@ -460,7 +458,7 @@ mod tests {
             ref other => panic!("expected jump, got {other:?}"),
         }
         let bad = Program::new("b", vec![Insn::Jump { off: 100 }, Insn::Exit]);
-        let d = decode(&bad, &CycleModel::default());
+        let d = decode(&bad);
         match d.code[0].insn {
             FastInsn::Jump { target, .. } => assert_eq!(target, BAD_TARGET),
             ref other => panic!("expected jump, got {other:?}"),
@@ -470,17 +468,15 @@ mod tests {
 
     #[test]
     fn costs_table_matches_the_model() {
-        let model = CycleModel::default();
         let prog = Asm::new()
             .mov64_imm(Reg::R0, 1)
             .call(HelperId::GetPrandomU32)
             .exit()
             .build("c")
             .unwrap();
-        let d = decode(&prog, &model);
+        let d = decode(&prog);
         let got: Vec<u64> = d.code.iter().map(|s| s.cost).collect();
-        let want: Vec<u64> = prog.insns.iter().map(|i| model.insn_cost(i)).collect();
+        let want: Vec<u64> = prog.insns.iter().map(insn_cost).collect();
         assert_eq!(got, want);
-        assert_eq!(d.invoke, model.invoke);
     }
 }

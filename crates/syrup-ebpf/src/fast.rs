@@ -148,7 +148,7 @@ fn exec<const PROF: bool>(
     env: &mut RunEnv,
 ) -> Result<VmOutcome, VmError> {
     let mut prog = vm.decoded(entry.slot()).ok_or(VmError::NoSuchProgram)?;
-    let (mut insns, mut cycles, mut tail_calls) = entry.account(prog.invoke);
+    let (mut insns, mut cycles, mut tail_calls) = entry.account();
     // A tail call into an empty program falls off its end instead.
     if prog.code.is_empty() && matches!(entry, Entry::Prog(_)) {
         return Err(VmError::NoSuchProgram);
@@ -175,7 +175,7 @@ fn exec<const PROF: bool>(
     let mut redirect: Option<(MapId, u32)> = None;
     // Same attribution scope as the interpreter: the invoke cost lands on
     // the entry (prog, pc 0) bucket; flushes on drop (any exit path).
-    let mut prof = entry.scope(&vm.profiler, &prog.name, prog.invoke);
+    let mut prof = entry.scope(&vm.profiler, &prog.name);
 
     loop {
         let step = *prog.code.get(pc).ok_or(VmError::NoExit)?;

@@ -110,7 +110,7 @@ mod tests {
         assert!(store.get(0).is_none());
         for i in 0..200u32 {
             let prog = Program::new(format!("p{i}"), Vec::new());
-            let decoded = crate::decode::decode(&prog, &Default::default());
+            let decoded = crate::decode::decode(&prog);
             assert_eq!(store.push(Loaded { prog, decoded }), i);
         }
         assert_eq!(store.len(), 200);

@@ -32,7 +32,7 @@ use std::fmt;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
 use crate::maps::{MapId, MapKind, MapRegistry};
-use crate::vm::{ctx_off, STACK_SIZE};
+use crate::vm::{alu32, alu64, cmp_u64, ctx_off, STACK_SIZE};
 use crate::Program;
 
 /// Maximum simulated instructions before the program is rejected as too
@@ -607,8 +607,8 @@ fn alu_abs(pc: usize, w: Width, op: AluOp, lhs: Abs, rhs: Abs) -> Result<Abs, Ve
         (Scalar(_), Scalar(_)) => {}
         _ => return Err(VerifierError::BadPointerArith { pc }),
     }
-    // Scalar arithmetic with constant folding (two's complement, like the
-    // interpreter).
+    // Scalar arithmetic with constant folding: the VM's own ALU, so the
+    // folded value is the one the program will compute.
     let (Scalar(a), Scalar(b)) = (lhs, rhs) else {
         unreachable!("non-scalars handled above");
     };
@@ -616,74 +616,14 @@ fn alu_abs(pc: usize, w: Width, op: AluOp, lhs: Abs, rhs: Abs) -> Result<Abs, Ve
         (Some(x), Some(y)) => {
             let (ux, uy) = (x as u64, y as u64);
             let r = match w {
-                Width::W64 => fold64(op, ux, uy),
-                Width::W32 => u64::from(fold32(op, ux as u32, uy as u32)),
+                Width::W64 => alu64(op, ux, uy),
+                Width::W32 => u64::from(alu32(op, ux as u32, uy as u32)),
             };
             Some(r as i64)
         }
         _ => None,
     };
     Ok(Scalar(folded))
-}
-
-#[allow(clippy::manual_checked_ops)] // Kernel div/mod-by-zero semantics, stated explicitly.
-fn fold64(op: AluOp, a: u64, b: u64) -> u64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a / b
-            }
-        }
-        AluOp::Mod => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Lsh => a.wrapping_shl((b & 63) as u32),
-        AluOp::Rsh => a.wrapping_shr((b & 63) as u32),
-        AluOp::Arsh => ((a as i64).wrapping_shr((b & 63) as u32)) as u64,
-        AluOp::Mov => b,
-    }
-}
-
-#[allow(clippy::manual_checked_ops)] // Kernel div/mod-by-zero semantics, stated explicitly.
-fn fold32(op: AluOp, a: u32, b: u32) -> u32 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a / b
-            }
-        }
-        AluOp::Mod => {
-            if b == 0 {
-                a
-            } else {
-                a % b
-            }
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-        AluOp::Lsh => a.wrapping_shl(b & 31),
-        AluOp::Rsh => a.wrapping_shr(b & 31),
-        AluOp::Arsh => ((a as i32).wrapping_shr(b & 31)) as u32,
-        AluOp::Mov => b,
-    }
 }
 
 fn branch_target(pc: usize, off: i16, len: usize) -> Result<usize, VerifierError> {
@@ -716,7 +656,7 @@ fn branch_refine(
 
     // Constant folding: both sides known.
     if let (Scalar(Some(a)), Scalar(Some(b))) = (l, r) {
-        let taken = fold_cmp(op, w, a as u64, b as u64);
+        let taken = cmp_u64(op, w, a as u64, b as u64);
         return Ok(if taken {
             BranchPlan::Taken(st.clone())
         } else {
@@ -823,30 +763,6 @@ fn flip(op: CmpOp) -> CmpOp {
         CmpOp::Lt => CmpOp::Gt,
         CmpOp::Le => CmpOp::Ge,
         other => other,
-    }
-}
-
-fn fold_cmp(op: CmpOp, w: Width, a: u64, b: u64) -> bool {
-    let (a, b) = match w {
-        Width::W64 => (a, b),
-        Width::W32 => (a & 0xFFFF_FFFF, b & 0xFFFF_FFFF),
-    };
-    let (sa, sb) = match w {
-        Width::W64 => (a as i64, b as i64),
-        Width::W32 => (i64::from(a as u32 as i32), i64::from(b as u32 as i32)),
-    };
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Sgt => sa > sb,
-        CmpOp::Sge => sa >= sb,
-        CmpOp::Slt => sa < sb,
-        CmpOp::Sle => sa <= sb,
-        CmpOp::Set => (a & b) != 0,
     }
 }
 

@@ -20,7 +20,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::cycles::CycleModel;
+use crate::cycles::{insn_cost, INVOKE};
 use crate::decode::DecodedProg;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
@@ -262,10 +262,8 @@ struct PathStep {
 pub struct TailPath {
     /// The program the path starts in.
     prog: String,
-    /// The invocation entry cost its first bucket carries.
-    invoke: u64,
     steps: Vec<PathStep>,
-    /// `invoke` plus every step's cost.
+    /// The invocation entry cost plus every step's cost.
     cycles: u64,
     target: ProgSlot,
 }
@@ -305,11 +303,10 @@ impl Entry<'_> {
         }
     }
 
-    /// The run's `(insns, cycles, tail_calls)` on arrival there; `invoke`
-    /// is the model's invocation entry cost.
-    pub(crate) fn account(self, invoke: u64) -> (u64, u64, u32) {
+    /// The run's `(insns, cycles, tail_calls)` on arrival there.
+    pub(crate) fn account(self) -> (u64, u64, u32) {
         match self {
-            Entry::Prog(_) => (0, invoke, 0),
+            Entry::Prog(_) => (0, INVOKE, 0),
             Entry::After(path) => (path.insns(), path.cycles, 1),
         }
     }
@@ -321,12 +318,11 @@ impl Entry<'_> {
         self,
         profiler: &syrup_profile::Profiler,
         prog: &str,
-        invoke: u64,
     ) -> syrup_profile::VmSpan {
         let Entry::After(path) = self else {
-            return profiler.vm_enter(prog, invoke);
+            return profiler.vm_enter(prog, INVOKE);
         };
-        let mut span = profiler.vm_enter(&path.prog, path.invoke);
+        let mut span = profiler.vm_enter(&path.prog, INVOKE);
         if profiler.is_enabled() {
             for step in &path.steps {
                 span.insn(step.pc as usize, step.cost);
@@ -455,7 +451,6 @@ pub struct Vm {
     /// map id, so a run's map accesses skip the registry lock; younger
     /// maps resolve through the registry.
     pub(crate) map_cache: Arc<[MapRef]>,
-    model: CycleModel,
     backend: Backend,
     telemetry: VmTelemetry,
     tracer: syrup_trace::Tracer,
@@ -470,7 +465,6 @@ impl Vm {
             maps,
             store: Arc::new(ProgStore::new()),
             map_cache: Arc::new([]),
-            model: CycleModel::default(),
             backend: Backend::default(),
             telemetry: VmTelemetry::default(),
             tracer: syrup_trace::Tracer::disabled(),
@@ -554,7 +548,7 @@ impl Vm {
         if self.map_cache.len() != self.maps.len() {
             self.map_cache = self.maps.handles();
         }
-        let decoded = crate::decode::decode(&prog, &self.model);
+        let decoded = crate::decode::decode(&prog);
         ProgSlot(self.store.push(Loaded { prog, decoded }))
     }
 
@@ -612,7 +606,6 @@ impl Vm {
             .ok()?;
         Some(TailPath {
             prog,
-            invoke: self.model.invoke,
             steps: traced.steps,
             cycles: out.cycles,
             target: traced.target?,
@@ -683,7 +676,7 @@ impl Vm {
         traced: &mut Traced,
     ) -> Result<VmOutcome, VmError> {
         let mut prog = self.program(entry.slot()).ok_or(VmError::NoSuchProgram)?;
-        let (mut insns, mut cycles, mut tail_calls) = entry.account(self.model.invoke);
+        let (mut insns, mut cycles, mut tail_calls) = entry.account();
         // A tail call into an empty program falls off its end instead.
         if prog.is_empty() && matches!(entry, Entry::Prog(_)) {
             return Err(VmError::NoSuchProgram);
@@ -707,12 +700,12 @@ impl Vm {
         // at every point of the run. Flushes on drop (any exit path).
         let off = syrup_profile::Profiler::disabled();
         let profiler = if TRACE { &off } else { &self.profiler };
-        let mut prof = entry.scope(profiler, &prog.name, self.model.invoke);
+        let mut prof = entry.scope(profiler, &prog.name);
 
         loop {
             let insn = prog.insns.get(pc).ok_or(VmError::NoExit)?;
             insns += 1;
-            let cost = self.model.insn_cost(insn);
+            let cost = insn_cost(insn);
             cycles += cost;
             prof.insn(pc, cost);
             if TRACE {

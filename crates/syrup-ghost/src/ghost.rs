@@ -450,16 +450,17 @@ mod tests {
     #[test]
     fn profiler_tracks_time_in_state_and_starvation() {
         let profiler = syrup_profile::Profiler::new();
-        profiler.set_starvation_threshold(1_000); // 1 µs, well under agent latency
         let (mut s, map) = setup(2); // one app core + agent
         s.attach_profiler(&profiler);
         map.update_u64(1, class::SCAN).unwrap();
         map.update_u64(2, class::GET).unwrap();
 
-        // SCAN occupies the core; the GET preempts it; the GET finishes.
+        // SCAN occupies the core; the GET preempts it and holds the core
+        // past the starvation threshold; the GET finishes.
+        let stop = Time::from_nanos(2 * syrup_profile::STARVATION_NS);
         s.thread_ready(ThreadId(1), Time::ZERO);
         s.thread_ready(ThreadId(2), Time::from_micros(100));
-        s.thread_stopped(ThreadId(2), CoreId(0), Time::from_micros(200));
+        s.thread_stopped(ThreadId(2), CoreId(0), stop);
 
         let p = profiler.pressure();
         // Both threads went through runnable → running; the GET also
@@ -468,9 +469,10 @@ mod tests {
         let t2 = p.threads.iter().find(|t| t.tid == 2).unwrap();
         assert!(t2.runnable_ns > 0, "wakeup → dispatch counts as runnable");
         assert!(t2.running_ns > 0, "dispatch → stop counts as running");
-        // Dispatch latency (msg delay + agent cost + IPI) exceeds the 1 µs
-        // threshold, so both dispatches flag starvation.
-        assert!(!p.starvation.is_empty());
+        // The preempted SCAN waited runnable until the GET stopped: only
+        // its resumption flags starvation.
+        assert_eq!(p.starvation.len(), 1);
+        assert_eq!(p.starvation[0].tid, 1);
         assert!(p.threads.iter().any(|t| t.starved));
         // One scheduling-latency sample per wakeup message.
         assert_eq!(p.sched_latency.samples, 2);

@@ -59,12 +59,11 @@ impl VKind {
 }
 
 #[derive(Debug, Clone)]
-#[allow(dead_code)] // The stack-slot width is kept for future sub-word loads.
 enum Binding {
     /// Parameter or pointer local pinned to a register.
     Reg(Reg, VKind),
     /// Scalar local in a stack slot (offset from `r10`, negative).
-    Stack(i16, VKind),
+    Stack(i16),
     /// A packet-derived pointer local equal to `pkt_start + off`; costs no
     /// register because it is rematerialized at each use, the way a real
     /// compiler treats cheap recomputable addresses.
@@ -77,10 +76,8 @@ enum Binding {
     Const(i64),
 }
 
-struct Cg<'a> {
+struct Cg {
     asm: Asm,
-    #[allow(dead_code)] // Retained for future option-sensitive lowering.
-    opts: &'a CompileOptions,
     structs: HashMap<String, StructDef>,
     bindings: HashMap<String, Binding>,
     globals_map: Option<MapId>,
@@ -124,7 +121,6 @@ pub fn generate(
 
     let mut cg = Cg {
         asm: Asm::new(),
-        opts,
         structs: unit
             .structs
             .iter()
@@ -225,7 +221,7 @@ pub fn generate(
     })
 }
 
-impl Cg<'_> {
+impl Cg {
     fn alloc_slot(&mut self) -> i16 {
         self.frame -= 8;
         self.frame
@@ -361,7 +357,7 @@ impl Cg<'_> {
             Stmt::Return { line, value, rank } => {
                 match rank {
                     None => {
-                        self.scalar_expr(*line, value, Reg::R0, 1)?;
+                        self.scalar_expr(*line, value, Reg::R0)?;
                         // Truncate to the uint32_t return type.
                         self.with_asm(|a| {
                             a.alu32(AluOp::Mov, Reg::R0, Operand::Reg(Reg::R0)).exit()
@@ -373,7 +369,7 @@ impl Cg<'_> {
                         // rank is spilled across the value evaluation
                         // (helpers clobber R1-R5, the stack survives).
                         let rank_slot = self.rank_slot;
-                        self.scalar_expr(*line, rank, Reg::R0, 1)?;
+                        self.scalar_expr(*line, rank, Reg::R0)?;
                         self.with_asm(|a| {
                             a.alu32(AluOp::Mov, Reg::R0, Operand::Reg(Reg::R0)).stx_dw(
                                 Reg::R10,
@@ -381,7 +377,7 @@ impl Cg<'_> {
                                 Reg::R0,
                             )
                         });
-                        self.scalar_expr(*line, value, Reg::R0, 1)?;
+                        self.scalar_expr(*line, value, Reg::R0)?;
                         self.with_asm(|a| {
                             a.alu32(AluOp::Mov, Reg::R0, Operand::Reg(Reg::R0))
                                 .ldx_dw(Reg::R1, Reg::R10, rank_slot)
@@ -401,7 +397,7 @@ impl Cg<'_> {
                         Ok(())
                     }
                     _ => {
-                        self.scalar_expr(*line, expr, Reg::R0, 1)?;
+                        self.scalar_expr(*line, expr, Reg::R0)?;
                         Ok(())
                     }
                 }
@@ -460,15 +456,13 @@ impl Cg<'_> {
             if -(i64::from(slot.unsigned_abs())) < -(512i64) {
                 return Err(LangError::new(line, "stack frame exceeds 512 bytes"));
             }
-            let width = ty.size();
             if let Some(init) = init {
-                self.scalar_expr(line, init, Reg::R0, 1)?;
+                self.scalar_expr(line, init, Reg::R0)?;
                 self.with_asm(|a| a.stx_dw(Reg::R10, slot, Reg::R0));
             } else {
                 self.with_asm(|a| a.st_dw(Reg::R10, slot, 0));
             }
-            self.bindings
-                .insert(name.to_string(), Binding::Stack(slot, VKind::Scalar(width)));
+            self.bindings.insert(name.to_string(), Binding::Stack(slot));
             Ok(())
         }
     }
@@ -513,8 +507,8 @@ impl Cg<'_> {
     fn assign(&mut self, line: usize, target: &LValue, value: &Expr) -> Result<(), LangError> {
         match target {
             LValue::Var(name) => match self.bindings.get(name).cloned() {
-                Some(Binding::Stack(slot, _)) => {
-                    self.scalar_expr(line, value, Reg::R0, 1)?;
+                Some(Binding::Stack(slot)) => {
+                    self.scalar_expr(line, value, Reg::R0)?;
                     self.with_asm(|a| a.stx_dw(Reg::R10, slot, Reg::R0));
                     Ok(())
                 }
@@ -533,7 +527,7 @@ impl Cg<'_> {
                 Some(Binding::Global(index, _)) => {
                     // Evaluate, park in the value slot across the lookup
                     // call, then store through the checked pointer.
-                    self.scalar_expr(line, value, Reg::R0, 1)?;
+                    self.scalar_expr(line, value, Reg::R0)?;
                     let vslot = self.val_slot;
                     self.with_asm(|a| a.stx_dw(Reg::R10, vslot, Reg::R0));
                     self.global_ptr(index)?;
@@ -564,7 +558,7 @@ impl Cg<'_> {
                 // the value would let a packet or struct load inside
                 // `value` clobber it (found by syrup-fuzz's differential
                 // oracle).
-                self.scalar_expr(line, value, Reg::R0, 1)?;
+                self.scalar_expr(line, value, Reg::R0)?;
                 let vslot = self.val_slot;
                 self.with_asm(|a| a.stx_dw(Reg::R10, vslot, Reg::R0));
                 let (reg, kind) = self.resolve_ptr_reg(line, ptr_expr)?;
@@ -587,7 +581,7 @@ impl Cg<'_> {
             LValue::Member(base, field) => {
                 // Value first for the same scratch-clobber reason as the
                 // `Deref` arm above.
-                self.scalar_expr(line, value, Reg::R0, 1)?;
+                self.scalar_expr(line, value, Reg::R0)?;
                 let vslot = self.val_slot;
                 self.with_asm(|a| a.stx_dw(Reg::R10, vslot, Reg::R0));
                 let (reg, kind) = self.resolve_ptr_reg(line, base)?;
@@ -676,7 +670,7 @@ impl Cg<'_> {
                     self.with_asm(|a| a.alu64(op, dst, Operand::Imm(k as i32)));
                 } else {
                     let scratch = next_scratch(line, dst)?;
-                    self.scalar_expr(line, b, scratch, scratch_idx(scratch) + 1)?;
+                    self.scalar_expr(line, b, scratch)?;
                     self.with_asm(|a| a.alu64(op, dst, Operand::Reg(scratch)));
                 }
                 Ok(kind)
@@ -834,16 +828,8 @@ impl Cg<'_> {
         }
     }
 
-    /// Emits a scalar (or call) expression into `dst`. `min_scratch` is the
-    /// first free scratch index after `dst`.
-    #[allow(clippy::only_used_in_recursion)] // Kept for future spill heuristics.
-    fn scalar_expr(
-        &mut self,
-        line: usize,
-        e: &Expr,
-        dst: Reg,
-        min_scratch: usize,
-    ) -> Result<(), LangError> {
+    /// Emits a scalar (or call) expression into `dst`.
+    fn scalar_expr(&mut self, line: usize, e: &Expr, dst: Reg) -> Result<(), LangError> {
         if let Some(k) = self.const_fold(e) {
             if i32::try_from(k).is_ok() {
                 self.with_asm(|a| a.mov64_imm(dst, k as i32));
@@ -857,7 +843,7 @@ impl Cg<'_> {
                 unreachable!("constants folded above")
             }
             ExprKind::Ident(name) => match self.bindings.get(name).cloned() {
-                Some(Binding::Stack(slot, _)) => {
+                Some(Binding::Stack(slot)) => {
                     self.with_asm(|a| a.ldx_dw(dst, Reg::R10, slot));
                     Ok(())
                 }
@@ -932,7 +918,7 @@ impl Cg<'_> {
                         "pointer casts are only valid in pointer context",
                     ));
                 }
-                self.scalar_expr(line, inner, dst, min_scratch)?;
+                self.scalar_expr(line, inner, dst)?;
                 // Truncate to the target width.
                 match ty.size() {
                     8 => {}
@@ -945,7 +931,7 @@ impl Cg<'_> {
                 Ok(())
             }
             ExprKind::Unary(UnOp::Neg, inner) => {
-                self.scalar_expr(line, inner, dst, min_scratch)?;
+                self.scalar_expr(line, inner, dst)?;
                 self.with_asm(|a| {
                     a.raw(syrup_ebpf::Insn::Neg {
                         w: syrup_ebpf::Width::W64,
@@ -955,7 +941,7 @@ impl Cg<'_> {
                 Ok(())
             }
             ExprKind::Unary(UnOp::BitNot, inner) => {
-                self.scalar_expr(line, inner, dst, min_scratch)?;
+                self.scalar_expr(line, inner, dst)?;
                 let scratch = next_scratch(line, dst)?;
                 self.with_asm(|a| a.load_imm64(scratch, -1).xor64_reg(dst, scratch));
                 Ok(())
@@ -1000,7 +986,7 @@ impl Cg<'_> {
                     _ => unreachable!("comparisons handled above"),
                 };
                 if let Some(k) = self.const_fold(b) {
-                    self.scalar_expr(line, a, dst, min_scratch)?;
+                    self.scalar_expr(line, a, dst)?;
                     if i32::try_from(k).is_ok() {
                         self.with_asm(|x| x.alu64(alu, dst, Operand::Imm(k as i32)));
                     } else {
@@ -1017,10 +1003,10 @@ impl Cg<'_> {
                     // `r1`–`r5`, and a boolean materialization clobbers
                     // `r0`/`r3`/`r4` (found by syrup-fuzz's differential
                     // oracle).
-                    self.scalar_expr(line, a, dst, min_scratch)?;
+                    self.scalar_expr(line, a, dst)?;
                     let slot = self.alloc_slot();
                     self.with_asm(|x| x.stx_dw(Reg::R10, slot, dst));
-                    self.scalar_expr(line, b, Reg::R0, 1)?;
+                    self.scalar_expr(line, b, Reg::R0)?;
                     let scratch = if dst == Reg::R1 {
                         next_scratch(line, Reg::R1)?
                     } else {
@@ -1033,9 +1019,9 @@ impl Cg<'_> {
                     });
                     return Ok(());
                 }
-                self.scalar_expr(line, a, dst, min_scratch)?;
+                self.scalar_expr(line, a, dst)?;
                 let scratch = next_scratch(line, dst)?;
-                self.scalar_expr(line, b, scratch, scratch_idx(scratch) + 1)?;
+                self.scalar_expr(line, b, scratch)?;
                 self.with_asm(|x| x.alu64(alu, dst, Operand::Reg(scratch)));
                 Ok(())
             }
@@ -1061,7 +1047,7 @@ impl Cg<'_> {
             self.call(line, name, args, dst)?;
             Ok(())
         } else {
-            self.scalar_expr(line, e, dst, 1)
+            self.scalar_expr(line, e, dst)
         }
     }
 
@@ -1136,7 +1122,7 @@ impl Cg<'_> {
                         "__sync_fetch_and_add requires a map value pointer",
                     ));
                 }
-                self.scalar_expr(line, &args[1], Reg::R0, 1)?;
+                self.scalar_expr(line, &args[1], Reg::R0)?;
                 self.with_asm(|a| a.atomic_fetch_add_dw(reg, 0, Reg::R0));
                 self.move_ret(dst);
                 Ok(VKind::Scalar(8))
@@ -1144,7 +1130,7 @@ impl Cg<'_> {
             "bpf_redirect_map" | "redirect_map" => {
                 self.expect_args(line, name, args, 2)?;
                 let map = self.map_ref_arg(line, &args[0])?;
-                self.scalar_expr(line, &args[1], Reg::R2, 3)?;
+                self.scalar_expr(line, &args[1], Reg::R2)?;
                 self.with_asm(|a| {
                     a.load_map_fd(Reg::R1, map)
                         .mov64_imm(Reg::R3, 0)
@@ -1196,7 +1182,7 @@ impl Cg<'_> {
         match &e.kind {
             // `&local` — keys are the low 4 bytes of the 8-byte slot.
             ExprKind::AddrOf(name) => match self.bindings.get(name).cloned() {
-                Some(Binding::Stack(slot, _)) => {
+                Some(Binding::Stack(slot)) => {
                     self.with_asm(|a| {
                         a.mov64_reg(key_reg, Reg::R10)
                             .add64_imm(key_reg, i32::from(slot))
@@ -1218,7 +1204,7 @@ impl Cg<'_> {
             },
             // A scalar expression used directly as the key value.
             _ => {
-                self.scalar_expr(line, e, Reg::R0, 1)?;
+                self.scalar_expr(line, e, Reg::R0)?;
                 self.with_asm(|a| {
                     a.stx_w(Reg::R10, key_slot, Reg::R0)
                         .mov64_reg(key_reg, Reg::R10)
@@ -1233,7 +1219,7 @@ impl Cg<'_> {
     fn value_arg(&mut self, line: usize, e: &Expr) -> Result<(), LangError> {
         let vslot = self.val_slot;
         if let ExprKind::AddrOf(name) = &e.kind {
-            if let Some(Binding::Stack(slot, _)) = self.bindings.get(name).cloned() {
+            if let Some(Binding::Stack(slot)) = self.bindings.get(name).cloned() {
                 self.with_asm(|a| {
                     a.ldx_dw(Reg::R0, Reg::R10, slot)
                         .stx_dw(Reg::R10, vslot, Reg::R0)
@@ -1241,7 +1227,7 @@ impl Cg<'_> {
                 return Ok(());
             }
         }
-        self.scalar_expr(line, e, Reg::R0, 1)?;
+        self.scalar_expr(line, e, Reg::R0)?;
         self.with_asm(|a| a.stx_dw(Reg::R10, vslot, Reg::R0));
         Ok(())
     }
@@ -1272,7 +1258,7 @@ impl Cg<'_> {
                         return Ok(());
                     }
                 }
-                self.scalar_expr(line, cond, Reg::R0, 1)?;
+                self.scalar_expr(line, cond, Reg::R0)?;
                 self.with_asm(|x| x.jne_imm(Reg::R0, 0, label));
                 Ok(())
             }
@@ -1305,7 +1291,7 @@ impl Cg<'_> {
                         return Ok(());
                     }
                 }
-                self.scalar_expr(line, cond, Reg::R0, 1)?;
+                self.scalar_expr(line, cond, Reg::R0)?;
                 self.with_asm(|x| x.jeq_imm(Reg::R0, 0, label));
                 Ok(())
             }
@@ -1385,7 +1371,7 @@ impl Cg<'_> {
 
         // Scalar comparison.
         if let Some(k) = self.const_fold(b) {
-            self.scalar_expr(line, a, Reg::R3, 4)?;
+            self.scalar_expr(line, a, Reg::R3)?;
             if i32::try_from(k).is_ok() {
                 self.with_asm(|x| x.branch(cmp, Reg::R3, Operand::Imm(k as i32), label));
             } else {
@@ -1401,10 +1387,10 @@ impl Cg<'_> {
             // `r3`: calls trash `r1`–`r5`, and a nested comparison's
             // boolean materialization reuses `r3`/`r4` (found by
             // syrup-fuzz's differential oracle). Spill across it.
-            self.scalar_expr(line, a, Reg::R0, 1)?;
+            self.scalar_expr(line, a, Reg::R0)?;
             let slot = self.alloc_slot();
             self.with_asm(|x| x.stx_dw(Reg::R10, slot, Reg::R0));
-            self.scalar_expr(line, b, Reg::R0, 1)?;
+            self.scalar_expr(line, b, Reg::R0)?;
             self.with_asm(|x| {
                 x.mov64_reg(Reg::R4, Reg::R0)
                     .ldx_dw(Reg::R3, Reg::R10, slot)
@@ -1412,8 +1398,8 @@ impl Cg<'_> {
             });
             return Ok(());
         }
-        self.scalar_expr(line, a, Reg::R3, 4)?;
-        self.scalar_expr(line, b, Reg::R4, 5)?;
+        self.scalar_expr(line, a, Reg::R3)?;
+        self.scalar_expr(line, b, Reg::R4)?;
         self.with_asm(|x| x.branch(cmp, Reg::R3, Operand::Reg(Reg::R4), label));
         Ok(())
     }
@@ -1507,10 +1493,6 @@ fn deref_width(e: &Expr) -> Option<u32> {
         ExprKind::Cast(Type::VoidPtr, _) => Some(1),
         _ => None,
     }
-}
-
-fn scratch_idx(r: Reg) -> usize {
-    r.index()
 }
 
 fn next_scratch(line: usize, after: Reg) -> Result<Reg, LangError> {

@@ -29,7 +29,7 @@ impl<T> Nic<T> {
         assert!(num_queues > 0, "a NIC has at least one queue");
         Nic {
             queues: (0..num_queues).map(|_| SocketBuf::new(ring_size)).collect(),
-            toeplitz: Toeplitz::default(),
+            toeplitz: Toeplitz,
             tracer: syrup_trace::Tracer::disabled(),
             profiler: syrup_profile::Profiler::disabled(),
         }
@@ -147,7 +147,7 @@ mod tests {
     fn rss_steering_is_stable_per_flow() {
         // `None` is the NIC-resident policy's PASS, which leaves the frame
         // to RSS: the same flow always lands on the same queue.
-        let rss = Toeplitz::default();
+        let rss = Toeplitz;
         for n in [1u32, 6, 8] {
             let nic: Nic<u64> = Nic::new(n as usize, 64);
             for sport in [1, 1000, 2000, u16::MAX] {

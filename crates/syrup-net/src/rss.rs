@@ -12,11 +12,8 @@
 //! its value and its position, so [`Toeplitz`] precomputes one 256-entry
 //! row per input position and hashes with one load and one XOR per byte.
 //! Past the key's end every window is zero, so the rows stop there and
-//! later input bytes contribute nothing. The default key's rows are
-//! evaluated at compile time; [`Toeplitz::with_key`] builds its own.
-
-use std::borrow::Cow;
-use std::fmt;
+//! later input bytes contribute nothing. The key's rows are evaluated at
+//! compile time.
 
 use crate::flow::FiveTuple;
 
@@ -36,7 +33,7 @@ type Row = [u32; 256];
 /// One row per input position the key reaches (40 KiB).
 type Table = [Row; KEY_LEN];
 
-/// [`DEFAULT_KEY`]'s rows, shared by every default hasher.
+/// [`DEFAULT_KEY`]'s rows, shared by every hasher.
 static DEFAULT_TABLE: Table = table(&DEFAULT_KEY);
 
 /// The 32 key bits starting at key bit `bit`, zero past the key's end.
@@ -78,45 +75,22 @@ const fn table(key: &[u8; KEY_LEN]) -> Table {
     t
 }
 
-/// A Toeplitz hasher with a fixed key.
-#[derive(Clone)]
-pub struct Toeplitz {
-    key: [u8; KEY_LEN],
-    rows: Cow<'static, [Row]>,
+/// The hash of `input` under the key whose rows are `rows`.
+fn hash_rows(rows: &[Row], input: &[u8]) -> u32 {
+    input
+        .iter()
+        .zip(rows)
+        .fold(0, |h, (&byte, row)| h ^ row[usize::from(byte)])
 }
 
-impl fmt::Debug for Toeplitz {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Toeplitz")
-            .field("key", &self.key)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for Toeplitz {
-    fn default() -> Self {
-        Toeplitz {
-            key: DEFAULT_KEY,
-            rows: Cow::Borrowed(&DEFAULT_TABLE),
-        }
-    }
-}
+/// A Toeplitz hasher with the [`DEFAULT_KEY`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Toeplitz;
 
 impl Toeplitz {
-    /// Creates a hasher with a custom key.
-    pub fn with_key(key: [u8; KEY_LEN]) -> Self {
-        Toeplitz {
-            key,
-            rows: Cow::Owned(table(&key).to_vec()),
-        }
-    }
-
     /// Hashes an arbitrary input byte string.
     pub fn hash_bytes(&self, input: &[u8]) -> u32 {
-        input
-            .iter()
-            .zip(self.rows.iter())
-            .fold(0, |h, (&byte, row)| h ^ row[usize::from(byte)])
+        hash_rows(&DEFAULT_TABLE, input)
     }
 
     /// The RSS hash over an IPv4 + UDP/TCP 5-tuple: source address,
@@ -127,14 +101,6 @@ impl Toeplitz {
         input[4..8].copy_from_slice(&flow.dst_ip.to_be_bytes());
         input[8..10].copy_from_slice(&flow.src_port.to_be_bytes());
         input[10..12].copy_from_slice(&flow.dst_port.to_be_bytes());
-        self.hash_bytes(&input)
-    }
-
-    /// The IPv4-only hash (addresses, no ports).
-    pub fn hash_v4_ip_only(&self, flow: &FiveTuple) -> u32 {
-        let mut input = [0u8; 8];
-        input[0..4].copy_from_slice(&flow.src_ip.to_be_bytes());
-        input[4..8].copy_from_slice(&flow.dst_ip.to_be_bytes());
         self.hash_bytes(&input)
     }
 
@@ -185,11 +151,14 @@ mod tests {
             input in prop::collection::vec(any::<u8>(), 48),
         ) {
             let key: [u8; KEY_LEN] = key.try_into().unwrap();
-            let (custom, default) = (Toeplitz::with_key(key), Toeplitz::default());
+            let custom = table(&key);
             for len in 0..=input.len() {
                 let input = &input[..len];
-                prop_assert_eq!(custom.hash_bytes(input), reference_hash(&key, input));
-                prop_assert_eq!(default.hash_bytes(input), reference_hash(&DEFAULT_KEY, input));
+                prop_assert_eq!(hash_rows(&custom, input), reference_hash(&key, input));
+                prop_assert_eq!(
+                    Toeplitz.hash_bytes(input),
+                    reference_hash(&DEFAULT_KEY, input)
+                );
             }
         }
     }
@@ -203,41 +172,49 @@ mod tests {
         }
     }
 
+    /// The IPv4-only input: addresses, no ports.
+    fn ip_only(flow: &FiveTuple) -> [u8; 8] {
+        let mut input = [0u8; 8];
+        input[0..4].copy_from_slice(&flow.src_ip.to_be_bytes());
+        input[4..8].copy_from_slice(&flow.dst_ip.to_be_bytes());
+        input
+    }
+
     // Published Microsoft RSS verification suite vectors (IPv4).
     #[test]
     fn microsoft_test_vector_1() {
-        let t = Toeplitz::default();
+        let t = Toeplitz;
         let flow = ft([66, 9, 149, 187], 2794, [161, 142, 100, 80], 1766);
-        assert_eq!(t.hash_v4_ip_only(&flow), 0x323e8fc2);
+        assert_eq!(t.hash_bytes(&ip_only(&flow)), 0x323e8fc2);
         assert_eq!(t.hash_v4(&flow), 0x51ccc178);
     }
 
     #[test]
     fn microsoft_test_vector_2() {
-        let t = Toeplitz::default();
+        let t = Toeplitz;
         let flow = ft([199, 92, 111, 2], 14230, [65, 69, 140, 83], 4739);
-        assert_eq!(t.hash_v4_ip_only(&flow), 0xd718262a);
+        assert_eq!(t.hash_bytes(&ip_only(&flow)), 0xd718262a);
         assert_eq!(t.hash_v4(&flow), 0xc626b0ea);
     }
 
     #[test]
     fn microsoft_test_vector_3() {
-        let t = Toeplitz::default();
+        let t = Toeplitz;
         let flow = ft([24, 19, 198, 95], 12898, [12, 22, 207, 184], 38024);
-        assert_eq!(t.hash_v4_ip_only(&flow), 0xd2d0a5de);
+        assert_eq!(t.hash_bytes(&ip_only(&flow)), 0xd2d0a5de);
         assert_eq!(t.hash_v4(&flow), 0x5c2b394a);
     }
 
     #[test]
     fn hash_is_deterministic() {
-        let t = Toeplitz::default();
+        let t = Toeplitz;
         let flow = ft([10, 0, 0, 1], 1234, [10, 0, 0, 2], 80);
         assert_eq!(t.hash_v4(&flow), t.hash_v4(&flow));
     }
 
     #[test]
     fn queue_selection_in_range() {
-        let t = Toeplitz::default();
+        let t = Toeplitz;
         for sport in 1000..1100 {
             let flow = ft([10, 0, 0, 1], sport, [10, 0, 0, 2], 80);
             assert!(t.queue_for(&flow, 8) < 8);
@@ -246,16 +223,15 @@ mod tests {
 
     #[test]
     fn different_keys_give_different_hashes() {
-        let a = Toeplitz::default();
-        let b = Toeplitz::with_key([0xAB; 40]);
-        let flow = ft([10, 0, 0, 1], 1234, [10, 0, 0, 2], 80);
-        assert_ne!(a.hash_v4(&flow), b.hash_v4(&flow));
+        let input = [10, 0, 0, 1, 10, 0, 0, 2, 0x04, 0xd2, 0, 80];
+        let other = table(&[0xAB; KEY_LEN]);
+        assert_ne!(Toeplitz.hash_bytes(&input), hash_rows(&other, &input));
     }
 
     #[test]
     #[should_panic(expected = "at least one queue")]
     fn zero_queues_panics() {
-        let t = Toeplitz::default();
+        let t = Toeplitz;
         t.queue_for(&ft([1, 2, 3, 4], 1, [5, 6, 7, 8], 2), 0);
     }
 }

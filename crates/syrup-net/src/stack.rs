@@ -1,13 +1,9 @@
 //! The per-packet cost model of the RX path.
 //!
-//! The discrete-event worlds charge these costs as latency (time in the
-//! kernel before the datagram is visible to the application) and as CPU
-//! occupancy (syscall work done by the worker thread per request). The
+//! The discrete-event worlds charge these costs as latency: time in the
+//! kernel before the datagram is visible to the application. The
 //! absolute values approximate a 2–2.3GHz Xeon running Linux 5.9 — the
-//! paper's set A/B machines — but the *figures'* conclusions depend on
-//! their relative ordering: the AF_XDP native path is cheaper than the
-//! generic path, which is cheaper than full protocol processing; an
-//! application-level inter-core hop costs more than a kernel redirect.
+//! paper's set A/B machines.
 
 use syrup_sim::Duration;
 
@@ -16,23 +12,12 @@ use syrup_sim::Duration;
 pub struct StackCosts {
     /// Interrupt delivery + driver RX descriptor processing.
     pub irq_and_driver: Duration,
-    /// SKB allocation (skipped on the zero-copy XDP_DRV path).
+    /// SKB allocation.
     pub skb_alloc: Duration,
-    /// IP + UDP protocol processing (skipped on AF_XDP paths).
+    /// IP + UDP protocol processing.
     pub protocol: Duration,
     /// Socket buffer enqueue plus thread wakeup.
     pub socket_deliver: Duration,
-    /// `recvmsg` + `sendmsg` syscall work charged to the worker thread
-    /// per request (CPU occupancy, not just latency).
-    pub syscall_per_request: Duration,
-    /// Handing a request between cores at the application layer (one hop
-    /// of MICA's software redirect: queue insert, cache-line bounce,
-    /// dequeue).
-    pub app_core_hop: Duration,
-    /// Copy + wakeup of the AF_XDP generic (XDP_SKB) path.
-    pub afxdp_generic: Duration,
-    /// Zero-copy AF_XDP native (XDP_DRV) delivery.
-    pub afxdp_native: Duration,
 }
 
 impl Default for StackCosts {
@@ -42,10 +27,6 @@ impl Default for StackCosts {
             skb_alloc: Duration::from_nanos(500),
             protocol: Duration::from_nanos(1_600),
             socket_deliver: Duration::from_nanos(1_000),
-            syscall_per_request: Duration::from_nanos(2_000),
-            app_core_hop: Duration::from_nanos(700),
-            afxdp_generic: Duration::from_nanos(1_400),
-            afxdp_native: Duration::from_nanos(500),
         }
     }
 }
@@ -55,17 +36,6 @@ impl StackCosts {
     pub fn standard_rx_latency(&self) -> Duration {
         self.irq_and_driver + self.skb_alloc + self.protocol + self.socket_deliver
     }
-
-    /// Wire → userspace latency via AF_XDP in native (XDP_DRV) mode.
-    pub fn afxdp_native_latency(&self) -> Duration {
-        self.irq_and_driver + self.afxdp_native
-    }
-
-    /// Wire → userspace latency via AF_XDP in generic (XDP_SKB) mode —
-    /// this is the mode the non-zero-copy Netronome NIC forces in §5.4.
-    pub fn afxdp_generic_latency(&self) -> Duration {
-        self.irq_and_driver + self.skb_alloc + self.afxdp_generic
-    }
 }
 
 #[cfg(test)]
@@ -73,19 +43,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn path_costs_are_ordered_as_in_the_paper() {
-        let c = StackCosts::default();
-        // Kernel-bypass-like AF_XDP native < generic < full protocol path.
-        assert!(c.afxdp_native_latency() < c.afxdp_generic_latency());
-        assert!(c.afxdp_generic_latency() < c.standard_rx_latency());
-    }
-
-    #[test]
     fn latencies_are_microsecond_scale() {
         let c = StackCosts::default();
         let std = c.standard_rx_latency().as_micros_f64();
         assert!((2.0..10.0).contains(&std), "standard path {std}us");
-        let native = c.afxdp_native_latency().as_micros_f64();
-        assert!((0.5..3.0).contains(&native), "native path {native}us");
     }
 }

@@ -42,5 +42,7 @@ pub use pressure::{
     gini, LatencySummary, PressureReport, QueuePressure, RankBandPressure, StarvationEvent,
     ThreadPressure,
 };
-pub use profiler::{HelperCost, Hotspot, ProfileReport, Profiler, ProgCycles, ThreadState, VmSpan};
-pub use slo::{AnomalyNote, BurnEvent, SloMonitor, SloRule, SloStatus};
+pub use profiler::{
+    HelperCost, Hotspot, ProfileReport, Profiler, ProgCycles, ThreadState, VmSpan, STARVATION_NS,
+};
+pub use slo::{AnomalyNote, BurnEvent, SloMonitor, SloRule, SloStatus, SLO_WINDOW};

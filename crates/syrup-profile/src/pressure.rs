@@ -2,7 +2,7 @@
 
 use serde::{Serialize, SerializeStruct, Serializer};
 
-use crate::profiler::{ProfState, ThreadState};
+use crate::profiler::{ProfState, ThreadState, STARVATION_NS};
 
 /// Per-queue depth accumulation for one component.
 #[derive(Debug, Default)]
@@ -23,6 +23,23 @@ impl QueueSeries {
             self.sum[q] += d as u64;
             self.max[q] = self.max[q].max(d as u64);
         }
+    }
+
+    /// Mean depth per queue over the series, and the largest depth any
+    /// queue reached.
+    fn mean_depths(&self) -> (Vec<f64>, u64) {
+        let means = self
+            .sum
+            .iter()
+            .map(|&s| {
+                if self.samples == 0 {
+                    0.0
+                } else {
+                    s as f64 / self.samples as f64
+                }
+            })
+            .collect();
+        (means, self.max.iter().copied().max().unwrap_or(0))
     }
 }
 
@@ -49,13 +66,9 @@ impl ThreadAgg {
 
     /// Accumulates the elapsed interval into the previous state and
     /// switches to `state`. Returns the runnable interval when it ends
-    /// in a dispatch (runnable → running) after exceeding `threshold`.
-    pub(crate) fn transition(
-        &mut self,
-        state: ThreadState,
-        now_ns: u64,
-        threshold: u64,
-    ) -> Option<u64> {
+    /// in a dispatch (runnable → running) after exceeding
+    /// [`STARVATION_NS`].
+    pub(crate) fn transition(&mut self, state: ThreadState, now_ns: u64) -> Option<u64> {
         let elapsed = now_ns.saturating_sub(self.since_ns);
         let was = self.state;
         match was {
@@ -65,7 +78,8 @@ impl ThreadAgg {
         }
         self.state = state;
         self.since_ns = now_ns;
-        if was == ThreadState::Runnable && state == ThreadState::Running && elapsed > threshold {
+        if was == ThreadState::Runnable && state == ThreadState::Running && elapsed > STARVATION_NS
+        {
             Some(elapsed)
         } else {
             None
@@ -259,17 +273,7 @@ pub(crate) fn build_report(st: &ProfState) -> PressureReport {
         .queues
         .iter()
         .map(|(component, series)| {
-            let mean_depths: Vec<f64> = series
-                .sum
-                .iter()
-                .map(|&s| {
-                    if series.samples == 0 {
-                        0.0
-                    } else {
-                        s as f64 / series.samples as f64
-                    }
-                })
-                .collect();
+            let (mean_depths, max_depth) = series.mean_depths();
             let overall = if mean_depths.is_empty() {
                 0.0
             } else {
@@ -280,7 +284,7 @@ pub(crate) fn build_report(st: &ProfState) -> PressureReport {
                 component: component.clone(),
                 queues: series.sum.len(),
                 samples: series.samples,
-                max_depth: series.max.iter().copied().max().unwrap_or(0),
+                max_depth,
                 max_mean_ratio: if overall > 0.0 {
                     hottest / overall
                 } else {
@@ -296,21 +300,11 @@ pub(crate) fn build_report(st: &ProfState) -> PressureReport {
         .rank_bands
         .iter()
         .map(|(component, series)| {
-            let mean_depths: Vec<f64> = series
-                .sum
-                .iter()
-                .map(|&s| {
-                    if series.samples == 0 {
-                        0.0
-                    } else {
-                        s as f64 / series.samples as f64
-                    }
-                })
-                .collect();
+            let (mean_depths, max_depth) = series.mean_depths();
             RankBandPressure {
                 component: component.clone(),
                 samples: series.samples,
-                max_depth: series.max.iter().copied().max().unwrap_or(0),
+                max_depth,
                 mean_depths,
             }
         })
@@ -386,14 +380,14 @@ mod tests {
     fn time_in_state_and_starvation() {
         use crate::ThreadState::{Blocked, Runnable, Running};
         let p = Profiler::new();
-        p.set_starvation_threshold(1_000);
-        // Thread 1: runnable 500ns (served fast), runs 2000ns, blocks.
+        // Thread 1: runnable exactly the threshold (not starved), runs
+        // 2000ns, blocks.
         p.thread_state(1, Runnable, 0);
-        p.thread_state(1, Running, 500);
-        p.thread_state(1, Blocked, 2_500);
-        // Thread 2: runnable 5000ns before dispatch — starved.
+        p.thread_state(1, Running, STARVATION_NS);
+        p.thread_state(1, Blocked, STARVATION_NS + 2_000);
+        // Thread 2: runnable 1ns past the threshold before dispatch — starved.
         p.thread_state(2, Runnable, 0);
-        p.thread_state(2, Running, 5_000);
+        p.thread_state(2, Running, STARVATION_NS + 1);
         p.sched_latency(500);
         p.sched_latency(1_500);
         let report = p.pressure();
@@ -401,14 +395,14 @@ mod tests {
         let t1 = &report.threads[0];
         assert_eq!(
             (t1.runnable_ns, t1.running_ns, t1.blocked_ns),
-            (500, 2_000, 0)
+            (STARVATION_NS, 2_000, 0)
         );
         assert!(!t1.starved);
         let t2 = &report.threads[1];
-        assert_eq!(t2.runnable_ns, 5_000);
+        assert_eq!(t2.runnable_ns, STARVATION_NS + 1);
         assert!(t2.starved);
         assert_eq!(report.starvation.len(), 1);
-        assert_eq!(report.starvation[0].runnable_ns, 5_000);
+        assert_eq!(report.starvation[0].runnable_ns, STARVATION_NS + 1);
         assert_eq!(report.sched_latency.samples, 2);
         assert!((report.sched_latency.mean_ns - 1_000.0).abs() < 1e-12);
         assert_eq!(report.sched_latency.max_ns, 1_500);
@@ -419,7 +413,6 @@ mod tests {
         use crate::ThreadState::{Runnable, Running};
         use syrup_blackbox::{EventKind, Layer, Recorder, TriggerCause};
         let p = Profiler::new();
-        p.set_starvation_threshold(1_000);
         let rec = Recorder::new();
         p.attach_blackbox(&rec);
         // Fast dispatch: no flag, recorder untouched.
@@ -428,12 +421,12 @@ mod tests {
         assert!(rec.events(Layer::Ghost).is_empty());
         // Starved dispatch: event recorded, starvation trigger fires.
         p.thread_state(2, Runnable, 0);
-        p.thread_state(2, Running, 5_000);
+        p.thread_state(2, Running, 5 * STARVATION_NS);
         let events = rec.events(Layer::Ghost);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::Starvation);
         assert_eq!(events[0].w0, 2);
-        assert_eq!(events[0].w1, 5_000);
+        assert_eq!(events[0].w1, 5 * STARVATION_NS);
         assert_eq!(rec.trigger().unwrap().cause, TriggerCause::Starvation);
     }
 

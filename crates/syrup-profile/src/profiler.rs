@@ -22,9 +22,9 @@ const DENSE_PCS: u32 = 4096;
 /// many samples, so a runaway loop buffers O(1) memory until it traps.
 const FOLD_SAMPLES: usize = 2048;
 
-/// Default starvation threshold: an executor runnable-but-unserved for
-/// longer than this (virtual ns) is flagged in the pressure report.
-const DEFAULT_STARVATION_NS: u64 = 1_000_000;
+/// Starvation threshold: an executor runnable-but-unserved for longer
+/// than this (virtual ns) is flagged in the pressure report.
+pub const STARVATION_NS: u64 = 1_000_000;
 
 /// Scheduler state of a profiled thread, for time-in-state accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,10 +96,8 @@ pub(crate) struct ProfState {
     pub(crate) threads: BTreeMap<u64, ThreadAgg>,
     /// Scheduling-latency samples: `(count, sum, max)`.
     pub(crate) sched_latency: (u64, u64, u64),
-    /// Starvation events (runnable beyond the threshold).
+    /// Starvation events (runnable beyond [`STARVATION_NS`]).
     pub(crate) starvation: Vec<crate::StarvationEvent>,
-    /// Runnable-interval length that counts as starvation.
-    pub(crate) starvation_threshold_ns: u64,
     /// Flight recorder mirror for starvation flags (disabled by default).
     pub(crate) recorder: syrup_blackbox::Recorder,
 }
@@ -162,15 +160,11 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// An enabled profiler with the default starvation threshold.
+    /// An enabled profiler.
     pub fn new() -> Self {
-        let state = ProfState {
-            starvation_threshold_ns: DEFAULT_STARVATION_NS,
-            ..ProfState::default()
-        };
         Profiler {
             inner: Some(Arc::new(Inner {
-                state: Mutex::new(state),
+                state: Mutex::new(ProfState::default()),
             })),
         }
     }
@@ -241,8 +235,8 @@ impl Profiler {
 
     /// Records a thread's transition into `state` at `now_ns`,
     /// accumulating the elapsed interval into the previous state's
-    /// bucket. A runnable→running transition longer than the starvation
-    /// threshold emits a [`crate::StarvationEvent`].
+    /// bucket. A runnable→running transition longer than
+    /// [`STARVATION_NS`] emits a [`crate::StarvationEvent`].
     #[inline]
     pub fn thread_state(&self, tid: u64, state: ThreadState, now_ns: u64) {
         let Some(inner) = &self.inner else { return };
@@ -252,12 +246,11 @@ impl Profiler {
     #[cold]
     fn thread_state_slow(inner: &Inner, tid: u64, state: ThreadState, now_ns: u64) {
         let mut st = inner.state.lock();
-        let threshold = st.starvation_threshold_ns;
         let agg = st
             .threads
             .entry(tid)
             .or_insert_with(|| ThreadAgg::new(state, now_ns));
-        if let Some(runnable_ns) = agg.transition(state, now_ns, threshold) {
+        if let Some(runnable_ns) = agg.transition(state, now_ns) {
             st.starvation.push(crate::StarvationEvent {
                 tid,
                 runnable_ns,
@@ -281,13 +274,6 @@ impl Profiler {
         st.sched_latency.0 += 1;
         st.sched_latency.1 += ns;
         st.sched_latency.2 = st.sched_latency.2.max(ns);
-    }
-
-    /// Overrides the runnable-interval length flagged as starvation.
-    pub fn set_starvation_threshold(&self, ns: u64) {
-        if let Some(inner) = &self.inner {
-            inner.state.lock().starvation_threshold_ns = ns;
-        }
     }
 
     /// Mirrors starvation flags into the flight recorder, arming its

@@ -16,18 +16,18 @@ pub struct SloRule {
     pub quantile: f64,
     /// Burn when the tracked quantile exceeds this value.
     pub threshold: u64,
-    /// Sliding-window length, in observations.
-    pub window: usize,
 }
 
+/// Sliding-window length of every rule, in observations.
+pub const SLO_WINDOW: usize = 16;
+
 impl SloRule {
-    /// A rule with the default 16-observation window.
+    /// A rule over [`SLO_WINDOW`] observations.
     pub fn new(metric: impl Into<String>, quantile: f64, threshold: u64) -> Self {
         SloRule {
             metric: metric.into(),
             quantile,
             threshold,
-            window: 16,
         }
     }
 }
@@ -191,7 +191,7 @@ impl SloMonitor {
             }
             let value = hist.quantile(rs.rule.quantile);
             rs.recent.push_back(value);
-            while rs.recent.len() > rs.rule.window.max(1) {
+            while rs.recent.len() > SLO_WINDOW {
                 rs.recent.pop_front();
             }
             if value > rs.rule.threshold {
@@ -301,19 +301,15 @@ mod tests {
 
     #[test]
     fn window_slides() {
-        let mut mon = SloMonitor::new().with_rule(SloRule {
-            metric: "m".into(),
-            quantile: 0.5,
-            threshold: u64::MAX,
-            window: 2,
-        });
-        for v in [10u64, 20, 30] {
+        let mut mon = SloMonitor::new().with_rule(SloRule::new("m", 0.5, u64::MAX));
+        // One observation past the window: the first value leaves it.
+        for v in 1..=SLO_WINDOW as u64 + 1 {
             mon.observe(0, &snapshot_with("m", &[v]));
         }
         let status = &mon.statuses()[0];
-        // Window of 2 keeps the last two medians (~20, ~30).
-        assert_eq!(status.value, Some(30));
-        assert!(status.windowed_mean > 20.0 && status.windowed_mean <= 30.0);
+        assert_eq!(status.value, Some(SLO_WINDOW as u64 + 1));
+        // The mean of 2 ..= 17, not of 1 ..= 17.
+        assert_eq!(status.windowed_mean, 9.5);
     }
 
     #[test]

@@ -18,39 +18,25 @@
 //! fires the armed [`syrup_blackbox::TriggerCause::Anomaly`] trigger,
 //! freezing a postmortem that contains its own cause), and the SLO
 //! monitor (`SloMonitor::note_anomaly`, fed by the caller).
+//!
+//! The tuning fires on a ≥6σ-equivalent deviation after 8 baseline
+//! samples — deliberately conservative so ordinary workload jitter stays
+//! quiet.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use serde::{Serialize, SerializeStruct, Serializer};
 use syrup_blackbox::Recorder;
-use syrup_telemetry::SnapshotDelta;
 
-/// Detector tuning. The defaults fire on a ≥6σ-equivalent deviation
-/// after 8 baseline samples — deliberately conservative so ordinary
-/// workload jitter stays quiet.
-#[derive(Debug, Clone, Copy)]
-pub struct AnomalyCfg {
-    /// Baseline window length (recent non-anomalous values kept).
-    pub window: usize,
-    /// Minimum baseline samples before the detector may fire.
-    pub min_samples: usize,
-    /// |z| at or above which an observation is anomalous.
-    pub z_threshold: f64,
-    /// EWMA smoothing factor in (0, 1]; higher tracks faster.
-    pub ewma_alpha: f64,
-}
-
-impl Default for AnomalyCfg {
-    fn default() -> Self {
-        AnomalyCfg {
-            window: 32,
-            min_samples: 8,
-            z_threshold: 6.0,
-            ewma_alpha: 0.3,
-        }
-    }
-}
+/// Baseline window length (recent non-anomalous values kept).
+const WINDOW: usize = 32;
+/// Minimum baseline samples before a detector may fire.
+const MIN_SAMPLES: usize = 8;
+/// EWMA smoothing factor in (0, 1]; higher tracks faster.
+const EWMA_ALPHA: f64 = 0.3;
+/// |z| at or above which an observation is anomalous.
+pub const ANOMALY_Z_THRESHOLD: f64 = 6.0;
 
 /// One structured anomaly: the observation, the robust baseline it
 /// broke from, and the score.
@@ -87,21 +73,16 @@ impl Serialize for AnomalyEvent {
 }
 
 /// Rolling robust state for one series.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SeriesDetector {
-    cfg: AnomalyCfg,
     window: VecDeque<f64>,
     ewma: Option<f64>,
 }
 
 impl SeriesDetector {
     /// A fresh detector.
-    pub fn new(cfg: AnomalyCfg) -> Self {
-        SeriesDetector {
-            cfg,
-            window: VecDeque::with_capacity(cfg.window),
-            ewma: None,
-        }
+    pub fn new() -> Self {
+        SeriesDetector::default()
     }
 
     /// Scores `value`; returns `(z, median, mad, ewma)` when it is
@@ -109,12 +90,12 @@ impl SeriesDetector {
     /// window; anomalous ones only update the EWMA.
     pub fn observe(&mut self, value: f64) -> Option<(f64, f64, f64, f64)> {
         let ewma = match self.ewma {
-            Some(prev) => prev + self.cfg.ewma_alpha * (value - prev),
+            Some(prev) => prev + EWMA_ALPHA * (value - prev),
             None => value,
         };
         self.ewma = Some(ewma);
 
-        let verdict = if self.window.len() >= self.cfg.min_samples {
+        let verdict = if self.window.len() >= MIN_SAMPLES {
             let mut sorted: Vec<f64> = self.window.iter().copied().collect();
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
             let median = percentile50(&sorted);
@@ -131,7 +112,7 @@ impl SeriesDetector {
                 (median.abs() * 0.05).max(1.0)
             };
             let z = (value - median) / denom;
-            (z.abs() >= self.cfg.z_threshold).then_some((z, median, mad))
+            (z.abs() >= ANOMALY_Z_THRESHOLD).then_some((z, median, mad))
         } else {
             None
         };
@@ -139,7 +120,7 @@ impl SeriesDetector {
         match verdict {
             Some((z, median, mad)) => Some((z, median, mad, ewma)),
             None => {
-                if self.window.len() == self.cfg.window {
+                if self.window.len() == WINDOW {
                     self.window.pop_front();
                 }
                 self.window.push_back(value);
@@ -169,9 +150,8 @@ fn percentile50(sorted: &[f64]) -> f64 {
 
 /// Per-series anomaly detection over a stream of observations, with
 /// optional blackbox wiring.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AnomalyEngine {
-    cfg: AnomalyCfg,
     detectors: BTreeMap<String, SeriesDetector>,
     /// Stable small ids for blackbox events: registration order.
     ids: BTreeMap<String, u16>,
@@ -180,15 +160,9 @@ pub struct AnomalyEngine {
 }
 
 impl AnomalyEngine {
-    /// An engine with the given tuning and no blackbox attached.
-    pub fn new(cfg: AnomalyCfg) -> Self {
-        AnomalyEngine {
-            cfg,
-            detectors: BTreeMap::new(),
-            ids: BTreeMap::new(),
-            recorder: Recorder::disabled(),
-            fired: 0,
-        }
+    /// An engine with no blackbox attached.
+    pub fn new() -> Self {
+        AnomalyEngine::default()
     }
 
     /// Wires detections into the flight recorder: every anomaly records
@@ -208,11 +182,7 @@ impl AnomalyEngine {
     pub fn observe(&mut self, series: &str, at_ns: u64, value: f64) -> Option<AnomalyEvent> {
         let next_id = self.ids.len().min(u16::MAX as usize) as u16;
         let id = *self.ids.entry(series.to_string()).or_insert(next_id);
-        let cfg = self.cfg;
-        let det = self
-            .detectors
-            .entry(series.to_string())
-            .or_insert_with(|| SeriesDetector::new(cfg));
+        let det = self.detectors.entry(series.to_string()).or_default();
         let (z, median, mad, ewma) = det.observe(value)?;
         self.fired += 1;
         self.recorder.anomaly(
@@ -233,22 +203,6 @@ impl AnomalyEngine {
             ewma,
         })
     }
-
-    /// Scores every moving counter in a registry delta (the natural
-    /// feed from [`crate::Sampler::tick`]). Returns all anomalies found.
-    pub fn observe_delta(&mut self, at_ns: u64, delta: &SnapshotDelta) -> Vec<AnomalyEvent> {
-        // BTreeMap iteration order makes multi-series scoring
-        // deterministic — required for "exactly one anomaly" CI gates.
-        let names: Vec<(String, u64)> = delta
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        names
-            .into_iter()
-            .filter_map(|(name, diff)| self.observe(&name, at_ns, diff as f64))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +220,7 @@ mod tests {
 
     #[test]
     fn steady_series_stays_quiet() {
-        let mut engine = AnomalyEngine::new(AnomalyCfg::default());
+        let mut engine = AnomalyEngine::new();
         let values: Vec<f64> = (0..64).map(|i| 100.0 + f64::from(i % 7)).collect();
         assert!(feed(&mut engine, "s", &values).is_empty());
         assert_eq!(engine.fired(), 0);
@@ -274,7 +228,7 @@ mod tests {
 
     #[test]
     fn spike_fires_exactly_once_and_carries_scores() {
-        let mut engine = AnomalyEngine::new(AnomalyCfg::default());
+        let mut engine = AnomalyEngine::new();
         let mut values: Vec<f64> = (0..16).map(|i| 100.0 + f64::from(i % 5)).collect();
         values.push(5_000.0); // the spike
         values.extend((0..8).map(|i| 100.0 + f64::from(i % 5)));
@@ -283,7 +237,7 @@ mod tests {
         let e = &events[0];
         assert_eq!(e.series, "shard1/events");
         assert_eq!(e.value, 5_000.0);
-        assert!(e.z > 6.0, "z={}", e.z);
+        assert!(e.z > ANOMALY_Z_THRESHOLD, "z={}", e.z);
         assert!((e.median - 102.0).abs() < 3.0, "median={}", e.median);
     }
 
@@ -291,7 +245,7 @@ mod tests {
     fn sustained_excursion_keeps_firing() {
         // The spike must not poison its own baseline: a level shift
         // fires on every sample, it does not become the new normal.
-        let mut engine = AnomalyEngine::new(AnomalyCfg::default());
+        let mut engine = AnomalyEngine::new();
         let mut values: Vec<f64> = vec![50.0; 16];
         values.extend(std::iter::repeat_n(9_000.0, 5));
         let events = feed(&mut engine, "s", &values);
@@ -300,7 +254,7 @@ mod tests {
 
     #[test]
     fn flat_window_tolerates_small_jitter() {
-        let mut engine = AnomalyEngine::new(AnomalyCfg::default());
+        let mut engine = AnomalyEngine::new();
         let mut values: Vec<f64> = vec![100.0; 16]; // MAD = 0
         values.push(103.0); // within the 5%-of-median fallback scale
         assert!(feed(&mut engine, "s", &values).is_empty());
@@ -308,15 +262,17 @@ mod tests {
 
     #[test]
     fn too_few_samples_never_fire() {
-        let mut engine = AnomalyEngine::new(AnomalyCfg::default());
-        let events = feed(&mut engine, "s", &[1.0, 2.0, 1_000_000.0]);
-        assert!(events.is_empty());
+        // One short of the baseline minimum: even a huge value is quiet.
+        let mut engine = AnomalyEngine::new();
+        let mut values: Vec<f64> = (0..MIN_SAMPLES - 1).map(|i| i as f64).collect();
+        values.push(1_000_000.0);
+        assert!(feed(&mut engine, "s", &values).is_empty());
     }
 
     #[test]
     fn anomaly_triggers_blackbox_freeze_with_own_cause() {
         let recorder = Recorder::new();
-        let mut engine = AnomalyEngine::new(AnomalyCfg::default());
+        let mut engine = AnomalyEngine::new();
         engine.attach_blackbox(&recorder);
         let mut values: Vec<f64> = (0..12).map(|i| 200.0 + f64::from(i % 3)).collect();
         values.push(50_000.0);
@@ -334,26 +290,8 @@ mod tests {
     }
 
     #[test]
-    fn observe_delta_scores_moving_counters() {
-        let mut engine = AnomalyEngine::new(AnomalyCfg::default());
-        let reg = syrup_telemetry::Registry::new();
-        let c = reg.counter("sim/events");
-        let mut prev = reg.snapshot();
-        let mut all = Vec::new();
-        for tick in 0..20u64 {
-            c.add(if tick == 15 { 100_000 } else { 500 });
-            let snap = reg.snapshot();
-            all.extend(engine.observe_delta(tick * 1_000, &snap.delta(&prev)));
-            prev = snap;
-        }
-        assert_eq!(all.len(), 1, "{all:?}");
-        assert_eq!(all[0].series, "sim/events");
-        assert_eq!(all[0].at_ns, 15_000);
-    }
-
-    #[test]
     fn events_serialize() {
-        let mut engine = AnomalyEngine::new(AnomalyCfg::default());
+        let mut engine = AnomalyEngine::new();
         let mut values: Vec<f64> = vec![10.0; 12];
         values.push(99_999.0);
         let events = feed(&mut engine, "a/b", &values);

@@ -41,7 +41,7 @@ mod openmetrics;
 mod sampler;
 mod store;
 
-pub use anomaly::{AnomalyCfg, AnomalyEngine, AnomalyEvent, SeriesDetector};
+pub use anomaly::{AnomalyEngine, AnomalyEvent, SeriesDetector, ANOMALY_Z_THRESHOLD};
 pub use ingest::{ingest_windows, WindowsSummary};
 pub use openmetrics::{check_exposition, openmetrics, sanitize};
 pub use sampler::{Sampler, DEFAULT_SAMPLE_EVERY_NS};

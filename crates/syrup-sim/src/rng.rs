@@ -26,13 +26,6 @@ impl SimRng {
         }
     }
 
-    /// Derives an independent child generator, e.g. one per component, so
-    /// adding draws to one component does not perturb another.
-    pub fn fork(&mut self, label: u64) -> SimRng {
-        let base: u64 = self.inner.gen();
-        SimRng::new(base ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Uniform sample from `range`.
     pub fn gen_range<T, R>(&mut self, range: R) -> T
     where
@@ -40,11 +33,6 @@ impl SimRng {
         R: SampleRange<T>,
     {
         self.inner.gen_range(range)
-    }
-
-    /// A uniformly random `u32`, mirroring the `bpf_get_prandom_u32` helper.
-    pub fn prandom_u32(&mut self) -> u32 {
-        self.inner.gen()
     }
 
     /// A uniformly random `u64`.
@@ -107,20 +95,6 @@ mod tests {
         let mut b = SimRng::new(2);
         let same = (0..64).filter(|_| a.gen_u64() == b.gen_u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut parent1 = SimRng::new(7);
-        let mut parent2 = SimRng::new(7);
-        let mut c1 = parent1.fork(3);
-        let mut c2 = parent2.fork(3);
-        assert_eq!(c1.gen_u64(), c2.gen_u64());
-
-        // A child with a different label produces a different stream.
-        let mut parent3 = SimRng::new(7);
-        let mut c3 = parent3.fork(4);
-        assert_ne!(c1.gen_u64(), c3.gen_u64());
     }
 
     #[test]

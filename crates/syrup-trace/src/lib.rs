@@ -36,4 +36,4 @@ pub use report::{StageBreakdown, StageStats};
 pub use span::{chrome_trace_json, SpanKind, SpanRecord};
 pub use stage::Stage;
 pub use timeline::{reconstruct, Timeline, TimelineError};
-pub use tracer::{TraceConfig, TraceCtx, TraceId, Tracer};
+pub use tracer::{TraceCtx, TraceId, Tracer, TRACE_CAPACITY};

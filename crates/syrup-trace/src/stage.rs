@@ -127,18 +127,6 @@ impl Stage {
             _ => Stage::VmExec,
         }
     }
-
-    /// Whether records at this stage are always instants (no duration).
-    pub fn is_instant(self) -> bool {
-        matches!(
-            self,
-            Stage::Ingress
-                | Stage::NicSteer
-                | Stage::GhostPreempt
-                | Stage::PolicyLifecycle
-                | Stage::End
-        )
-    }
 }
 
 impl fmt::Display for Stage {

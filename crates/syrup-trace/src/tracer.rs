@@ -46,25 +46,9 @@ impl TraceCtx {
     }
 }
 
-/// Tracer configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceConfig {
-    /// Trace one in `sample_every` ingresses (1 = every input). 0 is
-    /// clamped to 1.
-    pub sample_every: u64,
-    /// Buffered-record bound; past it new records are dropped and
-    /// counted, like a full eBPF ringbuf reservation.
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            sample_every: 1,
-            capacity: 1 << 16,
-        }
-    }
-}
+/// Buffered-record bound; past it new records are dropped and counted,
+/// like a full eBPF ringbuf reservation.
+pub const TRACE_CAPACITY: usize = 1 << 16;
 
 #[derive(Debug)]
 struct Inner {
@@ -84,20 +68,21 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// An enabled tracer with default config (sample every input).
+    /// An enabled tracer that traces every input.
     pub fn new() -> Self {
-        Self::with_config(TraceConfig::default())
+        Self::sampled(1)
     }
 
-    /// An enabled tracer with explicit sampling/capacity.
-    pub fn with_config(cfg: TraceConfig) -> Self {
+    /// An enabled tracer that traces one in `every` ingresses (0 is
+    /// clamped to 1).
+    pub fn sampled(every: u64) -> Self {
         Tracer {
             inner: Some(Arc::new(Inner {
-                sample_every: cfg.sample_every.max(1),
+                sample_every: every.max(1),
                 next_id: AtomicU64::new(1),
                 ingress_seen: AtomicU64::new(0),
                 started: AtomicU64::new(0),
-                records: BoundedRing::new(cfg.capacity),
+                records: BoundedRing::new(TRACE_CAPACITY),
             })),
         }
     }
@@ -323,10 +308,7 @@ mod tests {
 
     #[test]
     fn sampling_traces_one_in_n() {
-        let t = Tracer::with_config(TraceConfig {
-            sample_every: 4,
-            capacity: 1024,
-        });
+        let t = Tracer::sampled(4);
         let traced: Vec<bool> = (0..12).map(|i| t.ingress(i).is_traced()).collect();
         assert_eq!(traced.iter().filter(|&&b| b).count(), 3);
         // Deterministic: every 4th ingress starting with the first.
@@ -336,10 +318,7 @@ mod tests {
 
     #[test]
     fn spans_record_for_traced_inputs_only() {
-        let t = Tracer::with_config(TraceConfig {
-            sample_every: 2,
-            capacity: 1024,
-        });
+        let t = Tracer::sampled(2);
         let a = t.ingress(0); // traced
         let b = t.ingress(1); // unsampled
         t.span(a, Stage::StackRx, 0, 100);
@@ -355,16 +334,17 @@ mod tests {
 
     #[test]
     fn capacity_overflow_drops_and_counts() {
-        let t = Tracer::with_config(TraceConfig {
-            sample_every: 1,
-            capacity: 2,
-        });
-        let ctx = t.ingress(0); // 1 record
-        t.span(ctx, Stage::Run, 0, 10); // 2 records
-        t.span(ctx, Stage::End, 10, 10); // dropped
-        t.finish(ctx, 20); // dropped
+        let t = Tracer::new();
+        let ctx = t.ingress(0); // record 1
+        for i in 1..TRACE_CAPACITY as u64 {
+            t.span(ctx, Stage::Run, i, i); // records 2 ..= TRACE_CAPACITY
+        }
+        assert_eq!(t.records_dropped(), 0);
+        t.span(ctx, Stage::End, 10, 10); // record 65 537: refused
+        assert_eq!(t.records_dropped(), 1);
+        t.finish(ctx, 20); // refused
         assert_eq!(t.records_dropped(), 2);
-        assert_eq!(t.drain().len(), 2);
+        assert_eq!(t.drain().len(), TRACE_CAPACITY);
         // Drain frees capacity.
         t.span(ctx, Stage::Run, 20, 30);
         assert_eq!(t.peek().len(), 1);
@@ -394,10 +374,7 @@ mod tests {
 
     #[test]
     fn global_instants_do_not_need_a_trace() {
-        let t = Tracer::with_config(TraceConfig {
-            sample_every: 1_000_000,
-            capacity: 16,
-        });
+        let t = Tracer::sampled(1_000_000);
         t.global_instant(Stage::PolicyLifecycle, 0, 42);
         let records = t.drain();
         assert_eq!(records.len(), 1);

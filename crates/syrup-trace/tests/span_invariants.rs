@@ -10,7 +10,7 @@
 //! driver abandoned.
 
 use proptest::prelude::*;
-use syrup_trace::{reconstruct, Stage, TimelineError, TraceConfig, TraceCtx, Tracer};
+use syrup_trace::{reconstruct, Stage, TimelineError, TraceCtx, Tracer};
 
 /// The stage sequence a simulated request walks, in stack order.
 const PIPELINE: [Stage; 7] = [
@@ -138,10 +138,7 @@ proptest! {
     /// and every sampled trace is still valid and closed.
     #[test]
     fn sampling_traces_exactly_one_in_n(n in 1u64..500, s in 1u64..16) {
-        let tracer = Tracer::with_config(TraceConfig {
-            sample_every: s,
-            capacity: 1 << 16,
-        });
+        let tracer = Tracer::sampled(s);
         let mut traced = 0u64;
         for i in 0..n {
             let ctx = tracer.ingress(i * 10);

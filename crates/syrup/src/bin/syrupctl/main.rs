@@ -50,10 +50,10 @@
 //!   (EWMA+MAD detectors over per-shard throughput), and the ranked
 //!   quickstart's rank-band queue pressure. `--json` emits one JSON
 //!   object per frame, then a summary object.
-//! * `trace record [--requests N] [--sample N] [--export PATH]` — trace
-//!   the scenario, print a summary, optionally write Chrome-trace/Perfetto
-//!   JSON (load it at <https://ui.perfetto.dev>).
-//! * `trace report [--requests N] [--json]` — per-stage latency breakdown
+//! * `trace record [--requests N] [--sample N] [--export PATH] [--ranked]` —
+//!   trace the scenario, print a summary, optionally write
+//!   Chrome-trace/Perfetto JSON (load it at <https://ui.perfetto.dev>).
+//! * `trace report [--requests N] [--json] [--ranked]` — per-stage latency breakdown
 //!   (count, mean, p50/p99/p99.9 per stage, end-to-end percentiles).
 //! * `trace export <PATH>` — shorthand for `trace record --export PATH`.
 //! * `trace validate <PATH>` — check an exported file parses and holds at
@@ -169,8 +169,8 @@ fn usage() -> String {
          \x20 map get PATH KEY\n\
          \x20 metrics [--json|--openmetrics] [--shards N]\n\
          \x20 top [--flows N] [--shards N] [--frames N] [--seed N] [--json]\n\
-         \x20 trace record [--scenario quickstart] [--requests N] [--sample N] [--export PATH]\n\
-         \x20 trace report [--requests N] [--json]\n\
+         \x20 trace record [--scenario quickstart] [--requests N] [--sample N] [--export PATH] [--ranked]\n\
+         \x20 trace report [--requests N] [--json] [--ranked]\n\
          \x20 trace export PATH\n\
          \x20 trace validate PATH\n\
          \x20 profile record [--requests N] [--flame-out PATH]\n\

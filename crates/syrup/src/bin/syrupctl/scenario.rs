@@ -5,7 +5,7 @@ use syrup::apps::quickstart::{self, Quickstart};
 use syrup::blackbox::Recorder;
 use syrup::core::Syrupd;
 use syrup::profile::Profiler;
-use syrup::trace::{TraceConfig, Tracer};
+use syrup::trace::Tracer;
 
 use crate::args::{flag_value, has_flag, num_flag, positive_flag};
 
@@ -23,7 +23,7 @@ pub struct Scenario {
     pub profiler: Profiler,
     pub recorder: Recorder,
     pub requests: usize,
-    pub ranked: bool,
+    ranked: bool,
     shards: usize,
 }
 
@@ -44,10 +44,7 @@ impl Scenario {
             }
         }
         let requests = num_flag(args, "--requests", quickstart::DEFAULT_REQUESTS)?;
-        let trace_config = TraceConfig {
-            sample_every: num_flag(args, "--sample", 1)?,
-            ..TraceConfig::default()
-        };
+        let sample_every = num_flag(args, "--sample", 1)?;
         let mut scenario = Scenario {
             tracer: Tracer::disabled(),
             profiler: Profiler::disabled(),
@@ -58,7 +55,7 @@ impl Scenario {
         };
         for sink in sinks {
             match sink {
-                Sink::Tracer => scenario.tracer = Tracer::with_config(trace_config),
+                Sink::Tracer => scenario.tracer = Tracer::sampled(sample_every),
                 Sink::Profiler => scenario.profiler = Profiler::new(),
                 Sink::Recorder => scenario.recorder = Recorder::new(),
             }

@@ -1,6 +1,6 @@
 //! `top`: a dashboard over a sharded scale run.
 
-use syrup::scope::{ingest_windows, AnomalyCfg, AnomalyEngine, Scope};
+use syrup::scope::{ingest_windows, AnomalyEngine, Scope};
 use syrup::sim::{scale, ScaleCfg, ScaleEngine};
 
 use crate::args::{has_flag, json_array, num_flag, to_json};
@@ -46,7 +46,7 @@ pub fn top(args: &[String]) -> Result<(), String> {
     // Single windows hold a handful of events each, so adjacent windows
     // are summed into coarser buckets first — the detectors should flag
     // sustained throughput excursions, not per-window burstiness.
-    let mut engine = AnomalyEngine::new(AnomalyCfg::default());
+    let mut engine = AnomalyEngine::new();
     let mut anomalies = Vec::new();
     let nwindows = summary.windows as usize;
     let bucket = (nwindows / 256).max(1);

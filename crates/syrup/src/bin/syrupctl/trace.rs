@@ -9,12 +9,10 @@ use syrup::trace::{chrome_trace_json, StageBreakdown};
 use crate::args::{array_at, flag_value, has_flag, read_json, str_at, to_json, u64_at, write_file};
 use crate::scenario::{Scenario, Sink};
 
-/// Runs the traced scenario. `--ranked` is not one of the trace family's
-/// flags: it has only ever traced the plain variant, and still does.
+/// Runs the traced scenario (`--ranked` traces the rank-extension
+/// variant, as it selects it for every other scenario subcommand).
 fn traced(args: &[String]) -> Result<Quickstart, String> {
-    let mut scenario = Scenario::parse(args, &[Sink::Tracer])?;
-    scenario.ranked = false;
-    Ok(scenario.run(&mut |_, _, _| {}))
+    Ok(Scenario::parse(args, &[Sink::Tracer])?.run(&mut |_, _, _| {}))
 }
 
 pub fn record(args: &[String]) -> Result<(), String> {

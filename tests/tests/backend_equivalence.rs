@@ -4,7 +4,6 @@
 //! modelled cycle totals), same packet bytes, same final map state, and
 //! for the end-to-end quickstart the same completions and span records.
 
-use syrup::ebpf::cycles::CycleModel;
 use syrup::ebpf::maps::{MapEntries, MapId, MapRegistry};
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
 use syrup::policies::corpus;
@@ -181,7 +180,7 @@ fn corpus_policies_decode_reencode_round_trip() {
         let maps = MapRegistry::new();
         let compiled = syrup::lang::compile(entry.source, &entry.opts, &maps)
             .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.name));
-        let decoded = syrup::ebpf::decode(&compiled.program, &CycleModel::default());
+        let decoded = syrup::ebpf::decode(&compiled.program);
         assert_eq!(
             decoded.reencode(),
             compiled.program.insns,

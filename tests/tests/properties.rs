@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use syrup::core::{Decision, Verdict};
-use syrup::ebpf::cycles::CycleModel;
 use syrup::ebpf::maps::{MapDef, MapRegistry, UpdateFlag};
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
 use syrup::ebpf::{ret, verify, Asm, Reg};
@@ -123,7 +122,7 @@ proptest! {
     fn toeplitz_matches_reference(src in any::<u32>(), dst in any::<u32>(),
                                   sport in any::<u16>(), dport in any::<u16>()) {
         let flow = FiveTuple { src_ip: src, dst_ip: dst, src_port: sport, dst_port: dport };
-        let fast = Toeplitz::default().hash_v4(&flow);
+        let fast = Toeplitz.hash_v4(&flow);
 
         // Reference: key as a big bit vector, XOR 32-bit windows.
         let key = syrup::net::rss::DEFAULT_KEY;
@@ -227,7 +226,7 @@ proptest! {
             .build("roundtrip");
         let Ok(prog) = prog else { return Ok(()); };
 
-        let decoded = syrup::ebpf::decode(&prog, &CycleModel::default());
+        let decoded = syrup::ebpf::decode(&prog);
         prop_assert_eq!(decoded.reencode(), prog.insns);
     }
 

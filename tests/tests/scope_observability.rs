@@ -4,7 +4,7 @@
 //! postmortem path.
 
 use syrup::blackbox::{EventKind, Layer, Recorder};
-use syrup::scope::{ingest_windows, AnomalyCfg, AnomalyEngine, Sampler, Scope};
+use syrup::scope::{ingest_windows, AnomalyEngine, Sampler, Scope, ANOMALY_Z_THRESHOLD};
 use syrup::sim::scale::{ScaleCfg, ScaleEngine};
 use syrup::telemetry::{Registry, Snapshot};
 
@@ -178,7 +178,7 @@ fn injected_spike_fires_one_anomaly_and_freezes_blackbox() {
     let scope = Scope::new();
     let mut sampler = Sampler::new(scope.clone(), "", 1_000);
     let recorder = Recorder::new();
-    let mut engine = AnomalyEngine::new(AnomalyCfg::default());
+    let mut engine = AnomalyEngine::new();
     engine.attach_blackbox(&recorder);
 
     let mut events = Vec::new();
@@ -187,14 +187,16 @@ fn injected_spike_fires_one_anomaly_and_freezes_blackbox() {
         counter.add(if tick == 30 { 400 } else { 10 });
         let now = tick * 1_000;
         if let Some(delta) = sampler.tick(now, &registry) {
-            events.extend(engine.observe_delta(now, &delta));
+            for (name, &diff) in &delta.counters {
+                events.extend(engine.observe(name, now, diff as f64));
+            }
         }
     }
 
     assert_eq!(events.len(), 1, "expected exactly one anomaly: {events:?}");
     assert_eq!(events[0].series, "app/requests");
     assert_eq!(events[0].at_ns, 30_000);
-    assert!(events[0].z.abs() >= AnomalyCfg::default().z_threshold);
+    assert!(events[0].z.abs() >= ANOMALY_Z_THRESHOLD);
 
     assert!(recorder.frozen(), "anomaly did not freeze the rings");
     let pm = recorder.capture();
