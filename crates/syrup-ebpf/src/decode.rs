@@ -1,156 +1,221 @@
-//! Pre-decoding of loaded programs into a dense fast-dispatch form.
+//! Lowering of verified programs into the specialised form the default
+//! engine (`fast.rs`) runs.
 //!
-//! [`decode`] lowers a [`Program`]'s typed instruction stream into the flat
-//! representation the fast engine (`fast.rs`) executes, hoisting the
-//! interpreter's per-instruction bookkeeping to load time:
+//! `decode` reads the verifier's [`Facts`] and moves to load time
+//! everything the interpreter decides again on every step:
 //!
-//! * ALU and branch operands are split into immediate and register forms,
-//!   so the hot loop never matches on [`Operand`];
-//! * `mov` is split from the other ALU ops (it never reads `dst`);
-//! * branch targets are precomputed as absolute pcs (with a sentinel for
-//!   targets outside the program, which — like the interpreter — only
-//!   trap when the branch is actually *taken*);
-//! * per-instruction cycle costs are tabled once from [`crate::cycles`];
-//! * map-fd operands are resolved to tokens (the handles themselves are
-//!   cached once per VM, at load, for both engines).
+//! * each memory step names its region — `LdxData`/`LdxDataEnd`/
+//!   `LdxMeta` for the context fields, `LdxPacket`, `LdxStack`,
+//!   `LdxMapValue { map }`, and stores on a `Place` — so the engine never
+//!   matches a pointer tag;
+//! * every map the program names is bound into the program, as the
+//!   kernel's `used_maps`, so a map step indexes a slice instead of
+//!   resolving a token;
+//! * `map_lookup_elem` with a stack key on one known map becomes a single
+//!   step, and so does each helper that takes no argument; rarer helpers
+//!   keep the argument kinds the verifier proved, so the engine can hand
+//!   `mem.rs` the values it expects;
+//! * the program is split into basic blocks, each opened by a `Charge`
+//!   step carrying the block's `(insns, cycles)`; a block ends at a
+//!   branch, a jump, an `exit` or a tail call, so the account is exact
+//!   wherever a run can leave the program;
+//! * immediates are widened and `mov` is split from the other ALU ops.
 //!
-//! The lowering is invertible: [`DecodedProg::reencode`] reconstructs the
-//! exact original instruction stream, which the proptest suite uses to
-//! check the round-trip and which pins the claim that decoding loses no
-//! semantic information.
+//! A program `decode` cannot specialise — a memory step or helper
+//! argument that sees two regions, a tail call whose surviving registers
+//! differ in kind across paths, or a pointer beyond
+//! [`crate::verifier::MAX_PTR_OFF`] — gets no decoded form and runs on the
+//! interpreter.
 
 use crate::cycles::insn_cost;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
-use crate::mem::{map_fd_token, map_from_token};
+use crate::maps::{MapId, MapRef, MapRegistry};
+use crate::mem::map_fd_token;
+use crate::verifier::{Facts, Kind};
+use crate::vm::ctx_off;
 use crate::Program;
 
-/// Sentinel branch target for a jump that leaves the program. Taking it
-/// traps with [`crate::VmError::PcOutOfRange`], exactly when the
-/// interpreter would.
-pub(crate) const BAD_TARGET: u32 = u32::MAX;
+/// What a map-value pointer's word keeps below the slot: its offset plus
+/// this bias, so NULL (0) never collides with a live pointer.
+const BIAS: i64 = 1 << 31;
 
-/// One pre-decoded instruction: operands resolved, targets absolute.
-///
-/// Branches keep their original relative `off` alongside the precomputed
-/// `target` so [`DecodedProg::reencode`] is exact.
+/// The register word of a pointer to byte `off` of value `slot`; `off` is
+/// within [`crate::verifier::MAX_PTR_OFF`].
+pub(crate) fn pack(slot: u32, off: i64) -> u64 {
+    (u64::from(slot) << 32) | u64::from(off.wrapping_add(BIAS) as u32)
+}
+
+/// The `(slot, off)` a map-value word points at.
+pub(crate) fn unpack(word: u64) -> (u32, i64) {
+    ((word >> 32) as u32, i64::from(word as u32) - BIAS)
+}
+
+/// The region a store or atomic writes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum FastInsn {
-    /// `dst = imm` (no read of `dst`).
-    MovImm {
-        w: Width,
-        dst: Reg,
-        imm: i32,
+pub(crate) enum Mem {
+    Stack,
+    Packet,
+    /// A value of the program's `maps[i]`.
+    MapValue(u16),
+}
+
+/// The cell a store or atomic writes: `size` bytes at `off` past the
+/// pointer in register `base`, which points into `to`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Place {
+    pub(crate) to: Mem,
+    pub(crate) size: MemSize,
+    pub(crate) base: u8,
+    pub(crate) off: i16,
+}
+
+/// One specialised step. Registers are indices, immediates are widened,
+/// targets are step indices.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Op {
+    /// Opens a basic block: its instruction and cycle totals.
+    Charge {
+        insns: u32,
+        cycles: u32,
     },
-    /// `dst = src` (no read of `dst`).
-    MovReg {
-        w: Width,
-        dst: Reg,
-        src: Reg,
+    /// `dst = v`: a `mov` immediate, `lddw`, or `ldmapfd`'s token.
+    Set {
+        dst: u8,
+        v: u64,
     },
-    /// `dst = dst <op> imm`, `op != Mov`.
+    Mov {
+        dst: u8,
+        src: u8,
+    },
+    Mov32 {
+        dst: u8,
+        src: u8,
+    },
     AluImm {
-        w: Width,
         op: AluOp,
-        dst: Reg,
-        imm: i32,
+        dst: u8,
+        imm: u64,
     },
-    /// `dst = dst <op> src`, `op != Mov`.
     AluReg {
-        w: Width,
         op: AluOp,
-        dst: Reg,
-        src: Reg,
+        dst: u8,
+        src: u8,
+    },
+    Alu32Imm {
+        op: AluOp,
+        dst: u8,
+        imm: u32,
+    },
+    Alu32Reg {
+        op: AluOp,
+        dst: u8,
+        src: u8,
     },
     Neg {
         w: Width,
-        dst: Reg,
+        dst: u8,
     },
-    Endian {
-        dst: Reg,
-        to_be: bool,
+    Swap {
+        dst: u8,
         bits: u8,
     },
-    LoadImm64 {
-        dst: Reg,
-        imm: i64,
+    /// `dst = ctx->data`.
+    LdxData {
+        dst: u8,
     },
-    /// The map-fd token is precomputed; `reencode` recovers the [`MapId`].
-    LoadMapFd {
-        dst: Reg,
-        token: u64,
+    /// `dst = ctx->data_end`.
+    LdxDataEnd {
+        dst: u8,
     },
-    LoadMem {
+    /// `dst = ctx->meta[word]`.
+    LdxMeta {
+        dst: u8,
+        word: u8,
+    },
+    LdxStack {
         size: MemSize,
-        dst: Reg,
-        base: Reg,
+        dst: u8,
+        base: u8,
         off: i16,
     },
-    StoreMem {
+    LdxPacket {
         size: MemSize,
-        base: Reg,
+        dst: u8,
+        base: u8,
         off: i16,
-        src: Reg,
     },
-    StoreImm {
+    LdxMapValue {
         size: MemSize,
-        base: Reg,
+        dst: u8,
+        base: u8,
         off: i16,
+        map: u16,
+    },
+    Stx {
+        at: Place,
+        src: u8,
+    },
+    StImm {
+        at: Place,
         imm: i32,
     },
-    AtomicAdd {
-        size: MemSize,
-        base: Reg,
-        off: i16,
-        src: Reg,
+    Atomic {
+        at: Place,
+        src: u8,
         fetch: bool,
     },
-    /// Unconditional jump to an absolute pc ([`BAD_TARGET`] if invalid).
-    Jump {
+    Ja {
         target: u32,
-        off: i16,
     },
-    BranchImm {
+    JImm {
         op: CmpOp,
         w: Width,
-        lhs: Reg,
-        imm: i32,
+        lhs: u8,
+        imm: u64,
         target: u32,
-        off: i16,
     },
-    BranchReg {
+    JReg {
         op: CmpOp,
         w: Width,
-        lhs: Reg,
-        rhs: Reg,
+        lhs: u8,
+        rhs: u8,
         target: u32,
-        off: i16,
     },
-    Call {
+    /// `r0 = map_lookup_elem(maps[map], stack key at r2)`.
+    Lookup {
+        map: u16,
+    },
+    /// A helper that only reads the run's environment.
+    Env {
         helper: HelperId,
     },
+    /// Any other helper; `site` indexes [`DecodedProg::sites`].
+    Call {
+        helper: HelperId,
+        site: u16,
+    },
     Exit,
+    /// An instruction no verified path reaches.
+    Unreached,
 }
 
-/// One execution step: the lowered instruction fused with its modelled
-/// cycle cost, so the hot loop reads a single table entry per step.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Step {
-    pub(crate) insn: FastInsn,
-    pub(crate) cost: u64,
-}
-
-/// A program lowered for the fast engine: the dense instruction stream,
-/// each step fused with its modelled cycle cost.
+/// A verified program lowered for the default engine.
 ///
-/// Produced by [`decode`]; executed by the VM when its backend is
-/// [`crate::vm::Backend::Fast`]. The observable contract (verdicts, map
-/// effects, traps, cycle totals, instrumentation) is identical to the
-/// interpreter's.
+/// Produced at load from the verifier's facts; executed when the VM's
+/// backend is [`crate::vm::Backend::Fast`]. Verdicts, map effects, traps,
+/// cycle totals and instrumentation are the interpreter's.
 #[derive(Debug, Clone)]
 pub struct DecodedProg {
     pub(crate) name: String,
-    pub(crate) code: Vec<Step>,
+    pub(crate) code: Vec<Op>,
+    /// Per step, its source pc and modelled cost: what per-step
+    /// accounting charges (`Charge` steps carry zero).
+    pub(crate) steps: Vec<(u32, u32)>,
+    /// The maps the program names, bound at load.
+    pub(crate) maps: Vec<MapRef>,
+    /// Per generic helper call, every register's kind on arrival.
+    pub(crate) sites: Vec<[Kind; 11]>,
 }
 
 impl DecodedProg {
@@ -158,270 +223,329 @@ impl DecodedProg {
     pub fn name(&self) -> &str {
         &self.name
     }
+}
 
-    /// Number of instructions in the decoded stream (same as the source).
-    pub fn len(&self) -> usize {
-        self.code.len()
+/// Whether a block ends after `insn`.
+fn ends_block(insn: &Insn) -> bool {
+    matches!(
+        insn,
+        Insn::Jump { .. }
+            | Insn::Branch { .. }
+            | Insn::Exit
+            | Insn::Call {
+                helper: HelperId::TailCall
+            }
+    )
+}
+
+/// The registers a helper's verifier check reads, and those a tail call
+/// hands an interpreted target.
+fn needed(helper: HelperId) -> &'static [u8] {
+    match helper {
+        HelperId::MapLookupElem | HelperId::MapDeleteElem => &[1, 2],
+        HelperId::MapUpdateElem => &[1, 2, 3, 4],
+        HelperId::RedirectMap => &[1, 2, 3],
+        HelperId::TailCall => &[0, 1, 2, 3, 6, 7, 8, 9],
+        HelperId::GetPrandomU32 | HelperId::KtimeGetNs | HelperId::GetSmpProcessorId => &[],
     }
+}
 
-    /// Whether the program has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
+/// Lowers verified `prog` with the `facts` its verification returned,
+/// binding its maps out of `maps`; `None` if some step cannot be
+/// specialised (see the module docs).
+pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Option<DecodedProg> {
+    if !facts.offsets_in_range() {
+        return None;
     }
+    let len = prog.insns.len();
+    // Step index of each pc: a leader's `Charge` comes first.
+    let mut at = Vec::with_capacity(len);
+    let mut n = 0u32;
+    for pc in 0..len {
+        at.push(n);
+        n += 1 + u32::from(facts.starts_block(pc));
+    }
+    let target = |pc: usize, off: i16| -> Option<u32> {
+        let t = usize::try_from(pc as i64 + 1 + i64::from(off)).ok()?;
+        at.get(t).copied()
+    };
+    let costs: Vec<u32> = prog
+        .insns
+        .iter()
+        .map(|insn| u32::try_from(insn_cost(insn)).ok())
+        .collect::<Option<_>>()?;
 
-    /// Reconstructs the original typed instruction stream. Decoding loses
-    /// no information, so `decode(p).reencode() == p.insns` for every
-    /// program — the proptest suite pins this.
-    pub fn reencode(&self) -> Vec<Insn> {
-        self.code
-            .iter()
-            .map(|step| match step.insn {
-                FastInsn::MovImm { w, dst, imm } => Insn::Alu {
+    let mut out = DecodedProg {
+        name: prog.name.clone(),
+        code: Vec::with_capacity(n as usize),
+        steps: Vec::with_capacity(n as usize),
+        maps: Vec::new(),
+        sites: Vec::new(),
+    };
+    let mut bound: Vec<MapId> = Vec::new();
+    let mut bind = |id: MapId, out: &mut DecodedProg| -> Option<u16> {
+        let i = match bound.iter().position(|&b| b == id) {
+            Some(i) => i,
+            None => {
+                out.maps.push(maps.get(id)?);
+                bound.push(id);
+                bound.len() - 1
+            }
+        };
+        u16::try_from(i).ok()
+    };
+
+    let mut in_block = false;
+    for (pc, insn) in prog.insns.iter().enumerate() {
+        if facts.starts_block(pc) {
+            let mut end = pc;
+            while !ends_block(&prog.insns[end]) && end + 1 < len && !facts.starts_block(end + 1) {
+                end += 1;
+            }
+            let cycles = costs[pc..=end].iter().map(|&c| u64::from(c)).sum::<u64>();
+            out.code.push(Op::Charge {
+                insns: u32::try_from(end - pc + 1).ok()?,
+                cycles: u32::try_from(cycles).ok()?,
+            });
+            out.steps.push((pc as u32, 0));
+            in_block = true;
+        }
+        let kind = |r: Reg| facts.kind(pc, r);
+        let r = |r: Reg| r.index() as u8;
+        // Every explored state holds the frame pointer in r10, so an
+        // unseen r10 is a pc no path reaches.
+        let op = if !in_block || kind(Reg::R10) == Kind::Unseen {
+            Op::Unreached
+        } else {
+            match *insn {
+                Insn::Alu {
                     w,
                     op: AluOp::Mov,
                     dst,
-                    src: Operand::Imm(imm),
+                    src,
+                } => match (w, src) {
+                    (Width::W64, Operand::Imm(imm)) => Op::Set {
+                        dst: r(dst),
+                        v: imm as i64 as u64,
+                    },
+                    (Width::W32, Operand::Imm(imm)) => Op::Set {
+                        dst: r(dst),
+                        v: u64::from(imm as u32),
+                    },
+                    (Width::W64, Operand::Reg(src)) => Op::Mov {
+                        dst: r(dst),
+                        src: r(src),
+                    },
+                    (Width::W32, Operand::Reg(src)) => Op::Mov32 {
+                        dst: r(dst),
+                        src: r(src),
+                    },
                 },
-                FastInsn::MovReg { w, dst, src } => Insn::Alu {
-                    w,
-                    op: AluOp::Mov,
-                    dst,
-                    src: Operand::Reg(src),
+                Insn::Alu { w, op, dst, src } => match (w, src) {
+                    (Width::W64, Operand::Imm(imm)) => Op::AluImm {
+                        op,
+                        dst: r(dst),
+                        imm: imm as i64 as u64,
+                    },
+                    (Width::W32, Operand::Imm(imm)) => Op::Alu32Imm {
+                        op,
+                        dst: r(dst),
+                        imm: imm as u32,
+                    },
+                    (Width::W64, Operand::Reg(src)) => Op::AluReg {
+                        op,
+                        dst: r(dst),
+                        src: r(src),
+                    },
+                    (Width::W32, Operand::Reg(src)) => Op::Alu32Reg {
+                        op,
+                        dst: r(dst),
+                        src: r(src),
+                    },
                 },
-                FastInsn::AluImm { w, op, dst, imm } => Insn::Alu {
-                    w,
-                    op,
-                    dst,
-                    src: Operand::Imm(imm),
+                Insn::Neg { w, dst } => Op::Neg { w, dst: r(dst) },
+                Insn::Endian { dst, bits, .. } => Op::Swap { dst: r(dst), bits },
+                Insn::LoadImm64 { dst, imm } => Op::Set {
+                    dst: r(dst),
+                    v: imm as u64,
                 },
-                FastInsn::AluReg { w, op, dst, src } => Insn::Alu {
-                    w,
-                    op,
-                    dst,
-                    src: Operand::Reg(src),
+                Insn::LoadMapFd { dst, map } => Op::Set {
+                    dst: r(dst),
+                    v: map_fd_token(map),
                 },
-                FastInsn::Neg { w, dst } => Insn::Neg { w, dst },
-                FastInsn::Endian { dst, to_be, bits } => Insn::Endian { dst, to_be, bits },
-                FastInsn::LoadImm64 { dst, imm } => Insn::LoadImm64 { dst, imm },
-                FastInsn::LoadMapFd { dst, token } => Insn::LoadMapFd {
-                    dst,
-                    map: map_from_token(token).expect("decode preserves map tokens"),
-                },
-                FastInsn::LoadMem {
+                Insn::LoadMem {
                     size,
                     dst,
                     base,
                     off,
-                } => Insn::LoadMem {
-                    size,
-                    dst,
-                    base,
-                    off,
-                },
-                FastInsn::StoreMem {
+                } => {
+                    let dst = r(dst);
+                    match kind(base) {
+                        Kind::Ctx if size == MemSize::DW => match i64::from(off) {
+                            ctx_off::DATA => Op::LdxData { dst },
+                            ctx_off::DATA_END => Op::LdxDataEnd { dst },
+                            field @ ctx_off::META0..=ctx_off::META3 if field % 8 == 0 => {
+                                Op::LdxMeta {
+                                    dst,
+                                    word: ((field - ctx_off::META0) / 8) as u8,
+                                }
+                            }
+                            _ => return None,
+                        },
+                        Kind::Stack => Op::LdxStack {
+                            size,
+                            dst,
+                            base: r(base),
+                            off,
+                        },
+                        Kind::Packet => Op::LdxPacket {
+                            size,
+                            dst,
+                            base: r(base),
+                            off,
+                        },
+                        Kind::MapValue(map) => Op::LdxMapValue {
+                            size,
+                            dst,
+                            base: r(base),
+                            off,
+                            map: bind(map, &mut out)?,
+                        },
+                        _ => return None,
+                    }
+                }
+                Insn::StoreMem {
                     size,
                     base,
                     off,
                     src,
-                } => Insn::StoreMem {
-                    size,
-                    base,
-                    off,
-                    src,
+                } => Op::Stx {
+                    at: place(kind(base), size, base, off, |m| bind(m, &mut out))?,
+                    src: r(src),
                 },
-                FastInsn::StoreImm {
+                Insn::StoreImm {
                     size,
                     base,
                     off,
                     imm,
-                } => Insn::StoreImm {
-                    size,
-                    base,
-                    off,
+                } => Op::StImm {
+                    at: place(kind(base), size, base, off, |m| bind(m, &mut out))?,
                     imm,
                 },
-                FastInsn::AtomicAdd {
+                Insn::AtomicAdd {
                     size,
                     base,
                     off,
                     src,
                     fetch,
-                } => Insn::AtomicAdd {
-                    size,
-                    base,
-                    off,
-                    src,
+                } => Op::Atomic {
+                    at: place(kind(base), size, base, off, |m| bind(m, &mut out))?,
+                    src: r(src),
                     fetch,
                 },
-                FastInsn::Jump { off, .. } => Insn::Jump { off },
-                FastInsn::BranchImm {
-                    op,
-                    w,
-                    lhs,
-                    imm,
-                    off,
-                    ..
-                } => Insn::Branch {
+                Insn::Jump { off } => Op::Ja {
+                    target: target(pc, off)?,
+                },
+                Insn::Branch {
                     op,
                     w,
                     lhs,
                     rhs: Operand::Imm(imm),
                     off,
-                },
-                FastInsn::BranchReg {
+                } => Op::JImm {
                     op,
                     w,
-                    lhs,
-                    rhs,
-                    off,
-                    ..
-                } => Insn::Branch {
+                    lhs: r(lhs),
+                    imm: imm as i64 as u64,
+                    target: target(pc, off)?,
+                },
+                Insn::Branch {
                     op,
                     w,
                     lhs,
                     rhs: Operand::Reg(rhs),
                     off,
+                } => Op::JReg {
+                    op,
+                    w,
+                    lhs: r(lhs),
+                    rhs: r(rhs),
+                    target: target(pc, off)?,
                 },
-                FastInsn::Call { helper } => Insn::Call { helper },
-                FastInsn::Exit => Insn::Exit,
-            })
-            .collect()
+                Insn::Call { helper } => match (helper, kind(Reg::R1), kind(Reg::R2)) {
+                    (HelperId::MapLookupElem, Kind::MapFd(map), Kind::Stack) => Op::Lookup {
+                        map: bind(map, &mut out)?,
+                    },
+                    (
+                        HelperId::GetPrandomU32
+                        | HelperId::KtimeGetNs
+                        | HelperId::GetSmpProcessorId,
+                        _,
+                        _,
+                    ) => Op::Env { helper },
+                    _ => {
+                        let kinds: [Kind; 11] = std::array::from_fn(|i| kind(Reg::new(i as u8)));
+                        if needed(helper)
+                            .iter()
+                            .any(|&i| kinds[usize::from(i)] == Kind::Mixed)
+                        {
+                            return None;
+                        }
+                        out.sites.push(kinds);
+                        Op::Call {
+                            helper,
+                            site: u16::try_from(out.sites.len() - 1).ok()?,
+                        }
+                    }
+                },
+                Insn::Exit => Op::Exit,
+            }
+        };
+        out.code.push(op);
+        out.steps.push((pc as u32, costs[pc]));
+        if ends_block(insn) {
+            in_block = false;
+        }
     }
+    Some(out)
 }
 
-/// Lowers `prog` for the fast engine. Map handles are not bound here: the
-/// [`crate::Vm`] keeps one cache of them for all its programs, refreshed
-/// at load.
-pub fn decode(prog: &Program) -> DecodedProg {
-    let len = prog.insns.len();
-    let target_of = |i: usize, off: i16| -> u32 {
-        let target = i as i64 + 1 + i64::from(off);
-        if target < 0 || target >= len as i64 {
-            BAD_TARGET
-        } else {
-            target as u32
-        }
+/// The cell a store or atomic through a `kind` base writes.
+fn place(
+    kind: Kind,
+    size: MemSize,
+    base: Reg,
+    off: i16,
+    bind: impl FnOnce(MapId) -> Option<u16>,
+) -> Option<Place> {
+    let to = match kind {
+        Kind::Stack => Mem::Stack,
+        Kind::Packet => Mem::Packet,
+        Kind::MapValue(map) => Mem::MapValue(bind(map)?),
+        _ => return None,
     };
-    let mut code = Vec::with_capacity(len);
-    for (i, insn) in prog.insns.iter().enumerate() {
-        let cost = insn_cost(insn);
-        let fast = match *insn {
-            Insn::Alu {
-                w,
-                op: AluOp::Mov,
-                dst,
-                src,
-            } => match src {
-                Operand::Imm(imm) => FastInsn::MovImm { w, dst, imm },
-                Operand::Reg(src) => FastInsn::MovReg { w, dst, src },
-            },
-            Insn::Alu { w, op, dst, src } => match src {
-                Operand::Imm(imm) => FastInsn::AluImm { w, op, dst, imm },
-                Operand::Reg(src) => FastInsn::AluReg { w, op, dst, src },
-            },
-            Insn::Neg { w, dst } => FastInsn::Neg { w, dst },
-            Insn::Endian { dst, to_be, bits } => FastInsn::Endian { dst, to_be, bits },
-            Insn::LoadImm64 { dst, imm } => FastInsn::LoadImm64 { dst, imm },
-            Insn::LoadMapFd { dst, map } => FastInsn::LoadMapFd {
-                dst,
-                token: map_fd_token(map),
-            },
-            Insn::LoadMem {
-                size,
-                dst,
-                base,
-                off,
-            } => FastInsn::LoadMem {
-                size,
-                dst,
-                base,
-                off,
-            },
-            Insn::StoreMem {
-                size,
-                base,
-                off,
-                src,
-            } => FastInsn::StoreMem {
-                size,
-                base,
-                off,
-                src,
-            },
-            Insn::StoreImm {
-                size,
-                base,
-                off,
-                imm,
-            } => FastInsn::StoreImm {
-                size,
-                base,
-                off,
-                imm,
-            },
-            Insn::AtomicAdd {
-                size,
-                base,
-                off,
-                src,
-                fetch,
-            } => FastInsn::AtomicAdd {
-                size,
-                base,
-                off,
-                src,
-                fetch,
-            },
-            Insn::Jump { off } => FastInsn::Jump {
-                target: target_of(i, off),
-                off,
-            },
-            Insn::Branch {
-                op,
-                w,
-                lhs,
-                rhs,
-                off,
-            } => match rhs {
-                Operand::Imm(imm) => FastInsn::BranchImm {
-                    op,
-                    w,
-                    lhs,
-                    imm,
-                    target: target_of(i, off),
-                    off,
-                },
-                Operand::Reg(rhs) => FastInsn::BranchReg {
-                    op,
-                    w,
-                    lhs,
-                    rhs,
-                    target: target_of(i, off),
-                    off,
-                },
-            },
-            Insn::Call { helper } => FastInsn::Call { helper },
-            Insn::Exit => FastInsn::Exit,
-        };
-        code.push(Step { insn: fast, cost });
-    }
-    DecodedProg {
-        name: prog.name.clone(),
-        code,
-    }
+    Some(Place {
+        to,
+        size,
+        base: base.index() as u8,
+        off,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::maps::{MapDef, MapRegistry};
+    use crate::maps::MapDef;
+    use crate::verifier::verify;
 
-    #[test]
-    fn reencode_round_trips_a_representative_program() {
-        let maps = MapRegistry::new();
-        let map = maps.create(MapDef::u64_array(4));
-        let prog = Asm::new()
+    fn decoded(prog: &Program, maps: &MapRegistry) -> Option<DecodedProg> {
+        let info = verify(prog, maps).expect("verifies");
+        decode(prog, &info.facts, maps)
+    }
+
+    fn counter(map: MapId) -> Program {
+        Asm::new()
             .st_w(Reg::R10, -4, 0)
             .load_map_fd(Reg::R1, map)
             .mov64_reg(Reg::R2, Reg::R10)
@@ -437,33 +561,32 @@ mod tests {
             .mov64_reg(Reg::R0, Reg::R6)
             .exit()
             .build("counter")
-            .unwrap();
-        let decoded = decode(&prog);
-        assert_eq!(decoded.reencode(), prog.insns);
-        assert_eq!(decoded.len(), prog.len());
-        assert_eq!(decoded.name(), "counter");
+            .unwrap()
     }
 
     #[test]
-    fn branch_targets_are_absolute_and_bad_targets_are_sentinels() {
-        // `ja +1` at pc 0 of a 3-insn program targets pc 2; `ja +100`
-        // leaves the program and gets the sentinel.
-        let good = Program::new("g", vec![Insn::Jump { off: 1 }, Insn::Exit, Insn::Exit]);
-        let d = decode(&good);
-        match d.code[0].insn {
-            FastInsn::Jump { target, off } => {
-                assert_eq!(target, 2);
-                assert_eq!(off, 1);
-            }
-            ref other => panic!("expected jump, got {other:?}"),
-        }
-        let bad = Program::new("b", vec![Insn::Jump { off: 100 }, Insn::Exit]);
-        let d = decode(&bad);
-        match d.code[0].insn {
-            FastInsn::Jump { target, .. } => assert_eq!(target, BAD_TARGET),
-            ref other => panic!("expected jump, got {other:?}"),
-        }
-        assert_eq!(d.reencode(), bad.insns);
+    fn blocks_end_at_branches_and_exits_and_charge_their_sums() {
+        let maps = MapRegistry::new();
+        let map = maps.create(MapDef::u64_array(4));
+        let prog = counter(map);
+        let d = decoded(&prog, &maps).expect("specialises");
+        assert_eq!(d.maps.len(), 1);
+        let charges: Vec<(u32, u32)> = d
+            .code
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Charge { insns, cycles } => Some((insns, cycles)),
+                _ => None,
+            })
+            .collect();
+        let sum =
+            |r: std::ops::Range<usize>| prog.insns[r].iter().map(insn_cost).sum::<u64>() as u32;
+        assert_eq!(
+            charges,
+            vec![(6, sum(0..6)), (2, sum(6..8)), (5, sum(8..13))]
+        );
+        assert!(matches!(d.code[5], Op::Lookup { map: 0 }));
+        assert!(matches!(d.code[11], Op::LdxMapValue { map: 0, .. }));
     }
 
     #[test]
@@ -474,9 +597,69 @@ mod tests {
             .exit()
             .build("c")
             .unwrap();
-        let d = decode(&prog);
-        let got: Vec<u64> = d.code.iter().map(|s| s.cost).collect();
-        let want: Vec<u64> = prog.insns.iter().map(insn_cost).collect();
+        let d = decoded(&prog, &MapRegistry::new()).unwrap();
+        let got: Vec<(u32, u32)> = d.steps[1..].to_vec();
+        let want: Vec<(u32, u32)> = prog
+            .insns
+            .iter()
+            .enumerate()
+            .map(|(pc, insn)| (pc as u32, insn_cost(insn) as u32))
+            .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn one_step_seeing_two_regions_is_left_to_the_interpreter() {
+        // r2 is the packet on one path and the stack on the other; the
+        // load through it is checked on both, so the program verifies.
+        let maps = MapRegistry::new();
+        let prog = Asm::new()
+            .ldx_dw(Reg::R7, Reg::R1, 8)
+            .ldx_dw(Reg::R2, Reg::R1, 0)
+            .mov64_reg(Reg::R3, Reg::R2)
+            .add64_imm(Reg::R3, 8)
+            .jgt_reg(Reg::R3, Reg::R7, "out")
+            .st_dw(Reg::R10, -8, 5)
+            .ldx_dw(Reg::R4, Reg::R1, 16)
+            .jeq_imm(Reg::R4, 0, "load")
+            .mov64_reg(Reg::R2, Reg::R10)
+            .add64_imm(Reg::R2, -8)
+            .label("load")
+            .ldx_dw(Reg::R0, Reg::R2, 0)
+            .exit()
+            .label("out")
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build("two")
+            .unwrap();
+        let info = verify(&prog, &maps).expect("verifies");
+        assert_eq!(info.facts.kind(10, Reg::R2), Kind::Mixed);
+        assert!(decode(&prog, &info.facts, &maps).is_none());
+    }
+
+    #[test]
+    fn a_pointer_beyond_the_packing_bound_is_left_to_the_interpreter() {
+        let maps = MapRegistry::new();
+        let far = crate::verifier::MAX_PTR_OFF as i32 + 1;
+        let prog = Asm::new()
+            .mov64_reg(Reg::R2, Reg::R10)
+            .add64_imm(Reg::R2, far)
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build("far")
+            .unwrap();
+        let info = verify(&prog, &maps).expect("verifies");
+        assert!(!info.facts.offsets_in_range());
+        assert!(decode(&prog, &info.facts, &maps).is_none());
+    }
+
+    #[test]
+    fn map_value_words_pack_and_keep_null_apart() {
+        for (slot, off) in [(0, 0), (7, -4), (u32::MAX, 1 << 29), (3, -(1 << 29))] {
+            let word = pack(slot, off);
+            assert_ne!(word, 0);
+            assert_eq!(unpack(word), (slot, off));
+            assert_eq!(unpack(word.wrapping_add(8)), (slot, off + 8));
+        }
     }
 }

@@ -1,433 +1,480 @@
-//! The fast execution engine: direct dispatch over pre-decoded programs.
+//! The default engine: verified programs on untagged registers.
 //!
-//! Executes [`DecodedProg`] streams produced by [`crate::decode`]. The
-//! engine preserves the interpreter's full observable contract — verdicts,
-//! map state, helper effects, tail-call semantics and the depth cap, trap
-//! kinds and their precedence, modelled cycle totals, and the
-//! telemetry/profiler instrumentation points — while stripping the
-//! per-instruction work the interpreter repeats on every step:
+//! Executes the [`DecodedProg`] a verified program was lowered into at
+//! load (`decode.rs`). It keeps the interpreter's whole observable
+//! contract — verdicts, map state, helper effects, tail-call semantics and
+//! the depth cap, trap kinds, modelled cycle totals, and the
+//! telemetry/profiler instrumentation points — and drops what the
+//! verifier has already decided:
 //!
-//! * no `Operand` match or cycle-model lookup (both resolved at decode);
-//! * branch targets are absolute, so taken branches are a single store;
-//! * scalar-scalar ALU and compare take an inlined path, falling back to
-//!   the interpreter's shared `alu`/`compare` only for pointer operands
-//!   (which also keeps the trap semantics literally the same code);
-//! * scalars live in a flat register file ([`RegFile`]), so the helper
-//!   ABI's clobber of r1–r5 is two mask updates;
-//! * the whole loop is monomorphized over "profiler attached?", so the
-//!   disabled-profiler build has no per-instruction instrumentation branch
-//!   (the ≤5ns disabled-cost contract).
+//! * registers are plain words, `[u64; 11]`. A packet or stack pointer is
+//!   its offset, the context pointer is 0, and a map-value pointer packs
+//!   `(slot, offset)` so NULL stays 0. The verifier's facts say which a
+//!   word is wherever it matters, so no step matches a tag;
+//! * each memory step goes straight to its region and each map step to
+//!   the map bound at load;
+//! * accounting is per basic block: a block's `(insns, cycles)` is charged
+//!   on entry, so the budget is checked at block starts — every back edge
+//!   lands on one. A block that would cross [`RUNTIME_INSN_LIMIT`] is
+//!   finished per step, so the run traps at the very instruction the
+//!   interpreter would.
 //!
-//! Guest memory and helpers are not this engine's: loads, stores, atomics
-//! and helper calls go through [`crate::mem`], the same functions the
-//! interpreter calls, so that half of the contract holds by construction.
-//! What the engines still do differently — decode, operand resolution, the
-//! register file, cost lookup, dispatch — is what the `syrup-fuzz
-//! --backend-diff` oracle and the both-backend proptests in `tests/` check.
+//! Every access still goes through a checked index that returns the
+//! interpreter's error for it: a hole in the verifier becomes a trap here,
+//! never a panic or undefined behaviour. Rare helpers rebuild the tagged
+//! values `mem.rs` takes from the kinds at their call site, and a tail
+//! call into a program with no specialised form hands the run to the
+//! interpreter the same way.
+//!
+//! The loop is monomorphised over per-step accounting, which an attached
+//! profiler needs for per-pc attribution: the disabled-profiler build has
+//! no per-instruction instrumentation branch (the ≤5ns disabled-cost
+//! contract).
 
-use crate::decode::{FastInsn, BAD_TARGET};
+use crate::decode::{pack, unpack, DecodedProg, Mem, Op, Place};
+use crate::helpers::HelperId;
 use crate::insn::{MemSize, Reg, Width};
-use crate::maps::MapId;
-use crate::mem::{call_helper, fetch_add, mem_load, mem_store, Frame, HelperOutcome};
+use crate::mem::{call_helper, map_value_off, read_le, span, Frame, HelperOutcome};
+use crate::verifier::Kind;
 use crate::vm::{
-    alu, alu32, alu64, cmp_u64, compare, scalar, Entry, PacketCtx, Region, RunEnv, Val, Vm,
-    VmError, VmOutcome, MAX_TAIL_CALLS, RUNTIME_INSN_LIMIT, STACK_SIZE,
+    alu32, alu64, cmp_u64, Backend, Entry, Landed, PacketCtx, Region, RunEnv, Tally, Traced, Val,
+    Vm, VmError, VmOutcome, CTX, ENTRY, FRAME, MAX_TAIL_CALLS, RUNTIME_INSN_LIMIT, STACK_SIZE,
 };
+use crate::Program;
 
-/// The fast engine's register file: scalars live in a flat `u64` array
-/// (the `mask` bit says which), so the dominant scalar-scalar instruction
-/// mix never moves [`Val`] enums through memory. Pointer registers fall
-/// back to the `vals` slot (valid only when the `init` bit is set), and
-/// every access point reconstructs the exact [`Val`] the interpreter
-/// would hold — same values, same `UninitRegister` traps, same read
-/// order. Tracking initialization as a mask makes the helper ABI's
-/// caller-clobber of r1–r5 two bit-ops instead of five enum stores.
-struct RegFile {
-    scalars: [u64; 11],
-    vals: [Val; 11],
-    /// Bit i set: register i is a scalar held in `scalars[i]`.
-    mask: u16,
-    /// Bit i set: register i is initialized (scalar or `vals[i]`).
-    init: u16,
+/// Which engine holds the run next.
+#[allow(clippy::large_enum_variant)] // Short-lived; boxing would allocate per hand-over.
+enum Leg<'v> {
+    Fast(&'v DecodedProg),
+    /// The interpreter, from the first instruction with these registers.
+    Interp(&'v Program, [Val; 11]),
 }
 
-/// r1–r5, the registers a helper call clobbers.
-const CALLER_SAVED: u16 = 0b11_1110;
+/// How the loop hands the run on when it leaves without exiting.
+#[allow(clippy::large_enum_variant)] // Short-lived; boxing would allocate per hand-over.
+enum Flow<'v> {
+    /// `exit`, with r0.
+    Exit(u64),
+    /// The next block would cross the budget: go on per step.
+    Careful,
+    /// A tail call landed in a program with no specialised form.
+    Interp(&'v Program, [Val; 11]),
+}
 
-impl RegFile {
-    fn new() -> Self {
-        RegFile {
-            scalars: [0; 11],
-            vals: [Val::Uninit; 11],
-            mask: 0,
-            init: 0,
-        }
-    }
+/// The state a run carries between blocks and between engines.
+struct Machine {
+    /// The next step.
+    at: usize,
+    regs: [u64; 11],
+    frame: Frame,
+    tally: Tally,
+}
 
-    #[inline(always)]
-    fn is_scalar(&self, i: usize) -> bool {
-        self.mask & (1 << i) != 0
-    }
-
-    /// The register's [`Val`], trapping on uninit like the interpreter's
-    /// `read_reg`.
-    #[inline(always)]
-    fn read(&self, r: Reg) -> Result<Val, VmError> {
-        let i = r.index();
-        if self.is_scalar(i) {
-            Ok(Val::Scalar(self.scalars[i]))
-        } else if self.init & (1 << i) != 0 {
-            Ok(self.vals[i])
-        } else {
-            Err(VmError::UninitRegister(r))
-        }
-    }
-
-    #[inline(always)]
-    fn set_scalar(&mut self, r: Reg, v: u64) {
-        let i = r.index();
-        self.scalars[i] = v;
-        self.mask |= 1 << i;
-        self.init |= 1 << i;
-    }
-
-    #[inline(always)]
-    fn set(&mut self, r: Reg, v: Val) {
-        match v {
-            Val::Scalar(s) => self.set_scalar(r, s),
-            Val::Uninit => {
-                let i = r.index();
-                self.mask &= !(1 << i);
-                self.init &= !(1 << i);
-            }
-            other => {
-                let i = r.index();
-                self.mask &= !(1 << i);
-                self.init |= 1 << i;
-                self.vals[i] = other;
-            }
-        }
-    }
-
-    /// Marks the caller-clobbered registers r1–r5 uninitialized (helper
-    /// ABI) — mask updates only, no enum traffic.
-    #[inline(always)]
-    fn clobber_caller_saved(&mut self) {
-        self.mask &= !CALLER_SAVED;
-        self.init &= !CALLER_SAVED;
-    }
-
-    /// Marks r2–r5 uninitialized (tail-call entry; r1 is the fresh ctx).
-    #[inline(always)]
-    fn clobber_tail_args(&mut self) {
-        self.mask &= !(CALLER_SAVED & !0b10);
-        self.init &= !(CALLER_SAVED & !0b10);
+impl Machine {
+    /// Arrival at a specialised program's first step: the context in r1,
+    /// the frame pointer in r10, and nothing the verifier lets it read
+    /// before writing.
+    fn arrive(&mut self) {
+        self.at = 0;
+        self.regs = [0; 11];
+        self.regs[Reg::R10.index()] = STACK_SIZE as u64;
     }
 }
 
-/// Runs the decoded program `entry` starts in, dispatching on whether a
-/// profiler is attached so the common (disabled) case pays no per-insn
-/// branch.
+/// Runs `entry` on `vm`'s backend: under [`Backend::Fast`] every program
+/// with a specialised form runs on this engine and the rest on the
+/// interpreter, the run changing hands at tail calls; under
+/// [`Backend::Interp`] the interpreter runs it all.
 pub(crate) fn run(
     vm: &Vm,
     entry: Entry<'_>,
     ctx: &mut PacketCtx<'_>,
     env: &mut RunEnv,
 ) -> Result<VmOutcome, VmError> {
-    if vm.profiler.is_enabled() {
-        exec::<true>(vm, entry, ctx, env)
-    } else {
-        exec::<false>(vm, entry, ctx, env)
+    let first = vm.store.get(entry.slot().0).ok_or(VmError::NoSuchProgram)?;
+    // A tail call into an empty program falls off its end instead.
+    if first.prog.is_empty() && matches!(entry, Entry::Prog(_)) {
+        return Err(VmError::NoSuchProgram);
+    }
+    // Attribution scope: the fixed invoke cost lands on the entry (prog,
+    // pc 0) bucket, so the attributed sum equals `cycles` at every point
+    // of the run. Flushes on drop (any exit path).
+    let mut prof = entry.scope(&vm.profiler, &first.prog.name);
+    let mut m = Machine {
+        at: 0,
+        regs: [0; 11],
+        frame: Frame::new(),
+        tally: Tally::at(entry),
+    };
+    let mut leg = match (vm.backend(), &first.decoded) {
+        (Backend::Fast, Some(prog)) => {
+            m.arrive();
+            Leg::Fast(prog)
+        }
+        _ => Leg::Interp(&first.prog, ENTRY),
+    };
+    let mut per_step = vm.profiler.is_enabled();
+    loop {
+        leg = match leg {
+            Leg::Fast(mut prog) => {
+                let flow = if per_step {
+                    exec::<true>(vm, &mut prog, &mut m, &mut prof, ctx, env)?
+                } else {
+                    exec::<false>(vm, &mut prog, &mut m, &mut prof, ctx, env)?
+                };
+                match flow {
+                    Flow::Exit(ret) => return Ok(m.tally.outcome(ret)),
+                    Flow::Careful => {
+                        per_step = true;
+                        Leg::Fast(prog)
+                    }
+                    Flow::Interp(prog, regs) => Leg::Interp(prog, regs),
+                }
+            }
+            Leg::Interp(prog, regs) => match vm.interpret::<false>(
+                prog,
+                regs,
+                &mut m.frame,
+                &mut m.tally,
+                &mut prof,
+                ctx,
+                env,
+                &mut Traced::default(),
+            )? {
+                Landed::Exit(out) => return Ok(out),
+                Landed::Specialised(prog) => {
+                    m.arrive();
+                    Leg::Fast(prog)
+                }
+            },
+        };
     }
 }
 
-fn exec<const PROF: bool>(
-    vm: &Vm,
-    entry: Entry<'_>,
+/// The tagged value a `kind` word stands for.
+fn val(kind: Kind, word: u64) -> Val {
+    let ptr = |region| Val::Ptr {
+        region,
+        off: word as i64,
+    };
+    match kind {
+        Kind::Scalar | Kind::MapFd(_) => Val::Scalar(word),
+        Kind::Ctx => CTX,
+        Kind::Packet => ptr(Region::Packet),
+        Kind::Stack => ptr(Region::Stack),
+        Kind::MapValue(_) if word == 0 => Val::Scalar(0),
+        Kind::MapValue(map) => {
+            let (slot, off) = unpack(word);
+            Val::Ptr {
+                region: Region::MapValue { map, slot },
+                off,
+            }
+        }
+        Kind::Unseen | Kind::Uninit | Kind::Mixed => Val::Uninit,
+    }
+}
+
+/// The word a helper's result stands for.
+fn word(v: Val) -> u64 {
+    match v {
+        Val::Scalar(s) => s,
+        Val::Ptr {
+            region: Region::MapValue { slot, .. },
+            off,
+        } => pack(slot, off),
+        Val::Ptr { off, .. } => off as u64,
+        Val::Uninit => 0,
+    }
+}
+
+#[inline(always)]
+fn load(bytes: &[u8], off: i64, size: MemSize, region: &'static str) -> Result<u64, VmError> {
+    Ok(read_le(
+        &bytes[span(bytes.len(), off, size.bytes(), region)?],
+    ))
+}
+
+#[inline(always)]
+fn store(
+    bytes: &mut [u8],
+    off: i64,
+    size: MemSize,
+    v: u64,
+    region: &'static str,
+) -> Result<(), VmError> {
+    let span = span(bytes.len(), off, size.bytes(), region)?;
+    let n = span.len();
+    bytes[span].copy_from_slice(&v.to_le_bytes()[..n]);
+    Ok(())
+}
+
+/// The `(slot, offset)` a map-value step at `insn_off` from `base` reads.
+#[inline(always)]
+fn value_at(base: u64, insn_off: i16, size: MemSize) -> Result<(u32, u32), VmError> {
+    let (slot, off) = unpack(base);
+    let off = off.wrapping_add(i64::from(insn_off));
+    Ok((slot, map_value_off(off, size.bytes())?))
+}
+
+/// Byte `off` past the pointer in register `base`, as the interpreter
+/// offsets it.
+#[inline(always)]
+fn addr(regs: &[u64; 11], base: u8, off: i16) -> i64 {
+    (regs[usize::from(base)] as i64).wrapping_add(i64::from(off))
+}
+
+/// Writes the low bytes of `v` to the cell at `at`.
+fn write(
+    prog: &DecodedProg,
+    regs: &[u64; 11],
+    stack: &mut [u8],
+    at: Place,
+    v: u64,
+    ctx: &mut PacketCtx<'_>,
+) -> Result<(), VmError> {
+    let base = regs[usize::from(at.base)];
+    match at.to {
+        Mem::Stack => store(stack, addr(regs, at.base, at.off), at.size, v, "stack"),
+        Mem::Packet => store(ctx.data, addr(regs, at.base, at.off), at.size, v, "packet"),
+        Mem::MapValue(map) => {
+            let (slot, off) = value_at(base, at.off, at.size)?;
+            let map = &prog.maps[usize::from(map)];
+            Ok(map.write_value(slot, off, at.size.bytes() as u32, v)?)
+        }
+    }
+}
+
+/// Adds `addend` to the cell at `at`; returns what it held.
+fn fetch_add(
+    prog: &DecodedProg,
+    regs: &[u64; 11],
+    stack: &mut [u8],
+    at: Place,
+    addend: u64,
+    ctx: &mut PacketCtx<'_>,
+) -> Result<u64, VmError> {
+    let old = match at.to {
+        Mem::MapValue(map) => {
+            let (slot, off) = value_at(regs[usize::from(at.base)], at.off, at.size)?;
+            let map = &prog.maps[usize::from(map)];
+            return Ok(map.fetch_add_value(slot, off, at.size.bytes() as u32, addend)?);
+        }
+        Mem::Stack => load(stack, addr(regs, at.base, at.off), at.size, "stack")?,
+        Mem::Packet => load(ctx.data, addr(regs, at.base, at.off), at.size, "packet")?,
+    };
+    let new = match at.size {
+        MemSize::W => u64::from((old as u32).wrapping_add(addend as u32)),
+        _ => old.wrapping_add(addend),
+    };
+    write(prog, regs, stack, at, new, ctx)?;
+    Ok(old)
+}
+
+/// The loop, over `prog` and the programs it tail-calls. `PER_STEP`
+/// charges every instruction and reports it to the profiler, instead of
+/// charging blocks. The position and registers live in locals while it
+/// runs and go back to `m` only when the run goes on elsewhere.
+fn exec<'v, const PER_STEP: bool>(
+    vm: &'v Vm,
+    prog: &mut &'v DecodedProg,
+    m: &mut Machine,
+    prof: &mut syrup_profile::VmSpan,
     ctx: &mut PacketCtx<'_>,
     env: &mut RunEnv,
-) -> Result<VmOutcome, VmError> {
-    let mut prog = vm.decoded(entry.slot()).ok_or(VmError::NoSuchProgram)?;
-    let (mut insns, mut cycles, mut tail_calls) = entry.account();
-    // A tail call into an empty program falls off its end instead.
-    if prog.code.is_empty() && matches!(entry, Entry::Prog(_)) {
-        return Err(VmError::NoSuchProgram);
+) -> Result<Flow<'v>, VmError> {
+    let mut p: &'v DecodedProg = prog;
+    let mut at = m.at;
+    let mut regs = m.regs;
+    macro_rules! r {
+        ($i:expr) => {
+            regs[usize::from($i)]
+        };
     }
-
-    let mut regs = RegFile::new();
-    regs.set(
-        Reg::R1,
-        Val::Ptr {
-            region: Region::Ctx,
-            off: 0,
-        },
-    );
-    regs.set(
-        Reg::R10,
-        Val::Ptr {
-            region: Region::Stack,
-            off: STACK_SIZE,
-        },
-    );
-    let mut frame = Frame::new();
-
-    let mut pc: usize = 0;
-    let mut redirect: Option<(MapId, u32)> = None;
-    // Same attribution scope as the interpreter: the invoke cost lands on
-    // the entry (prog, pc 0) bucket; flushes on drop (any exit path).
-    let mut prof = entry.scope(&vm.profiler, &prog.name);
-
     loop {
-        let step = *prog.code.get(pc).ok_or(VmError::NoExit)?;
-        let insn = step.insn;
-        insns += 1;
-        let cost = step.cost;
-        cycles += cost;
-        if PROF {
-            prof.insn(pc, cost);
+        let op = *p.code.get(at).ok_or(VmError::NoExit)?;
+        if PER_STEP && !matches!(op, Op::Charge { .. }) {
+            let (pc, cost) = p.steps[at];
+            m.tally.insns += 1;
+            m.tally.cycles += u64::from(cost);
+            prof.insn(pc as usize, u64::from(cost));
+            if m.tally.insns > RUNTIME_INSN_LIMIT {
+                return Err(VmError::Runaway);
+            }
         }
-        if insns > RUNTIME_INSN_LIMIT {
-            return Err(VmError::Runaway);
-        }
-        pc += 1;
+        at += 1;
 
-        match insn {
-            FastInsn::MovImm { w, dst, imm } => {
-                let v = imm as i64 as u64;
-                regs.set_scalar(
-                    dst,
-                    match w {
-                        Width::W64 => v,
-                        Width::W32 => v & 0xFFFF_FFFF,
-                    },
-                );
-            }
-            FastInsn::MovReg { w, dst, src } => {
-                if regs.is_scalar(src.index()) {
-                    let s = regs.scalars[src.index()];
-                    regs.set_scalar(
-                        dst,
-                        match w {
-                            Width::W64 => s,
-                            Width::W32 => s & 0xFFFF_FFFF,
-                        },
-                    );
-                } else {
-                    let rhs = regs.read(src)?;
-                    match w {
-                        Width::W64 => regs.set(dst, rhs),
-                        // Non-scalar 32-bit mov: same trap as the
-                        // interpreter's `alu` on pointers.
-                        Width::W32 => return Err(VmError::BadPointerArith),
+        match op {
+            Op::Charge { insns, cycles } => {
+                if !PER_STEP {
+                    let insns = m.tally.insns + u64::from(insns);
+                    if insns > RUNTIME_INSN_LIMIT {
+                        *prog = p;
+                        m.at = at - 1;
+                        m.regs = regs;
+                        return Ok(Flow::Careful);
                     }
+                    m.tally.insns = insns;
+                    m.tally.cycles += u64::from(cycles);
                 }
             }
-            FastInsn::AluImm { w, op, dst, imm } => {
-                let b = imm as i64 as u64;
-                let i = dst.index();
-                if regs.is_scalar(i) {
-                    let a = regs.scalars[i];
-                    regs.scalars[i] = match w {
-                        Width::W64 => alu64(op, a, b),
-                        Width::W32 => u64::from(alu32(op, a as u32, b as u32)),
-                    };
-                } else {
-                    let lhs = regs.read(dst)?;
-                    let r = alu(w, op, lhs, Val::Scalar(b))?;
-                    regs.set(dst, r);
-                }
+            Op::Set { dst, v } => r!(dst) = v,
+            Op::Mov { dst, src } => r!(dst) = r!(src),
+            Op::Mov32 { dst, src } => r!(dst) = r!(src) & 0xFFFF_FFFF,
+            Op::AluImm { op, dst, imm } => r!(dst) = alu64(op, r!(dst), imm),
+            Op::AluReg { op, dst, src } => r!(dst) = alu64(op, r!(dst), r!(src)),
+            Op::Alu32Imm { op, dst, imm } => {
+                r!(dst) = u64::from(alu32(op, r!(dst) as u32, imm));
             }
-            FastInsn::AluReg { w, op, dst, src } => {
-                if regs.is_scalar(src.index()) && regs.is_scalar(dst.index()) {
-                    let b = regs.scalars[src.index()];
-                    let a = regs.scalars[dst.index()];
-                    regs.scalars[dst.index()] = match w {
-                        Width::W64 => alu64(op, a, b),
-                        Width::W32 => u64::from(alu32(op, a as u32, b as u32)),
-                    };
-                } else {
-                    // Operand order matches the interpreter: the source
-                    // (rhs) is read first, so its uninit trap wins.
-                    let rhs = regs.read(src)?;
-                    let lhs = regs.read(dst)?;
-                    let r = alu(w, op, lhs, rhs)?;
-                    regs.set(dst, r);
-                }
+            Op::Alu32Reg { op, dst, src } => {
+                r!(dst) = u64::from(alu32(op, r!(dst) as u32, r!(src) as u32));
             }
-            FastInsn::Neg { w, dst } => {
-                let v = scalar(regs.read(dst)?)?;
-                let r = match w {
+            Op::Neg { w, dst } => {
+                let v = r!(dst);
+                r!(dst) = match w {
                     Width::W64 => (v as i64).wrapping_neg() as u64,
-                    Width::W32 => ((v as i32).wrapping_neg() as u32) as u64,
+                    Width::W32 => u64::from((v as i32).wrapping_neg() as u32),
                 };
-                regs.set_scalar(dst, r);
             }
-            FastInsn::Endian { dst, bits, .. } => {
-                let v = scalar(regs.read(dst)?)?;
-                let r = match bits {
+            Op::Swap { dst, bits } => {
+                let v = r!(dst);
+                r!(dst) = match bits {
                     16 => u64::from((v as u16).swap_bytes()),
                     32 => u64::from((v as u32).swap_bytes()),
                     64 => v.swap_bytes(),
                     _ => return Err(VmError::BadEndianWidth),
                 };
-                regs.set_scalar(dst, r);
             }
-            FastInsn::LoadImm64 { dst, imm } => {
-                regs.set_scalar(dst, imm as u64);
-            }
-            FastInsn::LoadMapFd { dst, token } => {
-                regs.set_scalar(dst, token);
-            }
-            FastInsn::LoadMem {
+            Op::LdxData { dst } => r!(dst) = 0,
+            Op::LdxDataEnd { dst } => r!(dst) = ctx.data.len() as u64,
+            Op::LdxMeta { dst, word } => r!(dst) = ctx.meta[usize::from(word)],
+            Op::LdxStack {
                 size,
                 dst,
                 base,
                 off,
-            } => {
-                let ptr = regs.read(base)?;
-                let v = mem_load(vm, ptr, off as i64, size, ctx, &frame.stack)?;
-                regs.set(dst, v);
-            }
-            FastInsn::StoreMem {
+            } => r!(dst) = load(&m.frame.stack, addr(&regs, base, off), size, "stack")?,
+            Op::LdxPacket {
                 size,
+                dst,
                 base,
                 off,
-                src,
-            } => {
-                let ptr = regs.read(base)?;
-                let v = scalar(regs.read(src)?)?;
-                mem_store(vm, ptr, off as i64, size, v, ctx, &mut frame.stack)?;
-            }
-            FastInsn::StoreImm {
+            } => r!(dst) = load(ctx.data, addr(&regs, base, off), size, "packet")?,
+            Op::LdxMapValue {
                 size,
+                dst,
                 base,
                 off,
-                imm,
+                map,
             } => {
-                let ptr = regs.read(base)?;
-                let v = imm as i64 as u64;
-                mem_store(vm, ptr, off as i64, size, v, ctx, &mut frame.stack)?;
+                let (slot, off) = value_at(r!(base), off, size)?;
+                let map = &p.maps[usize::from(map)];
+                r!(dst) = map.read_value(slot, off, size.bytes() as u32)?;
             }
-            FastInsn::AtomicAdd {
-                size,
-                base,
-                off,
+            Op::Stx { at: cell, src } => {
+                write(p, &regs, &mut m.frame.stack, cell, r!(src), ctx)?;
+            }
+            Op::StImm { at: cell, imm } => {
+                write(p, &regs, &mut m.frame.stack, cell, imm as i64 as u64, ctx)?;
+            }
+            Op::Atomic {
+                at: cell,
                 src,
                 fetch,
             } => {
-                if size != MemSize::W && size != MemSize::DW {
-                    return Err(VmError::OutOfBounds {
-                        region: "atomic",
-                        off: off as i64,
-                        size: size.bytes(),
-                    });
-                }
-                let ptr = regs.read(base)?;
-                let addend = scalar(regs.read(src)?)?;
-                let old = fetch_add(vm, ptr, off as i64, size, addend, ctx, &mut frame.stack)?;
+                let old = fetch_add(p, &regs, &mut m.frame.stack, cell, r!(src), ctx)?;
                 if fetch {
-                    regs.set_scalar(src, old);
+                    r!(src) = old;
                 }
             }
-            FastInsn::Jump { target, .. } => {
-                if target == BAD_TARGET {
-                    return Err(VmError::PcOutOfRange);
-                }
-                pc = target as usize;
-            }
-            FastInsn::BranchImm {
+            Op::Ja { target } => at = target as usize,
+            Op::JImm {
                 op,
                 w,
                 lhs,
                 imm,
                 target,
-                ..
             } => {
-                let taken = if regs.is_scalar(lhs.index()) {
-                    cmp_u64(op, w, regs.scalars[lhs.index()], imm as i64 as u64)
-                } else {
-                    let l = regs.read(lhs)?;
-                    compare(op, w, l, Val::Scalar(imm as i64 as u64))?
-                };
-                if taken {
-                    if target == BAD_TARGET {
-                        return Err(VmError::PcOutOfRange);
-                    }
-                    pc = target as usize;
+                if cmp_u64(op, w, r!(lhs), imm) {
+                    at = target as usize;
                 }
             }
-            FastInsn::BranchReg {
+            Op::JReg {
                 op,
                 w,
                 lhs,
                 rhs,
                 target,
-                ..
             } => {
-                let taken = if regs.is_scalar(lhs.index()) && regs.is_scalar(rhs.index()) {
-                    cmp_u64(op, w, regs.scalars[lhs.index()], regs.scalars[rhs.index()])
-                } else {
-                    let l = regs.read(lhs)?;
-                    let r = regs.read(rhs)?;
-                    compare(op, w, l, r)?
-                };
-                if taken {
-                    if target == BAD_TARGET {
-                        return Err(VmError::PcOutOfRange);
-                    }
-                    pc = target as usize;
+                if cmp_u64(op, w, r!(lhs), r!(rhs)) {
+                    at = target as usize;
                 }
             }
-            FastInsn::Call { helper } => {
-                if PROF {
+            Op::Lookup { map } => {
+                if PER_STEP {
+                    prof.helper(HelperId::MapLookupElem.name());
+                }
+                let map = &p.maps[usize::from(map)];
+                let key_size = u64::from(map.def().key_size);
+                let key = span(m.frame.stack.len(), r!(2u8) as i64, key_size, "stack")?;
+                r!(0u8) = match map.slot_for_key(&m.frame.stack[key])? {
+                    Some(slot) => pack(slot, 0),
+                    None => 0,
+                };
+            }
+            Op::Env { helper } => {
+                if PER_STEP {
                     prof.helper(helper.name());
                 }
-                let arg = |r| regs.read(r);
-                match call_helper(vm, helper, arg, ctx, env, &mut frame)? {
-                    HelperOutcome::Ret(v) => {
-                        regs.set(Reg::R0, v);
-                        regs.clobber_caller_saved();
-                    }
+                r!(0u8) = match helper {
+                    HelperId::GetPrandomU32 => u64::from(env.next_prandom()),
+                    HelperId::KtimeGetNs => env.now_ns,
+                    _ => u64::from(env.cpu_id),
+                };
+            }
+            Op::Call { helper, site } => {
+                if PER_STEP {
+                    prof.helper(helper.name());
+                }
+                let kinds = &p.sites[usize::from(site)];
+                let arg = |r: Reg| match val(kinds[r.index()], regs[r.index()]) {
+                    Val::Uninit => Err(VmError::UninitRegister(r)),
+                    v => Ok(v),
+                };
+                match call_helper(vm, helper, arg, ctx, env, &mut m.frame)? {
+                    HelperOutcome::Ret(v) => r!(0u8) = word(v),
                     HelperOutcome::Redirect(map, idx, ret) => {
-                        redirect = Some((map, idx));
-                        regs.set_scalar(Reg::R0, ret);
-                        regs.clobber_caller_saved();
+                        m.tally.redirect = Some((map, idx));
+                        r!(0u8) = ret;
                     }
                     HelperOutcome::TailCall(next) => {
-                        tail_calls += 1;
-                        if tail_calls > MAX_TAIL_CALLS {
-                            // The kernel fails the call and continues;
-                            // r1–r5 are left alone on this path.
-                            regs.set_scalar(Reg::R0, (-1i64) as u64);
-                            tail_calls -= 1;
+                        m.tally.tail_calls += 1;
+                        if m.tally.tail_calls > MAX_TAIL_CALLS {
+                            // The kernel fails the call and continues.
+                            r!(0u8) = u64::MAX;
+                            m.tally.tail_calls -= 1;
                             continue;
                         }
-                        prog = vm.decoded(next).ok_or(VmError::NoSuchProgram)?;
-                        pc = 0;
-                        if PROF {
-                            prof.tail_call(&prog.name);
-                        }
-                        regs.set(
-                            Reg::R1,
-                            Val::Ptr {
-                                region: Region::Ctx,
-                                off: 0,
-                            },
-                        );
-                        regs.clobber_tail_args();
+                        let next = vm.store.get(next.0).ok_or(VmError::NoSuchProgram)?;
+                        prof.tail_call(&next.prog.name);
+                        let Some(decoded) = &next.decoded else {
+                            // What the interpreter would hold: r0 and r6–r9
+                            // as they are, the fresh context, nothing else.
+                            let mut vals = [Val::Uninit; 11];
+                            for r in [0, 6, 7, 8, 9] {
+                                vals[r] = val(kinds[r], regs[r]);
+                            }
+                            vals[Reg::R1.index()] = CTX;
+                            vals[Reg::R10.index()] = FRAME;
+                            return Ok(Flow::Interp(&next.prog, vals));
+                        };
+                        p = decoded;
+                        at = 0;
+                        r!(1u8) = 0;
                     }
                 }
             }
-            FastInsn::Exit => {
-                let ret = scalar(regs.read(Reg::R0)?)?;
-                return Ok(VmOutcome {
-                    ret,
-                    insns,
-                    cycles,
-                    redirect,
-                    tail_calls,
-                });
-            }
+            Op::Exit => return Ok(Flow::Exit(r!(0u8))),
+            Op::Unreached => return Err(VmError::PcOutOfRange),
         }
     }
 }
@@ -487,6 +534,7 @@ mod tests {
     fn both_backends_agree_on_a_map_heavy_program() {
         let (interp, islot, imap) = world(Backend::Interp);
         let (fast, fslot, fmap) = world(Backend::Fast);
+        assert!(fast.decoded(fslot).is_some(), "runs specialised");
         for round in 0u64..16 {
             let mut pkt_a = [0u8; 8];
             pkt_a[..8].copy_from_slice(&(round * 0x9E37).to_le_bytes());
@@ -531,6 +579,7 @@ mod tests {
             .build("self")
             .unwrap();
         let slot = vm.load_unverified(prog);
+        assert!(vm.decoded(slot).is_some(), "runs specialised");
         vm.maps()
             .get(prog_array)
             .unwrap()

@@ -14,10 +14,14 @@
 //!   provenance per register, requires explicit packet-bounds checks
 //!   against `data_end` before packet loads, requires null checks on map
 //!   values, bounds the analysis at one million explored instructions (so
-//!   only bounded loops pass), and rejects everything else (§4.3).
-//! * [`vm`] — an interpreter with per-instruction cycle accounting used for
-//!   Table 2's instruction/cycle measurements, plus defense-in-depth
-//!   runtime checks (verified programs never trip them).
+//!   only bounded loops pass), and rejects everything else (§4.3). What it
+//!   proves per instruction comes back as [`Facts`].
+//! * [`decode`] — lowers a verified program, using those facts, into the
+//!   specialised form the default engine runs on untagged registers.
+//! * [`vm`] — loaded programs, the engines, and the reference interpreter
+//!   with per-instruction cycle accounting used for Table 2's
+//!   instruction/cycle measurements, plus defense-in-depth runtime checks
+//!   (verified programs never trip them).
 //! * [`maps`] — array / hash / program-array maps with the pin-to-path
 //!   namespace Syrup uses for cross-layer communication (§3.4), including
 //!   the atomics-on-values model of §4.1.
@@ -44,11 +48,11 @@ pub mod vm;
 
 pub use asm::Asm;
 pub use asm_text::assemble;
-pub use decode::{decode, DecodedProg};
+pub use decode::DecodedProg;
 pub use helpers::HelperId;
 pub use insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
 pub use maps::{MapDef, MapId, MapKind, MapRef, MapRegistry};
-pub use verifier::{verify, verify_with_config, VerifierConfig, VerifierError};
+pub use verifier::{verify, verify_with_config, Facts, Kind, VerifierConfig, VerifierError};
 pub use vm::{Backend, PacketCtx, Vm, VmError, VmOutcome};
 
 /// A loaded, verified program: instructions plus a human-readable name.

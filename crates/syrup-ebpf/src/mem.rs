@@ -1,14 +1,14 @@
 //! Guest memory and the helper ABI: everything a running policy can
 //! touch outside its own registers.
 //!
-//! Both execution engines call the functions here, so the boundary the
-//! safety story rests on — loads, stores and atomics on the stack, the
-//! packet, the context and map values, and the helpers that reach Maps —
-//! exists once. An engine supplies only its registers: a pointer or scalar
-//! already read out of them, or (for helpers) a closure that reads r1–r5
-//! on demand. Helpers read their arguments lazily, in ABI order, so which
-//! trap wins when several arguments are bad is decided here and nowhere
-//! else.
+//! The interpreter's loads, stores and atomics on the stack, the packet,
+//! the context and map values, and the helpers that reach Maps, live
+//! here; the fast engine shares the bounds checks and the helpers, so the
+//! boundary the safety story rests on exists once. An engine supplies only
+//! its registers: a pointer or scalar already read out of them, or (for
+//! helpers) a closure that reads r1–r5 on demand. Helpers read their
+//! arguments lazily, in ABI order, so which trap wins when several
+//! arguments are bad is decided here and nowhere else.
 //!
 //! Map ids resolve through the VM's load-time handle cache — a borrow, no
 //! lock, no refcount traffic — and fall back to the registry only for maps
@@ -96,7 +96,12 @@ fn effective(ptr: Val, insn_off: i64) -> Result<(Region, i64), VmError> {
 
 /// The byte range `off..off + nbytes` of a `len`-byte region.
 #[inline(always)]
-fn span(len: usize, off: i64, nbytes: u64, region: &'static str) -> Result<Range<usize>, VmError> {
+pub(crate) fn span(
+    len: usize,
+    off: i64,
+    nbytes: u64,
+    region: &'static str,
+) -> Result<Range<usize>, VmError> {
     if off < 0 || (off as u64).saturating_add(nbytes) > len as u64 {
         return Err(VmError::OutOfBounds {
             region,
@@ -111,7 +116,7 @@ fn span(len: usize, off: i64, nbytes: u64, region: &'static str) -> Result<Range
 /// in 64 bits first, so a pointer advanced by 2³² cannot alias back into
 /// the value.
 #[inline(always)]
-fn map_value_off(off: i64, nbytes: u64) -> Result<u32, VmError> {
+pub(crate) fn map_value_off(off: i64, nbytes: u64) -> Result<u32, VmError> {
     u32::try_from(off).map_err(|_| VmError::OutOfBounds {
         region: "map value",
         off,
@@ -119,7 +124,7 @@ fn map_value_off(off: i64, nbytes: u64) -> Result<u32, VmError> {
     })
 }
 
-fn read_le(bytes: &[u8]) -> u64 {
+pub(crate) fn read_le(bytes: &[u8]) -> u64 {
     let mut buf = [0u8; 8];
     buf[..bytes.len()].copy_from_slice(bytes);
     u64::from_le_bytes(buf)

@@ -20,10 +20,10 @@ const FIRST_CHUNK: usize = 32;
 /// Enough doubling chunks to cover every `u32` slot number.
 const CHUNKS: usize = 28;
 
-/// A loaded program next to its pre-decoded twin.
+/// A loaded program next to its specialised form, if it has one.
 pub(crate) struct Loaded {
     pub(crate) prog: Program,
-    pub(crate) decoded: DecodedProg,
+    pub(crate) decoded: Option<DecodedProg>,
 }
 
 type Chunk = Box<[OnceLock<Loaded>]>;
@@ -110,8 +110,11 @@ mod tests {
         assert!(store.get(0).is_none());
         for i in 0..200u32 {
             let prog = Program::new(format!("p{i}"), Vec::new());
-            let decoded = crate::decode::decode(&prog);
-            assert_eq!(store.push(Loaded { prog, decoded }), i);
+            let loaded = Loaded {
+                prog,
+                decoded: None,
+            };
+            assert_eq!(store.push(loaded), i);
         }
         assert_eq!(store.len(), 200);
         for (i, loaded) in store.iter().enumerate() {

@@ -25,6 +25,11 @@
 //! Known scalar constants are propagated and branches on them are folded,
 //! which is what lets bounded `for` loops (SCAN-Avoid's socket probing)
 //! verify without path explosion.
+//!
+//! An accepted program comes back with [`Facts`], the kernel's
+//! `insn_aux_data`: what each register holds at each pc on every explored
+//! path, and where basic blocks start. The loader specialises the program
+//! from them (`decode.rs`), so the engine that runs it carries no tags.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -285,11 +290,126 @@ impl State {
     }
 }
 
-/// Successful verification summary.
+/// Largest pointer offset, either sign, the specialised engine packs into
+/// a register word (the kernel's `BPF_MAX_VAR_OFF`). A program that forms
+/// a pointer beyond it still verifies; it runs on the interpreter.
+pub const MAX_PTR_OFF: i64 = 1 << 29;
+
+/// What a register holds at one pc, joined over every explored path that
+/// reaches it: all an engine needs to run an instruction on untagged
+/// words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// No explored path reaches the pc.
+    Unseen,
+    /// Unwritten on every path.
+    Uninit,
+    /// A number; map references to different maps join here, since a
+    /// map reference is a scalar token at run time.
+    Scalar,
+    /// A reference to this map, from `LoadMapFd`.
+    MapFd(MapId),
+    /// The context pointer.
+    Ctx,
+    /// A packet pointer, `data + k` or `data_end`.
+    Packet,
+    /// A stack pointer.
+    Stack,
+    /// A pointer into one of this map's values, or NULL before its check.
+    MapValue(MapId),
+    /// Paths disagree: two regions, or written on some paths only.
+    Mixed,
+}
+
+impl Kind {
+    fn of(abs: Abs) -> Kind {
+        match abs {
+            Abs::Uninit => Kind::Uninit,
+            Abs::Scalar(_) => Kind::Scalar,
+            Abs::MapFd(map) => Kind::MapFd(map),
+            Abs::CtxPtr => Kind::Ctx,
+            Abs::PacketPtr(_) | Abs::PacketEnd => Kind::Packet,
+            Abs::StackPtr(_) => Kind::Stack,
+            Abs::MapValue { map, .. } => Kind::MapValue(map),
+        }
+    }
+
+    fn join(self, other: Kind) -> Kind {
+        match (self, other) {
+            (Kind::Unseen, k) | (k, Kind::Unseen) => k,
+            (a, b) if a == b => a,
+            (Kind::MapFd(_) | Kind::Scalar, Kind::MapFd(_) | Kind::Scalar) => Kind::Scalar,
+            _ => Kind::Mixed,
+        }
+    }
+}
+
+/// Per-pc facts an accepted program's analysis proved, read off the
+/// abstract states it walked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Facts {
+    /// Per pc, each register's [`Kind`] on arrival.
+    regs: Vec<[Kind; 11]>,
+    /// Per pc, whether a basic block starts there: the entry, every branch
+    /// or jump target, and the instruction after a branch or a tail call.
+    leaders: Vec<bool>,
+    /// Whether every pointer offset stayed within [`MAX_PTR_OFF`].
+    offsets_in_range: bool,
+}
+
+impl Facts {
+    fn new(len: usize) -> Facts {
+        let mut leaders = vec![false; len];
+        leaders[0] = true;
+        Facts {
+            regs: vec![[Kind::Unseen; 11]; len],
+            leaders,
+            offsets_in_range: true,
+        }
+    }
+
+    fn observe(&mut self, pc: usize, st: &State) {
+        for (fact, &abs) in self.regs[pc].iter_mut().zip(&st.regs) {
+            *fact = fact.join(Kind::of(abs));
+            if let Abs::PacketPtr(off) | Abs::StackPtr(off) | Abs::MapValue { off, .. } = abs {
+                self.offsets_in_range &= off.unsigned_abs() <= MAX_PTR_OFF as u64;
+            }
+        }
+    }
+
+    fn lead(&mut self, pc: usize) {
+        if let Some(leader) = self.leaders.get_mut(pc) {
+            *leader = true;
+        }
+    }
+
+    /// What `reg` holds on arrival at `pc`: the region a memory step's
+    /// base points into, or the kind of a helper argument.
+    pub fn kind(&self, pc: usize, reg: Reg) -> Kind {
+        self.regs
+            .get(pc)
+            .map_or(Kind::Unseen, |regs| regs[reg.index()])
+    }
+
+    /// Whether a basic block starts at `pc`.
+    pub fn starts_block(&self, pc: usize) -> bool {
+        self.leaders.get(pc).copied().unwrap_or(false)
+    }
+
+    /// Whether every pointer the program forms stays within
+    /// [`MAX_PTR_OFF`] of its region's base.
+    pub fn offsets_in_range(&self) -> bool {
+        self.offsets_in_range
+    }
+}
+
+/// Successful verification summary.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyInfo {
     /// Simulated instructions analyzed across all explored paths.
     pub analyzed: u64,
+    /// What the analysis proved about each instruction.
+    pub facts: Facts,
 }
 
 /// Tunable verifier behavior.
@@ -331,6 +451,7 @@ pub fn verify_with_config(
     let mut alts: Vec<(usize, State, usize)> = vec![(0, State::entry(), 0)];
     let mut path: Vec<(usize, State)> = Vec::new();
     let mut visited: HashMap<usize, Vec<State>> = HashMap::new();
+    let mut facts = Facts::new(len);
 
     while let Some((start_pc, start_st, fork_depth)) = alts.pop() {
         path.truncate(fork_depth);
@@ -350,6 +471,7 @@ pub fn verify_with_config(
                 break;
             }
             seen.push(st.clone());
+            facts.observe(pc, &st);
             path.push((pc, st.clone()));
 
             analyzed += 1;
@@ -468,6 +590,7 @@ pub fn verify_with_config(
                 }
                 Insn::Jump { off } => {
                     pc = branch_target(pc, off, len)?;
+                    facts.lead(pc);
                 }
                 Insn::Branch {
                     op,
@@ -477,6 +600,8 @@ pub fn verify_with_config(
                     off,
                 } => {
                     let target = branch_target(pc, off, len)?;
+                    facts.lead(target);
+                    facts.lead(next);
                     let l = st.read(pc, lhs)?;
                     let r = operand_abs(&st, pc, rhs)?;
                     match branch_refine(pc, op, w, lhs, rhs, l, r, &st)? {
@@ -523,6 +648,9 @@ pub fn verify_with_config(
                     for r in 1..=5 {
                         st.regs[r] = Abs::Uninit;
                     }
+                    if helper == HelperId::TailCall {
+                        facts.lead(next);
+                    }
                     pc = next;
                 }
                 Insn::Exit => {
@@ -538,7 +666,7 @@ pub fn verify_with_config(
             }
         }
     }
-    Ok(VerifyInfo { analyzed })
+    Ok(VerifyInfo { analyzed, facts })
 }
 
 fn operand_abs(st: &State, pc: usize, op: Operand) -> Result<Abs, VerifierError> {

@@ -1,21 +1,24 @@
-//! The virtual machine: a defensive interpreter with cycle accounting.
+//! The virtual machine: loaded programs, the engines that run them, and
+//! the reference interpreter with cycle accounting.
 //!
 //! [`Vm`] holds loaded programs and the map registry and executes one
-//! program per input event, exactly like an attached kernel program. The
-//! interpreter mirrors kernel semantics (wrapping arithmetic, 32-bit
-//! zero-extension, division-by-zero-yields-zero, tail-call limits) and
-//! keeps defense-in-depth runtime checks — out-of-bounds or wild accesses
-//! trap instead of corrupting simulation state. Programs admitted through
-//! [`Vm::load`] have passed the [`crate::verifier`], which statically rules
-//! those traps out; `load_unverified` exists so tests can exercise the
-//! runtime checks directly. The checks on guest memory and helper
-//! arguments live in `mem.rs`, which this loop and the fast engine's both
-//! call; this file keeps values, ALU and compare semantics, and the loop.
+//! program per input event, exactly like an attached kernel program. A
+//! program is verified once, at load; one that passes is also lowered
+//! into the specialised form the default engine runs (`decode.rs`,
+//! `fast.rs`). The interpreter here is the reference: it mirrors kernel
+//! semantics (wrapping arithmetic, 32-bit zero-extension,
+//! division-by-zero-yields-zero, tail-call limits) and keeps
+//! defense-in-depth runtime checks — out-of-bounds or wild accesses trap
+//! instead of corrupting simulation state. It runs everything under
+//! [`Backend::Interp`], and under [`Backend::Fast`] every program that has
+//! no specialised form: `load_unverified` admits programs the verifier
+//! rejects so tests can exercise the runtime checks directly. The checks
+//! on guest memory and helper arguments live in `mem.rs`.
 //!
-//! Values are represented with explicit pointer provenance (a tagged
-//! scalar/pointer enum) rather than raw host addresses: this is the safe
-//! Rust analogue of the kernel's JITed pointers and is what lets the whole
-//! crate be `#![forbid(unsafe_code)]`.
+//! The interpreter represents values with explicit pointer provenance (a
+//! tagged scalar/pointer enum) rather than raw host addresses: this is the
+//! safe Rust analogue of the kernel's JITed pointers and is what lets the
+//! whole crate be `#![forbid(unsafe_code)]`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -27,7 +30,7 @@ use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
 use crate::maps::{MapError, MapId, MapRef, MapRegistry, ProgSlot};
 use crate::mem::{call_helper, fetch_add, map_fd_token, mem_load, mem_store, Frame, HelperOutcome};
 use crate::store::{Loaded, ProgStore};
-use crate::verifier::{verify, VerifierError};
+use crate::verifier::{verify, Facts, VerifierError};
 use crate::Program;
 use syrup_telemetry::{Counter, CounterHandle, Histogram, HistogramHandle, PerCpu, Registry};
 
@@ -180,19 +183,38 @@ pub(crate) enum Val {
     Ptr { region: Region, off: i64 },
 }
 
+/// `r1` at entry and after a tail call: the context.
+pub(crate) const CTX: Val = Val::Ptr {
+    region: Region::Ctx,
+    off: 0,
+};
+/// `r10`: the frame pointer, one past the stack's top byte.
+pub(crate) const FRAME: Val = Val::Ptr {
+    region: Region::Stack,
+    off: STACK_SIZE,
+};
+/// The registers at entry: the context and the frame pointer.
+pub(crate) const ENTRY: [Val; 11] = {
+    let mut regs = [Val::Uninit; 11];
+    regs[1] = CTX;
+    regs[10] = FRAME;
+    regs
+};
+
 /// Which execution engine [`Vm::run`] dispatches to.
 ///
 /// Both engines implement the same observable contract — verdicts, map
 /// state, helper effects, tail-call semantics, trap kinds, and modelled
 /// cycle totals are identical; only wall-clock execution speed differs.
-/// The interpreter is the semantic oracle; the fast engine executes the
-/// pre-decoded stream produced by [`mod@crate::decode`].
+/// The interpreter is the semantic oracle; the fast engine runs the
+/// specialised form [`mod@crate::decode`] lowers a verified program into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// The defensive interpreter over the original instruction stream.
-    #[default]
     Interp,
-    /// Direct dispatch over the pre-decoded instruction stream.
+    /// Verified programs on untagged registers, everything else on the
+    /// interpreter.
+    #[default]
     Fast,
 }
 
@@ -336,9 +358,50 @@ impl Entry<'_> {
     }
 }
 
+/// A run's account so far, whichever engine holds it.
+pub(crate) struct Tally {
+    pub(crate) insns: u64,
+    pub(crate) cycles: u64,
+    pub(crate) tail_calls: u32,
+    pub(crate) redirect: Option<(MapId, u32)>,
+}
+
+impl Tally {
+    /// The account on arrival at `entry`.
+    pub(crate) fn at(entry: Entry<'_>) -> Tally {
+        let (insns, cycles, tail_calls) = entry.account();
+        Tally {
+            insns,
+            cycles,
+            tail_calls,
+            redirect: None,
+        }
+    }
+
+    /// The outcome of exiting with `ret` now.
+    pub(crate) fn outcome(&self, ret: u64) -> VmOutcome {
+        VmOutcome {
+            ret,
+            insns: self.insns,
+            cycles: self.cycles,
+            redirect: self.redirect,
+            tail_calls: self.tail_calls,
+        }
+    }
+}
+
+/// Where an interpreter run ended.
+pub(crate) enum Landed<'v> {
+    /// At `exit`, or a traced run at its tail call.
+    Exit(VmOutcome),
+    /// At a tail call into a program with a specialised form, which the
+    /// fast engine takes over.
+    Specialised(&'v DecodedProg),
+}
+
 /// What a traced interpreter run hands back besides its outcome.
 #[derive(Default)]
-struct Traced {
+pub(crate) struct Traced {
     steps: Vec<PathStep>,
     /// The slot the first successful tail call resolved, where the run
     /// stopped.
@@ -444,8 +507,8 @@ impl VmTelemetry {
 #[derive(Debug, Clone)]
 pub struct Vm {
     pub(crate) maps: MapRegistry,
-    /// Each program beside its pre-decoded twin (what the fast engine
-    /// executes).
+    /// Each program beside its specialised form, if it has one (what the
+    /// fast engine executes).
     pub(crate) store: Arc<ProgStore>,
     /// Handles of every map that existed at the last load, indexed by
     /// map id, so a run's map accesses skip the registry lock; younger
@@ -532,15 +595,24 @@ impl Vm {
         &self.maps
     }
 
-    /// Verifies and loads a program, returning its slot.
+    /// Verifies and loads a program, returning its slot. The verifier's
+    /// facts specialise it for the fast engine.
     pub fn load(&mut self, prog: Program) -> Result<ProgSlot, VerifierError> {
-        verify(&prog, &self.maps)?;
-        Ok(self.load_unverified(prog))
+        let info = verify(&prog, &self.maps)?;
+        Ok(self.push(prog, Some(&info.facts)))
     }
 
-    /// Loads a program *without* verification. Only for tests exercising
-    /// the interpreter's defense-in-depth checks; `syrupd` never does this.
+    /// Loads a program whether or not it verifies: one that does is
+    /// specialised as [`Vm::load`] would, one that does not runs on the
+    /// interpreter under either backend. For tests exercising the
+    /// defense-in-depth checks and harnesses that verified the program
+    /// themselves; `syrupd` never does this.
     pub fn load_unverified(&mut self, prog: Program) -> ProgSlot {
+        let facts = verify(&prog, &self.maps).ok().map(|info| info.facts);
+        self.push(prog, facts.as_ref())
+    }
+
+    fn push(&mut self, prog: Program, facts: Option<&Facts>) -> ProgSlot {
         if self.profiler.is_enabled() {
             self.profiler
                 .register_program(&prog.name, rendered_insns(&prog));
@@ -548,13 +620,15 @@ impl Vm {
         if self.map_cache.len() != self.maps.len() {
             self.map_cache = self.maps.handles();
         }
-        let decoded = crate::decode::decode(&prog);
+        let decoded = facts.and_then(|facts| crate::decode::decode(&prog, facts, &self.maps));
         ProgSlot(self.store.push(Loaded { prog, decoded }))
     }
 
-    /// Returns the pre-decoded form of the program in `slot`, if any.
+    /// Returns the specialised form of the program in `slot`, if it has
+    /// one: it verified, and no step sees two regions (see
+    /// [`mod@crate::decode`]).
     pub fn decoded(&self, slot: ProgSlot) -> Option<&DecodedProg> {
-        self.store.get(slot.0).map(|l| &l.decoded)
+        self.store.get(slot.0)?.decoded.as_ref()
     }
 
     /// Returns the loaded program in `slot`, if any.
@@ -599,13 +673,24 @@ impl Vm {
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
     ) -> Option<TailPath> {
-        let prog = self.program(slot)?.name.clone();
+        let prog = self.program(slot)?;
         let mut traced = Traced::default();
-        let out = self
-            .run_inner::<true>(Entry::Prog(slot), ctx, env, &mut traced)
-            .ok()?;
-        Some(TailPath {
+        let entry = Entry::Prog(slot);
+        let mut prof = entry.scope(&syrup_profile::Profiler::disabled(), &prog.name);
+        let Ok(Landed::Exit(out)) = self.interpret::<true>(
             prog,
+            ENTRY,
+            &mut Frame::new(),
+            &mut Tally::at(entry),
+            &mut prof,
+            ctx,
+            env,
+            &mut traced,
+        ) else {
+            return None;
+        };
+        Some(TailPath {
+            prog: prog.name.clone(),
             steps: traced.steps,
             cycles: out.cycles,
             target: traced.target?,
@@ -618,10 +703,7 @@ impl Vm {
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
     ) -> Result<VmOutcome, VmError> {
-        let result = match self.backend {
-            Backend::Interp => self.run_inner::<false>(entry, ctx, env, &mut Traced::default()),
-            Backend::Fast => crate::fast::run(self, entry, ctx, env),
-        };
+        let result = crate::fast::run(self, entry, ctx, env);
         match &result {
             Ok(out) => {
                 self.telemetry.runs.inc();
@@ -665,48 +747,29 @@ impl Vm {
         result
     }
 
-    /// The interpreter loop. With `TRACE` it records every step into
-    /// `traced`, keeps the profiler out, and stops at the first successful
-    /// tail call.
-    fn run_inner<const TRACE: bool>(
-        &self,
-        entry: Entry<'_>,
+    /// The interpreter loop, from the first instruction of `prog` with the
+    /// machine state a run holds on arrival there. Under
+    /// [`Backend::Fast`] it hands the run over at a tail call into a
+    /// program with a specialised form. With `TRACE` it records every step
+    /// into `traced` and stops at the first successful tail call.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn interpret<'v, const TRACE: bool>(
+        &'v self,
+        mut prog: &'v Program,
+        mut regs: [Val; 11],
+        frame: &mut Frame,
+        tally: &mut Tally,
+        prof: &mut syrup_profile::VmSpan,
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
         traced: &mut Traced,
-    ) -> Result<VmOutcome, VmError> {
-        let mut prog = self.program(entry.slot()).ok_or(VmError::NoSuchProgram)?;
-        let (mut insns, mut cycles, mut tail_calls) = entry.account();
-        // A tail call into an empty program falls off its end instead.
-        if prog.is_empty() && matches!(entry, Entry::Prog(_)) {
-            return Err(VmError::NoSuchProgram);
-        }
-
-        let mut regs = [Val::Uninit; 11];
-        regs[Reg::R1.index()] = Val::Ptr {
-            region: Region::Ctx,
-            off: 0,
-        };
-        regs[Reg::R10.index()] = Val::Ptr {
-            region: Region::Stack,
-            off: STACK_SIZE,
-        };
-        let mut frame = Frame::new();
-
+    ) -> Result<Landed<'v>, VmError> {
         let mut pc: usize = 0;
-        let mut redirect: Option<(MapId, u32)> = None;
-        // Attribution scope: the fixed invoke cost lands on the entry
-        // (prog, pc 0) bucket, so the attributed sum equals `cycles`
-        // at every point of the run. Flushes on drop (any exit path).
-        let off = syrup_profile::Profiler::disabled();
-        let profiler = if TRACE { &off } else { &self.profiler };
-        let mut prof = entry.scope(profiler, &prog.name);
-
         loop {
             let insn = prog.insns.get(pc).ok_or(VmError::NoExit)?;
-            insns += 1;
+            tally.insns += 1;
             let cost = insn_cost(insn);
-            cycles += cost;
+            tally.cycles += cost;
             prof.insn(pc, cost);
             if TRACE {
                 traced.steps.push(PathStep {
@@ -715,7 +778,7 @@ impl Vm {
                     helper: None,
                 });
             }
-            if insns > RUNTIME_INSN_LIMIT {
+            if tally.insns > RUNTIME_INSN_LIMIT {
                 return Err(VmError::Runaway);
             }
             pc += 1;
@@ -835,7 +898,7 @@ impl Vm {
                         }
                     }
                     let arg = |r| read_reg(&regs, r);
-                    match call_helper(self, helper, arg, ctx, env, &mut frame)? {
+                    match call_helper(self, helper, arg, ctx, env, frame)? {
                         HelperOutcome::Ret(v) => {
                             regs[Reg::R0.index()] = v;
                             for reg in regs.iter_mut().take(6).skip(1) {
@@ -843,39 +906,34 @@ impl Vm {
                             }
                         }
                         HelperOutcome::Redirect(map, idx, ret) => {
-                            redirect = Some((map, idx));
+                            tally.redirect = Some((map, idx));
                             regs[Reg::R0.index()] = Val::Scalar(ret);
                             for reg in regs.iter_mut().take(6).skip(1) {
                                 *reg = Val::Uninit;
                             }
                         }
                         HelperOutcome::TailCall(slot) => {
-                            tail_calls += 1;
-                            if tail_calls > MAX_TAIL_CALLS {
+                            tally.tail_calls += 1;
+                            if tally.tail_calls > MAX_TAIL_CALLS {
                                 // The kernel fails the call and continues.
                                 regs[Reg::R0.index()] = Val::Scalar((-1i64) as u64);
-                                tail_calls -= 1;
+                                tally.tail_calls -= 1;
                                 continue;
                             }
                             prog = self.program(slot).ok_or(VmError::NoSuchProgram)?;
                             if TRACE {
                                 traced.target = Some(slot);
-                                return Ok(VmOutcome {
-                                    ret: 0,
-                                    insns,
-                                    cycles,
-                                    redirect,
-                                    tail_calls,
-                                });
+                                return Ok(Landed::Exit(tally.outcome(0)));
                             }
                             pc = 0;
                             prof.tail_call(&prog.name);
+                            if let (Backend::Fast, Some(prog)) = (self.backend, self.decoded(slot))
+                            {
+                                return Ok(Landed::Specialised(prog));
+                            }
                             // The target was verified assuming only r1/r10;
                             // reestablish them and drop the caller-saved set.
-                            regs[Reg::R1.index()] = Val::Ptr {
-                                region: Region::Ctx,
-                                off: 0,
-                            };
+                            regs[Reg::R1.index()] = CTX;
                             for reg in regs.iter_mut().take(6).skip(2) {
                                 *reg = Val::Uninit;
                             }
@@ -884,13 +942,7 @@ impl Vm {
                 }
                 Insn::Exit => {
                     let ret = scalar(read_reg(&regs, Reg::R0)?)?;
-                    return Ok(VmOutcome {
-                        ret,
-                        insns,
-                        cycles,
-                        redirect,
-                        tail_calls,
-                    });
+                    return Ok(Landed::Exit(tally.outcome(ret)));
                 }
             }
         }

@@ -1,7 +1,10 @@
 //! Differential oracle: interpreter vs fast execution backend.
 //!
-//! The fast backend ([`syrup_ebpf::Backend::Fast`]) claims the interpreter's
-//! full observable contract. This oracle hammers that claim with the same
+//! The fast backend ([`syrup_ebpf::Backend::Fast`], the default) claims the
+//! interpreter's full observable contract: it runs every program that
+//! verifies on the specialised engine, the rest on the interpreter. Before
+//! anything else the oracle checks that every corpus policy specialises.
+//! It then hammers the claim with the same
 //! three program sources as the main fuzz loop — structured bytecode
 //! generation, corpus mutations, and random policy sources in the C subset
 //! (including ranked returns) — running every program on *both* backends
@@ -14,7 +17,9 @@
 //! * identical whole-map state ([`MapRef::entries`](syrup_ebpf::maps::MapRef::entries))
 //!   after all runs;
 //! * identical helper traces (per-helper call and cycle attribution from
-//!   two independent profilers).
+//!   two independent profilers);
+//! * a reference side that really ran on the interpreter (its
+//!   `vm/runs_interp` counts every successful run).
 //!
 //! Divergences auto-shrink to a minimal instruction sequence with both
 //! worlds rebuilt from scratch per candidate, and print a reproducing
@@ -26,6 +31,7 @@ use syrup_ebpf::maps::{MapId, MapRegistry, ProgSlot};
 use syrup_ebpf::vm::{Backend, PacketCtx, Vm};
 use syrup_ebpf::{verify, Program};
 use syrup_profile::Profiler;
+use syrup_telemetry::Registry;
 
 use crate::{gen, langgen, mutate, shrink, splitmix64, FuzzInput, Prng};
 
@@ -45,8 +51,12 @@ pub struct BackendDiffReport {
     /// Programs the verifier rejected — still executed on both backends,
     /// since trap behavior must match too.
     pub rejected: u64,
+    /// Programs the fast side ran on the specialised engine.
+    pub specialised: u64,
     /// Paired (interp, fast) executions compared.
     pub compared_runs: u64,
+    /// Reference-side runs that completed on the interpreter.
+    pub interpreted_runs: u64,
     /// The first divergence found, if any.
     pub divergence: Option<BackendDivergence>,
 }
@@ -56,14 +66,17 @@ impl fmt::Display for BackendDiffReport {
         write!(
             f,
             "{} iterations: {} generated, {} mutated, {} lang sources \
-             ({} compile errors), {} rejected; {} paired runs compared",
+             ({} compile errors), {} rejected, {} specialised; {} paired runs \
+             compared, {} completed on the reference interpreter",
             self.iterations,
             self.generated,
             self.mutated,
             self.lang_sources,
             self.lang_compile_errors,
             self.rejected,
-            self.compared_runs
+            self.specialised,
+            self.compared_runs,
+            self.interpreted_runs
         )
     }
 }
@@ -118,6 +131,21 @@ pub fn run_backend_diff(iters: u64, seed: u64) -> BackendDiffReport {
     let mut report = BackendDiffReport::default();
     let corpus = mutate::compiled_corpus();
     let entries = syrup_policies::corpus();
+    // Every shipped policy must run on the specialised engine.
+    for ((prog, maps), entry) in corpus.iter().zip(&entries) {
+        let mut vm = Vm::new(maps.clone());
+        let slot = vm.load_unverified(prog.clone());
+        if vm.decoded(slot).is_none() {
+            report.divergence = Some(BackendDivergence {
+                seed,
+                iteration: 0,
+                detail: format!("corpus policy {} falls back to the interpreter", entry.name),
+                program: prog.clone(),
+                input: None,
+            });
+            return report;
+        }
+    }
     for iteration in 0..iters {
         report.iterations = iteration + 1;
         // Distinct stream from the main fuzz loop so `--iters` and
@@ -164,6 +192,8 @@ struct Worlds {
     islot: ProgSlot,
     imaps: MapRegistry,
     iprof: Profiler,
+    /// The reference side's telemetry.
+    itel: Registry,
     fast: Vm,
     fslot: ProgSlot,
     fmaps: MapRegistry,
@@ -174,6 +204,9 @@ fn build_worlds(prog: &Program, world: &dyn Fn() -> MapRegistry, profile: bool) 
     let imaps = world();
     let fmaps = world();
     let mut interp = Vm::new(imaps.clone());
+    interp.set_backend(Backend::Interp);
+    let itel = Registry::new();
+    interp.attach_telemetry(&itel);
     let mut fast = Vm::new(fmaps.clone());
     fast.set_backend(Backend::Fast);
     let (iprof, fprof) = if profile {
@@ -190,6 +223,7 @@ fn build_worlds(prog: &Program, world: &dyn Fn() -> MapRegistry, profile: bool) 
         islot,
         imaps,
         iprof,
+        itel,
         fast,
         fslot,
         fmaps,
@@ -314,6 +348,9 @@ fn diff_program(
         report.rejected += 1;
     }
     let w = build_worlds(prog, world, true);
+    if w.fast.decoded(w.fslot).is_some() {
+        report.specialised += 1;
+    }
     let inputs: Vec<FuzzInput> = (0..n_inputs).map(|_| FuzzInput::random(rng)).collect();
     let mut seen: Vec<FuzzInput> = Vec::new();
     for input in inputs {
@@ -329,8 +366,16 @@ fn diff_program(
             });
         }
     }
-    let detail =
-        compare_maps(&w.imaps, &w.fmaps).or_else(|| compare_helper_traces(&w.iprof, &w.fprof))?;
+    let snap = w.itel.snapshot();
+    let interpreted = snap.counter("vm/runs_interp");
+    report.interpreted_runs += interpreted;
+    let detail = compare_maps(&w.imaps, &w.fmaps)
+        .or_else(|| compare_helper_traces(&w.iprof, &w.fprof))
+        .or_else(|| {
+            let runs = snap.counter("vm/runs");
+            (runs != interpreted)
+                .then(|| format!("reference side: {runs} runs, {interpreted} on the interpreter"))
+        })?;
     Some(BackendDivergence {
         seed,
         iteration,
@@ -387,6 +432,8 @@ mod tests {
         assert!(report.mutated > 0);
         assert!(report.lang_sources > 0);
         assert!(report.compared_runs > 0);
+        assert!(report.specialised > 0, "the specialised engine never ran");
+        assert!(report.interpreted_runs > 0, "the reference never ran");
         assert!(
             report.rejected > 0,
             "trap-path comparison never exercised (no rejected programs ran)"

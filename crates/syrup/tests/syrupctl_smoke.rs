@@ -231,14 +231,14 @@ fn json_of_clean_env(args: &[&str]) -> serde::json::Value {
 
 #[test]
 fn prog_list_reports_engine_per_row_and_honors_backend_flag() {
-    // Default engine: eBPF rows run on the interpreter; native rows
+    // Default engine: eBPF rows run on the fast engine; native rows
     // bypass the VM and report no engine.
     let v = json_of_clean_env(&["prog", "list", "--json"]);
     for row in v.as_array().unwrap() {
         let backend = row.get("backend").and_then(|b| b.as_str()).unwrap();
         let engine = row.get("engine").expect("engine key present");
         if backend == "ebpf" {
-            assert_eq!(engine.as_str(), Some("interp"));
+            assert_eq!(engine.as_str(), Some("fast"));
         } else {
             assert!(
                 matches!(engine, serde::json::Value::Null),
@@ -246,31 +246,34 @@ fn prog_list_reports_engine_per_row_and_honors_backend_flag() {
             );
         }
     }
-    // `--backend fast` flips every eBPF row to the fast engine.
-    let v = json_of_clean_env(&["prog", "list", "--json", "--backend", "fast"]);
-    for row in v.as_array().unwrap() {
-        if row.get("backend").and_then(|b| b.as_str()) == Some("ebpf") {
-            assert_eq!(row.get("engine").and_then(|e| e.as_str()), Some("fast"));
+    // `--backend interp` flips every eBPF row to the interpreter, and
+    // `--backend fast` names the default.
+    for engine in ["interp", "fast"] {
+        let v = json_of_clean_env(&["prog", "list", "--json", "--backend", engine]);
+        for row in v.as_array().unwrap() {
+            if row.get("backend").and_then(|b| b.as_str()) == Some("ebpf") {
+                assert_eq!(row.get("engine").and_then(|e| e.as_str()), Some(engine));
+            }
         }
     }
 }
 
 #[test]
 fn prog_stats_per_backend_counters_follow_the_selected_engine() {
-    let v = json_of_clean_env(&["prog", "stats", "--json"]);
-    assert_eq!(v.get("engine").and_then(|e| e.as_str()), Some("interp"));
-    let runs = |v: &serde::json::Value, k: &str| v.get(k).and_then(|f| f.as_u64()).unwrap();
-    assert!(runs(&v, "runs_interp") > 0, "interp ran the scenario");
-    assert_eq!(runs(&v, "runs_fast"), 0);
-    assert!(runs(&v, "cycles_interp") > 0);
-    assert_eq!(runs(&v, "cycles_fast"), 0);
-
-    let f = json_of_clean_env(&["prog", "stats", "--json", "--backend", "fast"]);
+    let f = json_of_clean_env(&["prog", "stats", "--json"]);
     assert_eq!(f.get("engine").and_then(|e| e.as_str()), Some("fast"));
+    let runs = |v: &serde::json::Value, k: &str| v.get(k).and_then(|f| f.as_u64()).unwrap();
     assert!(runs(&f, "runs_fast") > 0, "fast ran the scenario");
     assert_eq!(runs(&f, "runs_interp"), 0);
     assert!(runs(&f, "cycles_fast") > 0);
     assert_eq!(runs(&f, "cycles_interp"), 0);
+
+    let v = json_of_clean_env(&["prog", "stats", "--json", "--backend", "interp"]);
+    assert_eq!(v.get("engine").and_then(|e| e.as_str()), Some("interp"));
+    assert!(runs(&v, "runs_interp") > 0, "interp ran the scenario");
+    assert_eq!(runs(&v, "runs_fast"), 0);
+    assert!(runs(&v, "cycles_interp") > 0);
+    assert_eq!(runs(&v, "cycles_fast"), 0);
 
     // Both engines model identical per-invocation costs, so the
     // scenario-wide cycle totals agree exactly across backends.

@@ -1,12 +1,15 @@
-//! Both-backend equivalence over the checked-in paper policies and the
-//! quickstart scenario: the fast pre-decoded backend must be observably
-//! identical to the reference interpreter — same outcomes (including
-//! modelled cycle totals), same packet bytes, same final map state, and
-//! for the end-to-end quickstart the same completions and span records.
+//! Both-backend equivalence over the checked-in paper policies, the edges
+//! of the specialised engine, and the quickstart scenario: the fast
+//! backend must be observably identical to the reference interpreter —
+//! same outcomes (including modelled cycle totals), same packet bytes,
+//! same final map state, and for the end-to-end quickstart the same
+//! completions and span records.
 
-use syrup::ebpf::maps::{MapEntries, MapId, MapRegistry};
-use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
+use syrup::ebpf::maps::{MapEntries, MapId, MapRegistry, ProgSlot};
+use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm, VmError, VmOutcome, RUNTIME_INSN_LIMIT};
+use syrup::ebpf::{Asm, HelperId, MapDef, Reg};
 use syrup::policies::corpus;
+use syrup::telemetry::Registry;
 
 /// Serializes the tests that flip the `SYRUP_BACKEND` env var — they
 /// run on separate threads within this binary otherwise.
@@ -57,18 +60,24 @@ fn map_state(maps: &MapRegistry) -> Vec<(u32, MapEntries)> {
 #[test]
 fn corpus_policies_agree_across_backends() {
     for entry in corpus() {
-        let build = || {
+        let build = |backend| {
             let maps = MapRegistry::new();
             let compiled = syrup::lang::compile(entry.source, &entry.opts, &maps)
                 .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.name));
             let mut vm = Vm::new(maps.clone());
+            vm.set_backend(backend);
+            let telemetry = Registry::new();
+            vm.attach_telemetry(&telemetry);
             let slot = vm.load_unverified(compiled.program);
-            (vm, slot, maps)
+            (vm, slot, maps, telemetry)
         };
-        let (interp, islot, imaps) = build();
-        let (mut fast, fslot, fmaps) = build();
-        fast.set_backend(Backend::Fast);
-        assert_eq!(fast.backend(), Backend::Fast);
+        let (interp, islot, imaps, reference) = build(Backend::Interp);
+        let (fast, fslot, fmaps, _) = build(Backend::Fast);
+        assert!(
+            fast.decoded(fslot).is_some(),
+            "{}: not specialised",
+            entry.name
+        );
 
         for (i, packet) in packets().into_iter().enumerate() {
             let mut pkt_i = packet.clone();
@@ -105,6 +114,8 @@ fn corpus_policies_agree_across_backends() {
             "{}: final map state diverged",
             entry.name
         );
+        let runs = reference.snapshot().counter("vm/runs_interp");
+        assert!(runs > 0, "{}: the reference never ran", entry.name);
     }
 }
 
@@ -172,21 +183,206 @@ fn corpus_policies_entered_after_a_traced_path_agree_across_backends() {
     }
 }
 
-/// Pre-decoding is lossless on every corpus policy: re-encoding the
-/// decoded stream reproduces the compiler's output exactly.
-#[test]
-fn corpus_policies_decode_reencode_round_trip() {
-    for entry in corpus() {
+/// Builds one world per backend with `setup`, runs the slot it returns
+/// over a 16-byte packet with `meta0`, and asserts the two agree on the
+/// outcome, packet bytes, `prandom` stream and final map state. Returns
+/// the reference outcome and packet.
+fn agree_on(
+    meta0: u64,
+    setup: impl Fn(&mut Vm) -> ProgSlot,
+) -> (Result<VmOutcome, VmError>, Vec<u8>) {
+    let [interp, fast] = [Backend::Interp, Backend::Fast].map(|backend| {
         let maps = MapRegistry::new();
-        let compiled = syrup::lang::compile(entry.source, &entry.opts, &maps)
-            .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.name));
-        let decoded = syrup::ebpf::decode(&compiled.program);
-        assert_eq!(
-            decoded.reencode(),
-            compiled.program.insns,
-            "{}: decode/reencode not lossless",
-            entry.name
-        );
+        let mut vm = Vm::new(maps.clone());
+        vm.set_backend(backend);
+        let slot = setup(&mut vm);
+        let mut pkt = vec![0xA5u8; 16];
+        let mut env = run_env(7);
+        let mut ctx = PacketCtx::new(&mut pkt);
+        ctx.meta[0] = meta0;
+        let out = vm.run(slot, &mut ctx, &mut env);
+        (out, pkt, env.prandom_state, map_state(&maps))
+    });
+    assert!(interp == fast, "engines diverged:\n{interp:?}\n{fast:?}");
+    (interp.0, interp.1)
+}
+
+/// A verified counted loop that tail-calls itself, entered from an
+/// unverified dispatcher that spends the budget first, so the budget runs
+/// out inside the loop's block: at its first instruction, in its middle
+/// and at its last. Each store of the block leaves a mark in the packet,
+/// so the engines agree only if they trap at the same instruction.
+#[test]
+fn a_budget_running_out_inside_a_block_traps_where_the_interpreter_does() {
+    const K: i32 = 100;
+    // Per invocation up to its tail call: 6 instructions to the loop,
+    // 6 per iteration, 3 to the call.
+    let invocation = 6 + 6 * K as u64 + 3;
+    for p in [0, 3, 5] {
+        // Trap as the (p+1)-th instruction of the 51st loop block of the
+        // 11th invocation.
+        let before = RUNTIME_INSN_LIMIT - 10 * invocation - 6 - 6 * 50 - p;
+        let pad = (before - 4) % 2;
+        let spins = (before - 4 - pad) / 2;
+        let (out, pkt) = agree_on(spins, |vm| {
+            let progs = vm.maps().create(MapDef::prog_array(2));
+            let tail_call = |asm: Asm, slot| {
+                asm.load_map_fd(Reg::R2, progs)
+                    .mov64_imm(Reg::R3, slot)
+                    .call(HelperId::TailCall)
+            };
+            let looping = Asm::new()
+                .ldx_dw(Reg::R8, Reg::R1, 0)
+                .ldx_dw(Reg::R9, Reg::R1, 8)
+                .mov64_reg(Reg::R2, Reg::R8)
+                .add64_imm(Reg::R2, 16)
+                .jgt_reg(Reg::R2, Reg::R9, "out")
+                .mov64_imm(Reg::R6, 0)
+                .label("loop")
+                .add64_imm(Reg::R6, 1)
+                .stx_w(Reg::R8, 0, Reg::R6)
+                .stx_w(Reg::R8, 4, Reg::R6)
+                .stx_w(Reg::R8, 8, Reg::R6)
+                .stx_w(Reg::R8, 12, Reg::R6)
+                .jlt_imm(Reg::R6, K, "loop");
+            let looping = tail_call(looping, 1)
+                .mov64_reg(Reg::R0, Reg::R6)
+                .exit()
+                .label("out")
+                .mov64_imm(Reg::R0, 0)
+                .exit()
+                .build("looping")
+                .unwrap();
+            let looping = vm.load(looping).unwrap();
+            assert!(vm.decoded(looping).is_some());
+            // `meta0` pairs of instructions: its count is unknown, so the
+            // verifier refuses the loop.
+            let mut spin = Asm::new().ldx_dw(Reg::R6, Reg::R1, 16);
+            if pad == 1 {
+                spin = spin.mov64_imm(Reg::R0, 0);
+            }
+            let spin = spin
+                .label("spin")
+                .sub64_imm(Reg::R6, 1)
+                .jne_imm(Reg::R6, 0, "spin");
+            let spin = tail_call(spin, 1)
+                .mov64_imm(Reg::R0, 0)
+                .exit()
+                .build("spin")
+                .unwrap();
+            let spin = vm.load_unverified(spin);
+            assert!(vm.decoded(spin).is_none());
+            let live = vm.maps().get(progs).unwrap();
+            live.set_prog(0, Some(spin)).unwrap();
+            live.set_prog(1, Some(looping)).unwrap();
+            spin
+        });
+        assert_eq!(out, Err(VmError::Runaway), "trap at block position {p}");
+        // Iteration 51 had stored its counter into the first p - 1 words.
+        let words: Vec<u32> = (0..4u64).map(|j| if j + 1 < p { 51 } else { 50 }).collect();
+        let got: Vec<u32> = pkt
+            .chunks(4)
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+            .collect();
+        assert_eq!(got, words, "trap at block position {p}");
+    }
+}
+
+/// A verified program tail-calls a program the verifier refused, which
+/// reads what the caller left in r0 and r6–r9: a number, the context, and
+/// stack, packet and map-value pointers.
+#[test]
+fn an_unverified_tail_call_target_reads_the_callers_registers() {
+    let (out, _) = agree_on(1_000, |vm| {
+        let map = vm.maps().create(MapDef::u64_array(1));
+        vm.maps().get(map).unwrap().update_u64(0, 30_000).unwrap();
+        let progs = vm.maps().create(MapDef::prog_array(1));
+        let caller = Asm::new()
+            .mov64_reg(Reg::R6, Reg::R1)
+            .ldx_dw(Reg::R8, Reg::R6, 0)
+            .ldx_dw(Reg::R2, Reg::R6, 8)
+            .mov64_reg(Reg::R3, Reg::R8)
+            .add64_imm(Reg::R3, 8)
+            .jgt_reg(Reg::R3, Reg::R2, "out")
+            .st_dw(Reg::R10, -8, 200)
+            .st_w(Reg::R10, -12, 0)
+            .load_map_fd(Reg::R1, map)
+            .mov64_reg(Reg::R2, Reg::R10)
+            .add64_imm(Reg::R2, -12)
+            .call(HelperId::MapLookupElem)
+            .jeq_imm(Reg::R0, 0, "out")
+            .mov64_reg(Reg::R9, Reg::R0)
+            .mov64_reg(Reg::R7, Reg::R10)
+            .add64_imm(Reg::R7, -8)
+            .mov64_imm(Reg::R0, 5)
+            .mov64_reg(Reg::R1, Reg::R6)
+            .load_map_fd(Reg::R2, progs)
+            .mov64_imm(Reg::R3, 0)
+            .call(HelperId::TailCall)
+            .mov64_imm(Reg::R0, 1)
+            .exit()
+            .label("out")
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build("caller")
+            .unwrap();
+        let caller = vm.load(caller).unwrap();
+        assert!(vm.decoded(caller).is_some());
+        // Reads r6 before writing it: the verifier refuses it.
+        let target = Asm::new()
+            .ldx_dw(Reg::R1, Reg::R6, 16)
+            .add64_reg(Reg::R0, Reg::R1)
+            .ldx_dw(Reg::R2, Reg::R7, 0)
+            .add64_reg(Reg::R0, Reg::R2)
+            .ldx_b(Reg::R3, Reg::R8, 0)
+            .add64_reg(Reg::R0, Reg::R3)
+            .ldx_dw(Reg::R4, Reg::R9, 0)
+            .add64_reg(Reg::R0, Reg::R4)
+            .atomic_add_dw(Reg::R9, 0, Reg::R0)
+            .exit()
+            .build("target")
+            .unwrap();
+        let target = vm.load_unverified(target);
+        assert!(vm.decoded(target).is_none());
+        let live = vm.maps().get(progs).unwrap();
+        live.set_prog(0, Some(target)).unwrap();
+        caller
+    });
+    assert_eq!(
+        out.map(|o| (o.ret, o.tail_calls)),
+        Ok((5 + 1_000 + 200 + 0xA5 + 30_000, 1))
+    );
+}
+
+/// A verified program can still trap: here a map update whose flag in r4
+/// is only known at run time.
+#[test]
+fn a_verified_program_trapping_at_run_time_traps_alike() {
+    for flag in [0, 9] {
+        let (out, _) = agree_on(flag, |vm| {
+            let map = vm.maps().create(MapDef::u64_array(2));
+            let prog = Asm::new()
+                .st_w(Reg::R10, -4, 1)
+                .st_dw(Reg::R10, -16, 7)
+                .ldx_dw(Reg::R4, Reg::R1, 16)
+                .load_map_fd(Reg::R1, map)
+                .mov64_reg(Reg::R2, Reg::R10)
+                .add64_imm(Reg::R2, -4)
+                .mov64_reg(Reg::R3, Reg::R10)
+                .add64_imm(Reg::R3, -16)
+                .call(HelperId::MapUpdateElem)
+                .exit()
+                .build("flag")
+                .unwrap();
+            let slot = vm.load(prog).unwrap();
+            assert!(vm.decoded(slot).is_some());
+            slot
+        });
+        let want = match flag {
+            0 => Ok(0),
+            _ => Err(VmError::BadHelperArg(HelperId::MapUpdateElem)),
+        };
+        assert_eq!(out.map(|o| o.ret), want);
     }
 }
 

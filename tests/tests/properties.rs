@@ -10,7 +10,7 @@ use syrup::net::{FiveTuple, Toeplitz};
 use syrup::sched::{BucketQueue, Pifo};
 use syrup::sim::stats::LatencySummary;
 use syrup::sim::{EventQueue, Time};
-use syrup::telemetry::nearest_rank;
+use syrup::telemetry::{nearest_rank, Registry};
 
 proptest! {
     /// Decisions survive the wire encoding for every u32, and verdicts for
@@ -195,41 +195,6 @@ proptest! {
         }
     }
 
-    /// Pre-decoding for the fast backend is lossless: re-encoding the
-    /// decoded stream reproduces the original instructions exactly, for
-    /// every program the grammar can build (accepted or not).
-    #[test]
-    fn decode_reencode_round_trips(
-        seed_insns in prop::collection::vec((0u8..8, 0u8..5, -64i32..64), 1..12),
-    ) {
-        let mut asm = Asm::new();
-        asm = asm
-            .ldx_dw(Reg::R7, Reg::R1, 8)
-            .ldx_dw(Reg::R6, Reg::R1, 0);
-        for (op, reg, imm) in seed_insns {
-            let r = Reg::new(reg % 5);
-            asm = match op {
-                0 => asm.mov64_imm(r, imm),
-                1 => asm.add64_imm(r, imm),
-                2 => asm.mod64_imm(r, imm.max(1)),
-                3 => asm.mov64_reg(r, Reg::R6),
-                4 => asm.add64_reg(r, r),
-                5 => asm.jgt_reg(Reg::R6, Reg::R7, "out"),
-                6 => asm.ldx_b(r, Reg::R6, (imm & 31) as i16),
-                _ => asm.stx_dw(Reg::R10, -8 - (i16::from((imm & 7) as i8) * 8).abs(), r),
-            };
-        }
-        let prog = asm
-            .label("out")
-            .mov64_imm(Reg::R0, 0)
-            .exit()
-            .build("roundtrip");
-        let Ok(prog) = prog else { return Ok(()); };
-
-        let decoded = syrup::ebpf::decode(&prog);
-        prop_assert_eq!(decoded.reencode(), prog.insns);
-    }
-
     /// The two execution backends are observably identical on everything
     /// the grammar can build: same full outcome (return value, instruction
     /// count, modelled cycle total, redirects, tail calls), same trap for
@@ -267,6 +232,9 @@ proptest! {
         let Ok(prog) = prog else { return Ok(()); };
 
         let mut interp = Vm::new(MapRegistry::new());
+        interp.set_backend(Backend::Interp);
+        let reference = Registry::new();
+        interp.attach_telemetry(&reference);
         let mut fast = Vm::new(MapRegistry::new());
         fast.set_backend(Backend::Fast);
         let islot = interp.load_unverified(prog.clone());
@@ -282,6 +250,9 @@ proptest! {
             let mut ctx = PacketCtx::new(&mut pkt_f);
             fast.run(fslot, &mut ctx, &mut RunEnv::default())
         };
+        // The reference side ran on the interpreter, not the default.
+        let runs = reference.snapshot().counter("vm/runs_interp");
+        prop_assert_eq!(runs, u64::from(out_i.is_ok()));
         prop_assert_eq!(out_i, out_f);
         prop_assert_eq!(pkt_i, pkt_f);
     }
