@@ -7,13 +7,15 @@
 //! `disabled/*` and `unsampled/*` site is gated at [`GATE_NS`] per call
 //! (see [`bench::gate()`]: release builds only, exit nonzero over budget).
 //! The enabled+sampled path takes a lock and pushes a record; it is
-//! measured here for contrast, not bound.
+//! measured here for contrast, not bound, and so is rebuilding the
+//! timelines of a full ring, the once-per-run report cost.
 
 use std::hint::black_box;
 use std::process::ExitCode;
 
 use bench::{Limit, Site};
-use syrup::trace::{Stage, TraceCtx, Tracer};
+use syrup::apps::quickstart;
+use syrup::trace::{reconstruct, Stage, TraceCtx, Tracer, TRACE_CAPACITY};
 
 /// The disabled- and unsampled-site budget, in nanoseconds per call.
 const GATE_NS: f64 = 5.0;
@@ -62,6 +64,14 @@ fn main() -> ExitCode {
         if n & 0xFFF == 0 {
             on.drain();
         }
+    }));
+
+    // The report side: a quickstart run long enough to fill the ring,
+    // regrouped into per-request timelines.
+    let full = quickstart::run(&Tracer::new(), TRACE_CAPACITY / 8).records;
+    assert_eq!(full.len(), TRACE_CAPACITY, "the run fills the ring");
+    sites.push(Site::new("reconstruct_full_ring", Limit::Report, || {
+        reconstruct(black_box(&full)).len()
     }));
     bench::gate("trace", &sites)
 }

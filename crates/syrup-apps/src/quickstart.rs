@@ -42,7 +42,8 @@ pub struct Quickstart {
     pub app: AppId,
     /// Requests that reached a worker and completed.
     pub completed: u64,
-    /// Every span record the tracer captured.
+    /// Every span record the tracer captured, moved out of it: the
+    /// tracer's buffer is empty after the run (its counters stand).
     pub records: Vec<syrup_trace::SpanRecord>,
     /// The records grouped into per-request timelines.
     pub timelines: Vec<syrup_trace::Timeline>,
@@ -86,10 +87,9 @@ pub fn run_observed(
 
 /// The general entry point; every argument is one thing a run can vary.
 ///
-/// With a `profiler` attached the VM charges every interpreted
-/// instruction to a `(prog, pc)` bucket, and the NIC rings and reuseport
-/// sockets contribute one depth sample per request to the pressure
-/// report.
+/// With a `profiler` attached the VM charges every instruction it runs
+/// to a `(prog, pc)` bucket, and the NIC rings and reuseport sockets
+/// contribute one depth sample per request to the pressure report.
 ///
 /// The `recorder` is attached to `syrupd` (dispatch verdicts and VM
 /// events), the NIC rings, and the reuseport sockets — the latter two
@@ -283,7 +283,7 @@ pub fn run_driven(
         observe(completed, start + service, &syrupd);
     });
 
-    let records = tracer.peek();
+    let records = tracer.drain();
     let timelines = syrup_trace::reconstruct(&records);
     let shard_stats = ingress.per_shard_stats();
     Quickstart {

@@ -35,6 +35,7 @@ use crate::mem::map_fd_token;
 use crate::verifier::{Facts, Kind};
 use crate::vm::ctx_off;
 use crate::Program;
+use syrup_profile::{Step, Steps};
 
 /// What a map-value pointer's word keeps below the slot: its offset plus
 /// this bias, so NULL (0) never collides with a live pointer.
@@ -209,9 +210,10 @@ pub(crate) enum Op {
 pub struct DecodedProg {
     pub(crate) name: String,
     pub(crate) code: Vec<Op>,
-    /// Per step, its source pc and modelled cost: what per-step
-    /// accounting charges (`Charge` steps carry zero).
-    pub(crate) steps: Vec<(u32, u32)>,
+    /// Per step, its source pc, modelled cost and helper: what per-step
+    /// accounting charges (`Charge` steps carry zero), and what the
+    /// profiler expands a recorded block into.
+    pub(crate) steps: Steps,
     /// The maps the program names, bound at load.
     pub(crate) maps: Vec<MapRef>,
     /// Per generic helper call, every register's kind on arrival.
@@ -278,7 +280,7 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
     let mut out = DecodedProg {
         name: prog.name.clone(),
         code: Vec::with_capacity(n as usize),
-        steps: Vec::with_capacity(n as usize),
+        steps: Steps::from([]),
         maps: Vec::new(),
         sites: Vec::new(),
     };
@@ -295,6 +297,7 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
         u16::try_from(i).ok()
     };
 
+    let mut steps = Vec::with_capacity(n as usize);
     let mut in_block = false;
     for (pc, insn) in prog.insns.iter().enumerate() {
         if facts.starts_block(pc) {
@@ -307,7 +310,11 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                 insns: u32::try_from(end - pc + 1).ok()?,
                 cycles: u32::try_from(cycles).ok()?,
             });
-            out.steps.push((pc as u32, 0));
+            steps.push(Step {
+                pc: pc as u32,
+                cycles: 0,
+                helper: None,
+            });
             in_block = true;
         }
         let kind = |r: Reg| facts.kind(pc, r);
@@ -501,12 +508,22 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                 Insn::Exit => Op::Exit,
             }
         };
+        let helper = match op {
+            Op::Lookup { .. } => Some(HelperId::MapLookupElem),
+            Op::Env { helper } | Op::Call { helper, .. } => Some(helper),
+            _ => None,
+        };
         out.code.push(op);
-        out.steps.push((pc as u32, costs[pc]));
+        steps.push(Step {
+            pc: pc as u32,
+            cycles: costs[pc],
+            helper: helper.map(HelperId::name),
+        });
         if ends_block(insn) {
             in_block = false;
         }
     }
+    out.steps = steps.into();
     Some(out)
 }
 
@@ -598,14 +615,18 @@ mod tests {
             .build("c")
             .unwrap();
         let d = decoded(&prog, &MapRegistry::new()).unwrap();
-        let got: Vec<(u32, u32)> = d.steps[1..].to_vec();
-        let want: Vec<(u32, u32)> = prog
+        let got: Vec<(u32, u32, Option<&str>)> = d.steps[1..]
+            .iter()
+            .map(|s| (s.pc, s.cycles, s.helper))
+            .collect();
+        let want: Vec<(u32, u32, Option<&str>)> = prog
             .insns
             .iter()
             .enumerate()
-            .map(|(pc, insn)| (pc as u32, insn_cost(insn) as u32))
+            .map(|(pc, insn)| (pc as u32, insn_cost(insn) as u32, None))
             .collect();
-        assert_eq!(got, want);
+        let helper = Some(HelperId::GetPrandomU32.name());
+        assert_eq!(got, [want[0], (want[1].0, want[1].1, helper), want[2]]);
     }
 
     #[test]

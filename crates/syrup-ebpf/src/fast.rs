@@ -26,10 +26,13 @@
 //! call into a program with no specialised form hands the run to the
 //! interpreter the same way.
 //!
-//! The loop is monomorphised over per-step accounting, which an attached
-//! profiler needs for per-pc attribution: the disabled-profiler build has
-//! no per-instruction instrumentation branch (the ≤5ns disabled-cost
-//! contract).
+//! The loop is monomorphised three ways. Unprofiled, it charges blocks
+//! and has no instrumentation branch at all (the ≤5ns disabled-cost
+//! contract). Under a profiler it still charges blocks and records one
+//! hit per block entered, which the profiler expands into per-pc buckets
+//! from the program's static step table; a trap part way through a block
+//! cuts that hit to the steps that ran. The per-step form serves only the
+//! finish of a run about to cross the budget.
 
 use crate::decode::{pack, unpack, DecodedProg, Mem, Op, Place};
 use crate::helpers::HelperId;
@@ -96,36 +99,44 @@ pub(crate) fn run(
     if first.prog.is_empty() && matches!(entry, Entry::Prog(_)) {
         return Err(VmError::NoSuchProgram);
     }
+    let fast = match (vm.backend(), &first.decoded) {
+        (Backend::Fast, Some(prog)) => Some(prog),
+        _ => None,
+    };
     // Attribution scope: the fixed invoke cost lands on the entry (prog,
     // pc 0) bucket, so the attributed sum equals `cycles` at every point
     // of the run. Flushes on drop (any exit path).
-    let mut prof = entry.scope(&vm.profiler, &first.prog.name);
+    let mut prof = entry.scope(&vm.profiler, &first.prog.name, fast.map(|p| &p.steps));
     let mut m = Machine {
         at: 0,
         regs: [0; 11],
         frame: Frame::new(),
         tally: Tally::at(entry),
     };
-    let mut leg = match (vm.backend(), &first.decoded) {
-        (Backend::Fast, Some(prog)) => {
+    let mut leg = match fast {
+        Some(prog) => {
             m.arrive();
             Leg::Fast(prog)
         }
-        _ => Leg::Interp(&first.prog, ENTRY),
+        None => Leg::Interp(&first.prog, ENTRY),
     };
-    let mut per_step = vm.profiler.is_enabled();
+    let mut mode = if vm.profiler.is_enabled() {
+        PROFILED
+    } else {
+        BLOCKS
+    };
     loop {
         leg = match leg {
             Leg::Fast(mut prog) => {
-                let flow = if per_step {
-                    exec::<true>(vm, &mut prog, &mut m, &mut prof, ctx, env)?
-                } else {
-                    exec::<false>(vm, &mut prog, &mut m, &mut prof, ctx, env)?
+                let flow = match mode {
+                    BLOCKS => exec::<BLOCKS>(vm, &mut prog, &mut m, &mut prof, ctx, env)?,
+                    PROFILED => exec::<PROFILED>(vm, &mut prog, &mut m, &mut prof, ctx, env)?,
+                    _ => exec::<STEPS>(vm, &mut prog, &mut m, &mut prof, ctx, env)?,
                 };
                 match flow {
                     Flow::Exit(ret) => return Ok(m.tally.outcome(ret)),
                     Flow::Careful => {
-                        per_step = true;
+                        mode = STEPS;
                         Leg::Fast(prog)
                     }
                     Flow::Interp(prog, regs) => Leg::Interp(prog, regs),
@@ -270,11 +281,17 @@ fn fetch_add(
     Ok(old)
 }
 
-/// The loop, over `prog` and the programs it tail-calls. `PER_STEP`
-/// charges every instruction and reports it to the profiler, instead of
-/// charging blocks. The position and registers live in locals while it
-/// runs and go back to `m` only when the run goes on elsewhere.
-fn exec<'v, const PER_STEP: bool>(
+/// `exec`'s accounting: whole blocks, unprofiled.
+const BLOCKS: u8 = 0;
+/// Whole blocks, each recorded as one profiler hit.
+const PROFILED: u8 = 1;
+/// Every step charged and reported to the profiler on its own.
+const STEPS: u8 = 2;
+
+/// The loop, over `prog` and the programs it tail-calls, accounting as
+/// `MODE` says. The position and registers live in locals while it runs
+/// and go back to `m` only when the run goes on elsewhere.
+fn exec<'v, const MODE: u8>(
     vm: &'v Vm,
     prog: &mut &'v DecodedProg,
     m: &mut Machine,
@@ -285,198 +302,225 @@ fn exec<'v, const PER_STEP: bool>(
     let mut p: &'v DecodedProg = prog;
     let mut at = m.at;
     let mut regs = m.regs;
+    // `PROFILED`: the first step of the block in hand.
+    let mut block = at;
     macro_rules! r {
         ($i:expr) => {
             regs[usize::from($i)]
         };
     }
-    loop {
-        let op = *p.code.get(at).ok_or(VmError::NoExit)?;
-        if PER_STEP && !matches!(op, Op::Charge { .. }) {
-            let (pc, cost) = p.steps[at];
-            m.tally.insns += 1;
-            m.tally.cycles += u64::from(cost);
-            prof.insn(pc as usize, u64::from(cost));
-            if m.tally.insns > RUNTIME_INSN_LIMIT {
-                return Err(VmError::Runaway);
-            }
+    let trap = 'trap: {
+        // `?` for the loop: a trap leaves through the cut below.
+        macro_rules! t {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break 'trap VmError::from(e),
+                }
+            };
         }
-        at += 1;
+        loop {
+            let op = *t!(p.code.get(at).ok_or(VmError::NoExit));
+            if MODE == STEPS && !matches!(op, Op::Charge { .. }) {
+                let step = p.steps[at];
+                m.tally.insns += 1;
+                m.tally.cycles += u64::from(step.cycles);
+                prof.insn(step.pc as usize, u64::from(step.cycles));
+                if let Some(helper) = step.helper {
+                    prof.helper(helper);
+                }
+                if m.tally.insns > RUNTIME_INSN_LIMIT {
+                    break 'trap VmError::Runaway;
+                }
+            }
+            at += 1;
 
-        match op {
-            Op::Charge { insns, cycles } => {
-                if !PER_STEP {
-                    let insns = m.tally.insns + u64::from(insns);
-                    if insns > RUNTIME_INSN_LIMIT {
-                        *prog = p;
-                        m.at = at - 1;
-                        m.regs = regs;
-                        return Ok(Flow::Careful);
-                    }
-                    m.tally.insns = insns;
-                    m.tally.cycles += u64::from(cycles);
-                }
-            }
-            Op::Set { dst, v } => r!(dst) = v,
-            Op::Mov { dst, src } => r!(dst) = r!(src),
-            Op::Mov32 { dst, src } => r!(dst) = r!(src) & 0xFFFF_FFFF,
-            Op::AluImm { op, dst, imm } => r!(dst) = alu64(op, r!(dst), imm),
-            Op::AluReg { op, dst, src } => r!(dst) = alu64(op, r!(dst), r!(src)),
-            Op::Alu32Imm { op, dst, imm } => {
-                r!(dst) = u64::from(alu32(op, r!(dst) as u32, imm));
-            }
-            Op::Alu32Reg { op, dst, src } => {
-                r!(dst) = u64::from(alu32(op, r!(dst) as u32, r!(src) as u32));
-            }
-            Op::Neg { w, dst } => {
-                let v = r!(dst);
-                r!(dst) = match w {
-                    Width::W64 => (v as i64).wrapping_neg() as u64,
-                    Width::W32 => u64::from((v as i32).wrapping_neg() as u32),
-                };
-            }
-            Op::Swap { dst, bits } => {
-                let v = r!(dst);
-                r!(dst) = match bits {
-                    16 => u64::from((v as u16).swap_bytes()),
-                    32 => u64::from((v as u32).swap_bytes()),
-                    64 => v.swap_bytes(),
-                    _ => return Err(VmError::BadEndianWidth),
-                };
-            }
-            Op::LdxData { dst } => r!(dst) = 0,
-            Op::LdxDataEnd { dst } => r!(dst) = ctx.data.len() as u64,
-            Op::LdxMeta { dst, word } => r!(dst) = ctx.meta[usize::from(word)],
-            Op::LdxStack {
-                size,
-                dst,
-                base,
-                off,
-            } => r!(dst) = load(&m.frame.stack, addr(&regs, base, off), size, "stack")?,
-            Op::LdxPacket {
-                size,
-                dst,
-                base,
-                off,
-            } => r!(dst) = load(ctx.data, addr(&regs, base, off), size, "packet")?,
-            Op::LdxMapValue {
-                size,
-                dst,
-                base,
-                off,
-                map,
-            } => {
-                let (slot, off) = value_at(r!(base), off, size)?;
-                let map = &p.maps[usize::from(map)];
-                r!(dst) = map.read_value(slot, off, size.bytes() as u32)?;
-            }
-            Op::Stx { at: cell, src } => {
-                write(p, &regs, &mut m.frame.stack, cell, r!(src), ctx)?;
-            }
-            Op::StImm { at: cell, imm } => {
-                write(p, &regs, &mut m.frame.stack, cell, imm as i64 as u64, ctx)?;
-            }
-            Op::Atomic {
-                at: cell,
-                src,
-                fetch,
-            } => {
-                let old = fetch_add(p, &regs, &mut m.frame.stack, cell, r!(src), ctx)?;
-                if fetch {
-                    r!(src) = old;
-                }
-            }
-            Op::Ja { target } => at = target as usize,
-            Op::JImm {
-                op,
-                w,
-                lhs,
-                imm,
-                target,
-            } => {
-                if cmp_u64(op, w, r!(lhs), imm) {
-                    at = target as usize;
-                }
-            }
-            Op::JReg {
-                op,
-                w,
-                lhs,
-                rhs,
-                target,
-            } => {
-                if cmp_u64(op, w, r!(lhs), r!(rhs)) {
-                    at = target as usize;
-                }
-            }
-            Op::Lookup { map } => {
-                if PER_STEP {
-                    prof.helper(HelperId::MapLookupElem.name());
-                }
-                let map = &p.maps[usize::from(map)];
-                let key_size = u64::from(map.def().key_size);
-                let key = span(m.frame.stack.len(), r!(2u8) as i64, key_size, "stack")?;
-                r!(0u8) = match map.slot_for_key(&m.frame.stack[key])? {
-                    Some(slot) => pack(slot, 0),
-                    None => 0,
-                };
-            }
-            Op::Env { helper } => {
-                if PER_STEP {
-                    prof.helper(helper.name());
-                }
-                r!(0u8) = match helper {
-                    HelperId::GetPrandomU32 => u64::from(env.next_prandom()),
-                    HelperId::KtimeGetNs => env.now_ns,
-                    _ => u64::from(env.cpu_id),
-                };
-            }
-            Op::Call { helper, site } => {
-                if PER_STEP {
-                    prof.helper(helper.name());
-                }
-                let kinds = &p.sites[usize::from(site)];
-                let arg = |r: Reg| match val(kinds[r.index()], regs[r.index()]) {
-                    Val::Uninit => Err(VmError::UninitRegister(r)),
-                    v => Ok(v),
-                };
-                match call_helper(vm, helper, arg, ctx, env, &mut m.frame)? {
-                    HelperOutcome::Ret(v) => r!(0u8) = word(v),
-                    HelperOutcome::Redirect(map, idx, ret) => {
-                        m.tally.redirect = Some((map, idx));
-                        r!(0u8) = ret;
-                    }
-                    HelperOutcome::TailCall(next) => {
-                        m.tally.tail_calls += 1;
-                        if m.tally.tail_calls > MAX_TAIL_CALLS {
-                            // The kernel fails the call and continues.
-                            r!(0u8) = u64::MAX;
-                            m.tally.tail_calls -= 1;
-                            continue;
+            match op {
+                Op::Charge { insns, cycles } => {
+                    if MODE != STEPS {
+                        let total = m.tally.insns + u64::from(insns);
+                        if total > RUNTIME_INSN_LIMIT {
+                            *prog = p;
+                            m.at = at - 1;
+                            m.regs = regs;
+                            return Ok(Flow::Careful);
                         }
-                        let next = vm.store.get(next.0).ok_or(VmError::NoSuchProgram)?;
-                        prof.tail_call(&next.prog.name);
-                        let Some(decoded) = &next.decoded else {
-                            // What the interpreter would hold: r0 and r6–r9
-                            // as they are, the fresh context, nothing else.
-                            let mut vals = [Val::Uninit; 11];
-                            for r in [0, 6, 7, 8, 9] {
-                                vals[r] = val(kinds[r], regs[r]);
-                            }
-                            vals[Reg::R1.index()] = CTX;
-                            vals[Reg::R10.index()] = FRAME;
-                            return Ok(Flow::Interp(&next.prog, vals));
-                        };
-                        p = decoded;
-                        at = 0;
-                        r!(1u8) = 0;
+                        m.tally.insns = total;
+                        m.tally.cycles += u64::from(cycles);
+                        if MODE == PROFILED {
+                            prof.block(at, insns);
+                            block = at;
+                        }
                     }
                 }
+                Op::Set { dst, v } => r!(dst) = v,
+                Op::Mov { dst, src } => r!(dst) = r!(src),
+                Op::Mov32 { dst, src } => r!(dst) = r!(src) & 0xFFFF_FFFF,
+                Op::AluImm { op, dst, imm } => r!(dst) = alu64(op, r!(dst), imm),
+                Op::AluReg { op, dst, src } => r!(dst) = alu64(op, r!(dst), r!(src)),
+                Op::Alu32Imm { op, dst, imm } => {
+                    r!(dst) = u64::from(alu32(op, r!(dst) as u32, imm));
+                }
+                Op::Alu32Reg { op, dst, src } => {
+                    r!(dst) = u64::from(alu32(op, r!(dst) as u32, r!(src) as u32));
+                }
+                Op::Neg { w, dst } => {
+                    let v = r!(dst);
+                    r!(dst) = match w {
+                        Width::W64 => (v as i64).wrapping_neg() as u64,
+                        Width::W32 => u64::from((v as i32).wrapping_neg() as u32),
+                    };
+                }
+                Op::Swap { dst, bits } => {
+                    let v = r!(dst);
+                    r!(dst) = match bits {
+                        16 => u64::from((v as u16).swap_bytes()),
+                        32 => u64::from((v as u32).swap_bytes()),
+                        64 => v.swap_bytes(),
+                        _ => break 'trap VmError::BadEndianWidth,
+                    };
+                }
+                Op::LdxData { dst } => r!(dst) = 0,
+                Op::LdxDataEnd { dst } => r!(dst) = ctx.data.len() as u64,
+                Op::LdxMeta { dst, word } => r!(dst) = ctx.meta[usize::from(word)],
+                Op::LdxStack {
+                    size,
+                    dst,
+                    base,
+                    off,
+                } => r!(dst) = t!(load(&m.frame.stack, addr(&regs, base, off), size, "stack")),
+                Op::LdxPacket {
+                    size,
+                    dst,
+                    base,
+                    off,
+                } => r!(dst) = t!(load(ctx.data, addr(&regs, base, off), size, "packet")),
+                Op::LdxMapValue {
+                    size,
+                    dst,
+                    base,
+                    off,
+                    map,
+                } => {
+                    let (slot, off) = t!(value_at(r!(base), off, size));
+                    let map = &p.maps[usize::from(map)];
+                    r!(dst) = t!(map.read_value(slot, off, size.bytes() as u32));
+                }
+                Op::Stx { at: cell, src } => {
+                    t!(write(p, &regs, &mut m.frame.stack, cell, r!(src), ctx));
+                }
+                Op::StImm { at: cell, imm } => {
+                    t!(write(
+                        p,
+                        &regs,
+                        &mut m.frame.stack,
+                        cell,
+                        imm as i64 as u64,
+                        ctx
+                    ));
+                }
+                Op::Atomic {
+                    at: cell,
+                    src,
+                    fetch,
+                } => {
+                    let old = t!(fetch_add(p, &regs, &mut m.frame.stack, cell, r!(src), ctx));
+                    if fetch {
+                        r!(src) = old;
+                    }
+                }
+                Op::Ja { target } => at = target as usize,
+                Op::JImm {
+                    op,
+                    w,
+                    lhs,
+                    imm,
+                    target,
+                } => {
+                    if cmp_u64(op, w, r!(lhs), imm) {
+                        at = target as usize;
+                    }
+                }
+                Op::JReg {
+                    op,
+                    w,
+                    lhs,
+                    rhs,
+                    target,
+                } => {
+                    if cmp_u64(op, w, r!(lhs), r!(rhs)) {
+                        at = target as usize;
+                    }
+                }
+                Op::Lookup { map } => {
+                    let map = &p.maps[usize::from(map)];
+                    let key_size = u64::from(map.def().key_size);
+                    let key = t!(span(m.frame.stack.len(), r!(2u8) as i64, key_size, "stack"));
+                    r!(0u8) = match t!(map.slot_for_key(&m.frame.stack[key])) {
+                        Some(slot) => pack(slot, 0),
+                        None => 0,
+                    };
+                }
+                Op::Env { helper } => {
+                    r!(0u8) = match helper {
+                        HelperId::GetPrandomU32 => u64::from(env.next_prandom()),
+                        HelperId::KtimeGetNs => env.now_ns,
+                        _ => u64::from(env.cpu_id),
+                    };
+                }
+                Op::Call { helper, site } => {
+                    let kinds = &p.sites[usize::from(site)];
+                    let arg = |r: Reg| match val(kinds[r.index()], regs[r.index()]) {
+                        Val::Uninit => Err(VmError::UninitRegister(r)),
+                        v => Ok(v),
+                    };
+                    match t!(call_helper(vm, helper, arg, ctx, env, &mut m.frame)) {
+                        HelperOutcome::Ret(v) => r!(0u8) = word(v),
+                        HelperOutcome::Redirect(map, idx, ret) => {
+                            m.tally.redirect = Some((map, idx));
+                            r!(0u8) = ret;
+                        }
+                        HelperOutcome::TailCall(next) => {
+                            m.tally.tail_calls += 1;
+                            if m.tally.tail_calls > MAX_TAIL_CALLS {
+                                // The kernel fails the call and continues.
+                                r!(0u8) = u64::MAX;
+                                m.tally.tail_calls -= 1;
+                                continue;
+                            }
+                            let next = t!(vm.store.get(next.0).ok_or(VmError::NoSuchProgram));
+                            prof.tail_call(
+                                &next.prog.name,
+                                next.decoded.as_ref().map(|d| &d.steps),
+                            );
+                            let Some(decoded) = &next.decoded else {
+                                // What the interpreter would hold: r0 and r6–r9
+                                // as they are, the fresh context, nothing else.
+                                let mut vals = [Val::Uninit; 11];
+                                for r in [0, 6, 7, 8, 9] {
+                                    vals[r] = val(kinds[r], regs[r]);
+                                }
+                                vals[Reg::R1.index()] = CTX;
+                                vals[Reg::R10.index()] = FRAME;
+                                return Ok(Flow::Interp(&next.prog, vals));
+                            };
+                            p = decoded;
+                            at = 0;
+                            r!(1u8) = 0;
+                        }
+                    }
+                }
+                Op::Exit => return Ok(Flow::Exit(r!(0u8))),
+                Op::Unreached => break 'trap VmError::PcOutOfRange,
             }
-            Op::Exit => return Ok(Flow::Exit(r!(0u8))),
-            Op::Unreached => return Err(VmError::PcOutOfRange),
         }
+    };
+    // A trap part way through a block: only the steps up to the
+    // trapping one ran.
+    if MODE == PROFILED {
+        prof.cut((at - block) as u32);
     }
+    Err(trap)
 }
 
 #[cfg(test)]

@@ -43,6 +43,7 @@ pub use pressure::{
     ThreadPressure,
 };
 pub use profiler::{
-    HelperCost, Hotspot, ProfileReport, Profiler, ProgCycles, ThreadState, VmSpan, STARVATION_NS,
+    HelperCost, Hotspot, ProfileReport, Profiler, ProgCycles, Step, Steps, ThreadState, VmSpan,
+    STARVATION_NS,
 };
 pub use slo::{AnomalyNote, BurnEvent, SloMonitor, SloRule, SloStatus, SLO_WINDOW};

@@ -2,13 +2,15 @@
 //! of the specialised engine, and the quickstart scenario: the fast
 //! backend must be observably identical to the reference interpreter —
 //! same outcomes (including modelled cycle totals), same packet bytes,
-//! same final map state, and for the end-to-end quickstart the same
-//! completions and span records.
+//! same final map state, the same profile (the fast engine records a
+//! profiled run a block at a time, the interpreter a step at a time), and
+//! for the end-to-end quickstart the same completions and span records.
 
 use syrup::ebpf::maps::{MapEntries, MapId, MapRegistry, ProgSlot};
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm, VmError, VmOutcome, RUNTIME_INSN_LIMIT};
 use syrup::ebpf::{Asm, HelperId, MapDef, Reg};
 use syrup::policies::corpus;
+use syrup::profile::{ProfileReport, Profiler};
 use syrup::telemetry::Registry;
 
 /// Serializes the tests that flip the `SYRUP_BACKEND` env var — they
@@ -52,6 +54,11 @@ fn map_state(maps: &MapRegistry) -> Vec<(u32, MapEntries)> {
             map.entries().ok().map(|entries| (i, entries))
         })
         .collect()
+}
+
+/// What a profiler attributed: the full report and the folded flamegraph.
+fn profile(profiler: &Profiler) -> (ProfileReport, String) {
+    (profiler.report(None, usize::MAX), profiler.flame())
 }
 
 /// Every paper policy from the corpus, compiled fresh per backend into
@@ -183,28 +190,112 @@ fn corpus_policies_entered_after_a_traced_path_agree_across_backends() {
     }
 }
 
+/// The block-profile oracle over the corpus: every paper policy profiled
+/// on the default engine, which records a block per hit, and on the
+/// interpreter, which records every step. Reports and flamegraphs must be
+/// equal exactly, alone and behind a tail-calling dispatcher that is run
+/// whole or entered after its traced path.
+#[test]
+fn corpus_policies_profile_alike_on_both_engines() {
+    for entry in corpus() {
+        let worlds: Vec<_> = [Backend::Interp, Backend::Fast]
+            .into_iter()
+            .flat_map(|backend| {
+                [
+                    (backend, None),
+                    (backend, Some(false)),
+                    (backend, Some(true)),
+                ]
+            })
+            .map(|(backend, dispatch)| {
+                let maps = MapRegistry::new();
+                let compiled = syrup::lang::compile(entry.source, &entry.opts, &maps)
+                    .unwrap_or_else(|e| panic!("{} failed to compile: {e}", entry.name));
+                let progs = maps.create(MapDef::prog_array(1));
+                let mut vm = Vm::new(maps.clone());
+                vm.set_backend(backend);
+                let profiler = Profiler::new();
+                vm.attach_profiler(&profiler);
+                let policy = vm.load_unverified(compiled.program);
+                maps.get(progs).unwrap().set_prog(0, Some(policy)).unwrap();
+                let dispatcher = Asm::new()
+                    .load_map_fd(Reg::R2, progs)
+                    .mov64_imm(Reg::R3, 0)
+                    .call(HelperId::TailCall)
+                    .mov64_imm(Reg::R0, 0)
+                    .exit()
+                    .build("dispatcher")
+                    .unwrap();
+                let dispatcher = vm.load(dispatcher).unwrap();
+                let path = vm
+                    .trace_tail_call(
+                        dispatcher,
+                        &mut PacketCtx::new(&mut []),
+                        &mut RunEnv::default(),
+                    )
+                    .expect("the dispatcher tail-calls");
+                for (i, mut pkt) in packets().into_iter().enumerate() {
+                    let mut env = run_env(i as u64);
+                    let mut ctx = PacketCtx::new(&mut pkt);
+                    let _ = match dispatch {
+                        None => vm.run(policy, &mut ctx, &mut env),
+                        Some(false) => vm.run(dispatcher, &mut ctx, &mut env),
+                        Some(true) => vm.run_after(&path, &mut ctx, &mut env),
+                    };
+                }
+                (dispatch, profile(&profiler))
+            })
+            .collect();
+        let (interp, fast) = worlds.split_at(3);
+        for (i, f) in interp.iter().zip(fast) {
+            assert!(f.1 .0.runs > 0, "{}: nothing profiled", entry.name);
+            assert_eq!(i, f, "{}: profiles diverged", entry.name);
+        }
+        // Run whole or entered after its path, the dispatcher profiles the same.
+        assert_eq!(
+            fast[1].1, fast[2].1,
+            "{}: entry profiles diverged",
+            entry.name
+        );
+    }
+}
+
 /// Builds one world per backend with `setup`, runs the slot it returns
 /// over a 16-byte packet with `meta0`, and asserts the two agree on the
-/// outcome, packet bytes, `prandom` stream and final map state. Returns
-/// the reference outcome and packet.
+/// outcome, packet bytes, `prandom` stream and final map state — with no
+/// profiler, and with one attached, whose report and flamegraph must
+/// agree too. Returns the reference outcome and packet.
 fn agree_on(
     meta0: u64,
     setup: impl Fn(&mut Vm) -> ProgSlot,
 ) -> (Result<VmOutcome, VmError>, Vec<u8>) {
-    let [interp, fast] = [Backend::Interp, Backend::Fast].map(|backend| {
-        let maps = MapRegistry::new();
-        let mut vm = Vm::new(maps.clone());
-        vm.set_backend(backend);
-        let slot = setup(&mut vm);
-        let mut pkt = vec![0xA5u8; 16];
-        let mut env = run_env(7);
-        let mut ctx = PacketCtx::new(&mut pkt);
-        ctx.meta[0] = meta0;
-        let out = vm.run(slot, &mut ctx, &mut env);
-        (out, pkt, env.prandom_state, map_state(&maps))
-    });
-    assert!(interp == fast, "engines diverged:\n{interp:?}\n{fast:?}");
-    (interp.0, interp.1)
+    let [[interp, interp_profiled], [fast, fast_profiled]] =
+        [Backend::Interp, Backend::Fast].map(|backend| {
+            [Profiler::disabled(), Profiler::new()].map(|profiler| {
+                let maps = MapRegistry::new();
+                let mut vm = Vm::new(maps.clone());
+                vm.set_backend(backend);
+                vm.attach_profiler(&profiler);
+                let slot = setup(&mut vm);
+                let mut pkt = vec![0xA5u8; 16];
+                let mut env = run_env(7);
+                let mut ctx = PacketCtx::new(&mut pkt);
+                ctx.meta[0] = meta0;
+                let out = vm.run(slot, &mut ctx, &mut env);
+                let run = (out, pkt, env.prandom_state, map_state(&maps));
+                (run, profile(&profiler))
+            })
+        });
+    assert!(
+        interp.0 == fast.0,
+        "engines diverged:\n{interp:?}\n{fast:?}"
+    );
+    for profiled in [&interp_profiled, &fast_profiled] {
+        assert!(profiled.0 == interp.0, "a profiler changed the run");
+    }
+    assert_eq!(interp_profiled.1 .0.runs, 1);
+    assert_eq!(interp_profiled.1, fast_profiled.1, "profiles diverged");
+    (interp.0 .0, interp.0 .1)
 }
 
 /// A verified counted loop that tail-calls itself, entered from an
