@@ -203,6 +203,62 @@ impl Registry {
         self.inner.as_ref().map_or(0, |r| r.ring.dropped())
     }
 
+    /// Brings `since` up to now and returns what moved: the same as
+    /// taking a [`Registry::snapshot`], diffing it against `since` with
+    /// [`Snapshot::delta`] and storing it in `since`. While `since` names
+    /// exactly the registered instruments, which is every call after the
+    /// first for a periodic sampler, `since` is updated in place and only
+    /// the names of instruments that moved are copied.
+    pub fn advance(&self, since: &mut Snapshot) -> SnapshotDelta {
+        fn same_names<A, B>(a: &BTreeMap<String, A>, b: &BTreeMap<String, B>) -> bool {
+            a.len() == b.len() && a.keys().eq(b.keys())
+        }
+        if let Some(r) = &self.inner {
+            let instruments = r.instruments.lock();
+            if same_names(&instruments.counters, &since.counters)
+                && same_names(&instruments.gauges, &since.gauges)
+                && same_names(&instruments.histograms, &since.histograms)
+            {
+                let mut delta = SnapshotDelta::default();
+                let counters = instruments.counters.iter();
+                for ((name, cell), old) in counters.zip(since.counters.values_mut()) {
+                    let v = cell.get();
+                    let diff = v.saturating_sub(*old);
+                    if diff != 0 {
+                        delta.counters.insert(name.clone(), diff);
+                    }
+                    *old = v;
+                }
+                let gauges = instruments.gauges.iter();
+                for ((name, gauge), old) in gauges.zip(since.gauges.values_mut()) {
+                    let v = gauge.get();
+                    let diff = v - *old;
+                    if diff != 0 {
+                        delta.gauges.insert(name.clone(), diff);
+                    }
+                    *old = v;
+                }
+                let histograms = instruments.histograms.iter();
+                for ((name, cells), old) in histograms.zip(since.histograms.values_mut()) {
+                    let h = cells.snapshot();
+                    if h != *old {
+                        delta.histograms.insert(name.clone(), h.delta_since(old));
+                        *old = h;
+                    }
+                }
+                let (buffered, dropped) = (r.ring.len() as u64, r.ring.dropped());
+                delta.trace_buffered = buffered as i64 - since.trace_buffered as i64;
+                delta.trace_dropped = dropped.saturating_sub(since.trace_dropped);
+                (since.trace_buffered, since.trace_dropped) = (buffered, dropped);
+                return delta;
+            }
+        }
+        let now = self.snapshot();
+        let delta = now.delta(since);
+        *since = now;
+        delta
+    }
+
     /// Point-in-time copy of every metric. Disabled registries snapshot
     /// as empty.
     pub fn snapshot(&self) -> Snapshot {
@@ -743,6 +799,44 @@ mod tests {
         assert_eq!(delta.counters["c"], 5 * (0..500).sum::<u64>());
         assert_eq!(delta.histograms["h"].count(), 5 * 500);
         assert_eq!(delta.apply(&earlier), later);
+    }
+
+    /// `advance` is snapshot, delta and store: on a registry that grows
+    /// new instruments between calls, one that stays put, one whose
+    /// instruments stand still, and a disabled one.
+    #[test]
+    fn advance_is_snapshot_then_delta() {
+        let reg = Registry::with_ring_capacity(4);
+        let mut since = Snapshot::default();
+        for step in 0u64..12 {
+            if step % 4 == 0 {
+                reg.counter(&format!("c{step}")).inc();
+                reg.percpu_histogram(&format!("h{step}")).record(step);
+            }
+            if step % 3 != 2 {
+                reg.counter("c0").add(step);
+                reg.gauge("g").set(10 - step as i64);
+                reg.histogram("h").record(step * 100);
+                reg.trace(DecisionEvent {
+                    sim_time_ns: step,
+                    hook: "select_cpu",
+                    app: 1,
+                    verdict: 0,
+                    executor: Executor::Native,
+                    cycles: 1,
+                });
+            }
+            let mut reference = since.clone();
+            let now = reg.snapshot();
+            let want = now.delta(&reference);
+            reference = now;
+            assert_eq!(reg.advance(&mut since), want, "step {step}");
+            assert_eq!(since, reference, "step {step}");
+        }
+        let off = Registry::disabled();
+        let want = Snapshot::default().delta(&since);
+        assert_eq!(off.advance(&mut since), want);
+        assert_eq!(since, Snapshot::default());
     }
 
     #[test]
