@@ -273,7 +273,26 @@ impl Profiler {
         let Some(inner) = &self.inner else {
             return VmSpan::off();
         };
-        VmSpan::open(inner, prog, steps, invoke_cycles)
+        VmSpan::open(inner, None, prog, steps, invoke_cycles)
+    }
+
+    /// Opens the scope of a run that came down a dispatcher path: it
+    /// entered `path.0`, executed every step of `path.1` once and
+    /// tail-called into `prog`, run on `steps`. The same as
+    /// [`Profiler::vm_enter`] on the path, a [`VmSpan::block`] of all its
+    /// steps and a [`VmSpan::tail_call`], under one lock instead of two.
+    #[inline]
+    pub fn vm_enter_path(
+        &self,
+        path: (&str, &Steps),
+        prog: &str,
+        steps: Option<&Steps>,
+        invoke_cycles: u64,
+    ) -> VmSpan {
+        let Some(inner) = &self.inner else {
+            return VmSpan::off();
+        };
+        VmSpan::open(inner, Some(path), prog, steps, invoke_cycles)
     }
 
     /// Records one per-queue depth snapshot for `component` (e.g.
@@ -546,23 +565,43 @@ impl VmSpan {
         }
     }
 
-    /// A scope rooted at `prog`, run on `steps`.
+    /// A scope on arrival in `prog`, run on `steps`: rooted there, or
+    /// reached from the root of `path` by a tail call after every step of
+    /// the path's table.
     #[inline(never)]
-    fn open(inner: &Arc<Inner>, prog: &str, steps: Option<&Steps>, invoke_cycles: u64) -> VmSpan {
+    fn open(
+        inner: &Arc<Inner>,
+        path: Option<(&str, &Steps)>,
+        prog: &str,
+        steps: Option<&Steps>,
+        invoke_cycles: u64,
+    ) -> VmSpan {
         let mut st = inner.state.lock();
-        let node = st.node(None, prog, steps);
+        let root = path.map(|(prog, steps)| st.node(None, prog, Some(steps)));
+        let node = st.node(root, prog, steps);
         let mut buf = st.spare.pop().unwrap_or_default();
         drop(st);
         buf.push(Sample::Insn {
-            node,
+            node: root.unwrap_or(node),
             pc: 0,
             cycles: invoke_cycles,
             helper: None,
         });
+        // The path's frame ends at its tail call: `helper` tags only
+        // what the target's frame records.
+        let mut frame_start = 0;
+        if let (Some(root), Some((_, steps))) = (root, path) {
+            buf.push(Sample::Block {
+                node: root,
+                start: 0,
+                len: steps.len() as u32,
+            });
+            frame_start = buf.len();
+        }
         VmSpan {
             inner: Some(inner.clone()),
             node,
-            frame_start: 0,
+            frame_start,
             buf,
         }
     }
@@ -910,6 +949,40 @@ mod tests {
             p.report(None, 0).attributed_cycles,
             8 * (25 + 2 + 1 + 25 + 2)
         );
+    }
+
+    /// Entering after a path is entering the path, running all of its
+    /// steps and tail-calling: the same report and folded stacks, a
+    /// helper tag included.
+    #[test]
+    fn entering_after_a_path_is_the_three_steps() {
+        let step = |pc, helper| Step {
+            pc,
+            cycles: 3,
+            helper,
+        };
+        let path = Steps::from([step(0, None), step(1, Some("tail_call"))]);
+        let policy = Steps::from([step(0, None), step(1, Some("map_lookup_elem"))]);
+        let run = |p: &Profiler, one_lock: bool| {
+            let mut span = if one_lock {
+                p.vm_enter_path(("dispatch", &path), "rr", Some(&policy), 25)
+            } else {
+                let mut span = p.vm_enter("dispatch", Some(&path), 25);
+                span.block(0, path.len() as u32);
+                span.tail_call("rr", Some(&policy));
+                span
+            };
+            span.helper("map_lookup_elem");
+            span.block(0, 2);
+            span.insn(2, 1);
+        };
+        let (three, one) = (Profiler::new(), Profiler::new());
+        for _ in 0..3 {
+            run(&three, false);
+            run(&one, true);
+        }
+        assert_eq!(one.report(None, 0), three.report(None, 0));
+        assert_eq!(one.flame(), three.flame());
     }
 
     #[test]

@@ -39,38 +39,10 @@ impl Counter {
     }
 }
 
-/// What a [`crate::CounterHandle`] writes through: one [`Counter`], for
-/// a counter only one app's callers write, or a [`PerCpu`] of them, for
-/// one every app's callers write. The two read alike: a per-CPU counter
-/// is its stripes' wrapping sum, exactly what one atomic would hold.
-///
-/// The choice is a type, not a flag, so a single counter's increment
-/// stays the one atomic add it always was, inlined at every site.
-pub trait CounterCell: Send + Sync + 'static {
-    /// Adds `n`, on the calling thread's stripe if there are several.
-    fn add(&self, n: u64);
-    /// Current value. Concurrent updates may or may not be included.
-    fn get(&self) -> u64;
-}
-
-impl CounterCell for Counter {
-    #[inline]
-    fn add(&self, n: u64) {
-        Counter::add(self, n);
-    }
-
-    fn get(&self) -> u64 {
-        Counter::get(self)
-    }
-}
-
-impl CounterCell for PerCpu<Counter> {
-    #[inline]
-    fn add(&self, n: u64) {
-        self.local().add(n);
-    }
-
-    fn get(&self) -> u64 {
+impl PerCpu<Counter> {
+    /// The stripes' wrapping sum: exactly what one counter fed the same
+    /// adds would hold.
+    pub(crate) fn sum(&self) -> u64 {
         self.iter().map(Counter::get).fold(0, u64::wrapping_add)
     }
 }
@@ -143,18 +115,18 @@ mod tests {
                 for _ in 0..8 {
                     s.spawn(|| {
                         for _ in 0..10_000 {
-                            CounterCell::add(&c, 1);
+                            c.local().inc();
                         }
                     });
                 }
             });
-            assert_eq!(CounterCell::get(&c), 80_000, "{stripes} stripes");
+            assert_eq!(c.sum(), 80_000, "{stripes} stripes");
         }
         let c = PerCpu::new(Counter::new);
-        CounterCell::add(&c, u64::MAX);
+        c.local().add(u64::MAX);
         std::thread::scope(|s| {
-            s.spawn(|| CounterCell::add(&c, 2));
+            s.spawn(|| c.local().add(2));
         });
-        assert_eq!(CounterCell::get(&c), 1, "stripes wrap as one counter would");
+        assert_eq!(c.sum(), 1, "stripes wrap as one counter would");
     }
 }

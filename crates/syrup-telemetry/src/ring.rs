@@ -17,7 +17,7 @@
 //! ring could have taken: a ring that is never drained accepts exactly
 //! `capacity` records, and accepted + dropped equals attempted either way.
 
-use crate::counter::{Counter, CounterCell};
+use crate::counter::Counter;
 use crate::percpu::PerCpu;
 use parking_lot::Mutex;
 use serde::{Serialize, SerializeStruct, Serializer};
@@ -144,7 +144,7 @@ impl<T: Clone> BoundedRing<T> {
 
     /// Records discarded because the ring was full.
     pub fn dropped(&self) -> u64 {
-        CounterCell::get(&self.dropped)
+        self.dropped.sum()
     }
 }
 

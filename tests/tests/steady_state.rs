@@ -1,10 +1,14 @@
-//! A warm dispatch allocates nothing: once a daemon has served a few
-//! calls, every further `schedule` of a bytecode policy, on either engine
-//! and under a profiler on the default one, and every native dispatch
-//! makes zero heap allocations.
+//! A warm dispatch allocates nothing and takes a counted number of
+//! locks: once a daemon has served a few calls, every further `schedule`
+//! of a bytecode policy, on either engine and under a profiler on the
+//! default one, and every native dispatch makes zero heap allocations,
+//! and bytecode, native and unmatched dispatches take the locks their
+//! rows name.
 //!
 //! A counting allocator wraps the system one for this test binary only;
 //! it counts per thread, so the harness's own threads do not interfere.
+//! Locks are counted per thread by the vendored `parking_lot`, in debug
+//! builds only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -156,6 +160,79 @@ fn a_warm_native_dispatch_allocates_nothing() {
     let policy = PolicySource::Native(Box::new(RoundRobinPolicy::new(6)));
     daemon.deploy(app, HOOK, policy).unwrap();
     assert_eq!(allocations(&daemon, 512), 0);
+}
+
+/// Locks one schedule per clock reading in `clock` takes, counted by
+/// the vendored `parking_lot` (debug builds only: `None` in release).
+fn locked(daemon: &Syrupd, port: u16, clock: std::ops::Range<u64>) -> Option<u64> {
+    let mut pkt = [0u8; 32];
+    pkt[8] = 1;
+    let before = parking_lot::acquisitions()?;
+    for now_ns in clock {
+        let meta = HookMeta {
+            dst_port: port,
+            now_ns,
+            ..HookMeta::default()
+        };
+        std::hint::black_box(daemon.schedule(HOOK, &mut pkt, &meta));
+    }
+    Some(parking_lot::acquisitions()? - before)
+}
+
+/// Locks per warm bytecode `schedule`: the caller's stripe of the
+/// published table, the slot's own lock, and one stripe lock each for the
+/// `vm/*` and the policy's stats blocks. The Table-2 policies' maps take
+/// none, and the full decision ring refuses without its lock.
+const BYTECODE_LOCKS: u64 = 4;
+
+/// Locks per warm native dispatch: table stripe, slot, policy block.
+const NATIVE_LOCKS: u64 = 3;
+
+/// Locks per warm unmatched dispatch: table stripe, the daemon's block.
+const UNMATCHED_LOCKS: u64 = 2;
+
+/// `per_call` locks a call for `calls` calls, or `None` where locks are
+/// not counted.
+fn expected_locks(per_call: u64, calls: u64) -> Option<u64> {
+    parking_lot::acquisitions().map(|_| per_call * calls)
+}
+
+#[test]
+fn a_warm_bytecode_schedule_takes_four_locks_and_an_unmatched_one_two() {
+    for entry in c_sources::table2(6) {
+        let daemon = Syrupd::new();
+        let (app, _) = daemon.register_app(entry.name, &[PORT]).unwrap();
+        let policy = PolicySource::C {
+            source: entry.source.to_string(),
+            options: entry.opts,
+        };
+        daemon.deploy(app, HOOK, policy).unwrap();
+        locked(&daemon, PORT, 0..WARM_UP);
+        let calls = WARM_UP..WARM_UP + 512;
+        let want = expected_locks(BYTECODE_LOCKS, 512);
+        assert_eq!(locked(&daemon, PORT, calls.clone()), want, "{}", entry.name);
+        let want = expected_locks(UNMATCHED_LOCKS, 512);
+        assert_eq!(
+            locked(&daemon, PORT + 1, calls),
+            want,
+            "{} unmatched",
+            entry.name
+        );
+    }
+}
+
+#[test]
+fn a_warm_native_dispatch_takes_three_locks() {
+    let daemon = Syrupd::new();
+    let (app, _) = daemon.register_app("native", &[PORT]).unwrap();
+    let policy = PolicySource::Native(Box::new(RoundRobinPolicy::new(6)));
+    daemon.deploy(app, HOOK, policy).unwrap();
+    locked(&daemon, PORT, 0..WARM_UP);
+    let calls = WARM_UP..WARM_UP + 512;
+    assert_eq!(
+        locked(&daemon, PORT, calls),
+        expected_locks(NATIVE_LOCKS, 512)
+    );
 }
 
 #[test]
