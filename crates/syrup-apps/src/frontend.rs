@@ -9,8 +9,8 @@ use syrup_core::{AppId, Hook, HookMeta, Syrupd};
 use syrup_ghost::ghost::class;
 use syrup_net::socket::{Delivery, ReuseportGroup};
 use syrup_net::{flow, AppHeader, Frame, RequestClass};
+use syrup_observe::trace::{Stage, TraceCtx, Tracer};
 use syrup_sim::{Duration, OpenLoop, RequestMix, SimQueue, SimRng, Time};
-use syrup_trace::{Stage, TraceCtx, Tracer};
 
 use crate::rocksdb::RocksDbModel;
 

@@ -86,7 +86,7 @@ pub struct MtConfig {
     /// stack-RX, socket-select, socket-residency, and run spans per
     /// sampled request, plus ghOSt enqueue/dispatch/preempt spans when
     /// `sched` is [`SchedKind::Ghost`].
-    pub tracer: syrup_trace::Tracer,
+    pub tracer: syrup_observe::trace::Tracer,
 }
 
 impl MtConfig {
@@ -114,7 +114,7 @@ impl MtConfig {
             measure: Duration::from_millis(800),
             seed,
             shards: 1,
-            tracer: syrup_trace::Tracer::disabled(),
+            tracer: syrup_observe::trace::Tracer::disabled(),
         }
     }
 }
@@ -349,7 +349,7 @@ impl MtWorld<'_> {
 
     /// Points ghOSt's per-thread trace attribution at `ctx` (no-op under
     /// CFS, which records no scheduler spans).
-    fn set_ghost_trace(&mut self, thread: usize, ctx: syrup_trace::TraceCtx) {
+    fn set_ghost_trace(&mut self, thread: usize, ctx: syrup_observe::trace::TraceCtx) {
         if let Sched::Ghost(g) = &mut self.sched {
             g.set_thread_trace(ThreadId(thread as u32), ctx);
         }
@@ -386,7 +386,7 @@ impl MtWorld<'_> {
                 // preempted request's timeline shows the gap.
                 self.cfg.tracer.span_arg(
                     inflight.req.trace,
-                    syrup_trace::Stage::Run,
+                    syrup_observe::trace::Stage::Run,
                     started.as_nanos(),
                     at.as_nanos(),
                     thread as u64,
@@ -456,7 +456,7 @@ impl MtWorld<'_> {
         if let Some(started) = inflight.started {
             self.cfg.tracer.span_arg(
                 inflight.req.trace,
-                syrup_trace::Stage::Run,
+                syrup_observe::trace::Stage::Run,
                 started.as_nanos(),
                 now.as_nanos(),
                 thread as u64,
@@ -477,7 +477,7 @@ impl MtWorld<'_> {
         }
         // Idle: release the core.
         let _ = self.class_map.update_u64(thread as u32, class::GET);
-        self.set_ghost_trace(thread, syrup_trace::TraceCtx::none());
+        self.set_ghost_trace(thread, syrup_observe::trace::TraceCtx::none());
         self.on_core[thread] = None;
         let assignments = self
             .sched

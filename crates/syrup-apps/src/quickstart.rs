@@ -6,7 +6,7 @@
 //! (an eBPF policy through the verifier and VM), the CPU-redirect hook,
 //! kernel RX processing, the socket-select hook, a `SO_REUSEPORT` group,
 //! and per-socket worker threads — and pushes a few hundred requests
-//! through while a [`syrup_trace::Tracer`] records every stage each
+//! through while a [`syrup_observe::trace::Tracer`] records every stage each
 //! sampled request crosses.
 //!
 //! Unlike the figure worlds, time here is hand-laid-out (fixed per-stage
@@ -14,15 +14,15 @@
 //! resulting timelines are easy to eyeball in Perfetto and stable for the
 //! CLI smoke tests.
 
-use syrup_blackbox::Recorder;
 use syrup_core::{AppId, CompileOptions, Hook, HookMeta, PolicySource, Syrupd};
 use syrup_net::packet::{FRAME_LEN, UDP_OFF};
 use syrup_net::socket::{Delivery, ReuseportGroup};
 use syrup_net::{flow, AppHeader, Frame, Nic, QueueKind};
+use syrup_observe::blackbox::Recorder;
+use syrup_observe::profile::Profiler;
+use syrup_observe::trace::{Stage, Tracer};
 use syrup_policies::RoundRobinPolicy;
-use syrup_profile::Profiler;
 use syrup_sim::{drive, ShardQueueStats, ShardedQueue, SimRng, Time};
-use syrup_trace::{Stage, Tracer};
 
 /// The UDP port the quickstart application owns.
 pub const PORT: u16 = 9090;
@@ -44,9 +44,9 @@ pub struct Quickstart {
     pub completed: u64,
     /// Every span record the tracer captured, moved out of it: the
     /// tracer's buffer is empty after the run (its counters stand).
-    pub records: Vec<syrup_trace::SpanRecord>,
+    pub records: Vec<syrup_observe::trace::SpanRecord>,
     /// The records grouped into per-request timelines.
-    pub timelines: Vec<syrup_trace::Timeline>,
+    pub timelines: Vec<syrup_observe::trace::Timeline>,
     /// The NIC, rings intact — `syrupctl queue list` reads occupancy and
     /// drop counters from it after the run.
     pub nic: Nic<usize>,
@@ -284,7 +284,7 @@ pub fn run_driven(
     });
 
     let records = tracer.drain();
-    let timelines = syrup_trace::reconstruct(&records);
+    let timelines = syrup_observe::trace::reconstruct(&records);
     let shard_stats = ingress.per_shard_stats();
     Quickstart {
         syrupd,
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn every_timeline_is_valid_and_multi_hook() {
-        let tracer = syrup_trace::Tracer::new();
+        let tracer = syrup_observe::trace::Tracer::new();
         let q = run(&tracer, DEFAULT_REQUESTS);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
         assert_eq!(q.timelines.len(), DEFAULT_REQUESTS);
@@ -342,9 +342,9 @@ mod tests {
 
     #[test]
     fn breakdown_covers_nic_to_thread() {
-        let tracer = syrup_trace::Tracer::new();
+        let tracer = syrup_observe::trace::Tracer::new();
         let q = run(&tracer, DEFAULT_REQUESTS);
-        let breakdown = syrup_trace::StageBreakdown::from_timelines(&q.timelines);
+        let breakdown = syrup_observe::trace::StageBreakdown::from_timelines(&q.timelines);
         let stages: Vec<&str> = breakdown.stages.iter().map(|s| s.stage.as_str()).collect();
         for want in [
             "nic-queue",
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn sampling_traces_a_subset() {
-        let tracer = syrup_trace::Tracer::sampled(8);
+        let tracer = syrup_observe::trace::Tracer::sampled(8);
         let q = run(&tracer, 64);
         assert_eq!(q.completed, 64);
         assert_eq!(q.timelines.len(), 8, "one in eight ingresses sampled");
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_nothing() {
-        let tracer = syrup_trace::Tracer::disabled();
+        let tracer = syrup_observe::trace::Tracer::disabled();
         let q = run(&tracer, DEFAULT_REQUESTS);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
         assert!(q.records.is_empty());
@@ -377,8 +377,8 @@ mod tests {
 
     #[test]
     fn profiled_run_attributes_all_vm_cycles() {
-        let tracer = syrup_trace::Tracer::disabled();
-        let profiler = syrup_profile::Profiler::new();
+        let tracer = syrup_observe::trace::Tracer::disabled();
+        let profiler = syrup_observe::profile::Profiler::new();
         let q = scenario(&tracer, &profiler, DEFAULT_REQUESTS, false, 1);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
 
@@ -412,7 +412,7 @@ mod tests {
     fn unprofiled_run_matches_profiled_run() {
         // The profiler must observe, not perturb: decisions and telemetry
         // are identical with and without it attached.
-        let plain = run(&syrup_trace::Tracer::disabled(), 32);
+        let plain = run(&syrup_observe::trace::Tracer::disabled(), 32);
         let profiled = scenario(&Tracer::disabled(), &Profiler::new(), 32, false, 1);
         assert_eq!(plain.completed, profiled.completed);
         let a = plain.syrupd.telemetry_snapshot();
@@ -425,7 +425,7 @@ mod tests {
 
     #[test]
     fn ranked_run_uses_pifo_sockets_and_completes() {
-        let tracer = syrup_trace::Tracer::disabled();
+        let tracer = syrup_observe::trace::Tracer::disabled();
         let q = scenario(&tracer, &Profiler::disabled(), DEFAULT_REQUESTS, true, 1);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
         assert_eq!(q.group.kind(), QueueKind::Pifo);
@@ -442,8 +442,8 @@ mod tests {
 
     #[test]
     fn ranked_profiled_run_samples_sock_rank_bands() {
-        let tracer = syrup_trace::Tracer::disabled();
-        let profiler = syrup_profile::Profiler::new();
+        let tracer = syrup_observe::trace::Tracer::disabled();
+        let profiler = syrup_observe::profile::Profiler::new();
         let q = scenario(&tracer, &profiler, DEFAULT_REQUESTS, true, 1);
         assert_eq!(q.completed, DEFAULT_REQUESTS as u64);
         let p = profiler.pressure();
@@ -457,20 +457,20 @@ mod tests {
         // first three bands; the >4095 band stays empty.
         assert!(sock_bands.mean_depths.iter().take(3).any(|&d| d > 0.0));
         // The unranked scenario must not grow a band series.
-        let plain = syrup_profile::Profiler::new();
+        let plain = syrup_observe::profile::Profiler::new();
         let _ = scenario(&tracer, &plain, DEFAULT_REQUESTS, false, 1);
         assert!(plain.pressure().rank_bands.is_empty());
     }
 
     #[test]
     fn observed_run_feeds_three_stack_layers_into_the_recorder() {
-        use syrup_blackbox::{EventKind, Layer, Recorder};
-        let tracer = syrup_trace::Tracer::disabled();
+        use syrup_observe::blackbox::{EventKind, Layer, Recorder};
+        let tracer = syrup_observe::trace::Tracer::disabled();
         let rec = Recorder::new();
         let mut calls = 0u64;
         let q = run_observed(
             &tracer,
-            &syrup_profile::Profiler::disabled(),
+            &syrup_observe::profile::Profiler::disabled(),
             &rec,
             16,
             false,
@@ -494,12 +494,12 @@ mod tests {
 
     #[test]
     fn disabled_recorder_leaves_the_run_untouched() {
-        let tracer = syrup_trace::Tracer::disabled();
+        let tracer = syrup_observe::trace::Tracer::disabled();
         let plain = run(&tracer, 32);
-        let rec = syrup_blackbox::Recorder::disabled();
+        let rec = syrup_observe::blackbox::Recorder::disabled();
         let observed = run_observed(
             &tracer,
-            &syrup_profile::Profiler::disabled(),
+            &syrup_observe::profile::Profiler::disabled(),
             &rec,
             32,
             false,
@@ -511,9 +511,9 @@ mod tests {
             observed.syrupd.telemetry_snapshot()
         );
         for layer in [
-            syrup_blackbox::Layer::Syrupd,
-            syrup_blackbox::Layer::Nic,
-            syrup_blackbox::Layer::Sock,
+            syrup_observe::blackbox::Layer::Syrupd,
+            syrup_observe::blackbox::Layer::Nic,
+            syrup_observe::blackbox::Layer::Sock,
         ] {
             assert!(rec.events(layer).is_empty());
         }
@@ -533,10 +533,10 @@ mod tests {
             s.gauges.remove("sim/wheel_depth");
             s
         };
-        let tracer = syrup_trace::Tracer::new();
+        let tracer = syrup_observe::trace::Tracer::new();
         let base = scenario(&tracer, &Profiler::disabled(), DEFAULT_REQUESTS, false, 1);
         for shards in [2usize, 8] {
-            let tracer = syrup_trace::Tracer::new();
+            let tracer = syrup_observe::trace::Tracer::new();
             let q = scenario(
                 &tracer,
                 &Profiler::disabled(),
@@ -565,7 +565,7 @@ mod tests {
 
     #[test]
     fn deployed_rows_cover_three_hooks() {
-        let tracer = syrup_trace::Tracer::disabled();
+        let tracer = syrup_observe::trace::Tracer::disabled();
         let q = run(&tracer, DEFAULT_REQUESTS);
         let rows = q.syrupd.deployed();
         assert_eq!(rows.len(), 3);

@@ -104,7 +104,7 @@ pub struct ServerConfig {
     /// An enabled tracer samples ingresses and records a span per stage
     /// each traced request crosses: stack RX, the socket-select hook (and
     /// the VM, when `use_ebpf`), socket residency, and on-thread run.
-    pub tracer: syrup_trace::Tracer,
+    pub tracer: syrup_observe::trace::Tracer,
 }
 
 impl ServerConfig {
@@ -127,7 +127,7 @@ impl ServerConfig {
             warmup: Duration::from_millis(50),
             measure: Duration::from_millis(300),
             seed,
-            tracer: syrup_trace::Tracer::disabled(),
+            tracer: syrup_observe::trace::Tracer::disabled(),
         }
     }
 
@@ -194,7 +194,7 @@ pub struct ServerResult {
     pub per_class: HashMap<u32, LatencySummary>,
     /// End-of-run metrics exported by `syrupd` and the substrates
     /// (dispatch/verdict counters, VM cycle histograms, socket drops).
-    pub telemetry: syrup_telemetry::Snapshot,
+    pub telemetry: syrup_observe::telemetry::Snapshot,
 }
 
 enum Ev {
@@ -471,7 +471,7 @@ impl<'c> World<'c> {
         let busy_for = self.cfg.per_request_overhead + req.service;
         self.cfg.tracer.span_arg(
             req.trace,
-            syrup_trace::Stage::Run,
+            syrup_observe::trace::Stage::Run,
             now.as_nanos(),
             (now + busy_for).as_nanos(),
             thread as u64,

@@ -116,7 +116,7 @@ pub struct HookMeta {
     pub dst_port: u16,
     /// Trace context of the input (untraced by default); `syrupd` uses it
     /// to attribute policy invocations to the request's timeline.
-    pub trace: syrup_trace::TraceCtx,
+    pub trace: syrup_observe::trace::TraceCtx,
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use syrup_ebpf::maps::{MapDef, MapError, MapId, MapRef, MapRegistry, ProgSlot, U
 use syrup_ebpf::vm::{Backend, PacketCtx, RunEnv, TailPath, Vm};
 use syrup_ebpf::{ret, HelperId, Reg, VerifierError, VmError, VmOutcome};
 use syrup_lang::LangError;
-use syrup_telemetry::{
+use syrup_observe::telemetry::{
     Block, BlockHandle, CounterHandle, DecisionEvent, Executor, Field, HistogramSnapshot, PerCpu,
     Registry, Snapshot,
 };
@@ -311,7 +311,7 @@ struct Route {
 /// The data plane's view of one hook.
 #[derive(Clone)]
 struct HookTable {
-    stage: syrup_trace::Stage,
+    stage: syrup_observe::trace::Stage,
     /// Sorted by port.
     routes: Vec<Route>,
 }
@@ -401,7 +401,7 @@ impl Control {
             }
             routes.sort_unstable_by_key(|route| route.port);
             hooks[hook.index()] = Some(HookTable {
-                stage: syrup_trace::Stage::for_hook(hook.name()),
+                stage: syrup_observe::trace::Stage::for_hook(hook.name()),
                 routes,
             });
         }
@@ -555,13 +555,13 @@ impl Syrupd {
     /// invocation at the invoked hook's stage (plus the VM's own
     /// `vm-exec` span), and a `policy-lifecycle` instant per
     /// deploy/undeploy. Affects every clone of this daemon.
-    pub fn attach_tracer(&self, tracer: &syrup_trace::Tracer) {
+    pub fn attach_tracer(&self, tracer: &syrup_observe::trace::Tracer) {
         self.configure_vm(|vm| vm.attach_tracer(tracer));
     }
 
-    /// The tracer the daemon records into ([`syrup_trace::Tracer::disabled`]
+    /// The tracer the daemon records into ([`syrup_observe::trace::Tracer::disabled`]
     /// unless [`Syrupd::attach_tracer`] was called).
-    pub fn tracer(&self) -> syrup_trace::Tracer {
+    pub fn tracer(&self) -> syrup_observe::trace::Tracer {
         self.control.lock().vm.tracer().clone()
     }
 
@@ -570,7 +570,7 @@ impl Syrupd {
     /// `(rank << 32) | executor` return and the modelled cycle cost), plus
     /// the VM's trap and tail-call-cap events from whichever execution
     /// engine is active. Affects every clone of this daemon.
-    pub fn attach_blackbox(&self, recorder: &syrup_blackbox::Recorder) {
+    pub fn attach_blackbox(&self, recorder: &syrup_observe::blackbox::Recorder) {
         self.configure_vm(|vm| vm.attach_blackbox(recorder));
     }
 
@@ -579,7 +579,7 @@ impl Syrupd {
     /// dispatcher → policy tail-call chain folded into full stacks.
     /// Programs deployed before or after the attach are both annotated.
     /// Affects every clone of this daemon.
-    pub fn attach_profiler(&self, profiler: &syrup_profile::Profiler) {
+    pub fn attach_profiler(&self, profiler: &syrup_observe::profile::Profiler) {
         self.configure_vm(|vm| vm.attach_profiler(profiler));
     }
 
@@ -729,7 +729,11 @@ impl Syrupd {
         hook_state.policies.insert(app, slot);
         self.publish(&control);
         let tracer = control.vm.tracer();
-        tracer.global_instant(syrup_trace::Stage::PolicyLifecycle, 0, u64::from(app.0));
+        tracer.global_instant(
+            syrup_observe::trace::Stage::PolicyLifecycle,
+            0,
+            u64::from(app.0),
+        );
 
         Ok(PolicyHandle {
             app,
@@ -753,7 +757,11 @@ impl Syrupd {
         let _ = hs.prog_array.set_prog(hs.indices[&app], None);
         self.publish(&control);
         let tracer = control.vm.tracer();
-        tracer.global_instant(syrup_trace::Stage::PolicyLifecycle, 0, u64::from(app.0));
+        tracer.global_instant(
+            syrup_observe::trace::Stage::PolicyLifecycle,
+            0,
+            u64::from(app.0),
+        );
     }
 
     /// The hook entry point the substrates call per input: runs the
@@ -994,7 +1002,7 @@ mod tests {
     #[test]
     fn profiler_attributes_dispatch_chains() {
         let d = Syrupd::new();
-        let profiler = syrup_profile::Profiler::new();
+        let profiler = syrup_observe::profile::Profiler::new();
         d.attach_profiler(&profiler);
         let (app, _maps) = d.register_app("rocksdb", &[8080]).unwrap();
         d.deploy(app, Hook::SocketSelect, rr_source()).unwrap();
@@ -1095,7 +1103,7 @@ mod tests {
 
     #[test]
     fn blackbox_records_dispatch_verdicts_from_both_executors() {
-        use syrup_blackbox::{EventKind, Layer, Recorder};
+        use syrup_observe::blackbox::{EventKind, Layer, Recorder};
         let d = Syrupd::new();
         let rec = Recorder::new();
         d.attach_blackbox(&rec);
@@ -1578,7 +1586,10 @@ mod tests {
         assert_eq!(per_app.counter("cpu-redirect/verdict_drop"), 1);
         let events = d.drain_decisions();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].executor, syrup_telemetry::Executor::Native);
+        assert_eq!(
+            events[0].executor,
+            syrup_observe::telemetry::Executor::Native
+        );
         assert_eq!(events[0].cycles, 0);
         // Native policies have no insns histogram → no stats.
         assert!(d.policy_stats(app, Hook::CpuRedirect).is_none());

@@ -2,11 +2,11 @@
 //! the way `schedule` does against a twin running the §4.3 root program
 //! for every input. Whatever either side can observe must agree.
 
-use syrup_blackbox::{Layer, Recorder};
 use syrup_ebpf::maps::MapEntries;
 use syrup_ebpf::Asm;
+use syrup_observe::blackbox::{Layer, Recorder};
+use syrup_observe::profile::Profiler;
 use syrup_policies::c_sources::table2;
-use syrup_profile::Profiler;
 
 use super::*;
 use crate::CompileOptions;
@@ -28,7 +28,7 @@ impl Side {
         daemon.set_backend(backend);
         let (profiler, recorder) = (Profiler::new(), Recorder::new());
         // The first trap would otherwise freeze the rings.
-        recorder.arm(syrup_blackbox::TriggerCause::VmTrap, false);
+        recorder.arm(syrup_observe::blackbox::TriggerCause::VmTrap, false);
         daemon.attach_profiler(&profiler);
         daemon.attach_blackbox(&recorder);
         Side {
@@ -233,7 +233,7 @@ fn direct_entry_is_the_root_program() {
         let vm_events = direct.recorder.events(Layer::Vm);
         let tail_caps = vm_events
             .iter()
-            .filter(|e| e.kind == syrup_blackbox::EventKind::VmTailCap)
+            .filter(|e| e.kind == syrup_observe::blackbox::EventKind::VmTailCap)
             .count();
         assert_eq!(tail_caps, caps(&direct.runs));
 

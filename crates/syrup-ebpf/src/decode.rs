@@ -35,7 +35,7 @@ use crate::mem::map_fd_token;
 use crate::verifier::{Facts, Kind};
 use crate::vm::ctx_off;
 use crate::Program;
-use syrup_profile::{Step, Steps};
+use syrup_observe::profile::{Step, Steps};
 
 /// What a map-value pointer's word keeps below the slot: its offset plus
 /// this bias, so NULL (0) never collides with a live pointer.

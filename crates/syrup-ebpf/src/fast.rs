@@ -295,7 +295,7 @@ fn exec<'v, const MODE: u8>(
     vm: &'v Vm,
     prog: &mut &'v DecodedProg,
     m: &mut Machine,
-    prof: &mut syrup_profile::VmSpan,
+    prof: &mut syrup_observe::profile::VmSpan,
     ctx: &mut PacketCtx<'_>,
     env: &mut RunEnv,
 ) -> Result<Flow<'v>, VmError> {
@@ -531,7 +531,7 @@ mod tests {
     use crate::maps::{MapDef, MapRegistry};
     use crate::vm::{Backend, PacketCtx, RunEnv, Vm, VmError, MAX_TAIL_CALLS};
     use crate::Program;
-    use syrup_telemetry::Registry;
+    use syrup_observe::telemetry::Registry;
 
     /// A policy exercising maps (lookup, update, atomic add), branches,
     /// packet access, and randomness — the instruction mix real Syrup
@@ -715,7 +715,7 @@ mod tests {
     #[test]
     fn fast_backend_profiler_coverage_is_exact() {
         let registry = Registry::new();
-        let profiler = syrup_profile::Profiler::new();
+        let profiler = syrup_observe::profile::Profiler::new();
         let maps = MapRegistry::new();
         let prog_array = maps.create(MapDef::prog_array(4));
         let mut vm = Vm::new(maps);

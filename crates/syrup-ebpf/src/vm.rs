@@ -32,7 +32,7 @@ use crate::mem::{call_helper, fetch_add, map_fd_token, mem_load, mem_store, Fram
 use crate::store::{Loaded, ProgStore};
 use crate::verifier::{verify, Facts, VerifierError};
 use crate::Program;
-use syrup_telemetry::{Block, BlockHandle, Field, HistogramSnapshot, Registry};
+use syrup_observe::telemetry::{Block, BlockHandle, Field, HistogramSnapshot, Registry};
 
 /// Stack bytes available per invocation, matching the kernel's limit.
 pub const STACK_SIZE: i64 = 512;
@@ -275,7 +275,7 @@ pub struct TailPath {
     /// The program the path starts in.
     prog: String,
     /// Every step to the tail call, as a profiler replays them.
-    steps: syrup_profile::Steps,
+    steps: syrup_observe::profile::Steps,
     /// The invocation entry cost plus every step's cost.
     cycles: u64,
     target: ProgSlot,
@@ -330,10 +330,10 @@ impl Entry<'_> {
     /// the run down it would hold by then.
     pub(crate) fn scope(
         self,
-        profiler: &syrup_profile::Profiler,
+        profiler: &syrup_observe::profile::Profiler,
         prog: &str,
-        steps: Option<&syrup_profile::Steps>,
-    ) -> syrup_profile::VmSpan {
+        steps: Option<&syrup_observe::profile::Steps>,
+    ) -> syrup_observe::profile::VmSpan {
         match self {
             Entry::Prog(_) => profiler.vm_enter(prog, steps, INVOKE),
             Entry::After(path) => {
@@ -387,7 +387,7 @@ pub(crate) enum Landed<'v> {
 /// What a traced interpreter run hands back besides its outcome.
 #[derive(Default)]
 pub(crate) struct Traced {
-    steps: Vec<syrup_profile::Step>,
+    steps: Vec<syrup_observe::profile::Step>,
     /// The slot the first successful tail call resolved, where the run
     /// stopped.
     target: Option<ProgSlot>,
@@ -407,7 +407,7 @@ pub struct RunEnv {
     /// Trace context of the input this invocation is scheduling; untraced
     /// by default. When traced (and a tracer is attached), each run emits
     /// a `vm-exec` span covering the invocation's cycle account.
-    pub trace: syrup_trace::TraceCtx,
+    pub trace: syrup_observe::trace::TraceCtx,
 }
 
 impl Default for RunEnv {
@@ -416,7 +416,7 @@ impl Default for RunEnv {
             now_ns: 0,
             cpu_id: 0,
             prandom_state: 0x853C_49E6_748F_EA9B,
-            trace: syrup_trace::TraceCtx::none(),
+            trace: syrup_observe::trace::TraceCtx::none(),
         }
     }
 }
@@ -531,9 +531,9 @@ pub struct Vm {
     backend: Backend,
     /// The `vm/*` block, written once per run.
     telemetry: BlockHandle<VmStats>,
-    tracer: syrup_trace::Tracer,
-    pub(crate) profiler: syrup_profile::Profiler,
-    recorder: syrup_blackbox::Recorder,
+    tracer: syrup_observe::trace::Tracer,
+    pub(crate) profiler: syrup_observe::profile::Profiler,
+    recorder: syrup_observe::blackbox::Recorder,
 }
 
 impl Vm {
@@ -545,9 +545,9 @@ impl Vm {
             map_cache: Arc::new([]),
             backend: Backend::default(),
             telemetry: BlockHandle::disabled(),
-            tracer: syrup_trace::Tracer::disabled(),
-            profiler: syrup_profile::Profiler::disabled(),
-            recorder: syrup_blackbox::Recorder::disabled(),
+            tracer: syrup_observe::trace::Tracer::disabled(),
+            profiler: syrup_observe::profile::Profiler::disabled(),
+            recorder: syrup_observe::blackbox::Recorder::disabled(),
         }
     }
 
@@ -572,12 +572,12 @@ impl Vm {
     /// Starts recording a `vm-exec` span per traced invocation into
     /// `tracer`. The span covers `env.now_ns` plus the run's modelled
     /// cycles (1 cycle ≙ 1 ns at the simulator's reference clock).
-    pub fn attach_tracer(&mut self, tracer: &syrup_trace::Tracer) {
+    pub fn attach_tracer(&mut self, tracer: &syrup_observe::trace::Tracer) {
         self.tracer = tracer.clone();
     }
 
     /// The tracer this VM records into (disabled unless attached).
-    pub fn tracer(&self) -> &syrup_trace::Tracer {
+    pub fn tracer(&self) -> &syrup_observe::trace::Tracer {
         &self.tracer
     }
 
@@ -585,7 +585,7 @@ impl Vm {
     /// helper into `profiler`, tail-call chains folded into full
     /// stacks. Already-loaded programs (and any loaded later) have
     /// their disassembly registered so hotspots can be annotated.
-    pub fn attach_profiler(&mut self, profiler: &syrup_profile::Profiler) {
+    pub fn attach_profiler(&mut self, profiler: &syrup_observe::profile::Profiler) {
         self.profiler = profiler.clone();
         for loaded in self.store.iter() {
             self.profiler
@@ -598,13 +598,13 @@ impl Vm {
     /// whichever backend executed, so interpreter and fast-engine events
     /// are indistinguishable except for the backend id they carry
     /// (0 interp, 1 fast).
-    pub fn attach_blackbox(&mut self, recorder: &syrup_blackbox::Recorder) {
+    pub fn attach_blackbox(&mut self, recorder: &syrup_observe::blackbox::Recorder) {
         self.recorder = recorder.clone();
     }
 
     /// The flight recorder this VM streams into (disabled unless
     /// attached).
-    pub fn recorder(&self) -> &syrup_blackbox::Recorder {
+    pub fn recorder(&self) -> &syrup_observe::blackbox::Recorder {
         &self.recorder
     }
 
@@ -694,7 +694,11 @@ impl Vm {
         let prog = self.program(slot)?;
         let mut traced = Traced::default();
         let entry = Entry::Prog(slot);
-        let mut prof = entry.scope(&syrup_profile::Profiler::disabled(), &prog.name, None);
+        let mut prof = entry.scope(
+            &syrup_observe::profile::Profiler::disabled(),
+            &prog.name,
+            None,
+        );
         let Ok(Landed::Exit(out)) = self.interpret::<true>(
             prog,
             ENTRY,
@@ -728,7 +732,7 @@ impl Vm {
             Ok(out) => {
                 self.tracer.policy_span(
                     env.trace,
-                    syrup_trace::Stage::VmExec,
+                    syrup_observe::trace::Stage::VmExec,
                     env.now_ns,
                     env.now_ns + out.cycles,
                     out.ret as i64,
@@ -744,8 +748,12 @@ impl Vm {
                 }
             }
             Err(e) => {
-                self.tracer
-                    .instant(env.trace, syrup_trace::Stage::VmExec, env.now_ns, 0);
+                self.tracer.instant(
+                    env.trace,
+                    syrup_observe::trace::Stage::VmExec,
+                    env.now_ns,
+                    0,
+                );
                 self.recorder
                     .vm_trap(env.now_ns, self.backend as u16, e.code(), &e.to_string());
             }
@@ -765,7 +773,7 @@ impl Vm {
         mut regs: [Val; 11],
         frame: &mut Frame,
         tally: &mut Tally,
-        prof: &mut syrup_profile::VmSpan,
+        prof: &mut syrup_observe::profile::VmSpan,
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
         traced: &mut Traced,
@@ -778,7 +786,7 @@ impl Vm {
             tally.cycles += cost;
             prof.insn(pc, cost);
             if TRACE {
-                traced.steps.push(syrup_profile::Step {
+                traced.steps.push(syrup_observe::profile::Step {
                     pc: pc as u32,
                     cycles: cost as u32,
                     helper: None,
@@ -1625,7 +1633,7 @@ mod tests {
 
     #[test]
     fn blackbox_records_traps_and_tail_caps_from_both_backends() {
-        use syrup_blackbox::{EventKind, Layer, Recorder, TriggerCause};
+        use syrup_observe::blackbox::{EventKind, Layer, Recorder, TriggerCause};
         for backend in [Backend::Interp, Backend::Fast] {
             let rec = Recorder::new();
             rec.arm(TriggerCause::VmTrap, false);
@@ -1682,7 +1690,7 @@ mod tests {
 
     #[test]
     fn vm_trap_trigger_freezes_the_recorder() {
-        use syrup_blackbox::{Recorder, TriggerCause};
+        use syrup_observe::blackbox::{Recorder, TriggerCause};
         let rec = Recorder::new();
         let mut vm = vm();
         vm.attach_blackbox(&rec);
@@ -1735,7 +1743,7 @@ mod tests {
     #[test]
     fn profiler_attributes_every_cycle_across_tail_calls() {
         let registry = Registry::new();
-        let profiler = syrup_profile::Profiler::new();
+        let profiler = syrup_observe::profile::Profiler::new();
         let maps = MapRegistry::new();
         let prog_array = maps.create(MapDef::prog_array(4));
         let mut vm = Vm::new(maps);

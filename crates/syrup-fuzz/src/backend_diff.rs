@@ -30,8 +30,8 @@ use std::fmt;
 use syrup_ebpf::maps::{MapId, MapRegistry, ProgSlot};
 use syrup_ebpf::vm::{Backend, PacketCtx, Vm};
 use syrup_ebpf::{verify, Program};
-use syrup_profile::Profiler;
-use syrup_telemetry::Registry;
+use syrup_observe::profile::Profiler;
+use syrup_observe::telemetry::Registry;
 
 use crate::{gen, langgen, mutate, shrink, splitmix64, FuzzInput, Prng};
 

@@ -79,12 +79,12 @@ pub struct GhostSched {
     pub messages: u64,
     /// Total preemptions issued (diagnostics).
     pub preemptions: u64,
-    tracer: syrup_trace::Tracer,
-    profiler: syrup_profile::Profiler,
-    recorder: syrup_blackbox::Recorder,
+    tracer: syrup_observe::trace::Tracer,
+    profiler: syrup_observe::profile::Profiler,
+    recorder: syrup_observe::blackbox::Recorder,
     /// Trace context of the request each thread is serving, set by the
     /// application via [`GhostSched::set_thread_trace`].
-    thread_trace: BTreeMap<u32, syrup_trace::TraceCtx>,
+    thread_trace: BTreeMap<u32, syrup_observe::trace::TraceCtx>,
 }
 
 impl GhostSched {
@@ -107,9 +107,9 @@ impl GhostSched {
             agent_busy_until: Time::ZERO,
             messages: 0,
             preemptions: 0,
-            tracer: syrup_trace::Tracer::disabled(),
-            profiler: syrup_profile::Profiler::disabled(),
-            recorder: syrup_blackbox::Recorder::disabled(),
+            tracer: syrup_observe::trace::Tracer::disabled(),
+            profiler: syrup_observe::profile::Profiler::disabled(),
+            recorder: syrup_observe::blackbox::Recorder::disabled(),
             thread_trace: BTreeMap::new(),
         }
     }
@@ -119,15 +119,15 @@ impl GhostSched {
     /// scheduling-latency samples (wakeup → agent decision), and
     /// starvation events when a thread sat runnable past the profiler's
     /// threshold before being served.
-    pub fn attach_profiler(&mut self, profiler: &syrup_profile::Profiler) {
+    pub fn attach_profiler(&mut self, profiler: &syrup_observe::profile::Profiler) {
         self.profiler = profiler.clone();
     }
 
     /// Streams thread state changes into the flight recorder
-    /// ([`syrup_blackbox::Layer::Ghost`]; state 0 runnable, 1 running,
+    /// ([`syrup_observe::blackbox::Layer::Ghost`]; state 0 runnable, 1 running,
     /// 2 blocked), mirroring the transitions the pressure profiler
     /// aggregates.
-    pub fn attach_blackbox(&mut self, recorder: &syrup_blackbox::Recorder) {
+    pub fn attach_blackbox(&mut self, recorder: &syrup_observe::blackbox::Recorder) {
         self.recorder = recorder.clone();
     }
 
@@ -135,15 +135,15 @@ impl GhostSched {
     /// `ghost-enqueue` (wakeup message → agent decision), `ghost-dispatch`
     /// (decision → thread running, covering ctx-switch/IPI cost), and a
     /// `ghost-preempt` instant on the victim's timeline.
-    pub fn attach_tracer(&mut self, tracer: &syrup_trace::Tracer) {
+    pub fn attach_tracer(&mut self, tracer: &syrup_observe::trace::Tracer) {
         self.tracer = tracer.clone();
     }
 
     /// Associates `thread` with the trace context of the request it is
     /// (about to be) serving. Subsequent agent decisions about the thread
     /// land on that request's timeline; pass
-    /// [`syrup_trace::TraceCtx::none`] to detach.
-    pub fn set_thread_trace(&mut self, thread: ThreadId, ctx: syrup_trace::TraceCtx) {
+    /// [`syrup_observe::trace::TraceCtx::none`] to detach.
+    pub fn set_thread_trace(&mut self, thread: ThreadId, ctx: syrup_observe::trace::TraceCtx) {
         if ctx.is_traced() {
             self.thread_trace.insert(thread.0, ctx);
         } else {
@@ -151,7 +151,7 @@ impl GhostSched {
         }
     }
 
-    fn trace_of(&self, thread: ThreadId) -> syrup_trace::TraceCtx {
+    fn trace_of(&self, thread: ThreadId) -> syrup_observe::trace::TraceCtx {
         self.thread_trace
             .get(&thread.0)
             .copied()
@@ -184,14 +184,14 @@ impl GhostSched {
         for a in &out {
             self.tracer.span_arg(
                 self.trace_of(a.thread),
-                syrup_trace::Stage::GhostDispatch,
+                syrup_observe::trace::Stage::GhostDispatch,
                 decision_at.as_nanos(),
                 a.start_at.as_nanos(),
                 u64::from(a.core.0),
             );
             self.profiler.thread_state(
                 u64::from(a.thread.0),
-                syrup_profile::ThreadState::Running,
+                syrup_observe::profile::ThreadState::Running,
                 a.start_at.as_nanos(),
             );
             self.recorder
@@ -199,7 +199,7 @@ impl GhostSched {
             if let Some(victim) = a.preempted {
                 self.profiler.thread_state(
                     u64::from(victim.0),
-                    syrup_profile::ThreadState::Runnable,
+                    syrup_observe::profile::ThreadState::Runnable,
                     a.start_at.as_nanos(),
                 );
                 self.recorder
@@ -269,7 +269,7 @@ impl GhostSched {
             self.preemptions += 1;
             self.tracer.instant(
                 self.trace_of(victim),
-                syrup_trace::Stage::GhostPreempt,
+                syrup_observe::trace::Stage::GhostPreempt,
                 decision_at.as_nanos(),
                 u64::from(core.0),
             );
@@ -296,13 +296,13 @@ impl ThreadScheduler for GhostSched {
         let decision_at = self.agent_process_time(now);
         self.tracer.span(
             self.trace_of(t),
-            syrup_trace::Stage::GhostEnqueue,
+            syrup_observe::trace::Stage::GhostEnqueue,
             now.as_nanos(),
             decision_at.as_nanos(),
         );
         self.profiler.thread_state(
             u64::from(t.0),
-            syrup_profile::ThreadState::Runnable,
+            syrup_observe::profile::ThreadState::Runnable,
             now.as_nanos(),
         );
         self.recorder
@@ -317,7 +317,7 @@ impl ThreadScheduler for GhostSched {
         let decision_at = self.agent_process_time(now);
         self.profiler.thread_state(
             u64::from(t.0),
-            syrup_profile::ThreadState::Blocked,
+            syrup_observe::profile::ThreadState::Blocked,
             now.as_nanos(),
         );
         self.recorder
@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn profiler_tracks_time_in_state_and_starvation() {
-        let profiler = syrup_profile::Profiler::new();
+        let profiler = syrup_observe::profile::Profiler::new();
         let (mut s, map) = setup(2); // one app core + agent
         s.attach_profiler(&profiler);
         map.update_u64(1, class::SCAN).unwrap();
@@ -457,7 +457,7 @@ mod tests {
 
         // SCAN occupies the core; the GET preempts it and holds the core
         // past the starvation threshold; the GET finishes.
-        let stop = Time::from_nanos(2 * syrup_profile::STARVATION_NS);
+        let stop = Time::from_nanos(2 * syrup_observe::profile::STARVATION_NS);
         s.thread_ready(ThreadId(1), Time::ZERO);
         s.thread_ready(ThreadId(2), Time::from_micros(100));
         s.thread_stopped(ThreadId(2), CoreId(0), stop);
@@ -481,7 +481,7 @@ mod tests {
 
     #[test]
     fn blackbox_records_thread_state_changes() {
-        use syrup_blackbox::{EventKind, Layer, Recorder};
+        use syrup_observe::blackbox::{EventKind, Layer, Recorder};
         let rec = Recorder::new();
         let (mut s, map) = setup(2); // one app core + agent
         s.attach_blackbox(&rec);

@@ -55,7 +55,7 @@ pub use syrup_sched::QueueKind;
 /// array, so the sampling path allocates nothing (a component with more
 /// queues than the array holds falls back to a `Vec`).
 pub(crate) fn sample_queue_depths(
-    profiler: &syrup_profile::Profiler,
+    profiler: &syrup_observe::profile::Profiler,
     component: &str,
     now_ns: u64,
     depths: impl ExactSizeIterator<Item = usize>,

@@ -18,8 +18,8 @@ use crate::socket::SocketBuf;
 pub struct Nic<T> {
     queues: Vec<SocketBuf<T>>,
     toeplitz: Toeplitz,
-    tracer: syrup_trace::Tracer,
-    profiler: syrup_profile::Profiler,
+    tracer: syrup_observe::trace::Tracer,
+    profiler: syrup_observe::profile::Profiler,
 }
 
 impl<T> Nic<T> {
@@ -30,14 +30,14 @@ impl<T> Nic<T> {
         Nic {
             queues: (0..num_queues).map(|_| SocketBuf::new(ring_size)).collect(),
             toeplitz: Toeplitz,
-            tracer: syrup_trace::Tracer::disabled(),
-            profiler: syrup_profile::Profiler::disabled(),
+            tracer: syrup_observe::trace::Tracer::disabled(),
+            profiler: syrup_observe::profile::Profiler::disabled(),
         }
     }
 
     /// Starts feeding RX-ring occupancy samples to the pressure profiler
     /// (component `nic`) via [`Nic::sample_depths`].
-    pub fn attach_profiler(&mut self, profiler: &syrup_profile::Profiler) {
+    pub fn attach_profiler(&mut self, profiler: &syrup_observe::profile::Profiler) {
         self.profiler = profiler.clone();
     }
 
@@ -57,18 +57,22 @@ impl<T> Nic<T> {
 
     /// Starts recording a `nic-steer` instant (arg = chosen queue) per
     /// traced frame passed to [`Nic::select_queue_traced`].
-    pub fn attach_tracer(&mut self, tracer: &syrup_trace::Tracer) {
+    pub fn attach_tracer(&mut self, tracer: &syrup_observe::trace::Tracer) {
         self.tracer = tracer.clone();
     }
 
     /// Streams per-ring wire drops and depth-threshold crossings into the
-    /// flight recorder on [`syrup_blackbox::Layer::Nic`], one queue id per
+    /// flight recorder on [`syrup_observe::blackbox::Layer::Nic`], one queue id per
     /// RX queue (`depth_threshold` 0 disables depth events).
-    pub fn attach_blackbox(&mut self, recorder: &syrup_blackbox::Recorder, depth_threshold: usize) {
+    pub fn attach_blackbox(
+        &mut self,
+        recorder: &syrup_observe::blackbox::Recorder,
+        depth_threshold: usize,
+    ) {
         for (i, q) in self.queues.iter_mut().enumerate() {
             q.attach_blackbox(
                 recorder,
-                syrup_blackbox::Layer::Nic,
+                syrup_observe::blackbox::Layer::Nic,
                 i as u16,
                 depth_threshold,
             );
@@ -99,12 +103,16 @@ impl<T> Nic<T> {
         &self,
         flow: &FiveTuple,
         offload_choice: Option<u32>,
-        ctx: syrup_trace::TraceCtx,
+        ctx: syrup_observe::trace::TraceCtx,
         now_ns: u64,
     ) -> u32 {
         let q = self.select_queue(flow, offload_choice);
-        self.tracer
-            .instant(ctx, syrup_trace::Stage::NicSteer, now_ns, u64::from(q));
+        self.tracer.instant(
+            ctx,
+            syrup_observe::trace::Stage::NicSteer,
+            now_ns,
+            u64::from(q),
+        );
         q
     }
 
@@ -188,7 +196,7 @@ mod tests {
 
     #[test]
     fn profiler_samples_queue_imbalance() {
-        let profiler = syrup_profile::Profiler::new();
+        let profiler = syrup_observe::profile::Profiler::new();
         let mut nic: Nic<u64> = Nic::new(4, 64);
         nic.attach_profiler(&profiler);
         // Pile everything onto queue 0.
@@ -210,7 +218,7 @@ mod tests {
 
     #[test]
     fn profiler_samples_more_queues_than_the_stack_snapshot_holds() {
-        let profiler = syrup_profile::Profiler::new();
+        let profiler = syrup_observe::profile::Profiler::new();
         let mut nic: Nic<u64> = Nic::new(70, 8);
         nic.attach_profiler(&profiler);
         nic.enqueue(69, 1);
@@ -224,7 +232,7 @@ mod tests {
 
     #[test]
     fn fifo_rings_never_sample_rank_bands() {
-        let profiler = syrup_profile::Profiler::new();
+        let profiler = syrup_observe::profile::Profiler::new();
         let mut nic: Nic<u64> = Nic::new(2, 8);
         nic.attach_profiler(&profiler);
         nic.enqueue(0, 1);
@@ -234,7 +242,7 @@ mod tests {
 
     #[test]
     fn blackbox_records_wire_drops_per_ring() {
-        use syrup_blackbox::{EventKind, Layer, Recorder};
+        use syrup_observe::blackbox::{EventKind, Layer, Recorder};
         let rec = Recorder::new();
         let mut nic: Nic<u64> = Nic::new(2, 1);
         nic.attach_blackbox(&rec, 1);

@@ -18,8 +18,8 @@
 //! [`Verdict`] instead of just its low-word [`Decision`].
 
 use syrup_core::{Decision, Verdict};
+use syrup_observe::telemetry::{CounterHandle, Registry};
 use syrup_sched::{ExecQueue, QueueKind, NUM_RANK_BANDS};
-use syrup_telemetry::{CounterHandle, Registry};
 
 /// Default receive-queue capacity in datagrams, approximating Linux's
 /// default `net.core.rmem_default` divided by our datagram size.
@@ -35,8 +35,8 @@ pub struct SocketBuf<T> {
     pub dropped: u64,
     /// Datagrams ever enqueued.
     pub enqueued: u64,
-    recorder: syrup_blackbox::Recorder,
-    bb_layer: syrup_blackbox::Layer,
+    recorder: syrup_observe::blackbox::Recorder,
+    bb_layer: syrup_observe::blackbox::Layer,
     bb_queue: u16,
     /// Depth at which crossing events fire (0 = no depth events).
     depth_threshold: usize,
@@ -55,8 +55,8 @@ impl<T> SocketBuf<T> {
             capacity,
             dropped: 0,
             enqueued: 0,
-            recorder: syrup_blackbox::Recorder::disabled(),
-            bb_layer: syrup_blackbox::Layer::Sock,
+            recorder: syrup_observe::blackbox::Recorder::disabled(),
+            bb_layer: syrup_observe::blackbox::Layer::Sock,
             bb_queue: 0,
             depth_threshold: 0,
         }
@@ -69,14 +69,14 @@ impl<T> SocketBuf<T> {
 
     /// Streams this buffer's full-queue drops and depth-threshold
     /// crossings into the flight recorder. `layer` says which stack layer
-    /// the buffer plays ([`syrup_blackbox::Layer::Nic`] for RX rings,
-    /// [`syrup_blackbox::Layer::Sock`] for sockets), `queue` identifies it
+    /// the buffer plays ([`syrup_observe::blackbox::Layer::Nic`] for RX rings,
+    /// [`syrup_observe::blackbox::Layer::Sock`] for sockets), `queue` identifies it
     /// within the layer, and a depth of `depth_threshold` (0 disables
     /// depth events) fires rising/falling crossing events.
     pub fn attach_blackbox(
         &mut self,
-        recorder: &syrup_blackbox::Recorder,
-        layer: syrup_blackbox::Layer,
+        recorder: &syrup_observe::blackbox::Recorder,
+        layer: syrup_observe::blackbox::Layer,
         queue: u16,
         depth_threshold: usize,
     ) {
@@ -190,8 +190,8 @@ struct GroupTelemetry {
 pub struct ReuseportGroup<T> {
     sockets: Vec<SocketBuf<T>>,
     telemetry: GroupTelemetry,
-    tracer: syrup_trace::Tracer,
-    profiler: syrup_profile::Profiler,
+    tracer: syrup_observe::trace::Tracer,
+    profiler: syrup_observe::profile::Profiler,
 }
 
 impl<T> ReuseportGroup<T> {
@@ -210,8 +210,8 @@ impl<T> ReuseportGroup<T> {
                 .map(|_| SocketBuf::new_with(kind, capacity))
                 .collect(),
             telemetry: GroupTelemetry::default(),
-            tracer: syrup_trace::Tracer::disabled(),
-            profiler: syrup_profile::Profiler::disabled(),
+            tracer: syrup_observe::trace::Tracer::disabled(),
+            profiler: syrup_observe::profile::Profiler::disabled(),
         }
     }
 
@@ -222,7 +222,7 @@ impl<T> ReuseportGroup<T> {
 
     /// Starts feeding per-socket queue-depth samples to the pressure
     /// profiler (component `sock`) via [`ReuseportGroup::sample_depths`].
-    pub fn attach_profiler(&mut self, profiler: &syrup_profile::Profiler) {
+    pub fn attach_profiler(&mut self, profiler: &syrup_observe::profile::Profiler) {
         self.profiler = profiler.clone();
     }
 
@@ -242,19 +242,23 @@ impl<T> ReuseportGroup<T> {
 
     /// Starts closing traced datagrams' timelines on delivery drops
     /// (policy `DROP` or full buffer) via [`ReuseportGroup::deliver_traced`].
-    pub fn attach_tracer(&mut self, tracer: &syrup_trace::Tracer) {
+    pub fn attach_tracer(&mut self, tracer: &syrup_observe::trace::Tracer) {
         self.tracer = tracer.clone();
     }
 
     /// Streams per-socket full-buffer drops and depth-threshold crossings
-    /// into the flight recorder on [`syrup_blackbox::Layer::Sock`], one
+    /// into the flight recorder on [`syrup_observe::blackbox::Layer::Sock`], one
     /// queue id per socket index (`depth_threshold` 0 disables depth
     /// events).
-    pub fn attach_blackbox(&mut self, recorder: &syrup_blackbox::Recorder, depth_threshold: usize) {
+    pub fn attach_blackbox(
+        &mut self,
+        recorder: &syrup_observe::blackbox::Recorder,
+        depth_threshold: usize,
+    ) {
         for (i, s) in self.sockets.iter_mut().enumerate() {
             s.attach_blackbox(
                 recorder,
-                syrup_blackbox::Layer::Sock,
+                syrup_observe::blackbox::Layer::Sock,
                 i as u16,
                 depth_threshold,
             );
@@ -335,7 +339,7 @@ impl<T> ReuseportGroup<T> {
         item: T,
         flow_hash: u32,
         decision: Decision,
-        ctx: syrup_trace::TraceCtx,
+        ctx: syrup_observe::trace::TraceCtx,
         now_ns: u64,
     ) -> Delivery {
         self.deliver_verdict_traced(item, flow_hash, Verdict::unranked(decision), ctx, now_ns)
@@ -348,18 +352,20 @@ impl<T> ReuseportGroup<T> {
         item: T,
         flow_hash: u32,
         verdict: Verdict,
-        ctx: syrup_trace::TraceCtx,
+        ctx: syrup_observe::trace::TraceCtx,
         now_ns: u64,
     ) -> Delivery {
         let outcome = self.deliver_verdict(item, flow_hash, verdict);
         match outcome {
-            Delivery::Enqueued(socket) => {
-                self.tracer
-                    .instant(ctx, syrup_trace::Stage::SockQueue, now_ns, socket as u64)
-            }
+            Delivery::Enqueued(socket) => self.tracer.instant(
+                ctx,
+                syrup_observe::trace::Stage::SockQueue,
+                now_ns,
+                socket as u64,
+            ),
             Delivery::Dropped { .. } => {
                 self.tracer
-                    .drop_input(ctx, syrup_trace::Stage::SockQueue, now_ns)
+                    .drop_input(ctx, syrup_observe::trace::Stage::SockQueue, now_ns)
             }
         }
         outcome
@@ -524,7 +530,7 @@ mod tests {
 
     #[test]
     fn blackbox_records_drops_and_depth_crossings() {
-        use syrup_blackbox::{EventKind, Layer, Recorder};
+        use syrup_observe::blackbox::{EventKind, Layer, Recorder};
         let rec = Recorder::new();
         rec.set_now(70);
         let mut group: ReuseportGroup<u32> = ReuseportGroup::new(2, 2);

@@ -1,0 +1,46 @@
+//! Cross-stack observability for the Syrup scheduling stack.
+//!
+//! Mirrors the telemetry structure of the real system described in the
+//! paper: scheduling policies run as eBPF programs whose statistics live in
+//! percpu maps (counters, histograms) and whose decisions stream to
+//! userspace through a bounded ring buffer. This module provides the
+//! software analogue used across the simulated stack:
+//!
+//! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and log2 [`Histogram`]s
+//!   with lock-free updates (relaxed atomics; registration takes a lock
+//!   once, increments never do), for instruments one app's callers or
+//!   one substrate write.
+//! * [`Block`] — a stats block: a plain struct of `u64` counters and
+//!   [`HistogramSnapshot`]s that one event writes together, one stripe
+//!   per CPU, each stripe under an uncontended leaf lock
+//!   ([`Registry::block`], [`BlockHandle::write`]). It stands in for a
+//!   program's per-CPU `bpf_prog_stats`: the VM writes its `vm/*` block
+//!   once per run and `syrupd` its per-policy block once per dispatch,
+//!   instead of a dozen atomic read-modify-writes each. Reads fold the
+//!   stripes exactly, so a block reads like the atomics it replaces.
+//! * The decision ring — a bounded ring of [`DecisionEvent`]s with
+//!   eBPF-ringbuf semantics: when the buffer is full the *new* event is
+//!   dropped (reservation failure) and a per-CPU drop counter advances
+//!   ([`Registry::trace`]). The buffer is generic; the tracer
+//!   keeps its spans in one too.
+//! * [`PerCpu`] — one cache-line-aligned stripe per CPU, standing in for
+//!   a percpu map slot: the storage of blocks, of the ring's drop count
+//!   and of `syrupd`'s published dispatch tables.
+//! * [`Snapshot`] — a point-in-time copy of every metric, exportable as a
+//!   plain-text table ([`Snapshot::render_table`]) or JSON
+//!   ([`Snapshot::to_json`]), standing in for userspace map reads.
+//!
+//! A [`Registry::disabled`] registry hands out no-op handles: every update
+//! or block write is a single branch on an `Option` discriminant, so
+//! instrumented hot paths cost ~nothing when telemetry is off (see
+//! `bench/benches/telemetry.rs`).
+
+pub use crate::block::{Block, BlockHandle, Field};
+pub use crate::counter::{Counter, Gauge};
+pub use crate::hist::{nearest_rank, Histogram, HistogramSnapshot, HIST_BUCKETS};
+pub use crate::percpu::PerCpu;
+pub use crate::registry::{
+    CounterHandle, GaugeHandle, HistogramHandle, Registry, Snapshot, SnapshotDelta,
+};
+pub(crate) use crate::ring::BoundedRing;
+pub use crate::ring::{DecisionEvent, Executor};

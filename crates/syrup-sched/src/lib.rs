@@ -24,7 +24,7 @@
 //!
 //! The queues are unbounded and carry no instrumentation of their own: the
 //! embedding executor enforces capacity and counts drops, and samples each
-//! queue's per-rank-band occupancy ([`rank_band`]) into `syrup-profile`
+//! queue's per-rank-band occupancy ([`rank_band`]) into the profiler's
 //! pressure reports, so starvation of low-priority bands is visible in
 //! `syrupctl profile pressure`.
 

@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ingest;
 pub mod queue;
 pub mod rng;
 pub mod scale;
@@ -31,6 +32,7 @@ pub mod time;
 pub mod wheel;
 pub mod workload;
 
+pub use ingest::{ingest_windows, WindowsSummary};
 pub use queue::{drive, HeapQueue, SimQueue};
 pub use rng::SimRng;
 pub use scale::{ScaleCfg, ScaleEngine, ScaleResult};

@@ -37,7 +37,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use syrup_telemetry::nearest_rank;
+use syrup_observe::telemetry::nearest_rank;
 
 use crate::queue::SimQueue;
 use crate::shard::{run_windows, ShardRun, WindowCfg, WindowCtx, WindowWorld};
@@ -81,7 +81,7 @@ pub struct ScaleCfg {
     pub sample_every: u64,
     /// Record per-window [`crate::shard::WindowSample`]s into
     /// [`ScaleResult::per_shard_windows`] (barrier-wait, mailbox
-    /// traffic, occupancy) — the syrup-scope feed. Off by default;
+    /// traffic, occupancy) — the `syrup::scope` feed. Off by default;
     /// simulation results are identical either way.
     pub record_windows: bool,
 }

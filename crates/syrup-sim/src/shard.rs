@@ -32,7 +32,7 @@
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex};
 
-use syrup_telemetry::{CounterHandle, GaugeHandle, Registry};
+use syrup_observe::telemetry::{CounterHandle, GaugeHandle, Registry};
 
 use crate::queue::SimQueue;
 use crate::time::{Duration, Time};
@@ -386,10 +386,10 @@ pub struct WindowCfg {
 
 /// One shard's account of one simulated window, recorded by
 /// [`run_windows`] when [`WindowCfg::record_windows`] is set. This is
-/// the raw feed for `syrup-scope`'s per-shard series (barrier-stall %,
-/// mailbox pressure, imbalance): windows are lock-step across shards, so
-/// sample `k` of every shard describes the *same* window and cross-shard
-/// skew can be computed index-by-index.
+/// the raw feed for [`crate::ingest_windows`]'s per-shard series
+/// (barrier-stall %, mailbox pressure, imbalance): windows are lock-step
+/// across shards, so sample `k` of every shard describes the *same*
+/// window and cross-shard skew can be computed index-by-index.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowSample {
     /// Window start, virtual nanoseconds (same across shards).

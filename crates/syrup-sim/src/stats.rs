@@ -8,7 +8,7 @@
 //! nearest-rank rule ([`nearest_rank`]), and [`RunStats`] aggregates one
 //! whole run (completions, drops, achieved throughput).
 
-use syrup_telemetry::nearest_rank;
+use syrup_observe::telemetry::nearest_rank;
 
 use crate::time::{Duration, Time};
 

@@ -57,7 +57,7 @@
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use syrup_telemetry::{CounterHandle, GaugeHandle, Registry};
+use syrup_observe::telemetry::{CounterHandle, GaugeHandle, Registry};
 
 use crate::queue::SimQueue;
 use crate::time::Time;

@@ -66,9 +66,6 @@
 
 /// Application models and experiment worlds (re-export of `syrup-apps`).
 pub use syrup_apps as apps;
-/// Always-on flight recorder: per-layer event rings, trigger engine,
-/// postmortem bundles (re-export of `syrup-blackbox`).
-pub use syrup_blackbox as blackbox;
 /// The Syrup framework (re-export of `syrup-core`).
 pub use syrup_core as core;
 /// The software eBPF substrate (re-export of `syrup-ebpf`).
@@ -79,26 +76,34 @@ pub use syrup_ghost as ghost;
 pub use syrup_lang as lang;
 /// The network-path substrate (re-export of `syrup-net`).
 pub use syrup_net as net;
-/// The paper's policies (re-export of `syrup-policies`).
-pub use syrup_policies as policies;
+/// Always-on flight recorder: per-layer event rings, trigger engine,
+/// postmortem bundles (re-export of `syrup_observe::blackbox`).
+pub use syrup_observe::blackbox;
 /// Cross-stack cycle-attribution profiler: PC/helper hotspots, folded
 /// flame graphs, executor pressure, SLO burn monitoring (re-export of
-/// `syrup-profile`).
-pub use syrup_profile as profile;
+/// `syrup_observe::profile`).
+pub use syrup_observe::profile;
+/// The paper's policies (re-export of `syrup-policies`).
+pub use syrup_policies as policies;
 /// Rank-based programmable queues: PIFO, Eiffel bucket queues, and the
 /// executor queue discipline (re-export of `syrup-sched`).
 pub use syrup_sched as sched;
 /// Continuous time-series observability: ring series store, registry-
 /// delta sampler, anomaly detection, OpenMetrics exposition (re-export
-/// of `syrup-scope`).
-pub use syrup_scope as scope;
+/// of `syrup_observe::scope`), plus the ingestion of sharded runs'
+/// window samples into shard series, which lives in `syrup-sim` beside
+/// the samples it reads.
+pub mod scope {
+    pub use syrup_observe::scope::*;
+    pub use syrup_sim::{ingest_windows, WindowsSummary};
+}
+/// Cross-stack observability: counters, cycle histograms, decision
+/// tracing (re-export of `syrup_observe::telemetry`).
+pub use syrup_observe::telemetry;
+/// Cross-stack request tracing: per-request timelines, stage-latency
+/// breakdowns, Perfetto export (re-export of `syrup_observe::trace`).
+pub use syrup_observe::trace;
 /// The discrete-event engine (re-export of `syrup-sim`).
 pub use syrup_sim as sim;
 /// The storage backend (re-export of `syrup-storage`, paper §6.1).
 pub use syrup_storage as storage;
-/// Cross-stack observability: counters, cycle histograms, decision
-/// tracing (re-export of `syrup-telemetry`).
-pub use syrup_telemetry as telemetry;
-/// Cross-stack request tracing: per-request timelines, stage-latency
-/// breakdowns, Perfetto export (re-export of `syrup-trace`).
-pub use syrup_trace as trace;

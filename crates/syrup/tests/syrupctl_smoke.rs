@@ -661,6 +661,8 @@ fn error_paths_print_one_line_and_exit_1() {
     ] {
         std::fs::write(dir.join(name), contents).unwrap();
     }
+    // Deep enough to overflow a recursive parser's stack.
+    std::fs::write(dir.join("nested.json"), "[".repeat(100_000)).unwrap();
     // Seven layer dumps named by `order`, the first holding one event, and
     // a trigger: the bundle shape `blackbox validate` checks past the parse.
     let layered = |order: [&str; 7], cause: &str| {
@@ -698,6 +700,7 @@ fn error_paths_print_one_line_and_exit_1() {
     const USAGE: &str = "usage: syrupctl <subcommand>\n\npolicy pipeline:\n  compile FILE.c…";
     const ENOENT: &str = "No such file or directory (os error 2)";
     const EMPTY: &str = "JSON parse error at byte 0: unexpected end of input";
+    const DEEP: &str = "JSON parse error at byte 128: nesting deeper than 128 levels";
     let rows: &[(&str, String)] = &[
         // No subcommand, an unknown one, a family without its verb.
         ("", USAGE.into()),
@@ -822,6 +825,10 @@ fn error_paths_print_one_line_and_exit_1() {
             format!("/dev/null is not valid JSON: {EMPTY}"),
         ),
         (
+            "trace validate {dir}/nested.json",
+            format!("{{dir}}/nested.json is not valid JSON: {DEEP}"),
+        ),
+        (
             "trace validate {dir}/empty.json",
             "{dir}/empty.json: no `traceEvents` array".into(),
         ),
@@ -899,6 +906,10 @@ fn error_paths_print_one_line_and_exit_1() {
         (
             "blackbox validate /dev/null",
             format!("/dev/null is not valid JSON: {EMPTY}"),
+        ),
+        (
+            "blackbox validate {dir}/nested.json",
+            format!("{{dir}}/nested.json is not valid JSON: {DEEP}"),
         ),
         (
             "blackbox validate {dir}/empty.json",

@@ -1,4 +1,4 @@
-//! Cross-crate integration tests for the `syrup-scope` observability
+//! Cross-crate integration tests for the `syrup::scope` observability
 //! pipeline: snapshot-delta algebra under concurrent writers, sharded
 //! scale runs feeding per-shard series, and the anomaly → blackbox
 //! postmortem path.
