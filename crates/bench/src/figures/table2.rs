@@ -23,11 +23,10 @@
 //! matches the Cycles column), and the full `(prog, pc)`/helper
 //! attribution report.
 //!
-//! `--backend interp|fast` (or the `SYRUP_BACKEND` env var; the flag
-//! wins) selects the execution engine. Modelled cycles are engine-
-//! independent by contract, so CI runs this harness under both backends
-//! and asserts the CSVs (`--out <path>`, default `results/table2.csv`)
-//! are byte-identical.
+//! The policies run on the VM's default engine. Modelled cycles are
+//! engine-independent by contract: a unit test below builds the rows on
+//! the reference interpreter and on the fast engine and asserts the CSV
+//! text (`--out <path>`, default `results/table2.csv`) is byte-identical.
 
 use crate::{append_bench_record, datagram, flag_value, results_path, unix_ts, write_breakdown};
 use syrup::ebpf::cycles::ENFORCEMENT;
@@ -50,7 +49,6 @@ struct Row {
 fn measure(
     name: &'static str,
     entry: CorpusEntry,
-    reps: usize,
     tracer: &syrup::trace::Tracer,
     profiler: &syrup::profile::Profiler,
     backend: Backend,
@@ -92,7 +90,7 @@ fn measure(
     };
     let get = datagram(RequestClass::Get);
     let scan = datagram(RequestClass::Scan);
-    for i in 0..reps {
+    for i in 0..REPS {
         // Alternate classes so class-dependent paths both run.
         let mut pkt = if i % 10 == 0 {
             scan.clone()
@@ -111,7 +109,8 @@ fn measure(
     }
 
     let snap = telemetry.snapshot();
-    assert_eq!(snap.counter("vm/runs"), reps as u64);
+    assert_eq!(snap.counter("vm/runs"), REPS as u64);
+    assert_eq!(snap.counter(&format!("vm/runs_{backend}")), REPS as u64);
     let cycles = snap.histogram("vm/run_cycles").expect("runs recorded");
     let insns = snap.histogram("vm/run_insns").expect("runs recorded");
     Row {
@@ -127,6 +126,36 @@ fn measure(
     }
 }
 
+/// Invocations per policy.
+const REPS: usize = 10_000;
+
+/// One row per Table-2 policy, each run [`REPS`] times on `backend`.
+fn measure_all(
+    tracer: &syrup::trace::Tracer,
+    profilers: &[syrup::profile::Profiler],
+    backend: Backend,
+) -> Vec<Row> {
+    let names = ["Round Robin", "SCAN Avoid", "SITA", "Token-based"];
+    c_sources::table2(6)
+        .into_iter()
+        .zip(names)
+        .zip(profilers)
+        .map(|((entry, name), profiler)| measure(name, entry, tracer, profiler, backend))
+        .collect()
+}
+
+/// The CSV text of `rows`.
+fn csv(rows: &[Row]) -> String {
+    let mut csv = String::from("policy,loc,static_insns,exec_insns,cycles_mean,cycles_stdev\n");
+    for r in rows {
+        csv.push_str(&format!(
+            "{},{},{},{:.1},{:.0},{:.0}\n",
+            r.name, r.loc, r.static_insns, r.executed_insns, r.cycles_mean, r.cycles_stdev
+        ));
+    }
+    csv
+}
+
 /// Regenerates `table2.csv` (or `--out`) and appends the run to
 /// `BENCH_table2.json`.
 pub fn run() -> Result<(), String> {
@@ -134,10 +163,7 @@ pub fn run() -> Result<(), String> {
     let trace_out = flag_value(&args, "--trace-out");
     let profile_out = flag_value(&args, "--profile-out");
     let csv_out = flag_value(&args, "--out");
-    let backend = flag_value(&args, "--backend")
-        .or_else(|| std::env::var("SYRUP_BACKEND").ok())
-        .map(|name| name.parse::<Backend>().expect("valid backend name"))
-        .unwrap_or_default();
+    let backend = Backend::default();
     println!("# execution backend: {backend}");
     // With `--trace-out` every ~101st invocation is traced (per policy),
     // so the exported breakdown aggregates vm-exec spans from all four.
@@ -156,14 +182,7 @@ pub fn run() -> Result<(), String> {
         }
     };
     let profilers: Vec<syrup::profile::Profiler> = (0..4).map(|_| mk_profiler()).collect();
-    let reps = 10_000;
-    let names = ["Round Robin", "SCAN Avoid", "SITA", "Token-based"];
-    let rows: Vec<Row> = c_sources::table2(6)
-        .into_iter()
-        .zip(names)
-        .zip(&profilers)
-        .map(|((entry, name), profiler)| measure(name, entry, reps, &tracer, profiler, backend))
-        .collect();
+    let rows = measure_all(&tracer, &profilers, backend);
 
     println!("# Table 2: Overhead of different Syrup policies");
     println!(
@@ -179,16 +198,8 @@ pub fn run() -> Result<(), String> {
     println!("\n# Paper reference: RR 6 LoC/56 insns/1563 cyc; SCAN Avoid 21/311/1709;");
     println!("# SITA 16/81/1699; Token-based 45/106/1582. Enforcement dominates.");
 
-    // CSV output.
-    let mut csv = String::from("policy,loc,static_insns,exec_insns,cycles_mean,cycles_stdev\n");
-    for r in &rows {
-        csv.push_str(&format!(
-            "{},{},{},{:.1},{:.0},{:.0}\n",
-            r.name, r.loc, r.static_insns, r.executed_insns, r.cycles_mean, r.cycles_stdev
-        ));
-    }
     let path = results_path(csv_out.as_deref().unwrap_or("table2.csv"));
-    if std::fs::write(&path, csv).is_ok() {
+    if std::fs::write(&path, csv(&rows)).is_ok() {
         println!("wrote {}", path.display());
     }
 
@@ -211,7 +222,7 @@ pub fn run() -> Result<(), String> {
         "BENCH_table2.json",
         &format!(
             "{{\"bench\":\"table2\",\"unix_ts\":{},\"backend\":\"{backend}\",\
-             \"reps\":{reps},\"rows\":{rows_json}}}",
+             \"reps\":{REPS},\"rows\":{rows_json}}}",
             unix_ts()
         ),
     );
@@ -259,4 +270,21 @@ pub fn run() -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Modelled cycles are the engines' shared contract: Table 2 built on
+    /// the reference interpreter and on the fast engine is the same text.
+    #[test]
+    fn both_engines_render_the_same_csv() {
+        let tracer = syrup::trace::Tracer::disabled();
+        let profilers: Vec<_> = (0..4)
+            .map(|_| syrup::profile::Profiler::disabled())
+            .collect();
+        let render = |backend| csv(&measure_all(&tracer, &profilers, backend));
+        assert_eq!(render(Backend::Interp), render(Backend::Fast));
+    }
 }

@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn a_flag_given_last_is_missing_its_value() {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        for flag in ["--trace-out", "--out", "--backend", "--profile-out"] {
+        for flag in ["--trace-out", "--out", "--seed", "--profile-out"] {
             assert_eq!(parse_flag(&args(&["--x", "1"]), flag), Ok(None));
             assert_eq!(
                 parse_flag(&args(&[flag, "v", "--x"]), flag),

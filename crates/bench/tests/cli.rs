@@ -28,16 +28,6 @@ fn table2_out_without_a_value_is_an_error() {
 }
 
 #[test]
-fn table2_backend_without_a_value_is_an_error() {
-    let stderr = refused(
-        env!("CARGO_BIN_EXE_table2"),
-        &["--out", "t.csv", "--backend"],
-        "0.05",
-    );
-    assert_eq!(stderr, "--backend requires a value\n");
-}
-
-#[test]
 fn numeric_flags_refuse_what_they_cannot_run() {
     let scale = env!("CARGO_BIN_EXE_scale");
     let guard = env!("CARGO_BIN_EXE_backend_guard");

@@ -467,21 +467,13 @@ impl Syrupd {
         Self::with_telemetry(Registry::new())
     }
 
-    /// Starts a daemon publishing into `telemetry`. Pass
+    /// Starts a daemon publishing into `telemetry`, its VM on
+    /// [`Backend::default`] (see [`Syrupd::set_backend`]). Pass
     /// [`Registry::disabled`] to strip instrumentation cost entirely.
     pub fn with_telemetry(telemetry: Registry) -> Self {
         let registry = MapRegistry::new();
         let mut vm = Vm::new(registry.clone());
         vm.attach_telemetry(&telemetry);
-        // `SYRUP_BACKEND=fast` (or `interp`) selects the execution engine
-        // for every daemon in the process — how the experiment harnesses
-        // and CI flip backends without threading a flag through every
-        // entry point. Unknown values keep the default.
-        if let Ok(name) = std::env::var("SYRUP_BACKEND") {
-            if let Ok(backend) = name.parse::<Backend>() {
-                vm.set_backend(backend);
-            }
-        }
         let control = Control {
             vm,
             apps: HashMap::new(),

@@ -444,12 +444,13 @@ pub fn verify_with_config(
     let len = prog.insns.len();
     let mut analyzed: u64 = 0;
     // DFS with explicit branch alternatives. `path` holds the states along
-    // the chain currently being walked; revisiting an identical state on
-    // the same path means no progress is possible — an infinite loop, which
-    // the kernel verifier likewise rejects to guarantee liveness. States
-    // seen on *completed* chains are safe to prune (converging diamonds).
+    // the chain currently being walked, each as `(pc, index into
+    // visited[pc])`; revisiting an identical state on the same path means
+    // no progress is possible — an infinite loop, which the kernel
+    // verifier likewise rejects to guarantee liveness. States seen on
+    // *completed* chains are safe to prune (converging diamonds).
     let mut alts: Vec<(usize, State, usize)> = vec![(0, State::entry(), 0)];
-    let mut path: Vec<(usize, State)> = Vec::new();
+    let mut path: Vec<(usize, usize)> = Vec::new();
     let mut visited: HashMap<usize, Vec<State>> = HashMap::new();
     let mut facts = Facts::new(len);
 
@@ -460,19 +461,21 @@ pub fn verify_with_config(
             if pc >= len {
                 return Err(VerifierError::FallOffEnd);
             }
-            if path.iter().any(|(p, s)| *p == pc && *s == st) {
-                // Same instruction, same abstract state, on one path: the
-                // program can loop forever without progress.
-                return Err(VerifierError::TooComplex);
-            }
-            // Prune identical states already explored at this point.
+            // Every state on the path is in `visited`, so only a state
+            // seen before at this pc can close a loop.
             let seen = visited.entry(pc).or_default();
-            if seen.contains(&st) {
+            if let Some(i) = seen.iter().position(|s| *s == st) {
+                if path.contains(&(pc, i)) {
+                    // Same instruction, same abstract state, on one path:
+                    // the program can loop forever without progress.
+                    return Err(VerifierError::TooComplex);
+                }
+                // Prune identical states already explored at this point.
                 break;
             }
+            path.push((pc, seen.len()));
             seen.push(st.clone());
             facts.observe(pc, &st);
-            path.push((pc, st.clone()));
 
             analyzed += 1;
             if analyzed > ANALYSIS_LIMIT {
@@ -1203,6 +1206,21 @@ mod tests {
     fn accepts_trivial_return() {
         let prog = Asm::new().mov64_imm(Reg::R0, 0).exit().build("t").unwrap();
         ok(prog, &maps());
+    }
+
+    /// The loop check costs one lookup per step, not a scan of the path.
+    #[test]
+    fn straight_line_code_verifies_in_linear_time() {
+        let mut asm = Asm::new().mov64_imm(Reg::R0, 0);
+        for _ in 0..99_998 {
+            asm = asm.add64_imm(Reg::R0, 1);
+        }
+        let prog = asm.exit().build("line").unwrap();
+        assert_eq!(prog.len(), 100_000);
+        let started = std::time::Instant::now();
+        assert_eq!(ok(prog, &maps()).analyzed, 100_000);
+        let took = started.elapsed();
+        assert!(took.as_secs() < 10, "took {took:?}");
     }
 
     #[test]

@@ -218,20 +218,6 @@ pub enum Backend {
     Fast,
 }
 
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" | "interpreter" => Ok(Backend::Interp),
-            "fast" => Ok(Backend::Fast),
-            other => Err(format!(
-                "unknown backend: {other} (expected `interp` or `fast`)"
-            )),
-        }
-    }
-}
-
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -143,6 +143,9 @@ pub enum BinOp {
 pub struct Expr {
     /// Source line for diagnostics.
     pub line: usize,
+    /// Levels of nesting inside this expression, itself included, as
+    /// [`crate::parser::MAX_DEPTH`] counts them (0 for a leaf).
+    pub depth: usize,
     /// The expression variant.
     pub kind: ExprKind,
 }

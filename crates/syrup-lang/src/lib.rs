@@ -157,4 +157,53 @@ mod tests {
         let src = "\n// comment\nuint32_t schedule() {\n  return 0;\n}\n\n";
         assert_eq!(count_loc(src), 3);
     }
+
+    /// A one-line policy whose body nests `depth` levels of `shape`.
+    fn nested(shape: &str, depth: usize) -> String {
+        let body = match shape {
+            "paren" => format!("return {}1{};", "(".repeat(depth), ")".repeat(depth)),
+            "not" => format!("return {}1;", "!".repeat(depth)),
+            "neg" => format!("return {}1;", "- ".repeat(depth)),
+            "if" => format!("{}return 1; return 0;", "if (1) ".repeat(depth)),
+            "chain" => format!("return 1{};", "+1".repeat(depth)),
+            _ => unreachable!("{shape}"),
+        };
+        format!("uint32_t schedule(void *pkt_start, void *pkt_end) {{ {body} }}")
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        // On a thread with exactly the default 2 MiB test stack.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for shape in ["paren", "not", "neg", "if", "chain"] {
+                    let maps = MapRegistry::new();
+                    let at = nested(shape, parser::MAX_DEPTH);
+                    compile(&at, &CompileOptions::new(), &maps).expect(shape);
+                    let unit = parse_source(&at).expect(shape);
+                    let policy = interp::prepare(&unit, &CompileOptions::new(), &maps).unwrap();
+                    let ret = policy.run(&mut [0; 64], &mut Default::default());
+                    let want = if shape == "chain" {
+                        parser::MAX_DEPTH as u64 + 1
+                    } else {
+                        1
+                    };
+                    assert_eq!(ret.expect(shape).ret, want, "{shape}");
+
+                    let over = nested(shape, parser::MAX_DEPTH + 1);
+                    let err = compile(&over, &CompileOptions::new(), &maps).unwrap_err();
+                    assert_eq!(err.to_string(), "line 1: nesting deeper than 128 levels");
+                }
+                // A type is as deep as its `*`s.
+                let pointer =
+                    |stars| format!("uint32_t schedule() {{ uint32_t {}p; }}", "*".repeat(stars));
+                parse_source(&pointer(parser::MAX_DEPTH)).unwrap();
+                let err = parse_source(&pointer(parser::MAX_DEPTH + 1)).unwrap_err();
+                assert_eq!(err.to_string(), "line 1: nesting deeper than 128 levels");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
 }

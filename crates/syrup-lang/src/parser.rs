@@ -7,14 +7,33 @@ use crate::ast::{
 use crate::lexer::{Tok, Token};
 use crate::LangError;
 
+/// The deepest nesting a policy may have. Each statement body, `(`,
+/// prefix operator, cast, call, `->` and binary operator on the path
+/// from a function-level statement to a leaf is one level, so a chain
+/// `1+1+…+1` of N terms is N − 1 levels deep; a type takes at most this
+/// many `*`s. The parser, code generation, the reference interpreter and
+/// dropping the tree recurse once per level. At this depth every shape
+/// compiles and interprets on a 2 MiB thread in a debug build (`(`, the
+/// costliest level, overflows there past about 235). The deepest source
+/// in `syrup-policies` is 5 levels (`sita`); `syrup-fuzz`'s `langgen`
+/// wrote at most 11 in 200 000 sources.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a token stream into a [`Unit`].
 pub fn parse(tokens: Vec<Token>) -> Result<Unit, LangError> {
-    Parser { tokens, pos: 0 }.unit()
+    Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    }
+    .unit()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels entered above the token being parsed.
+    nesting: usize,
 }
 
 impl Parser {
@@ -39,6 +58,52 @@ impl Parser {
             self.pos += 1;
         }
         t
+    }
+
+    fn too_deep(&self) -> LangError {
+        LangError::new(
+            self.line(),
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        )
+    }
+
+    /// Runs `parse` one level deeper, refusing to go past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        if self.nesting == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    /// An expression node, one level above its deepest operand.
+    fn node(&self, line: usize, kind: ExprKind) -> Result<Expr, LangError> {
+        let below = match &kind {
+            ExprKind::Deref(e)
+            | ExprKind::Member(e, _)
+            | ExprKind::Cast(_, e)
+            | ExprKind::Unary(_, e) => e.depth + 1,
+            ExprKind::Binary(_, l, r) => l.depth.max(r.depth) + 1,
+            ExprKind::Call(_, args) => args.iter().map(|a| a.depth + 1).max().unwrap_or(1),
+            ExprKind::Int(_)
+            | ExprKind::Ident(_)
+            | ExprKind::AddrOf(_)
+            | ExprKind::SizeOf(_)
+            | ExprKind::SizeOfStruct(_) => 0,
+        };
+        if self.nesting + below > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(Expr {
+            line,
+            depth: below,
+            kind,
+        })
     }
 
     fn expect(&mut self, want: Tok, what: &str) -> Result<(), LangError> {
@@ -85,7 +150,7 @@ impl Parser {
                 ))
             }
         };
-        let mut ty = match base.as_str() {
+        let ty = match base.as_str() {
             "uint8_t" => Type::U8,
             "uint16_t" => Type::U16,
             "uint32_t" | "int" => Type::U32,
@@ -93,12 +158,7 @@ impl Parser {
             "void" => {
                 // `void` must be a pointer.
                 self.expect(Tok::Star, "`*` after void")?;
-                let mut t = Type::VoidPtr;
-                while *self.peek() == Tok::Star {
-                    self.bump();
-                    t = Type::Ptr(Box::new(t));
-                }
-                return Ok(t);
+                return self.pointers(Type::VoidPtr);
             }
             "struct" => {
                 let name = self.expect_ident("struct name")?;
@@ -114,11 +174,19 @@ impl Parser {
                 return Err(LangError::new(line, format!("unknown type `{other}`")));
             }
         };
-        while *self.peek() == Tok::Star {
+        self.pointers(ty)
+    }
+
+    /// `ty` behind each `*` that follows, at most [`MAX_DEPTH`] of them.
+    fn pointers(&mut self, mut ty: Type) -> Result<Type, LangError> {
+        for _ in 0..=MAX_DEPTH {
+            if *self.peek() != Tok::Star {
+                return Ok(ty);
+            }
             self.bump();
             ty = Type::Ptr(Box::new(ty));
         }
-        Ok(ty)
+        Err(self.too_deep())
     }
 
     fn unit(&mut self) -> Result<Unit, LangError> {
@@ -372,13 +440,13 @@ impl Parser {
         self.expect(Tok::LParen, "`(`")?;
         let cond = self.expr()?;
         self.expect(Tok::RParen, "`)`")?;
-        let then_body = self.block_or_single()?;
+        let then_body = self.nested(Self::block_or_single)?;
         let else_body = if matches!(self.peek(), Tok::Ident(w) if w == "else") {
             self.bump();
             if matches!(self.peek(), Tok::Ident(w) if w == "if") {
-                vec![self.if_stmt()?]
+                vec![self.nested(Self::if_stmt)?]
             } else {
-                self.block_or_single()?
+                self.nested(Self::block_or_single)?
             }
         } else {
             Vec::new()
@@ -420,7 +488,7 @@ impl Parser {
         }
         self.expect(Tok::Incr, "`++`")?;
         self.expect(Tok::RParen, "`)`")?;
-        let body = self.block_or_single()?;
+        let body = self.nested(Self::block_or_single)?;
         Ok(Stmt::For {
             line,
             var,
@@ -450,10 +518,10 @@ impl Parser {
                     BinOp::Sub
                 };
                 let rhs = self.expr()?;
-                let value = Expr {
+                let value = self.node(
                     line,
-                    kind: ExprKind::Binary(op, Box::new(first.clone()), Box::new(rhs)),
-                };
+                    ExprKind::Binary(op, Box::new(first.clone()), Box::new(rhs)),
+                )?;
                 Stmt::Assign {
                     line,
                     target: expr_to_lvalue(first, line)?,
@@ -466,14 +534,11 @@ impl Parser {
                 } else {
                     BinOp::Sub
                 };
-                let one = Expr {
+                let one = self.node(line, ExprKind::Int(1))?;
+                let value = self.node(
                     line,
-                    kind: ExprKind::Int(1),
-                };
-                let value = Expr {
-                    line,
-                    kind: ExprKind::Binary(op, Box::new(first.clone()), Box::new(one)),
-                };
+                    ExprKind::Binary(op, Box::new(first.clone()), Box::new(one)),
+                )?;
                 Stmt::Assign {
                     line,
                     target: expr_to_lvalue(first, line)?,
@@ -486,176 +551,24 @@ impl Parser {
         Ok(stmt)
     }
 
-    // --- expressions, lowest precedence first ---
+    // --- expressions ---
 
     fn expr(&mut self) -> Result<Expr, LangError> {
-        self.logical_or()
+        self.binary(0)
     }
 
-    fn logical_or(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.logical_and()?;
-        while *self.peek() == Tok::OrOr {
-            let line = self.line();
-            self.bump();
-            let rhs = self.logical_and()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::LOr, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.bit_or()?;
-        while *self.peek() == Tok::AndAnd {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bit_or()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::LAnd, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.bit_xor()?;
-        while *self.peek() == Tok::Pipe {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bit_xor()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.bit_and()?;
-        while *self.peek() == Tok::Caret {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bit_and()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::Xor, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.equality()?;
-        while *self.peek() == Tok::Amp {
-            let line = self.line();
-            self.bump();
-            let rhs = self.equality()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(BinOp::And, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => BinOp::Eq,
-                Tok::Ne => BinOp::Ne,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.relational()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn relational(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.shift()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOp::Lt,
-                Tok::Le => BinOp::Le,
-                Tok::Gt => BinOp::Gt,
-                Tok::Ge => BinOp::Ge,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.shift()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn shift(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Shl => BinOp::Shl,
-                Tok::Shr => BinOp::Shr,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn additive(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, LangError> {
+    /// A chain of binary operators binding at least as tightly as `min`,
+    /// left-associative (precedence climbing).
+    fn binary(&mut self, min: u8) -> Result<Expr, LangError> {
         let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => break,
-            };
+        while let Some((op, prec)) = binary_op(self.peek()) {
+            if prec < min {
+                break;
+            }
             let line = self.line();
             self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr {
-                line,
-                kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-            };
+            let rhs = self.binary(prec + 1)?;
+            lhs = self.node(line, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)))?;
         }
         Ok(lhs)
     }
@@ -665,53 +578,35 @@ impl Parser {
         match self.peek().clone() {
             Tok::Bang => {
                 self.bump();
-                let e = self.unary()?;
-                Ok(Expr {
-                    line,
-                    kind: ExprKind::Unary(UnOp::Not, Box::new(e)),
-                })
+                let e = self.nested(Self::unary)?;
+                self.node(line, ExprKind::Unary(UnOp::Not, Box::new(e)))
             }
             Tok::Minus => {
                 self.bump();
-                let e = self.unary()?;
-                Ok(Expr {
-                    line,
-                    kind: ExprKind::Unary(UnOp::Neg, Box::new(e)),
-                })
+                let e = self.nested(Self::unary)?;
+                self.node(line, ExprKind::Unary(UnOp::Neg, Box::new(e)))
             }
             Tok::Tilde => {
                 self.bump();
-                let e = self.unary()?;
-                Ok(Expr {
-                    line,
-                    kind: ExprKind::Unary(UnOp::BitNot, Box::new(e)),
-                })
+                let e = self.nested(Self::unary)?;
+                self.node(line, ExprKind::Unary(UnOp::BitNot, Box::new(e)))
             }
             Tok::Star => {
                 self.bump();
-                let e = self.unary()?;
-                Ok(Expr {
-                    line,
-                    kind: ExprKind::Deref(Box::new(e)),
-                })
+                let e = self.nested(Self::unary)?;
+                self.node(line, ExprKind::Deref(Box::new(e)))
             }
             Tok::Amp => {
                 self.bump();
                 let name = self.expect_ident("identifier after `&`")?;
-                Ok(Expr {
-                    line,
-                    kind: ExprKind::AddrOf(name),
-                })
+                self.node(line, ExprKind::AddrOf(name))
             }
             Tok::LParen if self.cast_ahead() => {
                 self.bump(); // (
                 let ty = self.parse_type()?;
                 self.expect(Tok::RParen, "`)` after cast type")?;
-                let e = self.unary()?;
-                Ok(Expr {
-                    line,
-                    kind: ExprKind::Cast(ty, Box::new(e)),
-                })
+                let e = self.nested(Self::unary)?;
+                self.node(line, ExprKind::Cast(ty, Box::new(e)))
             }
             _ => self.postfix(),
         }
@@ -737,10 +632,7 @@ impl Parser {
                     let line = self.line();
                     self.bump();
                     let field = self.expect_ident("field name")?;
-                    e = Expr {
-                        line,
-                        kind: ExprKind::Member(Box::new(e), field),
-                    };
+                    e = self.node(line, ExprKind::Member(Box::new(e), field))?;
                 }
                 _ => break,
             }
@@ -751,12 +643,10 @@ impl Parser {
     fn primary(&mut self) -> Result<Expr, LangError> {
         let line = self.line();
         match self.bump() {
-            Tok::Int(n) => Ok(Expr {
-                line,
-                kind: ExprKind::Int(n),
-            }),
+            Tok::Int(n) => self.node(line, ExprKind::Int(n)),
             Tok::LParen => {
-                let e = self.expr()?;
+                let mut e = self.nested(Self::expr)?;
+                e.depth += 1;
                 self.expect(Tok::RParen, "`)`")?;
                 Ok(e)
             }
@@ -771,7 +661,7 @@ impl Parser {
                     ExprKind::SizeOf(ty)
                 };
                 self.expect(Tok::RParen, "`)`")?;
-                Ok(Expr { line, kind })
+                self.node(line, kind)
             }
             Tok::Ident(name) => {
                 if *self.peek() == Tok::LParen {
@@ -779,7 +669,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if *self.peek() != Tok::RParen {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.nested(Self::expr)?);
                             if *self.peek() == Tok::Comma {
                                 self.bump();
                             } else {
@@ -788,20 +678,39 @@ impl Parser {
                         }
                     }
                     self.expect(Tok::RParen, "`)`")?;
-                    Ok(Expr {
-                        line,
-                        kind: ExprKind::Call(name, args),
-                    })
+                    self.node(line, ExprKind::Call(name, args))
                 } else {
-                    Ok(Expr {
-                        line,
-                        kind: ExprKind::Ident(name),
-                    })
+                    self.node(line, ExprKind::Ident(name))
                 }
             }
             other => Err(LangError::new(line, format!("unexpected token {other:?}"))),
         }
     }
+}
+
+/// The binary operator `tok` spells and its precedence, loosest first.
+fn binary_op(tok: &Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::OrOr => (BinOp::LOr, 0),
+        Tok::AndAnd => (BinOp::LAnd, 1),
+        Tok::Pipe => (BinOp::Or, 2),
+        Tok::Caret => (BinOp::Xor, 3),
+        Tok::Amp => (BinOp::And, 4),
+        Tok::EqEq => (BinOp::Eq, 5),
+        Tok::Ne => (BinOp::Ne, 5),
+        Tok::Lt => (BinOp::Lt, 6),
+        Tok::Le => (BinOp::Le, 6),
+        Tok::Gt => (BinOp::Gt, 6),
+        Tok::Ge => (BinOp::Ge, 6),
+        Tok::Shl => (BinOp::Shl, 7),
+        Tok::Shr => (BinOp::Shr, 7),
+        Tok::Plus => (BinOp::Add, 8),
+        Tok::Minus => (BinOp::Sub, 8),
+        Tok::Star => (BinOp::Mul, 9),
+        Tok::Slash => (BinOp::Div, 9),
+        Tok::Percent => (BinOp::Mod, 9),
+        _ => return None,
+    })
 }
 
 fn expr_to_lvalue(e: Expr, line: usize) -> Result<LValue, LangError> {

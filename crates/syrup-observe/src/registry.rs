@@ -550,7 +550,8 @@ impl Snapshot {
 
     /// What changed since `earlier`, where both snapshots came from the
     /// *same* registry (`earlier` taken first). The delta is compact —
-    /// only changed instruments appear — and invertible:
+    /// only changed instruments appear, and those `earlier` lacks (even
+    /// at 0) — and invertible:
     /// [`SnapshotDelta::apply`] on `earlier` reproduces `self` exactly.
     /// Counter diffs are unsigned (registry counters are monotone);
     /// gauge diffs are signed.
@@ -560,7 +561,7 @@ impl Snapshot {
             .iter()
             .filter_map(|(name, &v)| {
                 let diff = v.saturating_sub(earlier.counter(name));
-                (diff != 0).then(|| (name.clone(), diff))
+                (diff != 0 || !earlier.counters.contains_key(name)).then(|| (name.clone(), diff))
             })
             .collect();
         let gauges = self
@@ -568,7 +569,7 @@ impl Snapshot {
             .iter()
             .filter_map(|(name, &v)| {
                 let diff = v - earlier.gauge(name);
-                (diff != 0).then(|| (name.clone(), diff))
+                (diff != 0 || !earlier.gauges.contains_key(name)).then(|| (name.clone(), diff))
             })
             .collect();
         let histograms = self
@@ -601,9 +602,9 @@ impl Snapshot {
 /// periodic frames instead of full snapshots.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SnapshotDelta {
-    /// Counter increments by name (only counters that moved).
+    /// Counter increments by name (only counters that moved or are new).
     pub counters: BTreeMap<String, u64>,
-    /// Signed gauge changes by name (only gauges that moved).
+    /// Signed gauge changes by name (only gauges that moved or are new).
     pub gauges: BTreeMap<String, i64>,
     /// Per-histogram sample deltas (only histograms that changed; a
     /// histogram absent from `earlier` appears whole).
@@ -878,6 +879,22 @@ mod tests {
         assert_eq!(delta.counters["b/count"], recorded.sum::<u64>());
         assert_eq!(delta.histograms["b/value"].count(), 5 * 500);
         assert_eq!(delta.apply(&earlier), later);
+    }
+
+    /// Names registered between two snapshots round-trip while still 0.
+    #[test]
+    fn a_name_registered_between_snapshots_survives_the_delta() {
+        let reg = Registry::new();
+        reg.counter("a").inc();
+        let a = reg.snapshot();
+        reg.counter("c");
+        reg.gauge("g");
+        reg.histogram("h");
+        let b = reg.snapshot();
+        let delta = b.delta(&a);
+        assert_eq!(delta.counters.get("c"), Some(&0));
+        assert_eq!(delta.gauges.get("g"), Some(&0));
+        assert_eq!(delta.apply(&a), b);
     }
 
     /// `advance` is snapshot, delta and store: on a registry that grows

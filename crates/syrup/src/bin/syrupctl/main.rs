@@ -19,11 +19,6 @@
 //! policy is compiled C returning `(executor, rank)` pairs and the
 //! reuseport sockets are PIFO-backed (see `crates/syrup-sched`).
 //!
-//! The global `--backend interp|fast` flag selects the eBPF execution
-//! engine (exported as `SYRUP_BACKEND` before the scenario constructs
-//! its daemon), so any introspection run can be repeated on the fast
-//! backend; see `DESIGN.md` §10.
-//!
 //! * `prog list [--json] [--ranked]` — deployed policies per hook (app,
 //!   backend, the VM engine executing eBPF rows, whether
 //!   `(executor, rank)` verdicts are honoured).
@@ -129,18 +124,6 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    // Global `--backend interp|fast` override: exported as SYRUP_BACKEND
-    // before any subcommand constructs its daemon, so every scenario
-    // (quickstart, trace, profile) picks the requested engine up in
-    // `Syrupd::with_telemetry`. The flag wins over an inherited env var.
-    if let Some(name) = args::flag_value(args, "--backend")? {
-        if name.parse::<syrup::ebpf::vm::Backend>().is_err() {
-            return Err(format!(
-                "syrupctl: unknown backend `{name}` (expected `interp` or `fast`)"
-            ));
-        }
-        std::env::set_var("SYRUP_BACKEND", name);
-    }
     for (name, command) in COMMANDS {
         let words = name.split(' ').count();
         if args.iter().take(words).eq(name.split(' ')) {
@@ -160,8 +143,7 @@ fn usage() -> String {
          \x20 demo\n\
          \n\
          introspection (quickstart scenario; --ranked warms the\n\
-         rank-extension variant; --backend interp|fast selects the\n\
-         eBPF execution engine for any subcommand):\n\
+         rank-extension variant):\n\
          \x20 prog list [--json] [--ranked]\n\
          \x20 prog stats [--json] [--ranked]\n\
          \x20 queue list [--json] [--ranked]\n\

@@ -205,35 +205,11 @@ fn prog_stats_json_reports_ebpf_costs_and_null_for_native() {
     }
 }
 
-/// Like `json_of`, but with `SYRUP_BACKEND` scrubbed from the child
-/// environment so the `--backend` flag (not an inherited variable)
-/// decides which engine the scenario runs on.
-fn json_of_clean_env(args: &[&str]) -> serde::json::Value {
-    let out = Command::new(env!("CARGO_BIN_EXE_syrupctl"))
-        .args(args)
-        .env_remove("SYRUP_BACKEND")
-        .output()
-        .expect("syrupctl spawns");
-    assert!(
-        out.status.success(),
-        "`syrupctl {}` failed: {}",
-        args.join(" "),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8(out.stdout).expect("utf8 stdout");
-    serde::json::from_str(&text).unwrap_or_else(|e| {
-        panic!(
-            "`syrupctl {}` emitted bad JSON ({e}): {text}",
-            args.join(" ")
-        )
-    })
-}
-
 #[test]
-fn prog_list_reports_engine_per_row_and_honors_backend_flag() {
-    // Default engine: eBPF rows run on the fast engine; native rows
-    // bypass the VM and report no engine.
-    let v = json_of_clean_env(&["prog", "list", "--json"]);
+fn prog_list_reports_the_fast_engine_per_ebpf_row() {
+    // eBPF rows run on the daemon's default engine; native rows bypass
+    // the VM and report no engine.
+    let v = json_of(&["prog", "list", "--json"]);
     for row in v.as_array().unwrap() {
         let backend = row.get("backend").and_then(|b| b.as_str()).unwrap();
         let engine = row.get("engine").expect("engine key present");
@@ -246,47 +222,17 @@ fn prog_list_reports_engine_per_row_and_honors_backend_flag() {
             );
         }
     }
-    // `--backend interp` flips every eBPF row to the interpreter, and
-    // `--backend fast` names the default.
-    for engine in ["interp", "fast"] {
-        let v = json_of_clean_env(&["prog", "list", "--json", "--backend", engine]);
-        for row in v.as_array().unwrap() {
-            if row.get("backend").and_then(|b| b.as_str()) == Some("ebpf") {
-                assert_eq!(row.get("engine").and_then(|e| e.as_str()), Some(engine));
-            }
-        }
-    }
 }
 
 #[test]
-fn prog_stats_per_backend_counters_follow_the_selected_engine() {
-    let f = json_of_clean_env(&["prog", "stats", "--json"]);
+fn prog_stats_counts_every_run_on_the_fast_engine() {
+    let f = json_of(&["prog", "stats", "--json"]);
     assert_eq!(f.get("engine").and_then(|e| e.as_str()), Some("fast"));
     let runs = |v: &serde::json::Value, k: &str| v.get(k).and_then(|f| f.as_u64()).unwrap();
     assert!(runs(&f, "runs_fast") > 0, "fast ran the scenario");
     assert_eq!(runs(&f, "runs_interp"), 0);
     assert!(runs(&f, "cycles_fast") > 0);
     assert_eq!(runs(&f, "cycles_interp"), 0);
-
-    let v = json_of_clean_env(&["prog", "stats", "--json", "--backend", "interp"]);
-    assert_eq!(v.get("engine").and_then(|e| e.as_str()), Some("interp"));
-    assert!(runs(&v, "runs_interp") > 0, "interp ran the scenario");
-    assert_eq!(runs(&v, "runs_fast"), 0);
-    assert!(runs(&v, "cycles_interp") > 0);
-    assert_eq!(runs(&v, "cycles_fast"), 0);
-
-    // Both engines model identical per-invocation costs, so the
-    // scenario-wide cycle totals agree exactly across backends.
-    assert_eq!(runs(&v, "cycles_interp"), runs(&f, "cycles_fast"));
-    assert_eq!(runs(&v, "runs_interp"), runs(&f, "runs_fast"));
-}
-
-#[test]
-fn unknown_backend_is_rejected_before_running_anything() {
-    let out = syrupctl(&["prog", "list", "--backend", "warp"]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown backend"), "{err}");
 }
 
 #[test]
@@ -663,6 +609,21 @@ fn error_paths_print_one_line_and_exit_1() {
     }
     // Deep enough to overflow a recursive parser's stack.
     std::fs::write(dir.join("nested.json"), "[".repeat(100_000)).unwrap();
+    let policy = |body: String| format!("uint32_t schedule(void *a, void *b) {{ {body} }}");
+    for (name, body) in [
+        (
+            "parens.c",
+            format!("return {}1{};", "(".repeat(5_000), ")".repeat(5_000)),
+        ),
+        ("nots.c", format!("return {}1;", "!".repeat(100_000))),
+        (
+            "ifs.c",
+            format!("{}return 1; return 0;", "if (1) ".repeat(20_000)),
+        ),
+        ("sum.c", format!("return 1{};", "+1".repeat(99_999))),
+    ] {
+        std::fs::write(dir.join(name), policy(body)).unwrap();
+    }
     // Seven layer dumps named by `order`, the first holding one event, and
     // a trigger: the bundle shape `blackbox validate` checks past the parse.
     let layered = |order: [&str; 7], cause: &str| {
@@ -701,6 +662,7 @@ fn error_paths_print_one_line_and_exit_1() {
     const ENOENT: &str = "No such file or directory (os error 2)";
     const EMPTY: &str = "JSON parse error at byte 0: unexpected end of input";
     const DEEP: &str = "JSON parse error at byte 128: nesting deeper than 128 levels";
+    const NESTED: &str = "compile error: line 1: nesting deeper than 128 levels";
     let rows: &[(&str, String)] = &[
         // No subcommand, an unknown one, a family without its verb.
         ("", USAGE.into()),
@@ -712,11 +674,6 @@ fn error_paths_print_one_line_and_exit_1() {
         ("trace export", USAGE.into()),
         ("profile", USAGE.into()),
         ("blackbox", USAGE.into()),
-        // The global engine flag.
-        (
-            "prog list --backend warp",
-            "syrupctl: unknown backend `warp` (expected `interp` or `fast`)".into(),
-        ),
         // Policy pipeline.
         (
             "compile",
@@ -743,6 +700,10 @@ fn error_paths_print_one_line_and_exit_1() {
             "compile {dir}/rr.c -D NUM=x",
             "define value `x` is not an integer".into(),
         ),
+        ("compile {dir}/parens.c", NESTED.into()),
+        ("compile {dir}/nots.c", NESTED.into()),
+        ("compile {dir}/ifs.c", NESTED.into()),
+        ("compile {dir}/sum.c", NESTED.into()),
         ("verify-asm", "usage: syrupctl verify-asm FILE.s".into()),
         (
             "verify-asm /nonexistent/x.s",
@@ -981,7 +942,6 @@ fn error_paths_print_one_line_and_exit_1() {
             "--requests requires a value".into(),
         ),
         ("profile flame --out", "--out requires a value".into()),
-        ("prog list --backend", "--backend requires a value".into()),
     ];
     for (argv, want) in rows {
         let argv = argv.replace("{dir}", dir_str);

@@ -8,7 +8,7 @@
 # prints one line per file. Exits nonzero on any difference.
 #
 # The set is what a behaviour-preserving PR promises not to move:
-#   * table2 on both backends (CSV and stdout);
+#   * table2 (CSV and stdout);
 #   * every CSV the world-backed harnesses write at SYRUP_SCALE=0.05: fig2,
 #     fig6, fig7, sched_tail (server_world), fig8 (mt_world), fig9 (mica),
 #     ext_late_binding, ext_rfs, ext_storage and ablate_sockbuf - one
@@ -17,13 +17,14 @@
 #     code in one file per invocation: the quickstart reports (prog list,
 #     prog stats, queue list, map dump, map get, metrics in its four
 #     forms, trace record/report, profile record/report/flame/pressure,
-#     blackbox record/dump, watch) as text and as --json, each under
-#     --backend {interp,fast} x {plain,--ranked}; hooks, demo, compile and
+#     blackbox record/dump, watch) as text and as --json, each plain and
+#     --ranked; hooks, demo, compile and
 #     verify-asm on policies the script writes; trace validate and
 #     blackbox report/validate on files it just recorded; and a table of
 #     error paths (usage, bad numbers, missing values, unreadable and
 #     unwritable paths, malformed bundles).
 #   `top` stays out: its barrier-wait columns are wall-clock.
+# That is 162 files.
 #
 # A PR that changes one of these on purpose lists the DIFFERENT lines it
 # expects, with before and after, in CHANGES.md.
@@ -54,10 +55,7 @@ produce() {
     for b in "${bins[@]}"; do cp "$target/release/$b" "$side/bin/"; done
     (
         cd "$side/run"
-        for backend in interp fast; do
-            "$side/bin/table2" --backend "$backend" --out "table2.$backend.csv" \
-                >"$side/out/table2.$backend.stdout"
-        done
+        "$side/bin/table2" >"$side/out/table2.stdout"
         export SYRUP_SCALE=0.05
         for fig in "${figs[@]}"; do "$side/bin/$fig" >/dev/null; done
         cp results/*.csv "$side/out/"
@@ -69,13 +67,11 @@ produce() {
             { echo "--- stderr"; cat "$out.stderr"; echo "--- exit $rc"; } >>"$out"
             rm "$out.stderr"
         }
-        ctl() { # ctl <name> <args...>: one row per backend x variant
-            local name="$1" backend ranked
+        ctl() { # ctl <name> <args...>: one row per variant
+            local name="$1" ranked
             shift
-            for backend in interp fast; do
-                for ranked in "" --ranked; do
-                    row "$name.$backend${ranked:+.ranked}" "$@" --backend "$backend" $ranked
-                done
+            for ranked in "" --ranked; do
+                row "$name${ranked:+.ranked}" "$@" $ranked
             done
         }
         for form in "" --json; do
@@ -133,8 +129,6 @@ trace
 trace export
 profile
 blackbox
-prog list --backend warp
-prog list --backend
 compile
 compile --json
 compile /nonexistent/policy.c

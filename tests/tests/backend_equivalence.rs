@@ -1,10 +1,10 @@
-//! Both-backend equivalence over the checked-in paper policies, the edges
-//! of the specialised engine, and the quickstart scenario: the fast
-//! backend must be observably identical to the reference interpreter —
-//! same outcomes (including modelled cycle totals), same packet bytes,
-//! same final map state, the same profile (the fast engine records a
-//! profiled run a block at a time, the interpreter a step at a time), and
-//! for the end-to-end quickstart the same completions and span records.
+//! Both-backend equivalence over the checked-in paper policies (the
+//! quickstart's two bytecode programs, `round_robin` and `ranked_srpt`,
+//! among them) and the edges of the specialised engine: the fast backend
+//! must be observably identical to the reference interpreter — same
+//! outcomes (including modelled cycle totals), same packet bytes, same
+//! final map state, and the same profile (the fast engine records a
+//! profiled run a block at a time, the interpreter a step at a time).
 
 use syrup::ebpf::maps::{MapEntries, MapId, MapRegistry, ProgSlot};
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm, VmError, VmOutcome, RUNTIME_INSN_LIMIT};
@@ -12,10 +12,6 @@ use syrup::ebpf::{Asm, HelperId, MapDef, Reg};
 use syrup::policies::corpus;
 use syrup::profile::{ProfileReport, Profiler};
 use syrup::telemetry::Registry;
-
-/// Serializes the tests that flip the `SYRUP_BACKEND` env var — they
-/// run on separate threads within this binary otherwise.
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Deterministic packet stream shared by both sides: xorshift64* bytes,
 /// lengths cycling through the interesting small sizes.
@@ -475,73 +471,4 @@ fn a_verified_program_trapping_at_run_time_traps_alike() {
         };
         assert_eq!(out.map(|o| o.ret), want);
     }
-}
-
-/// The full quickstart scenario — NIC rings, XDP eBPF policy, reuseport
-/// group, worker threads — produces byte-identical traces under either
-/// backend. Runs both variants sequentially inside one test so the
-/// `SYRUP_BACKEND` env var (read once at daemon construction) cannot
-/// race with itself.
-#[test]
-fn quickstart_scenario_identical_across_backends() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let run_with = |backend: &str| {
-        std::env::set_var("SYRUP_BACKEND", backend);
-        let tracer = syrup::trace::Tracer::new();
-        let out = syrup::apps::quickstart::run_driven(
-            &tracer,
-            &syrup::profile::Profiler::disabled(),
-            &syrup::blackbox::Recorder::disabled(),
-            48,
-            false,
-            1,
-            &mut |_, _, _| {},
-        );
-        std::env::remove_var("SYRUP_BACKEND");
-        out
-    };
-    let interp = run_with("interp");
-    let fast = run_with("fast");
-    assert_eq!(interp.syrupd.backend(), Backend::Interp);
-    assert_eq!(fast.syrupd.backend(), Backend::Fast);
-    assert_eq!(interp.completed, fast.completed, "completions diverged");
-    assert_eq!(
-        interp.records, fast.records,
-        "span records diverged between backends"
-    );
-    assert_eq!(
-        interp.timelines.len(),
-        fast.timelines.len(),
-        "timeline count diverged"
-    );
-}
-
-/// Same check for the ranked variant, which routes through the PIFO
-/// reuseport group and the ranked-SRPT eBPF policy (64-bit
-/// `(rank, executor)` verdict encoding on the fast path).
-#[test]
-fn ranked_quickstart_identical_across_backends() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let run_with = |backend: &str| {
-        std::env::set_var("SYRUP_BACKEND", backend);
-        let tracer = syrup::trace::Tracer::new();
-        let out = syrup::apps::quickstart::run_driven(
-            &tracer,
-            &syrup::profile::Profiler::disabled(),
-            &syrup::blackbox::Recorder::disabled(),
-            48,
-            true,
-            1,
-            &mut |_, _, _| {},
-        );
-        std::env::remove_var("SYRUP_BACKEND");
-        out
-    };
-    let interp = run_with("interp");
-    let fast = run_with("fast");
-    assert_eq!(interp.completed, fast.completed, "completions diverged");
-    assert_eq!(
-        interp.records, fast.records,
-        "span records diverged between backends"
-    );
 }

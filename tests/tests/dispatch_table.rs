@@ -376,7 +376,8 @@ fn instruments_attached_after_deploy_take_effect_on_the_next_call() {
     assert_eq!(report.runs, 1);
     assert!(report.hotspots.iter().all(|h| h.insn.is_some()));
 
-    // `SYRUP_BACKEND` picks the engine a daemon starts on.
+    // A daemon starts on `Backend::default()`; `set_backend` moves the
+    // next call to the other engine.
     let (first, second) = match daemon.backend() {
         Backend::Interp => (Backend::Interp, Backend::Fast),
         Backend::Fast => (Backend::Fast, Backend::Interp),
