@@ -20,9 +20,12 @@
 //! Control and data plane are split as the kernel splits attaching a
 //! program from running it: `register_app`, `deploy`, `undeploy`,
 //! `attach_*` and `set_backend` mutate the authoritative state under one
-//! lock and publish an immutable `DispatchTable`; `schedule` fetches the
-//! current table and runs the policy under a lock only that policy's
-//! callers take, so independent applications share only the fetch.
+//! lock and publish an immutable `DispatchTable`; `schedule` runs on the
+//! copy of the current table its thread keeps, checked against the
+//! published generation with a plain load, and runs the policy under a
+//! lock only that policy's callers take. That lock also guards the
+//! policy's and the VM's stats for the call, so a warm dispatch takes one
+//! lock and writes nothing another application's callers write.
 //!
 //! The root program is the specification of the dispatch, not its hot
 //! path: building a table runs it once per owned port up to its tail call
@@ -31,20 +34,22 @@
 //! turns a constant-index `bpf_tail_call` into a direct jump. Running the
 //! root program itself survives as the test oracle for exactly that.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use syrup_ebpf::asm::Asm;
 use syrup_ebpf::maps::{MapDef, MapError, MapId, MapRef, MapRegistry, ProgSlot, UpdateFlag};
-use syrup_ebpf::vm::{Backend, PacketCtx, RunEnv, TailPath, Vm};
+use syrup_ebpf::vm::{Backend, PacketCtx, RunEnv, TailPath, Vm, VmStats};
 use syrup_ebpf::{ret, HelperId, Reg, VerifierError, VmError, VmOutcome};
 use syrup_lang::LangError;
 use syrup_observe::telemetry::{
-    Block, BlockHandle, CounterHandle, DecisionEvent, Executor, Field, HistogramSnapshot, PerCpu,
+    Block, BlockHandle, CounterHandle, DecisionEvent, Executor, Field, HistogramSnapshot, Holds,
     Registry, Snapshot,
 };
 
@@ -122,11 +127,9 @@ pub struct PolicyHandle {
 /// How many executors an executor map can hold by default.
 const EXECUTOR_MAP_ENTRIES: u32 = 64;
 
-/// The telemetry of one deployed `(app, hook)` policy: a stats block
-/// registered under `app<id>/<hook>`, so [`Syrupd::app_snapshot`] is a
-/// prefix filter — the moral equivalent of one eBPF percpu stats map per
-/// loaded program. A redeploy fetches the same block, so the names keep
-/// accumulating across generations.
+/// The telemetry of one deployed `(app, hook)` policy, reported under
+/// `app<id>/<hook>`, so [`Syrupd::app_snapshot`] is a prefix filter — the
+/// moral equivalent of one eBPF percpu stats map per loaded program.
 #[derive(Debug, Default)]
 struct PolicyStats {
     invocations: u64,
@@ -245,34 +248,27 @@ impl Block for DaemonStats {
     }
 }
 
-/// One deployed `(app, hook)` policy's telemetry handle and the fields
-/// its decision events carry.
-struct PolicyMetrics {
-    stats: BlockHandle<PolicyStats>,
-    hook_name: &'static str,
-    app_raw: u64,
+/// What one dispatch to a deployed `(app, hook)` policy counts: the
+/// policy's `app<id>/<hook>/*` and, for a bytecode policy, the VM's
+/// `vm/*`. Each generation of a slot keeps its own, under its lock; the
+/// registry holds every generation and folds them under the same names,
+/// so a redeploy keeps accumulating.
+#[derive(Debug, Default)]
+struct SlotStats {
+    policy: PolicyStats,
+    vm: VmStats,
 }
 
-impl PolicyMetrics {
-    fn new(telemetry: &Registry, app: AppId, hook: Hook) -> Self {
-        PolicyMetrics {
-            stats: telemetry.block(&format!("app{}/{}", app.0, hook.name())),
-            hook_name: hook.name(),
-            app_raw: u64::from(app.0),
-        }
+impl Block for SlotStats {
+    fn names(prefix: &str) -> Vec<String> {
+        let mut names = PolicyStats::names(prefix);
+        names.extend(VmStats::names("vm"));
+        names
     }
 
-    /// Counts one decision and traces it into the ring buffer.
-    fn record(&self, telemetry: &Registry, meta: &HookMeta, decision: Decision, run: Run) {
-        self.stats.write(|stats| stats.record(decision, run));
-        telemetry.trace(DecisionEvent {
-            sim_time_ns: meta.now_ns,
-            hook: self.hook_name,
-            app: self.app_raw,
-            verdict: decision.to_ret() as i64,
-            executor: run.executor(),
-            cycles: run.cycles(),
-        });
+    fn fields(&self, visit: &mut dyn FnMut(Field<'_>)) {
+        self.policy.fields(visit);
+        self.vm.fields(visit);
     }
 }
 
@@ -283,23 +279,90 @@ enum Exec {
     Native(Box<dyn PacketPolicy>),
 }
 
-/// One deployed `(app, hook)` policy, shared by the tables routing to it.
+/// What a slot's lock guards: the policy, and the stats its invocations
+/// write with plain adds — `None` when the daemon's registry is disabled,
+/// which costs an invocation one branch.
+struct Calls {
+    exec: Exec,
+    stats: Option<SlotStats>,
+}
+
+/// A slot's lock. Locked, it reads as the policy's [`Exec`].
+struct SlotLock(Mutex<Calls>);
+
+impl SlotLock {
+    fn lock(&self) -> SlotGuard<'_> {
+        SlotGuard(self.0.lock())
+    }
+}
+
+struct SlotGuard<'a>(MutexGuard<'a, Calls>);
+
+impl Deref for SlotGuard<'_> {
+    type Target = Exec;
+
+    fn deref(&self) -> &Exec {
+        &self.0.exec
+    }
+}
+
+/// One deployed `(app, hook)` policy, shared by the tables routing to it
+/// and held by the registry, which reads its stats. Aligned so that two
+/// slots' callers never write one line.
+#[repr(align(128))]
 struct Slot {
     app: AppId,
     /// The policy's program; `None` for a native policy.
     prog: Option<ProgSlot>,
-    metrics: PolicyMetrics,
+    hook_name: &'static str,
     /// The control plane's rank opt-in flag for this `(app, hook)`. It
     /// publishes no other data, hence relaxed.
     ranked: Arc<AtomicBool>,
     /// Held for the length of one invocation, by this policy's callers
     /// only: native policies are `&mut`, and an eBPF policy's `prandom`
-    /// stream must advance in call order.
-    exec: Mutex<Exec>,
+    /// stream must advance in call order. The invocation's stats ride
+    /// along.
+    exec: SlotLock,
+}
+
+impl Holds<SlotStats> for Slot {
+    fn read(&self, read: &mut dyn FnMut(&SlotStats)) {
+        if let Some(stats) = &self.exec.lock().0.stats {
+            read(stats);
+        }
+    }
+}
+
+/// The VM as one dispatch enters it: a run counts in the slot's `vm/*`
+/// stats, or in the VM's own block when the daemon keeps none.
+struct Entering<'a> {
+    vm: &'a Vm,
+    stats: Option<&'a mut VmStats>,
+}
+
+impl Entering<'_> {
+    fn run_after(
+        &mut self,
+        path: &TailPath,
+        ctx: &mut PacketCtx<'_>,
+        env: &mut RunEnv,
+    ) -> Result<VmOutcome, VmError> {
+        self.vm.run_after(path, ctx, env, self.stats.as_deref_mut())
+    }
+
+    /// [`Vm::run`]: the whole program, counted in the VM's own block.
+    #[cfg(test)]
+    fn run(
+        &mut self,
+        slot: ProgSlot,
+        ctx: &mut PacketCtx<'_>,
+        env: &mut RunEnv,
+    ) -> Result<VmOutcome, VmError> {
+        self.vm.run(slot, ctx, env)
+    }
 }
 
 /// One owned port of a hook.
-#[derive(Clone)]
 struct Route {
     port: u16,
     slot: Arc<Slot>,
@@ -309,7 +372,6 @@ struct Route {
 }
 
 /// The data plane's view of one hook.
-#[derive(Clone)]
 struct HookTable {
     stage: syrup_observe::trace::Stage,
     /// Sorted by port.
@@ -317,10 +379,6 @@ struct HookTable {
 }
 
 /// Everything one `schedule` call reads, immutable once published.
-/// Aligned so that no two copies' `Arc` counts share a line with
-/// anything else.
-#[derive(Clone)]
-#[repr(align(128))]
 struct DispatchTable {
     hooks: [Option<HookTable>; Hook::ALL.len()],
     /// The control plane's VM, tracer and recorder included, as of
@@ -427,6 +485,88 @@ impl Control {
     }
 }
 
+/// The data plane: the published table, and its generation for the
+/// copies caller threads keep (see [`CACHED`]).
+struct Published {
+    /// Process-unique, so a cached table names the daemon it came from
+    /// even after that daemon is gone.
+    daemon: u64,
+    /// `table`'s generation, so a caller checks its copy with a plain
+    /// load. Advanced only under `table`'s lock.
+    generation: AtomicU64,
+    /// Locked only to clone or swap the `Arc`.
+    table: Mutex<Arc<DispatchTable>>,
+}
+
+/// A caller thread's copy of a published table.
+struct Cached {
+    daemon: u64,
+    generation: u64,
+    table: Arc<DispatchTable>,
+}
+
+std::thread_local! {
+    /// The table the calling thread last ran on, moved out for the length
+    /// of each call and put back after it. A thread keeps at most one, so
+    /// a dropped daemon's table lives until the thread's next call or its
+    /// exit.
+    static CACHED: Cell<Option<Cached>> = const { Cell::new(None) };
+}
+
+/// Hands out the process-unique [`Published::daemon`] ids.
+static NEXT_DAEMON: AtomicU64 = AtomicU64::new(0);
+
+impl Published {
+    fn new(table: DispatchTable) -> Self {
+        Published {
+            daemon: NEXT_DAEMON.fetch_add(1, Relaxed),
+            generation: AtomicU64::new(0),
+            table: Mutex::new(Arc::new(table)),
+        }
+    }
+
+    /// The current table, for one call: the calling thread's copy if it is
+    /// this daemon's current generation, else a fresh one from under the
+    /// lock — on a thread's first call, the first after a publish, a call
+    /// to another daemon, or a call made while an outer call holds the
+    /// copy.
+    fn fetch(&self) -> Cached {
+        let generation = self.generation.load(Relaxed);
+        match CACHED.try_with(Cell::take).ok().flatten() {
+            Some(cached) if cached.daemon == self.daemon && cached.generation == generation => {
+                cached
+            }
+            stale => {
+                drop(stale);
+                let table = self.table.lock();
+                Cached {
+                    daemon: self.daemon,
+                    generation: self.generation.load(Relaxed),
+                    table: Arc::clone(&table),
+                }
+            }
+        }
+    }
+
+    /// Makes `table` what the next call fetches.
+    fn publish(&self, table: DispatchTable) {
+        let next = Arc::new(table);
+        let mut published = self.table.lock();
+        let previous = std::mem::replace(&mut *published, next);
+        self.generation.fetch_add(1, Relaxed);
+        drop(published);
+        // Dropped after the lock is released.
+        drop(previous);
+    }
+}
+
+/// Gives a call's table back to its thread. Dropped instead while the
+/// thread's locals are being destroyed.
+fn put_back(cached: Cached) {
+    // A nested call's copy, if any, is dropped here.
+    let _nested = CACHED.try_with(|slot| slot.replace(Some(cached)));
+}
+
 /// The daemon. Cloning shares the instance (it is "a long-running daemon"
 /// — §4.3 — not a per-app object).
 #[derive(Clone)]
@@ -439,10 +579,7 @@ pub struct Syrupd {
     stats: BlockHandle<DaemonStats>,
     /// The control plane: every mutation happens under this lock.
     control: Arc<Mutex<Control>>,
-    /// The data plane: a copy of the table per stripe, so the lock and
-    /// the `Arc` count a call writes are its own stripe's. Each is locked
-    /// only to clone or swap its `Arc`.
-    published: Arc<PerCpu<Mutex<Arc<DispatchTable>>>>,
+    published: Arc<Published>,
 }
 
 impl fmt::Debug for Syrupd {
@@ -481,9 +618,8 @@ impl Syrupd {
             rank_optin: HashMap::new(),
             next_app: 1,
         };
-        let table = control.table();
         Syrupd {
-            published: Arc::new(PerCpu::new(|| Mutex::new(Arc::new(table.clone())))),
+            published: Arc::new(Published::new(control.table())),
             control: Arc::new(Mutex::new(control)),
             registry,
             deploys: telemetry.counter("syrupd/deploys"),
@@ -492,16 +628,11 @@ impl Syrupd {
         }
     }
 
-    /// Makes `control`'s state what the next `schedule` call sees, on
-    /// every stripe before it returns. Calls already past their table
-    /// fetch finish on the table they hold.
+    /// Makes `control`'s state what every `schedule` call that starts
+    /// after this returns sees. Calls already past their table fetch
+    /// finish on the table they hold.
     fn publish(&self, control: &Control) {
-        let next = control.table();
-        for stripe in self.published.iter() {
-            // Bound, so the previous table is dropped after the lock is
-            // released.
-            let _previous = std::mem::replace(&mut *stripe.lock(), Arc::new(next.clone()));
-        }
+        self.published.publish(control.table());
     }
 
     /// Reconfigures the VM; the next `schedule` call runs under it.
@@ -711,13 +842,16 @@ impl Syrupd {
         }
 
         self.deploys.inc();
+        let stats = self.telemetry.is_enabled().then(SlotStats::default);
         let slot = Arc::new(Slot {
             app,
             prog,
-            metrics: PolicyMetrics::new(&self.telemetry, app, hook),
+            hook_name: hook.name(),
             ranked,
-            exec: Mutex::new(exec),
+            exec: SlotLock(Mutex::new(Calls { exec, stats })),
         });
+        let prefix = format!("app{}/{}", app.0, hook.name());
+        self.telemetry.hold::<SlotStats>(&prefix, slot.clone());
         hook_state.policies.insert(app, slot);
         self.publish(&control);
         let tracer = control.vm.tracer();
@@ -783,7 +917,9 @@ impl Syrupd {
         pkt: &mut [u8],
         meta: &HookMeta,
     ) -> (Option<AppId>, Verdict) {
-        self.schedule_entering(hook, pkt, meta, Vm::run_after)
+        self.schedule_entering(hook, pkt, meta, |vm, path, ctx, env| {
+            vm.run_after(path, ctx, env)
+        })
     }
 
     /// [`Syrupd::schedule_verdict`] with the way into a bytecode policy as
@@ -795,14 +931,32 @@ impl Syrupd {
         pkt: &mut [u8],
         meta: &HookMeta,
         enter: impl FnOnce(
-            &Vm,
+            &mut Entering<'_>,
             &TailPath,
             &mut PacketCtx<'_>,
             &mut RunEnv,
         ) -> Result<VmOutcome, VmError>,
     ) -> (Option<AppId>, Verdict) {
-        // The caller's stripe's lock, held for an `Arc` clone.
-        let table = Arc::clone(&self.published.local().lock());
+        let cached = self.published.fetch();
+        let answer = self.dispatch(&cached.table, hook, pkt, meta, enter);
+        put_back(cached);
+        answer
+    }
+
+    /// One call of [`Syrupd::schedule_entering`] on `table`.
+    fn dispatch(
+        &self,
+        table: &DispatchTable,
+        hook: Hook,
+        pkt: &mut [u8],
+        meta: &HookMeta,
+        enter: impl FnOnce(
+            &mut Entering<'_>,
+            &TailPath,
+            &mut PacketCtx<'_>,
+            &mut RunEnv,
+        ) -> Result<VmOutcome, VmError>,
+    ) -> (Option<AppId>, Verdict) {
         let routed = table.hooks[hook.index()].as_ref().and_then(|ht| {
             let found = ht
                 .routes
@@ -816,8 +970,9 @@ impl Syrupd {
         };
         let slot = &*route.slot;
 
-        let mut exec = slot.exec.lock();
-        let (mut verdict, run) = match &mut *exec {
+        let mut calls = slot.exec.lock();
+        let Calls { exec, stats } = &mut *calls.0;
+        let (mut verdict, run) = match exec {
             Exec::Native(policy) => (policy.schedule_verdict(pkt, meta), Run::Native),
             // eBPF path: straight into the policy, the root program's path
             // to it already on the account.
@@ -833,7 +988,11 @@ impl Syrupd {
                     0,
                 ];
                 let path = route.entry.as_ref().expect("resolved with the table");
-                match enter(&table.vm, path, &mut ctx, env) {
+                let mut vm = Entering {
+                    vm: &table.vm,
+                    stats: stats.as_mut().map(|stats| &mut stats.vm),
+                };
+                match enter(&mut vm, path, &mut ctx, env) {
                     Ok(out) => {
                         let verdict = match out.redirect {
                             Some((_, idx)) => Verdict {
@@ -854,8 +1013,17 @@ impl Syrupd {
                 }
             }
         };
-        slot.metrics
-            .record(&self.telemetry, meta, verdict.decision, run);
+        if let Some(stats) = stats {
+            stats.policy.record(verdict.decision, run);
+        }
+        self.telemetry.trace(DecisionEvent {
+            sim_time_ns: meta.now_ns,
+            hook: slot.hook_name,
+            app: u64::from(slot.app.0),
+            verdict: verdict.decision.to_ret() as i64,
+            executor: run.executor(),
+            cycles: run.cycles(),
+        });
         let cycles = run.cycles();
         table.vm.recorder().dispatch(
             meta.now_ns,
@@ -885,18 +1053,17 @@ impl Syrupd {
     /// Reads the `app<id>/<hook>/{insns,cycles}` telemetry histograms;
     /// means are exact because histograms carry exact sums.
     pub fn policy_stats(&self, app: AppId, hook: Hook) -> Option<(f64, f64)> {
-        let control = self.control.lock();
-        let slot = control.hooks.get(&hook)?.policies.get(&app)?;
-        slot.prog?;
-        // The histogram fields, in `PolicyStats::fields` order.
-        let (_, histograms) = slot.metrics.stats.read();
-        let [insns, cycles] = &histograms[..] else {
-            unreachable!("`PolicyStats` has two histogram fields")
-        };
-        if insns.is_empty() {
-            return None;
-        }
-        Some((insns.mean(), cycles.mean()))
+        self.control
+            .lock()
+            .hooks
+            .get(&hook)?
+            .policies
+            .get(&app)?
+            .prog?;
+        let snapshot = self.telemetry.snapshot();
+        let histogram = |field: &str| snapshot.histogram(&format!("app{}/{hook}/{field}", app.0));
+        let insns = histogram("insns").filter(|insns| !insns.is_empty())?;
+        Some((insns.mean(), histogram("cycles")?.mean()))
     }
 
     /// Builds a hook's dispatch state, on its first deployment.
@@ -1471,6 +1638,124 @@ mod tests {
         assert_eq!(snap.histogram("vm/run_insns").unwrap().count(), 6);
         assert_eq!(snap.counter("syrupd/dispatches"), 8);
         assert_eq!(snap.counter("syrupd/unmatched"), 2);
+    }
+
+    /// A native policy that schedules on its own daemon finds the
+    /// caller's copy of the table taken: the nested call fetches its own,
+    /// and both answer.
+    #[test]
+    fn a_policy_can_schedule_on_its_own_daemon() {
+        let d = Syrupd::new();
+        let (outer, _) = d.register_app("outer", &[7000]).unwrap();
+        let (inner, _) = d.register_app("inner", &[7001]).unwrap();
+        d.deploy(inner, Hook::SocketSelect, constant(4)).unwrap();
+        let daemon = d.clone();
+        let nested = move |pkt: &mut [u8], _: &HookMeta| match daemon.schedule(
+            Hook::SocketSelect,
+            pkt,
+            &meta(7001),
+        ) {
+            (Some(_), Decision::Executor(e)) => Decision::Executor(e + 1),
+            _ => Decision::Drop,
+        };
+        d.deploy(outer, Hook::XdpDrv, PolicySource::Native(Box::new(nested)))
+            .unwrap();
+        let mut pkt = [0u8; 4];
+        for _ in 0..3 {
+            assert_eq!(
+                d.schedule(Hook::XdpDrv, &mut pkt, &meta(7000)),
+                (Some(outer), Decision::Executor(5))
+            );
+            assert_eq!(
+                d.schedule(Hook::SocketSelect, &mut pkt, &meta(7001)),
+                (Some(inner), Decision::Executor(4))
+            );
+        }
+        assert_eq!(d.telemetry_snapshot().counter("syrupd/dispatches"), 9);
+    }
+
+    /// A thread's copy of the table is one daemon's at one generation: a
+    /// thread alternating between daemons that redeploy between its calls
+    /// always runs each one's current policy.
+    #[test]
+    fn a_thread_alternating_daemons_runs_each_ones_current_generation() {
+        let hook = Hook::SocketSelect;
+        let daemons = [(); 2].map(|_| Syrupd::new());
+        let apps = daemons
+            .each_ref()
+            .map(|d| d.register_app("alternating", &[7000]).unwrap().0);
+        let mut pkt = [0u8; 4];
+        for generation in 0..6 {
+            for (i, (d, &app)) in daemons.iter().zip(&apps).enumerate() {
+                let answer = 10 * generation + i as i32;
+                d.deploy(app, hook, constant(answer)).unwrap();
+                for _ in 0..2 {
+                    assert_eq!(
+                        d.schedule(hook, &mut pkt, &meta(7000)),
+                        (Some(app), Decision::Executor(answer as u32))
+                    );
+                }
+            }
+        }
+    }
+
+    /// Generations count per daemon, so a cached table must also name its
+    /// daemon: a new daemon at the same generation as a dropped one's
+    /// cached table runs its own.
+    #[test]
+    fn a_new_daemon_never_runs_a_dropped_daemons_cached_table() {
+        let hook = Hook::SocketSelect;
+        let mut pkt = [0u8; 4];
+        for answer in 1..4 {
+            let d = Syrupd::new();
+            let (app, _) = d.register_app("short-lived", &[7000]).unwrap();
+            d.deploy(app, hook, constant(answer)).unwrap();
+            assert_eq!(
+                d.schedule(hook, &mut pkt, &meta(7000)),
+                (Some(app), Decision::Executor(answer as u32))
+            );
+        }
+    }
+
+    /// A thread that exits holding the only reference to a table drops it,
+    /// and with it the retired policy, as it goes.
+    #[test]
+    fn an_exiting_thread_drops_its_cached_table() {
+        use std::sync::atomic::AtomicUsize;
+        static DROPPED: AtomicUsize = AtomicUsize::new(0);
+        struct Retiring;
+        impl crate::policy::PacketPolicy for Retiring {
+            fn schedule(&mut self, _: &mut [u8], _: &HookMeta) -> Decision {
+                Decision::Executor(1)
+            }
+        }
+        impl Drop for Retiring {
+            fn drop(&mut self) {
+                DROPPED.fetch_add(1, Relaxed);
+            }
+        }
+
+        let hook = Hook::SocketSelect;
+        // Disabled telemetry, so the registry does not keep the slot too.
+        let d = Syrupd::with_telemetry(Registry::disabled());
+        let (app, _) = d.register_app("retiring", &[7000]).unwrap();
+        d.deploy(app, hook, PolicySource::Native(Box::new(Retiring)))
+            .unwrap();
+        let caller = d.clone();
+        std::thread::spawn(move || {
+            let mut pkt = [0u8; 4];
+            let answer = caller.schedule(hook, &mut pkt, &meta(7000));
+            assert_eq!(answer, (Some(app), Decision::Executor(1)));
+            // The thread's copy is now all that routes to `Retiring`.
+            caller.deploy(app, hook, constant(2)).unwrap();
+        })
+        .join()
+        .expect("the caller thread exits cleanly");
+        assert_eq!(DROPPED.load(Relaxed), 1);
+        assert_eq!(
+            d.schedule(hook, &mut [0u8; 4], &meta(7000)),
+            (Some(app), Decision::Executor(2))
+        );
     }
 
     #[test]

@@ -427,9 +427,13 @@ impl RunEnv {
 }
 
 /// The VM's telemetry, `vm/*`: a stats block every app's policy runs
-/// write, one stripe per CPU, written once per run.
+/// write, once per run. [`Vm::run`] writes the VM's own copy, one stripe
+/// per CPU; [`Vm::run_after`] writes the caller's, which a caller that
+/// already holds a lock of its own keeps under it (see
+/// [`syrup_observe::telemetry::Holds`]). The registry folds every copy
+/// under one set of names.
 #[derive(Debug, Default)]
-struct VmStats {
+pub struct VmStats {
     /// Successful invocations.
     runs: u64,
     /// Invocations that trapped with a [`VmError`].
@@ -647,7 +651,7 @@ impl Vm {
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
     ) -> Result<VmOutcome, VmError> {
-        self.enter(Entry::Prog(slot), ctx, env)
+        self.enter(Entry::Prog(slot), ctx, env, None)
     }
 
     /// Runs `path`'s target as the run that came down `path` would:
@@ -655,14 +659,17 @@ impl Vm {
     /// [`RUNTIME_INSN_LIMIT`] and [`MAX_TAIL_CALLS`] budgets) start where
     /// the path left them, and an attached profiler sees the path's steps
     /// and chain frame. Outcome, telemetry, spans and flight-recorder
-    /// events are those of [`Vm::run`] on the path's own program.
+    /// events are those of [`Vm::run`] on the path's own program, except
+    /// that the run is counted in `stats` when given and in the VM's own
+    /// block otherwise.
     pub fn run_after(
         &self,
         path: &TailPath,
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
+        stats: Option<&mut VmStats>,
     ) -> Result<VmOutcome, VmError> {
-        self.enter(Entry::After(path), ctx, env)
+        self.enter(Entry::After(path), ctx, env, stats)
     }
 
     /// Runs the program in `slot` up to its first successful tail call and
@@ -710,10 +717,14 @@ impl Vm {
         entry: Entry<'_>,
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
+        stats: Option<&mut VmStats>,
     ) -> Result<VmOutcome, VmError> {
         let result = crate::fast::run(self, entry, ctx, env);
         let backend = self.backend;
-        self.telemetry.write(|stats| stats.record(backend, &result));
+        match stats {
+            Some(stats) => stats.record(backend, &result),
+            None => self.telemetry.write(|stats| stats.record(backend, &result)),
+        }
         match &result {
             Ok(out) => {
                 self.tracer.policy_span(

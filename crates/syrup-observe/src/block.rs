@@ -11,12 +11,20 @@
 //! read-modify-writes. Each stripe's lock is a leaf: a write only adds
 //! to the struct in hand.
 //!
-//! A read folds the stripes with the rules that make striping exact —
+//! A writer that already holds a lock of its own on its hot path can
+//! keep its copy of a block under that lock instead ([`Holds`],
+//! [`crate::telemetry::Registry::hold`]): `syrupd` keeps each deployed
+//! policy's stats beside the policy, under the lock a dispatch takes to
+//! run it, so counting the dispatch takes no further lock at all.
+//!
+//! A read folds the stripes and the held copies with the rules that make
+//! striping exact —
 //! counters add wrapping, histograms [`HistogramSnapshot::merge`] — so a
 //! quiescent block reads byte for byte like the single atomic
 //! instruments it stands for, fed the same samples in any order.
 
 use std::any::Any;
+use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -85,17 +93,19 @@ impl<B: Block> BlockHandle<B> {
             write(&mut stripes.local().lock());
         }
     }
+}
 
-    /// Every stripe folded, as a registry read folds them: the counter
-    /// fields' values and the histogram fields' states, each in
-    /// [`Block::fields`] order (all zero and empty when disabled).
-    pub fn read(&self) -> (Vec<u64>, Vec<HistogramSnapshot>) {
-        let (mut counters, mut histograms) = blank::<B>();
-        if let Some(stripes) = &self.inner {
-            fold(stripes, &mut counters, &mut histograms);
-        }
-        (counters, histograms)
-    }
+/// A copy of a block that its writer keeps under a lock of its own,
+/// beside the state that lock already guards, so writing it costs plain
+/// adds and no further lock. Registered with
+/// [`crate::telemetry::Registry::hold`], it reads under the block's names
+/// together with the block's stripes and every other holder's copy. The
+/// registry keeps the holder alive: once nothing else does, the next read
+/// or registration folds its last values into the block and lets it go.
+pub trait Holds<B: Block>: Send + Sync + 'static {
+    /// Calls `read` with the held copy, under the holder's lock; a holder
+    /// that keeps no copy does not call it.
+    fn read(&self, read: &mut dyn FnMut(&B));
 }
 
 /// A zero for every counter field of a `B` and an empty histogram for
@@ -109,42 +119,58 @@ fn blank<B: Block>() -> (Vec<u64>, Vec<HistogramSnapshot>) {
     (counters, histograms)
 }
 
-/// Folds the stripes into `counters` and `histograms`, which hold one
-/// slot per field and are overwritten: counters add wrapping, histograms
-/// merge.
-fn fold<B: Block>(
-    stripes: &PerCpu<Mutex<B>>,
-    counters: &mut [u64],
-    histograms: &mut [HistogramSnapshot],
-) {
-    for (i, stripe) in stripes.iter().enumerate() {
-        let (mut c, mut h) = (counters.iter_mut(), histograms.iter_mut());
-        stripe.lock().fields(&mut |field| match field {
-            Field::Counter(v) => {
-                let sum = c.next().expect("a slot per field");
-                *sum = if i == 0 { v } else { sum.wrapping_add(v) };
+/// Adds `block`'s fields into `counters` and `histograms`, which hold one
+/// slot per field: counters add wrapping, histograms merge.
+fn add<B: Block>(block: &B, counters: &mut [u64], histograms: &mut [HistogramSnapshot]) {
+    let (mut c, mut h) = (counters.iter_mut(), histograms.iter_mut());
+    block.fields(&mut |field| match field {
+        Field::Counter(v) => {
+            let sum = c.next().expect("a slot per field");
+            *sum = sum.wrapping_add(v);
+        }
+        Field::Histogram(v) => {
+            let merged = h.next().expect("a slot per field");
+            // A stripe no thread writes is common: skip its adds.
+            if !v.is_empty() {
+                merged.merge(v);
             }
-            Field::Histogram(v) => {
-                let merged = h.next().expect("a slot per field");
-                if i == 0 {
-                    merged.clone_from(v);
-                } else if !v.is_empty() {
-                    // A stripe no thread writes is common: skip its adds.
-                    merged.merge(v);
-                }
+        }
+    });
+}
+
+/// Where one registered block's fields live.
+struct Storage<B> {
+    /// One copy per CPU, written through [`BlockHandle::write`].
+    stripes: Arc<PerCpu<Mutex<B>>>,
+    /// Copies writers keep under their own locks.
+    held: Vec<Arc<dyn Holds<B>>>,
+    /// The fields of the holders let go so far, folded.
+    retired: (Vec<u64>, Vec<HistogramSnapshot>),
+}
+
+impl<B: Block> Storage<B> {
+    /// Folds every holder only the registry still keeps into `retired`
+    /// and lets it go: nothing can write its copy any more.
+    fn retire_released(&mut self) {
+        let (counters, histograms) = &mut self.retired;
+        self.held.retain(|holder| {
+            let released = Arc::strong_count(holder) == 1;
+            if released {
+                holder.read(&mut |b| add(b, counters, histograms));
             }
+            !released
         });
     }
 }
 
-/// A registered block as the registry keeps it: its stripes, the
-/// metric names of its fields, and their values as of the last read.
-#[derive(Debug)]
+/// A registered block as the registry keeps it: where its fields live,
+/// their metric names, and their values as of the last read.
 pub(crate) struct Registered {
     pub(crate) prefix: String,
-    stripes: Arc<dyn Any + Send + Sync>,
-    /// Folds the stripes into `counters` and `histograms`.
-    refresh: fn(&(dyn Any + Send + Sync), &mut [u64], &mut [HistogramSnapshot]),
+    /// A `Storage<B>`.
+    storage: Box<dyn Any + Send + Sync>,
+    /// Folds the storage into `counters` and `histograms`.
+    refresh: fn(&mut (dyn Any + Send + Sync), &mut [u64], &mut [HistogramSnapshot]),
     /// The counter fields' names, in field order.
     pub(crate) counter_names: Vec<String>,
     /// The histogram fields' names, in field order.
@@ -153,6 +179,14 @@ pub(crate) struct Registered {
     pub(crate) counters: Vec<u64>,
     /// The histogram fields' values at the last [`Registered::refresh`].
     pub(crate) histograms: Vec<HistogramSnapshot>,
+}
+
+impl fmt::Debug for Registered {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Registered")
+            .field("prefix", &self.prefix)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Registered {
@@ -171,9 +205,14 @@ impl Registered {
         assert!(next.next().is_none(), "a field for every name of the block");
         let stripes = Arc::new(PerCpu::with_stripes(stripes, Mutex::default));
         let (counters, histograms) = blank::<B>();
+        let storage = Storage {
+            stripes: stripes.clone(),
+            held: Vec::new(),
+            retired: (counters.clone(), histograms.clone()),
+        };
         let registered = Registered {
             prefix: prefix.to_string(),
-            stripes: stripes.clone(),
+            storage: Box::new(storage),
             refresh: refresh::<B>,
             counters,
             histograms,
@@ -185,22 +224,42 @@ impl Registered {
 
     /// The stripes, if the block is a `B`.
     pub(crate) fn stripes<B: Block>(&self) -> Option<Arc<PerCpu<Mutex<B>>>> {
-        self.stripes.clone().downcast().ok()
+        let storage = self.storage.downcast_ref::<Storage<B>>()?;
+        Some(storage.stripes.clone())
+    }
+
+    /// Adds `holder`'s copy to the block, which must be a `B`, and lets go
+    /// of the holders nothing else keeps.
+    pub(crate) fn hold<B: Block>(&mut self, holder: Arc<dyn Holds<B>>) {
+        let storage = self.storage.downcast_mut::<Storage<B>>().expect("a `B`");
+        storage.retire_released();
+        storage.held.push(holder);
     }
 
     /// Brings `counters` and `histograms` up to now.
     pub(crate) fn refresh(&mut self) {
-        (self.refresh)(&*self.stripes, &mut self.counters, &mut self.histograms);
+        (self.refresh)(&mut *self.storage, &mut self.counters, &mut self.histograms);
     }
 }
 
 fn refresh<B: Block>(
-    stripes: &(dyn Any + Send + Sync),
+    storage: &mut (dyn Any + Send + Sync),
     counters: &mut [u64],
     histograms: &mut [HistogramSnapshot],
 ) {
-    let stripes = stripes.downcast_ref::<PerCpu<Mutex<B>>>().expect("a `B`");
-    fold(stripes, counters, histograms);
+    let storage = storage.downcast_mut::<Storage<B>>().expect("a `B`");
+    storage.retire_released();
+    let (retired_counters, retired_histograms) = &storage.retired;
+    counters.copy_from_slice(retired_counters);
+    for (merged, retired) in histograms.iter_mut().zip(retired_histograms) {
+        merged.clone_from(retired);
+    }
+    for stripe in storage.stripes.iter() {
+        add(&*stripe.lock(), counters, histograms);
+    }
+    for holder in &storage.held {
+        holder.read(&mut |b| add(b, counters, histograms));
+    }
 }
 
 #[cfg(test)]
@@ -232,18 +291,13 @@ pub(crate) mod tests {
         }
     }
 
-    /// An unregistered block of `stripes` stripes.
-    pub(crate) fn striped<B: Block>(stripes: usize) -> BlockHandle<B> {
-        BlockHandle {
-            inner: Some(Arc::new(PerCpu::with_stripes(stripes, Mutex::default))),
-        }
-    }
-
     #[test]
     fn a_disabled_block_writes_nothing_and_reads_empty() {
-        let block = BlockHandle::<Pair>::disabled();
+        let registry = crate::telemetry::Registry::disabled();
+        let block = registry.block::<Pair>("p");
         block.write(|_| unreachable!("a disabled block runs no write"));
-        assert_eq!(block.read(), (vec![0], vec![HistogramSnapshot::empty()]));
+        BlockHandle::<Pair>::disabled().write(|_| unreachable!("nor does this one"));
+        assert_eq!(registry.snapshot(), crate::telemetry::Snapshot::default());
     }
 
     /// Names and fields that disagree are a bug in the block.

@@ -495,7 +495,8 @@ mod tests {
     /// `stripes` stripes holding a histogram and a counter; returns its
     /// fold.
     fn record_striped(stripes: usize, threads: usize, values: &[u64]) -> (HistogramSnapshot, u64) {
-        let block = crate::block::tests::striped::<crate::block::tests::Pair>(stripes);
+        let registry = crate::telemetry::Registry::new();
+        let block = registry.block_striped::<crate::block::tests::Pair>("p", stripes);
         let barrier = std::sync::Barrier::new(threads);
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -508,8 +509,9 @@ mod tests {
                 });
             }
         });
-        let (counters, histograms) = block.read();
-        (histograms[0].clone(), counters[0])
+        let snapshot = registry.snapshot();
+        let histogram = snapshot.histogram("p/value").expect("registered");
+        (histogram.clone(), snapshot.counter("p/count"))
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! block fields that report under a name with the stripe-merge rules
 //! (see [`crate::telemetry::Block`]).
 
-use crate::block::{Block, BlockHandle, Registered};
+use crate::block::{Block, BlockHandle, Holds, Registered};
 use crate::counter::{Counter, Gauge};
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::percpu::{stripe_count, PerCpu};
@@ -102,6 +102,14 @@ impl Instruments {
         Sources::add_fields(&mut self.histograms, index, &block.histogram_names);
         self.blocks.push(block);
         stripes
+    }
+
+    /// Adds `holder`'s copy to the block registered under `prefix`,
+    /// registered as [`Instruments::block`] registers it if new.
+    fn hold<B: Block>(&mut self, prefix: &str, holder: Arc<dyn Holds<B>>) {
+        self.block::<B>(prefix, 1);
+        let block = self.blocks.iter_mut().find(|b| b.prefix == prefix);
+        block.expect("registered above").hold(holder);
     }
 
     /// Folds every block's stripes, for the reads that follow.
@@ -219,10 +227,20 @@ impl Registry {
         }
     }
 
+    /// Adds `holder`'s copy of a `B` to the block under `prefix`
+    /// (registered as [`Registry::block`] would if new): from now on it
+    /// reads under the block's names together with the block's stripes
+    /// and every other copy, and the registry keeps `holder` until it is
+    /// the last to. A read locks each holder through [`Holds::read`], so
+    /// nothing may read the registry while it holds a holder's lock.
+    pub fn hold<B: Block>(&self, prefix: &str, holder: Arc<dyn Holds<B>>) {
+        self.register(|i| i.hold(prefix, holder));
+    }
+
     /// [`Registry::block`] with `stripes` stripes: the multi-stripe path
     /// on any host, for tests.
     #[cfg(test)]
-    fn block_striped<B: Block>(&self, prefix: &str, stripes: usize) -> BlockHandle<B> {
+    pub(crate) fn block_striped<B: Block>(&self, prefix: &str, stripes: usize) -> BlockHandle<B> {
         BlockHandle {
             inner: self.register(|i| i.block(prefix, stripes)),
         }
@@ -810,6 +828,48 @@ mod tests {
             visit(crate::telemetry::Field::Counter(self.0));
             visit(crate::telemetry::Field::Counter(self.0));
         }
+    }
+
+    /// A writer's own copy of a block, kept under its lock.
+    struct Holder(Mutex<Pair>);
+
+    impl Holds<Pair> for Holder {
+        fn read(&self, read: &mut dyn FnMut(&Pair)) {
+            read(&self.0.lock());
+        }
+    }
+
+    /// Held copies read under the block's names with its stripes; one the
+    /// registry alone still keeps is folded into the block and let go, so
+    /// the names keep what it wrote.
+    #[test]
+    fn held_copies_fold_with_the_stripes_and_outlive_their_writers() {
+        let reg = Registry::new();
+        reg.block::<Pair>("p").write(|b| b.record(1));
+        let holders: Vec<Arc<Holder>> =
+            (0..2).map(|_| Arc::new(Holder(Mutex::default()))).collect();
+        for holder in &holders {
+            reg.hold::<Pair>("p", holder.clone());
+        }
+        holders[0].0.lock().record(10);
+        holders[1].0.lock().record(100);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("p/count"), 111);
+        assert_eq!(snap.histogram("p/value").unwrap().count(), 3);
+
+        let released = Arc::downgrade(&holders[0]);
+        drop(holders.into_iter().next());
+        for _ in 0..2 {
+            let snap = reg.snapshot();
+            assert_eq!(snap.counter("p/count"), 111);
+            assert_eq!(snap.histogram("p/value").unwrap().count(), 3);
+            assert!(released.upgrade().is_none(), "the registry let it go");
+        }
+
+        // A disabled registry keeps nothing.
+        let holder = Arc::new(Holder(Mutex::default()));
+        Registry::disabled().hold::<Pair>("p", holder.clone());
+        assert_eq!(Arc::strong_count(&holder), 1);
     }
 
     /// Block fields that share a name fold into it; a single instrument

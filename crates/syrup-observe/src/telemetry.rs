@@ -15,17 +15,20 @@
 //!   per CPU, each stripe under an uncontended leaf lock
 //!   ([`Registry::block`], [`BlockHandle::write`]). It stands in for a
 //!   program's per-CPU `bpf_prog_stats`: the VM writes its `vm/*` block
-//!   once per run and `syrupd` its per-policy block once per dispatch,
-//!   instead of a dozen atomic read-modify-writes each. Reads fold the
-//!   stripes exactly, so a block reads like the atomics it replaces.
+//!   once per run instead of a dozen atomic read-modify-writes. A writer
+//!   that already holds a lock of its own keeps its copy under it instead
+//!   ([`Holds`], [`Registry::hold`]): `syrupd` counts a dispatch's
+//!   `app<id>/<hook>/*` and `vm/*` with plain adds under the policy's own
+//!   lock. Reads fold the stripes and the held copies exactly, so a block
+//!   reads like the atomics it replaces.
 //! * The decision ring — a bounded ring of [`DecisionEvent`]s with
 //!   eBPF-ringbuf semantics: when the buffer is full the *new* event is
 //!   dropped (reservation failure) and a per-CPU drop counter advances
 //!   ([`Registry::trace`]). The buffer is generic; the tracer
 //!   keeps its spans in one too.
 //! * [`PerCpu`] — one cache-line-aligned stripe per CPU, standing in for
-//!   a percpu map slot: the storage of blocks, of the ring's drop count
-//!   and of `syrupd`'s published dispatch tables.
+//!   a percpu map slot: the storage of blocks and of the ring's drop
+//!   count.
 //! * [`Snapshot`] — a point-in-time copy of every metric, exportable as a
 //!   plain-text table ([`Snapshot::render_table`]) or JSON
 //!   ([`Snapshot::to_json`]), standing in for userspace map reads.
@@ -35,7 +38,7 @@
 //! instrumented hot paths cost ~nothing when telemetry is off (see
 //! `bench/benches/telemetry.rs`).
 
-pub use crate::block::{Block, BlockHandle, Field};
+pub use crate::block::{Block, BlockHandle, Field, Holds};
 pub use crate::counter::{Counter, Gauge};
 pub use crate::hist::{nearest_rank, Histogram, HistogramSnapshot, HIST_BUCKETS};
 pub use crate::percpu::PerCpu;

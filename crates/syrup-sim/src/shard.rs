@@ -30,7 +30,9 @@
 //! the test suite enforces it.
 
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
+
+use parking_lot::Mutex;
 
 use syrup_observe::telemetry::{CounterHandle, GaugeHandle, Registry};
 
@@ -612,10 +614,7 @@ where
                 if !out.is_empty() {
                     for msg in out.drain(..) {
                         let slot = shard * n + msg.dest;
-                        shared.mailboxes[slot]
-                            .lock()
-                            .expect("mailbox lock")
-                            .push(msg);
+                        shared.mailboxes[slot].lock().push(msg);
                     }
                 }
                 let barrier_started = win_started.map(|_| std::time::Instant::now());
@@ -631,7 +630,7 @@ where
                 let mut inbox: Vec<OutMsg<W::Ev>> = Vec::new();
                 for src in 0..n {
                     let slot = src * n + shard;
-                    inbox.append(&mut shared.mailboxes[slot].lock().expect("mailbox lock"));
+                    inbox.append(&mut shared.mailboxes[slot].lock());
                 }
                 inbox.sort_by_key(|m| (m.at, m.order));
                 let mailbox_in = inbox.len() as u64;

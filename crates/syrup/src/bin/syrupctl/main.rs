@@ -67,8 +67,11 @@
 //!   occupancy (ranked queues only), thread time-in-state, scheduling
 //!   latency, starvation events, and SLO burn status.
 //!
-//! Exit status is nonzero on compile/verify failures, unknown maps, or a
-//! failed validation, so the tool slots into CI pipelines.
+//! Exit status is nonzero on compile/verify failures, unknown maps, a
+//! flag the subcommand does not take, or a failed validation, so the tool
+//! slots into CI pipelines. Every subcommand that runs the scenario also
+//! takes its flags: `--scenario quickstart`, `--requests N`, `--sample N`,
+//! `--ranked` and `--shards N`.
 
 mod args;
 mod blackbox;
@@ -85,31 +88,115 @@ use std::process::ExitCode;
 /// stderr out when it fails.
 type Command = fn(&[String]) -> Result<(), String>;
 
-const COMMANDS: [(&str, Command); 24] = [
-    ("compile", pipeline::compile),
-    ("verify-asm", pipeline::verify_asm),
-    ("hooks", pipeline::hooks),
-    ("demo", pipeline::demo),
-    ("prog list", introspect::prog_list),
-    ("prog stats", introspect::prog_stats),
-    ("queue list", introspect::queue_list),
-    ("map dump", introspect::map_dump),
-    ("map get", introspect::map_get),
-    ("metrics", introspect::metrics),
-    ("top", top::top),
-    ("trace record", trace::record),
-    ("trace report", trace::report),
-    ("trace export", trace::export),
-    ("trace validate", trace::validate),
-    ("profile record", profile::record),
-    ("profile report", profile::report),
-    ("profile flame", profile::flame),
-    ("profile pressure", profile::pressure),
-    ("blackbox record", blackbox::record),
-    ("blackbox dump", blackbox::dump),
-    ("blackbox report", blackbox::report),
-    ("blackbox validate", blackbox::validate),
-    ("watch", blackbox::watch),
+/// The flags a subcommand takes.
+#[derive(Clone, Copy)]
+enum Flags {
+    /// These alone.
+    Own(&'static [&'static str]),
+    /// These and the scenario's ([`SCENARIO`]).
+    Scenario(&'static [&'static str]),
+}
+
+/// The flags `scenario::Scenario::parse` reads.
+const SCENARIO: &[&str] = &[
+    "--scenario",
+    "--requests",
+    "--sample",
+    "--ranked",
+    "--shards",
+];
+
+impl Flags {
+    fn takes(self, flag: &str) -> bool {
+        let (own, scenario) = match self {
+            Flags::Own(own) => (own, false),
+            Flags::Scenario(own) => (own, true),
+        };
+        own.contains(&flag) || (scenario && SCENARIO.contains(&flag))
+    }
+}
+
+const COMMANDS: [(&str, Flags, Command); 24] = [
+    ("compile", Flags::Own(&["-D"]), pipeline::compile),
+    ("verify-asm", Flags::Own(&[]), pipeline::verify_asm),
+    ("hooks", Flags::Own(&[]), pipeline::hooks),
+    ("demo", Flags::Own(&[]), pipeline::demo),
+    (
+        "prog list",
+        Flags::Scenario(&["--json"]),
+        introspect::prog_list,
+    ),
+    (
+        "prog stats",
+        Flags::Scenario(&["--json"]),
+        introspect::prog_stats,
+    ),
+    (
+        "queue list",
+        Flags::Scenario(&["--json"]),
+        introspect::queue_list,
+    ),
+    (
+        "map dump",
+        Flags::Scenario(&["--json"]),
+        introspect::map_dump,
+    ),
+    ("map get", Flags::Scenario(&[]), introspect::map_get),
+    (
+        "metrics",
+        Flags::Scenario(&["--json", "--openmetrics"]),
+        introspect::metrics,
+    ),
+    (
+        "top",
+        Flags::Own(&["--flows", "--shards", "--frames", "--seed", "--json"]),
+        top::top,
+    ),
+    (
+        "trace record",
+        Flags::Scenario(&["--export"]),
+        trace::record,
+    ),
+    ("trace report", Flags::Scenario(&["--json"]), trace::report),
+    ("trace export", Flags::Own(&[]), trace::export),
+    ("trace validate", Flags::Own(&[]), trace::validate),
+    (
+        "profile record",
+        Flags::Scenario(&["--flame-out"]),
+        profile::record,
+    ),
+    (
+        "profile report",
+        Flags::Scenario(&["--top", "--json"]),
+        profile::report,
+    ),
+    ("profile flame", Flags::Scenario(&["--out"]), profile::flame),
+    (
+        "profile pressure",
+        Flags::Scenario(&["--json"]),
+        profile::pressure,
+    ),
+    (
+        "blackbox record",
+        Flags::Scenario(&["--inject-burn", "--trigger-manual", "--out"]),
+        blackbox::record,
+    ),
+    (
+        "blackbox dump",
+        Flags::Scenario(&["--inject-burn", "--trigger-manual", "--json"]),
+        blackbox::dump,
+    ),
+    ("blackbox report", Flags::Own(&[]), blackbox::report),
+    (
+        "blackbox validate",
+        Flags::Own(&["--min-layers"]),
+        blackbox::validate,
+    ),
+    (
+        "watch",
+        Flags::Scenario(&["--interval", "--json"]),
+        blackbox::watch,
+    ),
 ];
 
 fn main() -> ExitCode {
@@ -124,13 +211,24 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    for (name, command) in COMMANDS {
+    for (name, flags, command) in COMMANDS {
         let words = name.split(' ').count();
         if args.iter().take(words).eq(name.split(' ')) {
-            return command(&args[words..]);
+            let args = &args[words..];
+            if let Some(flag) = args.iter().find(|a| is_flag(a) && !flags.takes(a)) {
+                return Err(format!("{name}: unknown flag {flag}"));
+            }
+            return command(args);
         }
     }
     Err(usage())
+}
+
+/// Whether `arg` reads as a flag: a dash and then a letter or a dash, so
+/// `-` and negative numbers stay operands.
+fn is_flag(arg: &str) -> bool {
+    let mut chars = arg.chars();
+    chars.next() == Some('-') && chars.next().is_some_and(|c| c == '-' || c.is_alphabetic())
 }
 
 fn usage() -> String {
@@ -183,7 +281,7 @@ mod tests {
             .filter_map(|line| line.strip_prefix("  "))
             .collect();
         assert_eq!(listed.len(), COMMANDS.len());
-        for (line, (name, _)) in listed.iter().zip(COMMANDS) {
+        for (line, (name, _, _)) in listed.iter().zip(COMMANDS) {
             let operands = line.strip_prefix(name);
             assert!(
                 operands.is_some_and(|rest| rest.is_empty() || rest.starts_with(' ')),

@@ -679,10 +679,7 @@ fn error_paths_print_one_line_and_exit_1() {
             "compile",
             "usage: syrupctl compile FILE.c [-D NAME=VALUE]...".into(),
         ),
-        (
-            "compile --json",
-            "usage: syrupctl compile FILE.c [-D NAME=VALUE]...".into(),
-        ),
+        ("compile --json", "compile: unknown flag --json".into()),
         (
             "compile /nonexistent/policy.c",
             format!("cannot read /nonexistent/policy.c: {ENOENT}"),
@@ -717,7 +714,16 @@ fn error_paths_print_one_line_and_exit_1() {
             "verify-asm {dir}/garbage.s",
             "assembly error: line 1: unknown mnemonic `frob`".into(),
         ),
-        // Introspection.
+        // Introspection. A flag the subcommand does not take, including
+        // one it once took.
+        (
+            "prog list --frob x",
+            "prog list: unknown flag --frob".into(),
+        ),
+        (
+            "prog list --backend interp",
+            "prog list: unknown flag --backend".into(),
+        ),
         ("map get", "usage: syrupctl map get PATH KEY".into()),
         (
             "map get /syrup/1/__globals",
@@ -842,7 +848,7 @@ fn error_paths_print_one_line_and_exit_1() {
         ),
         (
             "blackbox report --x",
-            "usage: syrupctl blackbox report PATH".into(),
+            "blackbox report: unknown flag --x".into(),
         ),
         (
             "blackbox report /nonexistent/b.json",

@@ -21,10 +21,10 @@
 #     --ranked; hooks, demo, compile and
 #     verify-asm on policies the script writes; trace validate and
 #     blackbox report/validate on files it just recorded; and a table of
-#     error paths (usage, bad numbers, missing values, unreadable and
-#     unwritable paths, malformed bundles).
+#     error paths (usage, unknown flags, bad numbers, missing values,
+#     unreadable and unwritable paths, malformed bundles).
 #   `top` stays out: its barrier-wait columns are wall-clock.
-# That is 162 files.
+# That is 164 files.
 #
 # A PR that changes one of these on purpose lists the DIFFERENT lines it
 # expects, with before and after, in CHANGES.md.
@@ -140,6 +140,8 @@ verify-asm
 verify-asm /nonexistent/x.s
 verify-asm falls_off.s
 verify-asm garbage.s
+prog list --frob x
+prog list --backend interp
 map get
 map get /syrup/1/__globals
 map get /syrup/1/__globals not-a-number

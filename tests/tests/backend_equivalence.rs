@@ -170,7 +170,7 @@ fn corpus_policies_entered_after_a_traced_path_agree_across_backends() {
                         let mut env = run_env(i as u64);
                         let mut ctx = PacketCtx::new(&mut pkt);
                         let out = if direct {
-                            vm.run_after(&path, &mut ctx, &mut env)
+                            vm.run_after(&path, &mut ctx, &mut env, None)
                         } else {
                             vm.run(dispatcher, &mut ctx, &mut env)
                         };
@@ -236,7 +236,7 @@ fn corpus_policies_profile_alike_on_both_engines() {
                     let _ = match dispatch {
                         None => vm.run(policy, &mut ctx, &mut env),
                         Some(false) => vm.run(dispatcher, &mut ctx, &mut env),
-                        Some(true) => vm.run_after(&path, &mut ctx, &mut env),
+                        Some(true) => vm.run_after(&path, &mut ctx, &mut env, None),
                     };
                 }
                 (dispatch, profile(&profiler))

@@ -3,7 +3,8 @@
 //! of a bytecode policy, on either engine and under a profiler on the
 //! default one, and every native dispatch makes zero heap allocations,
 //! and bytecode, native and unmatched dispatches take the locks their
-//! rows name.
+//! rows name. One row per world the ledger runs counts the same per
+//! request, end to end: so far the plain quickstart trip.
 //!
 //! A counting allocator wraps the system one for this test binary only;
 //! it counts per thread, so the harness's own threads do not interfere.
@@ -13,11 +14,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use syrup::apps::quickstart;
 use syrup::core::{Hook, HookMeta, PolicySource, Syrupd};
 use syrup::ebpf::vm::Backend;
 use syrup::policies::c_sources;
 use syrup::policies::native::RoundRobinPolicy;
 use syrup::profile::Profiler;
+use syrup::trace::Tracer;
 
 struct Counting;
 
@@ -179,17 +182,18 @@ fn locked(daemon: &Syrupd, port: u16, clock: std::ops::Range<u64>) -> Option<u64
     Some(parking_lot::acquisitions()? - before)
 }
 
-/// Locks per warm bytecode `schedule`: the caller's stripe of the
-/// published table, the slot's own lock, and one stripe lock each for the
-/// `vm/*` and the policy's stats blocks. The Table-2 policies' maps take
-/// none, and the full decision ring refuses without its lock.
-const BYTECODE_LOCKS: u64 = 4;
+/// Locks per warm bytecode `schedule`: the slot's own, which also
+/// guards the policy's and the VM's stats for the call. The caller
+/// thread's copy of the published table is checked with a plain load,
+/// the Table-2 policies' maps take none, and the full decision ring
+/// refuses without its lock.
+const BYTECODE_LOCKS: u64 = 1;
 
-/// Locks per warm native dispatch: table stripe, slot, policy block.
-const NATIVE_LOCKS: u64 = 3;
+/// Locks per warm native dispatch: the slot's, stats included.
+const NATIVE_LOCKS: u64 = 1;
 
-/// Locks per warm unmatched dispatch: table stripe, the daemon's block.
-const UNMATCHED_LOCKS: u64 = 2;
+/// Locks per warm unmatched dispatch: the daemon's stats block.
+const UNMATCHED_LOCKS: u64 = 1;
 
 /// `per_call` locks a call for `calls` calls, or `None` where locks are
 /// not counted.
@@ -198,7 +202,7 @@ fn expected_locks(per_call: u64, calls: u64) -> Option<u64> {
 }
 
 #[test]
-fn a_warm_bytecode_schedule_takes_four_locks_and_an_unmatched_one_two() {
+fn a_warm_bytecode_or_unmatched_schedule_takes_one_lock() {
     for entry in c_sources::table2(6) {
         let daemon = Syrupd::new();
         let (app, _) = daemon.register_app(entry.name, &[PORT]).unwrap();
@@ -222,7 +226,7 @@ fn a_warm_bytecode_schedule_takes_four_locks_and_an_unmatched_one_two() {
 }
 
 #[test]
-fn a_warm_native_dispatch_takes_three_locks() {
+fn a_warm_native_dispatch_takes_one_lock() {
     let daemon = Syrupd::new();
     let (app, _) = daemon.register_app("native", &[PORT]).unwrap();
     let policy = PolicySource::Native(Box::new(RoundRobinPolicy::new(6)));
@@ -232,6 +236,55 @@ fn a_warm_native_dispatch_takes_three_locks() {
     assert_eq!(
         locked(&daemon, PORT, calls),
         expected_locks(NATIVE_LOCKS, 512)
+    );
+}
+
+/// Requests in the shorter of the two trips a world row compares: enough
+/// that both fill the decision ring (three decisions a request), so the
+/// difference is all steady state.
+const TRIP_REQUESTS: usize = 2_000;
+
+/// Locks per plain quickstart request: one slot lock at each of its
+/// three hooks (the XDP policy's bytecode, the redirect and
+/// socket-select policies' native forms). Ten before slots kept their
+/// stats under their own lock and callers their copy of the table: a
+/// table stripe, the slot and the policy's block per hook, and the VM's
+/// block for the bytecode one.
+const TRIP_LOCKS_PER_REQUEST: u64 = 3;
+
+/// Allocations the plain quickstart trip makes in its last
+/// [`TRIP_REQUESTS`] requests of `2 × TRIP_REQUESTS`: the world's own
+/// growth (its recorder and queues), none of it per dispatch. The same
+/// before slots kept their stats and callers their table.
+const TRIP_MARGINAL_ALLOCATIONS: u64 = 106;
+
+/// Heap allocations and locks (where counted) of one plain quickstart
+/// trip of `requests` requests, daemon setup included.
+fn trip(requests: usize) -> (u64, Option<u64>) {
+    let (allocations, locks) = (ALLOCATIONS.with(Cell::get), parking_lot::acquisitions());
+    let run = quickstart::run(&Tracer::disabled(), requests);
+    let counts = (
+        ALLOCATIONS.with(Cell::get) - allocations,
+        parking_lot::acquisitions()
+            .zip(locks)
+            .map(|(after, before)| after - before),
+    );
+    assert_eq!(run.completed, requests as u64);
+    counts
+}
+
+/// The first world row: `N` more requests cost `N` times the locks
+/// their dispatches take, and the allocations the world itself makes.
+#[test]
+fn a_plain_quickstart_request_takes_one_lock_per_hook() {
+    // A thread's first trip also pays its one-time setup.
+    trip(64);
+    let (short, long) = (trip(TRIP_REQUESTS), trip(2 * TRIP_REQUESTS));
+    assert_eq!(long.0 - short.0, TRIP_MARGINAL_ALLOCATIONS);
+    let locks = long.1.zip(short.1).map(|(long, short)| long - short);
+    assert_eq!(
+        locks,
+        expected_locks(TRIP_LOCKS_PER_REQUEST, TRIP_REQUESTS as u64)
     );
 }
 
