@@ -9,6 +9,12 @@
 //! Gated (see [`bench::gate()`]: release builds only, skipped under
 //! `cargo test` smoke mode):
 //!
+//! * at the figure worlds' size — [`WORLD_PENDING`] pending payloads as
+//!   wide as `server_world`'s event, replaced tens of µs ahead — the
+//!   queue, which keeps a queue that small in one heap, must not be
+//!   slower than the heap by more than [`SMALL_N_TOLERANCE`]: the two
+//!   are then the same structure and read 0.79–1.15× each other on a
+//!   shared 2-vCPU host, while a wheel walk per pop reads 1.24–1.97×;
 //! * at N = 10⁴ the wheel must not be slower than the heap by more than
 //!   [`SMALL_N_TOLERANCE`] — the wheel may not regress small runs;
 //! * at N = 10⁶ the heap must cost at least [`BIG_N_FACTOR`]× the wheel —
@@ -23,11 +29,19 @@ use std::process::ExitCode;
 use bench::{Limit, Site};
 use syrup::sim::{Duration, EventQueue, HeapQueue, SimQueue};
 
-/// At 10⁴ pending the wheel may cost at most this multiple of the heap.
+/// At 16 and at 10⁴ pending the queue may cost at most this multiple of
+/// the heap.
 const SMALL_N_TOLERANCE: f64 = 1.25;
 
 /// At 10⁶ pending the heap must cost at least this multiple of the wheel.
 const BIG_N_FACTOR: f64 = 2.0;
+
+/// Pending events in the figure worlds' queues (`server_world` and
+/// `mt_world` hold 13–19).
+const WORLD_PENDING: u64 = 16;
+
+/// A payload as wide as `server_world`'s event (40 bytes).
+type WorldEv = [u64; 5];
 
 /// Deterministic xorshift for delay shaping — no RNG dependency needed.
 struct Xs(u64);
@@ -80,6 +94,22 @@ fn churn_site<Q: SimQueue<u64>>(name: &str, n: u64, limit: Limit) -> Site {
     Site::new(name, limit, || churn(&mut q, &mut rng))
 }
 
+/// Times hold-and-churn at the figure worlds' size on queue `Q`: each
+/// popped event is pushed back 10–60 µs after its time.
+fn world_site<Q: SimQueue<WorldEv>>(name: &str, limit: Limit) -> Site {
+    let mut q = Q::new_empty();
+    let mut rng = Xs(0x5EED_0BAD_F00D_u64 | 1);
+    for id in 0..WORLD_PENDING {
+        let at = q.now() + Duration::from_nanos(rng.next() % 50_000);
+        q.push(at, [id; 5]);
+    }
+    Site::new(name, limit, move || {
+        let (t, ev) = q.pop().expect("queue never drains during churn");
+        let at = t + Duration::from_nanos(10_000 + rng.next() % 50_000);
+        q.push(at, black_box(ev));
+    })
+}
+
 fn main() -> ExitCode {
     let small = Limit::Ratio {
         of: "heap_churn_10000",
@@ -89,7 +119,13 @@ fn main() -> ExitCode {
         of: "heap_churn_1000000",
         factor: 1.0 / BIG_N_FACTOR,
     };
+    let world = Limit::Ratio {
+        of: "heap_churn_16_world",
+        factor: SMALL_N_TOLERANCE,
+    };
     let sites = [
+        world_site::<HeapQueue<WorldEv>>("heap_churn_16_world", Limit::Report),
+        world_site::<EventQueue<WorldEv>>("wheel_churn_16_world", world),
         churn_site::<HeapQueue<u64>>("heap_churn_10000", 10_000, Limit::Report),
         churn_site::<EventQueue<u64>>("wheel_churn_10000", 10_000, small),
         churn_site::<HeapQueue<u64>>("heap_churn_1000000", 1_000_000, Limit::Report),

@@ -1,4 +1,5 @@
-//! The event queue: a hierarchical timer wheel, O(1) per operation.
+//! The event queue: a hierarchical timer wheel, O(1) per operation,
+//! that keeps a small queue in one heap.
 //!
 //! [`EventQueue`] is the queue every world schedules into; its ordering
 //! contract is pinned in [`crate::queue`]. The binary heap that
@@ -29,6 +30,17 @@
 //!   that bucket is drained and every entry re-inserted, which strictly
 //!   demotes it to a finer level — the classic cascade, counted in
 //!   [`WheelStats::cascaded`].
+//! * **Small queues.** While the wheel and the overflow heap are empty
+//!   and fewer than `SMALL` (32) entries are pending, every push goes to
+//!   the `ready` heap, whatever its tick: the figure worlds hold 13–19
+//!   pending events, where walking the wheel on every pop cost about
+//!   twice a plain heap. The push that would make the 33rd first
+//!   *spills*: the cursor moves up to the clock's tick and every ready
+//!   entry past it moves into the wheel; the push is then routed like
+//!   any other, so one at the clock's tick stays in `ready` beside the
+//!   same-tick entries the spill kept there. The wheel then runs as
+//!   above until it empties, and small mode resumes. Worlds with 10⁴ and
+//!   more pending spill once and stay in the wheel.
 //!
 //! # Ordering contract
 //!
@@ -37,9 +49,15 @@
 //! reference heap ([`crate::HeapQueue`]): earliest time first, FIFO
 //! within a timestamp. Buckets are unordered; the contract is enforced
 //! where it is cheap, at dispatch time, by sorting the (single-tick)
-//! bucket that is about to drain. A differential proptest
-//! (`wheel_matches_heap_reference`) drives both structures with random
-//! push/pop interleavings and asserts identical pop sequences.
+//! bucket that is about to drain. What makes it hold across the strata:
+//! `ready` only ever holds entries no later than everything in the
+//! wheel and the overflow heap — in small mode because nothing else is
+//! pending, in wheel mode because it holds ticks at or before the cursor
+//! and the wheel only later ones. Two differential proptests
+//! (`wheel_matches_heap_reference`, and
+//! `wheel_matches_heap_across_the_small_bound`, which grows past twice
+//! `SMALL`, drains and regrows) drive both structures with random
+//! push/pop interleavings and assert identical pop sequences.
 //!
 //! # Drift accounting
 //!
@@ -72,6 +90,10 @@ pub const SLOTS: usize = 1 << LEVEL_BITS;
 pub const LEVELS: usize = 5;
 /// Ticks covered by the wheel ahead of the cursor: `64^LEVELS`.
 pub const SPAN_TICKS: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
+/// Pending entries the ready heap holds alone before the queue spills
+/// into the wheel: above the figure worlds' 13–19, below the 64 of the
+/// ledger's hold model (module docs, "Small queues").
+const SMALL: usize = 32;
 
 #[inline]
 fn tick_of(t: Time) -> u64 {
@@ -195,7 +217,8 @@ pub struct EventQueue<E> {
     overflow: BinaryHeap<Entry<E>>,
     /// Due events, min-ordered by `(time, seq)` (via [`Entry`]'s inverted
     /// `Ord`). Filled one tick at a time by `advance`; late pushes aimed
-    /// at-or-before the cursor land here too. A heap rather than a sorted
+    /// at-or-before the cursor land here too, and every push while the
+    /// queue is small (module docs). A heap rather than a sorted
     /// vector: at millions of events per second a single tick holds tens
     /// of events, and `O(log k)` insertion beats the `O(k)` memmove of
     /// keeping a vector sorted.
@@ -299,6 +322,18 @@ impl<E> EventQueue<E> {
         self.tel.pushes.inc();
         self.tel.depth.add(1);
         let tick = tick_of(at);
+        if tick > self.cursor && self.wheel_len == 0 && self.overflow.is_empty() {
+            if self.ready.len() < SMALL {
+                // Small mode: the ready heap alone orders every pending
+                // entry.
+                self.ready.push(entry);
+                return;
+            }
+            self.spill();
+        }
+        // Routed after any spill: a push at the clock's tick joins the
+        // same-tick entries the spill kept in `ready` instead of waiting
+        // behind them in the wheel.
         if tick <= self.cursor {
             // The dispatch frontier has already committed to (or passed)
             // this tick: merge straight into the ready heap so ordering
@@ -307,6 +342,25 @@ impl<E> EventQueue<E> {
         } else {
             self.insert_entry(entry);
         }
+    }
+
+    /// Leaves small mode: moves the cursor up to the clock's tick and
+    /// every ready entry past it into the (empty) wheel, so `ready` again
+    /// holds only entries at or before the cursor.
+    #[cold]
+    fn spill(&mut self) {
+        self.jump_to(self.cursor.max(tick_of(self.now)));
+        let mut vec = core::mem::take(&mut self.ready).into_vec();
+        let mut i = 0;
+        while i < vec.len() {
+            if tick_of(vec[i].time) <= self.cursor {
+                i += 1;
+            } else {
+                let entry = vec.swap_remove(i);
+                self.insert_entry(entry);
+            }
+        }
+        self.ready = BinaryHeap::from(vec);
     }
 
     /// Places an entry whose tick is strictly ahead of the cursor into
@@ -427,10 +481,16 @@ impl<E> EventQueue<E> {
 
     /// Ensures `ready` holds the next due tick's events (sorted).
     /// Returns false when the wheel is completely empty.
+    #[inline]
     fn advance(&mut self) -> bool {
-        if !self.ready.is_empty() {
-            return true;
-        }
+        !self.ready.is_empty() || self.refill()
+    }
+
+    /// [`Self::advance`] once `ready` is empty: moves the wheel's next
+    /// due tick into it. Out of line, so a pop from a non-empty `ready`
+    /// (every pop of a small queue) inlines into its caller.
+    #[inline(never)]
+    fn refill(&mut self) -> bool {
         loop {
             if self.wheel_len == 0 {
                 let Some(peek) = self.overflow.peek() else {
@@ -590,9 +650,31 @@ mod tests {
         std::iter::from_fn(|| w.pop()).collect()
     }
 
+    /// A queue past small mode: `SMALL` fillers at the end of time make
+    /// the next push spill, so the pushes a test makes land in the wheel's
+    /// levels and overflow heap as in a large queue. The fillers spill
+    /// into the overflow heap and pop last.
+    fn past_small<E: Clone>(filler: E) -> EventQueue<E> {
+        let mut w = EventQueue::new();
+        for _ in 0..SMALL {
+            w.push(Time::MAX, filler.clone());
+        }
+        w
+    }
+
+    /// Pops everything due before the fillers of [`past_small`].
+    fn drain_before_fillers<E>(w: &mut EventQueue<E>) -> Vec<(Time, E)> {
+        std::iter::from_fn(|| {
+            w.peek_time()
+                .filter(|&t| t < Time::MAX)
+                .and_then(|_| w.pop())
+        })
+        .collect()
+    }
+
     #[test]
     fn pops_in_time_order_across_levels() {
-        let mut w = EventQueue::new();
+        let mut w = past_small(usize::MAX);
         // One event per wheel level plus overflow.
         let times = [
             7u64,                     // level 0
@@ -605,7 +687,10 @@ mod tests {
         for (i, &ns) in times.iter().enumerate().rev() {
             w.push(Time::from_nanos(ns), i);
         }
-        let order: Vec<_> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
+        let order: Vec<_> = drain_before_fillers(&mut w)
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
     }
 
@@ -653,11 +738,11 @@ mod tests {
 
     #[test]
     fn peek_does_not_advance_now() {
-        let mut w = EventQueue::new();
+        let mut w = past_small(());
         w.push(Time::from_micros(7), ());
         assert_eq!(w.peek_time(), Some(Time::from_micros(7)));
         assert_eq!(w.now(), Time::ZERO);
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.len(), SMALL + 1);
         // A later push aimed earlier than the peeked event must still
         // pop first even though peeking advanced the internal cursor.
         w.push(Time::from_micros(3), ());
@@ -667,31 +752,35 @@ mod tests {
 
     #[test]
     fn push_below_peeked_tick_keeps_order() {
-        let mut w = EventQueue::new();
+        let mut w = past_small(u32::MAX);
         w.push(Time::from_nanos(64 * 500), 0);
         assert!(w.peek_time().is_some()); // cursor has jumped to tick 500
         w.push(Time::from_nanos(64 * 500), 1); // same tick, after peek
         w.push(Time::from_nanos(64 * 500 + 1), 2);
-        let order: Vec<_> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
+        let order: Vec<_> = drain_before_fillers(&mut w)
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
     fn far_future_then_near_event_dispatches_near_first() {
-        let mut w = EventQueue::new();
-        // Beyond the wheel span: goes to overflow.
+        let mut w = past_small("filler");
+        // Beyond the wheel span: goes to overflow, as do the fillers the
+        // push spills.
         let far = Time::from_nanos((SPAN_TICKS + 5) << TICK_SHIFT);
         w.push(far, "far");
-        assert_eq!(w.stats().overflowed, 1);
+        assert_eq!(w.stats().overflowed, SMALL as u64 + 1);
         w.push(Time::from_nanos(100), "near");
         assert_eq!(w.pop().unwrap().1, "near");
         assert_eq!(w.pop().unwrap().1, "far");
-        assert!(w.pop().is_none());
+        assert!(drain_before_fillers(&mut w).is_empty());
     }
 
     #[test]
     fn overflow_interleaves_with_wheel_correctly() {
-        let mut w = EventQueue::new();
+        let mut w = past_small(u32::MAX);
         let far1 = Time::from_nanos((SPAN_TICKS + 5) << TICK_SHIFT);
         let far2 = Time::from_nanos((2 * SPAN_TICKS + 9) << TICK_SHIFT);
         w.push(far2, 3u32);
@@ -701,7 +790,10 @@ mod tests {
         assert_eq!(w.pop().unwrap().1, 0);
         // An event between now and far1.
         w.push(Time::from_nanos((SPAN_TICKS - 100) << TICK_SHIFT), 1);
-        let order: Vec<_> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
+        let order: Vec<_> = drain_before_fillers(&mut w)
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
@@ -709,27 +801,30 @@ mod tests {
     fn overflow_and_wheel_entries_on_one_tick_pop_fifo() {
         // `a` lands one span ahead (overflow); once the cursor moves, `b`
         // at the same instant lands in the wheel. Push order must win.
-        let mut w = EventQueue::new();
+        let mut w = past_small("filler");
         let edge = Time::from_nanos(SPAN_TICKS << TICK_SHIFT);
         w.push(edge, "a");
         w.push(Time::from_nanos(5 << TICK_SHIFT), "first");
         assert!(w.peek_time().is_some()); // the cursor moves to tick 5
         w.push(edge, "b");
-        let order: Vec<_> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
+        let order: Vec<_> = drain_before_fillers(&mut w)
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(order, vec!["first", "a", "b"]);
     }
 
     #[test]
     fn rotation_wrap_is_handled() {
         // Events one full level-0 rotation apart land in the same slot.
-        let mut w = EventQueue::new();
+        let mut w = past_small(u8::MAX);
         let t1 = Time::from_nanos(10 * 64);
         let t2 = Time::from_nanos((10 + 64) * 64);
         let t3 = Time::from_nanos((10 + 128) * 64);
         w.push(t3, 3u8);
         w.push(t1, 1);
         w.push(t2, 2);
-        let popped = drain(&mut w);
+        let popped = drain_before_fillers(&mut w);
         assert_eq!(
             popped,
             vec![(t1, 1), (t2, 2), (t3, 3)],
@@ -794,8 +889,16 @@ mod tests {
     #[test]
     fn len_tracks_all_strata() {
         let mut w = EventQueue::new();
-        w.push(Time::from_nanos(10), ()); // will sit in wheel
+        for _ in 0..SMALL {
+            w.push(Time::from_nanos(5), ()); // small mode: the ready heap
+        }
+        assert_eq!(w.len(), SMALL);
+        w.push(Time::from_nanos(64 * 10), ()); // spills; will sit in wheel
         w.push(Time::from_nanos((SPAN_TICKS + 1) << TICK_SHIFT), ()); // overflow
+        assert_eq!(w.len(), SMALL + 2);
+        for _ in 0..SMALL {
+            w.pop();
+        }
         assert_eq!(w.len(), 2);
         assert!(w.peek_time().is_some()); // moves tick-10 entries to ready
         assert_eq!(w.len(), 2);
@@ -803,5 +906,63 @@ mod tests {
         assert_eq!(w.len(), 1);
         w.pop();
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn a_small_queue_stays_in_the_ready_heap() {
+        let mut w = EventQueue::new();
+        // Fewer than `SMALL` pending, from one tick to past the span: no
+        // bucket, cascade or overflow is touched.
+        let far_ns = (SPAN_TICKS + 5) << TICK_SHIFT;
+        for i in 0..SMALL as u64 - 1 {
+            w.push(Time::from_nanos(far_ns - i * 2_000_000_000), i);
+        }
+        w.push(Time::from_nanos(1), u64::MAX);
+        assert_eq!(w.wheel_len, 0);
+        assert_eq!((w.stats().cascaded, w.stats().overflowed), (0, 0));
+        assert_eq!(w.pop().unwrap().1, u64::MAX);
+        let order: Vec<_> = drain(&mut w).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, (0..SMALL as u64 - 1).rev().collect::<Vec<_>>());
+        assert_eq!((w.stats().cascaded, w.stats().overflowed), (0, 0));
+    }
+
+    #[test]
+    fn a_same_tick_push_that_spills_pops_before_later_entries_in_its_tick() {
+        let mut w = EventQueue::new();
+        let tick = 64 * 100;
+        w.push(Time::from_nanos(tick), "clock");
+        w.pop(); // the clock is at tick 100; the cursor is still at 0
+        w.push(Time::from_nanos(tick + 50), "late in the tick");
+        for _ in 1..SMALL {
+            w.push(Time::from_micros(50), "later tick");
+        }
+        // The spill keeps "late in the tick" in `ready` and moves the rest
+        // into the wheel; this push, at the same tick but earlier, must
+        // join it in `ready` rather than wait in the wheel behind it.
+        w.push(Time::from_nanos(tick + 10), "early in the tick");
+        assert_eq!(w.wheel_len, SMALL - 1);
+        assert_eq!(w.pop().unwrap().1, "early in the tick");
+        assert_eq!(w.pop().unwrap().1, "late in the tick");
+        assert_eq!(drain(&mut w).len(), SMALL - 1);
+    }
+
+    #[test]
+    fn small_mode_resumes_once_the_wheel_drains() {
+        let mut w = EventQueue::new();
+        for round in 0..3u64 {
+            let base = w.now();
+            for i in 0..3 * SMALL as u64 {
+                w.push(base + Duration::from_micros(1 + i * 7 % 40), i);
+            }
+            assert!(w.wheel_len > 0, "round {round}: a large queue spills");
+            let popped = drain(&mut w);
+            assert_eq!(popped.len(), 3 * SMALL);
+            assert!(popped.windows(2).all(|p| p[0].0 <= p[1].0));
+            let cascaded = w.stats().cascaded;
+            w.push(w.now() + Duration::from_millis(500), round);
+            assert_eq!(w.wheel_len, 0, "round {round}: back in small mode");
+            assert_eq!(w.pop().unwrap().1, round);
+            assert_eq!(w.stats().cascaded, cascaded);
+        }
     }
 }

@@ -4,7 +4,10 @@
 //! same times, same FIFO tie-breaks, same clock, same clamp accounting —
 //! under arbitrary push/pop/peek interleavings, including pushes at the
 //! boundaries: before the clock, at the edge of the wheel's span, and at
-//! the end of time.
+//! the end of time. A second property grows the queues past twice the
+//! wheel's small-queue bound (32 pending, kept in one heap), drains them
+//! and regrows them several times, so both the spill into the wheel and
+//! the return to the heap are crossed in every case.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -162,5 +165,98 @@ proptest! {
         // Drain completely; every remaining event must match.
         while qs.pop()?.is_some() {}
         qs.check()?;
+    }
+}
+
+/// One operation of a growth phase in [`wheel_matches_heap_across_the_small_bound`].
+#[derive(Debug, Clone)]
+enum GrowOp {
+    /// Push at `now + delta_ns`.
+    Push { delta_ns: u64 },
+    /// Push at the clock itself: within its tick, earlier than any
+    /// [`GrowOp::TickEnd`] entry, which the wheel's spill keeps beside it.
+    AtNow,
+    /// Push at the last nanosecond of the clock's tick.
+    TickEnd,
+    /// Pop one event (moves the clock past the wheel's cursor while the
+    /// queue is small).
+    Pop,
+    /// Peek.
+    Peek,
+}
+
+fn grow_op() -> impl Strategy<Value = GrowOp> {
+    (0u8..12, 0u64..u64::MAX).prop_map(|(kind, raw)| match kind {
+        0..=2 => GrowOp::Push {
+            delta_ns: raw % 200,
+        },
+        3 | 4 => GrowOp::Push {
+            delta_ns: raw % 100_000,
+        },
+        5 => GrowOp::Push {
+            delta_ns: raw % 200_000_000_000,
+        },
+        6 | 7 => GrowOp::AtNow,
+        8 | 9 => GrowOp::TickEnd,
+        10 => GrowOp::Pop,
+        _ => GrowOp::Peek,
+    })
+}
+
+/// One grow-then-drain cycle: the growth ops repeat until `target`
+/// events are pending, then everything pops.
+#[derive(Debug, Clone)]
+struct Cycle {
+    grow: Vec<GrowOp>,
+    target: usize,
+}
+
+fn cycle() -> impl Strategy<Value = Cycle> {
+    let pushes_win = |ops: &Vec<GrowOp>| {
+        let pops = ops.iter().filter(|op| matches!(op, GrowOp::Pop)).count();
+        let peeks = ops.iter().filter(|op| matches!(op, GrowOp::Peek)).count();
+        ops.len() - pops - peeks > pops
+    };
+    (
+        prop::collection::vec(grow_op(), 4..24).prop_filter("pushes outnumber pops", pushes_win),
+        // Past twice the small bound: 8 shards hold enough to spill too.
+        65usize..320,
+    )
+        .prop_map(|(grow, target)| Cycle { grow, target })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn wheel_matches_heap_across_the_small_bound(cycles in prop::collection::vec(cycle(), 2..6)) {
+        let mut qs = Queues::new();
+        let mut id = 0u64;
+        for cycle in &cycles {
+            // Each pass over `grow` pushes more than it pops, so the
+            // queues reach `target`.
+            for op in cycle.grow.iter().cycle() {
+                if qs.heap.len() >= cycle.target {
+                    break;
+                }
+                let now = qs.heap.now();
+                let tick_end = now.as_nanos() | ((1 << TICK_SHIFT) - 1);
+                match *op {
+                    GrowOp::Push { delta_ns } => qs.push(now + Duration::from_nanos(delta_ns), id),
+                    GrowOp::AtNow => qs.push(now, id),
+                    GrowOp::TickEnd => qs.push(Time::from_nanos(tick_end), id),
+                    GrowOp::Pop => {
+                        qs.pop()?;
+                    }
+                    GrowOp::Peek => qs.peek()?,
+                }
+                id += 1;
+                qs.check()?;
+            }
+            while qs.pop()?.is_some() {
+                qs.check()?;
+            }
+            qs.check()?;
+        }
     }
 }

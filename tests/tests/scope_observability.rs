@@ -4,7 +4,9 @@
 //! postmortem path.
 
 use syrup::blackbox::{EventKind, Layer, Recorder};
-use syrup::scope::{ingest_windows, AnomalyEngine, Sampler, Scope, ANOMALY_Z_THRESHOLD};
+use syrup::scope::{
+    ingest_windows, AnomalyEngine, Sampler, Scope, ANOMALY_Z_THRESHOLD, DEFAULT_SERIES_CAPACITY,
+};
 use syrup::sim::scale::{ScaleCfg, ScaleEngine};
 use syrup::telemetry::{Registry, Snapshot};
 
@@ -83,7 +85,10 @@ fn snapshot_delta_composes_under_concurrent_writers() {
 
 /// A sampler driven from concurrent shard threads' registry writes keeps
 /// producing coherent series: counter series are increments (sum equals
-/// the final counter value), timestamps are monotonic.
+/// the final counter value), timestamps are monotonic. The sampler ticks
+/// at most `capacity − 1` times while the writers run, so with the final
+/// tick the series never laps its ring and drops its oldest increments,
+/// however the threads are scheduled.
 #[test]
 fn sampler_over_concurrent_writers_accounts_every_increment() {
     let registry = Registry::new();
@@ -106,9 +111,16 @@ fn sampler_over_concurrent_writers_accounts_every_increment() {
             });
         }
         let mut now = 0u64;
-        while done.load(std::sync::atomic::Ordering::Relaxed) < writers {
+        let running = || done.load(std::sync::atomic::Ordering::Relaxed) < writers;
+        for _ in 1..DEFAULT_SERIES_CAPACITY {
+            if !running() {
+                break;
+            }
             now += 1_000;
             sampler.tick(now, &registry);
+        }
+        while running() {
+            std::thread::yield_now();
         }
         // One final due tick so the tail increments land in the series.
         sampler.tick(now + 1_000, &registry);
