@@ -21,18 +21,21 @@
 //!   wherever a run can leave the program;
 //! * immediates are widened and `mov` is split from the other ALU ops.
 //!
-//! A program `decode` cannot specialise — a memory step or helper
-//! argument that sees two regions, a tail call whose surviving registers
-//! differ in kind across paths, or a pointer beyond
-//! [`crate::verifier::MAX_PTR_OFF`] — gets no decoded form and runs on the
-//! interpreter.
+//! Every verified program decodes: `verify()` already refuses the steps
+//! this lowering could not express, a memory step or checked helper
+//! argument that sees two kinds and a pointer beyond
+//! [`crate::verifier::MAX_PTR_OFF`]. Each check `decode` still makes
+//! answers with the verifier's [`VerifierError`] for that shape, or with
+//! `TooComplex` for a program past the step format's limits (more than
+//! 2¹⁶ maps, a block past `u32` instructions or cycles), so `Vm::load`
+//! refuses what it cannot specialise.
 
 use crate::cycles::insn_cost;
 use crate::helpers::HelperId;
 use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
 use crate::maps::{MapId, MapRef, MapRegistry};
 use crate::mem::map_fd_token;
-use crate::verifier::{Facts, Kind};
+use crate::verifier::{Facts, Kind, VerifierError};
 use crate::vm::ctx_off;
 use crate::Program;
 use syrup_observe::profile::{Step, Steps};
@@ -194,7 +197,7 @@ pub(crate) enum Op {
     /// Any other helper; `site` indexes [`DecodedProg::sites`].
     Call {
         helper: HelperId,
-        site: u16,
+        site: u32,
     },
     Exit,
     /// An instruction no verified path reaches.
@@ -240,25 +243,13 @@ fn ends_block(insn: &Insn) -> bool {
     )
 }
 
-/// The registers a helper's verifier check reads, and those a tail call
-/// hands an interpreted target.
-fn needed(helper: HelperId) -> &'static [u8] {
-    match helper {
-        HelperId::MapLookupElem | HelperId::MapDeleteElem => &[1, 2],
-        HelperId::MapUpdateElem => &[1, 2, 3, 4],
-        HelperId::RedirectMap => &[1, 2, 3],
-        HelperId::TailCall => &[0, 1, 2, 3, 6, 7, 8, 9],
-        HelperId::GetPrandomU32 | HelperId::KtimeGetNs | HelperId::GetSmpProcessorId => &[],
-    }
-}
-
 /// Lowers verified `prog` with the `facts` its verification returned,
-/// binding its maps out of `maps`; `None` if some step cannot be
-/// specialised (see the module docs).
-pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Option<DecodedProg> {
-    if !facts.offsets_in_range() {
-        return None;
-    }
+/// binding its maps out of `maps` (see the module docs for its errors).
+pub(crate) fn decode(
+    prog: &Program,
+    facts: &Facts,
+    maps: &MapRegistry,
+) -> Result<DecodedProg, VerifierError> {
     let len = prog.insns.len();
     // Step index of each pc: a leader's `Charge` comes first.
     let mut at = Vec::with_capacity(len);
@@ -267,15 +258,13 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
         at.push(n);
         n += 1 + u32::from(facts.starts_block(pc));
     }
-    let target = |pc: usize, off: i16| -> Option<u32> {
-        let t = usize::try_from(pc as i64 + 1 + i64::from(off)).ok()?;
-        at.get(t).copied()
+    let target = |pc: usize, off: i16| -> Result<u32, VerifierError> {
+        usize::try_from(pc as i64 + 1 + i64::from(off))
+            .ok()
+            .and_then(|t| at.get(t).copied())
+            .ok_or(VerifierError::JumpOutOfRange { pc })
     };
-    let costs: Vec<u32> = prog
-        .insns
-        .iter()
-        .map(|insn| u32::try_from(insn_cost(insn)).ok())
-        .collect::<Option<_>>()?;
+    let costs: Vec<u64> = prog.insns.iter().map(insn_cost).collect();
 
     let mut out = DecodedProg {
         name: prog.name.clone(),
@@ -285,16 +274,17 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
         sites: Vec::new(),
     };
     let mut bound: Vec<MapId> = Vec::new();
-    let mut bind = |id: MapId, out: &mut DecodedProg| -> Option<u16> {
-        let i = match bound.iter().position(|&b| b == id) {
+    let mut bind = |pc: usize, map: MapId, out: &mut DecodedProg| -> Result<u16, VerifierError> {
+        let i = match bound.iter().position(|&b| b == map) {
             Some(i) => i,
             None => {
-                out.maps.push(maps.get(id)?);
-                bound.push(id);
+                out.maps
+                    .push(maps.get(map).ok_or(VerifierError::UnknownMap { pc, map })?);
+                bound.push(map);
                 bound.len() - 1
             }
         };
-        u16::try_from(i).ok()
+        u16::try_from(i).map_err(|_| VerifierError::TooComplex)
     };
 
     let mut steps = Vec::with_capacity(n as usize);
@@ -305,10 +295,10 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
             while !ends_block(&prog.insns[end]) && end + 1 < len && !facts.starts_block(end + 1) {
                 end += 1;
             }
-            let cycles = costs[pc..=end].iter().map(|&c| u64::from(c)).sum::<u64>();
+            let too_long = |_| VerifierError::TooComplex;
             out.code.push(Op::Charge {
-                insns: u32::try_from(end - pc + 1).ok()?,
-                cycles: u32::try_from(cycles).ok()?,
+                insns: u32::try_from(end - pc + 1).map_err(too_long)?,
+                cycles: u32::try_from(costs[pc..=end].iter().sum::<u64>()).map_err(too_long)?,
             });
             steps.push(Step {
                 pc: pc as u32,
@@ -388,16 +378,18 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                 } => {
                     let dst = r(dst);
                     match kind(base) {
-                        Kind::Ctx if size == MemSize::DW => match i64::from(off) {
-                            ctx_off::DATA => Op::LdxData { dst },
-                            ctx_off::DATA_END => Op::LdxDataEnd { dst },
-                            field @ ctx_off::META0..=ctx_off::META3 if field % 8 == 0 => {
+                        Kind::Ctx => match (size, i64::from(off)) {
+                            (MemSize::DW, ctx_off::DATA) => Op::LdxData { dst },
+                            (MemSize::DW, ctx_off::DATA_END) => Op::LdxDataEnd { dst },
+                            (MemSize::DW, field @ ctx_off::META0..=ctx_off::META3)
+                                if field % 8 == 0 =>
+                            {
                                 Op::LdxMeta {
                                     dst,
                                     word: ((field - ctx_off::META0) / 8) as u8,
                                 }
                             }
-                            _ => return None,
+                            (_, off) => return Err(VerifierError::BadCtxAccess { pc, off }),
                         },
                         Kind::Stack => Op::LdxStack {
                             size,
@@ -416,9 +408,9 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                             dst,
                             base: r(base),
                             off,
-                            map: bind(map, &mut out)?,
+                            map: bind(pc, map, &mut out)?,
                         },
-                        _ => return None,
+                        _ => return Err(VerifierError::MixedPointer { pc, reg: base }),
                     }
                 }
                 Insn::StoreMem {
@@ -427,7 +419,7 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                     off,
                     src,
                 } => Op::Stx {
-                    at: place(kind(base), size, base, off, |m| bind(m, &mut out))?,
+                    at: place(pc, kind(base), size, base, off, |m| bind(pc, m, &mut out))?,
                     src: r(src),
                 },
                 Insn::StoreImm {
@@ -436,7 +428,7 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                     off,
                     imm,
                 } => Op::StImm {
-                    at: place(kind(base), size, base, off, |m| bind(m, &mut out))?,
+                    at: place(pc, kind(base), size, base, off, |m| bind(pc, m, &mut out))?,
                     imm,
                 },
                 Insn::AtomicAdd {
@@ -446,7 +438,7 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                     src,
                     fetch,
                 } => Op::Atomic {
-                    at: place(kind(base), size, base, off, |m| bind(m, &mut out))?,
+                    at: place(pc, kind(base), size, base, off, |m| bind(pc, m, &mut out))?,
                     src: r(src),
                     fetch,
                 },
@@ -481,7 +473,7 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                 },
                 Insn::Call { helper } => match (helper, kind(Reg::R1), kind(Reg::R2)) {
                     (HelperId::MapLookupElem, Kind::MapFd(map), Kind::Stack) => Op::Lookup {
-                        map: bind(map, &mut out)?,
+                        map: bind(pc, map, &mut out)?,
                     },
                     (
                         HelperId::GetPrandomU32
@@ -491,17 +483,12 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
                         _,
                     ) => Op::Env { helper },
                     _ => {
-                        let kinds: [Kind; 11] = std::array::from_fn(|i| kind(Reg::new(i as u8)));
-                        if needed(helper)
-                            .iter()
-                            .any(|&i| kinds[usize::from(i)] == Kind::Mixed)
-                        {
-                            return None;
-                        }
-                        out.sites.push(kinds);
+                        out.sites
+                            .push(std::array::from_fn(|i| kind(Reg::new(i as u8))));
                         Op::Call {
                             helper,
-                            site: u16::try_from(out.sites.len() - 1).ok()?,
+                            site: u32::try_from(out.sites.len() - 1)
+                                .map_err(|_| VerifierError::TooComplex)?,
                         }
                     }
                 },
@@ -516,7 +503,7 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
         out.code.push(op);
         steps.push(Step {
             pc: pc as u32,
-            cycles: costs[pc],
+            cycles: costs[pc] as u32,
             helper: helper.map(HelperId::name),
         });
         if ends_block(insn) {
@@ -524,24 +511,25 @@ pub(crate) fn decode(prog: &Program, facts: &Facts, maps: &MapRegistry) -> Optio
         }
     }
     out.steps = steps.into();
-    Some(out)
+    Ok(out)
 }
 
-/// The cell a store or atomic through a `kind` base writes.
+/// The cell a store or atomic at `pc` through a `kind` base writes.
 fn place(
+    pc: usize,
     kind: Kind,
     size: MemSize,
     base: Reg,
     off: i16,
-    bind: impl FnOnce(MapId) -> Option<u16>,
-) -> Option<Place> {
+    bind: impl FnOnce(MapId) -> Result<u16, VerifierError>,
+) -> Result<Place, VerifierError> {
     let to = match kind {
         Kind::Stack => Mem::Stack,
         Kind::Packet => Mem::Packet,
         Kind::MapValue(map) => Mem::MapValue(bind(map)?),
-        _ => return None,
+        _ => return Err(VerifierError::MixedPointer { pc, reg: base }),
     };
-    Some(Place {
+    Ok(Place {
         to,
         size,
         base: base.index() as u8,
@@ -556,7 +544,7 @@ mod tests {
     use crate::maps::MapDef;
     use crate::verifier::verify;
 
-    fn decoded(prog: &Program, maps: &MapRegistry) -> Option<DecodedProg> {
+    fn decoded(prog: &Program, maps: &MapRegistry) -> Result<DecodedProg, VerifierError> {
         let info = verify(prog, maps).expect("verifies");
         decode(prog, &info.facts, maps)
     }
@@ -629,49 +617,11 @@ mod tests {
         assert_eq!(got, [want[0], (want[1].0, want[1].1, helper), want[2]]);
     }
 
+    /// `Op::Call`'s site is a `u32` and a step still 16 bytes; a `u32`
+    /// map index would make `Op::StImm` 24.
     #[test]
-    fn one_step_seeing_two_regions_is_left_to_the_interpreter() {
-        // r2 is the packet on one path and the stack on the other; the
-        // load through it is checked on both, so the program verifies.
-        let maps = MapRegistry::new();
-        let prog = Asm::new()
-            .ldx_dw(Reg::R7, Reg::R1, 8)
-            .ldx_dw(Reg::R2, Reg::R1, 0)
-            .mov64_reg(Reg::R3, Reg::R2)
-            .add64_imm(Reg::R3, 8)
-            .jgt_reg(Reg::R3, Reg::R7, "out")
-            .st_dw(Reg::R10, -8, 5)
-            .ldx_dw(Reg::R4, Reg::R1, 16)
-            .jeq_imm(Reg::R4, 0, "load")
-            .mov64_reg(Reg::R2, Reg::R10)
-            .add64_imm(Reg::R2, -8)
-            .label("load")
-            .ldx_dw(Reg::R0, Reg::R2, 0)
-            .exit()
-            .label("out")
-            .mov64_imm(Reg::R0, 0)
-            .exit()
-            .build("two")
-            .unwrap();
-        let info = verify(&prog, &maps).expect("verifies");
-        assert_eq!(info.facts.kind(10, Reg::R2), Kind::Mixed);
-        assert!(decode(&prog, &info.facts, &maps).is_none());
-    }
-
-    #[test]
-    fn a_pointer_beyond_the_packing_bound_is_left_to_the_interpreter() {
-        let maps = MapRegistry::new();
-        let far = crate::verifier::MAX_PTR_OFF as i32 + 1;
-        let prog = Asm::new()
-            .mov64_reg(Reg::R2, Reg::R10)
-            .add64_imm(Reg::R2, far)
-            .mov64_imm(Reg::R0, 0)
-            .exit()
-            .build("far")
-            .unwrap();
-        let info = verify(&prog, &maps).expect("verifies");
-        assert!(!info.facts.offsets_in_range());
-        assert!(decode(&prog, &info.facts, &maps).is_none());
+    fn a_step_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 16);
     }
 
     #[test]

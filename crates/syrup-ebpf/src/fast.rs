@@ -22,9 +22,12 @@
 //! Every access still goes through a checked index that returns the
 //! interpreter's error for it: a hole in the verifier becomes a trap here,
 //! never a panic or undefined behaviour. Rare helpers rebuild the tagged
-//! values `mem.rs` takes from the kinds at their call site, and a tail
-//! call into a program with no specialised form hands the run to the
-//! interpreter the same way.
+//! values `mem.rs` takes from the kinds at their call site.
+//!
+//! A run stays on this engine from entry to exit: a tail call lands in
+//! its target's specialised form, and a prog-array entry holding a
+//! program with none (only `Vm::load_unverified` loads one) traps the
+//! call with [`VmError::NoSuchProgram`], as an empty slot does.
 //!
 //! The loop is monomorphised three ways. Unprofiled, it charges blocks
 //! and has no instrumentation branch at all (the ≤5ns disabled-cost
@@ -40,31 +43,12 @@ use crate::insn::{MemSize, Reg, Width};
 use crate::mem::{call_helper, map_value_off, read_le, span, Frame, HelperOutcome};
 use crate::verifier::Kind;
 use crate::vm::{
-    alu32, alu64, cmp_u64, Backend, Entry, Landed, PacketCtx, Region, RunEnv, Tally, Traced, Val,
-    Vm, VmError, VmOutcome, CTX, ENTRY, FRAME, MAX_TAIL_CALLS, RUNTIME_INSN_LIMIT, STACK_SIZE,
+    alu32, alu64, cmp_u64, PacketCtx, Region, RunEnv, Tally, Val, Vm, VmError, VmOutcome, CTX,
+    MAX_TAIL_CALLS, RUNTIME_INSN_LIMIT, STACK_SIZE,
 };
-use crate::Program;
+use syrup_observe::profile::VmSpan;
 
-/// Which engine holds the run next.
-#[allow(clippy::large_enum_variant)] // Short-lived; boxing would allocate per hand-over.
-enum Leg<'v> {
-    Fast(&'v DecodedProg),
-    /// The interpreter, from the first instruction with these registers.
-    Interp(&'v Program, [Val; 11]),
-}
-
-/// How the loop hands the run on when it leaves without exiting.
-#[allow(clippy::large_enum_variant)] // Short-lived; boxing would allocate per hand-over.
-enum Flow<'v> {
-    /// `exit`, with r0.
-    Exit(u64),
-    /// The next block would cross the budget: go on per step.
-    Careful,
-    /// A tail call landed in a program with no specialised form.
-    Interp(&'v Program, [Val; 11]),
-}
-
-/// The state a run carries between blocks and between engines.
+/// The state a run carries from one accounting mode to the next.
 struct Machine {
     /// The next step.
     at: usize,
@@ -73,93 +57,31 @@ struct Machine {
     tally: Tally,
 }
 
-impl Machine {
-    /// Arrival at a specialised program's first step: the context in r1,
-    /// the frame pointer in r10, and nothing the verifier lets it read
-    /// before writing.
-    fn arrive(&mut self) {
-        self.at = 0;
-        self.regs = [0; 11];
-        self.regs[Reg::R10.index()] = STACK_SIZE as u64;
-    }
-}
-
-/// Runs `entry` on `vm`'s backend: under [`Backend::Fast`] every program
-/// with a specialised form runs on this engine and the rest on the
-/// interpreter, the run changing hands at tail calls; under
-/// [`Backend::Interp`] the interpreter runs it all.
+/// Runs `prog`, and every program it tail-calls, from its first step with
+/// `tally` already on the account and `prof` attributing.
 pub(crate) fn run(
     vm: &Vm,
-    entry: Entry<'_>,
+    prog: &DecodedProg,
+    tally: Tally,
+    prof: &mut VmSpan,
     ctx: &mut PacketCtx<'_>,
     env: &mut RunEnv,
 ) -> Result<VmOutcome, VmError> {
-    let first = vm.store.get(entry.slot().0).ok_or(VmError::NoSuchProgram)?;
-    // A tail call into an empty program falls off its end instead.
-    if first.prog.is_empty() && matches!(entry, Entry::Prog(_)) {
-        return Err(VmError::NoSuchProgram);
-    }
-    let fast = match (vm.backend(), &first.decoded) {
-        (Backend::Fast, Some(prog)) => Some(prog),
-        _ => None,
-    };
-    // Attribution scope: the fixed invoke cost lands on the entry (prog,
-    // pc 0) bucket, so the attributed sum equals `cycles` at every point
-    // of the run. Flushes on drop (any exit path).
-    let mut prof = entry.scope(&vm.profiler, &first.prog.name, fast.map(|p| &p.steps));
     let mut m = Machine {
         at: 0,
         regs: [0; 11],
         frame: Frame::new(),
-        tally: Tally::at(entry),
+        tally,
     };
-    let mut leg = match fast {
-        Some(prog) => {
-            m.arrive();
-            Leg::Fast(prog)
-        }
-        None => Leg::Interp(&first.prog, ENTRY),
-    };
-    let mut mode = if vm.profiler.is_enabled() {
-        PROFILED
+    // The context (0) in r1, the frame pointer in r10, and nothing the
+    // verifier lets the program read before writing.
+    m.regs[Reg::R10.index()] = STACK_SIZE as u64;
+    let ret = if vm.profiler.is_enabled() {
+        exec::<PROFILED>(vm, prog, &mut m, prof, ctx, env)?
     } else {
-        BLOCKS
+        exec::<BLOCKS>(vm, prog, &mut m, prof, ctx, env)?
     };
-    loop {
-        leg = match leg {
-            Leg::Fast(mut prog) => {
-                let flow = match mode {
-                    BLOCKS => exec::<BLOCKS>(vm, &mut prog, &mut m, &mut prof, ctx, env)?,
-                    PROFILED => exec::<PROFILED>(vm, &mut prog, &mut m, &mut prof, ctx, env)?,
-                    _ => exec::<STEPS>(vm, &mut prog, &mut m, &mut prof, ctx, env)?,
-                };
-                match flow {
-                    Flow::Exit(ret) => return Ok(m.tally.outcome(ret)),
-                    Flow::Careful => {
-                        mode = STEPS;
-                        Leg::Fast(prog)
-                    }
-                    Flow::Interp(prog, regs) => Leg::Interp(prog, regs),
-                }
-            }
-            Leg::Interp(prog, regs) => match vm.interpret::<false>(
-                prog,
-                regs,
-                &mut m.frame,
-                &mut m.tally,
-                &mut prof,
-                ctx,
-                env,
-                &mut Traced::default(),
-            )? {
-                Landed::Exit(out) => return Ok(out),
-                Landed::Specialised(prog) => {
-                    m.arrive();
-                    Leg::Fast(prog)
-                }
-            },
-        };
-    }
+    Ok(m.tally.outcome(ret))
 }
 
 /// The tagged value a `kind` word stands for.
@@ -288,18 +210,17 @@ const PROFILED: u8 = 1;
 /// Every step charged and reported to the profiler on its own.
 const STEPS: u8 = 2;
 
-/// The loop, over `prog` and the programs it tail-calls, accounting as
-/// `MODE` says. The position and registers live in locals while it runs
-/// and go back to `m` only when the run goes on elsewhere.
+/// The loop, over `p` and the programs it tail-calls, to the exit's r0,
+/// accounting as `MODE` says. The position and registers live in locals
+/// while it runs and go to `m` only when the run goes on per step.
 fn exec<'v, const MODE: u8>(
     vm: &'v Vm,
-    prog: &mut &'v DecodedProg,
+    mut p: &'v DecodedProg,
     m: &mut Machine,
-    prof: &mut syrup_observe::profile::VmSpan,
+    prof: &mut VmSpan,
     ctx: &mut PacketCtx<'_>,
     env: &mut RunEnv,
-) -> Result<Flow<'v>, VmError> {
-    let mut p: &'v DecodedProg = prog;
+) -> Result<u64, VmError> {
     let mut at = m.at;
     let mut regs = m.regs;
     // `PROFILED`: the first step of the block in hand.
@@ -340,10 +261,10 @@ fn exec<'v, const MODE: u8>(
                     if MODE != STEPS {
                         let total = m.tally.insns + u64::from(insns);
                         if total > RUNTIME_INSN_LIMIT {
-                            *prog = p;
+                            // Finish per step, from this block's start.
                             m.at = at - 1;
                             m.regs = regs;
-                            return Ok(Flow::Careful);
+                            return exec::<STEPS>(vm, p, m, prof, ctx, env);
                         }
                         m.tally.insns = total;
                         m.tally.cycles += u64::from(cycles);
@@ -469,7 +390,7 @@ fn exec<'v, const MODE: u8>(
                     };
                 }
                 Op::Call { helper, site } => {
-                    let kinds = &p.sites[usize::from(site)];
+                    let kinds = &p.sites[site as usize];
                     let arg = |r: Reg| match val(kinds[r.index()], regs[r.index()]) {
                         Val::Uninit => Err(VmError::UninitRegister(r)),
                         v => Ok(v),
@@ -488,29 +409,16 @@ fn exec<'v, const MODE: u8>(
                                 m.tally.tail_calls -= 1;
                                 continue;
                             }
-                            let next = t!(vm.store.get(next.0).ok_or(VmError::NoSuchProgram));
-                            prof.tail_call(
-                                &next.prog.name,
-                                next.decoded.as_ref().map(|d| &d.steps),
-                            );
-                            let Some(decoded) = &next.decoded else {
-                                // What the interpreter would hold: r0 and r6–r9
-                                // as they are, the fresh context, nothing else.
-                                let mut vals = [Val::Uninit; 11];
-                                for r in [0, 6, 7, 8, 9] {
-                                    vals[r] = val(kinds[r], regs[r]);
-                                }
-                                vals[Reg::R1.index()] = CTX;
-                                vals[Reg::R10.index()] = FRAME;
-                                return Ok(Flow::Interp(&next.prog, vals));
-                            };
-                            p = decoded;
+                            let next = vm.store.get(next.0).and_then(|l| l.decoded.as_ref());
+                            let next = t!(next.ok_or(VmError::NoSuchProgram));
+                            prof.tail_call(&next.name, Some(&next.steps));
+                            p = next;
                             at = 0;
                             r!(1u8) = 0;
                         }
                     }
                 }
-                Op::Exit => return Ok(Flow::Exit(r!(0u8))),
+                Op::Exit => return Ok(r!(0u8)),
                 Op::Unreached => break 'trap VmError::PcOutOfRange,
             }
         }
@@ -699,9 +607,23 @@ mod tests {
             let mut ctx = PacketCtx::new(&mut data);
             vm.run(slot, &mut ctx, &mut RunEnv::default()).unwrap();
         }
+        // A packet read with no bounds check: the verifier refuses it, so
+        // on the fast VM it is the interpreter that runs it, and counts.
+        let unchecked = Asm::new()
+            .ldx_dw(Reg::R2, Reg::R1, 0)
+            .ldx_b(Reg::R0, Reg::R2, 0)
+            .exit()
+            .build("unchecked")
+            .unwrap();
+        let unchecked = vm.load_unverified(unchecked);
+        assert!(vm.decoded(unchecked).is_none());
+        for _ in 0..4 {
+            let mut ctx = PacketCtx::new(&mut data);
+            vm.run(unchecked, &mut ctx, &mut RunEnv::default()).unwrap();
+        }
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("vm/runs"), 5);
-        assert_eq!(snap.counter("vm/runs_interp"), 3);
+        assert_eq!(snap.counter("vm/runs"), 9);
+        assert_eq!(snap.counter("vm/runs_interp"), 7);
         assert_eq!(snap.counter("vm/runs_fast"), 2);
         // Modelled cycle totals agree per backend: the split counters sum
         // to the histogram total.
@@ -710,6 +632,88 @@ mod tests {
             snap.counter("vm/cycles_interp") + snap.counter("vm/cycles_fast"),
             total
         );
+    }
+
+    /// The budget running out inside a block: at its first instruction,
+    /// in its middle and at its last. Both engines start the program with
+    /// the same account already charged, unprofiled and profiled; each
+    /// store of the block leaves a mark in the packet, so the engines
+    /// agree only if they trap at the same instruction.
+    #[test]
+    fn a_budget_running_out_inside_a_block_traps_where_the_interpreter_does() {
+        use crate::vm::{Entry, Tally, Traced, RUNTIME_INSN_LIMIT};
+        use syrup_observe::profile::Profiler;
+        const K: i32 = 100;
+        let looping = Asm::new()
+            .ldx_dw(Reg::R8, Reg::R1, 0)
+            .ldx_dw(Reg::R9, Reg::R1, 8)
+            .mov64_reg(Reg::R2, Reg::R8)
+            .add64_imm(Reg::R2, 16)
+            .jgt_reg(Reg::R2, Reg::R9, "out")
+            .mov64_imm(Reg::R6, 0)
+            .label("loop")
+            .add64_imm(Reg::R6, 1)
+            .stx_w(Reg::R8, 0, Reg::R6)
+            .stx_w(Reg::R8, 4, Reg::R6)
+            .stx_w(Reg::R8, 8, Reg::R6)
+            .stx_w(Reg::R8, 12, Reg::R6)
+            .jlt_imm(Reg::R6, K, "loop")
+            .mov64_reg(Reg::R0, Reg::R6)
+            .exit()
+            .label("out")
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build("looping")
+            .unwrap();
+        // One run of `looping` from an account `spent` instructions in, on
+        // the fast engine or the interpreter: outcome, packet and profile.
+        let run = |spent: u64, fast: bool, profiler: Profiler| {
+            let mut vm = Vm::new(MapRegistry::new());
+            vm.attach_profiler(&profiler);
+            let slot = vm.load(looping.clone()).unwrap();
+            let loaded = vm.store.get(slot.0).unwrap();
+            let decoded = loaded.decoded.as_ref().unwrap();
+            let mut pkt = [0xA5u8; 16];
+            let mut ctx = PacketCtx::new(&mut pkt);
+            let env = &mut RunEnv::default();
+            let steps = fast.then_some(&decoded.steps);
+            let mut prof = Entry::Prog(slot).scope(&profiler, "looping", steps);
+            let mut tally = Tally::at(Entry::Prog(slot));
+            tally.insns = spent;
+            let out = if fast {
+                super::run(&vm, decoded, tally, &mut prof, &mut ctx, env)
+            } else {
+                let traced = &mut Traced::default();
+                vm.interpret::<false>(&loaded.prog, tally, &mut prof, &mut ctx, env, traced)
+            };
+            drop(prof);
+            (
+                out,
+                pkt,
+                profiler.report(None, usize::MAX),
+                profiler.flame(),
+            )
+        };
+        for p in [0, 3, 5] {
+            // 6 instructions to the loop, 6 per iteration: trap as the
+            // (p+1)-th instruction of the 51st loop block.
+            let spent = RUNTIME_INSN_LIMIT - 6 - 6 * 50 - p;
+            for profiler in [Profiler::disabled, Profiler::new] {
+                let interp = run(spent, false, profiler());
+                let fast = run(spent, true, profiler());
+                assert_eq!(interp.0, Err(VmError::Runaway), "block position {p}");
+                assert_eq!(interp, fast, "block position {p}");
+            }
+            assert_eq!(run(spent, true, Profiler::new()).2.runs, 1);
+            // Iteration 51 had stored its counter into the first p - 1 words.
+            let words: Vec<u32> = (0..4u64).map(|j| if j + 1 < p { 51 } else { 50 }).collect();
+            let got: Vec<u32> = run(spent, true, Profiler::disabled())
+                .1
+                .chunks(4)
+                .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+                .collect();
+            assert_eq!(got, words, "block position {p}");
+        }
     }
 
     #[test]

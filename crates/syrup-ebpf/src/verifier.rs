@@ -20,7 +20,11 @@
 //! * all branch targets must stay inside the program, every path must end
 //!   in `exit` with `r0` initialized, and analysis is capped at
 //!   [`ANALYSIS_LIMIT`] simulated instructions, so unbounded loops are
-//!   rejected to guarantee liveness.
+//!   rejected to guarantee liveness;
+//! * one step sees one kind, as in the kernel ("same insn cannot be used
+//!   with different pointers"): a memory base or checked helper argument
+//!   whose kind differs across paths is rejected, and so is a pointer
+//!   moved beyond [`MAX_PTR_OFF`].
 //!
 //! Known scalar constants are propagated and branches on them are folded,
 //! which is what lets bounded `for` loops (SCAN-Avoid's socket probing)
@@ -29,7 +33,8 @@
 //! An accepted program comes back with [`Facts`], the kernel's
 //! `insn_aux_data`: what each register holds at each pc on every explored
 //! path, and where basic blocks start. The loader specialises the program
-//! from them (`decode.rs`), so the engine that runs it carries no tags.
+//! from them (`decode.rs`), so the engine that runs it carries no tags;
+//! the last rule is what makes every accepted program specialise.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -142,7 +147,8 @@ pub enum VerifierError {
         /// Instruction index.
         pc: usize,
     },
-    /// The analysis budget was exhausted (unbounded loop or path blowup).
+    /// The analysis budget was exhausted (unbounded loop or path blowup),
+    /// or the program outgrows the specialised form's indices.
     TooComplex,
     /// Comparison between incompatible abstract values.
     BadComparison {
@@ -158,6 +164,32 @@ pub enum VerifierError {
     BadEndianWidth {
         /// Instruction index.
         pc: usize,
+    },
+    /// A load, store or atomic whose base register points into different
+    /// regions on different paths (the kernel's "same insn cannot be used
+    /// with different pointers").
+    MixedPointer {
+        /// Instruction index.
+        pc: usize,
+        /// The base register.
+        reg: Reg,
+    },
+    /// A helper argument the helper's check reads holds different kinds
+    /// of value on different paths.
+    MixedHelperArg {
+        /// Instruction index.
+        pc: usize,
+        /// The helper.
+        helper: HelperId,
+        /// Argument position (1-based).
+        arg: u8,
+    },
+    /// A pointer moved beyond [`MAX_PTR_OFF`] of its region's base.
+    PointerOutOfRange {
+        /// Instruction index.
+        pc: usize,
+        /// The offset the pointer would hold.
+        off: i64,
     },
 }
 
@@ -220,6 +252,19 @@ impl fmt::Display for VerifierError {
             }
             VerifierError::BadEndianWidth { pc } => {
                 write!(f, "insn {pc}: endian width must be 16, 32, or 64")
+            }
+            VerifierError::MixedPointer { pc, reg } => {
+                write!(
+                    f,
+                    "insn {pc}: {reg} points into different regions on different paths"
+                )
+            }
+            VerifierError::MixedHelperArg { pc, helper, arg } => write!(
+                f,
+                "insn {pc}: argument r{arg} to helper {helper} differs in kind across paths"
+            ),
+            VerifierError::PointerOutOfRange { pc, off } => {
+                write!(f, "insn {pc}: pointer offset {off} beyond ±{MAX_PTR_OFF}")
             }
         }
     }
@@ -291,8 +336,8 @@ impl State {
 }
 
 /// Largest pointer offset, either sign, the specialised engine packs into
-/// a register word (the kernel's `BPF_MAX_VAR_OFF`). A program that forms
-/// a pointer beyond it still verifies; it runs on the interpreter.
+/// a register word (the kernel's `BPF_MAX_VAR_OFF`). The instruction that
+/// would move a pointer beyond it is rejected.
 pub const MAX_PTR_OFF: i64 = 1 << 29;
 
 /// What a register holds at one pc, joined over every explored path that
@@ -353,8 +398,6 @@ pub struct Facts {
     /// Per pc, whether a basic block starts there: the entry, every branch
     /// or jump target, and the instruction after a branch or a tail call.
     leaders: Vec<bool>,
-    /// Whether every pointer offset stayed within [`MAX_PTR_OFF`].
-    offsets_in_range: bool,
 }
 
 impl Facts {
@@ -364,16 +407,12 @@ impl Facts {
         Facts {
             regs: vec![[Kind::Unseen; 11]; len],
             leaders,
-            offsets_in_range: true,
         }
     }
 
     fn observe(&mut self, pc: usize, st: &State) {
         for (fact, &abs) in self.regs[pc].iter_mut().zip(&st.regs) {
             *fact = fact.join(Kind::of(abs));
-            if let Abs::PacketPtr(off) | Abs::StackPtr(off) | Abs::MapValue { off, .. } = abs {
-                self.offsets_in_range &= off.unsigned_abs() <= MAX_PTR_OFF as u64;
-            }
         }
     }
 
@@ -394,12 +433,6 @@ impl Facts {
     /// Whether a basic block starts at `pc`.
     pub fn starts_block(&self, pc: usize) -> bool {
         self.leaders.get(pc).copied().unwrap_or(false)
-    }
-
-    /// Whether every pointer the program forms stays within
-    /// [`MAX_PTR_OFF`] of its region's base.
-    pub fn offsets_in_range(&self) -> bool {
-        self.offsets_in_range
     }
 }
 
@@ -491,7 +524,7 @@ pub fn verify_with_config(
                         mov_abs(pc, w, rhs)?
                     } else {
                         let lhs = st.read(pc, dst)?;
-                        alu_abs(pc, w, op, lhs, rhs)?
+                        in_range(pc, alu_abs(pc, w, op, lhs, rhs)?)?
                     };
                     st.write(pc, dst, out)?;
                     pc = next;
@@ -669,7 +702,57 @@ pub fn verify_with_config(
             }
         }
     }
+    one_kind_per_operand(prog, &facts)?;
     Ok(VerifyInfo { analyzed, facts })
+}
+
+/// Rejects a step whose memory base, or a helper argument the helper's
+/// check reads, holds different kinds on different paths: the
+/// specialised engine reads those registers as untagged words, so one
+/// step must see one kind.
+fn one_kind_per_operand(prog: &Program, facts: &Facts) -> Result<(), VerifierError> {
+    for (pc, insn) in prog.insns.iter().enumerate() {
+        let mixed = |r: Reg| facts.kind(pc, r) == Kind::Mixed;
+        match *insn {
+            Insn::LoadMem { base, .. }
+            | Insn::StoreMem { base, .. }
+            | Insn::StoreImm { base, .. }
+            | Insn::AtomicAdd { base, .. }
+                if mixed(base) =>
+            {
+                return Err(VerifierError::MixedPointer { pc, reg: base });
+            }
+            Insn::Call { helper } => {
+                if let Some(&arg) = checked_args(helper).iter().find(|&&i| mixed(Reg::new(i))) {
+                    return Err(VerifierError::MixedHelperArg { pc, helper, arg });
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// The argument registers [`check_helper`] reads for `helper`.
+fn checked_args(helper: HelperId) -> &'static [u8] {
+    match helper {
+        HelperId::MapLookupElem | HelperId::MapDeleteElem => &[1, 2],
+        HelperId::MapUpdateElem => &[1, 2, 3, 4],
+        HelperId::RedirectMap | HelperId::TailCall => &[1, 2, 3],
+        HelperId::GetPrandomU32 | HelperId::KtimeGetNs | HelperId::GetSmpProcessorId => &[],
+    }
+}
+
+/// `abs`, unless it is a pointer moved beyond [`MAX_PTR_OFF`].
+fn in_range(pc: usize, abs: Abs) -> Result<Abs, VerifierError> {
+    match abs {
+        Abs::PacketPtr(off) | Abs::StackPtr(off) | Abs::MapValue { off, .. }
+            if off.unsigned_abs() > MAX_PTR_OFF as u64 =>
+        {
+            Err(VerifierError::PointerOutOfRange { pc, off })
+        }
+        _ => Ok(abs),
+    }
 }
 
 fn operand_abs(st: &State, pc: usize, op: Operand) -> Result<Abs, VerifierError> {
@@ -1223,6 +1306,133 @@ mod tests {
         assert!(took.as_secs() < 10, "took {took:?}");
     }
 
+    /// r2 is the packet on one path and the stack on the other; the load
+    /// through it is in bounds on both, but one step sees two regions.
+    #[test]
+    fn a_memory_step_seeing_two_regions_is_rejected() {
+        let prog = Asm::new()
+            .ldx_dw(Reg::R7, Reg::R1, 8)
+            .ldx_dw(Reg::R2, Reg::R1, 0)
+            .mov64_reg(Reg::R3, Reg::R2)
+            .add64_imm(Reg::R3, 8)
+            .jgt_reg(Reg::R3, Reg::R7, "out")
+            .st_dw(Reg::R10, -8, 5)
+            .ldx_dw(Reg::R4, Reg::R1, 16)
+            .jeq_imm(Reg::R4, 0, "load")
+            .mov64_reg(Reg::R2, Reg::R10)
+            .add64_imm(Reg::R2, -8)
+            .label("load")
+            .ldx_dw(Reg::R0, Reg::R2, 0)
+            .exit()
+            .label("out")
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build("two")
+            .unwrap();
+        assert_eq!(
+            verify(&prog, &maps()),
+            Err(VerifierError::MixedPointer {
+                pc: 10,
+                reg: Reg::R2
+            })
+        );
+    }
+
+    /// The key of a lookup is on the stack on one path and in a map value
+    /// on the other.
+    #[test]
+    fn a_helper_argument_seeing_two_kinds_is_rejected() {
+        let reg = maps();
+        let m = reg.create(MapDef::u64_array(2));
+        let prog = Asm::new()
+            .st_w(Reg::R10, -4, 0)
+            .load_map_fd(Reg::R1, m)
+            .mov64_reg(Reg::R2, Reg::R10)
+            .add64_imm(Reg::R2, -4)
+            .call(HelperId::MapLookupElem)
+            .jeq_imm(Reg::R0, 0, "out")
+            .mov64_reg(Reg::R6, Reg::R0)
+            .call(HelperId::KtimeGetNs)
+            .mov64_reg(Reg::R2, Reg::R10)
+            .add64_imm(Reg::R2, -4)
+            .jeq_imm(Reg::R0, 0, "lookup")
+            .mov64_reg(Reg::R2, Reg::R6)
+            .label("lookup")
+            .load_map_fd(Reg::R1, m)
+            .call(HelperId::MapLookupElem)
+            .label("out")
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build("key")
+            .unwrap();
+        assert_eq!(
+            verify(&prog, &reg),
+            Err(VerifierError::MixedHelperArg {
+                pc: 13,
+                helper: HelperId::MapLookupElem,
+                arg: 2
+            })
+        );
+    }
+
+    /// r6–r9 and r0 may differ in kind at a tail call: the target never
+    /// reads them before writing, so the program verifies and specialises.
+    #[test]
+    fn a_tail_call_checks_only_its_arguments_kinds() {
+        let reg = maps();
+        let progs = reg.create(MapDef::prog_array(1));
+        let prog = Asm::new()
+            .mov64_reg(Reg::R6, Reg::R10)
+            .ldx_dw(Reg::R0, Reg::R1, 16)
+            .jeq_imm(Reg::R0, 0, "call")
+            .ldx_dw(Reg::R6, Reg::R1, 0)
+            .mov64_reg(Reg::R0, Reg::R6)
+            .label("call")
+            .load_map_fd(Reg::R2, progs)
+            .mov64_imm(Reg::R3, 0)
+            .call(HelperId::TailCall)
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build("tail")
+            .unwrap();
+        let info = ok(prog.clone(), &reg);
+        assert_eq!(info.facts.kind(7, Reg::R6), Kind::Mixed);
+        assert_eq!(info.facts.kind(7, Reg::R0), Kind::Mixed);
+        assert!(crate::decode::decode(&prog, &info.facts, &reg).is_ok());
+    }
+
+    #[test]
+    fn a_pointer_beyond_the_packing_bound_is_rejected_where_it_is_formed() {
+        for (base, delta) in [
+            (Reg::R10, MAX_PTR_OFF - STACK_SIZE + 1),
+            (Reg::R10, -MAX_PTR_OFF - STACK_SIZE - 1),
+        ] {
+            let prog = Asm::new()
+                .mov64_reg(Reg::R2, base)
+                .add64_imm(Reg::R2, delta as i32)
+                .mov64_imm(Reg::R0, 0)
+                .exit()
+                .build("far")
+                .unwrap();
+            assert_eq!(
+                verify(&prog, &maps()),
+                Err(VerifierError::PointerOutOfRange {
+                    pc: 1,
+                    off: STACK_SIZE + delta
+                })
+            );
+        }
+        // At the bound itself the pointer is formed, never used.
+        let prog = Asm::new()
+            .mov64_reg(Reg::R2, Reg::R10)
+            .add64_imm(Reg::R2, (MAX_PTR_OFF - STACK_SIZE) as i32)
+            .mov64_imm(Reg::R0, 0)
+            .exit()
+            .build("edge")
+            .unwrap();
+        ok(prog, &maps());
+    }
+
     #[test]
     fn rejects_empty_program() {
         let prog = Program::new("e", vec![]);
@@ -1433,15 +1643,14 @@ mod tests {
                     .exit()
                     .build("edge")
                     .unwrap();
-                let verdict = verify(&prog, &reg);
-                assert!(
-                    matches!(
-                        verdict,
-                        Err(VerifierError::StackOutOfBounds { .. }
-                            | VerifierError::PacketBoundsNotProven { .. }
-                            | VerifierError::MapValueOutOfBounds { .. })
-                    ),
-                    "{verdict:?}\n{}",
+                // Refused where the pointer moves, before any access.
+                assert_eq!(
+                    verify(&prog, &reg),
+                    Err(VerifierError::PointerOutOfRange {
+                        pc: 10,
+                        off: i64::MAX - 4
+                    }),
+                    "{}",
                     prog.disasm()
                 );
             }

@@ -3,17 +3,19 @@
 //!
 //! [`Vm`] holds loaded programs and the map registry and executes one
 //! program per input event, exactly like an attached kernel program. A
-//! program is verified once, at load; one that passes is also lowered
-//! into the specialised form the default engine runs (`decode.rs`,
-//! `fast.rs`). The interpreter here is the reference: it mirrors kernel
-//! semantics (wrapping arithmetic, 32-bit zero-extension,
+//! program is verified once, at load, and lowered into the specialised
+//! form the default engine runs (`decode.rs`, `fast.rs`): everything
+//! `verify()` accepts has one. The interpreter here is the reference: it
+//! mirrors kernel semantics (wrapping arithmetic, 32-bit zero-extension,
 //! division-by-zero-yields-zero, tail-call limits) and keeps
 //! defense-in-depth runtime checks — out-of-bounds or wild accesses trap
-//! instead of corrupting simulation state. It runs everything under
-//! [`Backend::Interp`], and under [`Backend::Fast`] every program that has
-//! no specialised form: `load_unverified` admits programs the verifier
-//! rejects so tests can exercise the runtime checks directly. The checks
-//! on guest memory and helper arguments live in `mem.rs`.
+//! instead of corrupting simulation state. A run stays on the engine it
+//! starts on: the interpreter takes whole runs under [`Backend::Interp`],
+//! and under [`Backend::Fast`] those entering a program with no
+//! specialised form, which only `load_unverified` loads: it admits
+//! programs the verifier rejects so tests can exercise the runtime checks
+//! directly. The checks on guest memory and helper arguments live in
+//! `mem.rs`.
 //!
 //! The interpreter represents values with explicit pointer provenance (a
 //! tagged scalar/pointer enum) rather than raw host addresses: this is the
@@ -30,7 +32,7 @@ use crate::insn::{AluOp, CmpOp, Insn, MemSize, Operand, Reg, Width};
 use crate::maps::{MapError, MapId, MapRef, MapRegistry, ProgSlot};
 use crate::mem::{call_helper, fetch_add, map_fd_token, mem_load, mem_store, Frame, HelperOutcome};
 use crate::store::{Loaded, ProgStore};
-use crate::verifier::{verify, Facts, VerifierError};
+use crate::verifier::{verify, VerifierError};
 use crate::Program;
 use syrup_observe::telemetry::{Block, BlockHandle, Field, HistogramSnapshot, Registry};
 
@@ -212,8 +214,9 @@ pub(crate) const ENTRY: [Val; 11] = {
 pub enum Backend {
     /// The defensive interpreter over the original instruction stream.
     Interp,
-    /// Verified programs on untagged registers, everything else on the
-    /// interpreter.
+    /// Programs with a specialised form (all that [`Vm::load`] accepts)
+    /// on untagged registers; a run that enters any other program is
+    /// interpreted whole.
     #[default]
     Fast,
 }
@@ -359,15 +362,6 @@ impl Tally {
             tail_calls: self.tail_calls,
         }
     }
-}
-
-/// Where an interpreter run ended.
-pub(crate) enum Landed<'v> {
-    /// At `exit`, or a traced run at its tail call.
-    Exit(VmOutcome),
-    /// At a tail call into a program with a specialised form, which the
-    /// fast engine takes over.
-    Specialised(&'v DecodedProg),
 }
 
 /// What a traced interpreter run hands back besides its outcome.
@@ -584,10 +578,8 @@ impl Vm {
     }
 
     /// Streams VM traps and tail-call-cap hits into the flight recorder.
-    /// Covers both engines — [`Vm::run`] records after dispatching to
-    /// whichever backend executed, so interpreter and fast-engine events
-    /// are indistinguishable except for the backend id they carry
-    /// (0 interp, 1 fast).
+    /// Covers both engines: [`Vm::run`] records after the run, and each
+    /// event carries the id of the engine that ran it (0 interp, 1 fast).
     pub fn attach_blackbox(&mut self, recorder: &syrup_observe::blackbox::Recorder) {
         self.recorder = recorder.clone();
     }
@@ -606,21 +598,26 @@ impl Vm {
     /// Verifies and loads a program, returning its slot. The verifier's
     /// facts specialise it for the fast engine.
     pub fn load(&mut self, prog: Program) -> Result<ProgSlot, VerifierError> {
-        let info = verify(&prog, &self.maps)?;
-        Ok(self.push(prog, Some(&info.facts)))
+        let decoded = self.specialise(&prog)?;
+        Ok(self.push(prog, Some(decoded)))
     }
 
     /// Loads a program whether or not it verifies: one that does is
-    /// specialised as [`Vm::load`] would, one that does not runs on the
-    /// interpreter under either backend. For tests exercising the
-    /// defense-in-depth checks and harnesses that verified the program
-    /// themselves; `syrupd` never does this.
+    /// specialised as [`Vm::load`] would; a run entering one that does not
+    /// is interpreted, and a specialised run tail-calling it traps. For
+    /// tests exercising the defense-in-depth checks and harnesses that
+    /// verified the program themselves; `syrupd` never does this.
     pub fn load_unverified(&mut self, prog: Program) -> ProgSlot {
-        let facts = verify(&prog, &self.maps).ok().map(|info| info.facts);
-        self.push(prog, facts.as_ref())
+        let decoded = self.specialise(&prog).ok();
+        self.push(prog, decoded)
     }
 
-    fn push(&mut self, prog: Program, facts: Option<&Facts>) -> ProgSlot {
+    fn specialise(&self, prog: &Program) -> Result<DecodedProg, VerifierError> {
+        let info = verify(prog, &self.maps)?;
+        crate::decode::decode(prog, &info.facts, &self.maps)
+    }
+
+    fn push(&mut self, prog: Program, decoded: Option<DecodedProg>) -> ProgSlot {
         if self.profiler.is_enabled() {
             self.profiler
                 .register_program(&prog.name, rendered_insns(&prog));
@@ -628,13 +625,12 @@ impl Vm {
         if self.map_cache.len() != self.maps.len() {
             self.map_cache = self.maps.handles();
         }
-        let decoded = facts.and_then(|facts| crate::decode::decode(&prog, facts, &self.maps));
         ProgSlot(self.store.push(Loaded { prog, decoded }))
     }
 
-    /// Returns the specialised form of the program in `slot`, if it has
-    /// one: it verified, and no step sees two regions (see
-    /// [`mod@crate::decode`]).
+    /// Returns the specialised form of the program in `slot`: every
+    /// program [`Vm::load`] accepted has one, and so does each
+    /// [`Vm::load_unverified`] program that verifies.
     pub fn decoded(&self, slot: ProgSlot) -> Option<&DecodedProg> {
         self.store.get(slot.0)?.decoded.as_ref()
     }
@@ -692,16 +688,9 @@ impl Vm {
             &prog.name,
             None,
         );
-        let Ok(Landed::Exit(out)) = self.interpret::<true>(
-            prog,
-            ENTRY,
-            &mut Frame::new(),
-            &mut Tally::at(entry),
-            &mut prof,
-            ctx,
-            env,
-            &mut traced,
-        ) else {
+        let Ok(out) =
+            self.interpret::<true>(prog, Tally::at(entry), &mut prof, ctx, env, &mut traced)
+        else {
             return None;
         };
         Some(TailPath {
@@ -719,8 +708,7 @@ impl Vm {
         env: &mut RunEnv,
         stats: Option<&mut VmStats>,
     ) -> Result<VmOutcome, VmError> {
-        let result = crate::fast::run(self, entry, ctx, env);
-        let backend = self.backend;
+        let (backend, result) = self.dispatch(entry, ctx, env);
         match stats {
             Some(stats) => stats.record(backend, &result),
             None => self.telemetry.write(|stats| stats.record(backend, &result)),
@@ -736,12 +724,8 @@ impl Vm {
                     out.cycles,
                 );
                 if out.tail_calls >= MAX_TAIL_CALLS {
-                    self.recorder.vm_tail_cap(
-                        env.now_ns,
-                        self.backend as u16,
-                        out.tail_calls,
-                        out.ret,
-                    );
+                    self.recorder
+                        .vm_tail_cap(env.now_ns, backend as u16, out.tail_calls, out.ret);
                 }
             }
             Err(e) => {
@@ -752,29 +736,59 @@ impl Vm {
                     0,
                 );
                 self.recorder
-                    .vm_trap(env.now_ns, self.backend as u16, e.code(), &e.to_string());
+                    .vm_trap(env.now_ns, backend as u16, e.code(), &e.to_string());
             }
         }
         result
     }
 
-    /// The interpreter loop, from the first instruction of `prog` with the
-    /// machine state a run holds on arrival there. Under
-    /// [`Backend::Fast`] it hands the run over at a tail call into a
-    /// program with a specialised form. With `TRACE` it records every step
-    /// into `traced` and stops at the first successful tail call.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs `entry` to its end on one engine, and names it: the fast one
+    /// under [`Backend::Fast`] when the entry program has a specialised
+    /// form, the interpreter otherwise.
+    fn dispatch(
+        &self,
+        entry: Entry<'_>,
+        ctx: &mut PacketCtx<'_>,
+        env: &mut RunEnv,
+    ) -> (Backend, Result<VmOutcome, VmError>) {
+        // A tail call into an empty program falls off its end instead.
+        let first = self.store.get(entry.slot().0);
+        let first = first.filter(|l| !l.prog.is_empty() || matches!(entry, Entry::After(_)));
+        let Some(first) = first else {
+            return (Backend::Interp, Err(VmError::NoSuchProgram));
+        };
+        let fast = first.decoded.as_ref();
+        let fast = fast.filter(|_| self.backend == Backend::Fast);
+        // Attribution scope: the fixed invoke cost lands on the entry (prog,
+        // pc 0) bucket, so the attributed sum equals `cycles` at every point
+        // of the run. Flushes on drop (any exit path).
+        let mut prof = entry.scope(&self.profiler, &first.prog.name, fast.map(|p| &p.steps));
+        let tally = Tally::at(entry);
+        let Some(prog) = fast else {
+            let traced = &mut Traced::default();
+            let out = self.interpret::<false>(&first.prog, tally, &mut prof, ctx, env, traced);
+            return (Backend::Interp, out);
+        };
+        (
+            Backend::Fast,
+            crate::fast::run(self, prog, tally, &mut prof, ctx, env),
+        )
+    }
+
+    /// The interpreter loop, from the first instruction of `prog` with
+    /// `tally` already on the account, through every program it
+    /// tail-calls. With `TRACE` it records every step into `traced` and
+    /// stops at the first successful tail call.
     pub(crate) fn interpret<'v, const TRACE: bool>(
         &'v self,
         mut prog: &'v Program,
-        mut regs: [Val; 11],
-        frame: &mut Frame,
-        tally: &mut Tally,
+        mut tally: Tally,
         prof: &mut syrup_observe::profile::VmSpan,
         ctx: &mut PacketCtx<'_>,
         env: &mut RunEnv,
         traced: &mut Traced,
-    ) -> Result<Landed<'v>, VmError> {
+    ) -> Result<VmOutcome, VmError> {
+        let (mut regs, frame) = (ENTRY, &mut Frame::new());
         let mut pc: usize = 0;
         loop {
             let insn = prog.insns.get(pc).ok_or(VmError::NoExit)?;
@@ -934,17 +948,10 @@ impl Vm {
                             prog = self.program(slot).ok_or(VmError::NoSuchProgram)?;
                             if TRACE {
                                 traced.target = Some(slot);
-                                return Ok(Landed::Exit(tally.outcome(0)));
+                                return Ok(tally.outcome(0));
                             }
                             pc = 0;
-                            let fast = match self.backend {
-                                Backend::Fast => self.decoded(slot),
-                                Backend::Interp => None,
-                            };
-                            prof.tail_call(&prog.name, fast.map(|p| &p.steps));
-                            if let Some(prog) = fast {
-                                return Ok(Landed::Specialised(prog));
-                            }
+                            prof.tail_call(&prog.name, None);
                             // The target was verified assuming only r1/r10;
                             // reestablish them and drop the caller-saved set.
                             regs[Reg::R1.index()] = CTX;
@@ -956,7 +963,7 @@ impl Vm {
                 }
                 Insn::Exit => {
                     let ret = scalar(read_reg(&regs, Reg::R0)?)?;
-                    return Ok(Landed::Exit(tally.outcome(ret)));
+                    return Ok(tally.outcome(ret));
                 }
             }
         }
@@ -1575,12 +1582,16 @@ mod tests {
                 .mov64_reg(Reg::R2, Reg::R10)
                 .add64_imm(Reg::R2, -4)
                 .call(HelperId::MapLookupElem)
+                .jeq_imm(Reg::R0, 0, "miss")
                 .ldx_dw(Reg::R0, Reg::R0, 0)
                 .add64_imm(Reg::R0, 1)
                 .exit()
+                .label("miss")
+                .mov64_imm(Reg::R0, 0)
+                .exit()
                 .build("target")
                 .unwrap();
-            let target_slot = vm.load_unverified(target);
+            let target_slot = vm.load(target).unwrap();
             let live = vm.maps().get(prog_array).unwrap();
             live.set_prog(0, Some(target_slot)).unwrap();
 
@@ -1636,6 +1647,7 @@ mod tests {
             rec.arm(TriggerCause::VmTrap, false);
             let maps = MapRegistry::new();
             let prog_array = maps.create(MapDef::prog_array(1));
+            let values = maps.create(MapDef::u64_array(1));
             let mut vm = Vm::new(maps);
             vm.set_backend(backend);
             vm.attach_blackbox(&rec);
@@ -1661,13 +1673,21 @@ mod tests {
                 ..RunEnv::default()
             };
             vm.run(slot, &mut ctx, env).unwrap();
-            // Uninit-register trap.
+            // A verified program trapping at run time: an update flag of 9.
             let bad = Asm::new()
-                .mov64_reg(Reg::R0, Reg::R5)
+                .st_w(Reg::R10, -4, 0)
+                .st_dw(Reg::R10, -16, 7)
+                .mov64_imm(Reg::R4, 9)
+                .load_map_fd(Reg::R1, values)
+                .mov64_reg(Reg::R2, Reg::R10)
+                .add64_imm(Reg::R2, -4)
+                .mov64_reg(Reg::R3, Reg::R10)
+                .add64_imm(Reg::R3, -16)
+                .call(HelperId::MapUpdateElem)
                 .exit()
                 .build("bad")
                 .unwrap();
-            let bad_slot = vm.load_unverified(bad);
+            let bad_slot = vm.load(bad).unwrap();
             let mut ctx = PacketCtx::new(&mut data);
             let err = vm.run(bad_slot, &mut ctx, env).unwrap_err();
             let events = rec.events(Layer::Vm);

@@ -2,14 +2,15 @@
 //!
 //! The fast backend ([`syrup_ebpf::Backend::Fast`], the default) claims the
 //! interpreter's full observable contract: it runs every program that
-//! verifies on the specialised engine, the rest on the interpreter. Before
-//! anything else the oracle checks that every corpus policy specialises.
-//! It then hammers the claim with the same
+//! verifies on the specialised engine, the rest whole on the interpreter. The
+//! oracle hammers the claim with the same
 //! three program sources as the main fuzz loop — structured bytecode
 //! generation, corpus mutations, and random policy sources in the C subset
 //! (including ranked returns) — running every program on *both* backends
 //! against two identically-initialized worlds and asserting:
 //!
+//! * accepted by `verify()` ⇔ specialised: every program the verifier
+//!   accepts has a specialised form, and no other does;
 //! * identical verdicts: the full `Result<VmOutcome, VmError>` including
 //!   return value, instruction and cycle totals, redirects, tail-call
 //!   counts, and (for trapping programs, verified or not) the exact trap;
@@ -33,7 +34,7 @@ use syrup_ebpf::{verify, Program};
 use syrup_observe::profile::Profiler;
 use syrup_observe::telemetry::Registry;
 
-use crate::{gen, langgen, mutate, shrink, splitmix64, FuzzInput, Prng};
+use crate::{gen, langgen, mutate, shrink, splitmix64, FuzzInput, Prng, Unspecialisable};
 
 /// Counters summarizing one backend-diff run.
 #[derive(Debug, Clone, Default)]
@@ -48,9 +49,14 @@ pub struct BackendDiffReport {
     pub lang_sources: u64,
     /// Random policy sources that failed to compile (skipped, not a bug).
     pub lang_compile_errors: u64,
+    /// Programs the verifier accepted.
+    pub accepted: u64,
     /// Programs the verifier rejected — still executed on both backends,
     /// since trap behavior must match too.
     pub rejected: u64,
+    /// Of those, the ones rejected for a shape the specialised engine
+    /// cannot run.
+    pub unspecialisable: Unspecialisable,
     /// Programs the fast side ran on the specialised engine.
     pub specialised: u64,
     /// Paired (interp, fast) executions compared.
@@ -66,15 +72,18 @@ impl fmt::Display for BackendDiffReport {
         write!(
             f,
             "{} iterations: {} generated, {} mutated, {} lang sources \
-             ({} compile errors), {} rejected, {} specialised; {} paired runs \
-             compared, {} completed on the reference interpreter",
+             ({} compile errors); {} accepted, {} specialised, {} rejected \
+             ({}); {} paired runs compared, {} completed on the reference \
+             interpreter",
             self.iterations,
             self.generated,
             self.mutated,
             self.lang_sources,
             self.lang_compile_errors,
-            self.rejected,
+            self.accepted,
             self.specialised,
+            self.rejected,
+            self.unspecialisable,
             self.compared_runs,
             self.interpreted_runs
         )
@@ -131,21 +140,6 @@ pub fn run_backend_diff(iters: u64, seed: u64) -> BackendDiffReport {
     let mut report = BackendDiffReport::default();
     let corpus = mutate::compiled_corpus();
     let entries = syrup_policies::corpus();
-    // Every shipped policy must run on the specialised engine.
-    for ((prog, maps), entry) in corpus.iter().zip(&entries) {
-        let mut vm = Vm::new(maps.clone());
-        let slot = vm.load_unverified(prog.clone());
-        if vm.decoded(slot).is_none() {
-            report.divergence = Some(BackendDivergence {
-                seed,
-                iteration: 0,
-                detail: format!("corpus policy {} falls back to the interpreter", entry.name),
-                program: prog.clone(),
-                input: None,
-            });
-            return report;
-        }
-    }
     for iteration in 0..iters {
         report.iterations = iteration + 1;
         // Distinct stream from the main fuzz loop so `--iters` and
@@ -342,14 +336,32 @@ fn diff_program(
 ) -> Option<BackendDivergence> {
     // Trap behavior must match on *rejected* programs too — run them,
     // just with a smaller input budget (they usually trap immediately).
-    let verified = verify(prog, &world()).is_ok();
+    let verdict = verify(prog, &world());
+    let verified = verdict.is_ok();
     let n_inputs = if verified { 4 } else { 2 };
-    if !verified {
-        report.rejected += 1;
+    match &verdict {
+        Ok(_) => report.accepted += 1,
+        Err(reason) => {
+            report.rejected += 1;
+            report.unspecialisable.count(reason);
+        }
     }
     let w = build_worlds(prog, world, true);
-    if w.fast.decoded(w.fslot).is_some() {
+    let specialised = w.fast.decoded(w.fslot).is_some();
+    if specialised {
         report.specialised += 1;
+    }
+    if specialised != verified {
+        return Some(BackendDivergence {
+            seed,
+            iteration,
+            detail: format!(
+                "verify() gives {:?}, but specialised is {specialised}",
+                verdict.map(|_| ())
+            ),
+            program: prog.clone(),
+            input: None,
+        });
     }
     let inputs: Vec<FuzzInput> = (0..n_inputs).map(|_| FuzzInput::random(rng)).collect();
     let mut seen: Vec<FuzzInput> = Vec::new();
@@ -433,6 +445,7 @@ mod tests {
         assert!(report.lang_sources > 0);
         assert!(report.compared_runs > 0);
         assert!(report.specialised > 0, "the specialised engine never ran");
+        assert_eq!(report.accepted, report.specialised);
         assert!(report.interpreted_runs > 0, "the reference never ran");
         assert!(
             report.rejected > 0,

@@ -9,14 +9,17 @@
 //!
 //! A small fraction of blocks deliberately omit a safety obligation
 //! (packet bounds check, lookup null check, stack initialization, loop
-//! bound), or move a pointer by a delta at the edge of `u32` or `i64`
-//! (where offset arithmetic narrows and wraps), so the verifier's
-//! rejection paths — and the determinism oracle over them — stay
-//! exercised. Under a deliberately weakened
+//! bound), move a pointer by a delta at the edge of `u32` or `i64`
+//! (where offset arithmetic narrows and wraps) or just past the
+//! specialised engine's packing bound, or hand one memory step or helper
+//! argument a stack pointer on one path and a packet pointer on the
+//! other, so the verifier's rejection paths — and the determinism oracle
+//! over them — stay exercised. Under a deliberately weakened
 //! [`syrup_ebpf::VerifierConfig`] those same blocks become the bait the
 //! soundness oracle must catch.
 
 use syrup_ebpf::maps::{MapDef, MapId, MapRegistry};
+use syrup_ebpf::verifier::MAX_PTR_OFF;
 use syrup_ebpf::{AluOp, CmpOp, HelperId, Insn, MemSize, Operand, Program, Reg, Width};
 
 use crate::Prng;
@@ -123,7 +126,8 @@ impl Gen<'_> {
                 0..=24 => self.block_alu(),
                 25..=34 => self.block_unary(),
                 35..=49 => self.block_stack(),
-                50..=69 => self.block_packet(),
+                50..=66 => self.block_packet(),
+                67..=69 => self.block_two_regions(),
                 70..=84 => self.block_map(),
                 85..=92 => self.block_helper(),
                 _ => self.block_loop(),
@@ -259,6 +263,27 @@ impl Gen<'_> {
 
     fn block_stack(&mut self) {
         if self.rng.chance(2) {
+            // Deliberate PointerOutOfRange: a copy of the frame pointer
+            // moved just past the packing bound, never dereferenced.
+            self.insns.push(Insn::Alu {
+                w: Width::W64,
+                op: AluOp::Mov,
+                dst: Reg::R8,
+                src: Operand::Reg(Reg::R10),
+            });
+            self.insns.push(Insn::Alu {
+                w: Width::W64,
+                op: AluOp::Add,
+                dst: Reg::R8,
+                src: Operand::Imm(
+                    *self
+                        .rng
+                        .pick(&[MAX_PTR_OFF as i32, -(MAX_PTR_OFF as i32) - 1024]),
+                ),
+            });
+            return;
+        }
+        if self.rng.chance(2) {
             // Deliberate wild pointer: a copy of the frame pointer moved
             // off the end of the address space, then dereferenced.
             self.insns.push(Insn::Alu {
@@ -393,6 +418,104 @@ impl Gen<'_> {
                 off: body.len() as i16,
             });
             self.insns.extend(body);
+        }
+    }
+
+    /// One step through r8, or a lookup keyed by r2, where the register
+    /// is a packet pointer on one path and a stack pointer on the other:
+    /// in bounds on both, so only the one-kind rule rejects it
+    /// (MixedPointer or MixedHelperArg).
+    fn block_two_regions(&mut self) {
+        if !self.uses_packet {
+            self.block_alu();
+            return;
+        }
+        let lookup = self.rng.chance(50);
+        let ptr = if lookup { Reg::R2 } else { Reg::R8 };
+        let mut tail = vec![
+            // r9 = data[0], an unknown the join branches on.
+            Insn::LoadMem {
+                size: MemSize::B,
+                dst: Reg::R9,
+                base: Reg::R6,
+                off: 0,
+            },
+            Insn::Alu {
+                w: Width::W64,
+                op: AluOp::Mov,
+                dst: ptr,
+                src: Operand::Reg(Reg::R6),
+            },
+            Insn::Branch {
+                op: CmpOp::Eq,
+                w: Width::W64,
+                lhs: Reg::R9,
+                rhs: Operand::Imm(0),
+                off: 2,
+            },
+            Insn::Alu {
+                w: Width::W64,
+                op: AluOp::Mov,
+                dst: ptr,
+                src: Operand::Reg(Reg::R10),
+            },
+            Insn::Alu {
+                w: Width::W64,
+                op: AluOp::Add,
+                dst: ptr,
+                src: Operand::Imm(-24),
+            },
+        ];
+        if lookup {
+            let map = if self.rng.chance(50) {
+                self.maps.array
+            } else {
+                self.maps.hash
+            };
+            tail.push(Insn::LoadMapFd { dst: Reg::R1, map });
+            tail.push(Insn::Call {
+                helper: HelperId::MapLookupElem,
+            });
+        } else {
+            let dst = self.any_scalar();
+            tail.push(Insn::LoadMem {
+                size: MemSize::W,
+                dst,
+                base: ptr,
+                off: 0,
+            });
+        }
+        // The stack cell both paths may read, then `r8 = data + 8`, and
+        // the tail only where eight packet bytes are proven.
+        self.insns.push(Insn::StoreImm {
+            size: MemSize::DW,
+            base: Reg::R10,
+            off: -24,
+            imm: self.rng.below(1000) as i32,
+        });
+        self.stack_writes.push((-24, MemSize::DW));
+        self.insns.push(Insn::Alu {
+            w: Width::W64,
+            op: AluOp::Mov,
+            dst: Reg::R8,
+            src: Operand::Reg(Reg::R6),
+        });
+        self.insns.push(Insn::Alu {
+            w: Width::W64,
+            op: AluOp::Add,
+            dst: Reg::R8,
+            src: Operand::Imm(8),
+        });
+        self.insns.push(Insn::Branch {
+            op: CmpOp::Gt,
+            w: Width::W64,
+            lhs: Reg::R8,
+            rhs: Operand::Reg(Reg::R7),
+            off: tail.len() as i16,
+        });
+        self.insns.extend(tail);
+        if lookup {
+            self.clobber_caller_saved();
         }
     }
 

@@ -224,6 +224,40 @@ impl fmt::Display for Failure {
     }
 }
 
+/// Rejections for the three shapes the specialised engine could not run
+/// untagged, which keep "accepted" and "specialised" the same set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Unspecialisable {
+    /// A memory step whose base points into two regions.
+    pub mixed_pointer: u64,
+    /// A checked helper argument with two kinds.
+    pub mixed_helper_arg: u64,
+    /// A pointer moved beyond `MAX_PTR_OFF`.
+    pub pointer_out_of_range: u64,
+}
+
+impl Unspecialisable {
+    /// Counts `err` if it is one of the three.
+    pub fn count(&mut self, err: &VerifierError) {
+        match err {
+            VerifierError::MixedPointer { .. } => self.mixed_pointer += 1,
+            VerifierError::MixedHelperArg { .. } => self.mixed_helper_arg += 1,
+            VerifierError::PointerOutOfRange { .. } => self.pointer_out_of_range += 1,
+            _ => {}
+        }
+    }
+}
+
+impl fmt::Display for Unspecialisable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} mixed pointer, {} mixed helper argument, {} pointer out of range",
+            self.mixed_pointer, self.mixed_helper_arg, self.pointer_out_of_range
+        )
+    }
+}
+
 /// Counters summarizing one fuzz run.
 #[derive(Debug, Clone, Default)]
 pub struct FuzzReport {
@@ -241,6 +275,9 @@ pub struct FuzzReport {
     pub accepted: u64,
     /// Programs the verifier rejected (each with a structured reason).
     pub rejected: u64,
+    /// Of those, the ones rejected for a shape the specialised engine
+    /// cannot run.
+    pub unspecialisable: Unspecialisable,
     /// Total VM executions performed by the soundness oracle.
     pub vm_runs: u64,
     /// Packets compared by the differential oracle.
@@ -263,8 +300,8 @@ impl fmt::Display for FuzzReport {
         )?;
         write!(
             f,
-            "verifier: {} accepted, {} rejected; {} VM runs, {} differential checks",
-            self.accepted, self.rejected, self.vm_runs, self.diff_checks
+            "verifier: {} accepted, {} rejected ({}); {} VM runs, {} differential checks",
+            self.accepted, self.rejected, self.unspecialisable, self.vm_runs, self.diff_checks
         )
     }
 }
@@ -352,6 +389,7 @@ fn check_bytecode(
     match first {
         Err(reason) => {
             report.rejected += 1;
+            report.unspecialisable.count(&reason);
             debug_assert!(!structured_reason(&reason).is_empty());
             None
         }
@@ -408,8 +446,9 @@ fn check_lang(
             input: None,
         });
     }
-    if first.is_err() {
+    if let Err(reason) = &first {
         report.rejected += 1;
+        report.unspecialisable.count(reason);
         return None;
     }
     report.accepted += 1;

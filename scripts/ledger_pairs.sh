@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Alternating parent/change pairs of the perf ledger, as one command.
 #
-#   scripts/ledger_pairs.sh <parent-checkout> [workload...]
+#   scripts/ledger_pairs.sh <parent-checkout> [first-seed] [workload...]
 #
-# Copies the files git knows in <parent-checkout> and in this checkout
-# (tracked, plus untracked ones that are not ignored) into two fresh
-# directories whose paths have equal length, builds the ledger in each
-# with its own target directory, then runs PAIRS alternating pairs per
-# workload (all of BENCHMARK.json's by default) at seeds 4, 5, ...: pair k
-# runs the parent first when k is even and the change first when it is
-# odd. Every run is the driver's form, `benchmark/run.sh --workload W
+# Run it from inside the change's checkout: the change is the git work
+# tree holding the working directory, so the script also runs when piped
+# through `bash -s --`. It copies the files git knows in <parent-checkout>
+# and in the change (tracked, plus untracked ones that are not ignored)
+# into two fresh directories whose paths have equal length, builds the
+# ledger in each with its own target directory, then runs PAIRS
+# alternating pairs per workload (all of BENCHMARK.json's by default) at
+# seeds first-seed, first-seed + 1, ... (4 unless a number follows the
+# parent checkout; a claim's rerun on unused seeds passes 14): pair k runs
+# the parent first when k is even and the change first when it is odd. Every run is the driver's form, `benchmark/run.sh --workload W
 # --seed S --seconds 8 --trace 0`, a process of its own.
 #
 # Standard output is one JSON document: the `side: "pairs"` record of
@@ -28,12 +31,16 @@ FIRST_SEED=4
 SECONDS_PER_RUN=8
 
 if [ $# -lt 1 ] || [ ! -f "$1/benchmark/run.sh" ]; then
-    echo "usage: $0 <parent-checkout> [workload...]" >&2
+    echo "usage: $0 <parent-checkout> [first-seed] [workload...]" >&2
     exit 2
 fi
-here="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+here="$(git rev-parse --show-toplevel)"
 parent="$(cd "$1" && pwd)"
 shift
+if [ $# -gt 0 ] && [[ $1 =~ ^[0-9]+$ ]]; then
+    FIRST_SEED=$1
+    shift
+fi
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 # Each side builds into its own target directory.

@@ -7,7 +7,7 @@
 //! profiled run a block at a time, the interpreter a step at a time).
 
 use syrup::ebpf::maps::{MapEntries, MapId, MapRegistry, ProgSlot};
-use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm, VmError, VmOutcome, RUNTIME_INSN_LIMIT};
+use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm, VmError, VmOutcome};
 use syrup::ebpf::{Asm, HelperId, MapDef, Reg};
 use syrup::policies::corpus;
 use syrup::profile::{ProfileReport, Profiler};
@@ -294,93 +294,16 @@ fn agree_on(
     (interp.0 .0, interp.0 .1)
 }
 
-/// A verified counted loop that tail-calls itself, entered from an
-/// unverified dispatcher that spends the budget first, so the budget runs
-/// out inside the loop's block: at its first instruction, in its middle
-/// and at its last. Each store of the block leaves a mark in the packet,
-/// so the engines agree only if they trap at the same instruction.
-#[test]
-fn a_budget_running_out_inside_a_block_traps_where_the_interpreter_does() {
-    const K: i32 = 100;
-    // Per invocation up to its tail call: 6 instructions to the loop,
-    // 6 per iteration, 3 to the call.
-    let invocation = 6 + 6 * K as u64 + 3;
-    for p in [0, 3, 5] {
-        // Trap as the (p+1)-th instruction of the 51st loop block of the
-        // 11th invocation.
-        let before = RUNTIME_INSN_LIMIT - 10 * invocation - 6 - 6 * 50 - p;
-        let pad = (before - 4) % 2;
-        let spins = (before - 4 - pad) / 2;
-        let (out, pkt) = agree_on(spins, |vm| {
-            let progs = vm.maps().create(MapDef::prog_array(2));
-            let tail_call = |asm: Asm, slot| {
-                asm.load_map_fd(Reg::R2, progs)
-                    .mov64_imm(Reg::R3, slot)
-                    .call(HelperId::TailCall)
-            };
-            let looping = Asm::new()
-                .ldx_dw(Reg::R8, Reg::R1, 0)
-                .ldx_dw(Reg::R9, Reg::R1, 8)
-                .mov64_reg(Reg::R2, Reg::R8)
-                .add64_imm(Reg::R2, 16)
-                .jgt_reg(Reg::R2, Reg::R9, "out")
-                .mov64_imm(Reg::R6, 0)
-                .label("loop")
-                .add64_imm(Reg::R6, 1)
-                .stx_w(Reg::R8, 0, Reg::R6)
-                .stx_w(Reg::R8, 4, Reg::R6)
-                .stx_w(Reg::R8, 8, Reg::R6)
-                .stx_w(Reg::R8, 12, Reg::R6)
-                .jlt_imm(Reg::R6, K, "loop");
-            let looping = tail_call(looping, 1)
-                .mov64_reg(Reg::R0, Reg::R6)
-                .exit()
-                .label("out")
-                .mov64_imm(Reg::R0, 0)
-                .exit()
-                .build("looping")
-                .unwrap();
-            let looping = vm.load(looping).unwrap();
-            assert!(vm.decoded(looping).is_some());
-            // `meta0` pairs of instructions: its count is unknown, so the
-            // verifier refuses the loop.
-            let mut spin = Asm::new().ldx_dw(Reg::R6, Reg::R1, 16);
-            if pad == 1 {
-                spin = spin.mov64_imm(Reg::R0, 0);
-            }
-            let spin = spin
-                .label("spin")
-                .sub64_imm(Reg::R6, 1)
-                .jne_imm(Reg::R6, 0, "spin");
-            let spin = tail_call(spin, 1)
-                .mov64_imm(Reg::R0, 0)
-                .exit()
-                .build("spin")
-                .unwrap();
-            let spin = vm.load_unverified(spin);
-            assert!(vm.decoded(spin).is_none());
-            let live = vm.maps().get(progs).unwrap();
-            live.set_prog(0, Some(spin)).unwrap();
-            live.set_prog(1, Some(looping)).unwrap();
-            spin
-        });
-        assert_eq!(out, Err(VmError::Runaway), "trap at block position {p}");
-        // Iteration 51 had stored its counter into the first p - 1 words.
-        let words: Vec<u32> = (0..4u64).map(|j| if j + 1 < p { 51 } else { 50 }).collect();
-        let got: Vec<u32> = pkt
-            .chunks(4)
-            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
-            .collect();
-        assert_eq!(got, words, "trap at block position {p}");
-    }
-}
-
 /// A verified program tail-calls a program the verifier refused, which
 /// reads what the caller left in r0 and r6–r9: a number, the context, and
-/// stack, packet and map-value pointers.
+/// stack, packet and map-value pointers. A run stays on one engine, so the
+/// specialised run finds no specialised target and traps as at an empty
+/// slot, while the interpreter runs the target on the caller's registers.
 #[test]
-fn an_unverified_tail_call_target_reads_the_callers_registers() {
-    let (out, _) = agree_on(1_000, |vm| {
+fn a_specialised_run_traps_at_a_tail_call_into_an_unverified_program() {
+    let [interp, fast] = [Backend::Interp, Backend::Fast].map(|backend| {
+        let mut vm = Vm::new(MapRegistry::new());
+        vm.set_backend(backend);
         let map = vm.maps().create(MapDef::u64_array(1));
         vm.maps().get(map).unwrap().update_u64(0, 30_000).unwrap();
         let progs = vm.maps().create(MapDef::prog_array(1));
@@ -433,12 +356,49 @@ fn an_unverified_tail_call_target_reads_the_callers_registers() {
         assert!(vm.decoded(target).is_none());
         let live = vm.maps().get(progs).unwrap();
         live.set_prog(0, Some(target)).unwrap();
-        caller
+        let mut pkt = vec![0xA5u8; 16];
+        let mut ctx = PacketCtx::new(&mut pkt);
+        ctx.meta[0] = 1_000;
+        let out = vm.run(caller, &mut ctx, &mut run_env(7));
+        (out.map(|o| (o.ret, o.tail_calls)), map_state(vm.maps()))
     });
-    assert_eq!(
-        out.map(|o| (o.ret, o.tail_calls)),
-        Ok((5 + 1_000 + 200 + 0xA5 + 30_000, 1))
-    );
+    let sum = 5 + 1_000 + 200 + 0xA5 + 30_000;
+    assert_eq!(interp.0, Ok((sum, 1)));
+    assert_eq!(fast.0, Err(VmError::NoSuchProgram));
+    // The specialised run stopped before the target's atomic add.
+    assert_ne!(interp.1, fast.1);
+}
+
+/// 65 537 generic helper call sites, one past what a `u16` site index
+/// numbers: the program specialises and runs as the interpreter does.
+#[test]
+fn a_program_with_more_call_sites_than_a_u16_specialises() {
+    let (interp, fast) = {
+        let maps = MapRegistry::new();
+        let map = maps.create(MapDef::u64_hash(4));
+        let mut asm = Asm::new().st_w(Reg::R10, -4, 1);
+        for _ in 0..65_537 {
+            asm = asm
+                .load_map_fd(Reg::R1, map)
+                .mov64_reg(Reg::R2, Reg::R10)
+                .add64_imm(Reg::R2, -4)
+                .call(HelperId::MapDeleteElem);
+        }
+        let prog = asm.mov64_imm(Reg::R0, 0).exit().build("sites").unwrap();
+        assert_eq!(prog.len(), 262_151);
+        let mut vm = Vm::new(maps);
+        let slot = vm.load(prog).unwrap();
+        assert!(vm.decoded(slot).is_some(), "not specialised");
+        let mut interp = vm.clone();
+        interp.set_backend(Backend::Interp);
+        let run = |vm: &Vm| {
+            let mut pkt = [0u8; 4];
+            vm.run(slot, &mut PacketCtx::new(&mut pkt), &mut RunEnv::default())
+        };
+        (run(&interp), run(&vm))
+    };
+    assert_eq!(interp, fast);
+    assert_eq!(interp.map(|o| o.insns), Ok(262_151));
 }
 
 /// A verified program can still trap: here a map update whose flag in r4
