@@ -24,18 +24,22 @@ fn main() -> ExitCode {
         ("enabled", Recorder::new(), Limit::Report),
     ];
     let mut sites = Vec::new();
-    let mut t = 0u64;
     for (side, recorder, limit) in &sides {
-        sites.push(Site::new(format!("dispatch_{side}"), *limit, || {
+        let mut t = 0u64;
+        sites.push(Site::new(format!("dispatch_{side}"), *limit, move || {
             t = t.wrapping_add(1);
             black_box(recorder).dispatch(t, 1, 4, (9 << 32) | 1, 325);
         }));
-        sites.push(Site::new(format!("enqueue_drop_{side}"), *limit, || {
-            black_box(recorder).enqueue_drop(Layer::Nic, 1, 9, 64)
-        }));
-        sites.push(Site::new(format!("depth_cross_{side}"), *limit, || {
-            black_box(recorder).depth_cross(Layer::Sock, 1, true, 3, 3)
-        }));
+        sites.push(Site::new(
+            format!("enqueue_drop_{side}"),
+            *limit,
+            move || black_box(recorder).enqueue_drop(Layer::Nic, 1, 9, 64),
+        ));
+        sites.push(Site::new(
+            format!("depth_cross_{side}"),
+            *limit,
+            move || black_box(recorder).depth_cross(Layer::Sock, 1, true, 3, 3),
+        ));
     }
-    bench::gate("blackbox", &sites)
+    bench::gate("blackbox", &mut sites)
 }

@@ -21,7 +21,7 @@ use syrup::net::{AppHeader, FiveTuple, Frame, RequestClass, Toeplitz};
 use syrup::policies::{c_sources, CorpusEntry};
 use syrup::telemetry::Registry;
 
-fn vm_policies(sites: &mut Vec<Site>) {
+fn vm_policies(sites: &mut Vec<Site<'static>>) {
     for CorpusEntry { name, source, opts } in c_sources::table2(6) {
         // Each backend gets its own identically-seeded world so the two
         // series are directly comparable (same hot paths, same map state).
@@ -30,7 +30,7 @@ fn vm_policies(sites: &mut Vec<Site>) {
             let pkt = datagram(RequestClass::Get);
             let mut env = RunEnv::default();
             let id = format!("vm_policy_invocation/{name}_{backend}");
-            sites.push(Site::new(id, Limit::Report, || {
+            sites.push(Site::new(id, Limit::Report, move || {
                 let mut p = pkt.clone();
                 let mut ctx = PacketCtx::new(&mut p);
                 vm.run(slot, &mut ctx, &mut env).unwrap().ret
@@ -39,7 +39,7 @@ fn vm_policies(sites: &mut Vec<Site>) {
     }
 }
 
-fn verifier_and_compile(sites: &mut Vec<Site>) {
+fn verifier_and_compile(sites: &mut Vec<Site<'static>>) {
     sites.push(Site::new("compile_token_policy", Limit::Report, || {
         let maps = MapRegistry::new();
         let opts = CompileOptions::new().define("NUM_THREADS", 6);
@@ -50,7 +50,7 @@ fn verifier_and_compile(sites: &mut Vec<Site>) {
         .define("NUM_THREADS", 6)
         .define("GET", 1);
     let compiled = syrup::lang::compile(c_sources::SCAN_AVOID, &opts, &maps).unwrap();
-    sites.push(Site::new("verify_scan_avoid", Limit::Report, || {
+    sites.push(Site::new("verify_scan_avoid", Limit::Report, move || {
         verify(&compiled.program, &maps).unwrap()
     }));
 }
@@ -67,7 +67,7 @@ const TOEPLITZ_5TUPLE_NS: f64 = 20.0;
 /// `net.frame_build_ns` 147–215 ns, so an allocation on the path fails.
 const FRAME_WRITE_NS: f64 = 30.0;
 
-fn packet_path(sites: &mut Vec<Site>) {
+fn packet_path(sites: &mut Vec<Site<'static>>) {
     let t = Toeplitz;
     let flow = FiveTuple {
         src_ip: 0xC0A80001,
@@ -78,7 +78,7 @@ fn packet_path(sites: &mut Vec<Site>) {
     sites.push(Site::new(
         "toeplitz_5tuple",
         Limit::MaxNs(TOEPLITZ_5TUPLE_NS),
-        || t.hash_v4(black_box(&flow)),
+        move || t.hash_v4(black_box(&flow)),
     ));
     let app = AppHeader {
         req_type: RequestClass::Get.code(),
@@ -90,7 +90,7 @@ fn packet_path(sites: &mut Vec<Site>) {
     sites.push(Site::new(
         "frame_write",
         Limit::MaxNs(FRAME_WRITE_NS),
-        || Frame::write(black_box(&mut frame), black_box(&flow), black_box(&app)),
+        move || Frame::write(black_box(&mut frame), black_box(&flow), black_box(&app)),
     ));
 }
 
@@ -118,7 +118,7 @@ fn trivial_program() -> syrup::ebpf::Program {
         .unwrap()
 }
 
-fn syrupd_dispatch(sites: &mut Vec<Site>) {
+fn syrupd_dispatch(sites: &mut Vec<Site<'static>>) {
     // The end-to-end per-packet hook cost — route, slot lock, policy
     // execution with the root program's path on the account: the "<2000
     // cycles" claim, measured. The sites split it: `vm_run_trivial` is the
@@ -133,8 +133,9 @@ fn syrupd_dispatch(sites: &mut Vec<Site>) {
     let mut vm = Vm::new(MapRegistry::new());
     let slot = vm.load(trivial_program()).unwrap();
     let mut env = RunEnv::default();
-    sites.push(Site::new("vm_run_trivial", Limit::Report, || {
-        let mut p = pkt.clone();
+    let trivial_pkt = pkt.clone();
+    sites.push(Site::new("vm_run_trivial", Limit::Report, move || {
+        let mut p = trivial_pkt.clone();
         let mut ctx = PacketCtx::new(&mut p);
         vm.run(slot, &mut ctx, &mut env).unwrap().ret
     }));
@@ -180,7 +181,8 @@ fn syrupd_dispatch(sites: &mut Vec<Site>) {
         });
         let (app, _) = daemon.register_app("bench", &[8080]).unwrap();
         daemon.deploy(app, Hook::SocketSelect, policy()).unwrap();
-        sites.push(Site::new(id, limit, || {
+        let pkt = pkt.clone();
+        sites.push(Site::new(id, limit, move || {
             let mut p = pkt.clone();
             daemon.schedule(Hook::SocketSelect, &mut p, &meta)
         }));
@@ -193,5 +195,5 @@ fn main() -> ExitCode {
     verifier_and_compile(&mut sites);
     packet_path(&mut sites);
     syrupd_dispatch(&mut sites);
-    bench::gate("micro", &sites)
+    bench::gate("micro", &mut sites)
 }

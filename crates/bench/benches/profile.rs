@@ -79,9 +79,10 @@ fn main() -> ExitCode {
     let off = Profiler::disabled();
     let depths = [3usize, 1, 4, 1];
     let mut idle = off.vm_enter("bench", None, 25);
-    let mut now = 0u64;
+    // Each enabled site's own clock.
+    let (mut depth_now, mut state_now) = (0u64, 0u64);
     let disabled = Limit::MaxNs(DISABLED_GATE_NS);
-    let sites = [
+    let mut sites = [
         Site::new("schedule_unprofiled", Limit::Report, || {
             schedule(&unprofiled)
         }),
@@ -109,20 +110,20 @@ fn main() -> ExitCode {
             idle.insn(black_box(3), black_box(1))
         }),
         Site::new("queue_depths_enabled", Limit::Report, || {
-            now += 1;
-            black_box(&on).queue_depths("nic", now, black_box(&depths));
+            depth_now += 1;
+            black_box(&on).queue_depths("nic", depth_now, black_box(&depths));
         }),
         Site::new("queue_depths_disabled", disabled, || {
             black_box(&off).queue_depths("nic", 1, black_box(&depths))
         }),
         Site::new("thread_state_enabled", Limit::Report, || {
-            now += 1;
-            let state = if now.is_multiple_of(2) {
+            state_now += 1;
+            let state = if state_now.is_multiple_of(2) {
                 ThreadState::Running
             } else {
                 ThreadState::Runnable
             };
-            black_box(&on).thread_state(1, state, now);
+            black_box(&on).thread_state(1, state, state_now);
         }),
         Site::new("thread_state_disabled", disabled, || {
             black_box(&off).thread_state(1, ThreadState::Runnable, black_box(7))
@@ -131,5 +132,5 @@ fn main() -> ExitCode {
             black_box(&off).sched_latency(black_box(7))
         }),
     ];
-    bench::gate("profile", &sites)
+    bench::gate("profile", &mut sites)
 }

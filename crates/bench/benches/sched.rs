@@ -29,6 +29,15 @@ const WARM_DEPTH: usize = 64;
 /// increment alone is +8 ns — reads 3× and more.
 const FIFO_TOLERANCE: f64 = 2.0;
 
+/// A pseudo-random stream of ranks.
+fn ranks() -> impl FnMut() -> u32 {
+    let mut rank = 0u64;
+    move || {
+        rank = rank.wrapping_mul(6364136223846793005).wrapping_add(1);
+        ((rank >> 33) % 4096) as u32
+    }
+}
+
 fn main() -> ExitCode {
     let mut vd: VecDeque<u64> = (0..WARM_DEPTH as u64).collect();
     let mut fifo: ExecQueue<u64> = ExecQueue::new(QueueKind::Fifo);
@@ -36,11 +45,7 @@ fn main() -> ExitCode {
         fifo.push(i, 0);
     }
 
-    let mut rank = 0u64;
-    let mut next_rank = move || {
-        rank = rank.wrapping_mul(6364136223846793005).wrapping_add(1);
-        ((rank >> 33) % 4096) as u32
-    };
+    let mut next_rank = ranks();
     let mut pifo: Pifo<u64> = Pifo::new();
     let mut bucket: BucketQueue<u64> = BucketQueue::new(64, 64);
     let mut ranked: ExecQueue<u64> = ExecQueue::new(QueueKind::Pifo);
@@ -54,7 +59,7 @@ fn main() -> ExitCode {
         of: "fifo_vecdeque_baseline",
         factor: FIFO_TOLERANCE,
     };
-    let sites = [
+    let mut sites = [
         Site::new("fifo_vecdeque_baseline", Limit::Report, || {
             vd.push_back(black_box(1));
             vd.pop_front()
@@ -67,14 +72,20 @@ fn main() -> ExitCode {
             pifo.push(black_box(1), next_rank());
             pifo.pop()
         }),
-        Site::new("bucket_push_pop", Limit::Report, || {
-            bucket.push(black_box(1), next_rank());
-            bucket.pop()
+        Site::new("bucket_push_pop", Limit::Report, {
+            let mut next_rank = ranks();
+            move || {
+                bucket.push(black_box(1), next_rank());
+                bucket.pop()
+            }
         }),
-        Site::new("pifo_execqueue", Limit::Report, || {
-            ranked.push(black_box(1), next_rank());
-            ranked.pop()
+        Site::new("pifo_execqueue", Limit::Report, {
+            let mut next_rank = ranks();
+            move || {
+                ranked.push(black_box(1), next_rank());
+                ranked.pop()
+            }
         }),
     ];
-    bench::gate("sched", &sites)
+    bench::gate("sched", &mut sites)
 }

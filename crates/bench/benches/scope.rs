@@ -19,6 +19,15 @@ use syrup::telemetry::Registry;
 /// The disabled-site budget, in nanoseconds per call.
 const GATE_NS: f64 = 5.0;
 
+/// A clock advancing one tick a read.
+fn ticks() -> impl FnMut() -> u64 {
+    let mut t = 0u64;
+    move || {
+        t = t.wrapping_add(1);
+        t
+    }
+}
+
 fn main() -> ExitCode {
     let on_series = Scope::new().series("bench/events");
     let off_series = Scope::disabled().series("bench/events");
@@ -27,20 +36,17 @@ fn main() -> ExitCode {
     let mut off_sampler = Sampler::disabled();
     let mut warm_sampler = Sampler::with_default_cadence(Scope::new(), "");
     warm_sampler.tick(1, &registry); // consume the always-due first tick
-    let mut t = 0u64;
     let budget = Limit::MaxNs(GATE_NS);
-    let sites = [
+    let (mut off_now, mut on_now, mut tick_now) = (ticks(), ticks(), ticks());
+    let mut sites = [
         Site::new("series_record_disabled", budget, || {
-            t = t.wrapping_add(1);
-            black_box(&off_series).record(t, 42.0);
+            black_box(&off_series).record(off_now(), 42.0);
         }),
         Site::new("series_record_enabled", Limit::Report, || {
-            t = t.wrapping_add(1);
-            black_box(&on_series).record(t, 42.0);
+            black_box(&on_series).record(on_now(), 42.0);
         }),
         Site::new("sampler_tick_disabled", budget, || {
-            t = t.wrapping_add(1);
-            off_sampler.tick(t, &registry)
+            off_sampler.tick(tick_now(), &registry)
         }),
         // Enabled sampler between cadence boundaries: the common case on
         // the hot path, still just the guard.
@@ -48,5 +54,5 @@ fn main() -> ExitCode {
             warm_sampler.tick(2, &registry)
         }),
     ];
-    bench::gate("scope", &sites)
+    bench::gate("scope", &mut sites)
 }

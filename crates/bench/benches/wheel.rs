@@ -88,15 +88,15 @@ fn churn<Q: SimQueue<u64>>(q: &mut Q, rng: &mut Xs) {
 }
 
 /// Times hold-and-churn on queue `Q` at `n` pending events.
-fn churn_site<Q: SimQueue<u64>>(name: &str, n: u64, limit: Limit) -> Site {
+fn churn_site<Q: SimQueue<u64> + 'static>(name: &str, n: u64, limit: Limit) -> Site<'static> {
     let mut q: Q = prefill(n);
     let mut rng = Xs(7);
-    Site::new(name, limit, || churn(&mut q, &mut rng))
+    Site::new(name, limit, move || churn(&mut q, &mut rng))
 }
 
 /// Times hold-and-churn at the figure worlds' size on queue `Q`: each
 /// popped event is pushed back 10–60 µs after its time.
-fn world_site<Q: SimQueue<WorldEv>>(name: &str, limit: Limit) -> Site {
+fn world_site<Q: SimQueue<WorldEv> + 'static>(name: &str, limit: Limit) -> Site<'static> {
     let mut q = Q::new_empty();
     let mut rng = Xs(0x5EED_0BAD_F00D_u64 | 1);
     for id in 0..WORLD_PENDING {
@@ -123,7 +123,7 @@ fn main() -> ExitCode {
         of: "heap_churn_16_world",
         factor: SMALL_N_TOLERANCE,
     };
-    let sites = [
+    let mut sites = [
         world_site::<HeapQueue<WorldEv>>("heap_churn_16_world", Limit::Report),
         world_site::<EventQueue<WorldEv>>("wheel_churn_16_world", world),
         churn_site::<HeapQueue<u64>>("heap_churn_10000", 10_000, Limit::Report),
@@ -131,5 +131,5 @@ fn main() -> ExitCode {
         churn_site::<HeapQueue<u64>>("heap_churn_1000000", 1_000_000, Limit::Report),
         churn_site::<EventQueue<u64>>("wheel_churn_1000000", 1_000_000, big),
     ];
-    bench::gate("wheel", &sites)
+    bench::gate("wheel", &mut sites)
 }

@@ -21,36 +21,32 @@
 //! Methodology: both engines run over identically-built worlds, the
 //! packet buffer is reused (memcpy-restored per invocation, so the
 //! allocator is not part of the measurement), and interp/fast batches
-//! are *interleaved* round-robin with best-of-N per engine — CPU
-//! frequency drift and noisy neighbours then hit both series alike
-//! instead of biasing the ratio.
+//! are *interleaved* round-robin with best-of-N per engine
+//! ([`bench::interleave`], the bench gates' timer) — CPU frequency drift
+//! and noisy neighbours then hit both series alike instead of biasing
+//! the ratio.
 //!
 //! Build with `--release`; a debug binary measures the compiler, not the
 //! engines, and the harness refuses to gate on it (it still prints the
 //! table, but always exits 0).
 
-use std::time::Instant;
-
-use bench::seeded_vm;
+use bench::{interleave, seeded_vm, Batches};
 use syrup::core::CompileOptions;
 use syrup::ebpf::maps::ProgSlot;
 use syrup::ebpf::vm::{Backend, PacketCtx, RunEnv, Vm};
 use syrup::net::RequestClass;
 use syrup::policies::c_sources;
 
-/// Nanoseconds per invocation for one timed batch of `n` runs. The
-/// packet template is memcpy-restored into a reused buffer each run, so
-/// per-run cost excludes allocation.
-fn run_batch(vm: &Vm, slot: ProgSlot, template: &[u8], buf: &mut [u8], n: u32) -> f64 {
+/// One policy run. The packet template is memcpy-restored into a
+/// reused buffer each run, so per-run cost excludes allocation.
+fn runs<'a>(vm: &'a Vm, slot: ProgSlot, template: &'a [u8]) -> Batches<'a> {
+    let mut buf = template.to_vec();
     let mut env = RunEnv::default();
-    let start = Instant::now();
-    for _ in 0..n {
+    Batches::new(move || {
         buf.copy_from_slice(template);
-        let mut ctx = PacketCtx::new(buf);
-        let out = vm.run(slot, &mut ctx, &mut env).expect("policy runs");
-        std::hint::black_box(out.ret);
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(n)
+        let mut ctx = PacketCtx::new(&mut buf);
+        vm.run(slot, &mut ctx, &mut env).expect("policy runs").ret
+    })
 }
 
 /// Best-of-N interleaved per-invocation times `(interp_ns, fast_ns)`.
@@ -58,24 +54,14 @@ fn time_pair(source: &str, opts: &CompileOptions, reps: u32) -> (f64, f64) {
     let (interp_vm, interp_slot) = seeded_vm(source, opts, Backend::Interp);
     let (fast_vm, fast_slot) = seeded_vm(source, opts, Backend::Fast);
     let template = bench::datagram(RequestClass::Get);
-    let mut buf = template.clone();
-
-    // Warmup both engines.
-    run_batch(&interp_vm, interp_slot, &template, &mut buf, reps / 4);
-    run_batch(&fast_vm, fast_slot, &template, &mut buf, reps / 4);
-
-    let (mut interp, mut fast) = (f64::MAX, f64::MAX);
-    for _ in 0..5 {
-        interp = interp.min(run_batch(
-            &interp_vm,
-            interp_slot,
-            &template,
-            &mut buf,
-            reps,
-        ));
-        fast = fast.min(run_batch(&fast_vm, fast_slot, &template, &mut buf, reps));
-    }
-    (interp, fast)
+    let mut interp = runs(&interp_vm, interp_slot, &template);
+    let mut fast = runs(&fast_vm, fast_slot, &template);
+    let reps = u64::from(reps);
+    // One warm-up batch each, then five of each in turn.
+    interp.run(reps / 4);
+    fast.run(reps / 4);
+    let t = interleave(&mut [(&mut interp, reps), (&mut fast, reps)], 5);
+    (t[0].min_ns, t[1].min_ns)
 }
 
 fn main() -> std::process::ExitCode {

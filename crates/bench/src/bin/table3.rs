@@ -12,23 +12,23 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
+use bench::{interleave, Batches};
 use syrup::core::{MapDef, MapRegistry};
 
 /// The modelled NIC round trip for offloaded map access.
 const OFFLOAD_RTT_NS: f64 = 23_600.0;
 
+/// Nanoseconds per `op` over one batch of `iters` calls after a warm-up
+/// of 10 000, `op` given the call's index.
 fn bench_ns(mut op: impl FnMut(u32), iters: u32) -> f64 {
-    // Warm up.
-    for i in 0..10_000 {
+    let mut i = 0u32;
+    let mut batches = Batches::new(move || {
         op(i);
-    }
-    let start = Instant::now();
-    for i in 0..iters {
-        op(i);
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters)
+        i = i.wrapping_add(1);
+    });
+    batches.run(10_000);
+    interleave(&mut [(&mut batches, u64::from(iters))], 1)[0].min_ns
 }
 
 fn main() {

@@ -29,7 +29,7 @@ pub mod figures;
 mod gate;
 mod sweep;
 
-pub use gate::{gate, time, Limit, Site, Timing};
+pub use gate::{gate, interleave, Batches, Limit, Site, Timing};
 pub use sweep::{sweep, sweep_with, Series, Sweep};
 
 /// Reports a mistake in the harness's environment or arguments and exits
@@ -388,18 +388,20 @@ mod tests {
     // vendored criterion stub's `Bencher::iter`.
     #[test]
     fn bencher_measures_something() {
-        let t = gate::measure(false, std::time::Duration::from_millis(4), || {
-            17u64.wrapping_mul(31)
-        })
-        .expect("timed outside smoke mode");
+        let mut batches = Batches::new(|| 17u64.wrapping_mul(31));
+        let n = batches.calibrate(std::time::Duration::from_micros(300));
+        let t = interleave(&mut [(&mut batches, n)], 4)[0];
         assert!(0.0 <= t.min_ns && t.min_ns <= t.mean_ns && t.mean_ns <= t.max_ns);
     }
 
     #[test]
     fn smoke_mode_runs_once() {
         let mut calls = 0u32;
-        let timing = gate::measure(true, std::time::Duration::from_millis(100), || calls += 1);
-        assert_eq!((calls, timing), (1, None));
+        let mut sites = [Site::new("x", Limit::Report, || calls += 1)];
+        let rows = gate::time_rows("t", &mut sites, true, std::time::Duration::from_millis(100));
+        assert!(rows.iter().all(|row| row.timing.is_none()));
+        drop(sites);
+        assert_eq!(calls, 1);
     }
 
     #[test]

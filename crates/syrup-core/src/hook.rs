@@ -69,7 +69,7 @@ impl Hook {
         }
     }
 
-    /// Stable short name, used in metric names and decision traces.
+    /// Stable short name, used in metric names.
     pub fn name(self) -> &'static str {
         match self {
             Hook::ThreadScheduler => "thread-scheduler",

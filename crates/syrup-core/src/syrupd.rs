@@ -49,8 +49,7 @@ use syrup_ebpf::vm::{Backend, PacketCtx, RunEnv, TailPath, Vm, VmStats};
 use syrup_ebpf::{ret, HelperId, Reg, VerifierError, VmError, VmOutcome};
 use syrup_lang::LangError;
 use syrup_observe::telemetry::{
-    Block, BlockHandle, CounterHandle, DecisionEvent, Executor, Field, HistogramSnapshot, Holds,
-    Registry, Snapshot,
+    Block, BlockHandle, CounterHandle, Field, HistogramSnapshot, Holds, Registry, Snapshot,
 };
 
 use crate::decision::{Decision, Verdict};
@@ -153,13 +152,6 @@ enum Run {
 }
 
 impl Run {
-    fn executor(self) -> Executor {
-        match self {
-            Run::Native => Executor::Native,
-            Run::Vm { .. } | Run::Trap => Executor::Ebpf,
-        }
-    }
-
     /// Cycles charged for the verdict.
     fn cycles(self) -> u64 {
         match self {
@@ -314,7 +306,6 @@ struct Slot {
     app: AppId,
     /// The policy's program; `None` for a native policy.
     prog: Option<ProgSlot>,
-    hook_name: &'static str,
     /// The control plane's rank opt-in flag for this `(app, hook)`. It
     /// publishes no other data, hence relaxed.
     ranked: Arc<AtomicBool>,
@@ -669,11 +660,6 @@ impl Syrupd {
             .filter_prefix(&format!("app{}/", app.0))
     }
 
-    /// Consumes the buffered decision trace, oldest first.
-    pub fn drain_decisions(&self) -> Vec<DecisionEvent> {
-        self.telemetry.drain_trace()
-    }
-
     /// Starts recording request spans into `tracer`: one span per policy
     /// invocation at the invoked hook's stage (plus the VM's own
     /// `vm-exec` span), and a `policy-lifecycle` instant per
@@ -846,7 +832,6 @@ impl Syrupd {
         let slot = Arc::new(Slot {
             app,
             prog,
-            hook_name: hook.name(),
             ranked,
             exec: SlotLock(Mutex::new(Calls { exec, stats })),
         });
@@ -1016,14 +1001,6 @@ impl Syrupd {
         if let Some(stats) = stats {
             stats.policy.record(verdict.decision, run);
         }
-        self.telemetry.trace(DecisionEvent {
-            sim_time_ns: meta.now_ns,
-            hook: slot.hook_name,
-            app: u64::from(slot.app.0),
-            verdict: verdict.decision.to_ret() as i64,
-            executor: run.executor(),
-            cycles: run.cycles(),
-        });
         let cycles = run.cycles();
         table.vm.recorder().dispatch(
             meta.now_ns,
@@ -1819,7 +1796,10 @@ mod tests {
 
     #[test]
     fn telemetry_counts_verdicts_and_traces_decisions() {
+        use syrup_observe::blackbox::{EventKind, Layer, Recorder};
         let d = Syrupd::new();
+        let rec = Recorder::new();
+        d.attach_blackbox(&rec);
         let (app, _) = d.register_app("traced", &[8080]).unwrap();
         d.deploy(app, Hook::SocketSelect, rr_source()).unwrap();
         let mut pkt = [0u8; 16];
@@ -1840,16 +1820,23 @@ mod tests {
         // The VM shares the registry: root dispatcher runs are visible.
         assert!(snap.counter("vm/runs") >= 4);
 
-        let events = d.drain_decisions();
+        // One decision record per matched call, none for the unmatched.
+        let events = rec.events(Layer::Syrupd);
         assert_eq!(events.len(), 4);
-        assert!(events.iter().all(|e| e.hook == "socket-select"));
-        assert!(events.iter().all(|e| e.app == u64::from(app.0)));
-        assert!(events.iter().all(|e| e.cycles > 0));
+        assert!(events.iter().all(|e| e.kind == EventKind::Dispatch));
+        assert!(events
+            .iter()
+            .all(|e| e.aux == Hook::SocketSelect.index() as u32));
+        assert!(events.iter().all(|e| u32::from(e.id) == app.0));
+        assert!(events.iter().all(|e| e.w1 > 0), "bytecode costs cycles");
     }
 
     #[test]
     fn native_policies_trace_with_zero_cycles() {
+        use syrup_observe::blackbox::{EventKind, Layer, Recorder};
         let d = Syrupd::new();
+        let rec = Recorder::new();
+        d.attach_blackbox(&rec);
         let (app, _) = d.register_app("native", &[5000]).unwrap();
         d.deploy(
             app,
@@ -1861,20 +1848,24 @@ mod tests {
         d.schedule(Hook::CpuRedirect, &mut pkt, &meta(5000));
         let per_app = d.app_snapshot(app);
         assert_eq!(per_app.counter("cpu-redirect/verdict_drop"), 1);
-        let events = d.drain_decisions();
+        // A native decision is a dispatch record the VM took no part in.
+        let events = rec.events(Layer::Syrupd);
         assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].executor,
-            syrup_observe::telemetry::Executor::Native
-        );
-        assert_eq!(events[0].cycles, 0);
+        assert_eq!(events[0].kind, EventKind::Dispatch);
+        assert_eq!(u32::from(events[0].id), app.0);
+        assert_eq!(events[0].aux, Hook::CpuRedirect.index() as u32);
+        assert_eq!(events[0].w1, 0);
+        assert!(rec.events(Layer::Vm).is_empty());
         // Native policies have no insns histogram → no stats.
         assert!(d.policy_stats(app, Hook::CpuRedirect).is_none());
     }
 
     #[test]
     fn disabled_telemetry_still_schedules() {
+        use syrup_observe::blackbox::{Layer, Recorder};
         let d = Syrupd::with_telemetry(Registry::disabled());
+        let rec = Recorder::new();
+        d.attach_blackbox(&rec);
         let (app, _) = d.register_app("quiet", &[8080]).unwrap();
         d.deploy(app, Hook::SocketSelect, rr_source()).unwrap();
         let mut pkt = [0u8; 16];
@@ -1882,7 +1873,9 @@ mod tests {
         assert_eq!(owner, Some(app));
         assert!(matches!(decision, Decision::Executor(_)));
         assert!(d.telemetry_snapshot().counters.is_empty());
-        assert!(d.drain_decisions().is_empty());
+        // The decision record is the recorder's, which metrics being off
+        // leaves alone.
+        assert_eq!(rec.events(Layer::Syrupd).len(), 1);
         // Stats need the histograms, which a disabled registry drops.
         assert!(d.policy_stats(app, Hook::SocketSelect).is_none());
     }

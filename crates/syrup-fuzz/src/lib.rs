@@ -623,6 +623,7 @@ pub fn structured_reason(err: &VerifierError) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use syrup_ebpf::vm::Backend;
     use syrup_ebpf::{AluOp, CmpOp, Insn, Operand, Reg, Width};
 
     #[test]
@@ -679,10 +680,21 @@ mod tests {
             "report must print the reproducing seed:\n{text}"
         );
         assert!(text.contains("shrunk program"));
-        // The minimized program must still reproduce: verify under the
-        // buggy config, then trap on the recorded input.
+        // The minimized program must still reproduce: it verifies only
+        // under the buggy config, and the reference interpreter traps on
+        // the recorded input with a memory error.
         let maps = MapRegistry::new();
-        let _ = maps; // shrink predicate already replayed against the real registry
+        let program = &failure.program;
+        assert!(verify_with_config(program, &maps, &cfg).is_ok());
+        assert!(syrup_ebpf::verify(program, &maps).is_err());
+        let mut vm = Vm::new(maps.clone());
+        vm.set_backend(Backend::Interp);
+        let slot = vm.load_unverified(program.clone());
+        let input = failure
+            .input
+            .expect("a soundness failure records its input");
+        let trap = run_once(&vm, slot, &input).expect_err("the shrunk program must trap");
+        assert!(matches!(trap, VmError::OutOfBounds { .. }), "{trap:?}");
     }
 
     #[test]

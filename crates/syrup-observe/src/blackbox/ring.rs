@@ -1,8 +1,8 @@
 //! The lock-free overwrite-oldest event ring.
 //!
-//! Semantics differ deliberately from `crate::telemetry::DecisionRing`:
-//! that ring mirrors an eBPF ringbuf (bounded, the *new* event is dropped
-//! on overflow, a consumer drains). A flight recorder wants the opposite
+//! Semantics differ deliberately from the tracer's span buffer: that one
+//! mirrors an eBPF ringbuf (bounded, the *new* record is dropped on
+//! overflow, a consumer drains). A flight recorder wants the opposite
 //! — the *newest* window must survive, so when full the ring overwrites
 //! the oldest slot, and "dropped" counts overwritten events. Both counts
 //! are exact: a ring that accepted `p` pushes holds the last
@@ -241,7 +241,7 @@ mod tests {
 
     /// Satellite: ring overwrite accounting under concurrent writers —
     /// events lost == the drop counter, and no torn events once writers
-    /// are quiescent (mirrors `DecisionRing`'s overfill regressions).
+    /// are quiescent (mirrors the span buffer's overfill regressions).
     #[test]
     fn concurrent_overfill_accounts_every_event_exactly() {
         const WRITERS: u64 = 4;

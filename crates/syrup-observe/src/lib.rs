@@ -2,7 +2,7 @@
 //! per pillar, each zero-cost when disabled:
 //!
 //! * [`telemetry`] — counters, gauges, log2 histograms, per-CPU stats
-//!   blocks, the decision ring and registry snapshots.
+//!   blocks and registry snapshots.
 //! * [`trace`] — sampled per-request spans, timelines, stage breakdowns
 //!   and Perfetto export.
 //! * [`profile`] — cycle attribution inside policies, executor pressure
@@ -39,7 +39,6 @@ mod profiler;
 mod recorder;
 mod registry;
 mod report;
-mod ring;
 mod sampler;
 mod slo;
 mod span;

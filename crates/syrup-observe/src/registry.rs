@@ -19,17 +19,12 @@ use crate::block::{Block, BlockHandle, Holds, Registered};
 use crate::counter::{Counter, Gauge};
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::percpu::{stripe_count, PerCpu};
-use crate::ring::{DecisionEvent, DecisionRing};
 use parking_lot::Mutex;
 use serde::{Serialize, SerializeStruct, Serializer};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// Default bound on buffered decision events, matching a small eBPF
-/// ringbuf (4096 entries).
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 #[derive(Debug, Default)]
 struct Instruments {
@@ -147,32 +142,18 @@ impl Instruments {
     }
 }
 
-#[derive(Debug)]
-struct RegistryInner {
-    instruments: Mutex<Instruments>,
-    ring: DecisionRing,
-}
-
-/// A shareable registry of named metrics plus a decision ring buffer.
-/// Cloning shares the underlying state (like sharing a map fd).
+/// A shareable registry of named metrics. Cloning shares the
+/// underlying state (like sharing a map fd).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    inner: Option<Arc<RegistryInner>>,
+    inner: Option<Arc<Mutex<Instruments>>>,
 }
 
 impl Registry {
-    /// An enabled registry with the default ring capacity.
+    /// An enabled registry.
     pub fn new() -> Self {
-        Self::with_ring_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// An enabled registry whose decision ring holds `capacity` events.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
         Registry {
-            inner: Some(Arc::new(RegistryInner {
-                instruments: Mutex::new(Instruments::default()),
-                ring: DecisionRing::new(capacity),
-            })),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -188,9 +169,7 @@ impl Registry {
 
     /// Runs `register` on the instruments; `None` when disabled.
     fn register<T>(&self, register: impl FnOnce(&mut Instruments) -> T) -> Option<T> {
-        self.inner
-            .as_ref()
-            .map(|r| register(&mut r.instruments.lock()))
+        self.inner.as_ref().map(|i| register(&mut i.lock()))
     }
 
     /// Registers (or fetches) the named counter. Panics if the name is
@@ -246,28 +225,6 @@ impl Registry {
         }
     }
 
-    /// Traces one decision into the ring buffer. Returns whether the
-    /// event was stored (false when full or disabled).
-    pub fn trace(&self, event: DecisionEvent) -> bool {
-        match &self.inner {
-            Some(r) => r.ring.push(event),
-            None => false,
-        }
-    }
-
-    /// Consumes all buffered decision events, oldest first.
-    pub fn drain_trace(&self) -> Vec<DecisionEvent> {
-        match &self.inner {
-            Some(r) => r.ring.drain(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Decision events lost to ring overflow so far.
-    pub fn trace_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |r| r.ring.dropped())
-    }
-
     /// Brings `since` up to now and returns what moved: the same as
     /// taking a [`Registry::snapshot`], diffing it against `since` with
     /// [`Snapshot::delta`] and storing it in `since`. While `since` names
@@ -278,8 +235,8 @@ impl Registry {
         fn same_names<A, B>(a: &BTreeMap<String, A>, b: &BTreeMap<String, B>) -> bool {
             a.len() == b.len() && a.keys().eq(b.keys())
         }
-        if let Some(r) = &self.inner {
-            let mut instruments = r.instruments.lock();
+        if let Some(instruments) = &self.inner {
+            let mut instruments = instruments.lock();
             if same_names(&instruments.counters, &since.counters)
                 && same_names(&instruments.gauges, &since.gauges)
                 && same_names(&instruments.histograms, &since.histograms)
@@ -313,10 +270,6 @@ impl Registry {
                         old.clone_from(&h);
                     }
                 }
-                let (buffered, dropped) = (r.ring.len() as u64, r.ring.dropped());
-                delta.trace_buffered = buffered as i64 - since.trace_buffered as i64;
-                delta.trace_dropped = dropped.saturating_sub(since.trace_dropped);
-                (since.trace_buffered, since.trace_dropped) = (buffered, dropped);
                 return delta;
             }
         }
@@ -329,10 +282,10 @@ impl Registry {
     /// Point-in-time copy of every metric. Disabled registries snapshot
     /// as empty.
     pub fn snapshot(&self) -> Snapshot {
-        let Some(r) = &self.inner else {
+        let Some(instruments) = &self.inner else {
             return Snapshot::default();
         };
-        let mut instruments = r.instruments.lock();
+        let mut instruments = instruments.lock();
         instruments.refresh();
         let i = &*instruments;
         Snapshot {
@@ -347,8 +300,6 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), i.histogram(v).into_owned()))
                 .collect(),
-            trace_buffered: r.ring.len() as u64,
-            trace_dropped: r.ring.dropped(),
         }
     }
 }
@@ -464,10 +415,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Decision events buffered in the ring at snapshot time.
-    pub trace_buffered: u64,
-    /// Decision events lost to ring overflow.
-    pub trace_dropped: u64,
 }
 
 impl Snapshot {
@@ -502,8 +449,6 @@ impl Snapshot {
             counters: strip(&self.counters, prefix),
             gauges: strip(&self.gauges, prefix),
             histograms: strip(&self.histograms, prefix),
-            trace_buffered: self.trace_buffered,
-            trace_dropped: self.trace_dropped,
         }
     }
 
@@ -544,16 +489,6 @@ impl Snapshot {
                     h.max()
                 );
             }
-        }
-        if self.trace_buffered > 0 || self.trace_dropped > 0 {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            let _ = writeln!(
-                out,
-                "trace: {} buffered, {} dropped",
-                self.trace_buffered, self.trace_dropped
-            );
         }
         if out.is_empty() {
             out.push_str("(no metrics recorded)\n");
@@ -609,8 +544,6 @@ impl Snapshot {
             counters,
             gauges,
             histograms,
-            trace_buffered: self.trace_buffered as i64 - earlier.trace_buffered as i64,
-            trace_dropped: self.trace_dropped.saturating_sub(earlier.trace_dropped),
         }
     }
 }
@@ -627,20 +560,12 @@ pub struct SnapshotDelta {
     /// Per-histogram sample deltas (only histograms that changed; a
     /// histogram absent from `earlier` appears whole).
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Signed change in buffered decision events.
-    pub trace_buffered: i64,
-    /// Decision events newly lost to ring overflow.
-    pub trace_dropped: u64,
 }
 
 impl SnapshotDelta {
     /// Whether nothing changed between the two snapshots.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.trace_buffered == 0
-            && self.trace_dropped == 0
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Replays the delta onto the snapshot it was computed against,
@@ -660,32 +585,26 @@ impl SnapshotDelta {
                 .or_insert_with(HistogramSnapshot::empty)
                 .merge(delta);
         }
-        later.trace_buffered = (later.trace_buffered as i64 + self.trace_buffered) as u64;
-        later.trace_dropped += self.trace_dropped;
         later
     }
 }
 
 impl Serialize for SnapshotDelta {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("SnapshotDelta", 5)?;
+        let mut s = serializer.serialize_struct("SnapshotDelta", 3)?;
         s.serialize_field("counters", &self.counters)?;
         s.serialize_field("gauges", &self.gauges)?;
         s.serialize_field("histograms", &self.histograms)?;
-        s.serialize_field("trace_buffered", &self.trace_buffered)?;
-        s.serialize_field("trace_dropped", &self.trace_dropped)?;
         s.end()
     }
 }
 
 impl Serialize for Snapshot {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Snapshot", 5)?;
+        let mut s = serializer.serialize_struct("Snapshot", 3)?;
         s.serialize_field("counters", &self.counters)?;
         s.serialize_field("gauges", &self.gauges)?;
         s.serialize_field("histograms", &self.histograms)?;
-        s.serialize_field("trace_buffered", &self.trace_buffered)?;
-        s.serialize_field("trace_dropped", &self.trace_dropped)?;
         s.end()
     }
 }
@@ -694,7 +613,6 @@ impl Serialize for Snapshot {
 mod tests {
     use super::*;
     use crate::block::tests::Pair;
-    use crate::ring::Executor;
 
     #[test]
     fn handles_share_state_by_name() {
@@ -715,14 +633,6 @@ mod tests {
         c.inc();
         g.set(9);
         h.record(100);
-        assert!(!reg.trace(DecisionEvent {
-            sim_time_ns: 0,
-            hook: "h",
-            app: 0,
-            verdict: 0,
-            executor: Executor::Native,
-            cycles: 0,
-        }));
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
@@ -752,26 +662,16 @@ mod tests {
 
     #[test]
     fn table_and_json_render() {
-        let reg = Registry::with_ring_capacity(8);
+        let reg = Registry::new();
         reg.counter("syrupd/deploys").inc();
         reg.gauge("ghost/runnable").set(3);
         reg.histogram("vm/run_cycles").record(1500);
-        reg.trace(DecisionEvent {
-            sim_time_ns: 10,
-            hook: "nic_steer",
-            app: 1,
-            verdict: 2,
-            executor: Executor::Ebpf,
-            cycles: 1500,
-        });
         let snap = reg.snapshot();
         let table = snap.render_table();
         assert!(table.contains("syrupd/deploys"), "{table}");
         assert!(table.contains("vm/run_cycles"), "{table}");
-        assert!(table.contains("trace: 1 buffered, 0 dropped"), "{table}");
         let json = snap.to_json();
         assert!(json.contains("\"syrupd/deploys\":1"), "{json}");
-        assert!(json.contains("\"trace_buffered\":1"), "{json}");
     }
 
     #[test]
@@ -962,7 +862,7 @@ mod tests {
     /// instruments stand still, and a disabled one.
     #[test]
     fn advance_is_snapshot_then_delta() {
-        let reg = Registry::with_ring_capacity(4);
+        let reg = Registry::new();
         let mut since = Snapshot::default();
         for step in 0u64..12 {
             if step % 4 == 0 {
@@ -974,14 +874,6 @@ mod tests {
                 reg.counter("c0").add(step);
                 reg.gauge("g").set(10 - step as i64);
                 reg.histogram("h").record(step * 100);
-                reg.trace(DecisionEvent {
-                    sim_time_ns: step,
-                    hook: "select_cpu",
-                    app: 1,
-                    verdict: 0,
-                    executor: Executor::Native,
-                    cycles: 1,
-                });
             }
             let mut reference = since.clone();
             let now = reg.snapshot();
@@ -994,25 +886,6 @@ mod tests {
         let want = Snapshot::default().delta(&since);
         assert_eq!(off.advance(&mut since), want);
         assert_eq!(since, Snapshot::default());
-    }
-
-    #[test]
-    fn drain_trace_consumes_events() {
-        let reg = Registry::with_ring_capacity(2);
-        for t in 0..3 {
-            reg.trace(DecisionEvent {
-                sim_time_ns: t,
-                hook: "select_cpu",
-                app: 7,
-                verdict: 0,
-                executor: Executor::Native,
-                cycles: 25,
-            });
-        }
-        assert_eq!(reg.trace_dropped(), 1);
-        let events = reg.drain_trace();
-        assert_eq!(events.len(), 2);
-        assert!(reg.drain_trace().is_empty());
     }
 
     /// `threads` threads record `values` round-robin into a block of

@@ -2,9 +2,8 @@
 //!
 //! Mirrors the telemetry structure of the real system described in the
 //! paper: scheduling policies run as eBPF programs whose statistics live in
-//! percpu maps (counters, histograms) and whose decisions stream to
-//! userspace through a bounded ring buffer. This module provides the
-//! software analogue used across the simulated stack:
+//! percpu maps (counters, histograms). This module provides the software
+//! analogue used across the simulated stack:
 //!
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s and log2 [`Histogram`]s
 //!   with lock-free updates (relaxed atomics; registration takes a lock
@@ -21,13 +20,8 @@
 //!   `app<id>/<hook>/*` and `vm/*` with plain adds under the policy's own
 //!   lock. Reads fold the stripes and the held copies exactly, so a block
 //!   reads like the atomics it replaces.
-//! * The decision ring — a bounded ring of [`DecisionEvent`]s with
-//!   eBPF-ringbuf semantics: when the buffer is full the *new* event is
-//!   dropped (reservation failure) and a per-CPU drop counter advances
-//!   ([`Registry::trace`]). The buffer is generic; the tracer
-//!   keeps its spans in one too.
 //! * [`PerCpu`] — one cache-line-aligned stripe per CPU, standing in for
-//!   a percpu map slot: the storage of blocks and of the ring's drop
+//!   a percpu map slot: the storage of blocks and of the tracer's drop
 //!   count.
 //! * [`Snapshot`] — a point-in-time copy of every metric, exportable as a
 //!   plain-text table ([`Snapshot::render_table`]) or JSON
@@ -37,6 +31,9 @@
 //! or block write is a single branch on an `Option` discriminant, so
 //! instrumented hot paths cost ~nothing when telemetry is off (see
 //! `bench/benches/telemetry.rs`).
+//!
+//! The registry holds metrics only. Each decision's record is the flight
+//! recorder's `dispatch` event ([`crate::blackbox`]).
 
 pub use crate::block::{Block, BlockHandle, Field, Holds};
 pub use crate::counter::{Counter, Gauge};
@@ -45,5 +42,3 @@ pub use crate::percpu::PerCpu;
 pub use crate::registry::{
     CounterHandle, GaugeHandle, HistogramHandle, Registry, Snapshot, SnapshotDelta,
 };
-pub(crate) use crate::ring::BoundedRing;
-pub use crate::ring::{DecisionEvent, Executor};

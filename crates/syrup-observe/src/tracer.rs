@@ -1,9 +1,11 @@
 //! The tracer: trace-ID allocation, sampling, span recording.
 
+use crate::counter::Counter;
+use crate::percpu::PerCpu;
 use crate::span::{SpanKind, SpanRecord};
 use crate::stage::Stage;
-use crate::telemetry::BoundedRing;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// A trace identifier. Nonzero; 0 is reserved for "not traced" /
@@ -50,13 +52,91 @@ impl TraceCtx {
 /// like a full eBPF ringbuf reservation.
 pub const TRACE_CAPACITY: usize = 1 << 16;
 
+/// The tracer's span buffer, with eBPF ringbuf semantics: bounded, the
+/// newest record dropped on overflow, and a monotonic drop count
+/// readable at any time.
+///
+/// A full ringbuf refuses a reservation without blocking anyone, and so
+/// does this one: the length is mirrored in an atomic written under the
+/// lock, a producer that reads it at capacity refuses without taking the
+/// lock, and the refusal is counted per CPU. Once full, producers share
+/// no written line. A stale mirror is either too low, which only sends
+/// the producer to the lock, or misses a drain, which refuses a push the
+/// buffer could have taken: one that is never drained accepts exactly
+/// `capacity` records, and accepted + dropped equals attempted either way.
+#[derive(Debug)]
+struct BoundedRing {
+    records: Mutex<Vec<SpanRecord>>,
+    /// `records.len()`, stored under the lock whenever it changes.
+    /// Relaxed: it publishes no data, records are read under the lock.
+    len: AtomicUsize,
+    capacity: usize,
+    /// Per CPU: every refusing producer writes it.
+    dropped: PerCpu<Counter>,
+}
+
+impl BoundedRing {
+    /// A buffer holding at most `capacity` records (min 1).
+    fn new(capacity: usize) -> Self {
+        BoundedRing {
+            records: Mutex::new(Vec::new()),
+            len: AtomicUsize::new(0),
+            capacity: capacity.max(1),
+            dropped: PerCpu::new(Counter::new),
+        }
+    }
+
+    /// Appends a record, or drops it and counts the drop if the buffer
+    /// is full; returns whether the record was stored.
+    fn push(&self, record: SpanRecord) -> bool {
+        if self.len.load(Relaxed) < self.capacity && self.push_locked(record) {
+            return true;
+        }
+        self.dropped.local().inc();
+        false
+    }
+
+    /// The locked half of [`BoundedRing::push`], out of line so that a
+    /// refusal saves no registers for it.
+    #[inline(never)]
+    fn push_locked(&self, record: SpanRecord) -> bool {
+        let mut records = self.records.lock();
+        if records.len() >= self.capacity {
+            return false;
+        }
+        records.push(record);
+        self.len.store(records.len(), Relaxed);
+        true
+    }
+
+    /// Removes and returns every buffered record, oldest first.
+    fn drain(&self) -> Vec<SpanRecord> {
+        let mut records = self.records.lock();
+        self.len.store(0, Relaxed);
+        std::mem::take(&mut *records)
+    }
+
+    fn peek(&self) -> Vec<SpanRecord> {
+        self.records.lock().clone()
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.len.load(Relaxed)
+    }
+
+    fn dropped(&self) -> u64 {
+        self.dropped.sum()
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     sample_every: u64,
     next_id: AtomicU64,
     ingress_seen: AtomicU64,
     started: AtomicU64,
-    records: BoundedRing<SpanRecord>,
+    records: BoundedRing,
 }
 
 /// The span tracer. Cloning shares the instance (like sharing a map fd);
@@ -380,5 +460,134 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].trace_id, 0);
         assert_eq!(records[0].arg, 42);
+    }
+
+    fn ev(t: u64) -> SpanRecord {
+        SpanRecord {
+            trace_id: 1,
+            stage: Stage::Run,
+            start_ns: t,
+            end_ns: t,
+            kind: SpanKind::Complete,
+            verdict: 3,
+            cycles: 1500,
+            arg: 0,
+        }
+    }
+
+    #[test]
+    fn overflow_drops_the_new_event() {
+        let ring = BoundedRing::new(2);
+        assert!(ring.push(ev(1)));
+        assert!(ring.push(ev(2)));
+        assert!(!ring.push(ev(3)));
+        assert_eq!(ring.dropped(), 1);
+        // The buffered events are the OLD ones; event 3 was lost.
+        let events: Vec<u64> = ring.drain().iter().map(|e| e.start_ns).collect();
+        assert_eq!(events, vec![1, 2]);
+    }
+
+    #[test]
+    fn drain_frees_capacity() {
+        let ring = BoundedRing::new(1);
+        assert!(ring.push(ev(1)));
+        assert!(!ring.push(ev(2)));
+        assert_eq!(ring.drain().len(), 1);
+        assert!(ring.push(ev(3)));
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.dropped(), 1);
+    }
+
+    #[test]
+    fn overfill_counts_every_drop_exactly_and_keeps_order() {
+        let ring = BoundedRing::new(8);
+        for t in 0..100 {
+            ring.push(ev(t));
+        }
+        assert_eq!(ring.len(), 8);
+        assert_eq!(ring.dropped(), 92);
+        // Survivors are the oldest events, in insertion order.
+        let stored: Vec<u64> = ring.drain().iter().map(|e| e.start_ns).collect();
+        assert_eq!(stored, (0..8).collect::<Vec<u64>>());
+        // Draining frees capacity; the drop counter keeps its history.
+        for t in 100..112 {
+            ring.push(ev(t));
+        }
+        assert_eq!(ring.dropped(), 96);
+        let stored: Vec<u64> = ring.drain().iter().map(|e| e.start_ns).collect();
+        assert_eq!(stored, (100..108).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn concurrent_overfill_loses_no_record_and_no_drop() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 1_000;
+        let ring = Arc::new(BoundedRing::new(4));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let ring = Arc::clone(&ring);
+                std::thread::spawn(move || {
+                    let mut stored = 0u64;
+                    for i in 0..PER_PRODUCER {
+                        if ring.push(ev(p * PER_PRODUCER + i)) {
+                            stored += 1;
+                        }
+                    }
+                    stored
+                })
+            })
+            .collect();
+        // Drain concurrently so pushes keep landing into freed capacity.
+        let consumer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                let mut got = 0u64;
+                for _ in 0..500 {
+                    got += ring.drain().len() as u64;
+                    std::thread::yield_now();
+                }
+                got
+            })
+        };
+        let stored: u64 = producers.into_iter().map(|h| h.join().unwrap()).sum();
+        let drained = consumer.join().unwrap() + ring.drain().len() as u64;
+        // Every accepted push is drained exactly once, and accepted +
+        // dropped accounts for every push attempted.
+        assert_eq!(stored, drained);
+        assert_eq!(stored + ring.dropped(), PRODUCERS * PER_PRODUCER);
+    }
+
+    #[test]
+    fn concurrent_overfill_of_an_undrained_ring_refuses_exactly_the_excess() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 2_000;
+        const CAPACITY: usize = 100;
+        let ring = BoundedRing::new(CAPACITY);
+        let stored: u64 = std::thread::scope(|s| {
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let ring = &ring;
+                    s.spawn(move || {
+                        (0..PER_PRODUCER)
+                            .filter(|i| ring.push(ev(p * PER_PRODUCER + i)))
+                            .count() as u64
+                    })
+                })
+                .collect();
+            producers.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        let attempted = PRODUCERS * PER_PRODUCER;
+        assert_eq!(stored, CAPACITY as u64);
+        assert_eq!(ring.dropped(), attempted - CAPACITY as u64);
+        assert_eq!(ring.len(), CAPACITY);
+        assert_eq!(ring.drain().len(), CAPACITY);
+    }
+
+    #[test]
+    fn peek_does_not_consume() {
+        let ring = BoundedRing::new(4);
+        ring.push(ev(1));
+        assert_eq!(ring.peek().len(), 1);
+        assert_eq!(ring.len(), 1);
     }
 }

@@ -7,7 +7,7 @@
 //!   counter entries telescope to the total movement.
 
 use proptest::prelude::*;
-use syrup_observe::telemetry::{DecisionEvent, Executor, Registry, Snapshot};
+use syrup_observe::telemetry::{Registry, Snapshot};
 
 /// One randomly generated instrument update.
 #[derive(Debug, Clone)]
@@ -15,7 +15,6 @@ enum Op {
     Counter(usize, u64),
     Gauge(usize, i64),
     Hist(usize, u64),
-    Trace(u64),
 }
 
 const NAMES: [&str; 3] = ["alpha", "beta/ops", "gamma_ns"];
@@ -23,11 +22,10 @@ const NAMES: [&str; 3] = ["alpha", "beta/ops", "gamma_ns"];
 fn op_strategy() -> impl Strategy<Value = Op> {
     // The vendored proptest stub has no `prop_oneof`; pick the variant
     // from a discriminant instead.
-    (0u8..4, 0usize..NAMES.len(), 0u64..1_000_000).prop_map(|(which, i, v)| match which {
+    (0u8..3, 0usize..NAMES.len(), 0u64..1_000_000).prop_map(|(which, i, v)| match which {
         0 => Op::Counter(i, v % 1_000),
         1 => Op::Gauge(i, (v % 1_000) as i64 - 500),
-        2 => Op::Hist(i, v),
-        _ => Op::Trace(v),
+        _ => Op::Hist(i, v),
     })
 }
 
@@ -37,16 +35,6 @@ fn apply_ops(reg: &Registry, ops: &[Op]) {
             Op::Counter(i, n) => reg.counter(NAMES[i]).add(n),
             Op::Gauge(i, n) => reg.gauge(NAMES[i]).add(n),
             Op::Hist(i, v) => reg.histogram(NAMES[i]).record(v),
-            Op::Trace(t) => {
-                reg.trace(DecisionEvent {
-                    sim_time_ns: t,
-                    hook: "nic_steer",
-                    app: 1,
-                    verdict: (t % 4) as i64,
-                    executor: Executor::Ebpf,
-                    cycles: 100,
-                });
-            }
         }
     }
 }
@@ -99,7 +87,6 @@ proptest! {
                 prop_assert!(v >= prev.counter(name),
                     "counter {name} went backwards: {} -> {v}", prev.counter(name));
             }
-            prop_assert!(next.trace_dropped >= prev.trace_dropped);
             for (name, inc) in next.delta(&prev).counters {
                 *telescoped.entry(name).or_insert(0) += inc;
             }

@@ -9,6 +9,7 @@
 //!
 //! Run with: `cargo run -p syrup --example quickstart`
 
+use syrup::blackbox::{Layer, Recorder};
 use syrup::core::{CompileOptions, Decision, Hook, HookMeta, PolicySource, Syrupd};
 
 pub fn main() {
@@ -24,6 +25,9 @@ pub fn main() {
     // ❶ The system-wide daemon is already running; our app registers with
     // the port it owns.
     let daemon = Syrupd::new();
+    // The flight recorder keeps one record per scheduling decision.
+    let recorder = Recorder::new();
+    daemon.attach_blackbox(&recorder);
     let (app, _maps) = daemon.register_app("quickstart-kv", &[8080]).unwrap();
     println!("registered application {app} owning port 8080");
 
@@ -84,20 +88,19 @@ pub fn main() {
         .unwrap_err();
     println!("\nunsafe policy rejected as expected:\n  {err}");
 
-    // ❺ Everything above was observed: syrupd keeps counters, cycle
-    // histograms, and a ring buffer of per-decision trace events.
+    // ❺ Everything above was observed: syrupd keeps counters and cycle
+    // histograms, and the recorder holds each decision.
     println!("\ntelemetry snapshot:");
     print!("{}", daemon.telemetry_snapshot().render_table());
     println!("\nrecent decisions (oldest first):");
-    for ev in daemon.drain_decisions() {
+    for ev in recorder.events(Layer::Syrupd) {
         println!(
-            "  t={}ns {} app{} -> verdict {} via {} ({} cycles)",
-            ev.sim_time_ns,
-            ev.hook,
-            ev.app,
-            ev.verdict,
-            ev.executor.as_str(),
-            ev.cycles
+            "  t={}ns {} app{} -> verdict {} ({} cycles)",
+            ev.at_ns,
+            Hook::ALL[ev.aux as usize],
+            ev.id,
+            ev.w0,
+            ev.w1
         );
     }
 }

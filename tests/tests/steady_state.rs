@@ -64,9 +64,11 @@ static GLOBAL: Counting = Counting;
 const PORT: u16 = 7000;
 const HOOK: Hook = Hook::SocketSelect;
 
-/// Calls before counting: the daemon's decision ring grows, one doubling
-/// at a time, until it holds its 4096 records and refuses the rest.
-const WARM_UP: u64 = 4096;
+/// Calls before counting: one, the smallest every row needs. The first
+/// call fetches the caller thread's copy of the published table under
+/// the table's lock, and under a profiler fills its chain nodes, step
+/// tables and block slots; nothing grows after it.
+const WARM_UP: u64 = 1;
 
 /// Heap allocations `calls` schedules on `daemon` make after the warm-up,
 /// over a 32-byte GET-shaped packet.
@@ -188,8 +190,7 @@ fn locked(daemon: &Syrupd, port: u16, clock: std::ops::Range<u64>) -> Option<u64
 /// Locks per warm bytecode `schedule`: the slot's own, which also
 /// guards the policy's and the VM's stats for the call. The caller
 /// thread's copy of the published table is checked with a plain load,
-/// the Table-2 policies' maps take none, and the full decision ring
-/// refuses without its lock.
+/// and the Table-2 policies' maps take none.
 const BYTECODE_LOCKS: u64 = 1;
 
 /// Locks per warm native dispatch: the slot's, stats included.
@@ -243,8 +244,8 @@ fn a_warm_native_dispatch_takes_one_lock() {
 }
 
 /// Requests in the shorter of the two trips a world row compares: enough
-/// that both fill the decision ring (three decisions a request), so the
-/// difference is all steady state.
+/// that both are past the world's warm-up, so the difference is all
+/// steady state.
 const TRIP_REQUESTS: usize = 2_000;
 
 /// Locks per plain quickstart request: one slot lock at each of its
@@ -274,6 +275,34 @@ fn trip(requests: usize) -> (u64, Option<u64>) {
     );
     assert_eq!(run.completed, requests as u64);
     counts
+}
+
+/// One daemon serving a bytecode policy, a native one and unmatched
+/// ports takes one lock per call of each from its second call on: no
+/// per-daemon buffer takes a lock of its own while it fills.
+#[test]
+fn a_cold_daemons_dispatch_takes_one_lock() {
+    let daemon = Syrupd::new();
+    let entry = &c_sources::table2(6)[0];
+    let (app, _) = daemon.register_app(entry.name, &[PORT]).unwrap();
+    let policy = PolicySource::C {
+        source: entry.source.to_string(),
+        options: entry.opts.clone(),
+    };
+    daemon.deploy(app, HOOK, policy).unwrap();
+    let (native, _) = daemon.register_app("native", &[PORT + 1]).unwrap();
+    let policy = PolicySource::Native(Box::new(RoundRobinPolicy::new(6)));
+    daemon.deploy(native, HOOK, policy).unwrap();
+    locked(&daemon, PORT, 0..WARM_UP);
+    for (port, per_call, what) in [
+        (PORT, BYTECODE_LOCKS, "bytecode"),
+        (PORT + 1, NATIVE_LOCKS, "native"),
+        (PORT + 2, UNMATCHED_LOCKS, "unmatched"),
+    ] {
+        let calls = WARM_UP..WARM_UP + 64;
+        let want = expected_locks(per_call, 64);
+        assert_eq!(locked(&daemon, port, calls), want, "{what}");
+    }
 }
 
 /// The first world row: `N` more requests cost `N` times the locks
