@@ -235,9 +235,11 @@ pub fn run(cfg: &MtConfig) -> MtResult {
         cfg,
         class_map,
         sched,
-        current: vec![None; cfg.threads],
-        on_core: vec![None; cfg.threads],
-        token: vec![0; cfg.threads],
+        threads: Threads {
+            current: vec![None; cfg.threads],
+            on_core: vec![None; cfg.threads],
+            token: vec![0; cfg.threads],
+        },
         get_rec: load.recorder(),
         scan_rec: load.recorder(),
         dropped: 0,
@@ -251,15 +253,21 @@ struct MtWorld<'c> {
     front: FrontEnd<'c>,
     class_map: MapRef,
     sched: Sched,
+    threads: Threads,
+    get_rec: LatencyRecorder,
+    scan_rec: LatencyRecorder,
+    dropped: u64,
+}
+
+/// Per-thread run state, apart from the scheduler so that a decision the
+/// scheduler lends out can be applied while it is borrowed.
+struct Threads {
     /// In-flight request per thread (paused when `started` is None).
     current: Vec<Option<InFlight>>,
     /// Core each thread currently occupies.
     on_core: Vec<Option<CoreId>>,
     /// Run-token per thread: stale ThreadStart/Complete events are ignored.
     token: Vec<u64>,
-    get_rec: LatencyRecorder,
-    scan_rec: LatencyRecorder,
-    dropped: u64,
 }
 
 impl MtWorld<'_> {
@@ -288,7 +296,7 @@ impl MtWorld<'_> {
             Ev::Complete { thread, token } => self.on_complete(now, thread, token, q),
             Ev::SliceTick { core } => {
                 let assignments = self.sched.as_dyn().preempt_check(core, now);
-                self.apply(now, assignments, q);
+                self.threads.apply(&self.cfg.tracer, now, assignments, q);
                 if now < self.front.load.end() + Duration::from_millis(50) {
                     let slice = self
                         .sched
@@ -324,7 +332,7 @@ impl MtWorld<'_> {
             Delivery::Enqueued(thread) => {
                 // Publish the class this thread will serve next if it is
                 // about to pick this request up (head of an empty queue).
-                let idle = self.current[thread].is_none();
+                let idle = self.threads.current[thread].is_none();
                 if idle && self.front.group.socket(thread).map(|s| s.len()) == Some(1) {
                     let _ = self.class_map.update_u64(thread as u32, req.thread_class());
                 }
@@ -336,7 +344,7 @@ impl MtWorld<'_> {
                         .sched
                         .as_dyn()
                         .thread_ready(ThreadId(thread as u32), now);
-                    self.apply(now, assignments, q);
+                    self.threads.apply(&self.cfg.tracer, now, assignments, q);
                 }
             }
             Delivery::Dropped { .. } => {
@@ -355,46 +363,6 @@ impl MtWorld<'_> {
         }
     }
 
-    fn apply(&mut self, now: Time, assignments: Vec<Assignment>, q: &mut Queue) {
-        for a in assignments {
-            if let Some(victim) = a.preempted {
-                self.pause_thread(victim.0 as usize, a.start_at.max(now));
-            }
-            let thread = a.thread.0 as usize;
-            self.token[thread] += 1;
-            q.push_keyed(
-                a.start_at,
-                thread as u64,
-                Ev::ThreadStart {
-                    thread,
-                    core: a.core,
-                    token: self.token[thread],
-                },
-            );
-        }
-    }
-
-    /// Stops a running thread at `at`, banking its remaining service.
-    fn pause_thread(&mut self, thread: usize, at: Time) {
-        self.token[thread] += 1; // invalidate its Complete event
-        self.on_core[thread] = None;
-        if let Some(inflight) = self.current[thread].as_mut() {
-            if let Some(started) = inflight.started.take() {
-                let ran = at.since(started);
-                inflight.remaining = inflight.remaining - ran;
-                // Each on-core interval is its own run span, so a
-                // preempted request's timeline shows the gap.
-                self.cfg.tracer.span_arg(
-                    inflight.req.trace,
-                    syrup_observe::trace::Stage::Run,
-                    started.as_nanos(),
-                    at.as_nanos(),
-                    thread as u64,
-                );
-            }
-        }
-    }
-
     /// `thread` takes the head request off its socket (if any), publishes
     /// its class and starts on it at `now`; the `Complete` carries `token`.
     fn take_next(&mut self, now: Time, thread: usize, token: u64, q: &mut Queue) -> bool {
@@ -404,7 +372,7 @@ impl MtWorld<'_> {
         let _ = self.class_map.update_u64(thread as u32, req.thread_class());
         self.set_ghost_trace(thread, req.trace);
         let remaining = self.cfg.per_request_overhead + req.service;
-        self.current[thread] = Some(InFlight {
+        self.threads.current[thread] = Some(InFlight {
             req,
             remaining,
             started: Some(now),
@@ -425,11 +393,11 @@ impl MtWorld<'_> {
         token: u64,
         q: &mut Queue,
     ) {
-        if self.token[thread] != token {
+        if self.threads.token[thread] != token {
             return; // superseded
         }
-        self.on_core[thread] = Some(core);
-        if let Some(inflight) = self.current[thread].as_mut() {
+        self.threads.on_core[thread] = Some(core);
+        if let Some(inflight) = self.threads.current[thread].as_mut() {
             // Resuming a preempted request.
             inflight.started = Some(now);
             q.push_keyed(
@@ -443,16 +411,16 @@ impl MtWorld<'_> {
                 self.sched
                     .as_dyn()
                     .thread_stopped(ThreadId(thread as u32), core, now);
-            self.apply(now, assignments, q);
+            self.threads.apply(&self.cfg.tracer, now, assignments, q);
         }
     }
 
     fn on_complete(&mut self, now: Time, thread: usize, token: u64, q: &mut Queue) {
-        if self.token[thread] != token {
+        if self.threads.token[thread] != token {
             return; // the thread was preempted before finishing
         }
-        let inflight = self.current[thread].take().expect("was running");
-        let core = self.on_core[thread].expect("completing thread is on a core");
+        let inflight = self.threads.current[thread].take().expect("was running");
+        let core = self.threads.on_core[thread].expect("completing thread is on a core");
         if let Some(started) = inflight.started {
             self.cfg.tracer.span_arg(
                 inflight.req.trace,
@@ -471,19 +439,67 @@ impl MtWorld<'_> {
         }
         // More work queued? The thread keeps its core and loops. Either
         // way its next run is a new one.
-        self.token[thread] += 1;
-        if self.take_next(now, thread, self.token[thread], q) {
+        self.threads.token[thread] += 1;
+        if self.take_next(now, thread, self.threads.token[thread], q) {
             return;
         }
         // Idle: release the core.
         let _ = self.class_map.update_u64(thread as u32, class::GET);
         self.set_ghost_trace(thread, syrup_observe::trace::TraceCtx::none());
-        self.on_core[thread] = None;
+        self.threads.on_core[thread] = None;
         let assignments = self
             .sched
             .as_dyn()
             .thread_stopped(ThreadId(thread as u32), core, now);
-        self.apply(now, assignments, q);
+        self.threads.apply(&self.cfg.tracer, now, assignments, q);
+    }
+}
+
+impl Threads {
+    fn apply(
+        &mut self,
+        tracer: &syrup_observe::trace::Tracer,
+        now: Time,
+        assignments: &[Assignment],
+        q: &mut Queue,
+    ) {
+        for a in assignments {
+            if let Some(victim) = a.preempted {
+                self.pause_thread(tracer, victim.0 as usize, a.start_at.max(now));
+            }
+            let thread = a.thread.0 as usize;
+            self.token[thread] += 1;
+            q.push_keyed(
+                a.start_at,
+                thread as u64,
+                Ev::ThreadStart {
+                    thread,
+                    core: a.core,
+                    token: self.token[thread],
+                },
+            );
+        }
+    }
+
+    /// Stops a running thread at `at`, banking its remaining service.
+    fn pause_thread(&mut self, tracer: &syrup_observe::trace::Tracer, thread: usize, at: Time) {
+        self.token[thread] += 1; // invalidate its Complete event
+        self.on_core[thread] = None;
+        if let Some(inflight) = self.current[thread].as_mut() {
+            if let Some(started) = inflight.started.take() {
+                let ran = at.since(started);
+                inflight.remaining = inflight.remaining - ran;
+                // Each on-core interval is its own run span, so a
+                // preempted request's timeline shows the gap.
+                tracer.span_arg(
+                    inflight.req.trace,
+                    syrup_observe::trace::Stage::Run,
+                    started.as_nanos(),
+                    at.as_nanos(),
+                    thread as u64,
+                );
+            }
+        }
     }
 }
 

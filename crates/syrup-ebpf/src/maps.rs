@@ -423,15 +423,36 @@ impl MapRef {
     }
 
     /// Convenience: looks up a `u64` value by `u32` key — the paper's
-    /// default map shape.
+    /// default map shape. Reads the value's first (up to) eight bytes,
+    /// little-endian and zero-extended, in place: an array's atomic word,
+    /// or a hash value under the storage lock. The errors are
+    /// [`MapRef::lookup`]'s.
     pub fn lookup_u64(&self, key: u32) -> Result<Option<u64>, MapError> {
-        let v = self.lookup(&key.to_le_bytes())?;
-        Ok(v.map(|bytes| {
-            let mut buf = [0u8; 8];
-            let n = bytes.len().min(8);
-            buf[..n].copy_from_slice(&bytes[..n]);
-            u64::from_le_bytes(buf)
-        }))
+        let key = key.to_le_bytes();
+        self.check_key(&key)?;
+        if let Some(array) = &self.inner.array {
+            let idx = array_index(&key, self.inner.def.max_entries)?;
+            let size = (self.inner.def.value_size as usize).min(8);
+            return Ok(Some(if size == 0 {
+                0
+            } else {
+                array.read(idx as u32, 0, size)
+            }));
+        }
+        let storage = self.inner.storage.lock();
+        match &*storage {
+            Storage::Array => unreachable!("array handled above"),
+            Storage::Hash { index, slots, .. } => Ok(index
+                .get(&key[..])
+                .and_then(|&slot| slots[slot].as_ref())
+                .map(|(_, v)| {
+                    let mut buf = [0u8; 8];
+                    let n = v.len().min(8);
+                    buf[..n].copy_from_slice(&v[..n]);
+                    u64::from_le_bytes(buf)
+                })),
+            Storage::ProgArray { .. } => Err(MapError::WrongKind),
+        }
     }
 
     /// Snapshots every present entry as sorted `(key, value)` pairs, for
@@ -515,9 +536,20 @@ impl MapRef {
         }
     }
 
-    /// Convenience: stores a `u64` value under a `u32` key.
+    /// Convenience: stores a `u64` value under a `u32` key. An array of
+    /// `u64` values takes it as one store to the slot's atomic word; any
+    /// other map goes through [`MapRef::update`], errors included.
     pub fn update_u64(&self, key: u32, value: u64) -> Result<(), MapError> {
-        self.update(&key.to_le_bytes(), &value.to_le_bytes(), UpdateFlag::Any)
+        let key = key.to_le_bytes();
+        let def = &self.inner.def;
+        if let Some(array) = &self.inner.array {
+            if def.key_size == 4 && def.value_size == 8 {
+                let idx = array_index(&key, def.max_entries)?;
+                array.write(idx as u32, 0, 8, value);
+                return Ok(());
+            }
+        }
+        self.update(&key, &value.to_le_bytes(), UpdateFlag::Any)
     }
 
     /// Deletes `key` (hash maps only; array elements cannot be deleted).
@@ -843,6 +875,78 @@ mod tests {
         assert_eq!(map.update_u64(9, 1), Err(MapError::IndexOutOfRange));
         // In-kernel lookup of an OOB array index returns NULL.
         assert_eq!(map.slot_for_key(&9u32.to_le_bytes()).unwrap(), None);
+    }
+
+    /// `lookup_u64` as it was before it read in place: a copy of the
+    /// value, decoded.
+    fn lookup_u64_by_copy(map: &MapRef, key: u32) -> Result<Option<u64>, MapError> {
+        let v = map.lookup(&key.to_le_bytes())?;
+        Ok(v.map(|bytes| {
+            let mut buf = [0u8; 8];
+            let n = bytes.len().min(8);
+            buf[..n].copy_from_slice(&bytes[..n]);
+            u64::from_le_bytes(buf)
+        }))
+    }
+
+    /// The `u64` accessors read and write in place, and give what the
+    /// copy-and-decode path and a plain [`MapRef::update`] give: on 4-,
+    /// 8- and 16-byte array values, past `max_entries`, on a hash hit and
+    /// miss, on a hash with 8-byte keys, and on a prog-array.
+    #[test]
+    fn u64_accessors_match_copy_and_decode() {
+        let array = |value_size| MapDef {
+            kind: MapKind::Array,
+            key_size: 4,
+            value_size,
+            max_entries: 4,
+        };
+        let defs = [
+            array(4),
+            array(8),
+            array(16),
+            MapDef::u64_hash(4),
+            MapDef {
+                key_size: 8,
+                ..MapDef::u64_hash(4)
+            },
+            MapDef::prog_array(4),
+        ];
+        for def in defs {
+            let (_, map) = registry_with(def);
+            // Value bytes 0x11, 0x22, … under keys 1 and 3.
+            let bytes: Vec<u8> = (1..=def.value_size as u8)
+                .map(|b| b.wrapping_mul(0x11))
+                .collect();
+            for key in [1u32, 3] {
+                let _ = map.update(&key.to_le_bytes(), &bytes, UpdateFlag::Any);
+            }
+            // Keys 1 and 3 hit, 0 misses a hash and 4 is past an array's end.
+            for key in 0..=4 {
+                let got = map.lookup_u64(key);
+                assert_eq!(got, lookup_u64_by_copy(&map, key), "{def:?} key {key}");
+            }
+            let (_, by_update) = registry_with(def);
+            for key in [1u32, 3] {
+                let _ = by_update.update(&key.to_le_bytes(), &bytes, UpdateFlag::Any);
+            }
+            for (key, value) in [(1u32, 0xDEAD_BEEF_u64), (2, u64::MAX), (4, 7), (9, 1)] {
+                let want =
+                    by_update.update(&key.to_le_bytes(), &value.to_le_bytes(), UpdateFlag::Any);
+                assert_eq!(map.update_u64(key, value), want, "{def:?} key {key}");
+            }
+            assert_eq!(map.entries(), by_update.entries(), "{def:?}");
+        }
+        let (_, map) = registry_with(array(4));
+        map.update(&1u32.to_le_bytes(), &[1, 2, 3, 4], UpdateFlag::Any)
+            .unwrap();
+        assert_eq!(map.lookup_u64(1), Ok(Some(0x0403_0201)));
+        let (_, map) = registry_with(MapDef::u64_hash(4));
+        map.update_u64(1, 5).unwrap();
+        assert_eq!(
+            (map.lookup_u64(1), map.lookup_u64(2)),
+            (Ok(Some(5)), Ok(None))
+        );
     }
 
     #[test]

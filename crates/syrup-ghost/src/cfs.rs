@@ -51,6 +51,9 @@ pub struct CfsSched {
     queues: HashMap<CoreId, Vec<ThreadId>>,
     vruntime: HashMap<ThreadId, u64>,
     state: HashMap<ThreadId, TState>,
+    /// The last decision's assignment, lent out by the
+    /// [`ThreadScheduler`] calls.
+    out: Option<Assignment>,
 }
 
 impl CfsSched {
@@ -64,6 +67,7 @@ impl CfsSched {
             queues,
             vruntime: HashMap::new(),
             state: HashMap::new(),
+            out: None,
         }
     }
 
@@ -79,22 +83,24 @@ impl CfsSched {
         *self.vruntime.entry(t).or_insert(0) += ran;
     }
 
+    /// Runs `t` on `core` and lends out that one assignment.
     fn dispatch(
         &mut self,
         core: CoreId,
         t: ThreadId,
         now: Time,
         preempted: Option<ThreadId>,
-    ) -> Assignment {
+    ) -> &[Assignment] {
         let start_at = now + self.params.ctx_switch;
         self.running.insert(core, (t, start_at));
         self.state.insert(t, TState::Running(core));
-        Assignment {
+        self.out = Some(Assignment {
             core,
             thread: t,
             start_at,
             preempted,
-        }
+        });
+        self.out.as_slice()
     }
 }
 
@@ -103,9 +109,9 @@ impl ThreadScheduler for CfsSched {
         self.cores.clone()
     }
 
-    fn thread_ready(&mut self, t: ThreadId, now: Time) -> Vec<Assignment> {
+    fn thread_ready(&mut self, t: ThreadId, now: Time) -> &[Assignment] {
         match self.state.get(&t) {
-            Some(TState::Queued(_)) | Some(TState::Running(_)) => return Vec::new(),
+            Some(TState::Queued(_)) | Some(TState::Running(_)) => return &[],
             _ => {}
         }
         // Wake placement: an idle core if one exists…
@@ -115,7 +121,7 @@ impl ThreadScheduler for CfsSched {
             let min_v = self.vruntime.values().copied().min().unwrap_or(0);
             let v = self.vruntime.entry(t).or_insert(0);
             *v = (*v).max(min_v);
-            return vec![self.dispatch(idle, t, now, None)];
+            return self.dispatch(idle, t, now, None);
         }
         // …else the shortest runqueue. No wake preemption: CFS is request-
         // type-oblivious, and at equal weights a running thread keeps its
@@ -127,10 +133,10 @@ impl ThreadScheduler for CfsSched {
             .expect("at least one core");
         self.queues.get_mut(&core).expect("known core").push(t);
         self.state.insert(t, TState::Queued(core));
-        Vec::new()
+        &[]
     }
 
-    fn thread_stopped(&mut self, t: ThreadId, core: CoreId, now: Time) -> Vec<Assignment> {
+    fn thread_stopped(&mut self, t: ThreadId, core: CoreId, now: Time) -> &[Assignment] {
         if let Some((running, started)) = self.running.remove(&core) {
             debug_assert_eq!(running, t, "stopped thread was not running there");
             self.account(t, started, now);
@@ -142,22 +148,22 @@ impl ThreadScheduler for CfsSched {
                     .get_mut(&core)
                     .expect("known core")
                     .retain(|&x| x != next);
-                vec![self.dispatch(core, next, now, None)]
+                self.dispatch(core, next, now, None)
             }
-            None => Vec::new(),
+            None => &[],
         }
     }
 
-    fn preempt_check(&mut self, core: CoreId, now: Time) -> Vec<Assignment> {
+    fn preempt_check(&mut self, core: CoreId, now: Time) -> &[Assignment] {
         let Some(&(current, started)) = self.running.get(&core) else {
-            return Vec::new();
+            return &[];
         };
         // Only preempt when the slice is actually used up.
         if now.since(started) < self.params.slice {
-            return Vec::new();
+            return &[];
         }
         let Some(next) = self.min_vruntime(core) else {
-            return Vec::new();
+            return &[];
         };
         self.account(current, started, now);
         let cur_v = self.vruntime.get(&current).copied().unwrap_or(0);
@@ -166,7 +172,7 @@ impl ThreadScheduler for CfsSched {
             // The current thread is still the fairest choice; restart its
             // slice accounting.
             self.running.insert(core, (current, now));
-            return Vec::new();
+            return &[];
         }
         // Switch: current goes back to this core's queue.
         self.queues
@@ -178,7 +184,7 @@ impl ThreadScheduler for CfsSched {
             .expect("known core")
             .push(current);
         self.state.insert(current, TState::Queued(core));
-        vec![self.dispatch(core, next, now, Some(current))]
+        self.dispatch(core, next, now, Some(current))
     }
 
     fn timeslice(&self) -> Option<Duration> {

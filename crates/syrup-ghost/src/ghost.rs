@@ -59,6 +59,99 @@ impl Default for GhostParams {
     }
 }
 
+/// The runnable threads, one bit per thread id, kept in the word of the
+/// class rank ([`rank`]) the agent last read for the thread. Each entry
+/// holds the three ranks' words for 64 ids; the vector grows to the
+/// largest id seen.
+#[derive(Debug, Default)]
+struct Runnable {
+    words: Vec<[u64; RANKS]>,
+}
+
+/// Class ranks, highest priority first: GET, unknown, then the rest.
+const RANKS: usize = 3;
+
+/// The pick order of a thread serving `class`.
+fn rank(class: u64) -> usize {
+    match class {
+        class::GET => 0,
+        class::UNKNOWN => 1,
+        _ => 2,
+    }
+}
+
+impl Runnable {
+    fn split(t: ThreadId) -> (usize, u64) {
+        (t.0 as usize / 64, 1 << (t.0 % 64))
+    }
+
+    fn contains(&self, t: ThreadId) -> bool {
+        let (w, bit) = Self::split(t);
+        self.words
+            .get(w)
+            .is_some_and(|ranks| ranks.iter().any(|&r| r & bit != 0))
+    }
+
+    fn insert(&mut self, t: ThreadId, rank: usize) {
+        let (w, bit) = Self::split(t);
+        if self.words.len() <= w {
+            self.words.resize(w + 1, [0; RANKS]);
+        }
+        self.words[w][rank] |= bit;
+    }
+
+    fn remove(&mut self, t: ThreadId) {
+        let (w, bit) = Self::split(t);
+        if let Some(ranks) = self.words.get_mut(w) {
+            for r in ranks {
+                *r &= !bit;
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        let ones = self.words.iter().flatten().map(|r| r.count_ones());
+        ones.sum::<u32>() as usize
+    }
+
+    /// Moves every thread to the word of `rank_of(thread)`: one call per
+    /// runnable thread.
+    fn regroup(&mut self, mut rank_of: impl FnMut(ThreadId) -> usize) {
+        for (w, ranks) in self.words.iter_mut().enumerate() {
+            let mut all = ranks.iter().fold(0, |all, r| all | r);
+            *ranks = [0; RANKS];
+            while all != 0 {
+                let b = all.trailing_zeros();
+                all &= all - 1;
+                let t = ThreadId(w as u32 * 64 + b);
+                ranks[rank_of(t)] |= 1 << b;
+            }
+        }
+    }
+
+    /// Whether a thread of `rank` is runnable.
+    fn has(&self, rank: usize) -> bool {
+        self.words.iter().any(|ranks| ranks[rank] != 0)
+    }
+
+    /// Takes the lowest thread id of `rank`.
+    fn pop(&mut self, rank: usize) -> Option<ThreadId> {
+        let (w, ranks) = self
+            .words
+            .iter_mut()
+            .enumerate()
+            .find(|(_, ranks)| ranks[rank] != 0)?;
+        let b = ranks[rank].trailing_zeros();
+        ranks[rank] &= ranks[rank] - 1;
+        Some(ThreadId(w as u32 * 64 + b))
+    }
+
+    /// Takes the first thread in (rank, id) order.
+    fn pop_first(&mut self) -> Option<ThreadId> {
+        (0..RANKS).find_map(|rank| self.pop(rank))
+    }
+}
+
 /// The centralized scheduler state.
 #[derive(Debug)]
 pub struct GhostSched {
@@ -68,11 +161,16 @@ pub struct GhostSched {
     pub agent_core: CoreId,
     /// Thread → class, written by the application layer (§3.4 Map).
     class_map: MapRef,
-    /// Keyed by a `BTreeMap` so victim selection in `policy` walks cores
-    /// in a fixed order — `HashMap` iteration order made seeded runs
-    /// nondeterministic.
-    running: BTreeMap<CoreId, ThreadId>,
-    runnable: Vec<ThreadId>,
+    /// One `(core, running thread)` slot per distinct app core, in
+    /// `app_cores` order: the order idle cores are filled in.
+    running: Vec<(CoreId, Option<ThreadId>)>,
+    /// `running`'s slots by ascending core id: the order victims are
+    /// searched in, fixed so seeded runs stay deterministic.
+    victim_order: Vec<usize>,
+    runnable: Runnable,
+    /// The current decision's assignments, lent out by the
+    /// [`ThreadScheduler`] calls.
+    out: Vec<Assignment>,
     /// When the agent finishes its current message backlog.
     agent_busy_until: Time,
     /// Total messages processed (diagnostics).
@@ -97,13 +195,23 @@ impl GhostSched {
         assert!(cores.len() >= 2, "ghOSt needs an agent core plus app cores");
         let mut app_cores = cores;
         let agent_core = app_cores.pop().expect("nonempty");
+        let mut running: Vec<(CoreId, Option<ThreadId>)> = Vec::new();
+        for &core in &app_cores {
+            if running.iter().all(|&(c, _)| c != core) {
+                running.push((core, None));
+            }
+        }
+        let mut victim_order: Vec<usize> = (0..running.len()).collect();
+        victim_order.sort_by_key(|&slot| running[slot].0);
         GhostSched {
             params,
             app_cores,
             agent_core,
             class_map,
-            running: BTreeMap::new(),
-            runnable: Vec::new(),
+            running,
+            victim_order,
+            runnable: Runnable::default(),
+            out: Vec::new(),
             agent_busy_until: Time::ZERO,
             messages: 0,
             preemptions: 0,
@@ -158,14 +266,6 @@ impl GhostSched {
             .unwrap_or_default()
     }
 
-    fn class_of(&self, t: ThreadId) -> u64 {
-        self.class_map
-            .lookup_u64(t.0)
-            .ok()
-            .flatten()
-            .unwrap_or(class::UNKNOWN)
-    }
-
     /// Models the agent serialization: a message arriving now is handled
     /// after the queue drains, costing one loop iteration.
     fn agent_process_time(&mut self, now: Time) -> Time {
@@ -179,9 +279,9 @@ impl GhostSched {
 
     /// Runs the deployed policy and performs the shared bookkeeping
     /// (dispatch traces, thread-state samples).
-    fn policy(&mut self, decision_at: Time) -> Vec<Assignment> {
-        let out = self.policy_classes(decision_at);
-        for a in &out {
+    fn policy(&mut self, decision_at: Time) -> &[Assignment] {
+        self.policy_classes(decision_at);
+        for a in &self.out {
             self.tracer.span_arg(
                 self.trace_of(a.thread),
                 syrup_observe::trace::Stage::GhostDispatch,
@@ -206,66 +306,52 @@ impl GhostSched {
                     .thread_state(a.start_at.as_nanos(), u64::from(victim.0), 0);
             }
         }
-        out
+        &self.out
     }
 
     /// The paper's §5.3 policy: match runnable threads to cores, GETs
-    /// first, preempting SCANs when a GET would otherwise wait.
-    fn policy_classes(&mut self, decision_at: Time) -> Vec<Assignment> {
-        let mut out = Vec::new();
-        // Highest priority first: GETs, then unknown, then SCANs.
-        let mut keyed: Vec<(u8, ThreadId)> = self
-            .runnable
-            .iter()
-            .map(|&t| {
-                let key = match self.class_of(t) {
-                    class::GET => 0u8,
-                    class::UNKNOWN => 1,
-                    _ => 2,
-                };
-                (key, t)
-            })
-            .collect();
-        keyed.sort_by_key(|&(k, t)| (k, t.0));
-        self.runnable = keyed.into_iter().map(|(_, t)| t).collect();
+    /// first, preempting SCANs when a GET would otherwise wait. Fills
+    /// `out`.
+    fn policy_classes(&mut self, decision_at: Time) {
+        self.out.clear();
+        // Highest priority first: GETs, then unknown, then SCANs, each by
+        // thread id.
+        let class_map = &self.class_map;
+        self.runnable.regroup(|t| rank(class_of(class_map, t)));
         // Fill idle cores, highest priority first.
-        while let Some(&idle) = self
-            .app_cores
-            .iter()
-            .find(|c| !self.running.contains_key(c))
-        {
-            if self.runnable.is_empty() {
-                break;
+        for (core, slot) in &mut self.running {
+            if slot.is_some() {
+                continue;
             }
-            let t = self.runnable.remove(0);
-            self.running.insert(idle, t);
-            out.push(Assignment {
-                core: idle,
+            let Some(t) = self.runnable.pop_first() else {
+                break;
+            };
+            *slot = Some(t);
+            self.out.push(Assignment {
+                core: *core,
                 thread: t,
                 start_at: decision_at + self.params.ctx_switch,
                 preempted: None,
             });
         }
-        // Preempt SCANs for waiting GETs.
-        #[allow(clippy::while_let_loop)] // Two coupled lookups per iteration.
-        loop {
-            let Some(pos) = self
-                .runnable
-                .iter()
-                .position(|&t| self.class_of(t) == class::GET)
-            else {
+        // Preempt SCANs for waiting GETs. A core passed over holds no
+        // SCAN, and a preempted one now runs a GET, so each search picks
+        // up after the last victim.
+        let mut searched = 0;
+        while self.runnable.has(rank(class::GET)) {
+            let found = self.victim_order[searched..].iter().position(|&slot| {
+                let t = self.running[slot].1;
+                t.is_some_and(|t| class_of(&self.class_map, t) == class::SCAN)
+            });
+            let Some(at) = found else {
                 break;
             };
-            let Some((&core, &victim)) = self
-                .running
-                .iter()
-                .find(|(_, &t)| self.class_of(t) == class::SCAN)
-            else {
-                break;
-            };
-            let get_thread = self.runnable.remove(pos);
-            self.running.insert(core, get_thread);
-            self.runnable.push(victim);
+            searched += at + 1;
+            let (core, running) = &mut self.running[self.victim_order[searched - 1]];
+            let core = *core;
+            let get_thread = self.runnable.pop(rank(class::GET)).expect("has a GET");
+            let victim = running.replace(get_thread).expect("a SCAN runs here");
+            self.runnable.insert(victim, rank(class::SCAN));
             self.preemptions += 1;
             self.tracer.instant(
                 self.trace_of(victim),
@@ -273,15 +359,24 @@ impl GhostSched {
                 decision_at.as_nanos(),
                 u64::from(core.0),
             );
-            out.push(Assignment {
+            self.out.push(Assignment {
                 core,
                 thread: get_thread,
                 start_at: decision_at + self.params.ipi,
                 preempted: Some(victim),
             });
         }
-        out
     }
+}
+
+/// The class `class_map` holds for `t`: [`class::UNKNOWN`] when it holds
+/// none.
+fn class_of(class_map: &MapRef, t: ThreadId) -> u64 {
+    class_map
+        .lookup_u64(t.0)
+        .ok()
+        .flatten()
+        .unwrap_or(class::UNKNOWN)
 }
 
 impl ThreadScheduler for GhostSched {
@@ -289,9 +384,9 @@ impl ThreadScheduler for GhostSched {
         self.app_cores.clone()
     }
 
-    fn thread_ready(&mut self, t: ThreadId, now: Time) -> Vec<Assignment> {
-        if self.runnable.contains(&t) || self.running.values().any(|&r| r == t) {
-            return Vec::new();
+    fn thread_ready(&mut self, t: ThreadId, now: Time) -> &[Assignment] {
+        if self.runnable.contains(t) || self.running.iter().any(|&(_, r)| r == Some(t)) {
+            return &[];
         }
         let decision_at = self.agent_process_time(now);
         self.tracer.span(
@@ -309,11 +404,12 @@ impl ThreadScheduler for GhostSched {
             .thread_state(now.as_nanos(), u64::from(t.0), 0);
         self.profiler
             .sched_latency(decision_at.since(now).as_nanos());
-        self.runnable.push(t);
+        // The decision reads its class before it is picked.
+        self.runnable.insert(t, rank(class::UNKNOWN));
         self.policy(decision_at)
     }
 
-    fn thread_stopped(&mut self, t: ThreadId, core: CoreId, now: Time) -> Vec<Assignment> {
+    fn thread_stopped(&mut self, t: ThreadId, core: CoreId, now: Time) -> &[Assignment] {
         let decision_at = self.agent_process_time(now);
         self.profiler.thread_state(
             u64::from(t.0),
@@ -322,16 +418,18 @@ impl ThreadScheduler for GhostSched {
         );
         self.recorder
             .thread_state(now.as_nanos(), u64::from(t.0), 2);
-        if self.running.get(&core) == Some(&t) {
-            self.running.remove(&core);
+        if let Some((_, running)) = self.running.iter_mut().find(|(c, _)| *c == core) {
+            if *running == Some(t) {
+                *running = None;
+            }
         }
-        self.runnable.retain(|&x| x != t);
+        self.runnable.remove(t);
         self.policy(decision_at)
     }
 
-    fn preempt_check(&mut self, _core: CoreId, _now: Time) -> Vec<Assignment> {
+    fn preempt_check(&mut self, _core: CoreId, _now: Time) -> &[Assignment] {
         // Purely event-driven: preemption decisions happen in `policy`.
-        Vec::new()
+        &[]
     }
 
     fn timeslice(&self) -> Option<Duration> {
@@ -379,7 +477,7 @@ mod tests {
     #[test]
     fn messages_queue_at_the_agent() {
         let (mut s, _) = setup(4);
-        let a1 = s.thread_ready(ThreadId(1), Time::ZERO);
+        let a1 = s.thread_ready(ThreadId(1), Time::ZERO).to_vec();
         let a2 = s.thread_ready(ThreadId(2), Time::ZERO);
         // The second decision lands one agent-cost later than the first.
         assert!(a2[0].start_at > a1[0].start_at);
@@ -396,7 +494,7 @@ mod tests {
         assert_eq!(a[0].preempted, None);
 
         // The GET arrives while the SCAN occupies the only app core.
-        let b = s.thread_ready(ThreadId(2), Time::from_micros(100));
+        let b = s.thread_ready(ThreadId(2), Time::from_micros(100)).to_vec();
         assert_eq!(b.len(), 1);
         assert_eq!(b[0].thread, ThreadId(2));
         assert_eq!(b[0].preempted, Some(ThreadId(1)));
@@ -503,6 +601,31 @@ mod tests {
         let t2: Vec<u32> = events.iter().filter(|e| e.w0 == 2).map(|e| e.aux).collect();
         assert_eq!(t2, vec![0, 1, 2]);
         assert!(events.iter().any(|e| e.at_ns >= 200_000));
+    }
+
+    /// Thread ids need not fit a 64-bit word, nor the class Map: a thread
+    /// the Map holds no class for ranks as unknown.
+    #[test]
+    fn thread_ids_past_one_word_and_past_the_map_are_scheduled() {
+        let (mut s, map) = setup(2); // one app core + agent
+        let a = s.thread_ready(ThreadId(100), Time::ZERO).to_vec();
+        assert_eq!(a.len(), 1);
+        assert_eq!(a[0].thread, ThreadId(100));
+        map.update_u64(63, class::SCAN).unwrap();
+        for t in [200, 63, 70] {
+            assert!(s.thread_ready(ThreadId(t), Time::ZERO).is_empty());
+        }
+        assert_eq!(s.runnable_count(), 3);
+        // Unknowns before SCANs, each by thread id.
+        let mut order = Vec::new();
+        let mut running = ThreadId(100);
+        for _ in 0..3 {
+            let next = s.thread_stopped(running, CoreId(0), Time::from_micros(10));
+            running = next[0].thread;
+            order.push(running.0);
+        }
+        assert_eq!(order, vec![70, 200, 63]);
+        assert_eq!(s.runnable_count(), 0);
     }
 
     #[test]

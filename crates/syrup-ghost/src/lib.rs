@@ -64,21 +64,25 @@ pub struct Assignment {
 }
 
 /// The interface both schedulers present to a simulation world.
+///
+/// A decision's assignments are borrowed from a buffer the scheduler
+/// owns and refills on its next decision, so deciding allocates nothing
+/// once the buffer has grown to the largest decision seen.
 pub trait ThreadScheduler {
     /// Cores available to application threads (excludes a ghOSt agent's
     /// core).
     fn app_cores(&self) -> Vec<CoreId>;
 
     /// A thread became runnable (request arrived at its socket).
-    fn thread_ready(&mut self, t: ThreadId, now: Time) -> Vec<Assignment>;
+    fn thread_ready(&mut self, t: ThreadId, now: Time) -> &[Assignment];
 
     /// The running thread on `core` blocked (no more requests) or
     /// finished its work.
-    fn thread_stopped(&mut self, t: ThreadId, core: CoreId, now: Time) -> Vec<Assignment>;
+    fn thread_stopped(&mut self, t: ThreadId, core: CoreId, now: Time) -> &[Assignment];
 
     /// Time-slice check on `core` (only meaningful when [`Self::timeslice`]
     /// returns `Some`): may switch to another runnable thread.
-    fn preempt_check(&mut self, core: CoreId, now: Time) -> Vec<Assignment>;
+    fn preempt_check(&mut self, core: CoreId, now: Time) -> &[Assignment];
 
     /// The preemption granularity, if the scheduler is tick-driven.
     fn timeslice(&self) -> Option<syrup_sim::Duration>;

@@ -40,13 +40,14 @@ mod equivalence_tests {
     //! Native and compiled-C forms must make the same decisions.
 
     use syrup_core::{CompileOptions, Decision, HookMeta, PacketPolicy};
-    use syrup_ebpf::maps::MapRegistry;
+    use syrup_ebpf::maps::{MapDef, MapRegistry};
     use syrup_ebpf::vm::{PacketCtx, RunEnv, Vm};
     use syrup_ebpf::{ret, verify};
     use syrup_net::{AppHeader, Frame, RequestClass};
 
     use crate::c_sources;
-    use crate::native::{MicaHomePolicy, RoundRobinPolicy, SitaPolicy};
+    use crate::class_codes::{GET, SCAN};
+    use crate::native::{MicaHomePolicy, RoundRobinPolicy, ScanAvoidPolicy, SitaPolicy};
 
     fn datagram(class: RequestClass, key_hash: u64) -> Vec<u8> {
         let flow = syrup_net::FiveTuple {
@@ -103,6 +104,29 @@ mod equivalence_tests {
         seed: &'static [(&'static str, u32, u64)],
     }
 
+    /// SCAN Avoid over six sockets with `scan_map` holding `seed`: the
+    /// native form reads a map of its own, written the same way, and
+    /// draws from the VM's starting `get_prandom_u32` state (both are
+    /// xorshift64*).
+    fn scan_avoid(seed: &'static [(&'static str, u32, u64)]) -> Twin {
+        let maps = MapRegistry::new();
+        let scan_map = maps
+            .get(maps.create(MapDef::u64_array(64)))
+            .expect("created");
+        for &(_, key, value) in seed {
+            scan_map.update_u64(key, value).expect("in range");
+        }
+        let prandom = RunEnv::default().prandom_state;
+        Twin {
+            native: Box::new(ScanAvoidPolicy::new(scan_map, 6, prandom)),
+            source: c_sources::SCAN_AVOID,
+            opts: CompileOptions::new()
+                .define("NUM_THREADS", 6)
+                .define("GET", GET as i64),
+            seed,
+        }
+    }
+
     fn twins() -> Vec<Twin> {
         vec![
             Twin {
@@ -126,6 +150,33 @@ mod equivalence_tests {
                 opts: CompileOptions::new(),
                 seed: &[("core_map", 0, 6)],
             },
+            // Every socket's thread serves a GET: the first probe stops.
+            scan_avoid(&[
+                ("scan_map", 0, GET),
+                ("scan_map", 1, GET),
+                ("scan_map", 2, GET),
+                ("scan_map", 3, GET),
+                ("scan_map", 4, GET),
+                ("scan_map", 5, GET),
+            ]),
+            // One GET among SCANs: probing stops there or runs out.
+            scan_avoid(&[
+                ("scan_map", 0, SCAN),
+                ("scan_map", 1, SCAN),
+                ("scan_map", 2, SCAN),
+                ("scan_map", 3, GET),
+                ("scan_map", 4, SCAN),
+                ("scan_map", 5, SCAN),
+            ]),
+            // Every thread serves a SCAN: all six probes run.
+            scan_avoid(&[
+                ("scan_map", 0, SCAN),
+                ("scan_map", 1, SCAN),
+                ("scan_map", 2, SCAN),
+                ("scan_map", 3, SCAN),
+                ("scan_map", 4, SCAN),
+                ("scan_map", 5, SCAN),
+            ]),
         ]
     }
 
