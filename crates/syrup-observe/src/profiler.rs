@@ -548,9 +548,6 @@ pub struct VmSpan {
     /// tags across a tail call.
     frame_start: usize,
     buf: Vec<Sample>,
-    /// Whether the span opened from the thread's resolved openings, and
-    /// so hands its buffer back to the thread rather than to the sink.
-    opened: bool,
 }
 
 // The slow paths stay out of line and take the sink and the buffer, not
@@ -565,15 +562,12 @@ impl VmSpan {
             node: 0,
             frame_start: 0,
             buf: Vec::new(),
-            opened: false,
         }
     }
 
     /// A scope on arrival in `prog`, run on `steps`: rooted there, or
     /// reached from the root of `path` by a tail call after every step of
-    /// the path's table. The thread's resolved openings give the chain
-    /// nodes and a buffer without the sink's lock; an opening the thread
-    /// has not resolved takes the lock.
+    /// the path's table.
     #[inline(never)]
     fn open(
         inner: &Arc<Inner>,
@@ -582,18 +576,11 @@ impl VmSpan {
         steps: Option<&Steps>,
         invoke_cycles: u64,
     ) -> VmSpan {
-        let (root, node, mut buf, opened) = match opened::lookup(inner, path, prog, steps) {
-            Some((root, node, buf)) => (root, node, buf, true),
-            None => {
-                let mut st = inner.state.lock();
-                let root = path.map(|(prog, steps)| st.node(None, prog, Some(steps)));
-                let node = st.node(root, prog, steps);
-                let buf = st.spare.pop().unwrap_or_default();
-                drop(st);
-                opened::remember(inner, path, prog, steps, root, node);
-                (root, node, buf, false)
-            }
-        };
+        let mut st = inner.state.lock();
+        let root = path.map(|(prog, steps)| st.node(None, prog, Some(steps)));
+        let node = st.node(root, prog, steps);
+        let mut buf = st.spare.pop().unwrap_or_default();
+        drop(st);
         buf.push(Sample::Insn {
             node: root.unwrap_or(node),
             pc: 0,
@@ -616,7 +603,6 @@ impl VmSpan {
             node,
             frame_start,
             buf,
-            opened,
         }
     }
 
@@ -625,24 +611,12 @@ impl VmSpan {
         inner.state.lock().fold(buf);
     }
 
-    /// Folds the run into the sink. A span opened from the thread's
-    /// openings hands its buffer back to the thread; one opened under the
-    /// lock hands it to the sink, and leaves the thread an empty buffer
-    /// as large if it holds none.
     #[inline(never)]
-    fn flush(inner: &Arc<Inner>, buf: &mut Vec<Sample>, opened: bool) {
+    fn flush(inner: &Inner, buf: &mut Vec<Sample>) {
         let mut st = inner.state.lock();
         st.runs += 1;
         st.fold(buf);
-        if opened {
-            drop(st);
-            opened::give_back(inner, std::mem::take(buf));
-        } else {
-            let capacity = buf.capacity();
-            st.spare.push(std::mem::take(buf));
-            drop(st);
-            opened::seed(inner, capacity);
-        }
+        st.spare.push(std::mem::take(buf));
     }
 
     /// Buffers `sample`. Folding before the push keeps the newest sample
@@ -714,7 +688,7 @@ impl Drop for VmSpan {
     #[inline]
     fn drop(&mut self) {
         if let Some(inner) = &self.inner {
-            Self::flush(inner, &mut self.buf, self.opened);
+            Self::flush(inner, &mut self.buf);
         }
     }
 }
@@ -818,8 +792,6 @@ impl Serialize for ProfileReport {
         s.end()
     }
 }
-
-mod opened;
 
 #[cfg(test)]
 mod oracle;
