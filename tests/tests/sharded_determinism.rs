@@ -4,54 +4,14 @@
 //! choice, not a *semantic* one: the merge pops events in global
 //! `(time, seq)` order no matter how pushes were routed, so any world
 //! driven through it must produce byte-identical results at 1, 2, or 8
-//! shards. These tests pin that promise on the two end-to-end worlds —
-//! the quickstart pipeline and the Figure 8 multithreading world — and
-//! on the million-flow scale world, each across several seeds.
+//! shards. These tests pin that promise on the two worlds that shard:
+//! the quickstart pipeline, over several request counts, and the
+//! million-flow scale world, across several seeds.
 
-use syrup::apps::mt_world::{self, MtConfig, SchedKind};
 use syrup::apps::quickstart;
-use syrup::apps::server_world::SocketPolicyKind;
 use syrup::sim::{Duration, ScaleCfg, ScaleEngine};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// A fast Figure 8 configuration: same shape as the paper setup, short
-/// enough to run nine times (3 shard counts x 3 seeds) in a debug test.
-fn mt_cfg(seed: u64, shards: usize) -> MtConfig {
-    let mut cfg = MtConfig::fig8(SocketPolicyKind::ScanAvoid, SchedKind::Ghost, 5_000.0, seed);
-    cfg.warmup = Duration::from_millis(20);
-    cfg.measure = Duration::from_millis(120);
-    cfg.shards = shards;
-    cfg
-}
-
-#[test]
-fn mt_world_is_shard_count_invariant_across_seeds() {
-    for seed in [3u64, 17, 251] {
-        let base = mt_world::run(&mt_cfg(seed, 1));
-        for shards in &SHARD_COUNTS[1..] {
-            let r = mt_world::run(&mt_cfg(seed, *shards));
-            assert_eq!(r.completed, base.completed, "seed {seed} shards {shards}");
-            assert_eq!(r.dropped, base.dropped, "seed {seed} shards {shards}");
-            assert_eq!(
-                r.preemptions, base.preemptions,
-                "seed {seed} shards {shards}"
-            );
-            // Full per-request latency sample vectors, byte for byte —
-            // not just summary percentiles.
-            assert_eq!(
-                r.get.samples(),
-                base.get.samples(),
-                "seed {seed} shards {shards}: GET samples diverged"
-            );
-            assert_eq!(
-                r.scan.samples(),
-                base.scan.samples(),
-                "seed {seed} shards {shards}: SCAN samples diverged"
-            );
-        }
-    }
-}
 
 #[test]
 fn quickstart_is_shard_count_invariant() {
