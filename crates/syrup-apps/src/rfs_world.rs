@@ -18,6 +18,7 @@ use std::collections::HashMap;
 
 use syrup_core::{Decision, Hook, HookMeta, MapDef, MapRef, PolicySource, Syrupd};
 use syrup_net::socket::SocketBuf;
+use syrup_policies::RfsPolicy;
 use syrup_sim::{drive, Duration, EventQueue, LatencySummary, OpenLoop, SimRng, Time};
 
 /// Steering discipline at the CPU-redirect hook.
@@ -120,19 +121,12 @@ pub fn run(cfg: &RfsConfig) -> RfsResult {
             .expect("in range");
     }
     if cfg.steering == Steering::Rfs {
-        let map = flow_core.clone();
+        let policy = RfsPolicy::new(flow_core.clone());
         syrupd
             .deploy(
                 app,
                 Hook::CpuRedirect,
-                PolicySource::Native(Box::new(move |pkt: &mut [u8], _m: &HookMeta| {
-                    // The flow id rides in the first four bytes here.
-                    let flow = u32::from_le_bytes(pkt[..4].try_into().expect("4 bytes"));
-                    match map.lookup_u64(flow) {
-                        Ok(Some(core)) => Decision::Executor(core as u32),
-                        _ => Decision::Pass,
-                    }
-                })),
+                PolicySource::Native(Box::new(policy)),
             )
             .expect("deploy rfs policy");
     }

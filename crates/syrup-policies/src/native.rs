@@ -222,6 +222,38 @@ impl PacketPolicy for MicaHomePolicy {
     }
 }
 
+/// §2.1's Receive Flow Steering, as a Syrup policy: the flow id
+/// rides in the datagram's first four bytes, and `flow_core[flow]` names
+/// the core its consumer runs on. A datagram too short to carry a flow id,
+/// or a flow past the map, PASSes to default steering.
+#[derive(Debug)]
+pub struct RfsPolicy {
+    flow_core: MapRef,
+}
+
+impl RfsPolicy {
+    /// `flow_core[flow]` holds the flow's consumer core; the application
+    /// keeps it current.
+    pub fn new(flow_core: MapRef) -> Self {
+        RfsPolicy { flow_core }
+    }
+}
+
+impl PacketPolicy for RfsPolicy {
+    fn schedule(&mut self, pkt: &mut [u8], _meta: &HookMeta) -> Decision {
+        let Some(flow) = read_u32(pkt, 0) else {
+            return Decision::Pass;
+        };
+        match self.flow_core.lookup_u64(flow) {
+            Ok(Some(core)) => Decision::from_ret(core),
+            _ => Decision::Pass,
+        }
+    }
+    fn name(&self) -> &str {
+        "rfs"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
