@@ -657,6 +657,34 @@ fn error_paths_print_one_line_and_exit_1() {
         "--out",
         bundle.to_str().unwrap(),
     ]);
+    // Real exports cut in half, and files of the right shape whose
+    // `traceEvents` or `layers` hold the wrong types.
+    let trace = dir.join("trace.json");
+    stdout_of(&["trace", "record", "--export", trace.to_str().unwrap()]);
+    for (name, whole) in [
+        ("truncated_trace.json", &trace),
+        ("truncated_bundle.json", &bundle),
+    ] {
+        let bytes = std::fs::read(whole).unwrap();
+        std::fs::write(dir.join(name), &bytes[..bytes.len() / 2]).unwrap();
+    }
+    for (name, contents) in [
+        ("typed_trace.json", r#"{"traceEvents":{"ph":"X"}}"#),
+        (
+            "typed_events.json",
+            r#"{"traceEvents":[1,"x",null,{"args":5},{"args":{"trace_id":"7","stage":3}}]}"#,
+        ),
+        (
+            "typed_layers.json",
+            r#"{"postmortem":{"layers":{"syrupd":[]}}}"#,
+        ),
+        (
+            "typed_dumps.json",
+            r#"{"postmortem":{"layers":[1,2,3,4,5,6,7]}}"#,
+        ),
+    ] {
+        std::fs::write(dir.join(name), contents).unwrap();
+    }
 
     const USAGE: &str = "usage: syrupctl <subcommand>\n\npolicy pipeline:\n  compile FILE.c…";
     const ENOENT: &str = "No such file or directory (os error 2)";
@@ -804,6 +832,19 @@ fn error_paths_print_one_line_and_exit_1() {
             "{dir}/no_traces.json: 0 traces, none complete with spans from >=3 distinct hooks"
                 .into(),
         ),
+        (
+            "trace validate {dir}/truncated_trace.json",
+            "{dir}/truncated_trace.json is not valid JSON: JSON parse error at byte …".into(),
+        ),
+        (
+            "trace validate {dir}/typed_trace.json",
+            "{dir}/typed_trace.json: no `traceEvents` array".into(),
+        ),
+        (
+            "trace validate {dir}/typed_events.json",
+            "{dir}/typed_events.json: 0 traces, none complete with spans from >=3 distinct hooks"
+                .into(),
+        ),
         // Profile.
         (
             "profile record --requests abc",
@@ -901,6 +942,18 @@ fn error_paths_print_one_line_and_exit_1() {
         (
             "blackbox validate {dir}/unknown_cause.json",
             "{dir}/unknown_cause.json: unknown trigger cause Some(\"meteor\")".into(),
+        ),
+        (
+            "blackbox validate {dir}/truncated_bundle.json",
+            "{dir}/truncated_bundle.json is not valid JSON: JSON parse error at byte …".into(),
+        ),
+        (
+            "blackbox validate {dir}/typed_layers.json",
+            "{dir}/typed_layers.json: postmortem has no `layers` array".into(),
+        ),
+        (
+            "blackbox validate {dir}/typed_dumps.json",
+            "{dir}/typed_dumps.json: layer 0 is `?`, expected `syrupd`".into(),
         ),
         (
             "watch --requests x",

@@ -2,15 +2,63 @@
 //!
 //! The toolchain faces *untrusted* policy files (§3), so the lexer,
 //! parser, compiler, text assembler, and verifier must fail with errors —
-//! never panic — on arbitrary input.
+//! never panic — on arbitrary input. So must the JSON reader behind
+//! `syrupctl trace validate` and `blackbox validate`, on whatever file it
+//! is handed.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use serde::json;
 
+use syrup::apps::quickstart;
+use syrup::blackbox::Recorder;
 use syrup::core::CompileOptions;
 use syrup::ebpf::maps::MapRegistry;
 use syrup::ebpf::{assemble, verify};
 use syrup::net::packet::parse_app_header;
 use syrup::net::StreamFramer;
+use syrup::profile::Profiler;
+use syrup::telemetry::Snapshot;
+use syrup::trace::{chrome_trace_json, Tracer};
+
+/// A quickstart trace export and a postmortem bundle of the shapes
+/// `syrupctl trace record --export` and `blackbox record --out` write,
+/// each from a real eight-request run; made once per test binary.
+fn exports() -> &'static [String; 2] {
+    static EXPORTS: OnceLock<[String; 2]> = OnceLock::new();
+    EXPORTS.get_or_init(|| {
+        let trace = chrome_trace_json(&quickstart::run(&Tracer::new(), 8).records);
+        let (profiler, recorder) = (Profiler::new(), Recorder::new());
+        let handle = recorder.clone();
+        let q = quickstart::run_observed(
+            &Tracer::new(),
+            &profiler,
+            &recorder,
+            8,
+            false,
+            &mut |completed, _, _| {
+                if completed == 4 && !handle.frozen() {
+                    handle.trigger_manual("half way");
+                }
+            },
+        );
+        let delta = q.syrupd.telemetry_snapshot().delta(&Snapshot::default());
+        let bundle = format!(
+            "{{\"schema\":\"syrup-blackbox-bundle/1\",\"completed\":{},\
+             \"postmortem\":{},\"snapshot_delta\":{},\"trace\":{},\"flame\":{}}}",
+            q.completed,
+            json::to_string(&recorder.capture()).unwrap(),
+            json::to_string(&delta).unwrap(),
+            chrome_trace_json(&q.records),
+            json::to_string(&profiler.flame()).unwrap(),
+        );
+        for text in [&trace, &bundle] {
+            json::from_str(text).expect("a real export parses");
+        }
+        [trace, bundle]
+    })
+}
 
 proptest! {
     /// The policy compiler returns Ok or Err on any string; it never
@@ -118,5 +166,76 @@ proptest! {
             rejoined.extend(chopped.feed(chunk).unwrap());
         }
         prop_assert_eq!(all_at_once, rejoined);
+    }
+
+    /// The JSON reader returns Ok or Err on any string; it never panics.
+    #[test]
+    fn json_reader_never_panics(
+        text in "\\PC{0,300}",
+        bytes in prop::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let _ = json::from_str(&text);
+        let _ = json::from_str(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// JSON-shaped soup: brackets, escapes (good, signed and cut short),
+    /// huge exponents and long digit runs in random order.
+    #[test]
+    fn json_reader_survives_json_shaped_soup(
+        tokens in prop::collection::vec(
+            prop::sample::select(vec![
+                "{", "}", "[", "]", ",", ":", "\"", "\"a\"", "\\", "\\u", "\\u00e9",
+                "\\u+04A", "\\u-04A", "\\uD83D", "\\u04", "\\n", "\\x", "0", "-", "-0",
+                "1.", ".5", "1e", "1e+", "1e999999", "-1e-999999", "1e309",
+                "123456789012345678901234567890", "true", "tru", "null", "nul", "false",
+                " ", "\n", "\u{0}", "\u{1f}", "é", "[[[[[[[[[[[[[[[[", "]]]]]]]]]]]]]]]]",
+            ]),
+            0..80,
+        )
+    ) {
+        let _ = json::from_str(&tokens.concat());
+    }
+
+    /// Nesting near the 128-level cap: within it a closed document parses,
+    /// past it the reader refuses at the opening bracket over the cap.
+    #[test]
+    fn json_reader_caps_nesting_without_panicking(
+        depth in 120usize..140,
+        object in any::<bool>(),
+        unclosed in 0usize..3,
+    ) {
+        let (open, close) = if object { ("{\"a\":", "}") } else { ("[", "]") };
+        let text = format!("{}0{}", open.repeat(depth), close.repeat(depth - unclosed));
+        match json::from_str(&text) {
+            Ok(_) => prop_assert!(depth <= 128 && unclosed == 0),
+            Err(e) if depth > 128 => {
+                prop_assert_eq!(e.message, "nesting deeper than 128 levels");
+                prop_assert_eq!(e.offset, 128 * open.len());
+            }
+            Err(_) => prop_assert!(unclosed > 0),
+        }
+    }
+
+    /// Every truncation of a real trace export or postmortem bundle is
+    /// refused, never a panic.
+    #[test]
+    fn json_reader_refuses_truncated_exports(which in 0usize..2, cut in any::<u32>()) {
+        let text = &exports()[which];
+        let cut = cut as usize % text.len();
+        prop_assert!(json::from_str(&String::from_utf8_lossy(&text.as_bytes()[..cut])).is_err());
+    }
+
+    /// A single byte of a real export overwritten with any value: Ok or
+    /// Err, never a panic.
+    #[test]
+    fn json_reader_survives_single_byte_edits(
+        which in 0usize..2,
+        at in any::<u32>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = exports()[which].clone().into_bytes();
+        let at = at as usize % bytes.len();
+        bytes[at] = byte;
+        let _ = json::from_str(&String::from_utf8_lossy(&bytes));
     }
 }
