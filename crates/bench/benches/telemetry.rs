@@ -4,9 +4,9 @@
 //! The contract the instrumented substrates rely on: a disabled handle is
 //! a single `Option` branch (sub-nanosecond), an enabled increment is
 //! one relaxed atomic RMW (single-digit nanoseconds uncontended), and an
-//! enabled block write is one uncontended lock round trip around plain
-//! adds, whatever the block holds — cheap enough to leave in
-//! `syrupd::schedule` and `Vm::run` unconditionally. Every disabled site
+//! enabled histogram record or block write is one uncontended lock round
+//! trip around plain adds, whatever the block holds — cheap enough to
+//! leave in `syrupd::schedule` and `Vm::run` unconditionally. Every disabled site
 //! is gated at [`GATE_NS`] per call (see [`bench::gate()`]: release
 //! builds only, exit nonzero over budget).
 //!

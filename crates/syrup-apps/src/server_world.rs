@@ -24,6 +24,7 @@ use syrup_core::{Hook, MapDef, MapRef, PacketPolicy, PolicySource, Syrupd};
 use syrup_ghost::ghost::class;
 use syrup_net::socket::{Delivery, ReuseportGroup};
 use syrup_net::StackCosts;
+use syrup_observe::telemetry::HistogramSnapshot;
 use syrup_policies::{
     c_sources, RoundRobinPolicy, ScanAvoidPolicy, SitaPolicy, TokenPolicy, VanillaPolicy,
 };
@@ -392,10 +393,14 @@ impl<'c> World<'c> {
             registry.counter(&format!("{p}/offered")).add(t.offered);
             registry.counter(&format!("{p}/completed")).add(t.completed);
             registry.counter(&format!("{p}/dropped")).add(t.dropped);
-            let hist = registry.histogram(&format!("{p}/latency_ns"));
+            // Folded here and merged in whole: one lock per tenant.
+            let mut latency = HistogramSnapshot::empty();
             for &ns in t.recorder.summary().samples() {
-                hist.record(ns);
+                latency.record(ns);
             }
+            registry
+                .histogram(&format!("{p}/latency_ns"))
+                .merge(&latency);
         }
         let telemetry = self.front.syrupd.telemetry_snapshot();
         let per_tenant = self

@@ -128,7 +128,7 @@ const EXECUTOR_MAP_ENTRIES: u32 = 64;
 
 /// The telemetry of one deployed `(app, hook)` policy, reported under
 /// `app<id>/<hook>`, so [`Syrupd::app_snapshot`] is a prefix filter — the
-/// moral equivalent of one eBPF percpu stats map per loaded program.
+/// moral equivalent of one eBPF stats map per loaded program.
 #[derive(Debug, Default)]
 struct PolicyStats {
     invocations: u64,

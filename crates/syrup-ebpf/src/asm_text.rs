@@ -105,19 +105,31 @@ fn parse_reg(tok: &str) -> Result<Reg, String> {
     Ok(Reg::new(n))
 }
 
+/// One optional sign, then decimal digits or `0x` and hex digits. The
+/// sign folds into the magnitude without overflow, so `i64::MIN` reads
+/// back as the disassembler prints it.
 fn parse_imm(tok: &str) -> Result<i64, String> {
     let tok = tok.trim();
+    let bad = || format!("bad immediate `{tok}`");
     let (neg, body) = match tok.strip_prefix('-') {
         Some(b) => (true, b),
         None => (false, tok.strip_prefix('+').unwrap_or(tok)),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).map_err(|_| format!("bad immediate `{tok}`"))?
-    } else {
-        body.parse::<i64>()
-            .map_err(|_| format!("bad immediate `{tok}`"))?
+    let (digits, radix) = match body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        Some(hex) => (hex, 16),
+        None => (body, 10),
     };
-    Ok(if neg { -v } else { v })
+    // `from_str_radix` would take a second sign of its own.
+    if !digits.chars().all(|c| c.is_digit(radix)) {
+        return Err(bad());
+    }
+    let magnitude = u64::from_str_radix(digits, radix).map_err(|_| bad())?;
+    let v = if neg {
+        0i64.checked_sub_unsigned(magnitude)
+    } else {
+        i64::try_from(magnitude).ok()
+    };
+    v.ok_or_else(bad)
 }
 
 fn parse_operand(tok: &str) -> Result<Operand, String> {
@@ -447,20 +459,18 @@ mod tests {
         )
         .unwrap();
         // Disassemble and reassemble: identical instruction stream.
-        let listing: String = prog
-            .disasm()
-            .lines()
-            .map(|l| {
-                l.split_once(':')
-                    .map(|x| x.1)
-                    .unwrap_or("")
-                    .trim()
-                    .to_string()
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let again = assemble("rt2", &listing).unwrap();
+        let again = assemble("rt2", &listing(&prog)).unwrap();
         assert_eq!(prog.insns, again.insns);
+    }
+
+    /// `prog`'s disassembly without the instruction indices: assembler
+    /// input.
+    fn listing(prog: &Program) -> String {
+        prog.disasm()
+            .lines()
+            .map(|l| l.split_once(':').map_or("", |x| x.1).trim())
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 
     #[test]
@@ -552,5 +562,59 @@ mod tests {
                 src: Operand::Imm(-1)
             }
         );
+    }
+
+    /// An immediate takes one sign, before any `0x`; `i64::MIN` parses,
+    /// and one past it is refused rather than negated with overflow.
+    #[test]
+    fn an_immediate_takes_one_sign() {
+        for (imm, want) in [
+            ("-9223372036854775808", Some(i64::MIN)),
+            ("-0x8000000000000000", Some(i64::MIN)),
+            ("9223372036854775807", Some(i64::MAX)),
+            ("+0x7fffffffffffffff", Some(i64::MAX)),
+            ("-0", Some(0)),
+            ("--5", None),
+            ("-+5", None),
+            ("+-5", None),
+            ("0x-5", None),
+            ("0x+5", None),
+            ("--9223372036854775808", None),
+            ("-9223372036854775809", None),
+            ("9223372036854775808", None),
+            ("0x8000000000000000", None),
+            ("-", None),
+            ("0x", None),
+        ] {
+            let got = assemble("imm", &format!("lddw r0, {imm}\nexit"));
+            let got = got.map(|p| match p.insns[0] {
+                Insn::LoadImm64 { imm, .. } => imm,
+                other => panic!("{other:?}"),
+            });
+            match want {
+                Some(v) => assert_eq!(got, Ok(v), "{imm}"),
+                None => assert_eq!(
+                    got.unwrap_err().msg,
+                    format!("bad immediate `{imm}`"),
+                    "{imm}"
+                ),
+            }
+        }
+        let err = assemble("imm", "mov r0, --5\nexit").unwrap_err();
+        assert_eq!(err.msg, "bad immediate `--5`");
+    }
+
+    proptest::proptest! {
+        /// Every 64-bit immediate the disassembler prints assembles back.
+        #[test]
+        fn any_lddw_immediate_round_trips(imm in proptest::prelude::any::<i64>()) {
+            let prog = crate::asm::Asm::new()
+                .load_imm64(Reg::R0, imm)
+                .exit()
+                .build("lddw")
+                .unwrap();
+            let again = assemble("lddw", &listing(&prog)).unwrap();
+            proptest::prop_assert_eq!(prog.insns, again.insns);
+        }
     }
 }

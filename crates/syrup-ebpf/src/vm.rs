@@ -421,8 +421,8 @@ impl RunEnv {
 }
 
 /// The VM's telemetry, `vm/*`: a stats block every app's policy runs
-/// write, once per run. [`Vm::run`] writes the VM's own copy, one stripe
-/// per CPU; [`Vm::run_after`] writes the caller's, which a caller that
+/// write, once per run. [`Vm::run`] writes the VM's own copy, under its
+/// leaf lock; [`Vm::run_after`] writes the caller's, which a caller that
 /// already holds a lock of its own keeps under it (see
 /// [`syrup_observe::telemetry::Holds`]). The registry folds every copy
 /// under one set of names.
@@ -440,7 +440,7 @@ pub struct VmStats {
     cycles_interp: u64,
     /// Modelled cycles accumulated by fast-engine runs.
     cycles_fast: u64,
-    /// Modelled cycles per successful run (the percpu-histogram analogue).
+    /// Modelled cycles per successful run (the histogram-map analogue).
     run_cycles: HistogramSnapshot,
     /// Instructions executed per successful run.
     run_insns: HistogramSnapshot,

@@ -1,27 +1,25 @@
 //! Stats blocks: the counters and histograms one event writes, as one
-//! plain struct per CPU.
+//! plain struct under a lock its writer holds.
 //!
-//! A kernel program's `bpf_prog_stats` is a per-CPU struct bumped with
-//! plain adds and folded on read. A [`Block`] is the same thing: a plain
-//! struct of `u64` counters and [`HistogramSnapshot`]s, registered under
-//! a prefix with [`crate::telemetry::Registry::block`], stored as one
-//! `Mutex<B>` per stripe ([`PerCpu`]) and written through
-//! [`BlockHandle::write`], so an event that moves eight instruments
-//! takes one uncontended lock instead of a dozen atomic
-//! read-modify-writes. Each stripe's lock is a leaf: a write only adds
-//! to the struct in hand.
+//! A kernel program's `bpf_prog_stats` is a struct bumped with plain adds
+//! and folded on read. A [`Block`] is the same thing: a plain struct of
+//! `u64` counters and [`HistogramSnapshot`]s, registered under a prefix
+//! with [`crate::telemetry::Registry::block`], stored as one `Mutex<B>`
+//! and written through [`BlockHandle::write`], so an event that moves
+//! eight instruments takes one lock instead of a dozen atomic
+//! read-modify-writes. The lock is a leaf: a write only adds to the
+//! struct in hand.
 //!
-//! A writer that already holds a lock of its own on its hot path can
-//! keep its copy of a block under that lock instead ([`Holds`],
+//! A writer that already holds a lock of its own on its hot path keeps
+//! its copy of a block under that lock instead ([`Holds`],
 //! [`crate::telemetry::Registry::hold`]): `syrupd` keeps each deployed
 //! policy's stats beside the policy, under the lock a dispatch takes to
 //! run it, so counting the dispatch takes no further lock at all.
 //!
-//! A read folds the stripes and the held copies with the rules that make
-//! striping exact —
-//! counters add wrapping, histograms [`HistogramSnapshot::merge`] — so a
-//! quiescent block reads byte for byte like the single atomic
-//! instruments it stands for, fed the same samples in any order.
+//! A read folds the registry's copy and the held copies — counters add
+//! wrapping, histograms [`HistogramSnapshot::merge`] — so a quiescent
+//! block reads byte for byte like a single counter and histogram fed the
+//! same samples in any order.
 
 use std::any::Any;
 use std::fmt;
@@ -30,7 +28,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::hist::HistogramSnapshot;
-use crate::percpu::PerCpu;
 
 /// One field of a [`Block`], as [`Block::fields`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +58,7 @@ pub trait Block: Default + Send + 'static {
 /// disabled.
 #[derive(Debug)]
 pub struct BlockHandle<B> {
-    pub(crate) inner: Option<Arc<PerCpu<Mutex<B>>>>,
+    pub(crate) inner: Option<Arc<Mutex<B>>>,
 }
 
 impl<B> Clone for BlockHandle<B> {
@@ -84,13 +81,12 @@ impl<B: Block> BlockHandle<B> {
         Self::default()
     }
 
-    /// Writes one event into the calling thread's stripe, under that
-    /// stripe's lock. `write` must only update the block: the lock is
-    /// held while it runs.
+    /// Writes one event into the block, under its lock. `write` must
+    /// only update the block: the lock is held while it runs.
     #[inline]
     pub fn write(&self, write: impl FnOnce(&mut B)) {
-        if let Some(stripes) = &self.inner {
-            write(&mut stripes.local().lock());
+        if let Some(block) = &self.inner {
+            write(&mut block.lock());
         }
     }
 }
@@ -99,7 +95,7 @@ impl<B: Block> BlockHandle<B> {
 /// beside the state that lock already guards, so writing it costs plain
 /// adds and no further lock. Registered with
 /// [`crate::telemetry::Registry::hold`], it reads under the block's names
-/// together with the block's stripes and every other holder's copy. The
+/// together with the registry's copy and every other holder's. The
 /// registry keeps the holder alive: once nothing else does, the next read
 /// or registration folds its last values into the block and lets it go.
 pub trait Holds<B: Block>: Send + Sync + 'static {
@@ -130,7 +126,7 @@ fn add<B: Block>(block: &B, counters: &mut [u64], histograms: &mut [HistogramSna
         }
         Field::Histogram(v) => {
             let merged = h.next().expect("a slot per field");
-            // A stripe no thread writes is common: skip its adds.
+            // A histogram a copy never recorded into is common: skip its adds.
             if !v.is_empty() {
                 merged.merge(v);
             }
@@ -140,8 +136,10 @@ fn add<B: Block>(block: &B, counters: &mut [u64], histograms: &mut [HistogramSna
 
 /// Where one registered block's fields live.
 struct Storage<B> {
-    /// One copy per CPU, written through [`BlockHandle::write`].
-    stripes: Arc<PerCpu<Mutex<B>>>,
+    /// The registry's own copy, written through [`BlockHandle::write`]:
+    /// made by the first [`crate::telemetry::Registry::block`] for the
+    /// prefix, so a block only ever held keeps none.
+    own: Option<Arc<Mutex<B>>>,
     /// Copies writers keep under their own locks.
     held: Vec<Arc<dyn Holds<B>>>,
     /// The fields of the holders let go so far, folded.
@@ -190,8 +188,8 @@ impl fmt::Debug for Registered {
 }
 
 impl Registered {
-    /// A new block of `stripes` stripes registered under `prefix`.
-    pub(crate) fn new<B: Block>(prefix: &str, stripes: usize) -> (Self, Arc<PerCpu<Mutex<B>>>) {
+    /// A new block registered under `prefix`, with no copies yet.
+    pub(crate) fn new<B: Block>(prefix: &str) -> Self {
         let names = B::names(prefix);
         let (mut counter_names, mut histogram_names) = (Vec::new(), Vec::new());
         let mut next = names.into_iter();
@@ -203,14 +201,13 @@ impl Registered {
             }
         });
         assert!(next.next().is_none(), "a field for every name of the block");
-        let stripes = Arc::new(PerCpu::with_stripes(stripes, Mutex::default));
         let (counters, histograms) = blank::<B>();
-        let storage = Storage {
-            stripes: stripes.clone(),
+        let storage = Storage::<B> {
+            own: None,
             held: Vec::new(),
             retired: (counters.clone(), histograms.clone()),
         };
-        let registered = Registered {
+        Registered {
             prefix: prefix.to_string(),
             storage: Box::new(storage),
             refresh: refresh::<B>,
@@ -218,20 +215,27 @@ impl Registered {
             histograms,
             counter_names,
             histogram_names,
-        };
-        (registered, stripes)
+        }
     }
 
-    /// The stripes, if the block is a `B`.
-    pub(crate) fn stripes<B: Block>(&self) -> Option<Arc<PerCpu<Mutex<B>>>> {
-        let storage = self.storage.downcast_ref::<Storage<B>>()?;
-        Some(storage.stripes.clone())
+    /// The block's storage. Panics if the block is not a `B`.
+    fn storage<B: Block>(&mut self) -> &mut Storage<B> {
+        let prefix = &self.prefix;
+        self.storage
+            .downcast_mut()
+            .unwrap_or_else(|| panic!("block `{prefix}` is already registered as another type"))
     }
 
-    /// Adds `holder`'s copy to the block, which must be a `B`, and lets go
-    /// of the holders nothing else keeps.
+    /// The registry's own copy of the block, made if it has none yet.
+    /// Panics if the block is not a `B`.
+    pub(crate) fn own<B: Block>(&mut self) -> Arc<Mutex<B>> {
+        Arc::clone(self.storage::<B>().own.get_or_insert_with(Arc::default))
+    }
+
+    /// Adds `holder`'s copy to the block, and lets go of the holders
+    /// nothing else keeps. Panics if the block is not a `B`.
     pub(crate) fn hold<B: Block>(&mut self, holder: Arc<dyn Holds<B>>) {
-        let storage = self.storage.downcast_mut::<Storage<B>>().expect("a `B`");
+        let storage = self.storage::<B>();
         storage.retire_released();
         storage.held.push(holder);
     }
@@ -254,8 +258,8 @@ fn refresh<B: Block>(
     for (merged, retired) in histograms.iter_mut().zip(retired_histograms) {
         merged.clone_from(retired);
     }
-    for stripe in storage.stripes.iter() {
-        add(&*stripe.lock(), counters, histograms);
+    if let Some(own) = &storage.own {
+        add(&*own.lock(), counters, histograms);
     }
     for holder in &storage.held {
         holder.read(&mut |b| add(b, counters, histograms));
@@ -314,6 +318,6 @@ pub(crate) mod tests {
                 visit(Field::Counter(self.0));
             }
         }
-        Registered::new::<Unnamed>("u", 1);
+        Registered::new::<Unnamed>("u");
     }
 }

@@ -1,18 +1,16 @@
 //! Fixed-bucket log2 histograms.
 //!
-//! The atomic [`Histogram`] is the single-instrument recorder (four to
-//! six relaxed atomic ops per sample, no locks). [`HistogramSnapshot`]
-//! is its plain-integer image: mergeable, serializable, usable directly
-//! as a single-threaded accumulator (e.g. inside simulation `RunStats`),
-//! and the histogram field of a per-CPU [`crate::telemetry::Block`] — the software
-//! analogue of an eBPF percpu histogram map.
+//! [`HistogramSnapshot`] is the one histogram: plain integers, mergeable
+//! and serializable. It is a single-threaded accumulator (e.g. inside
+//! simulation `RunStats`), the histogram field of a
+//! [`crate::telemetry::Block`], and, under a lock, a registry's single
+//! histogram ([`crate::telemetry::HistogramHandle`]).
 //!
 //! Alongside the 64 log2 buckets, exact first/second moments and min/max
 //! are tracked so `mean()`/`stdev()` are *exact* even though `quantile()`
 //! interpolates within a bucket.
 
 use serde::{Serialize, SerializeStruct, Serializer};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Number of log2 buckets: one per possible `floor(log2(v))` of a `u64`.
 pub const HIST_BUCKETS: usize = 64;
@@ -39,83 +37,15 @@ fn bucket_bounds(idx: usize) -> (u64, u64) {
     }
 }
 
-/// Concurrent log2 histogram with lock-free recording.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    /// Sum of squares (wraps for astronomically large value/count mixes;
-    /// quantiles, mean and min/max are unaffected).
-    sumsq: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            sumsq: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample. Lock-free; safe from any thread.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-        self.sum.fetch_add(v, Relaxed);
-        self.sumsq.fetch_add(v.wrapping_mul(v), Relaxed);
-        // The extremes settle after a few samples; a plain load keeps the
-        // two CAS loops (and their exclusive cache-line requests) off
-        // every later record.
-        if v < self.min.load(Relaxed) {
-            self.min.fetch_min(v, Relaxed);
-        }
-        if v > self.max.load(Relaxed) {
-            self.max.fetch_max(v, Relaxed);
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
-    }
-
-    /// Copies the current state. Concurrent `record`s may be torn across
-    /// fields (a sample counted but its bucket not yet visible); quiesce
-    /// writers for exact snapshots.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Relaxed)),
-            count: self.count.load(Relaxed),
-            sum: self.sum.load(Relaxed),
-            sumsq: self.sumsq.load(Relaxed),
-            min_raw: self.min.load(Relaxed),
-            max_raw: self.max.load(Relaxed),
-        }
-    }
-}
-
-/// Plain-integer histogram state: the snapshot of a [`Histogram`], and
-/// also a standalone single-threaded accumulator.
+/// Plain-integer histogram state: an accumulator, and the copy a read
+/// takes of one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: [u64; HIST_BUCKETS],
     count: u64,
     sum: u64,
+    /// Sum of squares (wraps for astronomically large value/count mixes;
+    /// quantiles, mean and min/max are unaffected).
     sumsq: u64,
     /// `u64::MAX` while empty.
     min_raw: u64,
@@ -141,7 +71,7 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Records one sample (single-threaded accumulator or block use).
+    /// Records one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_index(v)] += 1;
@@ -367,11 +297,10 @@ mod tests {
 
     #[test]
     fn exact_moments_survive_bucketing() {
-        let h = Histogram::new();
+        let mut s = HistogramSnapshot::empty();
         for v in [10u64, 20, 30, 40] {
-            h.record(v);
+            s.record(v);
         }
-        let s = h.snapshot();
         assert_eq!(s.count(), 4);
         assert_eq!(s.sum(), 100);
         assert_eq!(s.min(), 10);
@@ -441,15 +370,14 @@ mod tests {
 
     #[test]
     fn delta_applied_to_earlier_reproduces_later() {
-        let h = Histogram::new();
+        let mut later = HistogramSnapshot::empty();
         for v in [100u64, 7, 9000] {
-            h.record(v);
+            later.record(v);
         }
-        let earlier = h.snapshot();
+        let earlier = later.clone();
         for v in [3u64, 50_000, 12] {
-            h.record(v);
+            later.record(v);
         }
-        let later = h.snapshot();
         let delta = later.delta_since(&earlier);
         assert_eq!(delta.count(), 3);
         assert_eq!(delta.sum(), 3 + 50_000 + 12);
@@ -467,99 +395,26 @@ mod tests {
         );
     }
 
+    /// A registry's single histogram, recorded into from four threads,
+    /// loses no sample.
     #[test]
     fn concurrent_records_all_land() {
-        use std::sync::Arc;
-        let h = Arc::new(Histogram::new());
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
+        let h = crate::telemetry::Registry::new().histogram("h");
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let h = &h;
+                s.spawn(move || {
                     for i in 0..25_000u64 {
                         h.record(t * 25_000 + i);
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
+                });
+            }
+        });
         let s = h.snapshot();
         assert_eq!(s.count(), 100_000);
         assert_eq!(s.buckets().iter().sum::<u64>(), 100_000);
         assert_eq!(s.min(), 0);
         assert_eq!(s.max(), 99_999);
-    }
-
-    /// `threads` threads record `values` round-robin into a block of
-    /// `stripes` stripes holding a histogram and a counter; returns its
-    /// fold.
-    fn record_striped(stripes: usize, threads: usize, values: &[u64]) -> (HistogramSnapshot, u64) {
-        let registry = crate::telemetry::Registry::new();
-        let block = registry.block_striped::<crate::block::tests::Pair>("p", stripes);
-        let barrier = std::sync::Barrier::new(threads);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let (block, barrier) = (&block, &barrier);
-                s.spawn(move || {
-                    barrier.wait();
-                    for &v in values.iter().skip(t).step_by(threads) {
-                        block.write(|b| b.record(v));
-                    }
-                });
-            }
-        });
-        let snapshot = registry.snapshot();
-        let histogram = snapshot.histogram("p/value").expect("registered");
-        (histogram.clone(), snapshot.counter("p/count"))
-    }
-
-    #[test]
-    fn striped_records_merge_to_the_single_threaded_accumulator() {
-        let values: Vec<u64> = (0..40_000u64)
-            .map(|i| match i % 5 {
-                0 => 0,
-                1 => 1,
-                2 => u64::MAX,
-                _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64),
-            })
-            .collect();
-        let mut want = HistogramSnapshot::empty();
-        values.iter().for_each(|&v| want.record(v));
-        let sum = values.iter().fold(0, |a: u64, &v| a.wrapping_add(v));
-        for stripes in [1, 2, 4, 16] {
-            for threads in [1, 3, 8] {
-                let (got, counted) = record_striped(stripes, threads, &values);
-                assert_eq!(got, want, "{stripes} stripes, {threads} threads");
-                assert_eq!(counted, sum, "{stripes} stripes, {threads} threads");
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn striped_records_merge_exactly(
-            picks in proptest::collection::vec((0u8..4, proptest::prelude::any::<u64>()), 0..200),
-            stripes_log2 in 0usize..5,
-            threads in 1usize..5,
-        ) {
-            // The vendored proptest has no `prop_oneof`: a discriminant
-            // makes the edges common.
-            let values: Vec<u64> = picks
-                .iter()
-                .map(|&(which, v)| match which {
-                    0 => 0,
-                    1 => 1,
-                    2 => u64::MAX,
-                    _ => v,
-                })
-                .collect();
-            let mut want = HistogramSnapshot::empty();
-            values.iter().for_each(|&v| want.record(v));
-            let (got, counted) = record_striped(1 << stripes_log2, threads, &values);
-            proptest::prop_assert_eq!(got, want);
-            proptest::prop_assert_eq!(counted, values.iter().fold(0, |a: u64, &v| a.wrapping_add(v)));
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Cross-stack observability for the Syrup scheduling stack, one module
 //! per pillar, each zero-cost when disabled:
 //!
-//! * [`telemetry`] — counters, gauges, log2 histograms, per-CPU stats
-//!   blocks and registry snapshots.
+//! * [`telemetry`] — counters, gauges, log2 histograms, stats blocks
+//!   and registry snapshots.
 //! * [`trace`] — sampled per-request spans, timelines, stage breakdowns
 //!   and Perfetto export.
 //! * [`profile`] — cycle attribution inside policies, executor pressure

@@ -9,7 +9,8 @@
 //! take consecutive homes, so they land on different stripes whenever
 //! there are at least two.
 //!
-//! The stripe count is the host's: [`stripe_count`].
+//! The stripe count is the host's: [`stripe_count`]. The tracer's refusal
+//! count, bumped by producers that hold no lock, is the one user.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};

@@ -2,9 +2,9 @@
 //! mode, snapshots.
 //!
 //! Registration (`counter`/`gauge`/`histogram`/`block`) takes a short
-//! lock and returns a cloneable *handle*; every subsequent update
-//! through a single instrument's handle is lock-free, and a block's
-//! takes only its stripe's uncontended lock. A [`Registry::disabled`]
+//! lock and returns a cloneable *handle*. A counter's or gauge's update
+//! is one relaxed atomic; a histogram's or a block's takes its own
+//! uncontended leaf lock around plain adds. A [`Registry::disabled`]
 //! registry returns empty handles whose updates compile down to a
 //! single `Option` branch — instrumentation stays in place at zero cost.
 //!
@@ -12,13 +12,12 @@
 //! as `<component>/<metric>` or `app<id>/<hook>/<metric>`, which makes
 //! per-app export a prefix filter ([`Snapshot::filter_prefix`]). A name
 //! is a single instrument or block fields, never both; a read folds the
-//! block fields that report under a name with the stripe-merge rules
-//! (see [`crate::telemetry::Block`]).
+//! block fields that report under a name (see
+//! [`crate::telemetry::Block`]).
 
 use crate::block::{Block, BlockHandle, Holds, Registered};
 use crate::counter::{Counter, Gauge};
-use crate::hist::{Histogram, HistogramSnapshot};
-use crate::percpu::{stripe_count, PerCpu};
+use crate::hist::HistogramSnapshot;
 use parking_lot::Mutex;
 use serde::{Serialize, SerializeStruct, Serializer};
 use std::borrow::Cow;
@@ -30,7 +29,7 @@ use std::sync::Arc;
 struct Instruments {
     counters: BTreeMap<String, Sources<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
-    histograms: BTreeMap<String, Sources<Histogram>>,
+    histograms: BTreeMap<String, Sources<Mutex<HistogramSnapshot>>>,
     blocks: Vec<Registered>,
 }
 
@@ -78,42 +77,35 @@ impl<T> Sources<T> {
 }
 
 impl Instruments {
-    /// The named block's stripes, registered with `stripes` stripes if
-    /// new. Panics if the name is a block of another type, or if one of
-    /// its fields' names is a single instrument.
-    fn block<B: Block>(&mut self, prefix: &str, stripes: usize) -> Arc<PerCpu<Mutex<B>>> {
-        if let Some(block) = self.blocks.iter().find(|b| b.prefix == prefix) {
-            return block.stripes().unwrap_or_else(|| {
-                panic!("block `{prefix}` is already registered as another type")
-            });
-        }
-        let (block, stripes) = Registered::new::<B>(prefix, stripes);
-        // Checked before anything is added, so a refused block leaves
-        // the registry as it was.
-        Sources::refuse_singles(&self.counters, &block.counter_names);
-        Sources::refuse_singles(&self.histograms, &block.histogram_names);
-        let index = self.blocks.len();
-        Sources::add_fields(&mut self.counters, index, &block.counter_names);
-        Sources::add_fields(&mut self.histograms, index, &block.histogram_names);
-        self.blocks.push(block);
-        stripes
+    /// The block registered under `prefix`, registered with no copies if
+    /// new. Panics if one of a new block's field names is a single
+    /// instrument.
+    fn registered<B: Block>(&mut self, prefix: &str) -> &mut Registered {
+        let index = match self.blocks.iter().position(|b| b.prefix == prefix) {
+            Some(index) => index,
+            None => {
+                let block = Registered::new::<B>(prefix);
+                // Checked before anything is added, so a refused block
+                // leaves the registry as it was.
+                Sources::refuse_singles(&self.counters, &block.counter_names);
+                Sources::refuse_singles(&self.histograms, &block.histogram_names);
+                let index = self.blocks.len();
+                Sources::add_fields(&mut self.counters, index, &block.counter_names);
+                Sources::add_fields(&mut self.histograms, index, &block.histogram_names);
+                self.blocks.push(block);
+                index
+            }
+        };
+        &mut self.blocks[index]
     }
 
-    /// Adds `holder`'s copy to the block registered under `prefix`,
-    /// registered as [`Instruments::block`] registers it if new.
-    fn hold<B: Block>(&mut self, prefix: &str, holder: Arc<dyn Holds<B>>) {
-        self.block::<B>(prefix, 1);
-        let block = self.blocks.iter_mut().find(|b| b.prefix == prefix);
-        block.expect("registered above").hold(holder);
-    }
-
-    /// Folds every block's stripes, for the reads that follow.
+    /// Folds every block's copies, for the reads that follow.
     fn refresh(&mut self) {
         self.blocks.iter_mut().for_each(Registered::refresh);
     }
 
     /// A counter's value as of the last [`Instruments::refresh`]: block
-    /// fields add wrapping, as stripes do.
+    /// fields add wrapping.
     fn counter(&self, sources: &Sources<Counter>) -> u64 {
         match sources {
             Sources::Single(c) => c.get(),
@@ -125,10 +117,10 @@ impl Instruments {
 
     /// A histogram's state as of the last [`Instruments::refresh`]:
     /// block fields merge. A lone block field is lent, not copied.
-    fn histogram(&self, sources: &Sources<Histogram>) -> Cow<'_, HistogramSnapshot> {
+    fn histogram(&self, sources: &Sources<Mutex<HistogramSnapshot>>) -> Cow<'_, HistogramSnapshot> {
         let field = |&(block, field): &(usize, usize)| &self.blocks[block].histograms[field];
         match sources {
-            Sources::Single(h) => Cow::Owned(h.snapshot()),
+            Sources::Single(h) => Cow::Owned(h.lock().clone()),
             Sources::Fields(fields) => match &fields[..] {
                 [one] => Cow::Borrowed(field(one)),
                 _ => Cow::Owned(
@@ -195,34 +187,26 @@ impl Registry {
         }
     }
 
-    /// Registers (or fetches) the stats block under `prefix`, one
-    /// stripe per CPU: for the instruments one event moves together. Its
-    /// fields read under [`Block::names`]`(prefix)` from now on. Panics
-    /// if `prefix` names a block of another type, or if a field's name
-    /// is a single instrument.
+    /// Registers (or fetches) the stats block under `prefix`: for the
+    /// instruments one event moves together. Its fields read under
+    /// [`Block::names`]`(prefix)` from now on. Panics if `prefix` names a
+    /// block of another type, or if a field's name is a single
+    /// instrument.
     pub fn block<B: Block>(&self, prefix: &str) -> BlockHandle<B> {
         BlockHandle {
-            inner: self.register(|i| i.block(prefix, stripe_count())),
+            inner: self.register(|i| i.registered::<B>(prefix).own()),
         }
     }
 
     /// Adds `holder`'s copy of a `B` to the block under `prefix`
-    /// (registered as [`Registry::block`] would if new): from now on it
-    /// reads under the block's names together with the block's stripes
-    /// and every other copy, and the registry keeps `holder` until it is
-    /// the last to. A read locks each holder through [`Holds::read`], so
-    /// nothing may read the registry while it holds a holder's lock.
+    /// (registered as [`Registry::block`] would if new, but with no copy
+    /// of the registry's own): from now on it reads under the block's
+    /// names together with every other copy, and the registry keeps
+    /// `holder` until it is the last to. A read locks each holder through
+    /// [`Holds::read`], so nothing may read the registry while it holds a
+    /// holder's lock.
     pub fn hold<B: Block>(&self, prefix: &str, holder: Arc<dyn Holds<B>>) {
-        self.register(|i| i.hold(prefix, holder));
-    }
-
-    /// [`Registry::block`] with `stripes` stripes: the multi-stripe path
-    /// on any host, for tests.
-    #[cfg(test)]
-    pub(crate) fn block_striped<B: Block>(&self, prefix: &str, stripes: usize) -> BlockHandle<B> {
-        BlockHandle {
-            inner: self.register(|i| i.block(prefix, stripes)),
-        }
+        self.register(|i| i.registered::<B>(prefix).hold(holder));
     }
 
     /// Brings `since` up to now and returns what moved: the same as
@@ -378,10 +362,11 @@ impl GaugeHandle {
     }
 }
 
-/// Lock-free handle to a registered [`Histogram`]; no-op when disabled.
+/// Handle to a registered histogram, a [`HistogramSnapshot`] under a
+/// leaf lock; no-op when disabled.
 #[derive(Debug, Clone, Default)]
 pub struct HistogramHandle {
-    inner: Option<Arc<Histogram>>,
+    inner: Option<Arc<Mutex<HistogramSnapshot>>>,
 }
 
 impl HistogramHandle {
@@ -394,7 +379,15 @@ impl HistogramHandle {
     #[inline]
     pub fn record(&self, v: u64) {
         if let Some(h) = &self.inner {
-            h.record(v);
+            h.lock().record(v);
+        }
+    }
+
+    /// Adds every sample of `samples`, under one lock: the same as
+    /// recording each of them.
+    pub fn merge(&self, samples: &HistogramSnapshot) {
+        if let Some(h) = &self.inner {
+            h.lock().merge(samples);
         }
     }
 
@@ -402,7 +395,7 @@ impl HistogramHandle {
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.inner
             .as_ref()
-            .map_or_else(HistogramSnapshot::empty, |h| h.snapshot())
+            .map_or_else(HistogramSnapshot::empty, |h| h.lock().clone())
     }
 }
 
@@ -675,9 +668,9 @@ mod tests {
     }
 
     #[test]
-    fn percpu_instruments_read_like_single_stripe_ones() {
+    fn a_block_threads_share_reads_like_single_instruments() {
         let reg = Registry::new();
-        let block = reg.block_striped::<Pair>("a", 4);
+        let block = reg.block::<Pair>("a");
         let single = (reg.counter("b/count"), reg.histogram("b/value"));
         // A prefix keeps the block it was first registered with.
         assert!(Arc::ptr_eq(
@@ -739,11 +732,11 @@ mod tests {
         }
     }
 
-    /// Held copies read under the block's names with its stripes; one the
-    /// registry alone still keeps is folded into the block and let go, so
-    /// the names keep what it wrote.
+    /// Held copies read under the block's names with the registry's own
+    /// copy; one the registry alone still keeps is folded into the block
+    /// and let go, so the names keep what it wrote.
     #[test]
-    fn held_copies_fold_with_the_stripes_and_outlive_their_writers() {
+    fn held_copies_fold_with_the_registrys_and_outlive_their_writers() {
         let reg = Registry::new();
         reg.block::<Pair>("p").write(|b| b.record(1));
         let holders: Vec<Arc<Holder>> =
@@ -770,6 +763,15 @@ mod tests {
         let holder = Arc::new(Holder(Mutex::default()));
         Registry::disabled().hold::<Pair>("p", holder.clone());
         assert_eq!(Arc::strong_count(&holder), 1);
+
+        // A block only ever held keeps no copy of its own: a read locks
+        // the registry and the holder, nothing more.
+        let reg = Registry::new();
+        reg.hold::<Pair>("h", holder.clone());
+        let before = parking_lot::acquisitions();
+        assert_eq!(reg.snapshot().histogram("h/value").unwrap().count(), 0);
+        let taken = parking_lot::acquisitions().zip(before).map(|(a, b)| a - b);
+        assert_eq!(taken, before.map(|_| 2));
     }
 
     /// Block fields that share a name fold into it; a single instrument
@@ -778,8 +780,7 @@ mod tests {
     #[test]
     fn blocks_share_names_and_singles_do_not() {
         let reg = Registry::new();
-        reg.block_striped::<Shared>("x", 2)
-            .write(|b| b.0 = u64::MAX);
+        reg.block::<Shared>("x").write(|b| b.0 = u64::MAX);
         reg.block::<Shared>("y").write(|b| b.0 += 3);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("x/count"), u64::MAX);
@@ -815,9 +816,9 @@ mod tests {
     }
 
     #[test]
-    fn deltas_round_trip_across_stripes() {
+    fn deltas_round_trip_across_threads() {
         let reg = Registry::new();
-        let block = reg.block_striped::<Pair>("b", 4);
+        let block = reg.block::<Pair>("b");
         let record_from = |threads: u64, base: u64| {
             std::thread::scope(|s| {
                 for t in 0..threads {
@@ -867,7 +868,7 @@ mod tests {
         for step in 0u64..12 {
             if step % 4 == 0 {
                 reg.counter(&format!("c{step}")).inc();
-                reg.block_striped::<Pair>(&format!("b{step}"), 4)
+                reg.block::<Pair>(&format!("b{step}"))
                     .write(|b| b.record(step));
             }
             if step % 3 != 2 {
@@ -888,11 +889,10 @@ mod tests {
         assert_eq!(since, Snapshot::default());
     }
 
-    /// `threads` threads record `values` round-robin into a block of
-    /// `stripes` stripes under `a/` and into the atomic instruments it
-    /// replaces under `b/`.
-    fn record_both(reg: &Registry, stripes: usize, threads: usize, values: &[u64]) {
-        let block = reg.block_striped::<Pair>("a", stripes);
+    /// `threads` threads record `values` round-robin into a block under
+    /// `a/` and into the single instruments it replaces under `b/`.
+    fn record_both(reg: &Registry, threads: usize, values: &[u64]) {
+        let block = reg.block::<Pair>("a");
         let (count, value) = (reg.counter("b/count"), reg.histogram("b/value"));
         let barrier = std::sync::Barrier::new(threads);
         std::thread::scope(|s| {
@@ -912,12 +912,11 @@ mod tests {
 
     proptest::proptest! {
         /// A block snapshots, advances and exports byte for byte like the
-        /// atomic counter and histogram it replaces.
+        /// single counter and histogram it replaces.
         #[test]
         fn a_block_reads_like_the_atomic_instruments_it_replaces(
             picks in proptest::collection::vec((0u8..4, proptest::prelude::any::<u64>()), 0..200),
             split in 0usize..200,
-            stripes_log2 in 0usize..5,
             threads in 1usize..9,
         ) {
             // The vendored proptest has no `prop_oneof`: a discriminant
@@ -935,7 +934,7 @@ mod tests {
             let reg = Registry::new();
             let mut since = Snapshot::default();
             for part in [first, second] {
-                record_both(&reg, 1 << stripes_log2, threads, part);
+                record_both(&reg, threads, part);
                 let delta = reg.advance(&mut since);
                 let (a, b) = (since.filter_prefix("a/"), since.filter_prefix("b/"));
                 proptest::prop_assert_eq!(a.to_json(), b.to_json());

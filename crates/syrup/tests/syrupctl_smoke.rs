@@ -601,6 +601,8 @@ fn error_paths_print_one_line_and_exit_1() {
         ("rr.c", syrup::policies::c_sources::ROUND_ROBIN),
         ("falls_off.s", "mov r0, 0\n"),
         ("garbage.s", "frob r0\n"),
+        ("two_signs.s", "mov r0, --5\nexit\n"),
+        ("past_min.s", "lddw r0, --9223372036854775808\nexit\n"),
         ("empty.json", "{}"),
         ("no_traces.json", "{\"traceEvents\":[]}"),
         ("no_layers.json", "{\"postmortem\":{}}"),
@@ -741,6 +743,16 @@ fn error_paths_print_one_line_and_exit_1() {
         (
             "verify-asm {dir}/garbage.s",
             "assembly error: line 1: unknown mnemonic `frob`".into(),
+        ),
+        // An immediate takes one sign; a second one is an error, never
+        // a negation that overflows.
+        (
+            "verify-asm {dir}/two_signs.s",
+            "assembly error: line 1: bad immediate `--5`".into(),
+        ),
+        (
+            "verify-asm {dir}/past_min.s",
+            "assembly error: line 1: bad immediate `--9223372036854775808`".into(),
         ),
         // Introspection. A flag the subcommand does not take, including
         // one it once took.

@@ -5,7 +5,9 @@
 //! and bytecode (profiled or not), native and unmatched dispatches take
 //! the locks their rows name. One row per world the ledger runs counts the same per
 //! request, end to end: so far the quickstart trip, plain and with every
-//! sink on, `server_world` and Figure 8's `mt_world`.
+//! sink on, `server_world` native and on bytecode, Figure 8's `mt_world`
+//! and the scale world at one shard. No row depends on the host's CPU
+//! count: each reads the same pinned to one CPU.
 //!
 //! A counting allocator wraps the system one for this test binary only;
 //! it counts per thread, so the harness's own threads do not interfere.
@@ -25,6 +27,7 @@ use syrup::policies::c_sources;
 use syrup::policies::native::RoundRobinPolicy;
 use syrup::profile::Profiler;
 use syrup::scope::{Sampler, Scope};
+use syrup::sim::scale::{ScaleCfg, ScaleEngine};
 use syrup::sim::Duration;
 use syrup::trace::{Tracer, TRACE_CAPACITY};
 
@@ -319,8 +322,13 @@ const OBSERVED_LOCKS_PER_REQUEST: u64 = TRIP_LOCKS_PER_REQUEST + 12 + 4;
 
 /// Locks the scope sampler takes over the observed trip's last
 /// [`TRIP_REQUESTS`] requests: 45 more ticks (one per 100 µs of simulated
-/// time), 27 locks each to read the daemon's registry.
-const OBSERVED_SCOPE_LOCKS: u64 = 45 * 27;
+/// time), 22 locks each. Reading the daemon's registry takes 6: the
+/// registry's own, the `vm` and `syrupd` blocks' one copy each, and the
+/// three slots' locks, under which each slot keeps its block. Storing the
+/// 16 names that moved takes one series lock each. While every block kept
+/// a copy per CPU (and a held one an empty copy of its own besides) the
+/// read took 5 more on a 2-CPU host, and a count that followed the host.
+const OBSERVED_SCOPE_LOCKS: u64 = 45 * 22;
 
 /// Allocations the observed quickstart trip makes in its last
 /// [`TRIP_REQUESTS`] requests of `2 × TRIP_REQUESTS`: the plain trip's
@@ -439,10 +447,12 @@ const SERVER_LOCKS_PER_REQUEST: u64 = 1;
 const SERVER_MARGINAL_ALLOCATIONS: u64 = 6;
 
 /// Heap allocations, locks (where counted) and measured requests of one
-/// Figure-6 `server_world` run, native round robin at 300 K rps: a 5 ms
-/// warm-up, then `measure_ms` measured, daemon setup included.
-fn server(measure_ms: u64) -> (u64, Option<u64>, u64) {
+/// Figure-6 `server_world` run, round robin at 300 K rps, native or as
+/// bytecode: a 5 ms warm-up, then `measure_ms` measured, daemon setup
+/// included.
+fn server(measure_ms: u64, use_ebpf: bool) -> (u64, Option<u64>, u64) {
     let mut cfg = ServerConfig::fig6(SocketPolicyKind::RoundRobin, 300_000.0, 1);
+    cfg.use_ebpf = use_ebpf;
     cfg.warmup = Duration::from_millis(5);
     cfg.measure = Duration::from_millis(measure_ms);
     let (allocations, locks) = (ALLOCATIONS.with(Cell::get), parking_lot::acquisitions());
@@ -464,14 +474,46 @@ fn server(measure_ms: u64) -> (u64, Option<u64>, u64) {
 #[test]
 fn a_server_world_request_takes_one_lock() {
     // A thread's first run also pays its one-time setup.
-    server(1);
-    let (short, long) = (server(SERVER_WINDOW_MS), server(2 * SERVER_WINDOW_MS));
+    server(1, false);
+    let (short, long) = (
+        server(SERVER_WINDOW_MS, false),
+        server(2 * SERVER_WINDOW_MS, false),
+    );
     assert_eq!((short.2, long.2), (3_034, 6_129));
     assert_eq!(long.0 - short.0, SERVER_MARGINAL_ALLOCATIONS);
     let locks = long.1.zip(short.1).map(|(long, short)| long - short);
     assert_eq!(
         locks,
         expected_locks(SERVER_LOCKS_PER_REQUEST, long.2 - short.2)
+    );
+}
+
+/// Locks per `server_world` request with the policy as bytecode: the
+/// socket-select slot's, under which the policy's and the VM's stats
+/// count too; the round-robin counter Map is an array and takes none.
+const SERVER_EBPF_LOCKS_PER_REQUEST: u64 = 1;
+
+/// Allocations the longer bytecode `server_world` run makes beyond the
+/// shorter one: the native row's [`SERVER_MARGINAL_ALLOCATIONS`], the same
+/// growth steps. A VM run allocates nothing once warm.
+const SERVER_EBPF_MARGINAL_ALLOCATIONS: u64 = SERVER_MARGINAL_ALLOCATIONS;
+
+/// The `server_world` row on bytecode: the same two windows, the same
+/// arrivals, and the policy run by the VM instead of natively.
+#[test]
+fn a_bytecode_server_world_request_takes_one_lock() {
+    // A thread's first run also pays its one-time setup.
+    server(1, true);
+    let (short, long) = (
+        server(SERVER_WINDOW_MS, true),
+        server(2 * SERVER_WINDOW_MS, true),
+    );
+    assert_eq!((short.2, long.2), (3_034, 6_129));
+    assert_eq!(long.0 - short.0, SERVER_EBPF_MARGINAL_ALLOCATIONS);
+    let locks = long.1.zip(short.1).map(|(long, short)| long - short);
+    assert_eq!(
+        locks,
+        expected_locks(SERVER_EBPF_LOCKS_PER_REQUEST, long.2 - short.2)
     );
 }
 
@@ -530,6 +572,64 @@ fn an_mt_world_request_takes_one_lock() {
     assert_eq!(
         locks,
         expected_locks(MT_LOCKS_PER_REQUEST, long.2 - short.2)
+    );
+}
+
+/// The shorter measure window of the one-shard scale world: 1 400
+/// requests complete at seed 1 (the longer window, 20 ms, 2 353).
+const SCALE_WINDOW_MS: u64 = 10;
+
+/// Locks per scale-world request at one shard: none. One shard runs
+/// inline on the calling thread, with no mailbox or barrier, and the
+/// world keeps no telemetry.
+const SCALE_LOCKS_PER_REQUEST: u64 = 0;
+
+/// Allocations the longer one-shard scale run makes beyond the shorter
+/// one: first touches, growth steps and re-made buckets, none per
+/// request. 54 cells take
+/// their first queued request (each cell's heap allocates then), 30
+/// timer-wheel buckets are made afresh (each after a cascade that put
+/// next-rotation entries back into the slot it drained, which then
+/// cannot take its old allocation back), 16 buckets grow, and the
+/// latency recorder's vector doubles once.
+const SCALE_MARGINAL_ALLOCATIONS: u64 = 54 + 30 + 16 + 1;
+
+/// Heap allocations, locks (where counted) and completed requests of one
+/// scale-world run on the timer wheel at one shard, the ledger's
+/// `scale-1shard` at 1 000 flows: a 5 ms warm-up, then `measure_ms`
+/// measured.
+fn scale(measure_ms: u64) -> (u64, Option<u64>, u64) {
+    let mut cfg = ScaleCfg::new(1_000, 1, 1);
+    cfg.warmup = Duration::from_millis(5);
+    cfg.measure = Duration::from_millis(measure_ms);
+    cfg.sample_every = 0;
+    let (allocations, locks) = (ALLOCATIONS.with(Cell::get), parking_lot::acquisitions());
+    let result = syrup::sim::scale::run(&cfg, ScaleEngine::Wheel);
+    (
+        ALLOCATIONS.with(Cell::get) - allocations,
+        parking_lot::acquisitions()
+            .zip(locks)
+            .map(|(after, before)| after - before),
+        result.stats.completed,
+    )
+}
+
+/// The one-shard scale row, the event core alone: the longer window's
+/// extra requests take no lock, and its extra allocations are first
+/// touches, growth steps and re-made wheel buckets, not requests. The two-shard run stays
+/// uncounted: its shards run on threads of their own, whose locks and
+/// allocations a per-thread count does not see.
+#[test]
+fn a_one_shard_scale_request_takes_no_lock() {
+    // A thread's first run also pays its one-time setup.
+    scale(1);
+    let (short, long) = (scale(SCALE_WINDOW_MS), scale(2 * SCALE_WINDOW_MS));
+    assert_eq!((short.2, long.2), (1_400, 2_353));
+    assert_eq!(long.0 - short.0, SCALE_MARGINAL_ALLOCATIONS);
+    let locks = long.1.zip(short.1).map(|(long, short)| long - short);
+    assert_eq!(
+        locks,
+        expected_locks(SCALE_LOCKS_PER_REQUEST, long.2 - short.2)
     );
 }
 
